@@ -1,0 +1,8 @@
+"""Test set-up for the benchmark's own tests: import ``repro`` from ``src``."""
+
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
