@@ -14,23 +14,14 @@ records two trajectories per workload:
 * **end-to-end fit** — wall-clock of a full ``KronFitEstimator.fit`` at
   Table-1-scale chain parameters, per engine, with bit-identical fitted
   initiators enforced across engines;
-* **multi-start fit** — wall-clock of ``KronFitEstimator(n_starts=8)``
-  (PR 5) at n_jobs ∈ {1, 4} on the floor workload, with the winning
-  start and fitted initiator enforced bit-identical across worker
-  counts.  The parallel floor (n_jobs=4 ≥ 2× serial) is asserted only
-  on hosts with ≥ 2 usable cores — on a single-core container the
-  measurement is still recorded, with the core count and the reason the
-  assertion was skipped;
-* **batched multichain fit** — wall-clock of the PR 10 batched
-  multi-start path (all S chains advanced in *one* native call,
-  ``kernel_threads`` ∈ {1, 2}) against the PR 5 pool fan-out at
-  ``n_jobs=4``, at S ∈ {8, 64} on the floor workload.  The winning
-  start, fitted initiator, and every chain's final log-likelihood are
-  enforced bit-identical between the two strategies (the batched
-  kernel's per-chain bit-identity contract).  The ≥ 2× batched-vs-
-  fan-out floor is asserted exactly on single-core hosts — the
-  complement of the pool floor above, closing its "skipped on 1-core
-  hosts" gap: every host now asserts one multi-start floor.
+* **batched multichain fit** — wall-clock of ``KronFitEstimator(n_starts=S)``
+  (all S chains advanced in *one* native call per proposal batch,
+  ``kernel_threads`` ∈ {1, 2}) against S sequential single-start fits
+  seeded with the same ``SeedSequence`` children, at S ∈ {8, 64} on the
+  floor workload.  Sequential fit 0 is enforced bit-identical to batched
+  chain 0 (the multichain kernel's per-chain bit-identity contract).
+  The batched-vs-sequential floor (S=8, ``kernel_threads=1``, ≥ 1.25×)
+  needs no second core, so every host asserts it.
 
 Workloads: SKG draws at k ∈ {10, 12} and the ca-grqc dataset (the
 padded fit runs at k=13).  The k=12 draw asserts the floor: the best
@@ -73,9 +64,9 @@ from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import PermutationSampler
 from repro.kronecker.sampling import sample_skg
 from repro.native.chain import (
-    available_chain_backends,
-    chain_backend_available,
-    chain_backend_error,
+    available_multichain_backends,
+    multichain_backend_available,
+    multichain_backend_error,
 )
 from repro.native.registry import NATIVE_BACKENDS
 
@@ -83,8 +74,10 @@ from repro.native.registry import NATIVE_BACKENDS
 # the committed artifact in sync.  3 = added the large-k scale rows
 # (per-engine delta-scan fits at k ∈ {16, 18, 20}); 4 = added the
 # batched multichain column (``multichain`` workload rows at
-# S ∈ {8, 64} × kernel_threads ∈ {1, 2} plus ``multichain_floor``).
-SCHEMA_VERSION = 4
+# S ∈ {8, 64} × kernel_threads ∈ {1, 2} plus ``multichain_floor``);
+# 5 = dropped the pool ``multistart`` column and its floor, and re-based
+# the multichain column on S sequential single-start fits.
+SCHEMA_VERSION = 5
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_kronfit.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -93,18 +86,12 @@ SEED = 20120330
 FUSED_FIT_FLOOR = 2.0
 FLOOR_WORKLOAD = "skg-k12"
 
-# Multi-start column: S chains per fit, serial vs pool-fanned.
-MULTISTART_STARTS = 8
-MULTISTART_JOBS = (1, 4)
-MULTISTART_FLOOR = 2.0
-
-# Batched multichain column (PR 10): all S chains advanced in one
-# native call vs the PR 5 pool fan-out of S solo fits.
+# Batched multichain column: all S chains advanced in one native call vs
+# S sequential single-start fits.
 MULTICHAIN_STARTS = (8, 64)
 MULTICHAIN_QUICK_STARTS = (8,)
 MULTICHAIN_THREADS = (1, 2)
-MULTICHAIN_FANOUT_JOBS = 4
-MULTICHAIN_FLOOR = 2.0
+MULTICHAIN_FLOOR = 1.25
 
 # Table-1-scale chain parameters: n_iterations × (warmup + samples ×
 # spacing) = 28 000 proposals per fit.
@@ -147,10 +134,10 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
     reference = _chain_state(graph, k, "numpy", EQUIVALENCE_PROPOSALS)
     records: dict[str, dict] = {}
     for engine in chain_engines():
-        if engine != "numpy" and not chain_backend_available(engine):
+        if engine != "numpy" and not multichain_backend_available(engine):
             records[engine] = {
                 "available": False,
-                "reason": chain_backend_error(engine),
+                "reason": multichain_backend_error(engine),
             }
             continue
         state = _chain_state(graph, k, engine, EQUIVALENCE_PROPOSALS)
@@ -201,10 +188,10 @@ def bench_fit(graph: Graph, fit_params: dict) -> dict:
     records: dict[str, dict] = {}
     reference_initiator = None
     for engine in chain_engines():
-        if engine != "numpy" and not chain_backend_available(engine):
+        if engine != "numpy" and not multichain_backend_available(engine):
             records[engine] = {
                 "available": False,
-                "reason": chain_backend_error(engine),
+                "reason": multichain_backend_error(engine),
             }
             continue
         estimator = KronFitEstimator(
@@ -245,143 +232,74 @@ def usable_cores() -> int:
 def best_engine() -> str:
     """The fastest available chain engine (fused if any, else numpy)."""
     for engine in reversed(chain_engines()):
-        if engine == "numpy" or chain_backend_available(engine):
+        if engine == "numpy" or multichain_backend_available(engine):
             return engine
     return "numpy"
 
 
-def multistart_workload(quick: bool) -> str:
-    """Which workload carries the multi-start record (shared by the
+def multichain_workload(quick: bool) -> str:
+    """Which workload carries the multichain record (shared by the
     per-workload bench and the floor lookup, so they cannot drift)."""
     return "skg-k10" if quick else FLOOR_WORKLOAD
 
 
-def bench_multistart(graph: Graph, repeats: int, fit_params: dict) -> dict:
-    """Multi-start fit wall-clock at S=8, n_jobs ∈ {1, 4}.
-
-    The winning start and the fitted initiator must be bit-identical
-    across worker counts (the trial engine's determinism guarantee);
-    wall-clock is best-of-``repeats`` with the persistent pool warmed by
-    the first (untimed) run, so the recorded parallel number measures
-    steady-state fan-out, not worker forking.
-    """
-    engine = best_engine()
-    records: dict = {
-        "n_starts": MULTISTART_STARTS,
-        "backend": engine,
-        "params": fit_params,
-        "by_n_jobs": {},
-    }
-    reference = None
-    for n_jobs in MULTISTART_JOBS:
-        estimator = KronFitEstimator(
-            initial=FIT_THETA,
-            seed=SEED,
-            backend=engine,
-            n_starts=MULTISTART_STARTS,
-            n_jobs=n_jobs,
-            **fit_params,
-        )
-        result = estimator.fit(graph)  # warm-up (forks the pool once)
-        if reference is None:
-            reference = result
-        elif (
-            result.initiator != reference.initiator
-            or result.start != reference.start
-        ):
-            raise AssertionError(
-                f"multi-start fit at n_jobs={n_jobs} diverges from serial"
-            )
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            estimator.fit(graph)
-            best = min(best, time.perf_counter() - start)
-        records["by_n_jobs"][str(n_jobs)] = {
-            "seconds": best,
-            "winning_start": result.start,
-            "winning_log_likelihood": result.log_likelihoods[-1],
-        }
-    serial = records["by_n_jobs"][str(MULTISTART_JOBS[0])]["seconds"]
-    for entry in records["by_n_jobs"].values():
-        entry["speedup_vs_serial"] = serial / entry["seconds"]
-    return records
+def _timed(fn, repeats: int) -> float:
+    """Best-of-``repeats`` wall-clock seconds of ``fn()``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) -> dict:
-    """Batched multichain fits vs the PR 5 pool fan-out.
+    """Batched multichain fits vs S sequential single-start fits.
 
-    For each S the fan-out baseline (``multi_start="fanout"``, a warmed
-    pool of ``MULTICHAIN_FANOUT_JOBS`` workers) and the batched path
-    (one native call advancing all S chains, at each kernel-thread
-    count) are timed best-of-``repeats``.  The winning start, fitted
-    initiator, and every chain's final log-likelihood must be
-    bit-identical between the two strategies — the batched kernel's
-    per-chain bit-identity contract, pinned per proposal by
+    For each S the baseline runs S ``KronFitEstimator(n_starts=1)`` fits
+    one after another, seeded with the ``SeedSequence`` children the
+    batched fit gives its starts; the batched fit advances all S chains
+    in one native call per proposal batch, at each kernel-thread count.
+    Both are timed best-of-``repeats`` after an untimed warm-up.
+    Sequential fit 0 (degree-matched σ, child 0) must be bit-identical
+    to batched chain 0 — the per-chain contract pinned per proposal by
     ``tests/kronecker/test_multichain_equivalence.py``.
     """
     engine = best_engine()
-    records: dict = {
-        "backend": engine,
-        "params": fit_params,
-        "fanout_n_jobs": MULTICHAIN_FANOUT_JOBS,
-        "by_starts": {},
-    }
+    records: dict = {"backend": engine, "params": fit_params, "by_starts": {}}
     for n_starts in MULTICHAIN_QUICK_STARTS if quick else MULTICHAIN_STARTS:
-        fanout = KronFitEstimator(
-            initial=FIT_THETA,
-            seed=SEED,
-            backend=engine,
-            n_starts=n_starts,
-            n_jobs=MULTICHAIN_FANOUT_JOBS,
-            multi_start="fanout",
-            **fit_params,
-        )
-        reference = fanout.fit(graph)  # warm-up (forks the pool once)
-        fanout_best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fanout.fit(graph)
-            fanout_best = min(fanout_best, time.perf_counter() - start)
-        row = {
-            "winning_start": reference.start,
-            "fanout": {
-                "n_jobs": MULTICHAIN_FANOUT_JOBS,
-                "seconds": fanout_best,
-            },
-            "batched": {},
-        }
+        solos = [
+            KronFitEstimator(
+                initial=FIT_THETA, seed=child, backend=engine, **fit_params
+            )
+            for child in np.random.SeedSequence(SEED).spawn(n_starts)
+        ]
+        solo_zero = solos[0].fit(graph)  # warm-up (loads the kernel)
+        sequential = _timed(lambda: [solo.fit(graph) for solo in solos], repeats)
+        row = {"sequential": {"seconds": sequential}, "batched": {}}
         for threads in MULTICHAIN_THREADS:
             batched = KronFitEstimator(
                 initial=FIT_THETA,
                 seed=SEED,
                 backend=engine,
                 n_starts=n_starts,
-                n_jobs=1,
-                multi_start="batched",
                 kernel_threads=threads,
                 **fit_params,
             )
-            result = batched.fit(graph)  # warm-up (loads the kernel)
-            if (
-                result.start != reference.start
-                or result.initiator != reference.initiator
-                or result.start_log_likelihoods
-                != reference.start_log_likelihoods
+            result = batched.fit(graph)  # warm-up
+            if result.start_log_likelihoods[0] != solo_zero.log_likelihoods[-1] or (
+                result.start == 0 and result.trajectory != solo_zero.trajectory
             ):
                 raise AssertionError(
-                    f"batched multichain fit (S={n_starts}, kernel_threads="
-                    f"{threads}) diverges from the pool fan-out"
+                    f"batched multichain chain 0 (S={n_starts}, kernel_threads="
+                    f"{threads}) diverges from the sequential single-start fit"
                 )
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                batched.fit(graph)
-                best = min(best, time.perf_counter() - start)
+            row["winning_start"] = result.start
+            seconds = _timed(lambda: batched.fit(graph), repeats)
             row["batched"][str(threads)] = {
-                "seconds": best,
+                "seconds": seconds,
                 "bit_identical": True,
-                "speedup_vs_fanout": fanout_best / best,
+                "speedup_vs_sequential": sequential / seconds,
             }
         records["by_starts"][str(n_starts)] = row
     return records
@@ -438,8 +356,7 @@ def bench_workload(
         "chain": bench_chain(padded, k, repeats, quick),
         "fit": {"params": fit_params, **bench_fit(graph, fit_params)},
     }
-    if name == multistart_workload(quick):
-        record["multistart"] = bench_multistart(graph, repeats, fit_params)
+    if name == multichain_workload(quick):
         record["multichain"] = bench_multichain(graph, repeats, fit_params, quick)
     return record
 
@@ -452,65 +369,19 @@ def build_workloads(quick: bool):
         yield "ca-grqc", load_dataset("ca-grqc")
 
 
-def _multistart_floor(results: list[dict], quick: bool) -> dict:
-    """The S=8 parallel-vs-serial speedup on the floor workload.
-
-    ``asserted`` records whether the ≥2× floor is enforceable: parallel
-    wall-clock can only beat serial when the host exposes at least two
-    usable cores, so single-core containers record the measurement and
-    the reason instead of failing a physically impossible assertion.
-    """
-    cores = usable_cores()
-    entry = {
-        "workload": multistart_workload(quick),
-        "n_starts": MULTISTART_STARTS,
-        "n_jobs": MULTISTART_JOBS[-1],
-        "required": MULTISTART_FLOOR,
-        "measured": None,
-        "usable_cores": cores,
-        "asserted": False,
-        "skip_reason": None,
-    }
-    record = next(
-        (r for r in results if r["workload"] == entry["workload"] and "multistart" in r),
-        None,
-    )
-    if record is None:
-        entry["skip_reason"] = "floor workload not benchmarked"
-        return entry
-    parallel = record["multistart"]["by_n_jobs"][str(MULTISTART_JOBS[-1])]
-    entry["measured"] = parallel["speedup_vs_serial"]
-    if quick:
-        entry["skip_reason"] = "quick run"
-    elif cores < 2:
-        entry["skip_reason"] = (
-            f"host exposes {cores} usable core(s); parallel fan-out cannot "
-            f"beat serial wall-clock"
-        )
-    else:
-        entry["asserted"] = True
-    return entry
-
-
 def _multichain_floor(results: list[dict], quick: bool) -> dict:
-    """The batched-vs-fan-out speedup at S=8, kernel_threads=1.
+    """The batched-vs-sequential speedup at S=8, kernel_threads=1.
 
-    The complement of :func:`_multistart_floor`: batching S chains into
-    one native call needs no second core to beat the pool fan-out, so
-    the ≥2× floor is asserted exactly where the pool floor cannot be
-    (hosts with one usable core).  Multi-core hosts record the
-    measurement and lean on the pool floor instead — every host asserts
-    exactly one of the two multi-start floors.
+    Batching S chains into one native call needs no second core to beat
+    S sequential fits, so every full run asserts the floor.
     """
-    cores = usable_cores()
     entry = {
-        "workload": multistart_workload(quick),
+        "workload": multichain_workload(quick),
         "n_starts": MULTICHAIN_STARTS[0],
         "kernel_threads": 1,
-        "fanout_n_jobs": MULTICHAIN_FANOUT_JOBS,
+        "baseline": "sequential single-start fits",
         "required": MULTICHAIN_FLOOR,
         "measured": None,
-        "usable_cores": cores,
         "asserted": False,
         "skip_reason": None,
     }
@@ -522,14 +393,9 @@ def _multichain_floor(results: list[dict], quick: bool) -> dict:
         entry["skip_reason"] = "floor workload not benchmarked"
         return entry
     row = record["multichain"]["by_starts"][str(MULTICHAIN_STARTS[0])]
-    entry["measured"] = row["batched"]["1"]["speedup_vs_fanout"]
+    entry["measured"] = row["batched"]["1"]["speedup_vs_sequential"]
     if quick:
         entry["skip_reason"] = "quick run"
-    elif cores > 1:
-        entry["skip_reason"] = (
-            f"host exposes {cores} usable cores; the pool fan-out floor "
-            f"(multistart_floor) is asserted there instead"
-        )
     else:
         entry["asserted"] = True
     return entry
@@ -610,29 +476,19 @@ def main(argv: list[str] | None = None) -> int:
                 )
             else:
                 print(f"{'':12s}   fit[{engine}]   unavailable: {entry['reason']}")
-        if "multistart" in record:
-            multistart = record["multistart"]
-            for n_jobs, entry in multistart["by_n_jobs"].items():
-                print(
-                    f"{'':12s}   multistart[S={multistart['n_starts']}, "
-                    f"n_jobs={n_jobs}] {entry['seconds'] * 1000:9.1f} ms "
-                    f"({entry['speedup_vs_serial']:.2f}x vs serial, "
-                    f"start {entry['winning_start']} wins)"
-                )
         if "multichain" in record:
             multichain = record["multichain"]
             for n_starts, row in multichain["by_starts"].items():
                 print(
-                    f"{'':12s}   fanout[S={n_starts}, n_jobs="
-                    f"{row['fanout']['n_jobs']}] "
-                    f"{row['fanout']['seconds'] * 1000:9.1f} ms "
-                    f"(start {row['winning_start']} wins)"
+                    f"{'':12s}   sequential[S={n_starts}] "
+                    f"{row['sequential']['seconds'] * 1000:9.1f} ms"
                 )
                 for threads, entry in row["batched"].items():
                     print(
                         f"{'':12s}   batched[S={n_starts}, threads={threads}] "
                         f"{entry['seconds'] * 1000:9.1f} ms "
-                        f"({entry['speedup_vs_fanout']:.2f}x vs fan-out)"
+                        f"({entry['speedup_vs_sequential']:.2f}x vs sequential, "
+                        f"start {row['winning_start']} wins)"
                     )
 
     large_k_rows = []
@@ -652,7 +508,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{'':12s}   fit[{engine}]   unavailable: {entry['reason']}")
 
     fused_floor = _fused_floor(results)
-    multistart_floor = _multistart_floor(results, arguments.quick)
     multichain_floor = _multichain_floor(results, arguments.quick)
     large_k_floor = _large_k_floor(large_k_rows)
     report = {
@@ -662,9 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": arguments.repeats,
         "seed": SEED,
         "usable_cores": usable_cores(),
-        "chain_backends_available": list(available_chain_backends()),
+        "chain_backends_available": list(available_multichain_backends()),
         "fused_fit_floor": fused_floor,
-        "multistart_floor": multistart_floor,
         "multichain_floor": multichain_floor,
         "large_k_fit_floor": large_k_floor,
         "workloads": results,
@@ -702,27 +556,11 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 "no fused chain engine available; large-k fit floor not asserted"
             )
-    if multistart_floor["asserted"]:
-        assert multistart_floor["measured"] >= MULTISTART_FLOOR, (
-            f"multi-start S={MULTISTART_STARTS} at n_jobs={MULTISTART_JOBS[-1]} "
-            f"is only {multistart_floor['measured']:.2f}x over serial on "
-            f"{multistart_floor['workload']} (floor: {MULTISTART_FLOOR}x)"
-        )
-        print(
-            f"{multistart_floor['workload']} multi-start "
-            f"{multistart_floor['measured']:.2f}x >= {MULTISTART_FLOOR}x floor"
-        )
-    elif multistart_floor["measured"] is not None:
-        print(
-            f"multi-start floor recorded but not asserted "
-            f"({multistart_floor['skip_reason']}): "
-            f"{multistart_floor['measured']:.2f}x"
-        )
     if multichain_floor["asserted"]:
         assert multichain_floor["measured"] >= MULTICHAIN_FLOOR, (
             f"batched multichain S={MULTICHAIN_STARTS[0]} (kernel_threads=1) "
-            f"is only {multichain_floor['measured']:.2f}x over the "
-            f"n_jobs={MULTICHAIN_FANOUT_JOBS} pool fan-out on "
+            f"is only {multichain_floor['measured']:.2f}x over "
+            f"{MULTICHAIN_STARTS[0]} sequential single-start fits on "
             f"{multichain_floor['workload']} (floor: {MULTICHAIN_FLOOR}x)"
         )
         print(

@@ -6,7 +6,7 @@ performance history: each row condenses one commit's quick-bench reports
 the headline numbers the ROADMAP tracks — the combined counting-path
 speedup, the fused pass speedup over blocked scipy, the fused KronFit
 fit speedup over the numpy chain, and the batched multichain speedup
-over the pool fan-out.  The CI bench-smoke job
+over S sequential single-start fits.  The CI bench-smoke job
 appends the current commit's row on every run; re-benching the same
 commit replaces its row, so the trajectory has one row per commit and is
 sorted by the time it was recorded.
@@ -108,8 +108,8 @@ def _stats_headline(report: dict) -> dict:
 def _kronfit_headline(report: dict) -> dict:
     """Fused fit speedup over the numpy chain (floor record when it was
     measured, else the best measured workload/backend), plus the batched
-    multichain-vs-fan-out speedup (schema ≥ 4 reports; older reports
-    record ``None`` and the gate skips the headline)."""
+    multichain speedup over S sequential single-start fits (reports
+    without it record ``None`` and the gate skips the headline)."""
     floor = report["fused_fit_floor"]
     if floor["measured"] is not None:
         headline = {
@@ -133,7 +133,7 @@ def _kronfit_headline(report: dict) -> dict:
                         "fit_speedup": speedup,
                     }
     multichain = report.get("multichain_floor") or {}
-    headline["multichain_speedup"] = multichain.get("measured")
+    headline["multichain_vs_solo_speedup"] = multichain.get("measured")
     return headline
 
 
@@ -143,7 +143,7 @@ def _kronfit_headline(report: dict) -> dict:
 GATE_KEYS = (
     ("stats", "combined_speedup"),
     ("kronfit", "fit_speedup"),
-    ("kronfit", "multichain_speedup"),
+    ("kronfit", "multichain_vs_solo_speedup"),
 )
 
 # Quick-mode rows are measured on shared CI runners: noisy.  The gate is

@@ -21,12 +21,14 @@ so the only approximation is the Taylor step on non-edges — accurate for
 the sparse graphs the model targets.  :func:`exact_log_likelihood` is the
 O(N²) reference used by tests.
 
-:class:`PermutationSampler` — the Metropolis chain over σ that KronFit
-averages its gradients over — executes pre-drawn proposal streams behind
-the ``REPRO_KERNEL_BACKEND`` knob: the numpy reference engine defined
-here, or the fused numba / compiled-C batch kernels of
-:mod:`repro.native.chain`.  All engines are bit-identical (see the
-contracts documented there).
+:class:`PermutationSampler` is the Metropolis chain over σ that KronFit
+averages its gradients over; :class:`MultiChainSampler` advances S of
+them in lockstep, and every KronFit fit runs on one (S=1 for a
+single-start fit).  Both execute pre-drawn proposal streams behind the
+``REPRO_KERNEL_BACKEND`` knob: the numpy reference engine defined here,
+or the fused numba / compiled-C multichain kernel of
+:mod:`repro.native.chain` (a solo sampler runs it at S=1).  All engines
+are bit-identical (see the contracts documented there).
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.chain import (
-    chain_kernel,
     draw_proposal_batch,
     multichain_kernel,
-    resolve_chain_backend,
     resolve_multichain_backend,
 )
 from repro.native.registry import resolve_kernel_threads
@@ -237,7 +237,8 @@ class PermutationSampler:
     :func:`repro.native.chain.draw_proposal_batch`) behind interchangeable
     execution engines selected by ``backend`` / ``REPRO_KERNEL_BACKEND``:
     the pure-numpy reference implemented here, and the fused
-    numba/compiled-C batch kernels of :mod:`repro.native.chain`.  Every
+    numba/compiled-C multichain kernel of :mod:`repro.native.chain`, run
+    at S=1 through the same call code :class:`MultiChainSampler` uses.  Every
     engine follows the same score contract — the swap delta is an integer
     profile-count change dotted with the cached score table in ascending
     cell order — so σ trajectories, histograms, and acceptance counts are
@@ -266,10 +267,10 @@ class PermutationSampler:
         self._indices = adjacency.indices
         # Resolve the engine eagerly so a misconfigured pipeline (numba
         # requested but not installed) fails at construction, not mid-fit.
-        self.backend = resolve_chain_backend(backend)
+        self.backend = resolve_multichain_backend(backend)
         self._kernel = None
         if self.backend != "numpy":
-            self._kernel = chain_kernel(self.backend)
+            self._kernel = multichain_kernel(self.backend)
             self._indptr32 = np.ascontiguousarray(self._indptr, dtype=np.int32)
             self._indices32 = np.ascontiguousarray(self._indices, dtype=np.int32)
         self._n_cells = (k + 1) * (k + 1)
@@ -384,37 +385,35 @@ class PermutationSampler:
         batch_size: int | None = None,
     ) -> None:
         """Run a pre-drawn proposal stream through the configured engine."""
-        total = i_nodes.shape[0]
-        if batch_size is None:
-            batch_size = total
-        if batch_size < 1:
-            raise ValidationError(f"batch_size must be positive, got {batch_size}")
-        for start in range(0, total, batch_size):
-            stop = min(start + batch_size, total)
-            if self._kernel is None:
+        if self._kernel is None:
+            for start, stop in _batches(i_nodes.shape[0], batch_size):
                 self.accepted += self._reference_block(
                     i_nodes, j_nodes, log_u, start, stop
                 )
-            else:
-                self.accepted += int(
-                    self._kernel(
-                        self._indptr32,
-                        self._indices32,
-                        self.sigma,
-                        self.k,
-                        self._score,
-                        self._hist,
-                        self._counts,
-                        self._touched,
-                        self._stats,
-                        i_nodes,
-                        j_nodes,
-                        log_u,
-                        start,
-                        stop,
-                    )
-                )
-        self.proposed += total
+        else:
+            # The fused engine is the multichain kernel at S=1: every
+            # array gains a leading chain axis (views, so it mutates the
+            # solo state in place).
+            accepted = _run_fused(
+                self._kernel,
+                self.backend,
+                1,
+                self._indptr32,
+                self._indices32,
+                self.k,
+                self.sigma[None],
+                self._score[None],
+                self._hist[None],
+                self._counts[None],
+                self._touched[None],
+                self._stats,
+                i_nodes[None],
+                j_nodes[None],
+                log_u[None],
+                batch_size,
+            )
+            self.accepted += int(accepted[0])
+        self.proposed += i_nodes.shape[0]
 
     def _reference_block(
         self,
@@ -589,12 +588,10 @@ class MultiChainSampler:
         self._counts = np.zeros(
             (self.n_chains, self._chains[0]._n_cells), dtype=np.int64
         )
-        self._touched_len = self._chains[0]._touched.shape[0]
         self._touched = np.zeros(
-            (self.n_chains, self._touched_len), dtype=np.int64
+            (self.n_chains, self._chains[0]._touched.shape[0]), dtype=np.int64
         )
         self._stats = np.zeros(self.n_chains, dtype=np.int64)
-        self._accepted_scratch = np.zeros(self.n_chains, dtype=np.int64)
         for s, chain in enumerate(self._chains):
             self._realias(s)
             chain._counts = self._counts[s]
@@ -694,51 +691,104 @@ class MultiChainSampler:
         u_all: np.ndarray,
         batch_size: int | None = None,
     ) -> None:
-        total = i_all.shape[1]
         if self._kernel is None:
             for s, chain in enumerate(self._chains):
                 chain._execute(i_all[s], j_all[s], u_all[s], batch_size)
             return
-        if batch_size is None:
-            batch_size = total
-        if batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be positive, got {batch_size}"
-            )
-        if self.backend == "numba":
-            import numba
+        accepted = _run_fused(
+            self._kernel,
+            self.backend,
+            self.threads,
+            self._indptr32,
+            self._indices32,
+            self.k,
+            self._sigma,
+            self._score,
+            self._hist,
+            self._counts,
+            self._touched,
+            self._stats,
+            i_all,
+            j_all,
+            u_all,
+            batch_size,
+        )
+        for s, chain in enumerate(self._chains):
+            chain.accepted += int(accepted[s])
+            chain.proposed += i_all.shape[1]
 
-            numba.set_num_threads(
-                max(1, min(self.threads, numba.config.NUMBA_NUM_THREADS))
-            )
-        for start in range(0, total, batch_size):
-            stop = min(start + batch_size, total)
-            self._kernel(
-                self._indptr32,
-                self._indices32,
-                self.n_chains,
-                self.graph.n_nodes,
-                self._sigma.ravel(),
-                self.k,
-                self._score.ravel(),
-                self._hist.ravel(),
-                self._counts.ravel(),
-                self._touched.ravel(),
-                self._touched_len,
-                self._stats,
-                i_all.ravel(),
-                j_all.ravel(),
-                u_all.ravel(),
-                total,
-                start,
-                stop,
-                self._accepted_scratch,
-                self.threads,
-            )
-            for s, chain in enumerate(self._chains):
-                chain.accepted += int(self._accepted_scratch[s])
-        for chain in self._chains:
-            chain.proposed += total
+
+def _batches(total: int, batch_size: int | None) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` kernel batches of a ``total``-proposal run."""
+    if batch_size is None:
+        batch_size = total
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be positive, got {batch_size}")
+    return [
+        (start, min(start + batch_size, total))
+        for start in range(0, total, batch_size)
+    ]
+
+
+def _run_fused(
+    kernel,
+    backend: str,
+    threads: int,
+    indptr32: np.ndarray,
+    indices32: np.ndarray,
+    k: int,
+    sigma: np.ndarray,
+    score: np.ndarray,
+    hist: np.ndarray,
+    counts: np.ndarray,
+    touched: np.ndarray,
+    stats: np.ndarray,
+    i_all: np.ndarray,
+    j_all: np.ndarray,
+    u_all: np.ndarray,
+    batch_size: int | None,
+) -> np.ndarray:
+    """Advance S stacked chains through the fused multichain kernel.
+
+    Per-chain state and the pre-drawn streams are C-contiguous ``(S, ·)``
+    blocks, mutated in place (``stats`` is the flat per-chain touch
+    accumulator).  Returns each chain's accepted-swap count.  At most one
+    thread per chain is used — extra threads would only idle.
+    """
+    n_chains, n_nodes = sigma.shape
+    total = i_all.shape[1]
+    n_threads = max(1, min(threads, n_chains))
+    if backend == "numba":
+        import numba
+
+        numba.set_num_threads(min(n_threads, numba.config.NUMBA_NUM_THREADS))
+    accepted = np.zeros(n_chains, dtype=np.int64)
+    scratch = np.zeros(n_chains, dtype=np.int64)
+    for start, stop in _batches(total, batch_size):
+        kernel(
+            indptr32,
+            indices32,
+            n_chains,
+            n_nodes,
+            sigma.ravel(),
+            k,
+            score.ravel(),
+            hist.ravel(),
+            counts.ravel(),
+            touched.ravel(),
+            touched.shape[1],
+            stats,
+            i_all.ravel(),
+            j_all.ravel(),
+            u_all.ravel(),
+            total,
+            start,
+            stop,
+            scratch,
+            n_threads,
+        )
+        accepted += scratch
+    return accepted
 
 
 def degree_matched_initial_sigma(graph: Graph, k: int) -> np.ndarray:

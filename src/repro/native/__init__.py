@@ -6,12 +6,12 @@ engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
 * the **counting kernel** (:mod:`repro.native.counting`) — the fused
   masked A² pass behind :func:`repro.stats.kernels.triangle_pass`;
 * the **chain kernel** (:mod:`repro.native.chain`) — batched Metropolis
-  proposals for KronFit's permutation sampler
-  (:class:`repro.kronecker.likelihood.PermutationSampler`);
-* the **multichain kernel** (same module) — S independent chains per
-  native call for multi-start KronFit
-  (:class:`repro.kronecker.likelihood.MultiChainSampler`), sharded
-  across threads via the ``REPRO_KERNEL_THREADS`` knob.
+  proposals for S independent chains per native call, sharded across
+  threads via the ``REPRO_KERNEL_THREADS`` knob.  Every KronFit fit runs
+  it (:class:`repro.kronecker.likelihood.MultiChainSampler`); a solo
+  :class:`repro.kronecker.likelihood.PermutationSampler` runs it at S=1;
+* the **sampler kernel** (:mod:`repro.native.sampling`) — exact O(E)
+  grass-hopping SKG generation.
 
 Each kernel is written twice — a numba-jittable Python loop nest and an
 identical C function compiled on first use via the system compiler — and
@@ -23,16 +23,9 @@ bit-identical to its pure-Python reference; the knob only selects speed.
 """
 
 from repro.native.chain import (
-    CHAIN_BACKENDS,
-    CHAIN_KERNEL,
     MULTICHAIN_BACKENDS,
     MULTICHAIN_KERNEL,
-    available_chain_backends,
     available_multichain_backends,
-    chain_backend_available,
-    chain_backend_error,
-    chain_block,
-    chain_kernel,
     draw_proposal_batch,
     multichain_backend_available,
     multichain_backend_error,
@@ -79,15 +72,8 @@ __all__ = [
     "backend_error",
     "backend_kernel",
     "fused_block",
-    "CHAIN_KERNEL",
-    "CHAIN_BACKENDS",
-    "chain_block",
-    "chain_backend_available",
-    "chain_backend_error",
-    "chain_kernel",
     "draw_proposal_batch",
     "resolve_chain_backend",
-    "available_chain_backends",
     "MULTICHAIN_KERNEL",
     "MULTICHAIN_BACKENDS",
     "multichain_block",

@@ -3,11 +3,16 @@
 One KronFit fit runs on the order of 10⁵ Metropolis proposals over node
 correspondences σ (see :mod:`repro.kronecker.likelihood`).  Executed as
 individual Python steps, each proposal costs ~10 tiny numpy operations;
-this module executes whole proposal *batches* inside compiled code, with
-three contracts that make every execution engine bit-identical:
+this module executes whole proposal *batches* inside compiled code.
+:func:`multichain_block` advances S *independent* chains — each with its
+own σ, score table, histogram, and pre-drawn proposal streams — in one
+native call, parallelized *across chains* (OpenMP in C, ``numba.prange``
+in the jit; both optional and inert when unavailable).  It is the only
+chain kernel: a solo :class:`~repro.kronecker.likelihood.PermutationSampler`
+runs it at S=1.  Four contracts make every execution engine bit-identical:
 
 **The draw contract** (:func:`draw_proposal_batch`).  All randomness is
-pre-drawn in numpy-land, once per :meth:`PermutationSampler.run` call:
+pre-drawn in numpy-land, once per sampler ``run`` call and chain:
 
 1. ``i ← rng.integers(0, n, size)`` — one draw per proposal;
 2. ``j ← rng.integers(0, n, size)``, then, while any ``i == j`` collision
@@ -30,54 +35,44 @@ skipping zero counts; the numpy reference performs the identical scan
 (``np.unique`` yields ascending touched cells), so the sum sequence —
 and therefore every accept/reject decision — is bit-identical across
 engines.  (The cext build passes ``-ffp-contract=off`` so no FMA
-contraction can perturb the rounding.)
+contraction can perturb the rounding.)  The profile cell of a neighbor
+is derived via the popcount identity
+``popcount(id ^ w) = popcount(id) + popcount(w) − 2·popcount(id & w)``,
+so each neighbor costs three popcounts and the row index
+``z = (k − popcount(id)) − popcount(w) + o`` hoists the two
+``k − popcount(id)`` terms out of the neighbor loops.  All quantities are
+integers, so the touched cells are exactly those of the direct
+``(k − x − o, o)`` derivation the numpy reference uses.  The C twin uses
+the compiler's ``__builtin_popcountll`` (same values as the SWAR popcount
+the Python twin keeps).
 
 **The delta-scan contract.**  Every ``counts[]`` update records its cell
 in a touched-cell event list (at most ``2·(deg i + deg j)`` events per
 proposal); the per-proposal scan, histogram fold, and scratch reset all
 walk that list instead of the full ``(k+1)²`` table.  A proposal on a
-sparse graph therefore costs O(deg) rather than O(deg + k²) — the two
-full-table rescans PR 4 paid per swap are gone.  Because any cell with a
-nonzero count necessarily appears in the event list, sorting the events
-and skipping duplicates reproduces the full ascending scan's float
-accumulation sequence exactly: the optimization cannot perturb a single
-trajectory.  ``stats[0]`` accumulates the number of score-table touches
-(nonzero cells accumulated), which is how tests prove the O(k²) rescan
-stays gone.
+sparse graph therefore costs O(deg) rather than O(deg + k²).  Because any
+cell with a nonzero count necessarily appears in the event list, sorting
+the events and skipping duplicates reproduces the full ascending scan's
+float accumulation sequence exactly.  ``stats_all[c]`` accumulates chain
+``c``'s score-table touches (nonzero cells accumulated), which is how
+tests prove the O(k²) rescan stays gone.
 
 **The histogram contract.**  ``Δcount`` of an accepted swap is folded
 into the persistent profile histogram, so the histogram is maintained
 incrementally on touched edges only — no O(E) ``edge_profiles`` recompute
 per permutation sample.
 
-The kernel is registered twice (numba jit of :func:`chain_block`, and the
-identical C loop compiled via :func:`repro.native.registry`); the numpy
-reference lives with its caller,
-:class:`repro.kronecker.likelihood.PermutationSampler`.  The equivalence
-matrix (``tests/kronecker/test_chain_equivalence.py``) pins every
-backend × batch size × graph family × θ cell to identical σ trajectories,
-histograms, and acceptance counts.
-
-**The multichain family** (:func:`multichain_block`) advances S
-*independent* chains — each with its own σ, score table, histogram, and
-pre-drawn draw-contract streams — in one native call, parallelized
-*across chains* (OpenMP in C, ``numba.prange`` in the jit; both optional
-and inert when unavailable).  Within a chain the proposal loop is the
-same contract as :func:`chain_block`, with one integer-exact rewrite: the
-profile cell is derived via the popcount identity
-``popcount(id ^ w) = popcount(id) + popcount(w) − 2·popcount(id & w)``,
-so each neighbor costs three popcounts instead of four and the row index
-``z = (k − popcount(id)) − popcount(w) + o`` hoists the two
-``k − popcount(id)`` terms out of the neighbor loops.  All quantities are
-integers, so every touched cell — and therefore every float accumulation
-sequence and accept/reject decision — is *identical* to the single-chain
-kernel's: chain ``c`` of a batched call is bit-identical to the solo
-trajectory it replaces, for any chain count, batch size, or thread count
-(threads only shard whole chains).  The C twin uses the compiler's
-``__builtin_popcountll`` (same values as the SWAR popcount the Python
-twin keeps, enforced by the equivalence matrix), and its registration
-offers ``-fopenmp`` and ``-mpopcnt`` as optional compile flags with
-graceful fallback.
+The kernel is registered twice (numba jit of :func:`multichain_block`,
+and the identical C loop compiled via :mod:`repro.native.registry`, with
+``-fopenmp`` and ``-mpopcnt`` as optional compile flags); the numpy
+reference lives with :class:`~repro.kronecker.likelihood.PermutationSampler`.
+Threads only shard whole chains, so chain ``c`` of a batched call is
+bit-identical to its solo trajectory for any chain count, batch size, or
+thread count.  The equivalence matrices
+(``tests/kronecker/test_chain_equivalence.py`` and
+``test_multichain_equivalence.py``) pin every backend × batch size ×
+graph family × θ cell to identical σ trajectories, histograms, and
+acceptance counts.
 """
 
 from __future__ import annotations
@@ -101,14 +96,6 @@ except ImportError:  # pragma: no cover - exercised on numba-less hosts
     prange = range
 
 __all__ = [
-    "CHAIN_KERNEL",
-    "CHAIN_BACKENDS",
-    "chain_block",
-    "chain_backend_available",
-    "chain_backend_error",
-    "chain_kernel",
-    "resolve_chain_backend",
-    "available_chain_backends",
     "draw_proposal_batch",
     "MULTICHAIN_KERNEL",
     "MULTICHAIN_BACKENDS",
@@ -117,6 +104,7 @@ __all__ = [
     "multichain_backend_error",
     "multichain_kernel",
     "resolve_multichain_backend",
+    "resolve_chain_backend",
     "available_multichain_backends",
 ]
 
@@ -124,7 +112,7 @@ __all__ = [
 # reference engine is called "numpy"; "scipy" is accepted as an alias so
 # one REPRO_KERNEL_BACKEND value can force the reference engine of both
 # the counting pass and the chain.
-CHAIN_BACKENDS = ("auto", "numpy", "scipy", "numba", "cext")
+MULTICHAIN_BACKENDS = ("auto", "numpy", "scipy", "numba", "cext")
 
 
 def draw_proposal_batch(
@@ -155,383 +143,6 @@ def draw_proposal_batch(
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.random(size=size))
     return i_nodes, j_nodes, log_u
-
-
-def chain_block(
-    indptr,
-    indices,
-    sigma,
-    k,
-    score,
-    hist,
-    counts,
-    touched,
-    stats,
-    i_nodes,
-    j_nodes,
-    log_u,
-    start,
-    stop,
-):
-    """Execute proposals ``[start, stop)`` of a pre-drawn stream in place.
-
-    Parameters are the int32 CSR structure of the symmetric adjacency,
-    the int64 correspondence ``sigma`` (mutated on accepted swaps), the
-    Kronecker order ``k``, the flat ``(k+1)²`` float64 score table
-    ``log P − log(1−P)``, the flat int64 profile histogram (maintained
-    incrementally), an all-zero int64 scratch of the same length (left
-    all-zero), the touched-cell event scratch (int64, at least
-    ``2·(deg i + deg j)`` long for any proposal — ``4·max_degree``
-    suffices), the int64 ``stats`` accumulator (``stats[0]`` gains the
-    number of score-table touches), and the three draw-contract streams.
-    Returns the number of accepted swaps.
-    """
-
-    def popcount(v):
-        # Branch-free SWAR popcount; identical in the C twin, and exact
-        # for any non-negative int64 (Kronecker ids are < 2^k).
-        v = v - ((v >> 1) & 0x5555555555555555)
-        v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
-        v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
-        v = v + (v >> 8)
-        v = v + (v >> 16)
-        v = v + (v >> 32)
-        return v & 0x7F
-
-    accepted = 0
-    touches = 0
-    for t in range(start, stop):
-        i = i_nodes[t]
-        j = j_nodes[t]
-        id_i = sigma[i]
-        id_j = sigma[j]
-        # Net profile-count change of swapping sigma(i) and sigma(j): the
-        # edges at i trade center id id_i for id_j, the edges at j trade
-        # id_j for id_i; the i-j edge (if any) keeps its profile and is
-        # excluded symmetrically.  Every counts[] update logs its cell in
-        # the touched event list (the delta-scan contract).
-        n_touched = 0
-        for idx in range(indptr[i], indptr[i + 1]):
-            w = indices[idx]
-            if w == j:
-                continue
-            wid = sigma[w]
-            x = popcount(id_i ^ wid)
-            o = popcount(id_i & wid)
-            cell = (k - x - o) * (k + 1) + o
-            counts[cell] -= 1
-            touched[n_touched] = cell
-            n_touched += 1
-            x = popcount(id_j ^ wid)
-            o = popcount(id_j & wid)
-            cell = (k - x - o) * (k + 1) + o
-            counts[cell] += 1
-            touched[n_touched] = cell
-            n_touched += 1
-        for idx in range(indptr[j], indptr[j + 1]):
-            w = indices[idx]
-            if w == i:
-                continue
-            wid = sigma[w]
-            x = popcount(id_j ^ wid)
-            o = popcount(id_j & wid)
-            cell = (k - x - o) * (k + 1) + o
-            counts[cell] -= 1
-            touched[n_touched] = cell
-            n_touched += 1
-            x = popcount(id_i ^ wid)
-            o = popcount(id_i & wid)
-            cell = (k - x - o) * (k + 1) + o
-            counts[cell] += 1
-            touched[n_touched] = cell
-            n_touched += 1
-        # Insertion-sort the event list ascending: event counts are tiny
-        # (2·(deg i + deg j)) and mostly short, where insertion sort beats
-        # anything with setup cost — and identical ordering across the
-        # twins keeps the accumulation sequence bit-reproducible.
-        for a in range(1, n_touched):
-            key = touched[a]
-            b = a - 1
-            while b >= 0 and touched[b] > key:
-                touched[b + 1] = touched[b]
-                b -= 1
-            touched[b + 1] = key
-        # Ascending touched-cell scan, skipping duplicates and zero
-        # counts: the same accumulation sequence as a full ascending
-        # 0..(k+1)²−1 scan, because untouched cells have zero counts.
-        delta = 0.0
-        previous = -1
-        for a in range(n_touched):
-            cell = touched[a]
-            if cell == previous:
-                continue
-            previous = cell
-            if counts[cell] != 0:
-                delta += counts[cell] * score[cell]
-                touches += 1
-        if delta >= 0.0 or log_u[t] < delta:
-            sigma[i] = id_j
-            sigma[j] = id_i
-            accepted += 1
-            for a in range(n_touched):
-                cell = touched[a]
-                if counts[cell] != 0:
-                    hist[cell] += counts[cell]
-                    counts[cell] = 0
-        else:
-            for a in range(n_touched):
-                counts[touched[a]] = 0
-    stats[0] += touches
-    return accepted
-
-
-# The cext backend: chain_block transliterated to C.  Kept in lockstep
-# with the Python loop nest above — the chain equivalence suite
-# cross-checks every backend cell on every run.
-_C_SOURCE = """\
-#include <stdint.h>
-
-static int64_t repro_popcount(int64_t v)
-{
-    v = v - ((v >> 1) & 0x5555555555555555LL);
-    v = (v & 0x3333333333333333LL) + ((v >> 2) & 0x3333333333333333LL);
-    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0FLL;
-    v = v + (v >> 8);
-    v = v + (v >> 16);
-    v = v + (v >> 32);
-    return v & 0x7F;
-}
-
-int64_t repro_chain_block(
-    const int32_t *indptr,
-    const int32_t *indices,
-    int64_t *sigma,
-    int64_t k,
-    const double *score,
-    int64_t *hist,
-    int64_t *counts,
-    int64_t *touched,
-    int64_t *stats,
-    const int64_t *i_nodes,
-    const int64_t *j_nodes,
-    const double *log_u,
-    int64_t start,
-    int64_t stop)
-{
-    int64_t accepted = 0;
-    int64_t touches = 0;
-    for (int64_t t = start; t < stop; t++) {
-        int64_t i = i_nodes[t];
-        int64_t j = j_nodes[t];
-        int64_t id_i = sigma[i];
-        int64_t id_j = sigma[j];
-        int64_t x, o, wid, cell;
-        int64_t n_touched = 0;
-        for (int32_t idx = indptr[i]; idx < indptr[i + 1]; idx++) {
-            int32_t w = indices[idx];
-            if (w == j) {
-                continue;
-            }
-            wid = sigma[w];
-            x = repro_popcount(id_i ^ wid);
-            o = repro_popcount(id_i & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] -= 1;
-            touched[n_touched++] = cell;
-            x = repro_popcount(id_j ^ wid);
-            o = repro_popcount(id_j & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] += 1;
-            touched[n_touched++] = cell;
-        }
-        for (int32_t idx = indptr[j]; idx < indptr[j + 1]; idx++) {
-            int32_t w = indices[idx];
-            if (w == i) {
-                continue;
-            }
-            wid = sigma[w];
-            x = repro_popcount(id_j ^ wid);
-            o = repro_popcount(id_j & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] -= 1;
-            touched[n_touched++] = cell;
-            x = repro_popcount(id_i ^ wid);
-            o = repro_popcount(id_i & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] += 1;
-            touched[n_touched++] = cell;
-        }
-        for (int64_t a = 1; a < n_touched; a++) {
-            int64_t key = touched[a];
-            int64_t b = a - 1;
-            while (b >= 0 && touched[b] > key) {
-                touched[b + 1] = touched[b];
-                b -= 1;
-            }
-            touched[b + 1] = key;
-        }
-        double delta = 0.0;
-        int64_t previous = -1;
-        for (int64_t a = 0; a < n_touched; a++) {
-            cell = touched[a];
-            if (cell == previous) {
-                continue;
-            }
-            previous = cell;
-            if (counts[cell] != 0) {
-                delta += (double)counts[cell] * score[cell];
-                touches += 1;
-            }
-        }
-        if (delta >= 0.0 || log_u[t] < delta) {
-            sigma[i] = id_j;
-            sigma[j] = id_i;
-            accepted += 1;
-            for (int64_t a = 0; a < n_touched; a++) {
-                cell = touched[a];
-                if (counts[cell] != 0) {
-                    hist[cell] += counts[cell];
-                    counts[cell] = 0;
-                }
-            }
-        } else {
-            for (int64_t a = 0; a < n_touched; a++) {
-                counts[touched[a]] = 0;
-            }
-        }
-    }
-    stats[0] += touches;
-    return accepted;
-}
-"""
-
-
-def _smoke_test(kernel: Callable) -> None:
-    """Run the kernel on a hand-checked 4-proposal batch.
-
-    Path graph 0–1–2–3 at k=2, identity σ, a synthetic score table: the
-    batch accepts a below-threshold negative delta, two non-negative
-    deltas, then rejects a negative delta above its threshold.  Catches a
-    miscompiled or ABI-mismatched kernel at probe time; doubles as the
-    numba warm-up compile.
-    """
-    indptr = np.array([0, 1, 3, 5, 6], dtype=np.int32)
-    indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int32)
-    sigma = np.arange(4, dtype=np.int64)
-    score = np.array(
-        [0.5, -0.25, 0.125, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float64
-    )
-    hist = np.zeros(9, dtype=np.int64)
-    counts = np.zeros(9, dtype=np.int64)
-    touched = np.zeros(16, dtype=np.int64)
-    stats = np.zeros(1, dtype=np.int64)
-    i_nodes = np.array([1, 0, 0, 0], dtype=np.int64)
-    j_nodes = np.array([3, 2, 1, 1], dtype=np.int64)
-    log_u = np.array([-2.0, -0.5, -0.5, -0.5], dtype=np.float64)
-    accepted = int(
-        kernel(indptr, indices, sigma, 2, score, hist, counts, touched,
-               stats, i_nodes, j_nodes, log_u, 0, 4)
-    )
-    expected_hist = np.zeros(9, dtype=np.int64)
-    expected_hist[0] = -1
-    expected_hist[3] = 1
-    if (
-        accepted != 3
-        or sigma.tolist() != [3, 2, 0, 1]
-        or not np.array_equal(hist, expected_hist)
-        or int(stats[0]) != 8
-    ):
-        raise RuntimeError(
-            f"chain kernel self-check failed: accepted={accepted}, "
-            f"sigma={sigma.tolist()}, hist={hist.tolist()}, "
-            f"touches={int(stats[0])}"
-        )
-    if counts.any():
-        raise RuntimeError("chain kernel self-check failed: counts not zeroed")
-
-
-_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-
-CHAIN_KERNEL = NativeKernel(
-    name="chain",
-    python_impl=chain_block,
-    c_source=_C_SOURCE,
-    c_symbol="repro_chain_block",
-    c_restype=ctypes.c_int64,
-    c_argtypes=[
-        _INT32_ARG,  # indptr
-        _INT32_ARG,  # indices
-        _INT64_ARG,  # sigma
-        ctypes.c_int64,  # k
-        _FLOAT64_ARG,  # score (flat (k+1)^2)
-        _INT64_ARG,  # hist (flat (k+1)^2)
-        _INT64_ARG,  # counts scratch (flat (k+1)^2)
-        _INT64_ARG,  # touched scratch (event list)
-        _INT64_ARG,  # stats (score-table touch accumulator)
-        _INT64_ARG,  # i_nodes
-        _INT64_ARG,  # j_nodes
-        _FLOAT64_ARG,  # log_u
-        ctypes.c_int64,  # start
-        ctypes.c_int64,  # stop
-    ],
-    smoke_test=_smoke_test,
-)
-
-
-def chain_backend_available(name: str) -> bool:
-    """Whether the fused chain backend ``name`` can run on this host."""
-    return CHAIN_KERNEL.available(name)
-
-
-def chain_backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return CHAIN_KERNEL.error(name)
-
-
-def chain_kernel(name: str) -> Callable:
-    """The batch kernel of an *available* fused chain backend.
-
-    The callable has the :func:`chain_block` signature and contract.
-    """
-    return CHAIN_KERNEL.kernel(name)
-
-
-def resolve_chain_backend(backend: str | None = None) -> str:
-    """The concrete chain engine: argument, else ``REPRO_KERNEL_BACKEND``.
-
-    Returns one of ``numpy`` (the pure-Python reference inside
-    :class:`~repro.kronecker.likelihood.PermutationSampler`), ``numba``,
-    or ``cext``.  ``auto`` prefers the fused engines; ``scipy`` (the
-    counting knob's reference name) is accepted as an alias for
-    ``numpy``, so one environment value drives both kernel families.
-    Naming an unavailable engine raises :class:`ValidationError` with the
-    reason.  Every engine produces bit-identical chains; the knob only
-    selects how fast they run.
-    """
-    return resolve_backend(
-        CHAIN_KERNEL,
-        backend,
-        accepted=CHAIN_BACKENDS,
-        reference="numpy",
-        aliases=("scipy",),
-    )
-
-
-def available_chain_backends() -> tuple[str, ...]:
-    """The chain engines that can run on this host (numpy always can)."""
-    return available_backends(CHAIN_KERNEL, "numpy")
-
-
-# ---------------------------------------------------------------------------
-# The multichain family: S independent chains per native call.
-# ---------------------------------------------------------------------------
-
-# The multichain knob accepts the same values as the single-chain knob;
-# its pure-Python reference engine ("numpy") loops the per-chain
-# reference inside MultiChainSampler.
-MULTICHAIN_BACKENDS = CHAIN_BACKENDS
 
 
 def multichain_block(
@@ -565,15 +176,13 @@ def multichain_block(
     draw-contract streams ``i_all``/``j_all``/``u_all`` at
     ``c·stream_len``.  ``accepted_all[c]`` is *set* to the number of
     accepted swaps of this call (the caller accumulates);
-    ``stats_all[c]`` accumulates score-table touches exactly like the
-    solo kernel's ``stats[0]``.  ``n_threads`` only shards chains across
-    OpenMP/numba threads — per-chain arithmetic is untouched, so results
-    are bit-identical for any thread count.  Returns the total accepted
+    ``stats_all[c]`` accumulates chain ``c``'s score-table touches.
+    The event scratch must be at least ``2·(deg i + deg j)`` long for any
+    proposal (``4·max_degree`` suffices), and ``counts_all`` starts and
+    ends all-zero.  ``n_threads`` only shards chains across OpenMP/numba
+    threads — per-chain arithmetic is untouched, so results are
+    bit-identical for any thread count.  Returns the total accepted
     across chains.
-
-    Within a chain this is the :func:`chain_block` contract with the
-    popcount-identity cell derivation (see the module docstring):
-    integer-exact, so trajectories match the solo kernel bit for bit.
     """
 
     def popcount(v):
@@ -812,59 +421,39 @@ int64_t repro_multichain_block(
 
 
 def _multichain_smoke_test(kernel: Callable) -> None:
-    """Run the kernel on three chains and compare against the solo kernel.
+    """Run the kernel on a hand-checked three-chain, 4-proposal batch.
 
-    Three chains on the smoke path graph (0–1–2–3 at k=2) with different
-    σ, score tables, and acceptance thresholds — chain 0 is the exact
-    single-chain smoke instance.  Expected outputs come from running the
-    trusted plain-Python :func:`chain_block` per chain, so the check is
-    the family's core contract itself: each batched chain must match its
-    solo trajectory exactly.  Runs with ``n_threads=2`` to exercise the
-    threaded path at probe time.
+    Three chains on the path graph 0–1–2–3 at k=2 with different σ,
+    synthetic score tables, and acceptance thresholds; chain 0 accepts a
+    below-threshold negative delta, two non-negative deltas, then rejects
+    a negative delta above its threshold.  The expected σ, histograms,
+    touch counts, and acceptances were captured from the retired
+    single-chain kernel, one chain at a time.  Runs with ``n_threads=2``
+    to exercise the threaded path at probe time, catches a miscompiled or
+    ABI-mismatched kernel, and doubles as the numba warm-up compile.
     """
     indptr = np.array([0, 1, 3, 5, 6], dtype=np.int32)
     indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int32)
     base_score = np.array(
         [0.5, -0.25, 0.125, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float64
     )
-    sigma = np.stack(
-        [
-            np.arange(4, dtype=np.int64),
-            np.array([1, 0, 3, 2], dtype=np.int64),
-            np.array([3, 1, 2, 0], dtype=np.int64),
-        ]
-    )
+    sigma = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [3, 1, 2, 0]], dtype=np.int64)
     score = np.stack([base_score, -base_score, 0.5 * base_score])
     i_nodes = np.tile(np.array([1, 0, 0, 0], dtype=np.int64), (3, 1))
     j_nodes = np.tile(np.array([3, 2, 1, 1], dtype=np.int64), (3, 1))
-    log_u = np.stack(
+    log_u = np.array(
         [
-            np.array([-2.0, -0.5, -0.5, -0.5], dtype=np.float64),
-            np.array([-0.5, -0.5, -0.5, -0.5], dtype=np.float64),
-            np.array([-0.01, -3.0, -0.01, -3.0], dtype=np.float64),
-        ]
+            [-2.0, -0.5, -0.5, -0.5],
+            [-0.5, -0.5, -0.5, -0.5],
+            [-0.01, -3.0, -0.01, -3.0],
+        ],
+        dtype=np.float64,
     )
     hist = np.zeros((3, 9), dtype=np.int64)
     counts = np.zeros((3, 9), dtype=np.int64)
     touched = np.zeros((3, 16), dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
     accepted = np.zeros(3, dtype=np.int64)
-
-    expected_sigma = sigma.copy()
-    expected_hist = hist.copy()
-    expected_stats = np.zeros(3, dtype=np.int64)
-    expected_accepted = np.zeros(3, dtype=np.int64)
-    for c in range(3):
-        scratch = np.zeros(9, dtype=np.int64)
-        events = np.zeros(16, dtype=np.int64)
-        stat = np.zeros(1, dtype=np.int64)
-        expected_accepted[c] = chain_block(
-            indptr, indices, expected_sigma[c], 2, score[c],
-            expected_hist[c], scratch, events, stat,
-            i_nodes[c], j_nodes[c], log_u[c], 0, 4,
-        )
-        expected_stats[c] = stat[0]
-
     total = int(
         kernel(
             indptr, indices, 3, 4, sigma.ravel(), 2, score.ravel(),
@@ -873,12 +462,16 @@ def _multichain_smoke_test(kernel: Callable) -> None:
             accepted, 2,
         )
     )
+    expected_hist = np.zeros((3, 9), dtype=np.int64)
+    expected_hist[0, [0, 3]] = (-1, 1)
+    expected_hist[1, [0, 3]] = (1, -1)
+    expected_hist[2, [0, 1]] = (-1, 1)
     if (
-        total != int(expected_accepted.sum())
-        or not np.array_equal(accepted, expected_accepted)
-        or not np.array_equal(sigma, expected_sigma)
+        total != 9
+        or accepted.tolist() != [3, 3, 3]
+        or sigma.tolist() != [[3, 2, 0, 1], [1, 2, 3, 0], [0, 2, 3, 1]]
         or not np.array_equal(hist, expected_hist)
-        or not np.array_equal(stats, expected_stats)
+        or stats.tolist() != [8, 4, 8]
     ):
         raise RuntimeError(
             f"multichain kernel self-check failed: total={total}, "
@@ -890,6 +483,10 @@ def _multichain_smoke_test(kernel: Callable) -> None:
             "multichain kernel self-check failed: counts not zeroed"
         )
 
+
+_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 MULTICHAIN_KERNEL = NativeKernel(
     name="multichain",
@@ -944,14 +541,16 @@ def multichain_kernel(name: str) -> Callable:
 
 
 def resolve_multichain_backend(backend: str | None = None) -> str:
-    """The concrete multichain engine: argument, else environment.
+    """The concrete chain engine: argument, else ``REPRO_KERNEL_BACKEND``.
 
-    Same contract as :func:`resolve_chain_backend` — ``auto`` prefers the
-    fused engines and silently falls back to the ``numpy`` reference (a
-    plain loop over per-chain reference engines inside
-    :class:`~repro.kronecker.likelihood.MultiChainSampler`); naming an
-    unavailable engine raises :class:`ValidationError`.  Every engine and
-    thread count produces bit-identical chains.
+    Returns one of ``numpy`` (the pure-Python reference inside
+    :class:`~repro.kronecker.likelihood.PermutationSampler`), ``numba``,
+    or ``cext``.  ``auto`` prefers the fused engines and falls back to
+    ``numpy``; ``scipy`` (the counting knob's reference name) is accepted
+    as an alias for ``numpy``, so one environment value drives both
+    kernel families.  Naming an unavailable engine raises
+    :class:`ValidationError` with the reason.  Every engine and thread
+    count produces bit-identical chains; the knob only selects speed.
     """
     return resolve_backend(
         MULTICHAIN_KERNEL,
@@ -960,6 +559,10 @@ def resolve_multichain_backend(backend: str | None = None) -> str:
         reference="numpy",
         aliases=("scipy",),
     )
+
+
+# Solo and batched samplers run the same kernel, so they share one knob.
+resolve_chain_backend = resolve_multichain_backend
 
 
 def available_multichain_backends() -> tuple[str, ...]:

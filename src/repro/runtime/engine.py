@@ -395,7 +395,7 @@ def _shared_graph_params(
 ) -> list[Graph]:
     """Distinct Graph instances appearing in the pending specs' params.
 
-    Deduplicated by identity: fan-outs (multi-start fits, block groups)
+    Deduplicated by identity: fan-outs (ensemble trials, block groups)
     reference one graph object from many specs, and one segment serves
     them all.
     """

@@ -69,10 +69,9 @@ def estimator_axis(method: str, config, *, n_starts: int | None = None) -> Estim
     Threads the config knobs each method consumes (KronFit's iteration
     budget, chain backend, multi-start count, and multichain kernel
     threads) into the spec so they are part of every trial's cache key.
-    Multi-start fits advance all their chains in one batched native call
-    per proposal batch (``KronFitEstimator``'s default ``multi_start``
-    strategy), sharded across ``config.kernel_threads`` threads — results
-    are bit-identical to the fanned-out per-start trials.
+    Multi-start fits advance all their chains in one native call per
+    proposal batch, sharded across ``config.kernel_threads`` threads —
+    results are bit-identical for any thread count.
     """
     if method == "KronFit":
         effective_starts = config.n_starts if n_starts is None else n_starts

@@ -43,12 +43,12 @@ from repro.native.registry import NATIVE_BACKENDS
 def _backend_params() -> list:
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.chain_backend_available(name):
+        if native_chain.multichain_backend_available(name):
             params.append(pytest.param(name))
         else:
             reason = (
                 f"{name} backend unavailable: "
-                f"{native_chain.chain_backend_error(name)}"
+                f"{native_chain.multichain_backend_error(name)}"
             )
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params

@@ -3,9 +3,10 @@
 KronFit's gradient estimates ride on the permutation chain of
 :class:`repro.kronecker.likelihood.PermutationSampler`, so every
 execution engine — the numpy reference and the fused numba / compiled-C
-batch kernels of :mod:`repro.native.chain` — must produce **bit-identical**
-σ trajectories, profile histograms, and acceptance counts for every
-backend × kernel batch size × graph family × θ cell.  This module is that
+multichain kernel of :mod:`repro.native.chain`, run at S=1 — must
+produce **bit-identical** σ trajectories, profile histograms, and
+acceptance counts for every backend × kernel batch size × graph family ×
+θ cell.  This module is that
 matrix (PR 3's counting-equivalence pattern, now for chains), plus the
 contracts around it:
 
@@ -14,8 +15,8 @@ contracts around it:
   proposals and stream consumption is engine-independent;
 * the histogram contract — the incrementally maintained histogram always
   bit-matches an ``edge_profiles`` recompute;
-* backend selection — naming an unavailable engine fails loudly, ``auto``
-  silently falls back to numpy, ``scipy`` aliases the reference engine;
+* backend selection — the solo sampler shares the multichain knob
+  (``test_multichain_equivalence.py`` covers the resolution rules);
 * KronFit end-to-end — whole fits are bit-identical across engines.
 
 Backends unavailable on the host (e.g. numba not installed) appear as
@@ -49,12 +50,12 @@ def _backend_params() -> list:
     """One param per chain engine; unavailable ones become visible skips."""
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.chain_backend_available(name):
+        if native_chain.multichain_backend_available(name):
             params.append(pytest.param(name))
         else:
             reason = (
                 f"{name} backend unavailable: "
-                f"{native_chain.chain_backend_error(name)}"
+                f"{native_chain.multichain_backend_error(name)}"
             )
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
@@ -204,17 +205,14 @@ class TestDrawContract:
 
 
 class TestChainBackendSelection:
-    def test_resolution_values(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_chain.resolve_chain_backend() in (
-            native_chain.available_chain_backends()
-        )
-        assert native_chain.resolve_chain_backend("numpy") == "numpy"
-        # The counting knob's reference name aliases the chain reference,
-        # so one REPRO_KERNEL_BACKEND value drives both kernel families.
-        assert native_chain.resolve_chain_backend("scipy") == "numpy"
+    """The solo sampler's side of the shared knob; the resolution rules
+    themselves are pinned by ``TestMultiChainBackendSelection``."""
 
     def test_environment_knob(self, monkeypatch):
+        assert (
+            native_chain.resolve_chain_backend
+            is native_chain.resolve_multichain_backend
+        )
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "scipy")
         assert native_chain.resolve_chain_backend() == "numpy"
 
@@ -224,12 +222,10 @@ class TestChainBackendSelection:
 
     def test_missing_numba_fails_loudly(self, monkeypatch):
         monkeypatch.setitem(
-            native_chain.CHAIN_KERNEL.states,
+            native_chain.MULTICHAIN_KERNEL.states,
             "numba",
             (None, "numba is not installed"),
         )
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            native_chain.resolve_chain_backend("numba")
         graph, k = family_graph("skg-k5")
         with pytest.raises(ValidationError, match="numba is not installed"):
             PermutationSampler(graph, k, THETAS["paper"], backend="numba")
@@ -237,24 +233,14 @@ class TestChainBackendSelection:
     def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
         for name in NATIVE_BACKENDS:
             monkeypatch.setitem(
-                native_chain.CHAIN_KERNEL.states, name, (None, f"{name} disabled")
+                native_chain.MULTICHAIN_KERNEL.states,
+                name,
+                (None, f"{name} disabled"),
             )
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
-        assert native_chain.resolve_chain_backend() == "numpy"
-        assert native_chain.available_chain_backends() == ("numpy",)
         graph, k = family_graph("near-empty-k3")
         sampler = PermutationSampler(graph, k, THETAS["paper"])
         assert sampler.backend == "numpy"
-
-    @pytest.mark.skipif(
-        not any(
-            native_chain.chain_backend_available(name) for name in NATIVE_BACKENDS
-        ),
-        reason="no fused chain backend available on this host",
-    )
-    def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_chain.resolve_chain_backend() != "numpy"
 
 
 class TestKronFitAcrossBackends:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.sampling import sample_skg
+from repro.native import chain as native_chain
+from repro.native.registry import NATIVE_BACKENDS
 
 
 class TestKronFit:
@@ -84,12 +88,12 @@ class TestKronFitEdgeCases:
             assert 0.0 < c < 1.0
 
     def test_unavailable_backend_fails_loudly(self, monkeypatch):
-        from repro.native.chain import CHAIN_KERNEL
-
         from repro.errors import ValidationError
 
         monkeypatch.setitem(
-            CHAIN_KERNEL.states, "numba", (None, "numba is not installed")
+            native_chain.MULTICHAIN_KERNEL.states,
+            "numba",
+            (None, "numba is not installed"),
         )
         graph = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValidationError, match="numba is not installed"):
@@ -128,13 +132,20 @@ class TestAcceptanceRateOnTinyGraphs:
         assert result.acceptance_rate == 1.0
 
 
+def _multi_start_trial(rng, *, graph, config):
+    """A 3-start fit as a trial (module-level so pool workers can run it);
+    the fit's own seed is in ``config``, so the trial stream is unused."""
+    del rng
+    return KronFitEstimator(**config, n_starts=3).fit(graph)
+
+
 class TestMultiStart:
     """Multi-start KronFit: determinism, selection, and metadata.
 
-    The satellite contract of PR 5: the winner (and its whole
-    trajectory) is bit-identical across n_jobs in {1, 4} and both
-    REPRO_POOL modes, n_starts=1 is the historical single-chain path,
-    and log-likelihood ties resolve to the lowest start index.
+    The winner (and its whole trajectory) is bit-identical whether the
+    fit runs in-process or inside a trial on either REPRO_POOL mode,
+    n_starts=1 is the historical single-chain path, and log-likelihood
+    ties resolve to the lowest start index.
     """
 
     CONFIG = dict(
@@ -155,18 +166,27 @@ class TestMultiStart:
         assert explicit.start_log_likelihoods == ()
 
     @pytest.mark.parametrize("pool_mode", ["persistent", "ephemeral"])
-    @pytest.mark.parametrize("n_jobs", [1, 4])
-    def test_winner_bit_identical_across_n_jobs_and_pool(
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_winner_bit_identical_inside_pool_trials(
         self, graph, n_jobs, pool_mode, monkeypatch
     ):
+        from repro.runtime import TrialSpec, run_trials
+
         monkeypatch.setenv("REPRO_POOL", pool_mode)
         reference = KronFitEstimator(**self.CONFIG, n_starts=3).fit(graph)
-        result = KronFitEstimator(
-            **self.CONFIG, n_starts=3, n_jobs=n_jobs
-        ).fit(graph)
-        assert result == reference
-        assert result.trajectory == reference.trajectory
-        assert result.log_likelihoods == reference.log_likelihoods
+        specs = [
+            TrialSpec(
+                fn=_multi_start_trial,
+                params={"graph": graph, "config": self.CONFIG},
+                index=index,
+            )
+            for index in range(2)
+        ]
+        report = run_trials(specs, seed=0, n_jobs=n_jobs)
+        for result in report.results:
+            assert result == reference
+            assert result.trajectory == reference.trajectory
+            assert result.log_likelihoods == reference.log_likelihoods
 
     def test_winner_has_best_final_log_likelihood(self, graph):
         result = KronFitEstimator(**self.CONFIG, n_starts=3).fit(graph)
@@ -185,6 +205,80 @@ class TestMultiStart:
     def test_n_starts_validated(self):
         with pytest.raises(Exception):
             KronFitEstimator(n_starts=0)
+
+
+def _fit_digest(result) -> str:
+    """sha256 of the fit's observable numbers, via their exact reprs."""
+    observed = (
+        result.initiator,
+        result.log_likelihoods,
+        result.trajectory,
+        result.acceptance_rate,
+        result.start_log_likelihoods,
+    )
+    return hashlib.sha256(repr(observed).encode()).hexdigest()[:16]
+
+
+def _native_backend_params() -> list:
+    params = [pytest.param("numpy")]
+    for name in NATIVE_BACKENDS:
+        if native_chain.multichain_backend_available(name):
+            params.append(pytest.param(name))
+        else:
+            reason = (
+                f"{name} backend unavailable: "
+                f"{native_chain.multichain_backend_error(name)}"
+            )
+            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
+    return params
+
+
+class TestFitGoldens:
+    """Fit-level goldens: whole KronFitResults pinned as digests.
+
+    Captured from the single-chain kernel and the pool-era fit paths, so
+    they pin that routing every fit through the batched multichain path
+    changed no number — including, for a Generator seed, how far the
+    caller's stream advanced.
+    """
+
+    CONFIG = dict(
+        n_iterations=3, warmup_swaps=50, n_permutation_samples=2,
+        sample_spacing=20,
+    )
+    GOLDENS = {
+        "single-int-seed": "de88be8e2c5ddf75",
+        "single-generator-seed": "40baeb0f0eae597c",
+        "three-starts": "5dc1bfb9010177eb",
+    }
+    GENERATOR_NEXT_DRAW = 1204194536240269616
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return sample_skg(Initiator(0.9, 0.5, 0.2), 6, seed=4)
+
+    @pytest.mark.parametrize("backend", _native_backend_params())
+    def test_single_start_int_seed(self, graph, backend):
+        result = KronFitEstimator(
+            **self.CONFIG, seed=11, backend=backend
+        ).fit(graph)
+        assert _fit_digest(result) == self.GOLDENS["single-int-seed"]
+
+    @pytest.mark.parametrize("backend", _native_backend_params())
+    def test_single_start_generator_seed(self, graph, backend):
+        rng = np.random.default_rng(77)
+        result = KronFitEstimator(
+            **self.CONFIG, seed=rng, backend=backend
+        ).fit(graph)
+        assert _fit_digest(result) == self.GOLDENS["single-generator-seed"]
+        assert int(rng.integers(0, 2**63 - 1)) == self.GENERATOR_NEXT_DRAW
+
+    @pytest.mark.parametrize("backend", _native_backend_params())
+    def test_three_starts(self, graph, backend):
+        result = KronFitEstimator(
+            **self.CONFIG, seed=11, n_starts=3, backend=backend
+        ).fit(graph)
+        assert _fit_digest(result) == self.GOLDENS["three-starts"]
 
 
 class TestStartSelection:

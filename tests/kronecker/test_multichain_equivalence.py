@@ -15,9 +15,10 @@ same graph families the solo matrix pins
 * backend selection — naming an unavailable engine fails loudly,
   ``auto`` silently falls back to the numpy reference, ``scipy``
   aliases it (one ``REPRO_KERNEL_BACKEND`` value drives every family);
-* KronFit end-to-end — the batched multi-start strategy selects the
-  same winner, with bit-identical per-start results, as the PR 5
-  pool-fanned strategy it replaces.
+* KronFit end-to-end — a multi-start fit on every fused engine selects
+  the same winner, with bit-identical per-start results, as the numpy
+  reference engine, and its start 0 is the single-start fit seeded with
+  start 0's ``SeedSequence`` child.
 
 Backends unavailable on the host (e.g. numba not installed) appear as
 explicit skips, so the CI numba job variant proves the full matrix ran.
@@ -306,57 +307,69 @@ class TestKronFitBatchedMultiStart:
     def _graph(self):
         return sample_skg(Initiator(0.9, 0.5, 0.2), 6, seed=1)
 
-    def test_strategy_knob_validated(self):
-        with pytest.raises(ValidationError, match="multi_start"):
-            KronFitEstimator(multi_start="sideways")
+    def test_options_validated(self):
         with pytest.raises(ValidationError):
             KronFitEstimator(kernel_threads=-1)
+        # One strategy, in-process: the fan-out-era options are gone.
+        for retired in ("multi_start", "n_jobs"):
+            with pytest.raises(TypeError, match=retired):
+                KronFitEstimator(**{retired: 1})
+
+    def _reference(self):
+        """The numpy-engine multi-start fit every engine must reproduce."""
+        return KronFitEstimator(backend="numpy", **self.CONFIG).fit(self._graph())
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batched_matches_fanned_multi_start(self, backend):
-        """The tentpole contract: one batched native call must select
-        the same winner, with bit-identical per-start results, as the
-        pool-fanned path it replaces."""
-        graph = self._graph()
-        fanned = KronFitEstimator(
-            backend=backend, multi_start="fanout", **self.CONFIG
-        ).fit(graph)
-        batched = KronFitEstimator(
-            backend=backend, multi_start="batched", **self.CONFIG
-        ).fit(graph)
-        assert batched.start == fanned.start
-        assert batched.n_starts == fanned.n_starts == 4
-        assert batched.start_log_likelihoods == fanned.start_log_likelihoods
-        assert batched.initiator == fanned.initiator
-        assert batched.log_likelihoods == fanned.log_likelihoods
-        assert batched.trajectory == fanned.trajectory
-        assert batched.acceptance_rate == fanned.acceptance_rate
+    def test_multi_start_matches_numpy_engine(self, backend):
+        """The batched native call must select the same winner, with
+        bit-identical per-start results, as the reference engine."""
+        reference = self._reference()
+        result = KronFitEstimator(backend=backend, **self.CONFIG).fit(self._graph())
+        assert result.start == reference.start
+        assert result.n_starts == reference.n_starts == 4
+        assert result.start_log_likelihoods == reference.start_log_likelihoods
+        assert result.initiator == reference.initiator
+        assert result.log_likelihoods == reference.log_likelihoods
+        assert result.trajectory == reference.trajectory
+        assert result.acceptance_rate == reference.acceptance_rate
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_start_zero_is_the_seeded_single_start_fit(self, backend):
+        """Chain 0 of a batched fit is bit-identical to the solo fit it
+        would be on its own: degree-matched σ, start 0's seed child."""
+        config = {**self.CONFIG, "n_starts": 1}
+        child = np.random.SeedSequence(config.pop("seed")).spawn(4)[0]
+        solo = KronFitEstimator(backend=backend, seed=child, **config).fit(
+            self._graph()
+        )
+        assert solo.log_likelihoods[-1] == self._reference().start_log_likelihoods[0]
 
     def test_kernel_threads_do_not_change_the_fit(self):
         graph = self._graph()
-        serial = KronFitEstimator(multi_start="batched", **self.CONFIG).fit(graph)
-        threaded = KronFitEstimator(
-            multi_start="batched", kernel_threads=4, **self.CONFIG
-        ).fit(graph)
+        serial = KronFitEstimator(**self.CONFIG).fit(graph)
+        threaded = KronFitEstimator(kernel_threads=4, **self.CONFIG).fit(graph)
         assert threaded.start == serial.start
         assert threaded.initiator == serial.initiator
         assert threaded.start_log_likelihoods == serial.start_log_likelihoods
 
-    def test_generator_seed_consumption_matches(self):
-        """Both strategies consume exactly one draw from a Generator
-        seed, so downstream code sees the same stream position."""
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_generator_seed_consumption_matches(self, backend):
+        """A multi-start fit consumes exactly one draw from a Generator
+        seed on every engine, so downstream code sees the same stream
+        position — and the same fit — as under the numpy engine."""
         graph = self._graph()
         config = {**self.CONFIG}
         del config["seed"]
         results = {}
-        for strategy in ("fanout", "batched"):
+        for engine in ("numpy", backend):
             rng = np.random.default_rng(77)
-            result = KronFitEstimator(
-                multi_start=strategy, seed=rng, **config
-            ).fit(graph)
-            results[strategy] = (result, rng.integers(0, 2**63 - 1))
-        fanned, fanned_next = results["fanout"]
-        batched, batched_next = results["batched"]
-        assert batched.start == fanned.start
-        assert batched.initiator == fanned.initiator
-        assert batched_next == fanned_next
+            result = KronFitEstimator(backend=engine, seed=rng, **config).fit(graph)
+            results[engine] = (result, rng.integers(0, 2**63 - 1))
+        reference, reference_next = results["numpy"]
+        result, result_next = results[backend]
+        assert result.start == reference.start
+        assert result.initiator == reference.initiator
+        assert result.start_log_likelihoods == reference.start_log_likelihoods
+        one_draw = np.random.default_rng(77)
+        one_draw.integers(0, 2**63 - 1)
+        assert result_next == reference_next == one_draw.integers(0, 2**63 - 1)

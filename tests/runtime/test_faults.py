@@ -65,6 +65,19 @@ def _marked_trial(rng, *, marker_dir, position, size=3):
     return rng.standard_normal(size).tolist()
 
 
+def _kronfit_trial(rng, *, k):
+    """A two-start KronFit fit seeded by the trial's own stream."""
+    from repro.kronecker import Initiator
+    from repro.kronecker.kronfit import KronFitEstimator
+
+    graph = Initiator(0.9, 0.5, 0.2).sample(k, seed=1)
+    fit = KronFitEstimator(
+        n_iterations=2, warmup_swaps=30, n_permutation_samples=1,
+        sample_spacing=10, n_starts=2, seed=rng,
+    ).fit(graph)
+    return fit.start_log_likelihoods
+
+
 def _specs(count=6, fn=_draw_trial, **params):
     return [TrialSpec(fn=fn, params=params or {"size": 3}, index=i) for i in range(count)]
 
@@ -231,6 +244,21 @@ class TestRetries:
         assert healed.results == clean.results
         assert healed.retried == 1 and healed.retried_indices == (3,)
         assert healed.failed == 0 and healed.failed_indices == ()
+
+    def test_environment_faults_do_not_leak_into_multi_start_fits(
+        self, monkeypatch
+    ):
+        """A multi-start fit inside a trial must not re-read
+        REPRO_FAULT_INJECT: the injected fault hits the outer trial's
+        first attempt only, so the retry heals bit-identically."""
+        specs = _specs(1, fn=_kronfit_trial, k=5)
+        monkeypatch.delenv(FAULT_INJECT_ENV, raising=False)
+        clean = run_trials(specs, seed=0)
+        monkeypatch.setenv(FAULT_INJECT_ENV, "trial_error:index=0:attempts=1")
+        healed = run_trials(specs, seed=0, retries=2, backoff=0)
+        assert healed.results == clean.results
+        assert healed.retried_indices == (0,)
+        assert healed.failed == 0
 
     def test_raise_policy_propagates_after_exhausted_retries(self):
         with pytest.raises(InjectedFault, match="trial 2"):

@@ -284,75 +284,57 @@ class TestBenchArtifactSchema:
         if floor["backend"] is not None:
             assert floor["measured"] >= floor["required"]
 
-    def test_kronfit_artifact_records_multistart_column(self):
-        """Schema 2 added the multi-start column: the committed artifact
-        must carry the S=8 serial/parallel trajectory and the floor
-        record (measured even when the reference container cannot assert
-        the parallel floor — e.g. a single usable core)."""
-        report = json.loads(
-            (OUT_DIR / "BENCH_kronfit.json").read_text(encoding="utf-8")
-        )
-        floor = report["multistart_floor"]
-        assert floor["n_starts"] == 8
-        assert floor["measured"] is not None
-        assert floor["asserted"] or floor["skip_reason"]
-        record = next(
-            workload
-            for workload in report["workloads"]
-            if workload["workload"] == floor["workload"]
-        )
-        by_jobs = record["multistart"]["by_n_jobs"]
-        assert set(by_jobs) == {"1", "4"}
-        winners = {entry["winning_start"] for entry in by_jobs.values()}
-        assert len(winners) == 1, "winner must be identical across n_jobs"
-
     def test_kronfit_artifact_records_multichain_column(self):
-        """Schema 4 added the batched multichain column: S ∈ {8, 64}
-        rows with the pool fan-out baseline and batched timings at
-        kernel_threads ∈ {1, 2} (bit-identity recorded by the bench's
-        enforcement), plus the single-core floor record — the complement
-        of the multi-start pool floor, so exactly one of the two is
-        asserted on any host."""
+        """Schema 5's batched multichain column: S ∈ {8, 64} rows with
+        the sequential single-start baseline and batched timings at
+        kernel_threads ∈ {1, 2} (chain-0 bit-identity recorded by the
+        bench's enforcement), plus the floor record — asserted on every
+        host, since neither side needs a second core.  The pool
+        ``multistart`` column is gone."""
         report = json.loads(
             (OUT_DIR / "BENCH_kronfit.json").read_text(encoding="utf-8")
         )
+        assert "multistart_floor" not in report
         floor = report["multichain_floor"]
         assert floor["n_starts"] == 8
         assert floor["kernel_threads"] == 1
-        assert floor["required"] == 2.0
-        assert floor["measured"] is not None
-        assert floor["asserted"] or floor["skip_reason"]
-        if floor["asserted"]:
-            assert floor["measured"] >= floor["required"]
+        assert floor["required"] == 1.25
+        assert floor["asserted"] is True
+        assert floor["measured"] >= floor["required"]
         record = next(
             workload
             for workload in report["workloads"]
             if workload["workload"] == floor["workload"]
         )
+        assert "multistart" not in record
         by_starts = record["multichain"]["by_starts"]
         assert set(by_starts) == {"8", "64"}
         for row in by_starts.values():
-            assert row["fanout"]["seconds"] > 0
+            assert row["sequential"]["seconds"] > 0
             assert set(row["batched"]) == {"1", "2"}
             for entry in row["batched"].values():
                 assert entry["bit_identical"] is True
                 assert entry["seconds"] > 0
-        # The two multi-start floors partition hosts by core count:
-        # exactly one must be asserted in a committed (full) artifact.
-        assert report["multistart_floor"]["asserted"] != floor["asserted"]
+                assert entry["speedup_vs_sequential"] == pytest.approx(
+                    row["sequential"]["seconds"] / entry["seconds"]
+                )
 
     def test_trajectory_gate_covers_multichain_headline(self):
         """The batched multichain headline participates in the gate;
-        rows predating it (no ``multichain_speedup`` key) are skipped,
-        not failed."""
+        rows predating it (no ``multichain_vs_solo_speedup`` key — e.g.
+        the fan-out-based ``multichain_speedup`` rows) are skipped, not
+        failed."""
         module = load_bench_module("bench_trajectory.py")
-        assert ("kronfit", "multichain_speedup") in module.GATE_KEYS
+        key = "multichain_vs_solo_speedup"
+        assert ("kronfit", key) in module.GATE_KEYS
+        assert ("kronfit", "multichain_speedup") not in module.GATE_KEYS
         previous = trajectory_row("aaa", "2026-01-01T00:00:00Z", 10.0)
-        previous["kronfit"]["multichain_speedup"] = 4.0
+        previous["kronfit"][key] = 4.0
         row = trajectory_row("bbb", "2026-01-02T00:00:00Z", 10.0)
-        row["kronfit"]["multichain_speedup"] = 1.0
+        row["kronfit"][key] = 1.0
         problems = module.check_regression(previous, row, 0.5)
         assert len(problems) == 1
-        assert "multichain_speedup" in problems[0]
-        del previous["kronfit"]["multichain_speedup"]
+        assert key in problems[0]
+        del previous["kronfit"][key]
+        previous["kronfit"]["multichain_speedup"] = 4.0
         assert module.check_regression(previous, row, 0.5) == []
