@@ -95,9 +95,10 @@ from repro.core.estimator import PrivateKroneckerEstimator
 from repro.core.nonprivate import fit_kronfit, fit_kronmom
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
+from repro.knobs import KERNEL_BACKEND_CHOICES, default
 from repro.native.registry import KERNEL_THREADS_ENV, resolve_kernel_threads
 from repro.stats.kernels import (
-    KERNEL_BACKEND_CHOICES,
+    BLOCK_SIZE_ENV,
     KERNEL_BACKEND_ENV,
     resolve_block_size,
     resolve_kernel_backend,
@@ -166,11 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("private", "kronmom", "kronfit"),
         default="private",
     )
-    fit_parser.add_argument("--epsilon", type=float, default=0.2)
-    fit_parser.add_argument("--delta", type=float, default=0.01)
+    fit_parser.add_argument("--epsilon", type=float, default=default("REPRO_EPSILON"))
+    fit_parser.add_argument("--delta", type=float, default=default("REPRO_DELTA"))
     fit_parser.add_argument("--seed", type=int, default=None)
     fit_parser.add_argument(
-        "--kronfit-iterations", type=int, default=30, dest="kronfit_iterations"
+        "--kronfit-iterations",
+        type=int,
+        default=default("REPRO_KRONFIT_ITERATIONS"),
+        dest="kronfit_iterations",
     )
 
     release_parser = commands.add_parser(
@@ -178,8 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     release_parser.add_argument("graph", help="dataset name or edge-list path")
     release_parser.add_argument("--out", required=True, help="output directory")
-    release_parser.add_argument("--epsilon", type=float, default=0.2)
-    release_parser.add_argument("--delta", type=float, default=0.01)
+    release_parser.add_argument(
+        "--epsilon", type=float, default=default("REPRO_EPSILON")
+    )
+    release_parser.add_argument("--delta", type=float, default=default("REPRO_DELTA"))
     release_parser.add_argument("--samples", type=int, default=1)
     release_parser.add_argument("--seed", type=int, default=None)
 
@@ -439,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
             # Validate eagerly, then publish through the environment: the
             # counting kernels read REPRO_BLOCK_SIZE at pass time.
             resolve_block_size(arguments.block_size)
-            os.environ["REPRO_BLOCK_SIZE"] = str(arguments.block_size)
+            os.environ[BLOCK_SIZE_ENV] = str(arguments.block_size)
         if arguments.kernel_backend is not None:
             # Same pattern; resolving eagerly makes an unavailable backend
             # (e.g. --kernel-backend numba without numba) fail loudly here

@@ -15,7 +15,6 @@ with default arguments returns equal graphs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -27,6 +26,7 @@ from repro.errors import DatasetError
 from repro.graphs.graph import Graph
 from repro.graphs.generators import barabasi_albert_graph, powerlaw_cluster_graph
 from repro.graphs.io import read_edge_list
+from repro.knobs import knob
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["DatasetSpec", "available_datasets", "load_dataset", "dataset_info"]
@@ -212,7 +212,7 @@ def load_dataset(name: str, seed: SeedLike = None) -> Graph:
         # which would otherwise rebuild the same graph repeatedly.  The
         # data directory is part of the key so REPRO_DATA_DIR changes
         # (tests monkeypatch it) are never served stale.
-        return _load_default(spec.name, os.environ.get(_DATA_DIR_ENV))
+        return _load_default(spec.name, knob(_DATA_DIR_ENV))
     from_disk = _try_load_from_disk(spec.name)
     if from_disk is not None:
         return from_disk
@@ -229,8 +229,8 @@ def _load_default(name: str, _data_dir: str | None) -> Graph:
 
 
 def _try_load_from_disk(name: str) -> Graph | None:
-    data_dir = os.environ.get(_DATA_DIR_ENV)
-    if not data_dir:
+    data_dir = knob(_DATA_DIR_ENV)
+    if data_dir is None:
         return None
     for suffix in (".txt", ".txt.gz"):
         path = Path(data_dir) / f"{name}{suffix}"

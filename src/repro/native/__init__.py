@@ -23,7 +23,6 @@ bit-identical to its pure-Python reference; the knob only selects speed.
 """
 
 from repro.native.chain import (
-    MULTICHAIN_BACKENDS,
     MULTICHAIN_KERNEL,
     available_multichain_backends,
     draw_proposal_batch,
@@ -75,7 +74,6 @@ __all__ = [
     "draw_proposal_batch",
     "resolve_chain_backend",
     "MULTICHAIN_KERNEL",
-    "MULTICHAIN_BACKENDS",
     "multichain_block",
     "multichain_backend_available",
     "multichain_backend_error",

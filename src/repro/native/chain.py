@@ -98,7 +98,6 @@ except ImportError:  # pragma: no cover - exercised on numba-less hosts
 __all__ = [
     "draw_proposal_batch",
     "MULTICHAIN_KERNEL",
-    "MULTICHAIN_BACKENDS",
     "multichain_block",
     "multichain_backend_available",
     "multichain_backend_error",
@@ -107,12 +106,6 @@ __all__ = [
     "resolve_chain_backend",
     "available_multichain_backends",
 ]
-
-# Accepted values of the chain-backend knob.  The chain's pure-Python
-# reference engine is called "numpy"; "scipy" is accepted as an alias so
-# one REPRO_KERNEL_BACKEND value can force the reference engine of both
-# the counting pass and the chain.
-MULTICHAIN_BACKENDS = ("auto", "numpy", "scipy", "numba", "cext")
 
 
 def draw_proposal_batch(
@@ -552,13 +545,7 @@ def resolve_multichain_backend(backend: str | None = None) -> str:
     :class:`ValidationError` with the reason.  Every engine and thread
     count produces bit-identical chains; the knob only selects speed.
     """
-    return resolve_backend(
-        MULTICHAIN_KERNEL,
-        backend,
-        accepted=MULTICHAIN_BACKENDS,
-        reference="numpy",
-        aliases=("scipy",),
-    )
+    return resolve_backend(MULTICHAIN_KERNEL, backend, reference="numpy")
 
 
 # Solo and batched samplers run the same kernel, so they share one knob.

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.errors import ValidationError
+from repro.knobs import knob
 
 __all__ = [
     "NATIVE_BACKENDS",
@@ -114,10 +115,8 @@ def _enabled_optional_flags(flags: Sequence[str]) -> tuple[str, ...]:
     """
     chosen = []
     for flag in flags:
-        if flag == "-fopenmp":
-            raw = os.environ.get(OPENMP_ENV, "").strip().lower()
-            if raw in _OPENMP_OFF:
-                continue
+        if flag == "-fopenmp" and knob(OPENMP_ENV) in _OPENMP_OFF:
+            continue
         if flag == "-mpopcnt" and not _host_supports_popcnt():
             continue
         chosen.append(flag)
@@ -131,26 +130,9 @@ def resolve_kernel_threads(threads: int | None = None) -> int:
     then 1 (serial — the bit-identity contracts make threading purely a
     throughput knob, so the conservative default never oversubscribes a
     pool worker).  A value of 0 (or any negative value) means "all usable
-    cores".  Non-integer values fail loudly.
+    cores".
     """
-    source = "argument"
-    if threads is None:
-        raw = os.environ.get(KERNEL_THREADS_ENV)
-        if not raw or not raw.strip():
-            return 1
-        source = f"environment variable {KERNEL_THREADS_ENV}"
-        try:
-            threads = int(raw.strip())
-        except ValueError:
-            raise ValidationError(
-                f"kernel threads (from {source}) must be an integer, "
-                f"got {raw!r}"
-            ) from None
-    if isinstance(threads, bool) or not isinstance(threads, int):
-        raise ValidationError(
-            f"kernel threads (from {source}) must be an integer, "
-            f"got {threads!r}"
-        )
+    threads = knob(KERNEL_THREADS_ENV, threads)
     if threads <= 0:
         try:
             return max(1, len(os.sched_getaffinity(0)))
@@ -387,12 +369,7 @@ def available_backends(kernel: NativeKernel, reference: str) -> tuple[str, ...]:
 
 
 def resolve_backend(
-    kernel: NativeKernel,
-    backend: str | None = None,
-    *,
-    accepted: tuple[str, ...],
-    reference: str,
-    aliases: tuple[str, ...] = (),
+    kernel: NativeKernel, backend: str | None = None, *, reference: str
 ) -> str:
     """The concrete engine a pass/chain will run: argument, else environment.
 
@@ -402,25 +379,16 @@ def resolve_backend(
     host.  Explicitly requesting an unavailable engine raises a
     :class:`ValidationError` naming the reason, so a pipeline that
     *expects* the fused kernels fails loudly instead of quietly running
-    slower.  ``aliases`` are extra names accepted for the reference engine
-    (the chain accepts the counting knob's ``scipy`` as its ``numpy``),
-    keeping one ``REPRO_KERNEL_BACKEND`` value valid for both kernels.
+    slower.  ``scipy`` and ``numpy`` both name the ``reference`` engine,
+    keeping one ``REPRO_KERNEL_BACKEND`` value valid for every kernel.
     """
     source = "argument"
     if backend is None:
-        raw = os.environ.get(KERNEL_BACKEND_ENV)
-        if not raw:  # unset or empty = auto
-            return auto_backend(kernel, reference)
-        backend = raw
         source = f"environment variable {KERNEL_BACKEND_ENV}"
-    if not isinstance(backend, str) or backend not in accepted:
-        raise ValidationError(
-            f"kernel backend (from {source}) must be one of "
-            f"{', '.join(accepted)}, got {backend!r}"
-        )
+    backend = knob(KERNEL_BACKEND_ENV, backend)
     if backend == "auto":
         return auto_backend(kernel, reference)
-    if backend == reference or backend in aliases:
+    if backend not in NATIVE_BACKENDS:
         return reference
     if not kernel.available(backend):
         raise ValidationError(

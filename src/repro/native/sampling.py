@@ -67,7 +67,6 @@ from repro.native.registry import (
 
 __all__ = [
     "SAMPLER_KERNEL",
-    "SAMPLER_BACKENDS",
     "sampler_block",
     "sampler_backend_available",
     "sampler_backend_error",
@@ -76,12 +75,6 @@ __all__ = [
     "available_sampler_backends",
     "choose_table",
 ]
-
-# Accepted values of the sampler-backend knob.  The sampler's pure-Python
-# reference engine is called "numpy"; "scipy" is accepted as an alias so
-# one REPRO_KERNEL_BACKEND value can force the reference engine of the
-# counting pass, the chain, and the sampler at once.
-SAMPLER_BACKENDS = ("auto", "numpy", "scipy", "numba", "cext")
 
 
 def choose_table(k: int) -> np.ndarray:
@@ -444,13 +437,7 @@ def resolve_sampler_backend(backend: str | None = None) -> str:
     the reference so one ``REPRO_KERNEL_BACKEND`` value can force every
     kernel family onto its reference engine.
     """
-    return resolve_backend(
-        SAMPLER_KERNEL,
-        backend,
-        accepted=SAMPLER_BACKENDS,
-        reference="numpy",
-        aliases=("scipy",),
-    )
+    return resolve_backend(SAMPLER_KERNEL, backend, reference="numpy")
 
 
 def available_sampler_backends() -> tuple[str, ...]:

@@ -19,8 +19,8 @@ such lists through one engine:
 Parallel runs reuse one **persistent worker pool** across calls (and
 across the blocked counting passes that fan through the same engine), so
 consecutive ensembles pay the worker start-up cost once;
-:func:`shutdown_pool` releases it, and ``pool="ephemeral"`` /
-``REPRO_POOL=ephemeral`` restores per-call executors.
+:func:`shutdown_pool` releases it.  The persistent pool is the only
+executor lifecycle.
 
 The engine is fault-tolerant without giving up bit-identity: bounded
 retries with deterministic backoff (``REPRO_TRIAL_RETRIES``,
@@ -32,16 +32,14 @@ Every recovery path is exercisable deterministically through the
 fault-injection harness (:mod:`repro.runtime.faults`,
 ``REPRO_FAULT_INJECT``).
 
-The ``REPRO_N_JOBS``, ``REPRO_CACHE_DIR``, and ``REPRO_POOL`` environment
-knobs (see :mod:`repro.evaluation.experiments`) wire the engine into
-every bench and the ``repro run-ensemble`` CLI subcommand.
+The ``REPRO_N_JOBS`` and ``REPRO_CACHE_DIR`` environment knobs (declared
+with every other knob in :mod:`repro.knobs`) wire the engine into every
+bench and the ``repro run-ensemble`` CLI subcommand.
 """
 
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import (
     ON_ERROR_POLICIES,
-    POOL_MODE_ENV,
-    POOL_MODES,
     POOL_RESTARTS_ENV,
     TRIAL_BACKOFF_ENV,
     TRIAL_RETRIES_ENV,
@@ -52,7 +50,6 @@ from repro.runtime.engine import (
     pool_worker_pids,
     resolve_n_jobs,
     resolve_on_error,
-    resolve_pool_mode,
     resolve_pool_restarts,
     resolve_retry_backoff,
     resolve_trial_retries,
@@ -88,7 +85,6 @@ __all__ = [
     "TrialCache",
     "run_trials",
     "resolve_n_jobs",
-    "resolve_pool_mode",
     "resolve_on_error",
     "resolve_trial_retries",
     "resolve_trial_timeout",
@@ -99,8 +95,6 @@ __all__ = [
     "pool_worker_pids",
     "call_with_timeout",
     "TrialTimeoutError",
-    "POOL_MODE_ENV",
-    "POOL_MODES",
     "ON_ERROR_POLICIES",
     "TRIAL_RETRIES_ENV",
     "TRIAL_TIMEOUT_ENV",

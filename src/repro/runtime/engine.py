@@ -44,13 +44,13 @@ process-wide :class:`~concurrent.futures.ProcessPoolExecutor`, created on
 first parallel use and reused across :func:`run_trials` calls and blocked
 counting passes, so consecutive ensembles (Table 1's fits, figure
 ensembles, bench trajectories) pay the worker fork/spawn cost once
-instead of per call.  The pool is lifecycle-managed: it is resized only
-when a caller asks for a *different* worker count, shut down at
-interpreter exit (and discarded on breakage), and :func:`shutdown_pool`
-releases it eagerly.  ``pool="ephemeral"`` (or ``REPRO_POOL=ephemeral``)
-restores the per-call executor.  The serial default (``n_jobs=1``) never
-touches any pool, and results are bit-identical either way — per-trial
-seeds depend only on (root seed, index), never on which worker ran what.
+instead of per call.  The persistent pool is the only executor
+lifecycle: it is resized only when a caller asks for a *different*
+worker count, shut down at interpreter exit (and discarded on breakage),
+and :func:`shutdown_pool` releases it eagerly.  The serial default
+(``n_jobs=1``) never touches the pool, and results are bit-identical
+either way — per-trial seeds depend only on (root seed, index), never on
+which worker ran what.
 Workers inherit the parent's state (environment, loaded modules) at pool
 creation time, not per call.
 
@@ -78,6 +78,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
+from repro.knobs import default, knob
 from repro.runtime.cache import TrialCache
 from repro.runtime.faults import (
     CRASH_EXIT_CODE,
@@ -97,7 +98,6 @@ from repro.utils.validation import check_integer
 __all__ = [
     "run_trials",
     "resolve_n_jobs",
-    "resolve_pool_mode",
     "resolve_on_error",
     "resolve_trial_retries",
     "resolve_trial_timeout",
@@ -108,8 +108,6 @@ __all__ = [
     "pool_worker_pids",
     "call_with_timeout",
     "TrialTimeoutError",
-    "POOL_MODE_ENV",
-    "POOL_MODES",
     "ON_ERROR_POLICIES",
     "TRIAL_RETRIES_ENV",
     "TRIAL_TIMEOUT_ENV",
@@ -118,9 +116,6 @@ __all__ = [
 ]
 
 _logger = get_logger(__name__)
-
-POOL_MODE_ENV = "REPRO_POOL"
-POOL_MODES = ("persistent", "ephemeral")
 
 ON_ERROR_POLICIES = ("raise", "collect")
 TRIAL_RETRIES_ENV = "REPRO_TRIAL_RETRIES"
@@ -131,12 +126,8 @@ POOL_RESTARTS_ENV = "REPRO_POOL_RESTARTS"
 # Deterministic retry pacing: attempt N sleeps BACKOFF * 2**(N-1) seconds
 # (no jitter — two chaos runs with the same faults back off identically),
 # capped so a deep retry budget cannot stall a worker for minutes.
-DEFAULT_RETRY_BACKOFF = 0.05
+DEFAULT_RETRY_BACKOFF = default(TRIAL_BACKOFF_ENV)
 MAX_RETRY_BACKOFF = 5.0
-
-# How many times a broken pool is rebuilt within one run_trials call
-# before the BrokenProcessPool surfaces to the caller.
-DEFAULT_POOL_RESTARTS = 2
 
 # The process-wide persistent executor: the pool itself, the worker count
 # it was created for, and whether the atexit hook is installed.  All three
@@ -152,28 +143,6 @@ _pool_lock = threading.RLock()
 
 class TrialTimeoutError(RuntimeError):
     """An attempt exceeded the per-trial timeout (retryable)."""
-
-
-def resolve_pool_mode(mode: str | None = None) -> str:
-    """Resolve the executor lifecycle: argument, then ``REPRO_POOL``.
-
-    ``persistent`` (the default) reuses one process-wide pool across
-    parallel runs; ``ephemeral`` creates and tears down an executor per
-    call (the pre-PR 4 behaviour).
-    """
-    source = "argument"
-    if mode is None:
-        raw = os.environ.get(POOL_MODE_ENV)
-        if not raw:  # unset or empty = default
-            return "persistent"
-        mode = raw
-        source = f"environment variable {POOL_MODE_ENV}"
-    if mode not in POOL_MODES:
-        raise ValidationError(
-            f"pool mode (from {source}) must be one of "
-            f"{', '.join(POOL_MODES)}, got {mode!r}"
-        )
-    return mode
 
 
 def resolve_on_error(on_error: str | None = None) -> str:
@@ -197,91 +166,23 @@ def resolve_on_error(on_error: str | None = None) -> str:
 
 
 def resolve_trial_retries(retries: int | None = None) -> int:
-    """Resolve the per-trial retry budget: argument, then
-    ``REPRO_TRIAL_RETRIES``, then 0 (a trial runs exactly once)."""
-    if retries is None:
-        raw = os.environ.get(TRIAL_RETRIES_ENV)
-        if raw is None or raw == "":
-            return 0
-        try:
-            retries = int(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"environment variable {TRIAL_RETRIES_ENV} must be an "
-                f"integer, got {raw!r}"
-            ) from exc
-    return check_integer(retries, "retries", minimum=0)
+    """Extra attempts per trial (``REPRO_TRIAL_RETRIES``; 0 = run once)."""
+    return knob(TRIAL_RETRIES_ENV, retries)
 
 
 def resolve_trial_timeout(timeout: float | None = None) -> float | None:
-    """Resolve the per-attempt timeout in seconds: argument, then
-    ``REPRO_TRIAL_TIMEOUT``, then ``None`` (no timeout)."""
-    if timeout is None:
-        raw = os.environ.get(TRIAL_TIMEOUT_ENV)
-        if raw is None or raw == "":
-            return None
-        try:
-            timeout = float(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"environment variable {TRIAL_TIMEOUT_ENV} must be a "
-                f"number of seconds, got {raw!r}"
-            ) from exc
-    timeout = float(timeout)
-    if not timeout > 0:
-        raise ValidationError(f"trial timeout must be positive, got {timeout}")
-    return timeout
+    """Per-attempt seconds (``REPRO_TRIAL_TIMEOUT``; ``None`` = no limit)."""
+    return knob(TRIAL_TIMEOUT_ENV, timeout)
 
 
 def resolve_retry_backoff(backoff: float | None = None) -> float:
-    """Resolve the base backoff delay: argument, then
-    ``REPRO_TRIAL_BACKOFF``, then {default}s.  Deterministic (no jitter);
-    attempt N waits ``backoff * 2**(N-1)``, capped at {cap}s.  0 disables
-    the wait (useful in tests).
-    """
-    if backoff is None:
-        raw = os.environ.get(TRIAL_BACKOFF_ENV)
-        if raw is None or raw == "":
-            return DEFAULT_RETRY_BACKOFF
-        try:
-            backoff = float(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"environment variable {TRIAL_BACKOFF_ENV} must be a "
-                f"number of seconds, got {raw!r}"
-            ) from exc
-    backoff = float(backoff)
-    if backoff < 0:
-        raise ValidationError(f"retry backoff must be >= 0, got {backoff}")
-    return backoff
-
-
-resolve_retry_backoff.__doc__ = resolve_retry_backoff.__doc__.format(
-    default=DEFAULT_RETRY_BACKOFF, cap=MAX_RETRY_BACKOFF
-)
+    """Base retry backoff in seconds (``REPRO_TRIAL_BACKOFF``; 0 = none)."""
+    return knob(TRIAL_BACKOFF_ENV, backoff)
 
 
 def resolve_pool_restarts(restarts: int | None = None) -> int:
-    """Resolve the pool-restart budget: argument, then
-    ``REPRO_POOL_RESTARTS``, then {default}.  0 disables self-healing
-    (the first broken pool surfaces immediately)."""
-    if restarts is None:
-        raw = os.environ.get(POOL_RESTARTS_ENV)
-        if raw is None or raw == "":
-            return DEFAULT_POOL_RESTARTS
-        try:
-            restarts = int(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"environment variable {POOL_RESTARTS_ENV} must be an "
-                f"integer, got {raw!r}"
-            ) from exc
-    return check_integer(restarts, "pool restarts", minimum=0)
-
-
-resolve_pool_restarts.__doc__ = resolve_pool_restarts.__doc__.format(
-    default=DEFAULT_POOL_RESTARTS
-)
+    """Broken-pool rebuilds per run (``REPRO_POOL_RESTARTS``; 0 = none)."""
+    return knob(POOL_RESTARTS_ENV, restarts)
 
 
 def persistent_executor(n_workers: int) -> concurrent.futures.ProcessPoolExecutor:
@@ -343,20 +244,9 @@ def resolve_n_jobs(n_jobs: int | None = None) -> int:
     """Resolve a worker count: argument, then ``REPRO_N_JOBS``, then 1.
 
     ``n_jobs <= 0`` (from either source) requests one worker per available
-    CPU core.  Non-integral values raise the same clear errors as the
-    other ``REPRO_*`` knobs.
+    CPU core.
     """
-    if n_jobs is None:
-        raw = os.environ.get("REPRO_N_JOBS")
-        if raw is None:
-            return 1
-        try:
-            n_jobs = int(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"environment variable REPRO_N_JOBS must be an integer, got {raw!r}"
-            ) from exc
-    n_jobs = check_integer(n_jobs, "n_jobs")
+    n_jobs = knob("REPRO_N_JOBS", n_jobs)
     if n_jobs <= 0:
         return os.cpu_count() or 1
     return n_jobs
@@ -414,7 +304,6 @@ def run_trials(
     n_jobs: int | None = None,
     cache: TrialCache | str | os.PathLike | None = None,
     label: str = "trials",
-    pool: str | None = None,
     on_error: str | None = None,
     retries: int | None = None,
     timeout: float | None = None,
@@ -443,12 +332,6 @@ def run_trials(
         :class:`~repro.runtime.cache.TrialCache`.
     label:
         Human-readable ensemble name for progress logging.
-    pool:
-        Executor lifecycle for parallel runs: ``persistent`` (default;
-        reuse the process-wide pool across calls) or ``ephemeral`` (a
-        fresh executor per call); see :func:`resolve_pool_mode`.
-        Irrelevant when the run is serial.  Results are bit-identical
-        either way.
     on_error:
         Failure policy once a trial's retries are exhausted: ``raise``
         (default; the original exception aborts the ensemble) or
@@ -488,10 +371,9 @@ def run_trials(
     """
     specs = list(specs)
     n_jobs = resolve_n_jobs(n_jobs)
-    # Validate eagerly: a bad pool mode or fault spec must fail on the
+    # Validate eagerly: a bad knob or fault spec must fail on the
     # serial/cached branches too, not only once the call site first runs
     # parallel (or first injects a fault).
-    pool = resolve_pool_mode(pool)
     on_error = resolve_on_error(on_error)
     retries = resolve_trial_retries(retries)
     timeout = resolve_trial_timeout(timeout)
@@ -558,7 +440,7 @@ def run_trials(
                     session.enter_context(share_graph(graph))
                 restarts = _collect(
                     specs, seeds, pending, state, base, trial_faults,
-                    n_jobs=n_jobs, pool=pool, restart_budget=restart_budget,
+                    n_jobs=n_jobs, restart_budget=restart_budget,
                 )
 
     elapsed = time.perf_counter() - start
@@ -643,7 +525,6 @@ def _collect(
     trial_faults: dict[int, TrialFaults],
     *,
     n_jobs: int,
-    pool: str,
     restart_budget: int,
 ) -> int:
     """Run the pending trials on an executor, self-healing pool breakage.
@@ -654,14 +535,17 @@ def _collect(
     completed before the breakage are kept, the executor is rebuilt, and
     only the lost trials are resubmitted.  On any *trial* exception
     (``raise`` policy) the not-yet-started futures are cancelled before
-    the exception propagates, so a persistent pool is left idle (and
-    usable) rather than draining abandoned work.
+    the exception propagates, so the pool is left idle (and usable)
+    rather than draining abandoned work.  The pool is sized by the
+    requested ``n_jobs`` (stable across calls with the same budget), not
+    by the pending count — workers fork lazily, so a small ensemble on a
+    big pool only starts what it uses.
     """
     todo = list(pending)
     submissions = dict.fromkeys(pending, 0)
     restarts = 0
     while todo:
-        executor = _acquire_executor(pool, n_jobs, len(todo))
+        executor = persistent_executor(n_jobs)
         futures: dict[concurrent.futures.Future, int] = {}
         for position in todo:
             submissions[position] += 1
@@ -686,7 +570,7 @@ def _collect(
                 if future.exception() is None:
                     state.fold(position, specs[position], future.result())
                     completed.add(position)
-            _release_executor(pool, executor, broken=True)
+            shutdown_pool()  # do not hand a dead pool to the next round/caller
             todo = [position for position in todo if position not in completed]
             restarts += 1
             if restarts > restart_budget:
@@ -707,35 +591,9 @@ def _collect(
         except BaseException:
             for future in futures:
                 future.cancel()
-            _release_executor(pool, executor, broken=False)
             raise
-        _release_executor(pool, executor, broken=False)
         todo = []
     return restarts
-
-
-def _acquire_executor(
-    pool: str, n_jobs: int, pending_count: int
-) -> concurrent.futures.Executor:
-    if pool == "persistent":
-        # Size the pool by the requested n_jobs (stable across calls with
-        # the same budget), not by this call's pending count — workers
-        # fork lazily, so a small ensemble on a big pool only starts what
-        # it uses.
-        return persistent_executor(n_jobs)
-    return concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(n_jobs, pending_count)
-    )
-
-
-def _release_executor(
-    pool: str, executor: concurrent.futures.Executor, *, broken: bool
-) -> None:
-    if pool == "persistent":
-        if broken:
-            shutdown_pool()  # do not hand a dead pool to the next round/caller
-        return
-    executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _execute_trial(

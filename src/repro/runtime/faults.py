@@ -63,11 +63,11 @@ Requests are not retried by the server, so ``slow_request`` and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.errors import ValidationError
+from repro.knobs import knob
 
 __all__ = [
     "FAULT_INJECT_ENV",
@@ -317,7 +317,7 @@ def resolve_fault_plan(faults: "str | FaultPlan | None" = None) -> FaultPlan:
     if isinstance(faults, FaultPlan):
         return faults
     if faults is None:
-        faults = os.environ.get(FAULT_INJECT_ENV) or ""
+        faults = knob(FAULT_INJECT_ENV)
     return parse_fault_plan(faults)
 
 
@@ -439,5 +439,5 @@ def resolve_serve_fault_plan(
     if isinstance(faults, ServeFaultPlan):
         return faults
     if faults is None:
-        faults = os.environ.get(SERVE_FAULT_INJECT_ENV) or ""
+        faults = knob(SERVE_FAULT_INJECT_ENV)
     return parse_serve_fault_plan(faults)

@@ -29,8 +29,9 @@ How the pieces fit:
   parent pickles by value; nothing that outlives the session (trial
   cache entries, results) can capture a segment name.
 * ``REPRO_SHM`` — ``auto`` (default: share graphs whose edge payload is
-  at least 1 MiB), ``on`` (share every graph on the pool path), ``off``
-  (always pickle by value).
+  at least 1 MiB) or ``off`` (always pickle by value).  ``off`` is the
+  operator's escape hatch when ``/dev/shm`` is too small: there is no
+  automatic fallback.
 
 Attachment registers nothing with :mod:`multiprocessing.resource_tracker`
 (``track=False`` where available, explicit unregister otherwise): the
@@ -43,18 +44,16 @@ for the lifecycle tests (``tests/runtime/test_shm.py``).
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
+from repro.knobs import knob
 
 __all__ = [
     "SHM_ENV",
-    "SHM_MODES",
     "AUTO_THRESHOLD_BYTES",
     "resolve_shm_mode",
     "should_share",
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 SHM_ENV = "REPRO_SHM"
-SHM_MODES = ("auto", "on", "off")
 
 # `auto` shares a graph once its pickled edge payload reaches 1 MiB
 # (two int64 arrays: 65536 edges).  Below that, pickling is cheaper than
@@ -83,36 +81,19 @@ _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 
 def resolve_shm_mode(mode: str | None = None) -> str:
-    """The effective sharing mode: argument, else ``REPRO_SHM``, else auto."""
-    source = "argument"
-    if mode is None:
-        raw = os.environ.get(SHM_ENV)
-        if not raw:  # unset or empty = auto
-            return "auto"
-        mode = raw
-        source = f"environment variable {SHM_ENV}"
-    if not isinstance(mode, str) or mode not in SHM_MODES:
-        raise ValidationError(
-            f"shared-memory mode (from {source}) must be one of "
-            f"{', '.join(SHM_MODES)}, got {mode!r}"
-        )
-    return mode
+    """The sharing mode: argument, else ``REPRO_SHM``, else ``auto``."""
+    return knob(SHM_ENV, mode)
 
 
-def should_share(graph: Graph, mode: str | None = None) -> bool:
+def should_share(graph: Graph) -> bool:
     """Whether the pool path should publish ``graph`` to shared memory."""
-    mode = resolve_shm_mode(mode)
-    if mode == "off":
+    if resolve_shm_mode() == "off" or graph.n_edges == 0:
         return False
-    if graph.n_edges == 0:
-        return False
-    if mode == "on":
-        return True
     return 2 * 8 * graph.n_edges >= AUTO_THRESHOLD_BYTES
 
 
 @contextmanager
-def share_graph(graph: Graph, mode: str | None = None):
+def share_graph(graph: Graph):
     """Publish ``graph`` to a shared segment for the duration of the block.
 
     Inside the block the instance pickles to an attach token (see the
@@ -121,7 +102,7 @@ def share_graph(graph: Graph, mode: str | None = None):
     (or with sharing off, or already shared) pass through untouched, so
     callers can wrap unconditionally.
     """
-    if graph._shm is not None or not should_share(graph, mode):
+    if graph._shm is not None or not should_share(graph):
         yield graph
         return
     edge_u, edge_v = graph.edge_arrays

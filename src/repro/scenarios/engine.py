@@ -7,9 +7,8 @@ estimator with the scenario's budget and the trial's RNG stream injected
 registered measurement.  Because it is module-level and parameterised by
 plain picklable values, every scenario inherits the runtime guarantees
 for free: trials fan across the persistent worker pool, are memoized by
-the trial cache, and are **bit-identical for any worker count and pool
-mode** (per-trial streams depend only on the seed policy and the trial
-index).
+the trial cache, and are **bit-identical for any worker count**
+(per-trial streams depend only on the seed policy and the trial index).
 
 Compilation materializes every trial's seed eagerly — spawn policies are
 expanded into the exact child streams the engine would derive — so
@@ -114,7 +113,6 @@ def run_scenario(
     *,
     n_jobs: int | None = None,
     cache=None,
-    pool: str | None = None,
     on_error: str | None = None,
 ) -> ScenarioReport:
     """Execute one scenario through the runtime engine.
@@ -130,7 +128,6 @@ def run_scenario(
         n_jobs=n_jobs,
         cache=cache,
         label=f"scenario:{scenario.name}",
-        pool=pool,
         on_error=on_error,
     )
     return ScenarioReport(
@@ -146,7 +143,6 @@ def run_scenarios(
     *,
     n_jobs: int | None = None,
     cache=None,
-    pool: str | None = None,
     label: str = "scenarios",
     on_error: str | None = None,
 ) -> list[ScenarioReport]:
@@ -173,7 +169,6 @@ def run_scenarios(
         n_jobs=n_jobs,
         cache=cache,
         label=f"{label}[{len(scenarios)}]",
-        pool=pool,
         on_error=on_error,
     )
     cached_positions = set(batch.cached_indices)

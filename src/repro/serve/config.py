@@ -1,9 +1,9 @@
-"""Serve-layer configuration: one frozen object, env-knob resolvers.
+"""Serve-layer configuration: one frozen, eagerly validated object.
 
-Every robustness behaviour of ``repro serve`` is a knob with the same
-resolution order as the rest of the runtime (explicit argument, then a
-``REPRO_SERVE_*`` environment variable, then a safe default), validated
-eagerly with the same clear errors:
+Every robustness behaviour of ``repro serve`` is a knob declared in
+:mod:`repro.knobs` with the same resolution order as the rest of the
+runtime (explicit argument, then a ``REPRO_SERVE_*`` environment
+variable, then the table default):
 
 * ``REPRO_SERVE_QUEUE`` — admission capacity: how many work requests may
   be in flight at once before the server answers 429 + ``Retry-After``.
@@ -32,13 +32,12 @@ surface.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from repro.errors import ValidationError
-from repro.runtime.engine import resolve_n_jobs, resolve_pool_restarts
+from repro.knobs import default, knob
+from repro.runtime.engine import resolve_n_jobs
 from repro.runtime.faults import ServeFaultPlan, resolve_serve_fault_plan
-from repro.utils.validation import check_integer, check_nonnegative
+from repro.utils.validation import check_integer
 
 __all__ = [
     "ServeConfig",
@@ -55,7 +54,6 @@ __all__ = [
     "resolve_serve_drain",
     "resolve_serve_breaker",
     "resolve_serve_budget_epsilon",
-    "resolve_serve_budget_delta",
     "resolve_serve_max_samples",
 ]
 
@@ -68,134 +66,48 @@ SERVE_BUDGET_DELTA_ENV = "REPRO_SERVE_BUDGET_DELTA"
 SERVE_LEDGER_DIR_ENV = "REPRO_SERVE_LEDGER_DIR"
 SERVE_MAX_SAMPLES_ENV = "REPRO_SERVE_MAX_SAMPLES"
 
-DEFAULT_QUEUE = 8
-DEFAULT_TIMEOUT = 30.0
-DEFAULT_DRAIN = 10.0
-DEFAULT_BREAKER = 3
-DEFAULT_BUDGET_EPSILON = 1.0
-DEFAULT_BUDGET_DELTA = 0.1
+DEFAULT_QUEUE = default(SERVE_QUEUE_ENV)
+DEFAULT_TIMEOUT = default(SERVE_TIMEOUT_ENV)
+DEFAULT_DRAIN = default(SERVE_DRAIN_ENV)
+DEFAULT_BREAKER = default(SERVE_BREAKER_ENV)
+DEFAULT_BUDGET_EPSILON = default(SERVE_BUDGET_EPSILON_ENV)
+DEFAULT_BUDGET_DELTA = default(SERVE_BUDGET_DELTA_ENV)
 
 # Per-request cap on synthetic graphs: purely protective (a request
 # asking for thousands would hold its admission slot for minutes).
-# Tunable via REPRO_SERVE_MAX_SAMPLES; kept under its historical name
-# for callers that import the constant.
-DEFAULT_MAX_SAMPLES = 64
+# Kept under its historical name for callers that import the constant.
+DEFAULT_MAX_SAMPLES = default(SERVE_MAX_SAMPLES_ENV)
 MAX_SAMPLES_PER_REQUEST = DEFAULT_MAX_SAMPLES
 
 
-def _env_int(name: str, fallback: int, *, minimum: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"environment variable {name} must be an integer, got {raw!r}"
-        ) from exc
-    return check_integer(value, name, minimum=minimum)
-
-
-def _env_float(name: str, fallback: float, *, positive: bool) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return fallback
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"environment variable {name} must be a number, got {raw!r}"
-        ) from exc
-    if positive and not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value}")
-    if not positive:
-        check_nonnegative(value, name)
-    return value
-
-
 def resolve_serve_queue(queue: int | None = None) -> int:
-    """Admission capacity: argument, then ``REPRO_SERVE_QUEUE``, then
-    {default}.  At least 1 — a server that admits nothing serves
-    nothing."""
-    if queue is None:
-        return _env_int(SERVE_QUEUE_ENV, DEFAULT_QUEUE, minimum=1)
-    return check_integer(queue, "serve queue", minimum=1)
+    """Admission capacity (``REPRO_SERVE_QUEUE``; at least 1)."""
+    return knob(SERVE_QUEUE_ENV, queue)
 
 
 def resolve_serve_timeout(timeout: float | None = None) -> float:
-    """Per-request deadline in seconds: argument, then
-    ``REPRO_SERVE_TIMEOUT``, then {default}s."""
-    if timeout is None:
-        return _env_float(SERVE_TIMEOUT_ENV, DEFAULT_TIMEOUT, positive=True)
-    timeout = float(timeout)
-    if not timeout > 0:
-        raise ValidationError(f"serve timeout must be positive, got {timeout}")
-    return timeout
+    """Per-request deadline in seconds (``REPRO_SERVE_TIMEOUT``)."""
+    return knob(SERVE_TIMEOUT_ENV, timeout)
 
 
 def resolve_serve_drain(drain: float | None = None) -> float:
-    """Graceful-drain deadline in seconds: argument, then
-    ``REPRO_SERVE_DRAIN``, then {default}s."""
-    if drain is None:
-        return _env_float(SERVE_DRAIN_ENV, DEFAULT_DRAIN, positive=True)
-    drain = float(drain)
-    if not drain > 0:
-        raise ValidationError(f"drain deadline must be positive, got {drain}")
-    return drain
+    """Graceful-drain deadline in seconds (``REPRO_SERVE_DRAIN``)."""
+    return knob(SERVE_DRAIN_ENV, drain)
 
 
 def resolve_serve_breaker(threshold: int | None = None) -> int:
-    """Circuit-breaker trip threshold (consecutive pool breakages):
-    argument, then ``REPRO_SERVE_BREAKER``, then {default}."""
-    if threshold is None:
-        return _env_int(SERVE_BREAKER_ENV, DEFAULT_BREAKER, minimum=1)
-    return check_integer(threshold, "breaker threshold", minimum=1)
+    """Consecutive pool breakages that trip the breaker (``REPRO_SERVE_BREAKER``)."""
+    return knob(SERVE_BREAKER_ENV, threshold)
 
 
 def resolve_serve_budget_epsilon(epsilon: float | None = None) -> float:
-    """Per-dataset ε budget: argument, then
-    ``REPRO_SERVE_BUDGET_EPSILON``, then {default}."""
-    if epsilon is None:
-        return _env_float(
-            SERVE_BUDGET_EPSILON_ENV, DEFAULT_BUDGET_EPSILON, positive=False
-        )
-    return check_nonnegative(float(epsilon), "budget epsilon")
-
-
-def resolve_serve_budget_delta(delta: float | None = None) -> float:
-    """Per-dataset δ budget: argument, then ``REPRO_SERVE_BUDGET_DELTA``,
-    then {default}."""
-    if delta is None:
-        return _env_float(SERVE_BUDGET_DELTA_ENV, DEFAULT_BUDGET_DELTA, positive=False)
-    return check_nonnegative(float(delta), "budget delta")
+    """Per-dataset ε budget (``REPRO_SERVE_BUDGET_EPSILON``)."""
+    return knob(SERVE_BUDGET_EPSILON_ENV, epsilon)
 
 
 def resolve_serve_max_samples(max_samples: int | None = None) -> int:
-    """Per-request synthetic-graph cap: argument, then
-    ``REPRO_SERVE_MAX_SAMPLES``, then {default}.  At least 1 — a cap of
-    zero would reject every sample request."""
-    if max_samples is None:
-        return _env_int(SERVE_MAX_SAMPLES_ENV, DEFAULT_MAX_SAMPLES, minimum=1)
-    return check_integer(max_samples, "max samples per request", minimum=1)
-
-
-resolve_serve_queue.__doc__ = resolve_serve_queue.__doc__.format(default=DEFAULT_QUEUE)
-resolve_serve_timeout.__doc__ = resolve_serve_timeout.__doc__.format(
-    default=DEFAULT_TIMEOUT
-)
-resolve_serve_drain.__doc__ = resolve_serve_drain.__doc__.format(default=DEFAULT_DRAIN)
-resolve_serve_breaker.__doc__ = resolve_serve_breaker.__doc__.format(
-    default=DEFAULT_BREAKER
-)
-resolve_serve_budget_epsilon.__doc__ = resolve_serve_budget_epsilon.__doc__.format(
-    default=DEFAULT_BUDGET_EPSILON
-)
-resolve_serve_budget_delta.__doc__ = resolve_serve_budget_delta.__doc__.format(
-    default=DEFAULT_BUDGET_DELTA
-)
-resolve_serve_max_samples.__doc__ = resolve_serve_max_samples.__doc__.format(
-    default=DEFAULT_MAX_SAMPLES
-)
+    """Per-request synthetic-graph cap (``REPRO_SERVE_MAX_SAMPLES``; at least 1)."""
+    return knob(SERVE_MAX_SAMPLES_ENV, max_samples)
 
 
 @dataclass(frozen=True)
@@ -210,10 +122,10 @@ class ServeConfig:
     breaker_threshold: int = DEFAULT_BREAKER
     budget_epsilon: float = DEFAULT_BUDGET_EPSILON
     budget_delta: float = DEFAULT_BUDGET_DELTA
-    default_epsilon: float = 0.2
-    default_delta: float = 0.01
-    n_jobs: int = 1
-    pool_restarts: int = 2
+    default_epsilon: float = default("REPRO_EPSILON")
+    default_delta: float = default("REPRO_DELTA")
+    n_jobs: int = default("REPRO_N_JOBS")
+    pool_restarts: int = default("REPRO_POOL_RESTARTS")
     cache_dir: str | None = None
     ledger_dir: str | None = None
     max_samples: int = DEFAULT_MAX_SAMPLES
@@ -248,26 +160,18 @@ class ServeConfig:
         return cls(
             host=host if host is not None else "127.0.0.1",
             port=check_integer(port if port is not None else 8377, "port", minimum=0),
-            queue_limit=resolve_serve_queue(queue),
-            timeout=resolve_serve_timeout(timeout),
-            drain_deadline=resolve_serve_drain(drain),
-            breaker_threshold=resolve_serve_breaker(breaker),
-            budget_epsilon=resolve_serve_budget_epsilon(budget_epsilon),
-            budget_delta=resolve_serve_budget_delta(budget_delta),
-            default_epsilon=_env_float("REPRO_EPSILON", 0.2, positive=True),
-            default_delta=_env_float("REPRO_DELTA", 0.01, positive=True),
+            queue_limit=knob(SERVE_QUEUE_ENV, queue),
+            timeout=knob(SERVE_TIMEOUT_ENV, timeout),
+            drain_deadline=knob(SERVE_DRAIN_ENV, drain),
+            breaker_threshold=knob(SERVE_BREAKER_ENV, breaker),
+            budget_epsilon=knob(SERVE_BUDGET_EPSILON_ENV, budget_epsilon),
+            budget_delta=knob(SERVE_BUDGET_DELTA_ENV, budget_delta),
+            default_epsilon=knob("REPRO_EPSILON"),
+            default_delta=knob("REPRO_DELTA"),
             n_jobs=resolve_n_jobs(n_jobs),
-            pool_restarts=resolve_pool_restarts(pool_restarts),
-            cache_dir=(
-                cache_dir
-                if cache_dir is not None
-                else os.environ.get("REPRO_CACHE_DIR") or None
-            ),
-            ledger_dir=(
-                ledger_dir
-                if ledger_dir is not None
-                else os.environ.get(SERVE_LEDGER_DIR_ENV) or None
-            ),
-            max_samples=resolve_serve_max_samples(max_samples),
+            pool_restarts=knob("REPRO_POOL_RESTARTS", pool_restarts),
+            cache_dir=knob("REPRO_CACHE_DIR", cache_dir),
+            ledger_dir=knob(SERVE_LEDGER_DIR_ENV, ledger_dir),
+            max_samples=knob(SERVE_MAX_SAMPLES_ENV, max_samples),
             faults=resolve_serve_fault_plan(faults),
         )

@@ -47,7 +47,6 @@ measures the speedups against them.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +54,7 @@ import scipy.sparse as sp
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
+from repro.knobs import KERNEL_BACKEND_CHOICES, knob
 from repro.native import counting as _native_counting
 from repro.native import registry as _native_registry
 from repro.utils.validation import check_integer
@@ -75,21 +75,11 @@ __all__ = [
     "reference_max_common_neighbors",
     "BLOCK_SIZE_ENV",
     "KERNEL_BACKEND_ENV",
-    "KERNEL_BACKENDS",
     "KERNEL_BACKEND_CHOICES",
 ]
 
 BLOCK_SIZE_ENV = "REPRO_BLOCK_SIZE"
 KERNEL_BACKEND_ENV = _native_registry.KERNEL_BACKEND_ENV
-
-# Canonical values of the backend knob.  "auto" resolves to the first
-# available entry of the native counting backends, else "scipy".
-KERNEL_BACKENDS = ("auto", "scipy") + _native_counting.FUSED_BACKENDS
-
-# Everything the knob accepts: the chain kernels call their pure-Python
-# reference "numpy", so each kernel family aliases the other's reference
-# name — one REPRO_KERNEL_BACKEND value is valid everywhere.
-KERNEL_BACKEND_CHOICES = ("auto", "scipy", "numpy") + _native_counting.FUSED_BACKENDS
 
 # Auto-tuning budget: target number of stored entries in one row-block of
 # A @ A.  At int64 data plus index arrays this is roughly 64 MiB per block
@@ -148,26 +138,8 @@ class TrianglePassResult(NamedTuple):
 
 
 def resolve_block_size(block_size: int | None = None) -> int:
-    """The effective block-size knob: explicit argument, else environment.
-
-    Returns 0 for "auto" (the default): rows are packed into blocks by the
-    predicted product size, see :func:`row_blocks`.
-    """
-    if block_size is None:
-        raw = os.environ.get(BLOCK_SIZE_ENV)
-        if raw is None:
-            return 0
-        try:
-            block_size = int(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"environment variable {BLOCK_SIZE_ENV} must be an integer, got {raw!r}"
-            ) from exc
-    if isinstance(block_size, bool) or not isinstance(block_size, (int, np.integer)):
-        raise ValidationError(f"block size must be an integer, got {block_size!r}")
-    if block_size < 0:
-        raise ValidationError(f"block size must be non-negative, got {block_size}")
-    return int(block_size)
+    """Rows per block (``REPRO_BLOCK_SIZE``; 0 = auto, see :func:`row_blocks`)."""
+    return knob(BLOCK_SIZE_ENV, block_size)
 
 
 def resolve_kernel_backend(backend: str | None = None) -> str:
@@ -184,11 +156,7 @@ def resolve_kernel_backend(backend: str | None = None) -> str:
     ``REPRO_KERNEL_BACKEND`` knob also drives the KronFit chain kernels.)
     """
     return _native_registry.resolve_backend(
-        _native_counting.COUNTING_KERNEL,
-        backend,
-        accepted=KERNEL_BACKEND_CHOICES,
-        reference="scipy",
-        aliases=("numpy",),
+        _native_counting.COUNTING_KERNEL, backend, reference="scipy"
     )
 
 
@@ -330,7 +298,7 @@ def triangle_pass(
     # Validate every knob before the edgeless early return, so a
     # misconfigured pipeline (bad backend name, unavailable numba, broken
     # n_jobs) fails loudly even when its first graph happens to be empty.
-    requested = backend if backend is not None else os.environ.get(KERNEL_BACKEND_ENV)
+    requested = knob(KERNEL_BACKEND_ENV, backend)
     backend = resolve_kernel_backend(backend)
     n_jobs = _resolve_pass_jobs(n_jobs)
     wedges, tripins = _degree_moments(graph.degrees)

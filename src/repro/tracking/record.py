@@ -17,7 +17,8 @@ tracking tests pin).  :func:`build_run_record` converts live
 * wall-clock and executed/cached attribution from
   :attr:`~repro.runtime.spec.TrialRunReport.cached_indices`,
 * an environment fingerprint: python/numpy/scipy versions, the resolved
-  counting and chain kernel backends, the pool mode, and the CPU count.
+  counting, chain and sampler kernel backends, the trial-engine knobs,
+  and the CPU count.
 
 Everything sits under a ``schema_version`` so loaders can refuse records
 written by an incompatible layout instead of misreading them.
@@ -120,18 +121,19 @@ def environment_fingerprint() -> dict[str, Any]:
 
     Captures what the comparison layer needs to explain a drift that is
     *not* in the config: interpreter and library versions, the resolved
-    backend of both native-kernel families, the pool mode, and the
-    machine's core count.
+    backend of each of the three native kernel families, the trial-engine
+    knobs, and the machine's core count.
     """
     import platform
 
     import scipy
 
+    from repro.knobs import knob
     from repro.native.chain import resolve_chain_backend
+    from repro.native.sampling import resolve_sampler_backend
     from repro.runtime import (
         FAULT_INJECT_ENV,
         resolve_n_jobs,
-        resolve_pool_mode,
         resolve_trial_retries,
         resolve_trial_timeout,
     )
@@ -145,11 +147,11 @@ def environment_fingerprint() -> dict[str, Any]:
         "cpu_count": os.cpu_count() or 1,
         "counting_backend": resolve_kernel_backend(),
         "chain_backend": resolve_chain_backend(),
-        "pool_mode": resolve_pool_mode(),
+        "sampler_backend": resolve_sampler_backend(),
         "n_jobs": resolve_n_jobs(),
         "trial_retries": resolve_trial_retries(),
         "trial_timeout": resolve_trial_timeout(),
-        "fault_inject": os.environ.get(FAULT_INJECT_ENV) or None,
+        "fault_inject": knob(FAULT_INJECT_ENV) or None,
     }
 
 

@@ -34,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 from repro.errors import ValidationError
+from repro.knobs import knob
 from repro.runtime.hashing import stable_hash
 from repro.tracking.record import SCHEMA_VERSION, RunRecord
 
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
-DEFAULT_RUNS_DIR = "runs"
 
 RUN_FILE = "run.json"
 METRICS_DIR = "metrics"
@@ -56,9 +56,7 @@ METRICS_DIR = "metrics"
 def resolve_runs_dir(runs_dir: str | os.PathLike | None = None) -> Path:
     """Resolve the runs directory: argument, then ``REPRO_RUNS_DIR``,
     then ``runs/`` under the working directory."""
-    if runs_dir is not None:
-        return Path(runs_dir)
-    return Path(os.environ.get(RUNS_DIR_ENV) or DEFAULT_RUNS_DIR)
+    return Path(knob(RUNS_DIR_ENV, runs_dir))
 
 
 def _slug(token: str) -> str:

@@ -143,7 +143,7 @@ class TestMultiStart:
     """Multi-start KronFit: determinism, selection, and metadata.
 
     The winner (and its whole trajectory) is bit-identical whether the
-    fit runs in-process or inside a trial on either REPRO_POOL mode,
+    fit runs in-process or inside a pool trial,
     n_starts=1 is the historical single-chain path, and log-likelihood
     ties resolve to the lowest start index.
     """
@@ -165,14 +165,10 @@ class TestMultiStart:
         assert explicit.start == 0
         assert explicit.start_log_likelihoods == ()
 
-    @pytest.mark.parametrize("pool_mode", ["persistent", "ephemeral"])
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_winner_bit_identical_inside_pool_trials(
-        self, graph, n_jobs, pool_mode, monkeypatch
-    ):
+    def test_winner_bit_identical_inside_pool_trials(self, graph, n_jobs):
         from repro.runtime import TrialSpec, run_trials
 
-        monkeypatch.setenv("REPRO_POOL", pool_mode)
         reference = KronFitEstimator(**self.CONFIG, n_starts=3).fit(graph)
         specs = [
             TrialSpec(

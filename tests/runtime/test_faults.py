@@ -412,16 +412,6 @@ class TestPoolSelfHealing:
                 faults="worker_crash:nth=1",
             )
 
-    def test_ephemeral_pools_self_heal_too(self):
-        specs = _specs()
-        clean = run_trials(specs, seed=0)
-        report = run_trials(
-            specs, seed=0, n_jobs=2, pool="ephemeral", backoff=0,
-            faults="worker_crash:nth=3",
-        )
-        assert report.results == clean.results
-        assert report.pool_restarts == 1
-
     def test_parallel_faulted_run_matches_clean_serial_run(self):
         """Transient error + worker crash together, healed in parallel."""
         specs = _specs()

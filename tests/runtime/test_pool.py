@@ -2,8 +2,8 @@
 
 The contract: parallel runs reuse one process-wide executor across
 consecutive ensembles (zero re-fork between them), results stay
-bit-identical to serial at any worker count and in either pool mode, and
-the pool is lifecycle-managed — resized on a different worker budget,
+bit-identical to serial at any worker count, and the pool is
+lifecycle-managed — resized on a different worker budget,
 discarded on breakage, released by :func:`shutdown_pool`, and never
 created by serial runs.
 """
@@ -15,12 +15,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
 from repro.runtime import (
-    POOL_MODE_ENV,
     TrialSpec,
     pool_worker_pids,
-    resolve_pool_mode,
     run_trials,
     shutdown_pool,
 )
@@ -117,41 +114,6 @@ class TestPersistentReuse:
         report = run_trials(_specs(), seed=11, n_jobs=2)
         assert engine_module._pool is executor
         assert report.results == run_trials(_specs(), seed=11, n_jobs=1).results
-
-
-class TestEphemeralMode:
-    def test_ephemeral_runs_leave_no_persistent_pool(self):
-        serial = run_trials(_specs(), seed=11, n_jobs=1)
-        parallel = run_trials(_specs(), seed=11, n_jobs=2, pool="ephemeral")
-        assert parallel.results == serial.results
-        assert engine_module._pool is None
-
-    def test_environment_knob(self, monkeypatch):
-        monkeypatch.setenv(POOL_MODE_ENV, "ephemeral")
-        assert resolve_pool_mode() == "ephemeral"
-        run_trials(_specs(count=3), seed=1, n_jobs=2)
-        assert engine_module._pool is None
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(POOL_MODE_ENV, "ephemeral")
-        assert resolve_pool_mode("persistent") == "persistent"
-
-    def test_empty_environment_means_default(self, monkeypatch):
-        monkeypatch.setenv(POOL_MODE_ENV, "")
-        assert resolve_pool_mode() == "persistent"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ValidationError, match="pool mode"):
-            resolve_pool_mode("forever")
-        monkeypatch.setenv(POOL_MODE_ENV, "sometimes")
-        with pytest.raises(ValidationError, match=POOL_MODE_ENV):
-            resolve_pool_mode()
-
-    def test_invalid_mode_rejected_even_on_the_serial_branch(self):
-        """A typo'd pool mode must fail where it is written, not later
-        when the call site first happens to run parallel."""
-        with pytest.raises(ValidationError, match="pool mode"):
-            run_trials(_specs(count=2), seed=0, n_jobs=1, pool="persistant")
 
 
 class TestSignalShutdown:

@@ -5,8 +5,8 @@ pool workers as ~100-byte attach tokens instead of pickled edge arrays,
 results stay bit-identical to serial runs, and — the part that can rot
 silently — **every segment this process publishes is released** by the
 time ``run_trials`` returns, on every path: serial (no sharing at all),
-persistent pool, ephemeral pool, and mid-run pool self-healing after a
-``worker_crash`` fault (PR 7's harness).  A leak would survive process
+the pool, and mid-run pool self-healing after a ``worker_crash`` fault
+(the fault-injection harness).  A leak would survive process
 exit (POSIX shared memory is a named file under ``/dev/shm``), so every
 test runs under a fixture that asserts both the module bookkeeping and
 the filesystem are clean afterwards.
@@ -105,29 +105,33 @@ class TestModeResolution:
     def test_environment_knob(self, monkeypatch):
         monkeypatch.setenv(SHM_ENV, "off")
         assert resolve_shm_mode() == "off"
-        assert resolve_shm_mode("on") == "on"  # argument beats environment
+        assert resolve_shm_mode("auto") == "auto"  # argument beats environment
 
     def test_invalid_values_rejected(self, monkeypatch):
         with pytest.raises(ValidationError, match="shared-memory mode"):
             resolve_shm_mode("mmap")
+        with pytest.raises(ValidationError, match="shared-memory mode"):
+            resolve_shm_mode("on")  # not a mode: lower the threshold to force sharing
         monkeypatch.setenv(SHM_ENV, "yes")
         with pytest.raises(ValidationError, match=SHM_ENV):
             resolve_shm_mode()
 
-    def test_should_share_thresholds(self):
+    def test_should_share_thresholds(self, monkeypatch):
         big = big_graph()
         assert 2 * 8 * big.n_edges >= AUTO_THRESHOLD_BYTES
-        assert should_share(big, "auto")
-        assert not should_share(SMALL_GRAPH, "auto")
-        assert should_share(SMALL_GRAPH, "on")
-        assert not should_share(big, "off")
-        assert not should_share(Graph(4), "on")  # empty: nothing to map
+        assert should_share(big)
+        assert not should_share(SMALL_GRAPH)
+        monkeypatch.setattr(shm_module, "AUTO_THRESHOLD_BYTES", 0)
+        assert should_share(SMALL_GRAPH)
+        assert not should_share(Graph(4))  # empty: nothing to map
+        monkeypatch.setenv(SHM_ENV, "off")
+        assert not should_share(big)
 
 
 class TestShareGraphLifecycle:
     def test_segment_published_and_released(self):
         graph = big_graph()
-        with share_graph(graph, "on") as shared:
+        with share_graph(graph) as shared:
             assert shared is graph
             assert graph._shm is not None
             name, n_nodes, n_edges = graph._shm
@@ -137,15 +141,15 @@ class TestShareGraphLifecycle:
         assert live_segments() == ()
 
     def test_below_threshold_is_untouched(self):
-        with share_graph(SMALL_GRAPH, "auto"):
+        with share_graph(SMALL_GRAPH):
             assert SMALL_GRAPH._shm is None
             assert live_segments() == ()
 
     def test_nested_share_is_a_no_op(self):
         graph = big_graph()
-        with share_graph(graph, "on"):
+        with share_graph(graph):
             first = graph._shm
-            with share_graph(graph, "on"):
+            with share_graph(graph):
                 assert graph._shm == first
                 assert live_segments() == (first[0],)
             # The inner exit must not tear down the outer session.
@@ -155,7 +159,7 @@ class TestShareGraphLifecycle:
     def test_pickle_reduces_to_token_and_roundtrips(self):
         graph = big_graph()
         plain = len(pickle.dumps(graph))
-        with share_graph(graph, "on"):
+        with share_graph(graph):
             payload = pickle.dumps(graph)
             assert len(payload) < 512 < plain
             clone = pickle.loads(payload)
@@ -169,7 +173,7 @@ class TestShareGraphLifecycle:
     def test_exception_inside_session_still_releases(self):
         graph = big_graph()
         with pytest.raises(RuntimeError, match="boom"):
-            with share_graph(graph, "on"):
+            with share_graph(graph):
                 assert live_segments() != ()
                 raise RuntimeError("boom")
         assert graph._shm is None
@@ -197,16 +201,10 @@ class TestEngineIntegration:
         assert all(r[3] == 0 for r in report.results)
 
     def test_small_graph_forced_on(self, monkeypatch):
-        monkeypatch.setenv(SHM_ENV, "on")
+        monkeypatch.setattr(shm_module, "AUTO_THRESHOLD_BYTES", 0)
         report = run_trials(_specs(SMALL_GRAPH), seed=0, n_jobs=2)
         assert all(r[3] == 1 for r in report.results)
         assert all(r[1] == SMALL_GRAPH.n_edges for r in report.results)
-
-    def test_ephemeral_pool_releases(self):
-        graph = big_graph()
-        report = run_trials(_specs(graph), seed=0, n_jobs=2, pool="ephemeral")
-        assert all(r[3] == 1 for r in report.results)
-        assert graph._shm is None
 
     def test_distinct_graphs_get_distinct_segments(self):
         first = big_graph()

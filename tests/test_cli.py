@@ -402,6 +402,14 @@ class TestTable1ErrorPath:
         assert "error:" in err
         assert "Traceback" not in err
 
+    def test_malformed_knob_prints_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_REALIZATIONS", "x")
+        assert main(["table1"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "REPRO_REALIZATIONS" in lines[0]
+
 
 class TestRunScenarioCacheEnv:
     def test_honours_repro_cache_dir(self, tmp_path, capsys, monkeypatch):

@@ -93,7 +93,7 @@ class TestRoundTrip:
             "cpu_count",
             "counting_backend",
             "chain_backend",
-            "pool_mode",
+            "sampler_backend",
             "n_jobs",
             "trial_retries",
             "trial_timeout",
