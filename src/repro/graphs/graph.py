@@ -58,6 +58,7 @@ class Graph:
         "_hash",
         "_stats",
         "_shm",
+        "__weakref__",  # the cached StatsContext refers back weakly
     )
 
     def __init__(self, n_nodes: int, edges: Iterable[tuple[int, int]] = ()) -> None:

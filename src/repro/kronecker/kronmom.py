@@ -49,12 +49,18 @@ DEFAULT_FEATURES = ("edges", "hairpins", "tripins", "triangles")
 _FEATURE_FLOOR = 1.0
 
 
+# Written with products and the builtin ``abs`` so one definition serves
+# the grid's arrays and the refinement's plain floats with the same bits
+# (numpy's ``x**2`` on an array is ``x*x``).
+
+
 def _dist_squared(observed, expected):
-    return (observed - expected) ** 2
+    residual = observed - expected
+    return residual * residual
 
 
 def _dist_absolute(observed, expected):
-    return np.abs(observed - expected)
+    return abs(observed - expected)
 
 
 DISTANCES = {
@@ -68,7 +74,7 @@ def _norm_observed(observed, expected):
 
 
 def _norm_observed_squared(observed, expected):
-    return observed**2
+    return observed * observed
 
 
 def _norm_expected(observed, expected):
@@ -76,7 +82,7 @@ def _norm_expected(observed, expected):
 
 
 def _norm_expected_squared(observed, expected):
-    return expected**2
+    return expected * expected
 
 
 NORMALIZATIONS = {
@@ -240,15 +246,23 @@ class KronMomEstimator:
         grid_best: np.ndarray,
         grid_value: float,
     ) -> tuple[np.ndarray, float]:
+        # Runs on plain floats (see repro.kronecker.moments) and returns the
+        # bits an array evaluation would: numpy's clip is min/max, and its
+        # sums over fewer than 8 items add left to right, as these do.
+        dist = DISTANCES[self.distance]
+        norm = NORMALIZATIONS[self.normalization]
+        observed_values = observed.tolist()
+        features = self.features
+
         def objective(params: np.ndarray) -> float:
-            clipped = np.clip(params, 0.0, 1.0)
-            penalty = float(np.abs(params - clipped).sum()) * 1e3
-            value = float(
-                self._objective_vectorized(
-                    observed, clipped[0], clipped[1], clipped[2], k
-                )
-            )
-            return value + penalty
+            x, y, z = params.tolist()
+            a, b, c = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0), min(max(z, 0.0), 1.0)
+            penalty = abs(x - a) + abs(y - b) + abs(z - c)
+            expected = expected_feature_vector(a, b, c, k, features)
+            total = 0.0
+            for obs, exp in zip(observed_values, expected):
+                total += dist(obs, exp) / max(abs(norm(obs, exp)), _NORM_FLOOR)
+            return total + penalty * 1e3
 
         rng = np.random.default_rng(12345)  # deterministic restart jitter
         best_params, best_value = grid_best.copy(), grid_value

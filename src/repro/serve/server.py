@@ -52,6 +52,10 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body are two writes on an unbuffered socket; with Nagle
+    # on, a keep-alive client waits out its delayed ACK (~40 ms) for the
+    # body of every response after the first.
+    disable_nagle_algorithm = True
 
     # http.server logs to stderr by default; route through our logger at
     # debug so test and CI output stays readable.

@@ -47,6 +47,7 @@ measures the speedups against them.
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -478,10 +479,13 @@ class StatsContext:
     computation per graph.
 
     All cached arrays are read-only; callers that need to mutate must copy.
+    The context refers to its graph weakly: the graph owns the context, so
+    a strong reference back would make every graph a reference cycle, freed
+    only when the cycle collector runs.
     """
 
     __slots__ = (
-        "_graph",
+        "_graph_ref",
         "_block_size",
         "_backend",
         "_n_jobs",
@@ -499,7 +503,7 @@ class StatsContext:
         backend: str | None = None,
         n_jobs: int = 1,
     ) -> None:
-        self._graph = graph
+        self._graph_ref = weakref.ref(graph)
         self._block_size = block_size
         self._backend = backend
         self._n_jobs = n_jobs
@@ -512,13 +516,16 @@ class StatsContext:
     @property
     def graph(self) -> Graph:
         """The graph this context memoizes."""
-        return self._graph
+        graph = self._graph_ref()
+        if graph is None:
+            raise ReferenceError("the graph of this StatsContext has been freed")
+        return graph
 
     def triangle_pass_result(self) -> TrianglePassResult:
         """The (cached) result of the blocked A² pass."""
         if self._pass is None:
             self._pass = triangle_pass(
-                self._graph, self._block_size, self._backend, self._n_jobs
+                self.graph, self._block_size, self._backend, self._n_jobs
             )
         return self._pass
 
@@ -542,7 +549,7 @@ class StatsContext:
     @property
     def edge_count(self) -> int:
         """Number of undirected edges E."""
-        return self._graph.n_edges
+        return self.graph.n_edges
 
     @property
     def wedge_count(self) -> int:
@@ -551,12 +558,12 @@ class StatsContext:
         Degree-only, so it never triggers an A² pass (the pass result
         carries the same value for one-stop consumers).
         """
-        return _degree_moments(self._graph.degrees)[0]
+        return _degree_moments(self.graph.degrees)[0]
 
     @property
     def tripin_count(self) -> int:
         """Number of tripins T = Σ_v C(d_v, 3).  Degree-only, like wedges."""
-        return _degree_moments(self._graph.degrees)[1]
+        return _degree_moments(self.graph.degrees)[1]
 
     # -- derived caches ----------------------------------------------------
 
@@ -568,10 +575,10 @@ class StatsContext:
         numerators come from the shared A² pass.
         """
         if self._local_clustering is None:
-            degrees = self._graph.degrees.astype(np.float64)
+            degrees = self.graph.degrees.astype(np.float64)
             triangles = self.triangles_per_node.astype(np.float64)
             possible = degrees * (degrees - 1.0) / 2.0
-            coefficients = np.zeros(self._graph.n_nodes, dtype=np.float64)
+            coefficients = np.zeros(self.graph.n_nodes, dtype=np.float64)
             eligible = possible > 0
             coefficients[eligible] = triangles[eligible] / possible[eligible]
             coefficients.setflags(write=False)
@@ -588,7 +595,7 @@ class StatsContext:
         if self._adjacency_float is None:
             global _float64_conversions
             _float64_conversions += 1
-            self._adjacency_float = self._graph.adjacency.astype(np.float64).tocsr()
+            self._adjacency_float = self.graph.adjacency.astype(np.float64).tocsr()
         return self._adjacency_float
 
     @property

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from repro.core.estimator import PrivateKroneckerEstimator
 from repro.errors import EstimationError, ValidationError
 from repro.graphs import Graph
+from repro.graphs.datasets import load_dataset
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronmom import (
     DISTANCES,
@@ -127,3 +132,66 @@ class TestRobustness:
         first = KronMomEstimator().fit_statistics(stats, 9)
         second = KronMomEstimator().fit_statistics(stats, 9)
         assert first.initiator == second.initiator
+
+
+def _fit_digest(results) -> str:
+    """sha256 of the fits' exact initiators and objectives, via their reprs.
+
+    ``Initiator.__repr__`` rounds to four places, so the raw floats are
+    hashed instead.
+    """
+    observed = [
+        (result.initiator.a, result.initiator.b, result.initiator.c, result.objective)
+        for result in results
+    ]
+    return hashlib.sha256(repr(observed).encode()).hexdigest()[:16]
+
+
+def _noisy_statistics(k: int, seed: int) -> MatchingStatistics:
+    """Expected statistics of a fixed initiator, perturbed multiplicatively."""
+    exact = expected_statistics(Initiator(0.95, 0.55, 0.2), k)
+    noise = 1.0 + 0.3 * np.random.default_rng(seed).standard_normal(4)
+    return MatchingStatistics(*(float(value) * float(factor)
+                                for value, factor in zip(exact, noise)))
+
+
+class TestFitGoldens:
+    """Whole-fit goldens: every distance/normalization pair, two feature
+    sets, three Kronecker orders, and Algorithm 1 end to end on two
+    datasets.  Pins that the Nelder–Mead refinement's objective returns
+    the same bits however it is evaluated."""
+
+    KS = (8, 13, 18)
+    FEATURE_SETS = (None, ("edges", "hairpins", "triangles"))
+    GOLDENS = {
+        ("absolute", "expected"): "2f63575ff1ae8575",
+        ("absolute", "expected_squared"): "61dbc052d48f6a72",
+        ("absolute", "observed"): "fc271d89dee8c345",
+        ("absolute", "observed_squared"): "41b5d5f75331d247",
+        ("squared", "expected"): "55b148749b51e0b5",
+        ("squared", "expected_squared"): "3a7e89caf28ca83e",
+        ("squared", "observed"): "27f200b1c93dc0d2",
+        ("squared", "observed_squared"): "c7592458782cfd68",
+    }
+    PRIVATE_GOLDENS = {"ca-grqc": "e5c929528ec5b1c1", "as20": "cbe0ca60b23d8b84"}
+
+    @pytest.mark.parametrize("distance, normalization", sorted(GOLDENS))
+    def test_fit_statistics(self, distance, normalization):
+        results = []
+        for features in self.FEATURE_SETS:
+            options = {} if features is None else {"features": features}
+            estimator = KronMomEstimator(
+                distance=distance, normalization=normalization, **options
+            )
+            for k in self.KS:
+                results.append(estimator.fit_statistics(_noisy_statistics(k, seed=k), k))
+        assert _fit_digest(results) == self.GOLDENS[(distance, normalization)]
+
+    @pytest.mark.parametrize("dataset", sorted(PRIVATE_GOLDENS))
+    def test_private_estimator(self, dataset):
+        graph = load_dataset(dataset)
+        results = [
+            PrivateKroneckerEstimator(0.2, 0.01, seed=seed).fit(graph).moment_result
+            for seed in (1, 2, 3)
+        ]
+        assert _fit_digest(results) == self.PRIVATE_GOLDENS[dataset]

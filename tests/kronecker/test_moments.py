@@ -98,6 +98,48 @@ class TestVectorisation:
             expected_feature_vector(0.5, 0.5, 0.5, 3, ("edges", "squares"))
 
 
+class TestFloatPath:
+    """Python floats in, tuple of floats out — with the 0-d array bits.
+
+    KronMom's Nelder–Mead refinement relies on this: its objective runs
+    on plain floats and must reproduce the array evaluation exactly.
+    """
+
+    FEATURES = ("edges", "hairpins", "tripins", "triangles")
+    FUNCTIONS = (expected_edges, expected_hairpins, expected_tripins, expected_triangles)
+
+    def test_bit_equal_to_zero_dim_arrays(self):
+        rng = np.random.default_rng(2024)
+        points = rng.random((10_000, 3))
+        # Pin some coordinates to the 0 and 1 endpoints of the box.
+        endpoints = rng.random(points.shape)
+        points[endpoints < 0.05] = 0.0
+        points[endpoints > 0.95] = 1.0
+        orders = rng.integers(1, 21, size=len(points))
+        mismatches = []
+        for (a, b, c), k in zip(points.tolist(), orders.tolist()):
+            floats = expected_feature_vector(a, b, c, k, self.FEATURES)
+            assert type(floats) is tuple and all(type(v) is float for v in floats)
+            arrays = [
+                float(function(np.asarray(a), np.asarray(b), np.asarray(c), k))
+                for function in self.FUNCTIONS
+            ]
+            if floats != tuple(arrays):
+                mismatches.append((a, b, c, k))
+        assert mismatches == []
+
+    def test_feature_order_and_subset(self):
+        values = expected_feature_vector(0.9, 0.5, 0.2, 7, ("triangles", "edges"))
+        assert values == (
+            float(expected_triangles(0.9, 0.5, 0.2, 7)),
+            float(expected_edges(0.9, 0.5, 0.2, 7)),
+        )
+
+    def test_non_float_input_keeps_array_contract(self):
+        stack = expected_feature_vector(1, 0.5, 0.2, 4, ("edges",))
+        assert isinstance(stack, np.ndarray) and stack.shape == (1,)
+
+
 class TestMonotonicity:
     @given(
         a=st.floats(min_value=0.1, max_value=0.9),

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import os
 import signal
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -56,6 +59,26 @@ class TestTransport:
         assert status == 200
         assert headers["X-Repro-Cache"] == "hit"
         assert again == body
+
+    def test_keep_alive_hits_do_not_wait_for_delayed_acks(self, runtime):
+        # Headers and body go out as two writes; with Nagle's algorithm on,
+        # the body waits for the client's delayed ACK (~40 ms on Linux).
+        payload = json.dumps({"dataset": "as20", "method": "kronmom"})
+        host, port = runtime.address
+        connection = HTTPConnection(host, port, timeout=30)
+        try:
+            round_trips = []
+            for attempt in range(11):
+                start = time.perf_counter()
+                connection.request("POST", "/fit", body=payload)
+                response = connection.getresponse()
+                response.read()
+                if attempt:  # the first request fits the model
+                    assert response.getheader("X-Repro-Cache") == "hit"
+                    round_trips.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.020
 
     def test_malformed_json_is_a_structured_400(self, runtime):
         request = urllib.request.Request(

@@ -13,6 +13,9 @@ Two contracts matter:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +206,20 @@ class TestStatsContext:
     def test_explicit_block_size_context(self, er_graph):
         blocked = StatsContext(er_graph, block_size=3)
         assert blocked.triangle_count == stats_context(er_graph).triangle_count
+
+    def test_graph_with_context_freed_without_cycle_collector(self):
+        graph = sample_skg(Initiator(0.9, 0.5, 0.3), 7, seed=3)
+        context = stats_context(graph)
+        matching_statistics(graph)
+        alive = weakref.ref(graph)
+        gc.disable()
+        try:
+            del graph
+            assert alive() is None
+        finally:
+            gc.enable()
+        with pytest.raises(ReferenceError, match="has been freed"):
+            context.edge_count
 
 
 class TestSinglePassPerGraph:
