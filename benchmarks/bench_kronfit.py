@@ -6,7 +6,7 @@ proposals per fit; PR 4 moved the chain onto the fused native kernels
 records two trajectories per workload:
 
 * **chain throughput** — raw proposals/second of
-  :meth:`PermutationSampler.run` per engine (numpy reference, numba,
+  :meth:`PermutationSampler.run` per engine (numpy reference and
   compiled-C ``cext``), with every engine first checked **bit-identical**
   to the reference on a common pre-drawn stream (σ, histogram, and
   acceptance count must agree exactly — the same contract the chain
@@ -63,11 +63,7 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import PermutationSampler
 from repro.kronecker.sampling import sample_skg
-from repro.native.chain import (
-    available_multichain_backends,
-    multichain_backend_available,
-    multichain_backend_error,
-)
+from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
@@ -110,14 +106,14 @@ QUICK_FIT_PARAMS = dict(
 
 # Throughput probe sizes: enough proposals to swamp per-run setup, kept
 # small on the reference engine so the bench stays minutes-scale.
-THROUGHPUT_PROPOSALS = {"numpy": 20_000, "numba": 400_000, "cext": 400_000}
+THROUGHPUT_PROPOSALS = {"numpy": 20_000, "cext": 400_000}
 EQUIVALENCE_PROPOSALS = 4_000
 
 # The large-k scale rows (PR 8): full Table-1-budget fits on the skg-k16
 # / k18 / k20 datasets.  The touched-cell delta scan keeps even the
 # numpy reference minutes-free at 10^6 nodes (the old full-scan path
 # paid 2 * (k+1)^2 score reads per proposal; the delta scan pays
-# O(deg i + deg j)), and the fused engines must still beat it >= 2x at
+# O(deg i + deg j)), and the fused engine must still beat it >= 2x at
 # k=18.
 LARGE_K_ORDERS = (16, 18, 20)
 LARGE_K_QUICK_ORDERS = (16,)
@@ -126,7 +122,7 @@ LARGE_K_FIT_FLOOR = 2.0
 
 
 def chain_engines() -> tuple[str, ...]:
-    return ("numpy",) + NATIVE_BACKENDS
+    return (MULTICHAIN_KERNEL.reference,) + NATIVE_BACKENDS
 
 
 def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
@@ -134,10 +130,10 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
     reference = _chain_state(graph, k, "numpy", EQUIVALENCE_PROPOSALS)
     records: dict[str, dict] = {}
     for engine in chain_engines():
-        if engine != "numpy" and not multichain_backend_available(engine):
+        if engine != "numpy" and not MULTICHAIN_KERNEL.available(engine):
             records[engine] = {
                 "available": False,
-                "reason": multichain_backend_error(engine),
+                "reason": MULTICHAIN_KERNEL.error(engine),
             }
             continue
         state = _chain_state(graph, k, engine, EQUIVALENCE_PROPOSALS)
@@ -188,10 +184,10 @@ def bench_fit(graph: Graph, fit_params: dict) -> dict:
     records: dict[str, dict] = {}
     reference_initiator = None
     for engine in chain_engines():
-        if engine != "numpy" and not multichain_backend_available(engine):
+        if engine != "numpy" and not MULTICHAIN_KERNEL.available(engine):
             records[engine] = {
                 "available": False,
-                "reason": multichain_backend_error(engine),
+                "reason": MULTICHAIN_KERNEL.error(engine),
             }
             continue
         estimator = KronFitEstimator(
@@ -232,7 +228,7 @@ def usable_cores() -> int:
 def best_engine() -> str:
     """The fastest available chain engine (fused if any, else numpy)."""
     for engine in reversed(chain_engines()):
-        if engine == "numpy" or multichain_backend_available(engine):
+        if engine == "numpy" or MULTICHAIN_KERNEL.available(engine):
             return engine
     return "numpy"
 
@@ -517,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": arguments.repeats,
         "seed": SEED,
         "usable_cores": usable_cores(),
-        "chain_backends_available": list(available_multichain_backends()),
+        "chain_backends_available": list(MULTICHAIN_KERNEL.available_backends()),
         "fused_fit_floor": fused_floor,
         "multichain_floor": multichain_floor,
         "large_k_fit_floor": large_k_floor,

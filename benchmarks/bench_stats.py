@@ -14,8 +14,8 @@ datasets, comparing
 
 On top of the combined path, each workload records the **backend
 trajectory** of the pass itself — the blocked ``scipy`` SpGEMM versus the
-fused ``numba`` and compiled-C ``cext`` kernels, each timed on the same
-pass and checked bit-identical — and a **parallel trajectory**: the pass
+fused compiled-C ``cext`` kernel, each timed on the same pass and checked
+bit-identical — and a **parallel trajectory**: the pass
 forced into many row blocks and fanned across the :mod:`repro.runtime`
 pool at n_jobs ∈ {1, 2, 4}.  Backends the host cannot run are recorded
 as unavailable with the reason, so the artifact states exactly what was
@@ -59,7 +59,8 @@ from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
-from repro.native import counting as native_counting
+from repro.native.counting import COUNTING_KERNEL
+from repro.native.registry import NATIVE_BACKENDS
 from repro.stats import kernels
 from repro.stats.clustering import local_clustering
 from repro.stats.counts import count_triangles, max_common_neighbors
@@ -156,11 +157,11 @@ def bench_backends(graph: Graph, repeats: int) -> dict:
     """
     scipy_result = triangle_pass(graph, None, "scipy")
     records: dict[str, dict] = {}
-    for backend in ("scipy",) + native_counting.FUSED_BACKENDS:
-        if backend != "scipy" and not native_counting.backend_available(backend):
+    for backend in (COUNTING_KERNEL.reference,) + NATIVE_BACKENDS:
+        if backend != "scipy" and not COUNTING_KERNEL.available(backend):
             records[backend] = {
                 "available": False,
-                "reason": native_counting.backend_error(backend),
+                "reason": COUNTING_KERNEL.error(backend),
             }
             continue
         result = triangle_pass(graph, None, backend)
@@ -221,7 +222,7 @@ def bench_large_k(k: int, repeats: int) -> dict:
     Python, so it is timed with fewer repeats at the largest orders.
     """
     from repro.kronecker.kronmom import KronMomEstimator
-    from repro.native import sampling as native_sampling
+    from repro.native.sampling import SAMPLER_KERNEL
 
     seed = SEED + k
     reference = sample_skg(THETA, k, seed=seed, backend="numpy")
@@ -235,11 +236,11 @@ def bench_large_k(k: int, repeats: int) -> dict:
             ),
         }
     }
-    for backend in native_counting.FUSED_BACKENDS:
-        if not native_sampling.sampler_backend_available(backend):
+    for backend in NATIVE_BACKENDS:
+        if not SAMPLER_KERNEL.available(backend):
             engines[backend] = {
                 "available": False,
-                "reason": native_sampling.sampler_backend_error(backend),
+                "reason": SAMPLER_KERNEL.error(backend),
             }
             continue
         graph = sample_skg(THETA, k, seed=seed, backend=backend)

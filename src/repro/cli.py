@@ -68,13 +68,12 @@ to a SNAP-format edge list (optionally gzipped).
 The global ``--block-size N`` option (before the subcommand) bounds the
 peak memory of the blocked A² counting pass by running it N rows at a
 time; the default 0 auto-tunes the block size from a memory budget.  The
-global ``--kernel-backend {auto,scipy,numba,cext}`` option selects the
-execution engine of *both* native-kernel families — the A² counting pass
-and the KronFit Metropolis chain: ``auto`` (default) prefers the fused
-kernels (numba-jitted when numba is installed, else the compiled-C
-``cext``) and falls back to the pure-Python references (blocked scipy
-SpGEMM / numpy chain); naming an unavailable backend fails with a clear
-error.  All results are bit-identical for any block size and backend
+global ``--kernel-backend {auto,scipy,numpy,cext}`` option selects the
+execution engine of every native-kernel family — the A² counting pass,
+the KronFit Metropolis chain and the SKG sampler: ``auto`` (default)
+prefers the compiled-C ``cext`` kernels and falls back to the pure-Python
+references (blocked scipy SpGEMM / numpy chain and sampler); naming an
+unavailable backend fails with a clear error.  All results are bit-identical for any block size and backend
 (``repro --block-size 64 --kernel-backend scipy summarize ca-grqc``
 equals ``repro summarize ca-grqc``, and ``repro --kernel-backend scipy
 fit ca-grqc --method kronfit --seed 0`` equals the fused-kernel fit).
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution engine of the native kernels — the A² counting pass "
             "and the KronFit Metropolis chain (sets REPRO_KERNEL_BACKEND; "
-            "auto prefers the fused numba/C kernels and falls back to the "
+            "auto prefers the compiled C kernels and falls back to the "
             "pure-Python references; results are bit-identical for any "
             "backend)"
         ),
@@ -448,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
             os.environ[BLOCK_SIZE_ENV] = str(arguments.block_size)
         if arguments.kernel_backend is not None:
             # Same pattern; resolving eagerly makes an unavailable backend
-            # (e.g. --kernel-backend numba without numba) fail loudly here
+            # (e.g. --kernel-backend cext without a C compiler) fail loudly here
             # rather than mid-pipeline.
             resolve_kernel_backend(arguments.kernel_backend)
             os.environ[KERNEL_BACKEND_ENV] = arguments.kernel_backend

@@ -34,7 +34,7 @@ __all__ = ["Knob", "KNOBS", "KERNEL_BACKEND_CHOICES", "knob", "default"]
 # Everything REPRO_KERNEL_BACKEND accepts.  "scipy" and "numpy" both name
 # the pure-Python reference engine of whichever kernel family resolves
 # the value, so one setting is valid for every family.
-KERNEL_BACKEND_CHOICES = ("auto", "scipy", "numpy", "numba", "cext")
+KERNEL_BACKEND_CHOICES = ("auto", "scipy", "numpy", "cext")
 
 # Kinds whose environment values are used exactly as written.
 _VERBATIM = ("path", "spec")

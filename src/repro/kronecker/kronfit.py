@@ -125,9 +125,9 @@ class KronFitEstimator:
         Starting initiator (defaults to the paper's generic seed point).
     backend:
         Execution engine of the Metropolis permutation chain (``auto`` |
-        ``numpy`` | ``numba`` | ``cext``; default: the
-        ``REPRO_KERNEL_BACKEND`` knob, else ``auto``).  Results are
-        bit-identical for every engine — the knob only selects speed.
+        ``numpy`` | ``cext``; default: the ``REPRO_KERNEL_BACKEND`` knob,
+        else ``auto``).  Results are bit-identical for both engines — the
+        knob only selects speed.
     n_starts:
         Independent Metropolis chains per fit; the best final
         log-likelihood wins (deterministic tie-break by start index).

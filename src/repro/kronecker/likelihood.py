@@ -26,9 +26,9 @@ averages its gradients over; :class:`MultiChainSampler` advances S of
 them in lockstep, and every KronFit fit runs on one (S=1 for a
 single-start fit).  Both execute pre-drawn proposal streams behind the
 ``REPRO_KERNEL_BACKEND`` knob: the numpy reference engine defined here,
-or the fused numba / compiled-C multichain kernel of
-:mod:`repro.native.chain` (a solo sampler runs it at S=1).  All engines
-are bit-identical (see the contracts documented there).
+or the compiled-C multichain kernel of :mod:`repro.native.chain` (a solo
+sampler runs it at S=1).  Both engines are bit-identical (see the
+contracts documented there).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.chain import (
+    MULTICHAIN_KERNEL,
     draw_proposal_batch,
-    multichain_kernel,
     resolve_multichain_backend,
 )
 from repro.native.registry import resolve_kernel_threads
@@ -236,8 +236,8 @@ class PermutationSampler:
     The sampler runs on pre-drawn proposal streams (the draw contract of
     :func:`repro.native.chain.draw_proposal_batch`) behind interchangeable
     execution engines selected by ``backend`` / ``REPRO_KERNEL_BACKEND``:
-    the pure-numpy reference implemented here, and the fused
-    numba/compiled-C multichain kernel of :mod:`repro.native.chain`, run
+    the pure-numpy reference implemented here, and the compiled-C
+    multichain kernel of :mod:`repro.native.chain`, run
     at S=1 through the same call code :class:`MultiChainSampler` uses.  Every
     engine follows the same score contract — the swap delta is an integer
     profile-count change dotted with the cached score table in ascending
@@ -265,12 +265,12 @@ class PermutationSampler:
         adjacency = graph.adjacency
         self._indptr = adjacency.indptr
         self._indices = adjacency.indices
-        # Resolve the engine eagerly so a misconfigured pipeline (numba
-        # requested but not installed) fails at construction, not mid-fit.
+        # Resolve the engine eagerly so a misconfigured pipeline (cext
+        # requested but not compilable) fails at construction, not mid-fit.
         self.backend = resolve_multichain_backend(backend)
         self._kernel = None
         if self.backend != "numpy":
-            self._kernel = multichain_kernel(self.backend)
+            self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
             self._indptr32 = np.ascontiguousarray(self._indptr, dtype=np.int32)
             self._indices32 = np.ascontiguousarray(self._indices, dtype=np.int32)
         self._n_cells = (k + 1) * (k + 1)
@@ -396,7 +396,6 @@ class PermutationSampler:
             # solo state in place).
             accepted = _run_fused(
                 self._kernel,
-                self.backend,
                 1,
                 self._indptr32,
                 self._indices32,
@@ -523,8 +522,8 @@ class MultiChainSampler:
     Each chain has its own Θ, σ, score table, and profile histogram —
     multi-start KronFit runs one chain per start — but they share the
     graph's CSR structure, so the whole ensemble advances inside a single
-    :func:`repro.native.chain.multichain_block` call, sharded across
-    threads (``threads`` / ``REPRO_KERNEL_THREADS``).  Every chain is
+    native call (:mod:`repro.native.chain`), sharded across threads
+    (``threads`` / ``REPRO_KERNEL_THREADS``).  Every chain is
     **bit-identical** to the solo :class:`PermutationSampler` trajectory
     it replaces, for any backend, batch size, or thread count: the draws
     are made per chain in chain order with the same
@@ -542,7 +541,7 @@ class MultiChainSampler:
     row the fused kernel reads).
 
     The ``numpy`` reference engine loops the per-chain reference blocks;
-    ``numba`` / ``cext`` run the fused multichain kernel.
+    ``cext`` runs the fused multichain kernel.
     """
 
     def __init__(
@@ -599,7 +598,7 @@ class MultiChainSampler:
             chain._stats = self._stats[s : s + 1]
         self._kernel = None
         if self.backend != "numpy":
-            self._kernel = multichain_kernel(self.backend)
+            self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
             adjacency = graph.adjacency
             self._indptr32 = np.ascontiguousarray(
                 adjacency.indptr, dtype=np.int32
@@ -697,7 +696,6 @@ class MultiChainSampler:
             return
         accepted = _run_fused(
             self._kernel,
-            self.backend,
             self.threads,
             self._indptr32,
             self._indices32,
@@ -732,7 +730,6 @@ def _batches(total: int, batch_size: int | None) -> list[tuple[int, int]]:
 
 def _run_fused(
     kernel,
-    backend: str,
     threads: int,
     indptr32: np.ndarray,
     indices32: np.ndarray,
@@ -758,10 +755,6 @@ def _run_fused(
     n_chains, n_nodes = sigma.shape
     total = i_all.shape[1]
     n_threads = max(1, min(threads, n_chains))
-    if backend == "numba":
-        import numba
-
-        numba.set_num_threads(min(n_threads, numba.config.NUMBA_NUM_THREADS))
     accepted = np.zeros(n_chains, dtype=np.int64)
     scratch = np.zeros(n_chains, dtype=np.int64)
     for start, stop in _batches(total, batch_size):

@@ -19,8 +19,8 @@ each unordered pair {u, v} an independent edge with probability
 
 ``sample_skg`` executes behind the ``REPRO_KERNEL_BACKEND`` knob like the
 counting pass and the Metropolis chain: the pure-Python reference engine
-defined here, or the fused numba / compiled-C selection kernel of
-:mod:`repro.native.sampling`.  All engines consume the same pre-drawn
+defined here, or the compiled-C selection kernel of
+:mod:`repro.native.sampling`.  Both engines consume the same pre-drawn
 streams (the draw contract documented there) and run the same Floyd
 selection + combination unranking, so the sampled graph is
 **bit-identical** across engines for every seed.
@@ -39,9 +39,9 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import as_initiator
 from repro.native.sampling import (
+    SAMPLER_KERNEL,
     choose_table,
     resolve_sampler_backend,
-    sampler_kernel,
 )
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer
@@ -78,9 +78,8 @@ def sample_skg(
     """Draw one undirected SKG on ``2^k`` nodes by exact grass-hopping.
 
     ``backend`` selects the pair-selection engine (``auto``/``numpy``/
-    ``numba``/``cext``; default: the ``REPRO_KERNEL_BACKEND``
-    environment knob) — the sampled graph is bit-identical across
-    engines for any seed.
+    ``cext``; default: the ``REPRO_KERNEL_BACKEND`` environment knob) —
+    the sampled graph is bit-identical across engines for any seed.
     """
     theta = as_initiator(initiator)
     k = check_integer(k, "k", minimum=1)
@@ -129,7 +128,7 @@ def sample_skg(
             k, z_arr, x_arr, counts, offsets, class_sizes, choose, uniforms
         )
     else:
-        kernel = sampler_kernel(engine)
+        kernel = SAMPLER_KERNEL.kernel(engine)
         capacity = 16
         while capacity < 2 * int(counts.max()):
             capacity *= 2

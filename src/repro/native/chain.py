@@ -4,12 +4,12 @@ One KronFit fit runs on the order of 10⁵ Metropolis proposals over node
 correspondences σ (see :mod:`repro.kronecker.likelihood`).  Executed as
 individual Python steps, each proposal costs ~10 tiny numpy operations;
 this module executes whole proposal *batches* inside compiled code.
-:func:`multichain_block` advances S *independent* chains — each with its
-own σ, score table, histogram, and pre-drawn proposal streams — in one
-native call, parallelized *across chains* (OpenMP in C, ``numba.prange``
-in the jit; both optional and inert when unavailable).  It is the only
-chain kernel: a solo :class:`~repro.kronecker.likelihood.PermutationSampler`
-runs it at S=1.  Four contracts make every execution engine bit-identical:
+``repro_multichain_block`` advances S *independent* chains — each with
+its own σ, score table, histogram, and pre-drawn proposal streams — in
+one native call, parallelized *across chains* with OpenMP (optional, and
+inert when unavailable).  It is the only chain kernel: a solo
+:class:`~repro.kronecker.likelihood.PermutationSampler` runs it at S=1.
+Four contracts make the C engine bit-identical to the numpy reference:
 
 **The draw contract** (:func:`draw_proposal_batch`).  All randomness is
 pre-drawn in numpy-land, once per sampler ``run`` call and chain:
@@ -43,8 +43,7 @@ so each neighbor costs three popcounts and the row index
 ``k − popcount(id)`` terms out of the neighbor loops.  All quantities are
 integers, so the touched cells are exactly those of the direct
 ``(k − x − o, o)`` derivation the numpy reference uses.  The C twin uses
-the compiler's ``__builtin_popcountll`` (same values as the SWAR popcount
-the Python twin keeps).
+the compiler's ``__builtin_popcountll``.
 
 **The delta-scan contract.**  Every ``counts[]`` update records its cell
 in a touched-cell event list (at most ``2·(deg i + deg j)`` events per
@@ -62,9 +61,8 @@ into the persistent profile histogram, so the histogram is maintained
 incrementally on touched edges only — no O(E) ``edge_profiles`` recompute
 per permutation sample.
 
-The kernel is registered twice (numba jit of :func:`multichain_block`,
-and the identical C loop compiled via :mod:`repro.native.registry`, with
-``-fopenmp`` and ``-mpopcnt`` as optional compile flags); the numpy
+The C loop is compiled via :mod:`repro.native.registry`, with
+``-fopenmp`` and ``-mpopcnt`` as optional compile flags; the numpy
 reference lives with :class:`~repro.kronecker.likelihood.PermutationSampler`.
 Threads only shard whole chains, so chain ``c`` of a batched call is
 bit-identical to its solo trajectory for any chain count, batch size, or
@@ -83,28 +81,13 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.native.registry import (
-    NativeKernel,
-    available_backends,
-    resolve_backend,
-)
-
-try:  # numba.prange parallelizes under njit(parallel=True); without
-    # numba the plain function still runs — prange degrades to range.
-    from numba import prange
-except ImportError:  # pragma: no cover - exercised on numba-less hosts
-    prange = range
+from repro.native.registry import NativeKernel
 
 __all__ = [
     "draw_proposal_batch",
     "MULTICHAIN_KERNEL",
-    "multichain_block",
-    "multichain_backend_available",
-    "multichain_backend_error",
-    "multichain_kernel",
     "resolve_multichain_backend",
     "resolve_chain_backend",
-    "available_multichain_backends",
 ]
 
 
@@ -138,149 +121,19 @@ def draw_proposal_batch(
     return i_nodes, j_nodes, log_u
 
 
-def multichain_block(
-    indptr,
-    indices,
-    n_chains,
-    n_nodes,
-    sigma_all,
-    k,
-    score_all,
-    hist_all,
-    counts_all,
-    touched_all,
-    touched_len,
-    stats_all,
-    i_all,
-    j_all,
-    u_all,
-    stream_len,
-    start,
-    stop,
-    accepted_all,
-    n_threads,
-):
-    """Execute proposals ``[start, stop)`` of S pre-drawn streams in place.
-
-    Stacked per-chain state is passed as flat C-contiguous arrays: chain
-    ``c`` owns ``sigma_all[c·n_nodes:]``, the ``(k+1)²``-long slices of
-    ``score_all`` / ``hist_all`` / ``counts_all`` at ``c·(k+1)²``, the
-    ``touched_len``-long event scratch at ``c·touched_len``, and the
-    draw-contract streams ``i_all``/``j_all``/``u_all`` at
-    ``c·stream_len``.  ``accepted_all[c]`` is *set* to the number of
-    accepted swaps of this call (the caller accumulates);
-    ``stats_all[c]`` accumulates chain ``c``'s score-table touches.
-    The event scratch must be at least ``2·(deg i + deg j)`` long for any
-    proposal (``4·max_degree`` suffices), and ``counts_all`` starts and
-    ends all-zero.  ``n_threads`` only shards chains across OpenMP/numba
-    threads — per-chain arithmetic is untouched, so results are
-    bit-identical for any thread count.  Returns the total accepted
-    across chains.
-    """
-
-    def popcount(v):
-        # Branch-free SWAR popcount; the C twin uses the compiler
-        # builtin, which returns identical values for Kronecker ids.
-        v = v - ((v >> 1) & 0x5555555555555555)
-        v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
-        v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
-        v = v + (v >> 8)
-        v = v + (v >> 16)
-        v = v + (v >> 32)
-        return v & 0x7F
-
-    n_cells = (k + 1) * (k + 1)
-    for c in prange(n_chains):
-        s0 = c * n_nodes
-        g0 = c * n_cells
-        t0 = c * touched_len
-        d0 = c * stream_len
-        accepted = 0
-        touches = 0
-        for t in range(start, stop):
-            i = i_all[d0 + t]
-            j = j_all[d0 + t]
-            id_i = sigma_all[s0 + i]
-            id_j = sigma_all[s0 + j]
-            # Popcount identity: cell row z = (k − pc(id)) − pc(wid) + o,
-            # so the two k − pc(id) terms hoist out of the neighbor loops
-            # and each neighbor costs three popcounts instead of four.
-            zi = k - popcount(id_i)
-            zj = k - popcount(id_j)
-            n_touched = 0
-            for idx in range(indptr[i], indptr[i + 1]):
-                w = indices[idx]
-                if w == j:
-                    continue
-                wid = sigma_all[s0 + w]
-                zw = zi - popcount(wid)
-                o = popcount(id_i & wid)
-                cell = (zw + o) * (k + 1) + o
-                counts_all[g0 + cell] -= 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-                o = popcount(id_j & wid)
-                cell = (zw - zi + zj + o) * (k + 1) + o
-                counts_all[g0 + cell] += 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-            for idx in range(indptr[j], indptr[j + 1]):
-                w = indices[idx]
-                if w == i:
-                    continue
-                wid = sigma_all[s0 + w]
-                zw = zj - popcount(wid)
-                o = popcount(id_j & wid)
-                cell = (zw + o) * (k + 1) + o
-                counts_all[g0 + cell] -= 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-                o = popcount(id_i & wid)
-                cell = (zw - zj + zi + o) * (k + 1) + o
-                counts_all[g0 + cell] += 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-            for a in range(1, n_touched):
-                key = touched_all[t0 + a]
-                b = a - 1
-                while b >= 0 and touched_all[t0 + b] > key:
-                    touched_all[t0 + b + 1] = touched_all[t0 + b]
-                    b -= 1
-                touched_all[t0 + b + 1] = key
-            delta = 0.0
-            previous = -1
-            for a in range(n_touched):
-                cell = touched_all[t0 + a]
-                if cell == previous:
-                    continue
-                previous = cell
-                if counts_all[g0 + cell] != 0:
-                    delta += counts_all[g0 + cell] * score_all[g0 + cell]
-                    touches += 1
-            if delta >= 0.0 or u_all[d0 + t] < delta:
-                sigma_all[s0 + i] = id_j
-                sigma_all[s0 + j] = id_i
-                accepted += 1
-                for a in range(n_touched):
-                    cell = touched_all[t0 + a]
-                    if counts_all[g0 + cell] != 0:
-                        hist_all[g0 + cell] += counts_all[g0 + cell]
-                        counts_all[g0 + cell] = 0
-            else:
-                for a in range(n_touched):
-                    counts_all[g0 + touched_all[t0 + a]] = 0
-        accepted_all[c] = accepted
-        stats_all[c] += touches
-    total = 0
-    for c in range(n_chains):
-        total += accepted_all[c]
-    return total
-
-
-# The cext twin of multichain_block.  Kept in lockstep with the Python
-# loop nest above; the only deviations are the compiler-builtin popcount
-# (identical values) and the OpenMP pragma (inert without -fopenmp, and
-# chains are data-independent, so threading never changes results).
+# Execute proposals [start, stop) of S pre-drawn streams in place.
+# Stacked per-chain state is passed as flat C-contiguous arrays: chain c
+# owns sigma_all[c·n_nodes:], the (k+1)²-long slices of score_all /
+# hist_all / counts_all at c·(k+1)², the touched_len-long event scratch at
+# c·touched_len, and the draw-contract streams i_all / j_all / u_all at
+# c·stream_len.  accepted_all[c] is *set* to the number of accepted swaps
+# of this call (the caller accumulates); stats_all[c] accumulates chain
+# c's score-table touches.  The event scratch must be at least
+# 2·(deg i + deg j) long for any proposal (4·max_degree suffices), and
+# counts_all starts and ends all-zero.  n_threads only shards chains
+# across OpenMP threads (the pragma is inert without -fopenmp) — chains
+# are data-independent, so results are bit-identical for any thread
+# count.  Returns the total accepted across chains.
 _MULTICHAIN_C_SOURCE = """\
 #include <stdint.h>
 
@@ -422,8 +275,8 @@ def _multichain_smoke_test(kernel: Callable) -> None:
     a negative delta above its threshold.  The expected σ, histograms,
     touch counts, and acceptances were captured from the retired
     single-chain kernel, one chain at a time.  Runs with ``n_threads=2``
-    to exercise the threaded path at probe time, catches a miscompiled or
-    ABI-mismatched kernel, and doubles as the numba warm-up compile.
+    to exercise the threaded path at probe time and catches a miscompiled
+    or ABI-mismatched kernel.
     """
     indptr = np.array([0, 1, 3, 5, 6], dtype=np.int32)
     indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int32)
@@ -483,7 +336,7 @@ _FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 MULTICHAIN_KERNEL = NativeKernel(
     name="multichain",
-    python_impl=multichain_block,
+    reference="numpy",
     c_source=_MULTICHAIN_C_SOURCE,
     c_symbol="repro_multichain_block",
     c_restype=ctypes.c_int64,
@@ -510,48 +363,25 @@ MULTICHAIN_KERNEL = NativeKernel(
         ctypes.c_int64,  # n_threads
     ],
     smoke_test=_multichain_smoke_test,
-    numba_parallel=True,
     c_optional_flags=("-fopenmp", "-mpopcnt"),
 )
-
-
-def multichain_backend_available(name: str) -> bool:
-    """Whether the fused multichain backend ``name`` can run here."""
-    return MULTICHAIN_KERNEL.available(name)
-
-
-def multichain_backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return MULTICHAIN_KERNEL.error(name)
-
-
-def multichain_kernel(name: str) -> Callable:
-    """The batch kernel of an *available* fused multichain backend.
-
-    The callable has the :func:`multichain_block` signature and contract.
-    """
-    return MULTICHAIN_KERNEL.kernel(name)
 
 
 def resolve_multichain_backend(backend: str | None = None) -> str:
     """The concrete chain engine: argument, else ``REPRO_KERNEL_BACKEND``.
 
-    Returns one of ``numpy`` (the pure-Python reference inside
-    :class:`~repro.kronecker.likelihood.PermutationSampler`), ``numba``,
-    or ``cext``.  ``auto`` prefers the fused engines and falls back to
-    ``numpy``; ``scipy`` (the counting knob's reference name) is accepted
-    as an alias for ``numpy``, so one environment value drives both
-    kernel families.  Naming an unavailable engine raises
-    :class:`ValidationError` with the reason.  Every engine and thread
-    count produces bit-identical chains; the knob only selects speed.
+    Returns ``numpy`` (the pure-Python reference inside
+    :class:`~repro.kronecker.likelihood.PermutationSampler`) or ``cext``.
+    ``auto`` prefers the compiled engine and falls back to ``numpy``;
+    ``scipy`` (the counting knob's reference name) is accepted as an
+    alias for ``numpy``, so one environment value drives every kernel
+    family.  Naming an unavailable engine raises :class:`ValidationError`
+    with the reason.  Both engines and every thread count produce
+    bit-identical chains; the knob only selects speed.
     """
-    return resolve_backend(MULTICHAIN_KERNEL, backend, reference="numpy")
+    return MULTICHAIN_KERNEL.resolve(backend)
 
 
-# Solo and batched samplers run the same kernel, so they share one knob.
+# Kept only because the benchmark harness (perfbench/run.py) imports it;
+# drop it at the next benchmark change.
 resolve_chain_backend = resolve_multichain_backend
-
-
-def available_multichain_backends() -> tuple[str, ...]:
-    """The multichain engines that can run here (numpy always can)."""
-    return available_backends(MULTICHAIN_KERNEL, "numpy")

@@ -16,12 +16,11 @@ rows directly with Gustavson's dense accumulator —
 so each path-2 contribution costs one increment instead of an SpGEMM
 entry, and peak extra memory is two length-n scratch arrays.
 
-The kernel is registered with :class:`repro.native.registry.NativeKernel`
-twice over: :func:`fused_block` jitted by numba, and the identical loop
-nest as a ~40-line C function compiled on first use with the system C
-compiler.  Both are integer-exact (the arithmetic is increments and
-comparisons on int64 accumulators), so their results are bit-identical to
-the scipy backend and to the pre-blocking reference oracles — the
+The kernel is a ~40-line C function registered with
+:class:`repro.native.registry.NativeKernel` and compiled on first use with
+the system C compiler.  It is integer-exact (the arithmetic is increments
+and comparisons on int64 accumulators), so its results are bit-identical
+to the scipy backend and to the pre-blocking reference oracles — the
 cross-backend equivalence suite (``tests/stats/test_backend_equivalence.py``)
 enforces this for every block size and graph family.
 
@@ -38,60 +37,18 @@ from typing import Callable
 
 import numpy as np
 
-from repro.native.registry import NATIVE_BACKENDS, NativeKernel
+from repro.native.registry import NativeKernel
 
-__all__ = [
-    "COUNTING_KERNEL",
-    "FUSED_BACKENDS",
-    "backend_available",
-    "backend_error",
-    "backend_kernel",
-    "fused_block",
-]
-
-# Historical name for the native engines (PR 3's `_fused.FUSED_BACKENDS`).
-FUSED_BACKENDS = NATIVE_BACKENDS
+__all__ = ["COUNTING_KERNEL"]
 
 
-def fused_block(indptr, indices, r0, r1, per_node, workspace, touched):
-    """One fused row block of the A² pass (jitted by the numba backend).
-
-    Parameters are the int32 CSR structure of the symmetric adjacency,
-    the block's row range ``[r0, r1)``, the block's slice of the per-node
-    triangle vector (int64, written in place), and two zeroed/garbage
-    scratch arrays of length ``n_nodes`` (int64 counts, int32 touched
-    columns).  Returns the block's off-diagonal maximum common-neighbour
-    count.  The workspace must arrive all-zero and is left all-zero.
-    """
-    max_common = np.int64(0)
-    for u in range(r0, r1):
-        row_start = indptr[u]
-        row_end = indptr[u + 1]
-        n_touched = 0
-        for idx in range(row_start, row_end):
-            w = indices[idx]
-            for jdx in range(indptr[w], indptr[w + 1]):
-                v = indices[jdx]
-                if workspace[v] == 0:
-                    touched[n_touched] = v
-                    n_touched += 1
-                workspace[v] += 1
-        on_edges = np.int64(0)
-        for idx in range(row_start, row_end):
-            on_edges += workspace[indices[idx]]
-        per_node[u - r0] = on_edges // 2
-        for t in range(n_touched):
-            v = touched[t]
-            count = workspace[v]
-            workspace[v] = 0
-            if v != u and count > max_common:
-                max_common = count
-    return max_common
-
-
-# The cext backend: fused_block transliterated to C.  Kept in lockstep
-# with the Python loop nest above — the equivalence suite cross-checks
-# every backend against the reference oracles on every run.
+# One fused row block of the A² pass.  Arguments are the int32 CSR
+# structure of the symmetric adjacency, the block's row range [r0, r1),
+# the block's slice of the per-node triangle vector (int64, written in
+# place), and two scratch arrays of length n_nodes (int64 counts, int32
+# touched columns).  Returns the block's off-diagonal maximum
+# common-neighbour count.  The workspace must arrive all-zero and is left
+# all-zero.
 _C_SOURCE = """\
 #include <stdint.h>
 
@@ -143,7 +100,6 @@ def _smoke_test(kernel: Callable) -> None:
 
     Catches a miscompiled or ABI-mismatched kernel at probe time (turning
     it into "backend unavailable") instead of corrupting statistics later.
-    Also serves as the numba warm-up compile.
     """
     # The diamond: triangles {0,1,2} and {1,2,3}; nodes 0 and 3 (and the
     # adjacent pair 1, 2) share two common neighbours.
@@ -167,7 +123,7 @@ _INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 
 COUNTING_KERNEL = NativeKernel(
     name="counting",
-    python_impl=fused_block,
+    reference="scipy",
     c_source=_C_SOURCE,
     c_symbol="repro_fused_block",
     c_restype=ctypes.c_int64,
@@ -182,21 +138,3 @@ COUNTING_KERNEL = NativeKernel(
     ],
     smoke_test=_smoke_test,
 )
-
-
-def backend_available(name: str) -> bool:
-    """Whether the fused counting backend ``name`` can run on this host."""
-    return COUNTING_KERNEL.available(name)
-
-
-def backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return COUNTING_KERNEL.error(name)
-
-
-def backend_kernel(name: str) -> Callable:
-    """The block kernel of an *available* fused counting backend.
-
-    The callable has the :func:`fused_block` signature and contract.
-    """
-    return COUNTING_KERNEL.kernel(name)

@@ -1,32 +1,26 @@
 """The native-kernel backend registry: probe, compile-cache, loud failure.
 
-PR 3 introduced fused counting kernels with two execution engines — a
-numba-jitted Python loop nest and the identical loop compiled from C via
-the system compiler and called through :mod:`ctypes` — plus the machinery
-around them: lazy availability probing with memoized failure reasons,
-compile-once shared-library caching with atomic installs, and the
-``REPRO_KERNEL_BACKEND`` resolution contract (``auto`` prefers the fused
-engines and silently falls back to the pure-Python reference; *naming* an
-unavailable engine fails loudly).
+Every hot loop of the pipeline — the A² counting pass, the KronFit
+Metropolis chain, the grass-hopping sampler — has two execution engines:
+a pure-Python reference that lives with its caller and is the oracle the
+equivalence suites compare against, and the identical loop nest written
+in C, compiled on first use with the system compiler and called through
+:mod:`ctypes`.  This module hosts the machinery around the C twins:
 
-That machinery is not counting-specific, and the KronFit permutation
-chain needs exactly the same treatment, so this module hosts it for every
-native kernel in the package:
-
-* :class:`NativeKernel` — one kernel described twice (a numba-jittable
-  Python loop nest and an identical C function), with per-backend lazy
-  probing memoized in :attr:`NativeKernel.states`.  Tests monkeypatch
-  that dict to simulate hosts without numba or a compiler.
+* :class:`NativeKernel` — one kernel family: its C source, lazy probing
+  memoized in :attr:`NativeKernel.states` (tests monkeypatch that dict to
+  simulate hosts without a compiler), the name of its reference engine
+  (``scipy`` for the counting pass, ``numpy`` for the chain and sampler),
+  and the ``REPRO_KERNEL_BACKEND`` resolution contract
+  (:meth:`NativeKernel.resolve`: ``auto`` prefers the compiled engine and
+  silently falls back to the reference; *naming* an unavailable engine
+  fails loudly).
 * :func:`compile_shared_library` — compile a C source into a per-user
   cached ``.so`` (keyed by a hash of source + flags; concurrent probes
   build to private scratch files and install with atomic renames).
-* :func:`resolve_backend` / :func:`auto_backend` /
-  :func:`available_backends` — the shared resolution contract,
-  parameterized by the kernel and the name of its pure-Python reference
-  engine (``scipy`` for the counting pass, ``numpy`` for the chain).
 
-Concrete kernels live next door: :mod:`repro.native.counting` and
-:mod:`repro.native.chain`.
+Concrete kernels live next door: :mod:`repro.native.counting`,
+:mod:`repro.native.chain` and :mod:`repro.native.sampling`.
 """
 
 from __future__ import annotations
@@ -51,14 +45,11 @@ __all__ = [
     "OPENMP_ENV",
     "NativeKernel",
     "compile_shared_library",
-    "resolve_backend",
-    "auto_backend",
-    "available_backends",
     "resolve_kernel_threads",
 ]
 
 # Compiled backend names, in the preference order `auto` resolution uses.
-NATIVE_BACKENDS = ("numba", "cext")
+NATIVE_BACKENDS = ("cext",)
 
 # The environment knob shared by every native kernel (counting and chain).
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
@@ -76,10 +67,9 @@ OPENMP_ENV = "REPRO_OPENMP"
 
 # Compile flags for every cext kernel.  -ffp-contract=off forbids the
 # compiler from fusing a*b+c into an FMA: the chain kernel accumulates
-# float64 scores and must round exactly like the numba and numpy engines
-# on every host (the counting kernel is pure integer, where the flag is
-# inert).  The flags participate in the cache key, so changing them
-# recompiles.
+# float64 scores and must round exactly like the numpy engine on every
+# host (the counting kernel is pure integer, where the flag is inert).
+# The flags participate in the cache key, so changing them recompiles.
 _C_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 # Values of OPENMP_ENV that disable the -fopenmp optional flag.
@@ -142,30 +132,26 @@ def resolve_kernel_threads(threads: int | None = None) -> int:
 
 
 class NativeKernel:
-    """One kernel implemented as twin loop nests: Python (numba) and C.
+    """One kernel family: a C loop nest plus the name of its reference engine.
 
     Parameters
     ----------
     name:
-        Kernel identifier ("counting", "chain"); names the cached ``.so``.
-    python_impl:
-        The plain-Python loop nest.  Must be numba-jittable (it is *not*
-        used as an execution engine itself — the pure-Python reference
-        paths live with their callers).
+        Kernel identifier ("counting", "multichain", "sampler"); names the
+        cached ``.so``.
+    reference:
+        The name ``auto`` falls back to when no compiled engine can run:
+        the family's pure-Python reference engine, which lives with its
+        caller (``scipy`` for the counting pass, ``numpy`` otherwise).
     c_source / c_symbol:
-        The identical loop nest as a C translation unit and the exported
-        function name.
+        The loop nest as a C translation unit and the exported function
+        name.
     c_restype / c_argtypes:
         The ctypes signature of ``c_symbol``.
     smoke_test:
         Callable run against every probed kernel on a hand-checked
         instance; raising turns the probe into "backend unavailable"
-        instead of corrupting results later.  Doubles as the numba
-        warm-up compile.
-    numba_parallel:
-        Jit the Python loop nest with ``parallel=True`` so its
-        ``numba.prange`` loops shard across threads (the multichain
-        kernel); plain kernels leave it off.
+        instead of corrupting results later.
     c_optional_flags:
         Extra compile flags that improve the C twin but are not required
         for correctness (``-fopenmp``, ``-mpopcnt``).  Each is dropped
@@ -177,23 +163,21 @@ class NativeKernel:
     def __init__(
         self,
         name: str,
-        python_impl: Callable,
+        reference: str,
         c_source: str,
         c_symbol: str,
         c_restype,
         c_argtypes: Sequence,
         smoke_test: Callable[[Callable], None],
-        numba_parallel: bool = False,
         c_optional_flags: Sequence[str] = (),
     ) -> None:
         self.name = name
-        self.python_impl = python_impl
+        self.reference = reference
         self.c_source = c_source
         self.c_symbol = c_symbol
         self.c_restype = c_restype
         self.c_argtypes = list(c_argtypes)
         self.smoke_test = smoke_test
-        self.numba_parallel = numba_parallel
         self.c_optional_flags = tuple(c_optional_flags)
         # The optional flags the cext probe actually compiled with (None
         # until the probe has run).  CI's OpenMP-less fallback check
@@ -216,9 +200,8 @@ class NativeKernel:
         """The compiled kernel of an *available* backend.
 
         Raises ``RuntimeError`` if the backend is unavailable — callers
-        are expected to have gone through :func:`resolve_backend` first,
-        which turns unavailability into a user-facing
-        :class:`ValidationError`.
+        are expected to have gone through :meth:`resolve` first, which
+        turns unavailability into a user-facing :class:`ValidationError`.
         """
         kernel, error = self._state(backend)
         if kernel is None:
@@ -227,6 +210,46 @@ class NativeKernel:
             )
         return kernel
 
+    def available_backends(self) -> tuple[str, ...]:
+        """The concrete engines that can run this kernel on this host.
+
+        The reference engine leads (it always runs), followed by the
+        available native engines in preference order.
+        """
+        return (self.reference,) + tuple(
+            name for name in NATIVE_BACKENDS if self.available(name)
+        )
+
+    def resolve(self, backend: str | None = None) -> str:
+        """The concrete engine a call will run: argument, else environment.
+
+        ``auto`` (the default) resolves to the compiled-C ``cext`` engine
+        and silently falls back to the family's pure-Python
+        :attr:`reference` when it cannot run on this host.  Explicitly
+        requesting an unavailable engine raises a :class:`ValidationError`
+        naming the reason, so a pipeline that *expects* the fused kernels
+        fails loudly instead of quietly running slower.  ``scipy`` and
+        ``numpy`` both name the reference engine, keeping one
+        ``REPRO_KERNEL_BACKEND`` value valid for every kernel family.
+        """
+        source = "argument"
+        if backend is None:
+            source = f"environment variable {KERNEL_BACKEND_ENV}"
+        backend = knob(KERNEL_BACKEND_ENV, backend)
+        if backend == "auto":
+            for candidate in NATIVE_BACKENDS:
+                if self.available(candidate):
+                    return candidate
+            return self.reference
+        if backend not in NATIVE_BACKENDS:
+            return self.reference
+        if not self.available(backend):
+            raise ValidationError(
+                f"kernel backend {backend!r} (from {source}) is unavailable on "
+                f"this host: {self.error(backend)}"
+            )
+        return backend
+
     # -- internals --------------------------------------------------------
 
     def _state(self, backend: str) -> tuple[Callable | None, str | None]:
@@ -234,35 +257,12 @@ class NativeKernel:
             raise KeyError(f"unknown fused backend {backend!r}")
         state = self.states.get(backend)
         if state is None:
-            probe = self._probe_numba if backend == "numba" else self._probe_cext
             try:
-                state = (probe(), None)
+                state = (self._probe_cext(), None)
             except Exception as error:  # unavailable, remember why
                 state = (None, str(error))
             self.states[backend] = state
         return state
-
-    def _probe_numba(self) -> Callable:
-        """Jit the Python loop nest and warm it on the smoke instance."""
-        try:
-            import numba
-        except ImportError as exc:
-            raise RuntimeError(
-                "numba is not installed (pip install numba, or the "
-                "'accel' extra of this package)"
-            ) from exc
-        # cache=True persists the compiled kernel next to its module, so
-        # new processes (CLI runs, pool workers under spawn) skip the
-        # multi-second JIT; an unwritable cache location degrades to a
-        # NumbaWarning plus an in-process compile, never an error.
-        kernel = numba.njit(
-            self.python_impl,
-            cache=True,
-            nogil=True,
-            parallel=self.numba_parallel,
-        )
-        self.smoke_test(kernel)
-        return kernel
 
     def _probe_cext(self) -> Callable:
         """Compile the C twin into a cached shared library and load it.
@@ -346,53 +346,3 @@ def compile_shared_library(
             if os.path.exists(scratch):
                 os.unlink(scratch)
     return library
-
-
-def auto_backend(kernel: NativeKernel, reference: str) -> str:
-    """``auto`` resolution: the first available native engine, else the
-    kernel's pure-Python reference."""
-    for candidate in NATIVE_BACKENDS:
-        if kernel.available(candidate):
-            return candidate
-    return reference
-
-
-def available_backends(kernel: NativeKernel, reference: str) -> tuple[str, ...]:
-    """The concrete engines that can run ``kernel`` on this host.
-
-    The reference engine leads (it always runs), followed by the
-    available native engines in preference order.
-    """
-    return (reference,) + tuple(
-        name for name in NATIVE_BACKENDS if kernel.available(name)
-    )
-
-
-def resolve_backend(
-    kernel: NativeKernel, backend: str | None = None, *, reference: str
-) -> str:
-    """The concrete engine a pass/chain will run: argument, else environment.
-
-    ``auto`` (the default) resolves to the first available native engine —
-    ``numba``, then the compiled-C ``cext`` — and silently falls back to
-    the kernel's pure-Python ``reference`` when neither can run on this
-    host.  Explicitly requesting an unavailable engine raises a
-    :class:`ValidationError` naming the reason, so a pipeline that
-    *expects* the fused kernels fails loudly instead of quietly running
-    slower.  ``scipy`` and ``numpy`` both name the ``reference`` engine,
-    keeping one ``REPRO_KERNEL_BACKEND`` value valid for every kernel.
-    """
-    source = "argument"
-    if backend is None:
-        source = f"environment variable {KERNEL_BACKEND_ENV}"
-    backend = knob(KERNEL_BACKEND_ENV, backend)
-    if backend == "auto":
-        return auto_backend(kernel, reference)
-    if backend not in NATIVE_BACKENDS:
-        return reference
-    if not kernel.available(backend):
-        raise ValidationError(
-            f"kernel backend {backend!r} (from {source}) is unavailable on "
-            f"this host: {kernel.error(backend)}"
-        )
-    return backend

@@ -7,8 +7,8 @@ The numpy reference used to realize "uniform without replacement" by
 rejection (draw random pairs, dedup, top up) — fine at paper scale,
 wasteful at k≈20 where single classes carry 10⁵–10⁶ edges.  This module
 is the third ``repro.native`` kernel family (after counting and chain):
-the whole per-class selection loop in compiled code, bit-identical across
-engines by construction.
+the whole per-class selection loop in compiled code, bit-identical to the
+numpy reference by construction.
 
 **The draw contract** (owned by ``sample_skg``).  All randomness is
 pre-drawn in numpy-land, once per call:
@@ -59,20 +59,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.native.registry import (
-    NativeKernel,
-    available_backends,
-    resolve_backend,
-)
+from repro.native.registry import NativeKernel
 
 __all__ = [
     "SAMPLER_KERNEL",
-    "sampler_block",
-    "sampler_backend_available",
-    "sampler_backend_error",
-    "sampler_kernel",
     "resolve_sampler_backend",
-    "available_sampler_backends",
     "choose_table",
 ]
 
@@ -92,126 +83,13 @@ def choose_table(k: int) -> np.ndarray:
     return table
 
 
-def sampler_block(
-    k,
-    n_classes,
-    z_arr,
-    x_arr,
-    counts,
-    offsets,
-    class_sizes,
-    choose,
-    uniforms,
-    keys_out,
-    table_keys,
-    table_stamp,
-    capacity,
-):
-    """Select and unrank every class's pairs (numba-jittable loop nest).
-
-    Per class ``c`` (skipped when ``counts[c] == 0``): Floyd's algorithm
-    over ``uniforms[offsets[c] : offsets[c]+counts[c]]`` emits distinct
-    class indices, each unranked to a pair key written at the same slot
-    of ``keys_out``.  ``table_keys``/``table_stamp`` (length ``capacity``,
-    a power of two ≥ 2·max(counts)) back the epoch-stamped membership
-    table.  Returns the number of keys written (Σ counts).
-    """
-    kp1 = k + 1
-    mask = capacity - 1
-    full = (1 << k) - 1
-    total = 0
-    for c in range(n_classes):
-        count = counts[c]
-        if count == 0:
-            continue
-        z = z_arr[c]
-        x = x_arr[c]
-        size = class_sizes[c]
-        base = offsets[c]
-        epoch = c + 1
-        n_orient = 1 << (x - 1)
-        c2 = choose[(k - z) * kp1 + x]
-        emitted = 0
-        for t in range(size - count, size):
-            u = uniforms[base + emitted]
-            r = int(u * (t + 1.0))
-            if r > t:
-                r = t
-            slot = r & mask
-            found = False
-            while table_stamp[slot] == epoch:
-                if table_keys[slot] == r:
-                    found = True
-                    break
-                slot = (slot + 1) & mask
-            if found:
-                idx = t
-                slot = t & mask
-                while table_stamp[slot] == epoch:
-                    slot = (slot + 1) & mask
-            else:
-                idx = r
-            table_keys[slot] = idx
-            table_stamp[slot] = epoch
-            # unrank idx -> (a, b, w) -> bit masks -> pair key
-            a = idx // (c2 * n_orient)
-            rem = idx % (c2 * n_orient)
-            b = rem // n_orient
-            w = rem % n_orient
-            zero_mask = 0
-            slots = z
-            aa = a
-            for level in range(k):
-                if slots == 0:
-                    break
-                cnt = choose[(k - 1 - level) * kp1 + (slots - 1)]
-                if aa < cnt:
-                    zero_mask |= 1 << (k - 1 - level)
-                    slots -= 1
-                else:
-                    aa -= cnt
-            differ_mask = 0
-            m = k - z
-            pos = 0
-            bb = b
-            slots = x
-            for level in range(k):
-                if slots == 0:
-                    break
-                bit = 1 << (k - 1 - level)
-                if zero_mask & bit:
-                    continue
-                cnt = choose[(m - 1 - pos) * kp1 + (slots - 1)]
-                if bb < cnt:
-                    differ_mask |= bit
-                    slots -= 1
-                else:
-                    bb -= cnt
-                pos += 1
-            one_mask = full & ~zero_mask & ~differ_mask
-            u_val = one_mask
-            v_val = one_mask
-            first = True
-            tw = 0
-            for level in range(k):
-                bit = 1 << (k - 1 - level)
-                if not (differ_mask & bit):
-                    continue
-                if first:
-                    v_val |= bit
-                    first = False
-                else:
-                    if (w >> tw) & 1:
-                        u_val |= bit
-                    else:
-                        v_val |= bit
-                    tw += 1
-            keys_out[base + emitted] = (u_val << k) | v_val
-            emitted += 1
-        total += emitted
-    return total
-
-
+# Select and unrank every class's pairs.  Per class c (skipped when
+# counts[c] == 0): Floyd's algorithm over
+# uniforms[offsets[c] : offsets[c]+counts[c]] emits distinct class
+# indices, each unranked to a pair key written at the same slot of
+# keys_out.  table_keys / table_stamp (length capacity, a power of two
+# ≥ 2·max(counts)) back the epoch-stamped membership table.  Returns the
+# number of keys written (Σ counts).
 _C_SOURCE = r"""
 #include <stdint.h>
 
@@ -356,8 +234,7 @@ def _smoke_test(kernel: Callable) -> None:
     (two collisions emit ``t``) and the epoch-stamped table is reused
     across classes without clearing.  The expected keys were derived by
     hand from the unranking contract.  Catches a miscompiled or
-    ABI-mismatched kernel at probe time; doubles as the numba warm-up
-    compile.
+    ABI-mismatched kernel at probe time.
     """
     k = 2
     z_arr = np.array([0, 0, 1], dtype=np.int64)
@@ -387,7 +264,7 @@ _FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 SAMPLER_KERNEL = NativeKernel(
     name="sampler",
-    python_impl=sampler_block,
+    reference="numpy",
     c_source=_C_SOURCE,
     c_symbol="repro_sampler_block",
     c_restype=ctypes.c_int64,
@@ -410,36 +287,13 @@ SAMPLER_KERNEL = NativeKernel(
 )
 
 
-def sampler_backend_available(name: str) -> bool:
-    """Whether the fused sampler backend ``name`` can run on this host."""
-    return SAMPLER_KERNEL.available(name)
-
-
-def sampler_backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return SAMPLER_KERNEL.error(name)
-
-
-def sampler_kernel(name: str) -> Callable:
-    """The batch kernel of an *available* fused sampler backend.
-
-    The callable has the :func:`sampler_block` signature and contract.
-    """
-    return SAMPLER_KERNEL.kernel(name)
-
-
 def resolve_sampler_backend(backend: str | None = None) -> str:
     """The concrete engine :func:`sample_skg` will select pairs with.
 
     Same contract as the counting and chain kernels: ``auto`` prefers the
-    fused engines and silently falls back to the numpy reference; naming
+    compiled engine and silently falls back to the numpy reference; naming
     an unavailable engine raises.  ``scipy`` is accepted as an alias for
     the reference so one ``REPRO_KERNEL_BACKEND`` value can force every
     kernel family onto its reference engine.
     """
-    return resolve_backend(SAMPLER_KERNEL, backend, reference="numpy")
-
-
-def available_sampler_backends() -> tuple[str, ...]:
-    """The concrete sampler engines that can run on this host."""
-    return available_backends(SAMPLER_KERNEL, "numpy")
+    return SAMPLER_KERNEL.resolve(backend)

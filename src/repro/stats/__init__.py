@@ -17,8 +17,8 @@ blocked kernels in :mod:`repro.stats.kernels` and memoized per graph in a
 pipeline (counts, sensitivity, clustering, spectra) runs one A² pass and
 one truncated SVD per graph.  The ``REPRO_BLOCK_SIZE`` environment knob
 bounds the pass's peak memory; ``REPRO_KERNEL_BACKEND`` selects the
-execution engine (``auto`` | ``scipy`` | ``numba`` | ``cext`` — all
-bit-identical, the fused kernels just run faster).
+execution engine (``auto`` | ``scipy`` | ``cext`` — bit-identical,
+the fused C kernel just runs faster).
 """
 
 from repro.stats.kernels import (

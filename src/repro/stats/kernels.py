@@ -17,17 +17,16 @@ This module fixes both costs:
   knob; the auto-tuned default packs rows until a block's predicted
   product size reaches a fixed entry budget, so small graphs run as one
   block (no overhead) and large graphs stay within a bounded footprint.
-* Three interchangeable **backends** execute the pass, selected by the
-  ``REPRO_KERNEL_BACKEND`` knob (``auto`` | ``scipy`` | ``numba`` |
-  ``cext``): the blocked scipy SpGEMM, and two *fused* kernels
-  (:mod:`repro.native.counting`) that walk the CSR rows directly with a
-  dense accumulator and never materialize a product entry — a
-  numba-jitted loop nest when numba is installed, and the same loop nest
-  compiled from C through the system compiler.  ``auto`` (the default)
-  prefers the fused kernels and silently falls back to scipy; naming an
-  unavailable backend fails loudly with a :class:`ValidationError`.  All
-  arithmetic is integer-exact, so every backend returns **bit-identical**
-  results for every block size (enforced by
+* Two interchangeable **backends** execute the pass, selected by the
+  ``REPRO_KERNEL_BACKEND`` knob (``auto`` | ``scipy`` | ``cext``): the
+  blocked scipy SpGEMM, and a *fused* kernel
+  (:mod:`repro.native.counting`) that walks the CSR rows directly with a
+  dense accumulator and never materializes a product entry, compiled
+  from C through the system compiler.  ``auto`` (the default) prefers the
+  fused kernel and silently falls back to scipy; naming an unavailable
+  backend fails loudly with a :class:`ValidationError`.  All arithmetic
+  is integer-exact, so both backends return **bit-identical** results
+  for every block size (enforced by
   ``tests/stats/test_backend_equivalence.py``).
 * For large graphs the row blocks are embarrassingly parallel:
   ``triangle_pass(..., n_jobs=4)`` fans contiguous block groups across
@@ -56,8 +55,8 @@ import scipy.sparse as sp
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.knobs import KERNEL_BACKEND_CHOICES, knob
-from repro.native import counting as _native_counting
-from repro.native import registry as _native_registry
+from repro.native.counting import COUNTING_KERNEL
+from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
 from repro.utils.validation import check_integer
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
 ]
 
 BLOCK_SIZE_ENV = "REPRO_BLOCK_SIZE"
-KERNEL_BACKEND_ENV = _native_registry.KERNEL_BACKEND_ENV
 
 # Auto-tuning budget: target number of stored entries in one row-block of
 # A @ A.  At int64 data plus index arrays this is roughly 64 MiB per block
@@ -146,26 +144,22 @@ def resolve_block_size(block_size: int | None = None) -> int:
 def resolve_kernel_backend(backend: str | None = None) -> str:
     """The concrete backend the pass will run: argument, else environment.
 
-    ``auto`` (the default) resolves to the first available fused backend —
-    ``numba``, then the compiled-C ``cext`` — and silently falls back to
-    ``scipy`` when neither can run on this host.  Explicitly requesting an
-    unavailable backend raises a :class:`ValidationError` naming the
-    reason, so a pipeline that *expects* the fused kernels fails loudly
-    instead of quietly running slower.  Every backend returns bit-identical
-    statistics; the knob only selects the execution engine.  (The shared
-    resolution contract lives in :mod:`repro.native.registry`; the same
-    ``REPRO_KERNEL_BACKEND`` knob also drives the KronFit chain kernels.)
+    ``auto`` (the default) resolves to the compiled-C ``cext`` kernel and
+    silently falls back to ``scipy`` when it cannot run on this host.
+    Explicitly requesting an unavailable backend raises a
+    :class:`ValidationError` naming the reason, so a pipeline that
+    *expects* the fused kernel fails loudly instead of quietly running
+    slower.  Both backends return bit-identical statistics; the knob only
+    selects the execution engine.  (The shared resolution contract lives
+    in :mod:`repro.native.registry`; the same ``REPRO_KERNEL_BACKEND``
+    knob also drives the KronFit chain and the SKG sampler kernels.)
     """
-    return _native_registry.resolve_backend(
-        _native_counting.COUNTING_KERNEL, backend, reference="scipy"
-    )
+    return COUNTING_KERNEL.resolve(backend)
 
 
 def available_kernel_backends() -> tuple[str, ...]:
     """The concrete backends that can run on this host (scipy always can)."""
-    return _native_registry.available_backends(
-        _native_counting.COUNTING_KERNEL, "scipy"
-    )
+    return COUNTING_KERNEL.available_backends()
 
 
 def row_blocks(graph: Graph, block_size: int = 0) -> list[tuple[int, int]]:
@@ -297,8 +291,8 @@ def triangle_pass(
     """
     n = graph.n_nodes
     # Validate every knob before the edgeless early return, so a
-    # misconfigured pipeline (bad backend name, unavailable numba, broken
-    # n_jobs) fails loudly even when its first graph happens to be empty.
+    # misconfigured pipeline (bad backend name, unavailable C kernel,
+    # broken n_jobs) fails loudly even when its first graph is empty.
     requested = knob(KERNEL_BACKEND_ENV, backend)
     backend = resolve_kernel_backend(backend)
     n_jobs = _resolve_pass_jobs(n_jobs)
@@ -315,7 +309,7 @@ def triangle_pass(
         # Beyond int32 indexing only scipy's int64 path fits.  `auto`
         # degrades silently; an explicitly named fused backend keeps the
         # fail-loudly contract instead of quietly running scipy.
-        if requested in _native_counting.FUSED_BACKENDS:
+        if requested in NATIVE_BACKENDS:
             raise ValidationError(
                 f"kernel backend {requested!r} cannot address this graph: its "
                 f"CSR structure exceeds int32 indexing; use the scipy backend"
@@ -365,7 +359,7 @@ def _run_blocks(
     """
     if backend == "scipy":
         return _run_blocks_scipy(graph, blocks, per_node, offset)
-    kernel = _native_counting.backend_kernel(backend)
+    kernel = COUNTING_KERNEL.kernel(backend)
     indptr, indices = _fused_csr_arrays(graph)
     n = graph.n_nodes
     workspace = np.zeros(n, dtype=np.int64)

@@ -129,7 +129,7 @@ def environment_fingerprint() -> dict[str, Any]:
     import scipy
 
     from repro.knobs import knob
-    from repro.native.chain import resolve_chain_backend
+    from repro.native.chain import resolve_multichain_backend
     from repro.native.sampling import resolve_sampler_backend
     from repro.runtime import (
         FAULT_INJECT_ENV,
@@ -146,7 +146,7 @@ def environment_fingerprint() -> dict[str, Any]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
         "counting_backend": resolve_kernel_backend(),
-        "chain_backend": resolve_chain_backend(),
+        "chain_backend": resolve_multichain_backend(),
         "sampler_backend": resolve_sampler_backend(),
         "n_jobs": resolve_n_jobs(),
         "trial_retries": resolve_trial_retries(),

@@ -36,20 +36,17 @@ from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.likelihood import PermutationSampler
 from repro.kronecker.sampling import sample_skg_naive
-from repro.native import chain as native_chain
+from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
 
 
 def _backend_params() -> list:
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.multichain_backend_available(name):
+        if MULTICHAIN_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
-            reason = (
-                f"{name} backend unavailable: "
-                f"{native_chain.multichain_backend_error(name)}"
-            )
+            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
 

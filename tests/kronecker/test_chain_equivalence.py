@@ -2,8 +2,8 @@
 
 KronFit's gradient estimates ride on the permutation chain of
 :class:`repro.kronecker.likelihood.PermutationSampler`, so every
-execution engine — the numpy reference and the fused numba / compiled-C
-multichain kernel of :mod:`repro.native.chain`, run at S=1 — must
+execution engine — the numpy reference and the compiled-C multichain
+kernel of :mod:`repro.native.chain`, run at S=1 — must
 produce **bit-identical** σ trajectories, profile histograms, and
 acceptance counts for every backend × kernel batch size × graph family ×
 θ cell.  This module is that
@@ -19,8 +19,8 @@ contracts around it:
   (``test_multichain_equivalence.py`` covers the resolution rules);
 * KronFit end-to-end — whole fits are bit-identical across engines.
 
-Backends unavailable on the host (e.g. numba not installed) appear as
-explicit skips, so the CI numba job variant proves the full matrix ran.
+Backends unavailable on the host (e.g. no C compiler) appear as
+explicit skips, which CI treats as failures, so the full matrix runs.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.kronecker.likelihood import (
 )
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
+from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
 
 
@@ -50,13 +51,10 @@ def _backend_params() -> list:
     """One param per chain engine; unavailable ones become visible skips."""
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.multichain_backend_available(name):
+        if MULTICHAIN_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
-            reason = (
-                f"{name} backend unavailable: "
-                f"{native_chain.multichain_backend_error(name)}"
-            )
+            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
 
@@ -217,26 +215,21 @@ class TestChainBackendSelection:
         assert native_chain.resolve_chain_backend() == "numpy"
 
     def test_invalid_name_rejected(self):
-        with pytest.raises(ValidationError, match="kernel backend"):
-            native_chain.resolve_chain_backend("fortran")
+        for name in ("fortran", "numba"):
+            with pytest.raises(ValidationError, match="kernel backend"):
+                native_chain.resolve_chain_backend(name)
 
-    def test_missing_numba_fails_loudly(self, monkeypatch):
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
         monkeypatch.setitem(
-            native_chain.MULTICHAIN_KERNEL.states,
-            "numba",
-            (None, "numba is not installed"),
+            MULTICHAIN_KERNEL.states, "cext", (None, "no C compiler found")
         )
         graph, k = family_graph("skg-k5")
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            PermutationSampler(graph, k, THETAS["paper"], backend="numba")
+        with pytest.raises(ValidationError, match="no C compiler found"):
+            PermutationSampler(graph, k, THETAS["paper"], backend="cext")
 
     def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
         for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(
-                native_chain.MULTICHAIN_KERNEL.states,
-                name,
-                (None, f"{name} disabled"),
-            )
+            monkeypatch.setitem(MULTICHAIN_KERNEL.states, name, (None, f"{name} disabled"))
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
         graph, k = family_graph("near-empty-k3")
         sampler = PermutationSampler(graph, k, THETAS["paper"])

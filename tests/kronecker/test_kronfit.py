@@ -12,7 +12,7 @@ from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.sampling import sample_skg
-from repro.native import chain as native_chain
+from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
 
 
@@ -91,13 +91,11 @@ class TestKronFitEdgeCases:
         from repro.errors import ValidationError
 
         monkeypatch.setitem(
-            native_chain.MULTICHAIN_KERNEL.states,
-            "numba",
-            (None, "numba is not installed"),
+            MULTICHAIN_KERNEL.states, "cext", (None, "no C compiler found")
         )
         graph = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            KronFitEstimator(n_iterations=1, backend="numba").fit(graph)
+        with pytest.raises(ValidationError, match="no C compiler found"):
+            KronFitEstimator(n_iterations=1, backend="cext").fit(graph)
 
 
 class TestAcceptanceRateOnTinyGraphs:
@@ -218,13 +216,10 @@ def _fit_digest(result) -> str:
 def _native_backend_params() -> list:
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.multichain_backend_available(name):
+        if MULTICHAIN_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
-            reason = (
-                f"{name} backend unavailable: "
-                f"{native_chain.multichain_backend_error(name)}"
-            )
+            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
 

@@ -15,13 +15,13 @@ same graph families the solo matrix pins
 * backend selection — naming an unavailable engine fails loudly,
   ``auto`` silently falls back to the numpy reference, ``scipy``
   aliases it (one ``REPRO_KERNEL_BACKEND`` value drives every family);
-* KronFit end-to-end — a multi-start fit on every fused engine selects
+* KronFit end-to-end — a multi-start fit on the fused engine selects
   the same winner, with bit-identical per-start results, as the numpy
   reference engine, and its start 0 is the single-start fit seeded with
   start 0's ``SeedSequence`` child.
 
-Backends unavailable on the host (e.g. numba not installed) appear as
-explicit skips, so the CI numba job variant proves the full matrix ran.
+Backends unavailable on the host (e.g. no C compiler) appear as
+explicit skips, which CI treats as failures, so the full matrix runs.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.kronecker.likelihood import (
 )
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
+from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import (
     KERNEL_BACKEND_ENV,
     KERNEL_THREADS_ENV,
@@ -56,13 +57,10 @@ def _backend_params() -> list:
     """One param per multichain engine; unavailable ones become skips."""
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.multichain_backend_available(name):
+        if MULTICHAIN_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
-            reason = (
-                f"{name} backend unavailable: "
-                f"{native_chain.multichain_backend_error(name)}"
-            )
+            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
 
@@ -208,42 +206,33 @@ class TestMultiChainBackendSelection:
     def test_resolution_values(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
         assert native_chain.resolve_multichain_backend() in (
-            native_chain.available_multichain_backends()
+            MULTICHAIN_KERNEL.available_backends()
         )
         assert native_chain.resolve_multichain_backend("numpy") == "numpy"
         assert native_chain.resolve_multichain_backend("scipy") == "numpy"
 
-    def test_missing_numba_fails_loudly(self, monkeypatch):
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
         monkeypatch.setitem(
-            native_chain.MULTICHAIN_KERNEL.states,
-            "numba",
-            (None, "numba is not installed"),
+            MULTICHAIN_KERNEL.states, "cext", (None, "no C compiler found")
         )
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            native_chain.resolve_multichain_backend("numba")
+        with pytest.raises(ValidationError, match="no C compiler found"):
+            native_chain.resolve_multichain_backend("cext")
         graph, k = family_graph("skg-k5")
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            MultiChainSampler(graph, k, [THETA_CYCLE[0]], backend="numba")
+        with pytest.raises(ValidationError, match="no C compiler found"):
+            MultiChainSampler(graph, k, [THETA_CYCLE[0]], backend="cext")
 
     def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
         for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(
-                native_chain.MULTICHAIN_KERNEL.states,
-                name,
-                (None, f"{name} disabled"),
-            )
+            monkeypatch.setitem(MULTICHAIN_KERNEL.states, name, (None, f"{name} disabled"))
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
         assert native_chain.resolve_multichain_backend() == "numpy"
-        assert native_chain.available_multichain_backends() == ("numpy",)
+        assert MULTICHAIN_KERNEL.available_backends() == ("numpy",)
         graph, k = family_graph("near-empty-k3")
         sampler = MultiChainSampler(graph, k, [THETA_CYCLE[1]])
         assert sampler.backend == "numpy"
 
     @pytest.mark.skipif(
-        not any(
-            native_chain.multichain_backend_available(name)
-            for name in NATIVE_BACKENDS
-        ),
+        not any(MULTICHAIN_KERNEL.available(name) for name in NATIVE_BACKENDS),
         reason="no fused multichain backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):

@@ -1,10 +1,10 @@
 """Cross-backend equivalence harness for the grass-hopping sampler kernels.
 
 :func:`repro.kronecker.sampling.sample_skg` executes its per-class Floyd
-selection + combination unranking on one of three engines — the pure
-Python reference and the fused numba / compiled-C kernels of
+selection + combination unranking on one of two engines — the pure
+Python reference and the compiled-C kernel of
 :mod:`repro.native.sampling` — behind the same ``REPRO_KERNEL_BACKEND``
-knob as the counting and chain kernels.  All engines consume identical
+knob as the counting and chain kernels.  Both engines consume identical
 pre-drawn streams (the draw contract), so the sampled graph must be
 **bit-identical** across engines for every (seed, k, initiator) cell.
 This module is that matrix (the chain-equivalence pattern of
@@ -12,8 +12,8 @@ This module is that matrix (the chain-equivalence pattern of
 knob's contracts: naming an unavailable engine fails loudly, ``auto``
 silently falls back to the reference, ``scipy`` aliases it.
 
-Backends unavailable on the host (e.g. numba not installed) appear as
-explicit skips, so the CI numba job variant proves the full matrix ran.
+Backends unavailable on the host (e.g. no C compiler) appear as
+explicit skips, which CI treats as failures, so the full matrix runs.
 """
 
 from __future__ import annotations
@@ -28,19 +28,17 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg, sample_skg_naive
 from repro.native import sampling as native_sampling
 from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
+from repro.native.sampling import SAMPLER_KERNEL
 
 
 def _backend_params() -> list:
     """One param per sampler engine; unavailable ones become visible skips."""
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_sampling.sampler_backend_available(name):
+        if SAMPLER_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
-            reason = (
-                f"{name} backend unavailable: "
-                f"{native_sampling.sampler_backend_error(name)}"
-            )
+            reason = f"{name} backend unavailable: {SAMPLER_KERNEL.error(name)}"
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
 
@@ -131,7 +129,7 @@ class TestSamplerBackendSelection:
     def test_resolution_values(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
         assert native_sampling.resolve_sampler_backend() in (
-            native_sampling.available_sampler_backends()
+            SAMPLER_KERNEL.available_backends()
         )
         assert native_sampling.resolve_sampler_backend("numpy") == "numpy"
         # One REPRO_KERNEL_BACKEND value drives all three kernel families,
@@ -143,38 +141,30 @@ class TestSamplerBackendSelection:
         assert native_sampling.resolve_sampler_backend() == "numpy"
 
     def test_invalid_name_rejected(self):
-        with pytest.raises(ValidationError, match="kernel backend"):
-            native_sampling.resolve_sampler_backend("fortran")
+        for name in ("fortran", "numba"):
+            with pytest.raises(ValidationError, match="kernel backend"):
+                native_sampling.resolve_sampler_backend(name)
 
-    def test_missing_numba_fails_loudly(self, monkeypatch):
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
         monkeypatch.setitem(
-            native_sampling.SAMPLER_KERNEL.states,
-            "numba",
-            (None, "numba is not installed"),
+            SAMPLER_KERNEL.states, "cext", (None, "no C compiler found")
         )
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            native_sampling.resolve_sampler_backend("numba")
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0, backend="numba")
+        with pytest.raises(ValidationError, match="no C compiler found"):
+            native_sampling.resolve_sampler_backend("cext")
+        with pytest.raises(ValidationError, match="no C compiler found"):
+            sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0, backend="cext")
 
     def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
         for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(
-                native_sampling.SAMPLER_KERNEL.states,
-                name,
-                (None, f"{name} disabled"),
-            )
+            monkeypatch.setitem(SAMPLER_KERNEL.states, name, (None, f"{name} disabled"))
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
         assert native_sampling.resolve_sampler_backend() == "numpy"
-        assert native_sampling.available_sampler_backends() == ("numpy",)
+        assert SAMPLER_KERNEL.available_backends() == ("numpy",)
         graph = sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0)
         assert graph.n_nodes == 16
 
     @pytest.mark.skipif(
-        not any(
-            native_sampling.sampler_backend_available(name)
-            for name in NATIVE_BACKENDS
-        ),
+        not any(SAMPLER_KERNEL.available(name) for name in NATIVE_BACKENDS),
         reason="no fused sampler backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):

@@ -3,7 +3,7 @@
 The paper's utility experiments hinge on exact triangle/wedge counts and
 the smooth-sensitivity quantity max-common-neighbours, so every execution
 backend of :func:`repro.stats.kernels.triangle_pass` — the blocked scipy
-SpGEMM and the fused numba/C kernels — must be **bit-identical** to the
+SpGEMM and the fused C kernel — must be **bit-identical** to the
 pre-blocking reference oracles, for every block size and graph family.
 This module is that systematic matrix, plus the contracts around backend
 selection:
@@ -13,8 +13,8 @@ selection:
 * ``auto`` silently falls back to scipy when no fused backend can run;
 * spectral memoization performs zero extra adjacency conversions.
 
-Backends unavailable on the host (e.g. numba not installed) appear as
-explicit skips, so the CI numba job variant proves the full matrix ran.
+Backends unavailable on the host (e.g. no C compiler) appear as
+explicit skips, which CI treats as failures, so the full matrix runs.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
-from repro.native.counting import (
-    COUNTING_KERNEL,
-    FUSED_BACKENDS,
-    backend_available,
-)
+from repro.native.counting import COUNTING_KERNEL
+from repro.native.registry import NATIVE_BACKENDS
 from repro.stats.kernels import (
     KERNEL_BACKEND_ENV,
     TrianglePassResult,
@@ -55,8 +52,8 @@ from repro.stats.spectral import network_values, singular_values
 def _backend_params() -> list:
     """One param per backend; unavailable ones become visible skips."""
     params = []
-    for name in ("scipy",) + FUSED_BACKENDS:
-        if name == "scipy" or backend_available(name):
+    for name in ("scipy",) + NATIVE_BACKENDS:
+        if name == "scipy" or COUNTING_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
             reason = f"{name} backend unavailable: {COUNTING_KERNEL.error(name)}"
@@ -196,27 +193,29 @@ class TestBackendResolution:
         assert resolve_kernel_backend() in available_kernel_backends()
 
     def test_explicit_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numba")
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, "cext")
         assert resolve_kernel_backend("scipy") == "scipy"
 
     def test_invalid_argument_rejected(self):
-        with pytest.raises(ValidationError, match="kernel backend"):
-            resolve_kernel_backend("fortran")
+        for name in ("fortran", "numba"):
+            with pytest.raises(ValidationError, match="kernel backend"):
+                resolve_kernel_backend(name)
 
     def test_invalid_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "fortran")
-        with pytest.raises(ValidationError, match=KERNEL_BACKEND_ENV):
-            resolve_kernel_backend()
+        for name in ("fortran", "numba"):
+            monkeypatch.setenv(KERNEL_BACKEND_ENV, name)
+            with pytest.raises(ValidationError, match=KERNEL_BACKEND_ENV):
+                resolve_kernel_backend()
 
-    def test_missing_numba_fails_loudly(self, monkeypatch):
-        """REPRO_KERNEL_BACKEND=numba without numba is a clear, loud error."""
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
+        """REPRO_KERNEL_BACKEND=cext without a compiler is a clear, loud error."""
         monkeypatch.setitem(
-            COUNTING_KERNEL.states, "numba", (None, "numba is not installed")
+            COUNTING_KERNEL.states, "cext", (None, "no C compiler found")
         )
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numba")
-        with pytest.raises(ValidationError, match="numba is not installed"):
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, "cext")
+        with pytest.raises(ValidationError, match="no C compiler found"):
             resolve_kernel_backend()
-        with pytest.raises(ValidationError, match="numba is not installed"):
+        with pytest.raises(ValidationError, match="no C compiler found"):
             triangle_pass(family_graph("star"))
 
     def test_edgeless_graphs_still_validate_knobs(self):
@@ -228,7 +227,7 @@ class TestBackendResolution:
 
     def test_auto_silently_falls_back_to_scipy(self, monkeypatch):
         """With every fused backend unavailable, auto degrades without noise."""
-        for name in FUSED_BACKENDS:
+        for name in NATIVE_BACKENDS:
             monkeypatch.setitem(
                 COUNTING_KERNEL.states, name, (None, f"{name} disabled")
             )
@@ -239,7 +238,7 @@ class TestBackendResolution:
         assert_bit_identical(graph, family_reference("clique"), None, 0)
 
     @pytest.mark.skipif(
-        not any(backend_available(name) for name in FUSED_BACKENDS),
+        not any(COUNTING_KERNEL.available(name) for name in NATIVE_BACKENDS),
         reason="no fused backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):

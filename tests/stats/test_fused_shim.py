@@ -30,5 +30,6 @@ class TestFusedShimRemoved:
         """The migration target named by the old deprecation warning must
         keep exporting what the shim re-exported."""
         counting = importlib.import_module("repro.native.counting")
+        registry = importlib.import_module("repro.native.registry")
         assert hasattr(counting, "COUNTING_KERNEL")
-        assert hasattr(counting, "FUSED_BACKENDS")
+        assert registry.NATIVE_BACKENDS == ("cext",)

@@ -198,12 +198,12 @@ class TestBenchArtifactSchema:
                 "quick": True,
                 "kernel_backend": "numpy",
                 "speedup_floor": {"workload": "w", "measured": speedup},
-                "fused_speedup_floor": {"backend": "numba", "measured": speedup},
+                "fused_speedup_floor": {"backend": "cext", "measured": speedup},
             }
             kronfit = {
                 "quick": True,
                 "fused_fit_floor": {
-                    "workload": "w", "backend": "numba", "measured": speedup
+                    "workload": "w", "backend": "cext", "measured": speedup
                 },
             }
             stats_path = directory / "stats.json"

@@ -243,8 +243,9 @@ class TestKernelBackendOption:
         assert os.environ["REPRO_KERNEL_BACKEND"] == "scipy"
 
     def test_unknown_backend_rejected_by_argparse(self, edge_list_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["--kernel-backend", "fortran", "summarize", str(edge_list_file)])
+        for name in ("fortran", "numba"):
+            with pytest.raises(SystemExit):
+                main(["--kernel-backend", name, "summarize", str(edge_list_file)])
 
     def test_unavailable_backend_fails_loudly(
         self, edge_list_file, capsys, monkeypatch
@@ -253,13 +254,13 @@ class TestKernelBackendOption:
         from repro.native.counting import COUNTING_KERNEL
 
         monkeypatch.setitem(
-            COUNTING_KERNEL.states, "numba", (None, "numba is not installed")
+            COUNTING_KERNEL.states, "cext", (None, "no C compiler found")
         )
-        code = main(["--kernel-backend", "numba", "summarize", str(edge_list_file)])
+        code = main(["--kernel-backend", "cext", "summarize", str(edge_list_file)])
         assert code == 1
         error = capsys.readouterr().err
         assert "error:" in error
-        assert "numba is not installed" in error
+        assert "no C compiler found" in error
 
 
 class TestRunScenario:
