@@ -15,10 +15,7 @@ datasets, comparing
 On top of the combined path, each workload records the **backend
 trajectory** of the pass itself — the blocked ``scipy`` SpGEMM versus the
 fused compiled-C ``cext`` kernel, each timed on the same pass and checked
-bit-identical — and a **parallel trajectory**: the pass
-forced into many row blocks and fanned across the :mod:`repro.runtime`
-pool at n_jobs ∈ {1, 2, 4}.  Backends the host cannot run are recorded
-as unavailable with the reason, so the artifact states exactly what was
+bit-identical.  Backends the host cannot run are recorded as unavailable with the reason, so the artifact states exactly what was
 measured where.
 
 Counts must be bit-identical; the k=14 draw must show a >= 3x wall-clock
@@ -32,9 +29,8 @@ Run directly (no pytest needed)::
     python benchmarks/bench_stats.py            # full matrix, asserts floors
     python benchmarks/bench_stats.py --quick    # CI smoke subset
 
-Knobs: ``REPRO_BLOCK_SIZE`` caps the pass's rows per block (the bench
-also records a forced 256-row blocked run to show the memory head-room);
-``REPRO_KERNEL_BACKEND`` selects the combined path's engine.
+The bench also records a forced 256-row blocked run to show the memory
+head-room; ``REPRO_KERNEL_BACKEND`` selects the combined path's engine.
 """
 
 from __future__ import annotations
@@ -69,8 +65,10 @@ from repro.stats.kernels import available_kernel_backends, stats_context, triang
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
 # the committed artifact in sync.  2 = added schema_version itself (the
 # PR 3 layout was the unversioned v1); 3 = added the large-k scale rows
-# (native grass-hopping sampler trajectory + KronMom at k ∈ {16, 18, 20}).
-SCHEMA_VERSION = 3
+# (native grass-hopping sampler trajectory + KronMom at k ∈ {16, 18, 20});
+# 4 = dropped the per-workload "parallel" trajectory and the top-level
+# "block_size" provenance key (the pass is serial, its block size auto).
+SCHEMA_VERSION = 4
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_stats.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -81,8 +79,6 @@ FORCED_BLOCK_SIZE = 256
 # Fused kernels must beat the blocked scipy pass by this factor on the
 # floor workload (pass-vs-pass, not the combined consumer path).
 FUSED_SPEEDUP_FLOOR = 2.0
-PARALLEL_N_JOBS = (1, 2, 4)
-PARALLEL_TARGET_BLOCKS = 32
 
 # The large-k scale rows (PR 8): the native grass-hopping sampler and the
 # KronMom moment fit at orders far beyond the paper's k=14.  The fused
@@ -155,7 +151,7 @@ def bench_backends(graph: Graph, repeats: int) -> dict:
     bit-identical against the scipy pass; unavailable backends are
     recorded with the reason so the artifact is explicit about coverage.
     """
-    scipy_result = triangle_pass(graph, None, "scipy")
+    scipy_result = triangle_pass(graph, 0, "scipy")
     records: dict[str, dict] = {}
     for backend in (COUNTING_KERNEL.reference,) + NATIVE_BACKENDS:
         if backend != "scipy" and not COUNTING_KERNEL.available(backend):
@@ -164,7 +160,7 @@ def bench_backends(graph: Graph, repeats: int) -> dict:
                 "reason": COUNTING_KERNEL.error(backend),
             }
             continue
-        result = triangle_pass(graph, None, backend)
+        result = triangle_pass(graph, 0, backend)
         identical = (
             result.triangles == scipy_result.triangles
             and result.max_common_neighbors == scipy_result.max_common_neighbors
@@ -172,45 +168,13 @@ def bench_backends(graph: Graph, repeats: int) -> dict:
         )
         if not identical:
             raise AssertionError(f"backend {backend} diverges from the scipy pass")
-        seconds = time_best(lambda: triangle_pass(graph, None, backend), repeats)
+        seconds = time_best(lambda: triangle_pass(graph, 0, backend), repeats)
         records[backend] = {"available": True, "seconds": seconds}
     scipy_seconds = records["scipy"]["seconds"]
     for record in records.values():
         if record.get("available"):
             record["speedup_vs_scipy"] = scipy_seconds / record["seconds"]
     return records
-
-
-def bench_parallel(graph: Graph, repeats: int) -> dict:
-    """Block fan-out trajectory: the same pass at n_jobs in {1, 2, 4}.
-
-    The block size is forced so the pass splits into many blocks (the
-    auto budget would make graphs this small single-block); n_jobs=1 is
-    the in-process reduction over those blocks, larger values fan the
-    block groups across the repro.runtime pool.  Results are asserted
-    bit-identical across worker counts.
-    """
-    block_size = max(1, -(-graph.n_nodes // PARALLEL_TARGET_BLOCKS))
-    serial = triangle_pass(graph, block_size, n_jobs=1)
-    jobs: dict[str, float] = {}
-    for n_jobs in PARALLEL_N_JOBS:
-        result = triangle_pass(graph, block_size, n_jobs=n_jobs)
-        if not (
-            result.triangles == serial.triangles
-            and result.max_common_neighbors == serial.max_common_neighbors
-            and np.array_equal(result.per_node, serial.per_node)
-        ):
-            raise AssertionError(f"parallel pass diverges at n_jobs={n_jobs}")
-        jobs[str(n_jobs)] = time_best(
-            lambda: triangle_pass(graph, block_size, n_jobs=n_jobs),
-            max(2, repeats // 2),
-        )
-    return {
-        "block_size": block_size,
-        "n_blocks": serial.n_blocks,
-        "bit_identical": True,
-        "seconds_by_n_jobs": jobs,
-    }
 
 
 def bench_large_k(k: int, repeats: int) -> dict:
@@ -348,7 +312,6 @@ def bench_workload(name: str, graph: Graph, repeats: int) -> dict:
         f"kernel_block{FORCED_BLOCK_SIZE}_peak_bytes": blocked_peak,
         "counts_identical": identical,
         "backends": bench_backends(graph, repeats),
-        "parallel": bench_parallel(graph, repeats),
     }
     return record
 
@@ -437,9 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": arguments.repeats,
         "combined_path": "triangles + local sensitivity + local clustering",
         # Provenance via the shared experiment configuration, which mirrors
-        # the REPRO_BLOCK_SIZE / REPRO_KERNEL_BACKEND knobs the kernels
-        # consult at pass time.
-        "block_size": configuration.block_size,
+        # the REPRO_KERNEL_BACKEND knob the kernels consult at pass time.
         "kernel_backend": configuration.kernel_backend,
         "kernel_backends_available": list(available_kernel_backends()),
         "speedup_floor": {

@@ -65,18 +65,16 @@ Subcommands::
 ``GRAPH`` is either a registered dataset name (see ``datasets``) or a path
 to a SNAP-format edge list (optionally gzipped).
 
-The global ``--block-size N`` option (before the subcommand) bounds the
-peak memory of the blocked A² counting pass by running it N rows at a
-time; the default 0 auto-tunes the block size from a memory budget.  The
-global ``--kernel-backend {auto,scipy,numpy,cext}`` option selects the
+The global ``--kernel-backend {auto,scipy,numpy,cext}`` option selects the
 execution engine of every native-kernel family — the A² counting pass,
 the KronFit Metropolis chain and the SKG sampler: ``auto`` (default)
 prefers the compiled-C ``cext`` kernels and falls back to the pure-Python
 references (blocked scipy SpGEMM / numpy chain and sampler); naming an
-unavailable backend fails with a clear error.  All results are bit-identical for any block size and backend
-(``repro --block-size 64 --kernel-backend scipy summarize ca-grqc``
-equals ``repro summarize ca-grqc``, and ``repro --kernel-backend scipy
-fit ca-grqc --method kronfit --seed 0`` equals the fused-kernel fit).
+unavailable backend fails with a clear error.  All results are
+bit-identical for any backend (``repro --kernel-backend scipy summarize
+ca-grqc`` equals ``repro summarize ca-grqc``, and ``repro
+--kernel-backend scipy fit ca-grqc --method kronfit --seed 0`` equals the
+fused-kernel fit).
 """
 
 from __future__ import annotations
@@ -96,12 +94,7 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
 from repro.knobs import KERNEL_BACKEND_CHOICES, default
 from repro.native.registry import KERNEL_THREADS_ENV, resolve_kernel_threads
-from repro.stats.kernels import (
-    BLOCK_SIZE_ENV,
-    KERNEL_BACKEND_ENV,
-    resolve_block_size,
-    resolve_kernel_backend,
-)
+from repro.stats.kernels import KERNEL_BACKEND_ENV, resolve_kernel_backend
 from repro.stats.summary import summarize
 from repro.utils.tables import TextTable
 from repro.utils.validation import check_integer
@@ -114,17 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Differentially private stochastic Kronecker graph estimation",
-    )
-    parser.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        dest="block_size",
-        help=(
-            "rows per block of the A² counting pass (sets REPRO_BLOCK_SIZE; "
-            "0 = auto-tuned by memory budget; statistics are bit-identical "
-            "for any value)"
-        ),
     )
     parser.add_argument(
         "--kernel-backend",
@@ -440,14 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
     try:
-        if arguments.block_size is not None:
-            # Validate eagerly, then publish through the environment: the
-            # counting kernels read REPRO_BLOCK_SIZE at pass time.
-            resolve_block_size(arguments.block_size)
-            os.environ[BLOCK_SIZE_ENV] = str(arguments.block_size)
         if arguments.kernel_backend is not None:
-            # Same pattern; resolving eagerly makes an unavailable backend
-            # (e.g. --kernel-backend cext without a C compiler) fail loudly here
+            # Validate eagerly, then publish through the environment: the
+            # native kernels read REPRO_KERNEL_BACKEND at call time.
+            # Resolving here makes an unavailable backend (e.g.
+            # --kernel-backend cext without a C compiler) fail loudly
             # rather than mid-pipeline.
             resolve_kernel_backend(arguments.kernel_backend)
             os.environ[KERNEL_BACKEND_ENV] = arguments.kernel_backend

@@ -95,8 +95,6 @@ _TABLE = (
          "Trial-engine worker processes (<= 0 = all cores)"),
     Knob("REPRO_CACHE_DIR", "path", None, None,
          "On-disk trial cache directory"),
-    Knob("REPRO_BLOCK_SIZE", "int", 0, _integer(0),
-         "Rows per block of the A² counting pass (0 = auto)"),
     Knob("REPRO_KERNEL_BACKEND", "choice", "auto", KERNEL_BACKEND_CHOICES,
          "Engine of every native kernel family"),
     Knob("REPRO_KERNEL_THREADS", "int", 1, _integer(),

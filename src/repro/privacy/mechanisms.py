@@ -3,8 +3,7 @@
 :func:`laplace_mechanism` is the classic Dwork–McSherry–Nissim–Smith
 mechanism (the paper's Theorem 4.5): adding ``Lap(GS_Q / ε)`` noise to each
 coordinate of a query with L1 global sensitivity ``GS_Q`` gives
-(ε, 0)-differential privacy.  :func:`geometric_mechanism` is its discrete
-counterpart for integer-valued counts (used by the extension benches).
+(ε, 0)-differential privacy.
 
 Randomness policy: see :mod:`repro.utils.rng` — numpy's PCG64, adequate for
 the paper's experimental study but not a hardened CSPRNG.
@@ -17,7 +16,7 @@ import numpy as np
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive
 
-__all__ = ["laplace_noise", "laplace_mechanism", "geometric_mechanism"]
+__all__ = ["laplace_noise", "laplace_mechanism"]
 
 
 def laplace_noise(scale: float, size: int | tuple[int, ...], seed: SeedLike = None) -> np.ndarray:
@@ -47,32 +46,3 @@ def laplace_mechanism(
         return float(noisy[0] if noisy.shape else noisy)
     return noisy
 
-
-def geometric_mechanism(
-    value: int | np.ndarray,
-    sensitivity: int,
-    epsilon: float,
-    seed: SeedLike = None,
-) -> np.ndarray | int:
-    """(ε, 0)-DP release of integer counts via the two-sided geometric
-    mechanism (Ghosh–Roughgarden–Sundararajan).
-
-    Noise is ``X − Y`` with X, Y iid Geometric(1 − α), α = exp(−ε/GS); the
-    output stays integral, which matters when a release must remain a
-    plausible count.
-    """
-    if sensitivity < 1:
-        raise ValueError(f"sensitivity must be a positive integer, got {sensitivity}")
-    epsilon = check_positive(epsilon, "epsilon")
-    rng = as_generator(seed)
-    alpha = float(np.exp(-epsilon / sensitivity))
-    array = np.asarray(value, dtype=np.int64)
-    shape = array.shape or (1,)
-    # rng.geometric counts trials to first success (support {1, 2, ...});
-    # subtracting two iid copies gives the symmetric two-sided distribution.
-    positive = rng.geometric(1.0 - alpha, size=shape)
-    negative = rng.geometric(1.0 - alpha, size=shape)
-    noisy = array + (positive - negative)
-    if array.shape == ():
-        return int(noisy[0])
-    return noisy

@@ -16,8 +16,7 @@ such lists through one engine:
 * :class:`TrialFailure` — the structured stand-in a permanently failed
   trial leaves in the results under the ``on_error="collect"`` policy.
 
-Parallel runs reuse one **persistent worker pool** across calls (and
-across the blocked counting passes that fan through the same engine), so
+Parallel runs reuse one **persistent worker pool** across calls, so
 consecutive ensembles pay the worker start-up cost once;
 :func:`shutdown_pool` releases it.  The persistent pool is the only
 executor lifecycle.

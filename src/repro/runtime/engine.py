@@ -285,9 +285,8 @@ def _shared_graph_params(
 ) -> list[Graph]:
     """Distinct Graph instances appearing in the pending specs' params.
 
-    Deduplicated by identity: fan-outs (ensemble trials, block groups)
-    reference one graph object from many specs, and one segment serves
-    them all.
+    Deduplicated by identity: specs that reference one graph object
+    share one segment.
     """
     seen: dict[int, Graph] = {}
     for position in pending:

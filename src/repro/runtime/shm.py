@@ -2,13 +2,15 @@
 
 Every pool task whose params carry a :class:`~repro.graphs.graph.Graph`
 used to pickle the graph's canonical edge arrays into the task payload —
-per *task*.  Multi-start KronFit fans S starts over the same graph, the
-parallel counting pass fans B block groups over the same graph; at 10⁶
-edges that is S (or B) × 16 MB of serialization for bytes every worker
-could share.  This module publishes the canonical arrays once into POSIX
-shared memory (:mod:`multiprocessing.shared_memory`) and lets the
-graph's pickle reduce to a ~100-byte token for the duration of a trial
-session.
+per *task*; at 10⁶ edges that is 16 MB of serialization per task for
+bytes a worker could map instead.  The graph-carrying tasks today are
+the per-graph counting trials of
+:func:`repro.core.synthesis.ensemble_matching_statistics` and any
+caller-built :class:`~repro.runtime.TrialSpec` whose params hold a graph
+(a graph referenced by many specs shares one segment).  This module
+publishes the canonical arrays once into POSIX shared memory
+(:mod:`multiprocessing.shared_memory`) and lets the graph's pickle
+reduce to a ~100-byte token for the duration of a trial session.
 
 How the pieces fit:
 

@@ -49,12 +49,6 @@ __all__ = [
     "SERVE_BUDGET_DELTA_ENV",
     "SERVE_LEDGER_DIR_ENV",
     "SERVE_MAX_SAMPLES_ENV",
-    "resolve_serve_queue",
-    "resolve_serve_timeout",
-    "resolve_serve_drain",
-    "resolve_serve_breaker",
-    "resolve_serve_budget_epsilon",
-    "resolve_serve_max_samples",
 ]
 
 SERVE_QUEUE_ENV = "REPRO_SERVE_QUEUE"
@@ -66,49 +60,6 @@ SERVE_BUDGET_DELTA_ENV = "REPRO_SERVE_BUDGET_DELTA"
 SERVE_LEDGER_DIR_ENV = "REPRO_SERVE_LEDGER_DIR"
 SERVE_MAX_SAMPLES_ENV = "REPRO_SERVE_MAX_SAMPLES"
 
-DEFAULT_QUEUE = default(SERVE_QUEUE_ENV)
-DEFAULT_TIMEOUT = default(SERVE_TIMEOUT_ENV)
-DEFAULT_DRAIN = default(SERVE_DRAIN_ENV)
-DEFAULT_BREAKER = default(SERVE_BREAKER_ENV)
-DEFAULT_BUDGET_EPSILON = default(SERVE_BUDGET_EPSILON_ENV)
-DEFAULT_BUDGET_DELTA = default(SERVE_BUDGET_DELTA_ENV)
-
-# Per-request cap on synthetic graphs: purely protective (a request
-# asking for thousands would hold its admission slot for minutes).
-# Kept under its historical name for callers that import the constant.
-DEFAULT_MAX_SAMPLES = default(SERVE_MAX_SAMPLES_ENV)
-MAX_SAMPLES_PER_REQUEST = DEFAULT_MAX_SAMPLES
-
-
-def resolve_serve_queue(queue: int | None = None) -> int:
-    """Admission capacity (``REPRO_SERVE_QUEUE``; at least 1)."""
-    return knob(SERVE_QUEUE_ENV, queue)
-
-
-def resolve_serve_timeout(timeout: float | None = None) -> float:
-    """Per-request deadline in seconds (``REPRO_SERVE_TIMEOUT``)."""
-    return knob(SERVE_TIMEOUT_ENV, timeout)
-
-
-def resolve_serve_drain(drain: float | None = None) -> float:
-    """Graceful-drain deadline in seconds (``REPRO_SERVE_DRAIN``)."""
-    return knob(SERVE_DRAIN_ENV, drain)
-
-
-def resolve_serve_breaker(threshold: int | None = None) -> int:
-    """Consecutive pool breakages that trip the breaker (``REPRO_SERVE_BREAKER``)."""
-    return knob(SERVE_BREAKER_ENV, threshold)
-
-
-def resolve_serve_budget_epsilon(epsilon: float | None = None) -> float:
-    """Per-dataset ε budget (``REPRO_SERVE_BUDGET_EPSILON``)."""
-    return knob(SERVE_BUDGET_EPSILON_ENV, epsilon)
-
-
-def resolve_serve_max_samples(max_samples: int | None = None) -> int:
-    """Per-request synthetic-graph cap (``REPRO_SERVE_MAX_SAMPLES``; at least 1)."""
-    return knob(SERVE_MAX_SAMPLES_ENV, max_samples)
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -116,19 +67,19 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8377
-    queue_limit: int = DEFAULT_QUEUE
-    timeout: float = DEFAULT_TIMEOUT
-    drain_deadline: float = DEFAULT_DRAIN
-    breaker_threshold: int = DEFAULT_BREAKER
-    budget_epsilon: float = DEFAULT_BUDGET_EPSILON
-    budget_delta: float = DEFAULT_BUDGET_DELTA
+    queue_limit: int = default(SERVE_QUEUE_ENV)
+    timeout: float = default(SERVE_TIMEOUT_ENV)
+    drain_deadline: float = default(SERVE_DRAIN_ENV)
+    breaker_threshold: int = default(SERVE_BREAKER_ENV)
+    budget_epsilon: float = default(SERVE_BUDGET_EPSILON_ENV)
+    budget_delta: float = default(SERVE_BUDGET_DELTA_ENV)
     default_epsilon: float = default("REPRO_EPSILON")
     default_delta: float = default("REPRO_DELTA")
     n_jobs: int = default("REPRO_N_JOBS")
     pool_restarts: int = default("REPRO_POOL_RESTARTS")
     cache_dir: str | None = None
     ledger_dir: str | None = None
-    max_samples: int = DEFAULT_MAX_SAMPLES
+    max_samples: int = default(SERVE_MAX_SAMPLES_ENV)
     faults: ServeFaultPlan = field(default_factory=ServeFaultPlan)
 
     @classmethod

@@ -15,9 +15,9 @@ Everything derived from the sparse product ``A @ A`` is computed by the
 blocked kernels in :mod:`repro.stats.kernels` and memoized per graph in a
 :class:`~repro.stats.kernels.StatsContext`, so the whole per-trial
 pipeline (counts, sensitivity, clustering, spectra) runs one A² pass and
-one truncated SVD per graph.  The ``REPRO_BLOCK_SIZE`` environment knob
-bounds the pass's peak memory; ``REPRO_KERNEL_BACKEND`` selects the
-execution engine (``auto`` | ``scipy`` | ``cext`` — bit-identical,
+one truncated SVD per graph.  The pass sizes its row blocks against a
+fixed entry budget, which bounds its peak memory; ``REPRO_KERNEL_BACKEND``
+selects the execution engine (``auto`` | ``scipy`` | ``cext`` — bit-identical,
 the fused C kernel just runs faster).
 """
 

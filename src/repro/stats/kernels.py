@@ -13,10 +13,10 @@ This module fixes both costs:
 * :func:`triangle_pass` computes every reduction of ``A @ A`` in **row
   blocks**, streaming the results out of each block in a single pass, so
   peak memory is bounded and each path-2 contribution is produced exactly
-  once.  The block size comes from the ``REPRO_BLOCK_SIZE`` environment
-  knob; the auto-tuned default packs rows until a block's predicted
-  product size reaches a fixed entry budget, so small graphs run as one
-  block (no overhead) and large graphs stay within a bounded footprint.
+  once.  The block size is auto-tuned: rows are packed until a block's
+  predicted product size reaches a fixed entry budget, so small graphs
+  run as one block (no overhead) and large graphs stay within a bounded
+  footprint.
 * Two interchangeable **backends** execute the pass, selected by the
   ``REPRO_KERNEL_BACKEND`` knob (``auto`` | ``scipy`` | ``cext``): the
   blocked scipy SpGEMM, and a *fused* kernel
@@ -28,10 +28,6 @@ This module fixes both costs:
   is integer-exact, so both backends return **bit-identical** results
   for every block size (enforced by
   ``tests/stats/test_backend_equivalence.py``).
-* For large graphs the row blocks are embarrassingly parallel:
-  ``triangle_pass(..., n_jobs=4)`` fans contiguous block groups across
-  the :mod:`repro.runtime` process pool with a deterministic positional
-  reduction, so results are bit-identical at any worker count.
 * :class:`StatsContext` memoizes the pass (plus derived quantities,
   dtype conversions, and truncated-SVD triplets) per
   :class:`~repro.graphs.graph.Graph` instance, so ``matching_statistics``,
@@ -66,19 +62,15 @@ __all__ = [
     "stats_context",
     "kernel_pass_count",
     "float64_conversion_count",
-    "resolve_block_size",
     "resolve_kernel_backend",
     "available_kernel_backends",
     "row_blocks",
     "reference_count_triangles",
     "reference_triangles_per_node",
     "reference_max_common_neighbors",
-    "BLOCK_SIZE_ENV",
     "KERNEL_BACKEND_ENV",
     "KERNEL_BACKEND_CHOICES",
 ]
-
-BLOCK_SIZE_ENV = "REPRO_BLOCK_SIZE"
 
 # Auto-tuning budget: target number of stored entries in one row-block of
 # A @ A.  At int64 data plus index arrays this is roughly 64 MiB per block
@@ -134,11 +126,6 @@ class TrianglePassResult(NamedTuple):
     n_blocks: int
     wedges: int
     tripins: int
-
-
-def resolve_block_size(block_size: int | None = None) -> int:
-    """Rows per block (``REPRO_BLOCK_SIZE``; 0 = auto, see :func:`row_blocks`)."""
-    return knob(BLOCK_SIZE_ENV, block_size)
 
 
 def resolve_kernel_backend(backend: str | None = None) -> str:
@@ -261,9 +248,8 @@ def _int32_indexable(graph: Graph) -> bool:
 
 def triangle_pass(
     graph: Graph,
-    block_size: int | None = None,
+    block_size: int = 0,
     backend: str | None = None,
-    n_jobs: int = 1,
 ) -> TrianglePassResult:
     """One blocked pass over ``A @ A``, streaming every consumer reduction.
 
@@ -278,24 +264,16 @@ def triangle_pass(
     The triangle total is ``Σ_v t_v / 3``.  Every accumulating reduction
     is int64 and the per-entry arithmetic is exact in every backend, so
     results bit-match the unblocked int64 reference implementations for
-    every block size, backend, and ``n_jobs``.
-
-    ``n_jobs > 1`` fans contiguous groups of row blocks across the
-    :mod:`repro.runtime` process pool (``n_jobs <= 0`` = all cores); the
-    reduction is positional, so the result is identical at any worker
-    count.  The default is serial — deliberately *not* ``REPRO_N_JOBS``,
-    because passes frequently run inside trial-engine workers and must not
-    nest process pools.  Parallelism pays off only for graphs large enough
-    to split into many blocks (forcing a small ``block_size`` on a small
-    graph just buys the pool overhead).
+    every block size and backend.  ``block_size`` is the rows per block
+    (``0`` = auto, see :func:`row_blocks`).
     """
     n = graph.n_nodes
-    # Validate every knob before the edgeless early return, so a
-    # misconfigured pipeline (bad backend name, unavailable C kernel,
-    # broken n_jobs) fails loudly even when its first graph is empty.
+    # Validate every argument before the edgeless early return, so a
+    # misconfigured pipeline (bad backend name, unavailable C kernel, bad
+    # block size) fails loudly even when its first graph is empty.
+    block_size = check_integer(block_size, "block_size", minimum=0)
     requested = knob(KERNEL_BACKEND_ENV, backend)
     backend = resolve_kernel_backend(backend)
-    n_jobs = _resolve_pass_jobs(n_jobs)
     wedges, tripins = _degree_moments(graph.degrees)
     per_node = np.zeros(n, dtype=np.int64)
     if graph.n_edges == 0:
@@ -315,11 +293,8 @@ def triangle_pass(
                 f"CSR structure exceeds int32 indexing; use the scipy backend"
             )
         backend = "scipy"
-    blocks = row_blocks(graph, resolve_block_size(block_size))
-    if n_jobs > 1 and len(blocks) > 1:
-        max_common = _parallel_blocks(graph, backend, blocks, per_node, n_jobs)
-    else:
-        max_common = _run_blocks(graph, backend, blocks, per_node, 0)
+    blocks = row_blocks(graph, block_size)
+    max_common = _run_blocks(graph, backend, blocks, per_node)
     per_node.setflags(write=False)
     return TrianglePassResult(
         int(per_node.sum()) // 3, per_node, max_common, len(blocks), wedges, tripins
@@ -333,32 +308,17 @@ def _degree_moments(degrees: np.ndarray) -> tuple[int, int]:
     return wedges, tripins
 
 
-def _resolve_pass_jobs(n_jobs: int) -> int:
-    """The pass's worker count: the trial engine's rule, minus its env knob.
-
-    ``check_integer`` runs first so ``None`` can never fall through to
-    :func:`repro.runtime.resolve_n_jobs`'s ``REPRO_N_JOBS`` branch —
-    passes frequently execute inside trial-engine workers and must not
-    inherit a worker count that would nest process pools.
-    """
-    from repro.runtime.engine import resolve_n_jobs
-
-    return resolve_n_jobs(check_integer(n_jobs, "n_jobs"))
-
-
 def _run_blocks(
     graph: Graph,
     backend: str,
     blocks: list[tuple[int, int]],
     per_node: np.ndarray,
-    offset: int,
 ) -> int:
     """Execute ``blocks`` with ``backend``, writing per-node triangles into
-    ``per_node`` (whose index 0 corresponds to row ``offset``); returns the
-    off-diagonal maximum over the blocks.  Runs in workers too.
+    ``per_node``; returns the off-diagonal maximum over the blocks.
     """
     if backend == "scipy":
-        return _run_blocks_scipy(graph, blocks, per_node, offset)
+        return _run_blocks_scipy(graph, blocks, per_node)
     kernel = COUNTING_KERNEL.kernel(backend)
     indptr, indices = _fused_csr_arrays(graph)
     n = graph.n_nodes
@@ -367,8 +327,7 @@ def _run_blocks(
     max_common = 0
     for r0, r1 in blocks:
         block_max = kernel(
-            indptr, indices, r0, r1, per_node[r0 - offset : r1 - offset],
-            workspace, touched,
+            indptr, indices, r0, r1, per_node[r0:r1], workspace, touched
         )
         max_common = max(max_common, int(block_max))
     return max_common
@@ -378,7 +337,6 @@ def _run_blocks_scipy(
     graph: Graph,
     blocks: list[tuple[int, int]],
     per_node: np.ndarray,
-    offset: int,
 ) -> int:
     n = graph.n_nodes
     adjacency = _working_adjacency(graph)
@@ -389,7 +347,7 @@ def _run_blocks_scipy(
         if product.nnz == 0:
             continue
         on_edges = product.multiply(rows).astype(np.int64)
-        per_node[r0 - offset : r1 - offset] = np.asarray(on_edges.sum(axis=1)).ravel() // 2
+        per_node[r0:r1] = np.asarray(on_edges.sum(axis=1)).ravel() // 2
         # Off-diagonal max straight off the CSR buffers: expand the row
         # pointer and reduce with a mask — no COO object, no index copy.
         # Matching the stored index dtype keeps the comparison allocation-free.
@@ -401,65 +359,6 @@ def _run_blocks_scipy(
             int(np.max(product.data, initial=0, where=(product.indices != row))),
         )
     return max_common
-
-
-def _parallel_blocks(
-    graph: Graph,
-    backend: str,
-    blocks: list[tuple[int, int]],
-    per_node: np.ndarray,
-    n_jobs: int,
-) -> int:
-    """Fan contiguous block groups across the :mod:`repro.runtime` pool.
-
-    Each worker gets one contiguous run of blocks (one graph pickle per
-    worker, not per block) and returns its slice of the per-node vector
-    plus its local off-diagonal maximum.  The reduction is positional —
-    slices are written back by row range, the maxima folded in group
-    order — so the result is bit-identical to the serial pass at any
-    worker count.
-    """
-    from repro.runtime import TrialSpec, run_trials
-
-    groups = _block_groups(blocks, n_jobs)
-    specs = [
-        TrialSpec(
-            fn=_block_group_task,
-            params={"graph": graph, "rows": tuple(group), "backend": backend},
-            index=position,
-        )
-        for position, group in enumerate(groups)
-    ]
-    report = run_trials(specs, seed=0, n_jobs=n_jobs, cache=None, label="triangle-pass")
-    max_common = 0
-    for group, (group_per_node, group_max) in zip(groups, report.results):
-        per_node[group[0][0] : group[-1][1]] = group_per_node
-        max_common = max(max_common, int(group_max))
-    return max_common
-
-
-def _block_groups(
-    blocks: list[tuple[int, int]], n_groups: int
-) -> list[list[tuple[int, int]]]:
-    """Split the block list into ≤ ``n_groups`` contiguous, non-empty runs."""
-    n_groups = min(n_groups, len(blocks))
-    bounds = np.linspace(0, len(blocks), n_groups + 1).astype(int)
-    return [
-        list(blocks[start:end])
-        for start, end in zip(bounds, bounds[1:])
-        if end > start
-    ]
-
-
-def _block_group_task(_rng, *, graph: Graph, rows, backend: str):
-    """One worker's contiguous run of row blocks (module-level for pickling).
-
-    The trial-engine ``rng`` is unused: the pass is deterministic.
-    """
-    start = rows[0][0]
-    per_node = np.zeros(rows[-1][1] - start, dtype=np.int64)
-    max_common = _run_blocks(graph, backend, list(rows), per_node, start)
-    return per_node, max_common
 
 
 class StatsContext:
@@ -480,9 +379,6 @@ class StatsContext:
 
     __slots__ = (
         "_graph_ref",
-        "_block_size",
-        "_backend",
-        "_n_jobs",
         "_pass",
         "_local_clustering",
         "_adjacency_float",
@@ -490,17 +386,8 @@ class StatsContext:
         "_svd_cache",
     )
 
-    def __init__(
-        self,
-        graph: Graph,
-        block_size: int | None = None,
-        backend: str | None = None,
-        n_jobs: int = 1,
-    ) -> None:
+    def __init__(self, graph: Graph) -> None:
         self._graph_ref = weakref.ref(graph)
-        self._block_size = block_size
-        self._backend = backend
-        self._n_jobs = n_jobs
         self._pass: TrianglePassResult | None = None
         self._local_clustering: np.ndarray | None = None
         self._adjacency_float: sp.csr_array | None = None
@@ -518,9 +405,7 @@ class StatsContext:
     def triangle_pass_result(self) -> TrianglePassResult:
         """The (cached) result of the blocked A² pass."""
         if self._pass is None:
-            self._pass = triangle_pass(
-                self.graph, self._block_size, self._backend, self._n_jobs
-            )
+            self._pass = triangle_pass(self.graph)
         return self._pass
 
     @property

@@ -17,7 +17,7 @@ import pytest
 
 from repro.graphs.generators import erdos_renyi_graph
 from repro.privacy.degree_release import release_sorted_degrees
-from repro.privacy.mechanisms import geometric_mechanism, laplace_mechanism
+from repro.privacy.mechanisms import laplace_mechanism
 
 
 def _histogram_ratio_ok(
@@ -72,21 +72,6 @@ class TestLaplaceMechanismDP:
         samples_a = np.array(laplace_mechanism(np.zeros(n), 1.0, 4.0, seed=0))
         samples_b = np.array(laplace_mechanism(np.ones(n), 1.0, 4.0, seed=1))
         assert not _histogram_ratio_ok(samples_a, samples_b, 0.5)
-
-
-class TestGeometricMechanismDP:
-    def test_adjacent_counts_indistinguishable(self):
-        epsilon = 0.8
-        n = 120_000
-        samples_a = np.array(
-            [geometric_mechanism(5, 1, epsilon, seed=s) for s in range(0, n, 25)]
-        )
-        samples_b = np.array(
-            [geometric_mechanism(6, 1, epsilon, seed=s) for s in range(1, n, 25)]
-        )
-        assert _histogram_ratio_ok(
-            samples_a.astype(float), samples_b.astype(float), epsilon, n_bins=15
-        )
 
 
 class TestDegreeReleaseDP:

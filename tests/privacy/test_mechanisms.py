@@ -1,4 +1,4 @@
-"""Tests for the Laplace and geometric mechanisms."""
+"""Tests for the Laplace mechanism."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.privacy.mechanisms import (
-    geometric_mechanism,
-    laplace_mechanism,
-    laplace_noise,
-)
+from repro.privacy.mechanisms import laplace_mechanism, laplace_noise
 
 
 class TestLaplaceNoise:
@@ -69,27 +65,3 @@ class TestLaplaceMechanism:
         )
         assert np.mean(draws) == pytest.approx(100.0, abs=0.05)
 
-
-class TestGeometricMechanism:
-    def test_integer_output(self):
-        value = geometric_mechanism(10, sensitivity=1, epsilon=0.5, seed=0)
-        assert isinstance(value, int)
-
-    def test_array_stays_integral(self):
-        result = geometric_mechanism(np.arange(5), 1, 0.5, seed=1)
-        assert result.dtype == np.int64
-
-    def test_symmetric_around_value(self):
-        draws = np.array(
-            [geometric_mechanism(0, 1, 1.0, seed=s) for s in range(40_000)]
-        )
-        assert abs(np.mean(draws)) < 0.05
-
-    def test_variance_shrinks_with_epsilon(self):
-        low = np.var([geometric_mechanism(0, 1, 0.2, seed=s) for s in range(5000)])
-        high = np.var([geometric_mechanism(0, 1, 2.0, seed=s) for s in range(5000)])
-        assert high < low
-
-    def test_non_integer_sensitivity_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_mechanism(1, 0, 1.0)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.runtime import (
@@ -22,8 +21,6 @@ from repro.runtime import (
     shutdown_pool,
 )
 from repro.runtime import engine as engine_module
-from repro.stats.kernels import triangle_pass
-from repro.graphs.generators import erdos_renyi_graph
 
 
 def _pid_trial(rng):
@@ -64,19 +61,6 @@ class TestPersistentReuse:
         assert pool_worker_pids() == pids_after_first  # zero re-fork
         assert set(second.results) <= set(pids_after_first)
         assert set(first.results) <= set(pids_after_first)
-
-    def test_blocked_counting_pass_reuses_the_same_pool(self):
-        """`triangle_pass(..., n_jobs>1)` rides the persistent pool too."""
-        graph = erdos_renyi_graph(240, 0.06, seed=23)
-        first = triangle_pass(graph, block_size=30, n_jobs=2)
-        pids = pool_worker_pids()
-        assert pids  # the fan-out actually used the persistent pool
-        second = triangle_pass(graph, block_size=30, n_jobs=2)
-        assert pool_worker_pids() == pids
-        assert first.triangles == second.triangles
-        np.testing.assert_array_equal(
-            np.asarray(first.per_node), np.asarray(second.per_node)
-        )
 
     def test_bit_identical_to_serial_at_any_worker_count(self):
         serial = run_trials(_specs(), seed=11, n_jobs=1)

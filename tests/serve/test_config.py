@@ -5,15 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
+from repro.knobs import default
 from repro.serve.config import (
-    DEFAULT_BREAKER,
-    DEFAULT_BUDGET_DELTA,
-    DEFAULT_BUDGET_EPSILON,
-    DEFAULT_DRAIN,
-    DEFAULT_MAX_SAMPLES,
-    DEFAULT_QUEUE,
-    DEFAULT_TIMEOUT,
     SERVE_BREAKER_ENV,
+    SERVE_BUDGET_DELTA_ENV,
     SERVE_BUDGET_EPSILON_ENV,
     SERVE_DRAIN_ENV,
     SERVE_LEDGER_DIR_ENV,
@@ -21,13 +16,12 @@ from repro.serve.config import (
     SERVE_QUEUE_ENV,
     SERVE_TIMEOUT_ENV,
     ServeConfig,
-    resolve_serve_breaker,
-    resolve_serve_budget_epsilon,
-    resolve_serve_drain,
-    resolve_serve_max_samples,
-    resolve_serve_queue,
-    resolve_serve_timeout,
 )
+
+
+def _resolve(**arguments) -> ServeConfig:
+    """``ServeConfig.resolve`` with ``port`` and ``n_jobs`` fixed."""
+    return ServeConfig.resolve(port=0, n_jobs=1, **arguments)
 
 
 class TestKnobResolution:
@@ -35,61 +29,64 @@ class TestKnobResolution:
         for name in (SERVE_QUEUE_ENV, SERVE_TIMEOUT_ENV, SERVE_DRAIN_ENV,
                      SERVE_BREAKER_ENV, SERVE_MAX_SAMPLES_ENV):
             monkeypatch.delenv(name, raising=False)
-        assert resolve_serve_queue() == DEFAULT_QUEUE
-        assert resolve_serve_timeout() == DEFAULT_TIMEOUT
-        assert resolve_serve_drain() == DEFAULT_DRAIN
-        assert resolve_serve_breaker() == DEFAULT_BREAKER
-        assert resolve_serve_budget_epsilon() == DEFAULT_BUDGET_EPSILON
-        assert resolve_serve_max_samples() == DEFAULT_MAX_SAMPLES
+        config = _resolve()
+        assert config.queue_limit == default(SERVE_QUEUE_ENV)
+        assert config.timeout == default(SERVE_TIMEOUT_ENV)
+        assert config.drain_deadline == default(SERVE_DRAIN_ENV)
+        assert config.breaker_threshold == default(SERVE_BREAKER_ENV)
+        assert config.budget_epsilon == default(SERVE_BUDGET_EPSILON_ENV)
+        assert config.max_samples == default(SERVE_MAX_SAMPLES_ENV)
 
     def test_environment_knobs(self, monkeypatch):
         monkeypatch.setenv(SERVE_QUEUE_ENV, "32")
         monkeypatch.setenv(SERVE_TIMEOUT_ENV, "2.5")
         monkeypatch.setenv(SERVE_BREAKER_ENV, "7")
         monkeypatch.setenv(SERVE_BUDGET_EPSILON_ENV, "3.5")
-        assert resolve_serve_queue() == 32
-        assert resolve_serve_timeout() == 2.5
-        assert resolve_serve_breaker() == 7
-        assert resolve_serve_budget_epsilon() == 3.5
+        config = _resolve()
+        assert config.queue_limit == 32
+        assert config.timeout == 2.5
+        assert config.breaker_threshold == 7
+        assert config.budget_epsilon == 3.5
 
     def test_argument_beats_environment(self, monkeypatch):
         monkeypatch.setenv(SERVE_QUEUE_ENV, "32")
-        assert resolve_serve_queue(2) == 2
+        assert _resolve(queue=2).queue_limit == 2
 
     def test_empty_environment_means_default(self, monkeypatch):
         monkeypatch.setenv(SERVE_TIMEOUT_ENV, "")
-        assert resolve_serve_timeout() == DEFAULT_TIMEOUT
+        assert _resolve().timeout == default(SERVE_TIMEOUT_ENV)
 
     def test_malformed_environment_rejected(self, monkeypatch):
         monkeypatch.setenv(SERVE_QUEUE_ENV, "many")
         with pytest.raises(ValidationError, match=SERVE_QUEUE_ENV):
-            resolve_serve_queue()
+            _resolve()
+        monkeypatch.delenv(SERVE_QUEUE_ENV)
         monkeypatch.setenv(SERVE_TIMEOUT_ENV, "soon")
         with pytest.raises(ValidationError, match=SERVE_TIMEOUT_ENV):
-            resolve_serve_timeout()
+            _resolve()
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValidationError):
-            resolve_serve_queue(0)
+            _resolve(queue=0)
         with pytest.raises(ValidationError):
-            resolve_serve_timeout(0.0)
+            _resolve(timeout=0.0)
         with pytest.raises(ValidationError):
-            resolve_serve_drain(-1.0)
+            _resolve(drain=-1.0)
         with pytest.raises(ValidationError):
-            resolve_serve_breaker(0)
+            _resolve(breaker=0)
         with pytest.raises(ValidationError):
-            resolve_serve_max_samples(0)
+            _resolve(max_samples=0)
 
     def test_max_samples_environment_knob(self, monkeypatch):
         monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "200")
-        assert resolve_serve_max_samples() == 200
-        assert resolve_serve_max_samples(16) == 16
+        assert _resolve().max_samples == 200
+        assert _resolve(max_samples=16).max_samples == 16
         monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "lots")
         with pytest.raises(ValidationError, match=SERVE_MAX_SAMPLES_ENV):
-            resolve_serve_max_samples()
+            _resolve()
         monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "0")
         with pytest.raises(ValidationError):
-            resolve_serve_max_samples()
+            _resolve()
 
 
 class TestServeConfig:
@@ -124,13 +121,13 @@ class TestServeConfig:
 
     def test_default_budget_delta(self):
         assert ServeConfig.resolve(port=0, n_jobs=1).budget_delta == (
-            DEFAULT_BUDGET_DELTA
+            default(SERVE_BUDGET_DELTA_ENV)
         )
 
     def test_max_samples_resolution(self, monkeypatch):
         monkeypatch.delenv(SERVE_MAX_SAMPLES_ENV, raising=False)
         assert ServeConfig.resolve(port=0, n_jobs=1).max_samples == (
-            DEFAULT_MAX_SAMPLES
+            default(SERVE_MAX_SAMPLES_ENV)
         )
         monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "3")
         assert ServeConfig.resolve(port=0, n_jobs=1).max_samples == 3

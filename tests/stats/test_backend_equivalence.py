@@ -223,7 +223,7 @@ class TestBackendResolution:
         with pytest.raises(ValidationError, match="kernel backend"):
             triangle_pass(Graph(5), backend="fortran")
         with pytest.raises(ValidationError):
-            triangle_pass(Graph(5), n_jobs=2.5)
+            triangle_pass(Graph(5), block_size=2.5)
 
     def test_auto_silently_falls_back_to_scipy(self, monkeypatch):
         """With every fused backend unavailable, auto degrades without noise."""

@@ -40,13 +40,11 @@ from repro.stats.counts import (
     triangles_per_node,
 )
 from repro.stats.kernels import (
-    StatsContext,
     TrianglePassResult,
     kernel_pass_count,
     reference_count_triangles,
     reference_max_common_neighbors,
     reference_triangles_per_node,
-    resolve_block_size,
     row_blocks,
     stats_context,
     triangle_pass,
@@ -156,31 +154,17 @@ class TestRowBlocks:
         assert row_blocks(Graph(0), 0) == []
 
 
-class TestResolveBlockSize:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK_SIZE", raising=False)
-        assert resolve_block_size() == 0
+class TestBlockSizeArgument:
+    def test_default_is_auto(self, er_graph):
+        assert triangle_pass(er_graph).n_blocks == len(row_blocks(er_graph, 0))
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "64")
-        assert resolve_block_size(16) == 16
-
-    def test_environment_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "128")
-        assert resolve_block_size() == 128
-
-    def test_invalid_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "many")
+    def test_negative_rejected(self, er_graph):
         with pytest.raises(ValidationError):
-            resolve_block_size()
+            triangle_pass(er_graph, block_size=-1)
 
-    def test_negative_rejected(self):
+    def test_non_integer_rejected(self, er_graph):
         with pytest.raises(ValidationError):
-            resolve_block_size(-1)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValidationError):
-            resolve_block_size(2.5)
+            triangle_pass(er_graph, block_size=2.5)
 
 
 class TestStatsContext:
@@ -204,8 +188,8 @@ class TestStatsContext:
         assert context.tripin_count == 5 * 4
 
     def test_explicit_block_size_context(self, er_graph):
-        blocked = StatsContext(er_graph, block_size=3)
-        assert blocked.triangle_count == stats_context(er_graph).triangle_count
+        blocked = triangle_pass(er_graph, 3)
+        assert blocked.triangles == stats_context(er_graph).triangle_count
 
     def test_graph_with_context_freed_without_cycle_collector(self):
         graph = sample_skg(Initiator(0.9, 0.5, 0.3), 7, seed=3)
@@ -259,13 +243,3 @@ class TestConsumerConsistency:
             np.asarray(triangles_per_node(graph)),
             reference_triangles_per_node(graph),
         )
-
-    def test_block_size_does_not_change_statistics(self, monkeypatch):
-        draws = [erdos_renyi_graph(80, 0.1, seed=s) for s in range(2)]
-        expected = [matching_statistics(graph) for graph in draws]
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "5")
-        rebuilt = [
-            Graph._from_canonical(graph.n_nodes, *graph.edge_arrays)
-            for graph in draws
-        ]
-        assert [matching_statistics(graph) for graph in rebuilt] == expected

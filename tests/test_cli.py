@@ -191,33 +191,6 @@ class TestRunEnsemble:
         assert "error:" in capsys.readouterr().err
 
 
-class TestBlockSizeOption:
-    def test_statistics_identical_for_any_block_size(
-        self, edge_list_file, capsys, monkeypatch
-    ):
-        # setenv (not delenv) so teardown restores the pre-test state even
-        # after main() publishes the flag through os.environ; "0" is the
-        # auto default, so the first run behaves as if the knob were unset.
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "0")
-        assert main(["summarize", str(edge_list_file)]) == 0
-        default_output = capsys.readouterr().out
-        assert main(["--block-size", "2", "summarize", str(edge_list_file)]) == 0
-        blocked_output = capsys.readouterr().out
-        assert blocked_output == default_output
-
-    def test_option_publishes_environment_knob(self, edge_list_file, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "0")
-        assert main(["--block-size", "64", "summarize", str(edge_list_file)]) == 0
-        assert os.environ["REPRO_BLOCK_SIZE"] == "64"
-
-    def test_invalid_block_size_rejected(self, edge_list_file, capsys):
-        code = main(["--block-size", "-3", "summarize", str(edge_list_file)])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-
 class TestKernelBackendOption:
     def test_statistics_identical_for_any_backend(
         self, edge_list_file, capsys, monkeypatch

@@ -29,7 +29,7 @@ from repro.runtime import (
 )
 from repro.runtime.shm import resolve_shm_mode
 from repro.serve.config import ServeConfig
-from repro.stats.kernels import resolve_block_size, resolve_kernel_backend
+from repro.stats.kernels import resolve_kernel_backend
 from repro.tracking.store import resolve_runs_dir
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,7 +65,6 @@ def _observed():
         default_config(),
         ServeConfig.resolve(port=0),
         resolve_n_jobs(),
-        resolve_block_size(),
         resolve_kernel_backend(),
         resolve_kernel_threads(),
         resolve_trial_retries(),
@@ -148,5 +147,6 @@ class TestResolution:
             default_config()
 
     def test_pool_knob_is_gone(self):
-        assert "REPRO_POOL" not in KNOBS
+        for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE"):
+            assert name not in KNOBS
         assert KNOBS["REPRO_SHM"].check == ("auto", "off")
