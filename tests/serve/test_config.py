@@ -24,7 +24,43 @@ def _resolve(**arguments) -> ServeConfig:
     return ServeConfig.resolve(port=0, n_jobs=1, **arguments)
 
 
+# (environment variable, ServeConfig field, resolve() argument,
+#  environment value, resolved value, argument value)
+FIELD_KNOBS = [
+    (SERVE_QUEUE_ENV, "queue_limit", "queue", "32", 32, 2),
+    (SERVE_TIMEOUT_ENV, "timeout", "timeout", "2.5", 2.5, 1.5),
+    (SERVE_DRAIN_ENV, "drain_deadline", "drain", "4.5", 4.5, 0.5),
+    (SERVE_BREAKER_ENV, "breaker_threshold", "breaker", "7", 7, 5),
+    (SERVE_BUDGET_EPSILON_ENV, "budget_epsilon", "budget_epsilon", "3.5", 3.5, 0.7),
+    (SERVE_BUDGET_DELTA_ENV, "budget_delta", "budget_delta", "0.25", 0.25, 0.05),
+    (SERVE_MAX_SAMPLES_ENV, "max_samples", "max_samples", "200", 200, 16),
+]
+FIELD_IDS = [row[1] for row in FIELD_KNOBS]
+
+
 class TestKnobResolution:
+    @pytest.mark.parametrize(
+        "env, field, argument, raw, resolved, explicit", FIELD_KNOBS, ids=FIELD_IDS
+    )
+    def test_each_field_reads_its_knob(
+        self, monkeypatch, env, field, argument, raw, resolved, explicit
+    ):
+        for other, *_ in FIELD_KNOBS:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(env, raw)
+        config = _resolve()
+        assert getattr(config, field) == resolved
+        for other, other_field, *_ in FIELD_KNOBS:
+            if other != env:
+                assert getattr(config, other_field) == default(other)
+        assert getattr(_resolve(**{argument: explicit}), field) == explicit
+
+    @pytest.mark.parametrize("env", [row[0] for row in FIELD_KNOBS], ids=FIELD_IDS)
+    def test_each_malformed_knob_names_itself(self, monkeypatch, env):
+        monkeypatch.setenv(env, "lots")
+        with pytest.raises(ValidationError, match=env):
+            _resolve()
+
     def test_defaults(self, monkeypatch):
         for name in (SERVE_QUEUE_ENV, SERVE_TIMEOUT_ENV, SERVE_DRAIN_ENV,
                      SERVE_BREAKER_ENV, SERVE_MAX_SAMPLES_ENV):

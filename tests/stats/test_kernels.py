@@ -166,6 +166,19 @@ class TestBlockSizeArgument:
         with pytest.raises(ValidationError):
             triangle_pass(er_graph, block_size=2.5)
 
+    def test_explicit_argument_wins(self, er_graph):
+        assert len(row_blocks(er_graph, 16)) > 1
+        assert triangle_pass(er_graph, 16).n_blocks == len(row_blocks(er_graph, 16))
+
+    @pytest.mark.parametrize("stale", ["128", "many", "-1"])
+    def test_stale_environment_variable_ignored(self, er_graph, monkeypatch, stale):
+        # REPRO_BLOCK_SIZE is no longer a knob: a value left in the
+        # environment, even a malformed one, must not reach the pass.
+        monkeypatch.setenv("REPRO_BLOCK_SIZE", stale)
+        result = triangle_pass(er_graph)
+        assert result.n_blocks == len(row_blocks(er_graph, 0))
+        assert result.triangles == reference_count_triangles(er_graph)
+
 
 class TestStatsContext:
     def test_context_is_cached_on_graph(self, er_graph):
@@ -243,3 +256,24 @@ class TestConsumerConsistency:
             np.asarray(triangles_per_node(graph)),
             reference_triangles_per_node(graph),
         )
+
+    def test_block_size_does_not_change_statistics(self, monkeypatch):
+        # The context looks ``triangle_pass`` up in module globals at call
+        # time (the perfbench trace patches it there), so a blocked pass
+        # patched in feeds every consumer.
+        draws = [erdos_renyi_graph(80, 0.1, seed=s) for s in range(2)]
+        expected = [matching_statistics(graph) for graph in draws]
+        calls = []
+
+        def blocked_pass(graph):
+            result = triangle_pass(graph, 5)
+            calls.append(result.n_blocks)
+            return result
+
+        monkeypatch.setattr(kernels, "triangle_pass", blocked_pass)
+        rebuilt = [
+            Graph._from_canonical(graph.n_nodes, *graph.edge_arrays)
+            for graph in draws
+        ]
+        assert [matching_statistics(graph) for graph in rebuilt] == expected
+        assert calls == [16, 16]

@@ -191,13 +191,33 @@ class TestRunEnsemble:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBlockSizeOption:
+    def test_flag_removed(self, edge_list_file):
+        # The A² pass chooses its own block size; the flag is gone.
+        with pytest.raises(SystemExit):
+            main(["--block-size", "2", "summarize", str(edge_list_file)])
+
+    def test_stale_environment_variable_ignored(
+        self, edge_list_file, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BLOCK_SIZE", raising=False)
+        assert main(["summarize", str(edge_list_file)]) == 0
+        default_output = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_BLOCK_SIZE", "many")
+        assert main(["summarize", str(edge_list_file)]) == 0
+        assert capsys.readouterr().out == default_output
+
+
 class TestKernelBackendOption:
     def test_statistics_identical_for_any_backend(
         self, edge_list_file, capsys, monkeypatch
     ):
         from repro.stats.kernels import available_kernel_backends
 
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")  # see TestBlockSizeOption
+        # setenv (not delenv) so teardown restores the pre-test state even
+        # after main() publishes the flag through os.environ; "auto" is the
+        # default, so the first run behaves as if the knob were unset.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
         assert main(["summarize", str(edge_list_file)]) == 0
         default_output = capsys.readouterr().out
         for backend in available_kernel_backends():

@@ -6,7 +6,9 @@ than in whichever downstream test happens to import the module first.
 
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
 
 import pytest
@@ -41,6 +43,36 @@ class TestImports:
         assert {"graphs", "stats", "kronecker", "privacy", "core",
                 "evaluation", "utils", "runtime", "native",
                 "scenarios"} <= subpackages
+
+
+def _imported_modules(name: str) -> set[str]:
+    """Absolute names of every module ``name``'s source imports."""
+    module = importlib.import_module(name)
+    package = name if hasattr(module, "__path__") else name.rpartition(".")[0]
+    with open(module.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            relative = "." * node.level + (node.module or "")
+            imported.add(importlib.util.resolve_name(relative, package))
+    return imported
+
+
+STATS_MODULES = [name for name in ALL_MODULES if name.startswith("repro.stats")]
+
+
+class TestLayering:
+    @pytest.mark.parametrize("name", STATS_MODULES)
+    def test_stats_does_not_import_runtime(self, name):
+        # The A² pass runs serially in-process; statistics need no pool.
+        offending = {
+            imported for imported in _imported_modules(name)
+            if imported == "repro.runtime" or imported.startswith("repro.runtime.")
+        }
+        assert not offending, f"{name} imports {sorted(offending)}"
 
 
 class TestDocumentation:
