@@ -6,7 +6,9 @@ proposals per fit; PR 4 moved the chain onto the fused native kernels
 records two trajectories per workload:
 
 * **chain throughput** — raw proposals/second of
-  :meth:`PermutationSampler.run` per engine (numpy reference and
+  :meth:`PermutationSampler.run` (a one-chain
+  :class:`~repro.kronecker.likelihood.MultiChainSampler`, which owns the
+  chain state and both engines) per engine (numpy reference and
   compiled-C ``cext``), with every engine first checked **bit-identical**
   to the reference on a common pre-drawn stream (σ, histogram, and
   acceptance count must agree exactly — the same contract the chain

@@ -264,10 +264,9 @@ class KronFitEstimator:
         for iteration in range(self.n_iterations):
             # Θ is fixed within an iteration: build each chain's tables once
             # and reuse them for the score row and all likelihood samples.
-            tables = []
             for s in range(n_chains):
                 sampler.set_theta(s, thetas[s])
-                tables.append(sampler.chain(s)._tables)
+            tables = sampler.tables
             w_tab = np.stack([t.log_p - t.log_1mp for t in tables])
             inv_1mp = 1.0 / np.maximum(
                 1.0 - np.stack([t.p for t in tables]), 1.0 - _PARAM_CEIL
@@ -342,8 +341,7 @@ class KronFitEstimator:
                 )
         results = []
         for s in range(n_chains):
-            chain = sampler.chain(s)
-            acceptance = chain.accepted / max(chain.proposed, 1)
+            acceptance = sampler.accepted[s] / max(sampler.proposed, 1)
             results.append(
                 KronFitResult(
                     initiator=thetas[s].canonical(),

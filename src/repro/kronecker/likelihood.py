@@ -21,14 +21,15 @@ so the only approximation is the Taylor step on non-edges — accurate for
 the sparse graphs the model targets.  :func:`exact_log_likelihood` is the
 O(N²) reference used by tests.
 
-:class:`PermutationSampler` is the Metropolis chain over σ that KronFit
-averages its gradients over; :class:`MultiChainSampler` advances S of
-them in lockstep, and every KronFit fit runs on one (S=1 for a
-single-start fit).  Both execute pre-drawn proposal streams behind the
+KronFit averages its gradients over Metropolis chains on σ.
+:class:`MultiChainSampler` owns every chain's state and advances S of
+them in lockstep; every KronFit fit runs on one (S=1 for a single-start
+fit).  It executes pre-drawn proposal streams behind the
 ``REPRO_KERNEL_BACKEND`` knob: the numpy reference engine defined here,
-or the compiled-C multichain kernel of :mod:`repro.native.chain` (a solo
-sampler runs it at S=1).  Both engines are bit-identical (see the
-contracts documented there).
+or the compiled-C multichain kernel of :mod:`repro.native.chain`.  Both
+engines are bit-identical (see the contracts documented there).
+:class:`PermutationSampler` is a view of one chain; constructing it
+directly builds a one-chain ensemble.
 """
 
 from __future__ import annotations
@@ -226,322 +227,27 @@ def exact_log_likelihood(initiator, graph: Graph, sigma: np.ndarray, k: int) -> 
     )
 
 
-class PermutationSampler:
-    """Metropolis sampler over node correspondences σ for fixed Θ.
+class MultiChainSampler:
+    """S independent Metropolis chains over node correspondences σ.
 
     Proposals swap the Kronecker ids of two random nodes; the acceptance
     ratio only involves edges incident to the swapped nodes because the
     non-edge term is permutation-invariant under the Taylor approximation.
-
-    The sampler runs on pre-drawn proposal streams (the draw contract of
-    :func:`repro.native.chain.draw_proposal_batch`) behind interchangeable
-    execution engines selected by ``backend`` / ``REPRO_KERNEL_BACKEND``:
-    the pure-numpy reference implemented here, and the compiled-C
-    multichain kernel of :mod:`repro.native.chain`, run
-    at S=1 through the same call code :class:`MultiChainSampler` uses.  Every
-    engine follows the same score contract — the swap delta is an integer
-    profile-count change dotted with the cached score table in ascending
-    cell order — so σ trajectories, histograms, and acceptance counts are
-    **bit-identical** across engines and kernel batch sizes.  The profile
-    histogram is maintained incrementally on accepted swaps (touched
-    edges only); treat :attr:`sigma` as read-only between calls, and use
-    :meth:`set_sigma` to reset the correspondence.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        k: int,
-        theta: Initiator,
-        sigma: np.ndarray | None = None,
-        backend: str | None = None,
-    ):
-        if graph.n_nodes != 2**k:
-            raise ValidationError(
-                f"graph has {graph.n_nodes} nodes, expected 2^{k} = {2**k}"
-            )
-        self.graph = graph
-        self.k = k
-        adjacency = graph.adjacency
-        self._indptr = adjacency.indptr
-        self._indices = adjacency.indices
-        # Resolve the engine eagerly so a misconfigured pipeline (cext
-        # requested but not compilable) fails at construction, not mid-fit.
-        self.backend = resolve_multichain_backend(backend)
-        self._kernel = None
-        if self.backend != "numpy":
-            self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
-            self._indptr32 = np.ascontiguousarray(self._indptr, dtype=np.int32)
-            self._indices32 = np.ascontiguousarray(self._indices, dtype=np.int32)
-        self._n_cells = (k + 1) * (k + 1)
-        self._counts = np.zeros(self._n_cells, dtype=np.int64)
-        # Delta-scan scratch: a proposal touches at most 2·(deg i + deg j)
-        # cells, so 4·max_deg bounds the per-proposal event list (+8 slack
-        # for degenerate graphs).  stats[0] accumulates score-table touches
-        # across every engine — the observable the O(k²)-rescan regression
-        # test pins (see the delta-scan contract in repro.native.chain).
-        max_deg = int(np.diff(self._indptr).max()) if graph.n_edges else 0
-        self._touched = np.zeros(4 * max_deg + 8, dtype=np.int64)
-        self._stats = np.zeros(1, dtype=np.int64)
-        self._tables: _LogTables | None = None
-        self.set_sigma(
-            np.asarray(sigma, dtype=np.int64).copy()
-            if sigma is not None
-            else degree_matched_initial_sigma(graph, k)
-        )
-        self.set_theta(theta)
-        self.accepted = 0
-        self.proposed = 0
-
-    def set_theta(self, theta: Initiator) -> None:
-        """Update Θ (rebuilds the log tables and the cached score table)."""
-        self.theta = theta
-        self._tables = _LogTables.build(theta, self.k)
-        # Hoisted out of the proposal loop: `log P - log(1-P)` per profile
-        # cell used to be re-materialized twice per proposal.
-        self._score = np.ascontiguousarray(
-            (self._tables.log_p - self._tables.log_1mp).ravel(), dtype=np.float64
-        )
-
-    def set_sigma(self, sigma: np.ndarray) -> None:
-        """Replace the correspondence (rebuilds the profile histogram)."""
-        sigma = np.ascontiguousarray(sigma, dtype=np.int64)
-        if sigma.shape != (self.graph.n_nodes,):
-            raise ValidationError("sigma must assign an id to every node")
-        self.sigma = sigma
-        z, x, o = edge_profiles(self.graph, sigma, self.k)
-        self._hist = np.ascontiguousarray(
-            profile_histogram(z, x, o, self.k).ravel(), dtype=np.int64
-        )
-
-    def step(self, rng: np.random.Generator) -> bool:
-        """One Metropolis proposal; returns True if accepted.
-
-        Draws a single-proposal stream, so a sequence of ``step`` calls
-        consumes the generator differently from one :meth:`run` call (run
-        pre-draws its whole stream en bloc per the draw contract).
-        """
-        before = self.accepted
-        self._execute(*draw_proposal_batch(rng, self.graph.n_nodes, 1))
-        return self.accepted > before
-
-    def run(
-        self,
-        n_steps: int,
-        rng: np.random.Generator,
-        batch_size: int | None = None,
-    ) -> None:
-        """Run ``n_steps`` proposals.
-
-        The ``(i, j, log u)`` streams for the whole call are pre-drawn up
-        front (the draw contract), then executed by the configured engine
-        in kernel batches of ``batch_size`` (default: one batch).  The
-        batch size only bounds how much work enters compiled code at
-        once — the trajectory is bit-identical for any value.
-        """
-        if n_steps < 0:
-            raise ValidationError(f"n_steps must be non-negative, got {n_steps}")
-        if n_steps == 0 or self.graph.n_nodes < 2:
-            return
-        i_nodes, j_nodes, log_u = draw_proposal_batch(
-            rng, self.graph.n_nodes, n_steps
-        )
-        self._execute(i_nodes, j_nodes, log_u, batch_size)
-
-    def edge_term(self) -> float:
-        """Current Σ_E [log P − log(1−P)] under σ (for diagnostics)."""
-        z, x, o = edge_profiles(self.graph, self.sigma, self.k)
-        tables = self._tables
-        return float(
-            (tables.log_p - tables.log_1mp)[z, o].sum()
-        )
-
-    @property
-    def score_touches(self) -> int:
-        """Total score-table cells read while scanning proposal deltas.
-
-        Every engine increments this once per *distinct nonzero* touched
-        cell per proposal — O(deg i + deg j) per swap, never O(k²).  The
-        delta-scan regression tests assert this stays proportional to the
-        touched neighbourhoods rather than the full profile table.
-        """
-        return int(self._stats[0])
-
-    def histogram(self) -> np.ndarray:
-        """Profile histogram of the current σ (input to ProfileLikelihood).
-
-        Maintained incrementally from the count changes of accepted swaps;
-        bit-equal to recomputing :func:`edge_profiles` over all edges.
-        """
-        return self._hist.reshape(self.k + 1, self.k + 1).copy()
-
-    # -- internals --------------------------------------------------------
-
-    def _execute(
-        self,
-        i_nodes: np.ndarray,
-        j_nodes: np.ndarray,
-        log_u: np.ndarray,
-        batch_size: int | None = None,
-    ) -> None:
-        """Run a pre-drawn proposal stream through the configured engine."""
-        if self._kernel is None:
-            for start, stop in _batches(i_nodes.shape[0], batch_size):
-                self.accepted += self._reference_block(
-                    i_nodes, j_nodes, log_u, start, stop
-                )
-        else:
-            # The fused engine is the multichain kernel at S=1: every
-            # array gains a leading chain axis (views, so it mutates the
-            # solo state in place).
-            accepted = _run_fused(
-                self._kernel,
-                1,
-                self._indptr32,
-                self._indices32,
-                self.k,
-                self.sigma[None],
-                self._score[None],
-                self._hist[None],
-                self._counts[None],
-                self._touched[None],
-                self._stats,
-                i_nodes[None],
-                j_nodes[None],
-                log_u[None],
-                batch_size,
-            )
-            self.accepted += int(accepted[0])
-        self.proposed += i_nodes.shape[0]
-
-    def _reference_block(
-        self,
-        i_nodes: np.ndarray,
-        j_nodes: np.ndarray,
-        log_u: np.ndarray,
-        start: int,
-        stop: int,
-    ) -> int:
-        """The numpy reference engine: one proposal at a time, vectorized
-        per neighbourhood, with the score contract's ascending-cell scan.
-        """
-        sigma = self.sigma
-        accepted = 0
-        touches = 0
-        for t in range(start, stop):
-            i = int(i_nodes[t])
-            j = int(j_nodes[t])
-            counts, touched = self._count_delta(i, j)
-            delta, scanned = self._scan_delta(counts, touched)
-            touches += scanned
-            if delta >= 0.0 or log_u[t] < delta:
-                sigma[i], sigma[j] = sigma[j], sigma[i]
-                self._hist[touched] += counts[touched]
-                accepted += 1
-        self._stats[0] += touches
-        return accepted
-
-    def _neighbors(self, node: int) -> np.ndarray:
-        return self._indices[self._indptr[node] : self._indptr[node + 1]]
-
-    def _cells(self, center_id: int, other_ids: np.ndarray) -> np.ndarray:
-        """Flat profile-cell indices of edges (center_id, other_ids)."""
-        x = _popcount(np.int64(center_id) ^ other_ids)
-        o = _popcount(np.int64(center_id) & other_ids)
-        z = self.k - x - o
-        return z * (self.k + 1) + o
-
-    def _count_delta(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Integer profile-histogram change of swapping σ(i) and σ(j).
-
-        Exact (increment arithmetic), hence independent of neighbour
-        order.  The i-j edge (if any) keeps its profile and is excluded
-        symmetrically.  Returns ``(counts, touched)`` where ``touched``
-        is the ascending deduplicated list of cells any event landed in
-        (``np.unique`` of the old/new cell streams) — the delta-scan
-        contract's touched set.
-        """
-        sigma = self.sigma
-        id_i, id_j = int(sigma[i]), int(sigma[j])
-        nbr_i = self._neighbors(i)
-        nbr_i = nbr_i[nbr_i != j]
-        nbr_j = self._neighbors(j)
-        nbr_j = nbr_j[nbr_j != i]
-        ids_i = sigma[nbr_i]
-        ids_j = sigma[nbr_j]
-        old_cells = np.concatenate(
-            [self._cells(id_i, ids_i), self._cells(id_j, ids_j)]
-        )
-        new_cells = np.concatenate(
-            [self._cells(id_j, ids_i), self._cells(id_i, ids_j)]
-        )
-        counts = np.bincount(new_cells, minlength=self._n_cells).astype(
-            np.int64, copy=False
-        ) - np.bincount(old_cells, minlength=self._n_cells).astype(
-            np.int64, copy=False
-        )
-        touched = np.unique(np.concatenate([old_cells, new_cells]))
-        return counts, touched
-
-    def _scan_delta(
-        self, counts: np.ndarray, touched: np.ndarray
-    ) -> tuple[float, int]:
-        """Σ counts[cell] · score[cell] over the touched cells, ascending.
-
-        The scan is a scalar Python loop on purpose: numpy's pairwise
-        summation would round differently from the compiled kernels'
-        sequential accumulation, breaking cross-engine bit-identity.
-        ``touched`` (``np.unique`` output) is ascending and deduplicated —
-        the same cell sequence as the kernels' sorted dup-skipping event
-        scan, and every nonzero-count cell is in it.  Returns the delta
-        and the number of score-table cells actually read.
-        """
-        score = self._score
-        delta = 0.0
-        scanned = 0
-        for cell in touched:
-            if counts[cell] != 0:
-                delta += counts[cell] * score[cell]
-                scanned += 1
-        return delta, scanned
-
-    def _swap_delta(self, i: int, j: int) -> float:
-        """Change in the edge term if σ(i) and σ(j) were exchanged.
-
-        Diagnostic view of the score contract (does not mutate state);
-        exactly the delta every engine computes for proposal (i, j).
-        """
-        counts, touched = self._count_delta(i, j)
-        delta, _ = self._scan_delta(counts, touched)
-        return delta
-
-
-class MultiChainSampler:
-    """S independent Metropolis chains over σ advanced in one native call.
-
-    Each chain has its own Θ, σ, score table, and profile histogram —
-    multi-start KronFit runs one chain per start — but they share the
-    graph's CSR structure, so the whole ensemble advances inside a single
-    native call (:mod:`repro.native.chain`), sharded across threads
-    (``threads`` / ``REPRO_KERNEL_THREADS``).  Every chain is
-    **bit-identical** to the solo :class:`PermutationSampler` trajectory
-    it replaces, for any backend, batch size, or thread count: the draws
-    are made per chain in chain order with the same
-    :func:`~repro.native.chain.draw_proposal_batch` contract, and the
-    kernel's per-chain arithmetic is integer-exact against the solo
-    kernel's (see the multichain section of :mod:`repro.native.chain`).
-
-    Per-chain state is stacked into C-contiguous blocks; each chain is
-    still exposed as a :class:`PermutationSampler` whose arrays alias the
-    stacked rows (:meth:`chain`), so observables — ``sigma``,
-    ``accepted``, ``proposed``, :meth:`PermutationSampler.histogram`,
-    ``score_touches`` — read exactly like the solo sampler's.  Mutate a
-    chain only through :meth:`set_theta` / :meth:`set_sigma` (calling the
-    adapter's own setters directly would desynchronize the stacked score
-    row the fused kernel reads).
-
-    The ``numpy`` reference engine loops the per-chain reference blocks;
-    ``cext`` runs the fused multichain kernel.
+    Each chain has its own Θ, σ, score table, and profile histogram
+    (multi-start KronFit runs one chain per start); all share the graph's
+    CSR structure.  This class owns every chain's state, stacked into
+    C-contiguous ``(S, ·)`` blocks, and both engines (``backend`` /
+    ``REPRO_KERNEL_BACKEND``): the numpy reference defined here, and the
+    compiled-C multichain kernel of :mod:`repro.native.chain`, which
+    advances the whole ensemble in one call sharded across ``threads``.
+    Both consume the same pre-drawn streams under the same score contract
+    (integer count deltas dotted with the score table in ascending cell
+    order), so trajectories, histograms, and acceptance counts are
+    **bit-identical** for any engine, batch size, or thread count, and
+    chain ``s`` matches a one-chain run with its Θ, σ, and generator.
+    Histograms are maintained incrementally on accepted swaps.
+    :meth:`chain` exposes one chain as a :class:`PermutationSampler`
+    view whose observables and setters read and write these rows.
     """
 
     def __init__(
@@ -556,82 +262,76 @@ class MultiChainSampler:
         thetas = list(thetas)
         if not thetas:
             raise ValidationError("MultiChainSampler needs at least one chain")
-        if sigmas is None:
-            sigmas = [None] * len(thetas)
-        else:
-            sigmas = list(sigmas)
-            if len(sigmas) != len(thetas):
-                raise ValidationError(
-                    f"got {len(sigmas)} sigmas for {len(thetas)} chains"
-                )
+        sigmas = [None] * len(thetas) if sigmas is None else list(sigmas)
+        if len(sigmas) != len(thetas):
+            raise ValidationError(f"got {len(sigmas)} sigmas for {len(thetas)} chains")
+        if graph.n_nodes != 2**k:
+            raise ValidationError(
+                f"graph has {graph.n_nodes} nodes, expected 2^{k} = {2**k}"
+            )
         self.graph = graph
         self.k = k
-        self.n_chains = len(thetas)
-        # Resolve engine and threads eagerly: misconfiguration fails at
-        # construction, not mid-fit.
+        self.n_chains = n_chains = len(thetas)
+        # Resolve engine and threads eagerly: misconfiguration (cext
+        # requested but not compilable) fails at construction, not mid-fit.
         self.backend = resolve_multichain_backend(backend)
         self.threads = resolve_kernel_threads(threads)
-        # Per-chain adapters carry the solo sampler's validation and
-        # observables; their engine is the reference (the fused call, when
-        # any, happens at the ensemble level).
-        self._chains = [
-            PermutationSampler(graph, k, theta, sigma=sigma, backend="numpy")
-            for theta, sigma in zip(thetas, sigmas)
-        ]
-        # Stack the mutable per-chain state into C-contiguous blocks and
-        # re-alias each adapter onto its row, so adapter observables stay
-        # live views of what the fused kernel mutates.
-        self._sigma = np.stack([chain.sigma for chain in self._chains])
-        self._hist = np.stack([chain._hist for chain in self._chains])
-        self._score = np.stack([chain._score for chain in self._chains])
-        self._counts = np.zeros(
-            (self.n_chains, self._chains[0]._n_cells), dtype=np.int64
-        )
-        self._touched = np.zeros(
-            (self.n_chains, self._chains[0]._touched.shape[0]), dtype=np.int64
-        )
-        self._stats = np.zeros(self.n_chains, dtype=np.int64)
-        for s, chain in enumerate(self._chains):
-            self._realias(s)
-            chain._counts = self._counts[s]
-            chain._touched = self._touched[s]
-            chain._stats = self._stats[s : s + 1]
+        adjacency = graph.adjacency
+        self._indptr = adjacency.indptr
+        self._indices = adjacency.indices
         self._kernel = None
         if self.backend != "numpy":
             self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
-            adjacency = graph.adjacency
-            self._indptr32 = np.ascontiguousarray(
-                adjacency.indptr, dtype=np.int32
+            self._indptr32 = np.ascontiguousarray(self._indptr, dtype=np.int32)
+            self._indices32 = np.ascontiguousarray(self._indices, dtype=np.int32)
+        self._n_cells = (k + 1) * (k + 1)
+        self._sigma = np.empty((n_chains, graph.n_nodes), dtype=np.int64)
+        self._hist = np.empty((n_chains, self._n_cells), dtype=np.int64)
+        self._score = np.empty((n_chains, self._n_cells), dtype=np.float64)
+        self._counts = np.zeros((n_chains, self._n_cells), dtype=np.int64)
+        # Delta-scan scratch: a proposal touches at most 2·(deg i + deg j)
+        # cells, so 4·max_deg bounds the per-proposal event list (+8 slack
+        # for degenerate graphs).  _stats[s] accumulates chain s's
+        # score-table touches on every engine — the observable the
+        # O(k²)-rescan regression test pins (see the delta-scan contract
+        # in repro.native.chain).
+        max_deg = int(np.diff(self._indptr).max()) if graph.n_edges else 0
+        self._touched = np.zeros((n_chains, 4 * max_deg + 8), dtype=np.int64)
+        self._stats = np.zeros(n_chains, dtype=np.int64)
+        self.thetas: list[Initiator] = [None] * n_chains
+        self.tables: list[_LogTables] = [None] * n_chains
+        self.accepted = [0] * n_chains
+        self.proposed = 0  # chains advance in lockstep
+        for s, (theta, sigma) in enumerate(zip(thetas, sigmas)):
+            self.set_sigma(
+                s, degree_matched_initial_sigma(graph, k) if sigma is None else sigma
             )
-            self._indices32 = np.ascontiguousarray(
-                adjacency.indices, dtype=np.int32
-            )
+            self.set_theta(s, theta)
         # Draw-stream buffers, reused across same-length run() calls.
         self._streams: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def chain(self, index: int) -> PermutationSampler:
-        """Chain ``index`` as a live solo-sampler view (read observables
-        through it; mutate only via the ensemble setters)."""
-        return self._chains[index]
+    def chain(self, index: int) -> "PermutationSampler":
+        """Chain ``index`` as a live :class:`PermutationSampler` view."""
+        return PermutationSampler._view(self, range(self.n_chains)[index])
 
     def set_theta(self, index: int, theta: Initiator) -> None:
         """Update chain ``index``'s Θ (rebuilds its tables and score row)."""
-        self._chains[index].set_theta(theta)
-        self._score[index, :] = self._chains[index]._score
-        self._realias(index)
+        tables = _LogTables.build(theta, self.k)
+        self.thetas[index] = theta
+        self.tables[index] = tables
+        # Hoisted out of the proposal loop: `log P - log(1-P)` per profile
+        # cell, read by every engine's delta scan.
+        self._score[index] = (tables.log_p - tables.log_1mp).ravel()
 
     def set_sigma(self, index: int, sigma: np.ndarray) -> None:
         """Replace chain ``index``'s σ (rebuilds its profile histogram)."""
-        self._chains[index].set_sigma(sigma)
-        self._sigma[index, :] = self._chains[index].sigma
-        self._hist[index, :] = self._chains[index]._hist
-        self._realias(index)
+        z, x, o = edge_profiles(self.graph, sigma, self.k)
+        self._sigma[index] = sigma
+        self._hist[index] = profile_histogram(z, x, o, self.k).ravel()
 
     def histograms(self) -> np.ndarray:
         """All profile histograms, stacked ``(S, k+1, k+1)`` (a copy)."""
-        return self._hist.reshape(
-            self.n_chains, self.k + 1, self.k + 1
-        ).copy()
+        return self._hist.reshape(self.n_chains, self.k + 1, self.k + 1).copy()
 
     def run(
         self,
@@ -643,10 +343,18 @@ class MultiChainSampler:
 
         ``rngs`` holds one generator per chain; streams are pre-drawn per
         chain **in chain order** with the draw contract, so chain ``s``
-        consumes its generator exactly like a solo sampler would — then
-        the whole ensemble executes the batch in one fused call (or the
-        per-chain reference loop under the ``numpy`` engine).
+        consumes its generator exactly like a one-chain run would — then
+        the configured engine executes them in kernel batches of
+        ``batch_size`` (default: one batch).  The batch size only bounds
+        how much work enters compiled code at once — the trajectory is
+        bit-identical for any value.
         """
+        self._advance(n_steps, rngs, batch_size)
+
+    # -- internals --------------------------------------------------------
+
+    def _advance(self, n_steps: int, rngs, batch_size: int | None) -> None:
+        """Draw every chain's stream, then execute the batch."""
         rngs = list(rngs)
         if len(rngs) != self.n_chains:
             raise ValidationError(
@@ -666,54 +374,299 @@ class MultiChainSampler:
             self._streams[n_steps] = streams
         i_all, j_all, u_all = streams
         for s, rng in enumerate(rngs):
-            i_nodes, j_nodes, log_u = draw_proposal_batch(
+            i_all[s], j_all[s], u_all[s] = draw_proposal_batch(
                 rng, self.graph.n_nodes, n_steps
             )
-            i_all[s] = i_nodes
-            j_all[s] = j_nodes
-            u_all[s] = log_u
-        self._execute(i_all, j_all, u_all, batch_size)
+        if self._kernel is None:
+            batches = _batches(n_steps, batch_size)
+            for s in range(self.n_chains):
+                for start, stop in batches:
+                    self.accepted[s] += self._reference_block(
+                        s, i_all[s], j_all[s], u_all[s], start, stop
+                    )
+        else:
+            accepted = self._run_fused(i_all, j_all, u_all, batch_size)
+            for s in range(self.n_chains):
+                self.accepted[s] += int(accepted[s])
+        self.proposed += n_steps
 
-    # -- internals --------------------------------------------------------
-
-    def _realias(self, index: int) -> None:
-        """Point adapter ``index``'s arrays at its stacked rows."""
-        chain = self._chains[index]
-        chain.sigma = self._sigma[index]
-        chain._hist = self._hist[index]
-        chain._score = self._score[index]
-
-    def _execute(
+    def _run_fused(
         self,
         i_all: np.ndarray,
         j_all: np.ndarray,
         u_all: np.ndarray,
+        batch_size: int | None,
+    ) -> np.ndarray:
+        """Advance every chain through the fused multichain kernel.
+
+        The state rows and the pre-drawn streams are C-contiguous
+        ``(S, ·)`` blocks, mutated in place.  Returns each chain's
+        accepted-swap count.  At most one thread per chain is used —
+        extra threads would only idle.
+        """
+        n_chains, n_nodes = self._sigma.shape
+        total = i_all.shape[1]
+        n_threads = max(1, min(self.threads, n_chains))
+        accepted = np.zeros(n_chains, dtype=np.int64)
+        scratch = np.zeros(n_chains, dtype=np.int64)
+        for start, stop in _batches(total, batch_size):
+            self._kernel(
+                self._indptr32,
+                self._indices32,
+                n_chains,
+                n_nodes,
+                self._sigma.ravel(),
+                self.k,
+                self._score.ravel(),
+                self._hist.ravel(),
+                self._counts.ravel(),
+                self._touched.ravel(),
+                self._touched.shape[1],
+                self._stats,
+                i_all.ravel(),
+                j_all.ravel(),
+                u_all.ravel(),
+                total,
+                start,
+                stop,
+                scratch,
+                n_threads,
+            )
+            accepted += scratch
+        return accepted
+
+    def _reference_block(
+        self,
+        s: int,
+        i_nodes: np.ndarray,
+        j_nodes: np.ndarray,
+        log_u: np.ndarray,
+        start: int,
+        stop: int,
+    ) -> int:
+        """The numpy reference engine on chain ``s``: one proposal at a
+        time, vectorized per neighbourhood, with the score contract's
+        ascending-cell scan.
+        """
+        sigma = self._sigma[s]
+        hist = self._hist[s]
+        score = self._score[s]
+        accepted = 0
+        touches = 0
+        for t in range(start, stop):
+            i = int(i_nodes[t])
+            j = int(j_nodes[t])
+            counts, touched = self._count_delta(sigma, i, j)
+            delta, scanned = _scan_delta(score, counts, touched)
+            touches += scanned
+            if delta >= 0.0 or log_u[t] < delta:
+                sigma[i], sigma[j] = sigma[j], sigma[i]
+                hist[touched] += counts[touched]
+                accepted += 1
+        self._stats[s] += touches
+        return accepted
+
+    def _cells(self, center_id: int, other_ids: np.ndarray) -> np.ndarray:
+        """Flat profile-cell indices of edges (center_id, other_ids)."""
+        x = _popcount(np.int64(center_id) ^ other_ids)
+        o = _popcount(np.int64(center_id) & other_ids)
+        z = self.k - x - o
+        return z * (self.k + 1) + o
+
+    def _count_delta(
+        self, sigma: np.ndarray, i: int, j: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Integer profile-histogram change of swapping σ(i) and σ(j).
+
+        Exact (increment arithmetic), hence independent of neighbour
+        order.  The i-j edge (if any) keeps its profile and is excluded
+        symmetrically.  Returns ``(counts, touched)`` where ``touched``
+        is the ascending deduplicated list of cells any event landed in
+        (``np.unique`` of the old/new cell streams) — the delta-scan
+        contract's touched set.
+        """
+        id_i, id_j = int(sigma[i]), int(sigma[j])
+        indptr, indices = self._indptr, self._indices
+        nbr_i = indices[indptr[i] : indptr[i + 1]]
+        nbr_i = nbr_i[nbr_i != j]
+        nbr_j = indices[indptr[j] : indptr[j + 1]]
+        nbr_j = nbr_j[nbr_j != i]
+        ids_i = sigma[nbr_i]
+        ids_j = sigma[nbr_j]
+        old_cells = np.concatenate(
+            [self._cells(id_i, ids_i), self._cells(id_j, ids_j)]
+        )
+        new_cells = np.concatenate(
+            [self._cells(id_j, ids_i), self._cells(id_i, ids_j)]
+        )
+        counts = np.bincount(new_cells, minlength=self._n_cells).astype(
+            np.int64, copy=False
+        ) - np.bincount(old_cells, minlength=self._n_cells).astype(
+            np.int64, copy=False
+        )
+        touched = np.unique(np.concatenate([old_cells, new_cells]))
+        return counts, touched
+
+
+class PermutationSampler:
+    """Metropolis sampler over node correspondences σ for fixed Θ.
+
+    A view of one chain of a :class:`MultiChainSampler`, which owns the
+    chain's state and both engines.  Constructing one directly builds a
+    one-chain ensemble (``threads=1``); :meth:`MultiChainSampler.chain`
+    returns views onto an existing ensemble.  Every observable (:attr:`sigma`,
+    :attr:`accepted`, :meth:`histogram`, …) reads the ensemble's row, and
+    :meth:`set_theta` / :meth:`set_sigma` write it, so a view can never
+    desynchronize from what the kernels read.  :meth:`run` and
+    :meth:`step` advance the ensemble, so they need a one-chain ensemble;
+    advance a larger one with :meth:`MultiChainSampler.run`.
+
+    :attr:`sigma` is a live row: treat it as read-only between calls, and
+    use :meth:`set_sigma` to reset the correspondence.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        k: int,
+        theta: Initiator,
+        sigma: np.ndarray | None = None,
+        backend: str | None = None,
+    ):
+        self._ensemble = MultiChainSampler(
+            graph,
+            k,
+            [theta],
+            sigmas=None if sigma is None else [sigma],
+            backend=backend,
+            threads=1,
+        )
+        self._index = 0
+
+    @classmethod
+    def _view(cls, ensemble: MultiChainSampler, index: int) -> "PermutationSampler":
+        view = cls.__new__(cls)
+        view._ensemble = ensemble
+        view._index = index
+        return view
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The current correspondence (a live row of the ensemble)."""
+        return self._ensemble._sigma[self._index]
+
+    @property
+    def theta(self) -> Initiator:
+        return self._ensemble.thetas[self._index]
+
+    @property
+    def accepted(self) -> int:
+        return self._ensemble.accepted[self._index]
+
+    @property
+    def proposed(self) -> int:
+        return self._ensemble.proposed
+
+    @property
+    def backend(self) -> str:
+        return self._ensemble.backend
+
+    @property
+    def score_touches(self) -> int:
+        """Total score-table cells read while scanning proposal deltas.
+
+        Every engine increments this once per *distinct nonzero* touched
+        cell per proposal — O(deg i + deg j) per swap, never O(k²).  The
+        delta-scan regression tests assert this stays proportional to the
+        touched neighbourhoods rather than the full profile table.
+        """
+        return int(self._ensemble._stats[self._index])
+
+    def set_theta(self, theta: Initiator) -> None:
+        """Update Θ (rebuilds the log tables and the cached score table)."""
+        self._ensemble.set_theta(self._index, theta)
+
+    def set_sigma(self, sigma: np.ndarray) -> None:
+        """Replace the correspondence (rebuilds the profile histogram)."""
+        self._ensemble.set_sigma(self._index, sigma)
+
+    def step(self, rng: np.random.Generator) -> bool:
+        """One Metropolis proposal; returns True if accepted.
+
+        Draws a single-proposal stream, so a sequence of ``step`` calls
+        consumes the generator differently from one :meth:`run` call (run
+        pre-draws its whole stream en bloc per the draw contract).
+        """
+        before = self.accepted
+        self._solo()._advance(1, [rng], None)
+        return self.accepted > before
+
+    def run(
+        self,
+        n_steps: int,
+        rng: np.random.Generator,
         batch_size: int | None = None,
     ) -> None:
-        if self._kernel is None:
-            for s, chain in enumerate(self._chains):
-                chain._execute(i_all[s], j_all[s], u_all[s], batch_size)
-            return
-        accepted = _run_fused(
-            self._kernel,
-            self.threads,
-            self._indptr32,
-            self._indices32,
-            self.k,
-            self._sigma,
-            self._score,
-            self._hist,
-            self._counts,
-            self._touched,
-            self._stats,
-            i_all,
-            j_all,
-            u_all,
-            batch_size,
-        )
-        for s, chain in enumerate(self._chains):
-            chain.accepted += int(accepted[s])
-            chain.proposed += i_all.shape[1]
+        """Run ``n_steps`` proposals (see :meth:`MultiChainSampler.run`)."""
+        self._solo()._advance(n_steps, [rng], batch_size)
+
+    def edge_term(self) -> float:
+        """Current Σ_E [log P − log(1−P)] under σ (for diagnostics)."""
+        ensemble = self._ensemble
+        z, x, o = edge_profiles(ensemble.graph, self.sigma, ensemble.k)
+        tables = ensemble.tables[self._index]
+        return float((tables.log_p - tables.log_1mp)[z, o].sum())
+
+    def histogram(self) -> np.ndarray:
+        """Profile histogram of the current σ (input to ProfileLikelihood).
+
+        Maintained incrementally from the count changes of accepted swaps;
+        bit-equal to recomputing :func:`edge_profiles` over all edges.
+        """
+        k = self._ensemble.k
+        return self._ensemble._hist[self._index].reshape(k + 1, k + 1).copy()
+
+    def _solo(self) -> MultiChainSampler:
+        """The ensemble, which a view may only advance when it is alone."""
+        if self._ensemble.n_chains != 1:
+            raise ValidationError(
+                "a chain view of a multi-chain ensemble cannot advance alone; "
+                "use MultiChainSampler.run"
+            )
+        return self._ensemble
+
+    def _swap_delta(self, i: int, j: int) -> float:
+        """Change in the edge term if σ(i) and σ(j) were exchanged.
+
+        Diagnostic view of the score contract (does not mutate state);
+        exactly the delta every engine computes for proposal (i, j).
+        """
+        ensemble = self._ensemble
+        counts, touched = ensemble._count_delta(self.sigma, i, j)
+        delta, _ = _scan_delta(ensemble._score[self._index], counts, touched)
+        return delta
+
+
+def _scan_delta(
+    score: np.ndarray, counts: np.ndarray, touched: np.ndarray
+) -> tuple[float, int]:
+    """Σ counts[cell] · score[cell] over the touched cells, ascending.
+
+    The scan is a scalar Python loop on purpose: numpy's pairwise
+    summation would round differently from the compiled kernel's
+    sequential accumulation, breaking cross-engine bit-identity.
+    ``touched`` (``np.unique`` output) is ascending and deduplicated —
+    the same cell sequence as the kernel's sorted dup-skipping event
+    scan, and every nonzero-count cell is in it.  Returns the delta and
+    the number of score-table cells actually read.
+    """
+    delta = 0.0
+    scanned = 0
+    for cell in touched:
+        if counts[cell] != 0:
+            delta += counts[cell] * score[cell]
+            scanned += 1
+    return delta, scanned
 
 
 def _batches(total: int, batch_size: int | None) -> list[tuple[int, int]]:
@@ -726,62 +679,6 @@ def _batches(total: int, batch_size: int | None) -> list[tuple[int, int]]:
         (start, min(start + batch_size, total))
         for start in range(0, total, batch_size)
     ]
-
-
-def _run_fused(
-    kernel,
-    threads: int,
-    indptr32: np.ndarray,
-    indices32: np.ndarray,
-    k: int,
-    sigma: np.ndarray,
-    score: np.ndarray,
-    hist: np.ndarray,
-    counts: np.ndarray,
-    touched: np.ndarray,
-    stats: np.ndarray,
-    i_all: np.ndarray,
-    j_all: np.ndarray,
-    u_all: np.ndarray,
-    batch_size: int | None,
-) -> np.ndarray:
-    """Advance S stacked chains through the fused multichain kernel.
-
-    Per-chain state and the pre-drawn streams are C-contiguous ``(S, ·)``
-    blocks, mutated in place (``stats`` is the flat per-chain touch
-    accumulator).  Returns each chain's accepted-swap count.  At most one
-    thread per chain is used — extra threads would only idle.
-    """
-    n_chains, n_nodes = sigma.shape
-    total = i_all.shape[1]
-    n_threads = max(1, min(threads, n_chains))
-    accepted = np.zeros(n_chains, dtype=np.int64)
-    scratch = np.zeros(n_chains, dtype=np.int64)
-    for start, stop in _batches(total, batch_size):
-        kernel(
-            indptr32,
-            indices32,
-            n_chains,
-            n_nodes,
-            sigma.ravel(),
-            k,
-            score.ravel(),
-            hist.ravel(),
-            counts.ravel(),
-            touched.ravel(),
-            touched.shape[1],
-            stats,
-            i_all.ravel(),
-            j_all.ravel(),
-            u_all.ravel(),
-            total,
-            start,
-            stop,
-            scratch,
-            n_threads,
-        )
-        accepted += scratch
-    return accepted
 
 
 def degree_matched_initial_sigma(graph: Graph, k: int) -> np.ndarray:

@@ -280,7 +280,9 @@ def sample_skg_naive(initiator, k: int, seed: SeedLike = None) -> Graph:
 
     Builds each row of P as a Kronecker product of k two-vectors, so it
     never materialises the full matrix, but still touches all N²/2 pairs —
-    keep ``k`` ≤ 12.
+    keep ``k`` ≤ 12.  It stays as the exact oracle that
+    ``benchmarks/bench_sampler.py`` and the sampler tests compare the
+    grass-hopping :func:`sample_skg` against.
     """
     theta = as_initiator(initiator)
     k = check_integer(k, "k", minimum=1)

@@ -7,9 +7,11 @@ engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
   masked A² pass behind :func:`repro.stats.kernels.triangle_pass`;
 * the **chain kernel** (:mod:`repro.native.chain`) — batched Metropolis
   proposals for S independent chains per native call, sharded across
-  threads via the ``REPRO_KERNEL_THREADS`` knob.  Every KronFit fit runs
-  it (:class:`repro.kronecker.likelihood.MultiChainSampler`); a solo
-  :class:`repro.kronecker.likelihood.PermutationSampler` runs it at S=1;
+  threads via the ``REPRO_KERNEL_THREADS`` knob.  Its one caller,
+  :class:`repro.kronecker.likelihood.MultiChainSampler`, owns all chain
+  state and the numpy reference; every KronFit fit runs through it, and
+  a :class:`repro.kronecker.likelihood.PermutationSampler` is a view of
+  one of its chains;
 * the **sampler kernel** (:mod:`repro.native.sampling`) — exact O(E)
   grass-hopping SKG generation.
 

@@ -7,8 +7,11 @@ this module executes whole proposal *batches* inside compiled code.
 ``repro_multichain_block`` advances S *independent* chains — each with
 its own σ, score table, histogram, and pre-drawn proposal streams — in
 one native call, parallelized *across chains* with OpenMP (optional, and
-inert when unavailable).  It is the only chain kernel: a solo
-:class:`~repro.kronecker.likelihood.PermutationSampler` runs it at S=1.
+inert when unavailable).  It is the only chain kernel, and its only
+caller is :class:`~repro.kronecker.likelihood.MultiChainSampler`, which
+owns every chain's state (a solo
+:class:`~repro.kronecker.likelihood.PermutationSampler` is a view of a
+one-chain ensemble, so it runs the kernel at S=1).
 Four contracts make the C engine bit-identical to the numpy reference:
 
 **The draw contract** (:func:`draw_proposal_batch`).  All randomness is
@@ -63,7 +66,7 @@ per permutation sample.
 
 The C loop is compiled via :mod:`repro.native.registry`, with
 ``-fopenmp`` and ``-mpopcnt`` as optional compile flags; the numpy
-reference lives with :class:`~repro.kronecker.likelihood.PermutationSampler`.
+reference lives with :class:`~repro.kronecker.likelihood.MultiChainSampler`.
 Threads only shard whole chains, so chain ``c`` of a batched call is
 bit-identical to its solo trajectory for any chain count, batch size, or
 thread count.  The equivalence matrices
@@ -371,7 +374,7 @@ def resolve_multichain_backend(backend: str | None = None) -> str:
     """The concrete chain engine: argument, else ``REPRO_KERNEL_BACKEND``.
 
     Returns ``numpy`` (the pure-Python reference inside
-    :class:`~repro.kronecker.likelihood.PermutationSampler`) or ``cext``.
+    :class:`~repro.kronecker.likelihood.MultiChainSampler`) or ``cext``.
     ``auto`` prefers the compiled engine and falls back to ``numpy``;
     ``scipy`` (the counting knob's reference name) is accepted as an
     alias for ``numpy``, so one environment value drives every kernel

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graphs.graph import Graph
+from repro.privacy.mechanisms import laplace_noise
 from repro.privacy.sensitivity import (
     smooth_sensitivity_triangles,
     triangle_smooth_beta,
@@ -71,7 +72,7 @@ def release_triangle_count(
     smooth = smooth_sensitivity_triangles(graph, beta)
     scale = 2.0 * smooth / epsilon
     triangles = float(count_triangles(graph))
-    noise = float(rng.laplace(0.0, scale)) if scale > 0 else 0.0
+    noise = float(laplace_noise(scale, 1, rng)[0]) if scale > 0 else 0.0
     return TriangleRelease(
         value=triangles + noise,
         smooth_sensitivity=float(smooth),

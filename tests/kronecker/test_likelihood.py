@@ -158,6 +158,16 @@ class TestPermutationSampler:
         other = PermutationSampler(small_skg, 5, Initiator(0.7, 0.4, 0.2), sigma=fresh)
         np.testing.assert_array_equal(sampler.histogram(), other.histogram())
 
+    def test_set_theta_rebuilds_the_score_table(self, small_skg):
+        sampler = PermutationSampler(small_skg, 5, Initiator(0.7, 0.4, 0.2))
+        sampler.run(100, np.random.default_rng(11))
+        theta = Initiator(0.9, 0.5, 0.2)
+        sampler.set_theta(theta)
+        fresh = PermutationSampler(small_skg, 5, theta, sigma=sampler.sigma)
+        assert sampler.theta == theta
+        assert sampler.edge_term() == fresh.edge_term()
+        assert sampler._swap_delta(0, 1) == fresh._swap_delta(0, 1)
+
     def test_run_batch_size_does_not_change_the_trajectory(self, small_skg):
         results = []
         for batch_size in (None, 1, 23):

@@ -39,6 +39,7 @@ from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import (
     MultiChainSampler,
     PermutationSampler,
+    _LogTables,
     edge_profiles,
     profile_histogram,
 )
@@ -174,10 +175,13 @@ class TestMultiChainMatrix:
             assert threaded.chain(s).accepted == serial.chain(s).accepted
         np.testing.assert_array_equal(threaded.histograms(), serial.histograms())
 
+    @pytest.mark.parametrize("via", ["ensemble", "view"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_set_theta_preserves_equivalence(self, backend):
+    def test_set_theta_preserves_equivalence(self, backend, via):
         """Chains stay identical across per-chain set_theta (the batched
-        KronFit inner loop re-points every chain at its new θ)."""
+        KronFit inner loop re-points every chain at its new θ) and
+        set_sigma, whether written through the ensemble or through a
+        chain view — a view's setters write the rows the kernel reads."""
         graph, k = family_graph("skg-k5")
         sampler = MultiChainSampler(
             graph, k, [THETA_CYCLE[0], THETA_CYCLE[1]], backend=backend
@@ -186,14 +190,33 @@ class TestMultiChainMatrix:
             PermutationSampler(graph, k, THETA_CYCLE[s], backend="numpy")
             for s in range(2)
         ]
+
+        def set_theta(s, theta):
+            if via == "view":
+                sampler.chain(s).set_theta(theta)
+            else:
+                sampler.set_theta(s, theta)
+            solo[s].set_theta(theta)
+
+        def set_sigma(s, sigma):
+            if via == "view":
+                sampler.chain(s).set_sigma(sigma)
+            else:
+                sampler.set_sigma(s, sigma)
+            solo[s].set_sigma(sigma)
+
         rngs = [np.random.default_rng(40 + s) for s in range(2)]
         solo_rngs = [np.random.default_rng(40 + s) for s in range(2)]
         for theta in (THETA_CYCLE[2], THETA_CYCLE[0]):
             sampler.run(60, rngs)
             for s in range(2):
                 solo[s].run(60, solo_rngs[s])
-                sampler.set_theta(s, theta)
-                solo[s].set_theta(theta)
+                set_theta(s, theta)
+        for s in range(2):
+            set_sigma(s, np.random.default_rng(90 + s).permutation(graph.n_nodes))
+        sampler.run(60, rngs)
+        for s in range(2):
+            solo[s].run(60, solo_rngs[s])
         for s in range(2):
             np.testing.assert_array_equal(sampler.chain(s).sigma, solo[s].sigma)
             np.testing.assert_array_equal(
@@ -280,6 +303,31 @@ class TestMultiChainValidation:
         sampler = MultiChainSampler(graph, k, [THETA_CYCLE[0]] * 2)
         with pytest.raises(ValidationError):
             sampler.run(10, [np.random.default_rng(0)])
+
+    def test_view_of_multi_chain_ensemble_cannot_advance_alone(self):
+        """Chains advance in lockstep, so only the ensemble runs them."""
+        graph, k = family_graph("skg-k5")
+        sampler = MultiChainSampler(graph, k, [THETA_CYCLE[0]] * 2)
+        view = sampler.chain(1)
+        with pytest.raises(ValidationError, match="MultiChainSampler.run"):
+            view.run(10, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="MultiChainSampler.run"):
+            view.step(np.random.default_rng(0))
+        assert sampler.proposed == view.proposed == 0
+
+    def test_tables_follow_set_theta(self):
+        graph, k = family_graph("skg-k5")
+        sampler = MultiChainSampler(graph, k, list(THETA_CYCLE))
+        sampler.set_theta(1, THETA_CYCLE[2])
+        sampler.chain(2).set_theta(THETA_CYCLE[0])
+        assert sampler.thetas == [THETA_CYCLE[0], THETA_CYCLE[2], THETA_CYCLE[0]]
+        for s, theta in enumerate(sampler.thetas):
+            assert sampler.chain(s).theta == theta
+            expected = _LogTables.build(theta, k)
+            for field in ("log_p", "log_1mp", "p"):
+                np.testing.assert_array_equal(
+                    getattr(sampler.tables[s], field), getattr(expected, field)
+                )
 
 
 class TestKronFitBatchedMultiStart:

@@ -62,6 +62,10 @@ def _imported_modules(name: str) -> set[str]:
 
 
 STATS_MODULES = [name for name in ALL_MODULES if name.startswith("repro.stats")]
+PRIVACY_MODULES = [
+    name for name in ALL_MODULES
+    if name.startswith("repro.privacy") and name != "repro.privacy.mechanisms"
+]
 
 
 class TestLayering:
@@ -73,6 +77,21 @@ class TestLayering:
             if imported == "repro.runtime" or imported.startswith("repro.runtime.")
         }
         assert not offending, f"{name} imports {sorted(offending)}"
+
+    @pytest.mark.parametrize("name", PRIVACY_MODULES)
+    def test_privacy_draws_laplace_noise_in_one_place(self, name):
+        # Every Laplace draw of a release goes through
+        # repro.privacy.mechanisms, so one function owns the noise path.
+        module = importlib.import_module(name)
+        with open(module.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        calls = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "laplace"
+        ]
+        assert not calls, f"{name} calls .laplace( at lines {calls}"
 
 
 class TestDocumentation:
