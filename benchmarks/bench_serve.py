@@ -13,8 +13,9 @@ pool) and measures the request path end to end over HTTP:
   models, the realistic many-tenant shape.
 
 Floors (asserted on full runs, recorded always): the warm path must beat
-the cold fit by ``CACHE_SPEEDUP_FLOOR``x, and sustained cached
-throughput must clear ``THROUGHPUT_FLOOR`` requests/second.  Results are
+the cold fit by ``CACHE_SPEEDUP_FLOOR``x, sustained cached throughput
+must clear ``THROUGHPUT_FLOOR`` requests/second, and the uncached mix
+must clear ``MIXED_THROUGHPUT_FLOOR`` requests/second.  Results are
 written to ``benchmarks/out/BENCH_serve.json`` so serve-layer latency is
 a tracked artifact, not anecdote.
 
@@ -45,12 +46,16 @@ from repro.serve.server import ServeRuntime
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
 # the committed artifact in sync.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_serve.json"
 DATASET = "as20"
 CACHE_SPEEDUP_FLOOR = 5.0  # warm hit must beat the cold fit by this factor
 THROUGHPUT_FLOOR = 20.0  # sustained cached requests/second, concurrent
+# Uncached fit/sample/release requests/second.  Every request fits a new
+# model, so the mix runs at 9–30 req/s depending on host load; the floor
+# catches a serialized pool or a lost cache, not host drift.
+MIXED_THROUGHPUT_FLOOR = 5.0
 PERCENTILES = (50, 90, 95, 99)
 
 
@@ -276,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
             "required": THROUGHPUT_FLOOR,
             "measured": sustained["throughput_rps"],
         },
+        "mixed_throughput_floor": {
+            "required": MIXED_THROUGHPUT_FLOOR,
+            "measured": mixed["throughput_rps"],
+        },
     }
     out_path = Path(arguments.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -291,10 +300,15 @@ def main(argv: list[str] | None = None) -> int:
             f"sustained throughput {sustained['throughput_rps']:.1f} req/s is "
             f"below the {THROUGHPUT_FLOOR} req/s floor"
         )
+        assert mixed["throughput_rps"] >= MIXED_THROUGHPUT_FLOOR, (
+            f"mixed uncached throughput {mixed['throughput_rps']:.1f} req/s is "
+            f"below the {MIXED_THROUGHPUT_FLOOR} req/s floor"
+        )
         print(
             f"floors: cache {cold_warm['cache_speedup']:.1f}x >= "
             f"{CACHE_SPEEDUP_FLOOR}x, throughput "
-            f"{sustained['throughput_rps']:.1f} >= {THROUGHPUT_FLOOR} req/s"
+            f"{sustained['throughput_rps']:.1f} >= {THROUGHPUT_FLOOR} req/s, "
+            f"mixed {mixed['throughput_rps']:.1f} >= {MIXED_THROUGHPUT_FLOOR} req/s"
         )
     return 0
 

@@ -12,12 +12,12 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import as_initiator
-from repro.kronecker.sampling import sample_skg
+from repro.kronecker.sampling import sample_skg, sample_skg_statistics
 from repro.stats.counts import MatchingStatistics, matching_statistics
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import check_integer
 
-__all__ = ["sample_ensemble", "ensemble_matching_statistics"]
+__all__ = ["sample_ensemble", "sample_statistics", "ensemble_matching_statistics"]
 
 
 def sample_ensemble(initiator, k: int, count: int, seed: SeedLike = None) -> list[Graph]:
@@ -26,6 +26,25 @@ def sample_ensemble(initiator, k: int, count: int, seed: SeedLike = None) -> lis
     k = check_integer(k, "k", minimum=1)
     count = check_integer(count, "count", minimum=0)
     return [sample_skg(theta, k, seed=rng) for rng in spawn_generators(seed, count)]
+
+
+def sample_statistics(
+    model, seed: SeedLike = None
+) -> tuple[int, int, MatchingStatistics]:
+    """``(n_nodes, n_edges, {E, H, T, Δ})`` of one synthetic graph of ``model``.
+
+    Equal to counting ``model.sample_graph(seed)``, with the same draws.
+    An SKG-backed model (one with an ``initiator``) counts inside the
+    sampler kernel (:func:`~repro.kronecker.sampling.sample_skg_statistics`)
+    and never builds a :class:`Graph`; any other model, such as the
+    DPDegree configuration model, samples a graph and counts it.
+    """
+    initiator = getattr(model, "initiator", None)
+    if initiator is not None:
+        n_edges, stats = sample_skg_statistics(initiator, model.k, seed=seed)
+        return 2**model.k, n_edges, stats
+    graph = model.sample_graph(seed=seed)
+    return graph.n_nodes, graph.n_edges, matching_statistics(graph)
 
 
 def _graph_statistics_trial(

@@ -29,7 +29,11 @@ from repro.kronecker.moments import (
     expected_triangles,
     expected_statistics,
 )
-from repro.kronecker.sampling import sample_skg, sample_skg_naive
+from repro.kronecker.sampling import (
+    sample_skg,
+    sample_skg_naive,
+    sample_skg_statistics,
+)
 from repro.kronecker.kronmom import (
     KronMomEstimator,
     MomentMatchResult,
@@ -56,6 +60,7 @@ __all__ = [
     "expected_statistics",
     "sample_skg",
     "sample_skg_naive",
+    "sample_skg_statistics",
     "KronMomEstimator",
     "MomentMatchResult",
     "DISTANCES",

@@ -25,6 +25,11 @@ streams (the draw contract documented there) and run the same Floyd
 selection + combination unranking, so the sampled graph is
 **bit-identical** across engines for every seed.
 
+:func:`sample_skg_statistics` makes the same draws and returns only the
+sample's matching statistics {E, H, T, Δ}: the compiled kernel counts
+them from its unsorted keys without building a :class:`Graph`, which is
+what ``/sample``, ``/release`` and the scenario statistics measure need.
+
 Both samplers agree in distribution; tests check profile-class counts and
 expected statistics across thousands of draws.
 """
@@ -32,21 +37,29 @@ expected statistics across thousands of draws.
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.kronecker.initiator import as_initiator
+from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.sampling import (
     SAMPLER_KERNEL,
     choose_table,
     resolve_sampler_backend,
 )
+from repro.stats.counts import MatchingStatistics, matching_statistics
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer
 
-__all__ = ["sample_skg", "sample_skg_naive", "profile_class_size", "pair_probability"]
+__all__ = [
+    "sample_skg",
+    "sample_skg_statistics",
+    "sample_skg_naive",
+    "profile_class_size",
+    "pair_probability",
+]
 
 _NAIVE_LIMIT_K = 12
 
@@ -72,23 +85,23 @@ def profile_class_size(k: int, z: int, x: int, o: int) -> int:
     return comb(k, z) * comb(k - z, x) * 2 ** (x - 1)
 
 
-def sample_skg(
-    initiator, k: int, seed: SeedLike = None, backend: str | None = None
-) -> Graph:
-    """Draw one undirected SKG on ``2^k`` nodes by exact grass-hopping.
+class _ClassDraw(NamedTuple):
+    """The pre-drawn streams of one sample (the draw contract)."""
 
-    ``backend`` selects the pair-selection engine (``auto``/``numpy``/
-    ``cext``; default: the ``REPRO_KERNEL_BACKEND`` environment knob) —
-    the sampled graph is bit-identical across engines for any seed.
-    """
-    theta = as_initiator(initiator)
-    k = check_integer(k, "k", minimum=1)
-    rng = as_generator(seed)
-    engine = resolve_sampler_backend(backend)
-    n = 2**k
-    # Draw contract, part 1: per-class binomial counts in ascending
-    # (z, x) order, skipping empty and zero-probability classes before
-    # any draw.
+    z: np.ndarray
+    x: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    uniforms: np.ndarray
+
+
+def _draw_classes(
+    theta: Initiator, k: int, rng: np.random.Generator
+) -> _ClassDraw | None:
+    """Consume the draw contract's streams; ``None`` when no edge is drawn."""
+    # Part 1: per-class binomial counts in ascending (z, x) order,
+    # skipping empty and zero-probability classes before any draw.
     z_list: list[int] = []
     x_list: list[int] = []
     count_list: list[int] = []
@@ -110,52 +123,89 @@ def sample_skg(
             count_list.append(count)
             size_list.append(class_size)
     if not count_list:
-        return Graph(n)
+        return None
     counts = np.asarray(count_list, dtype=np.int64)
     offsets = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)[:-1]]
     )
-    total = int(counts.sum())
-    # Draw contract, part 2: one flat uniform stream, count values per
-    # class in the same ascending order.
-    uniforms = rng.random(total)
-    z_arr = np.asarray(z_list, dtype=np.int64)
-    x_arr = np.asarray(x_list, dtype=np.int64)
-    class_sizes = np.asarray(size_list, dtype=np.int64)
-    choose = choose_table(k)
+    # Part 2: one flat uniform stream, count values per class in the same
+    # ascending order.
+    uniforms = rng.random(int(counts.sum()))
+    return _ClassDraw(
+        np.asarray(z_list, dtype=np.int64),
+        np.asarray(x_list, dtype=np.int64),
+        counts,
+        offsets,
+        np.asarray(size_list, dtype=np.int64),
+        uniforms,
+    )
+
+
+def _run_kernel(
+    engine: str, k: int, draw: _ClassDraw, statistics: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the compiled sampler on ``draw``: ``(keys, counts_out)``.
+
+    With ``statistics``, the kernel's counts mode also fills
+    ``counts_out`` with the drawn graph's (E, H, T, Δ); otherwise
+    ``counts_out`` is empty.
+    """
+    kernel = SAMPLER_KERNEL.kernel(engine)
+    total = draw.uniforms.shape[0]
+    capacity = 16
+    while capacity < 2 * int(draw.counts.max()):
+        capacity *= 2
+    keys = np.zeros(total, dtype=np.int64)
+    table_keys = np.zeros(capacity, dtype=np.int64)
+    table_stamp = np.zeros(capacity, dtype=np.int64)
+    counts_out = np.zeros(4 if statistics else 0, dtype=np.int64)
+    scratch = np.zeros(3 * 2**k + 1 + total if statistics else 0, dtype=np.int64)
+    written = int(
+        kernel(
+            k,
+            draw.counts.shape[0],
+            draw.z,
+            draw.x,
+            draw.counts,
+            draw.offsets,
+            draw.sizes,
+            choose_table(k),
+            draw.uniforms,
+            keys,
+            table_keys,
+            table_stamp,
+            capacity,
+            counts_out,
+            scratch,
+            scratch.shape[0],
+        )
+    )
+    if written != total:
+        raise RuntimeError(f"sampler kernel wrote {written} keys, expected {total}")
+    return keys, counts_out
+
+
+def sample_skg(
+    initiator, k: int, seed: SeedLike = None, backend: str | None = None
+) -> Graph:
+    """Draw one undirected SKG on ``2^k`` nodes by exact grass-hopping.
+
+    ``backend`` selects the pair-selection engine (``auto``/``numpy``/
+    ``cext``; default: the ``REPRO_KERNEL_BACKEND`` environment knob) —
+    the sampled graph is bit-identical across engines for any seed.
+    """
+    theta = as_initiator(initiator)
+    k = check_integer(k, "k", minimum=1)
+    rng = as_generator(seed)
+    engine = resolve_sampler_backend(backend)
+    n = 2**k
+    draw = _draw_classes(theta, k, rng)
+    if draw is None:
+        return Graph(n)
     if engine == "numpy":
-        keys = _reference_select(
-            k, z_arr, x_arr, counts, offsets, class_sizes, choose, uniforms
-        )
+        keys = _reference_select(k, draw, choose_table(k))
     else:
-        kernel = SAMPLER_KERNEL.kernel(engine)
-        capacity = 16
-        while capacity < 2 * int(counts.max()):
-            capacity *= 2
-        keys = np.zeros(total, dtype=np.int64)
-        table_keys = np.zeros(capacity, dtype=np.int64)
-        table_stamp = np.zeros(capacity, dtype=np.int64)
-        written = int(
-            kernel(
-                k,
-                counts.shape[0],
-                z_arr,
-                x_arr,
-                counts,
-                offsets,
-                class_sizes,
-                choose,
-                uniforms,
-                keys,
-                table_keys,
-                table_stamp,
-                capacity,
-            )
-        )
-        if written != total:
-            raise RuntimeError(
-                f"sampler kernel wrote {written} keys, expected {total}"
-            )
+        keys, _ = _run_kernel(engine, k, draw)
     # Keys within a class are distinct and classes are disjoint, so one
     # global sort yields canonical edge arrays directly: the key
     # (u << k) | v with u < v orders exactly like the lexicographic (u, v)
@@ -166,16 +216,35 @@ def sample_skg(
     return Graph._from_canonical(n, u, v)
 
 
-def _reference_select(
-    k: int,
-    z_arr: np.ndarray,
-    x_arr: np.ndarray,
-    counts: np.ndarray,
-    offsets: np.ndarray,
-    class_sizes: np.ndarray,
-    choose: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
+def sample_skg_statistics(
+    initiator, k: int, seed: SeedLike = None, backend: str | None = None
+) -> tuple[int, MatchingStatistics]:
+    """``(n_edges, matching statistics)`` of one :func:`sample_skg` draw.
+
+    The same draw contract as :func:`sample_skg` — the generator ends in
+    the same state, and the result equals
+    ``matching_statistics(sample_skg(initiator, k, seed))`` exactly — but
+    the compiled engine counts {E, H, T, Δ} inside the sampler kernel
+    without building a :class:`Graph`.  The numpy engine is that
+    composition itself, the oracle the kernel is tested against.
+    """
+    theta = as_initiator(initiator)
+    k = check_integer(k, "k", minimum=1)
+    engine = resolve_sampler_backend(backend)
+    if engine == "numpy":
+        graph = sample_skg(theta, k, seed=seed, backend=engine)
+        return graph.n_edges, matching_statistics(graph)
+    draw = _draw_classes(theta, k, as_generator(seed))
+    if draw is None:
+        return 0, MatchingStatistics(0.0, 0.0, 0.0, 0.0)
+    _, counts_out = _run_kernel(engine, k, draw, statistics=True)
+    edges, hairpins, tripins, triangles = counts_out.tolist()
+    return edges, MatchingStatistics(
+        float(edges), float(hairpins), float(tripins), float(triangles)
+    )
+
+
+def _reference_select(k: int, draw: _ClassDraw, choose: np.ndarray) -> np.ndarray:
     """The numpy reference engine: Floyd selection + unranking per class.
 
     The same selection and unranking contracts as the fused kernels
@@ -183,13 +252,14 @@ def _reference_select(
     membership structure — the emitted index sequence, and hence every
     key, is identical.
     """
+    uniforms = draw.uniforms
     keys = np.zeros(uniforms.shape[0], dtype=np.int64)
-    for c in range(counts.shape[0]):
-        count = int(counts[c])
-        z = int(z_arr[c])
-        x = int(x_arr[c])
-        size = int(class_sizes[c])
-        base = int(offsets[c])
+    for c in range(draw.counts.shape[0]):
+        count = int(draw.counts[c])
+        z = int(draw.z[c])
+        x = int(draw.x[c])
+        size = int(draw.sizes[c])
+        base = int(draw.offsets[c])
         seen: set[int] = set()
         emitted = 0
         for t in range(size - count, size):

@@ -20,6 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.synthesis import sample_statistics
 from repro.errors import ValidationError
 from repro.kronecker.initiator import Initiator
 from repro.stats.counts import MatchingStatistics, matching_statistics
@@ -64,7 +65,7 @@ def measure_synthetic_statistics(
     rng: np.random.Generator, model, graph
 ) -> MatchingStatistics:
     """Matching statistics {E, H, T, Δ} of one synthetic realization."""
-    return matching_statistics(model.sample_graph(seed=rng))
+    return sample_statistics(model, seed=rng)[2]
 
 
 def measure_graph_comparison(

@@ -6,7 +6,8 @@ model whose samples are free post-processing.  :class:`ModelRegistry`
 memoizes fitted models by a stable content hash of (dataset, method,
 budget, seed, params):
 
-* in memory for the process lifetime (the hot path),
+* in memory for the process lifetime (the hot path; an SKG model is
+  kept as the fields responses read, see :class:`_SkgModel`),
 * through the content-addressed :class:`~repro.runtime.cache.TrialCache`
   on disk, so a restarted server reuses earlier fits **without charging
   the budget again** (the matching spend is in the restored ledger);
@@ -41,13 +42,17 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.protocols import FittedModel, build_estimator, estimator_method
+from repro.core.synthesis import sample_statistics
 from repro.graphs.datasets import load_dataset
+from repro.graphs.graph import Graph
+from repro.kronecker.initiator import Initiator
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import persistent_executor, shutdown_pool
 from repro.runtime.faults import CRASH_EXIT_CODE
 from repro.runtime.hashing import stable_hash
 from repro.serve.admission import KeyedLocks
 from repro.utils.logging import get_logger
+from repro.utils.rng import SeedLike
 
 __all__ = ["ModelSpec", "ModelRegistry", "execute_work"]
 
@@ -142,28 +147,61 @@ def _fit_work(
     estimator = build_estimator(
         method, dict(params), epsilon=epsilon, delta=delta, seed=seed
     )
-    return estimator.fit(graph)
+    return _served(estimator.fit(graph))
+
+
+@dataclass(frozen=True)
+class _SkgModel:
+    """The fields of a fitted SKG model that serving reads.
+
+    The registry keeps every fitted model for the process lifetime.  A
+    private fit's full result also carries its degree release, two float
+    arrays of the input's node count (~100 KB at as20) that no response
+    reads; keeping only these fields holds the registry's memory flat as
+    uncached fits accumulate.  Summaries and samples read nothing else,
+    so every response body is unchanged.
+    """
+
+    initiator: Initiator
+    k: int
+    epsilon: float
+    method: str | None
+
+    def sample_graph(self, seed: SeedLike = None) -> Graph:
+        return self.initiator.sample(self.k, seed=seed)
+
+
+def _served(model: FittedModel) -> FittedModel:
+    """What the registry stores for ``model``: an SKG model's served fields,
+    any other model (the DPDegree degree sequence) whole."""
+    initiator = getattr(model, "initiator", None)
+    if initiator is None:
+        return model
+    return _SkgModel(
+        initiator, model.k, model.epsilon, getattr(model, "method", None)
+    )
 
 
 def _sample_work(*, model: FittedModel, count: int, entropy: int) -> list[dict]:
     """Sample ``count`` synthetic graphs and summarize each.
 
-    Seeds are spawned from ``entropy`` by index, so a batch of N samples
-    is a prefix of a batch of M > N — and the whole body is a pure
-    function of (model, count, entropy), which is what makes the cached
-    response bit-identical to a cold one.
+    Seeds are spawned from ``entropy`` by index, so for a fixed
+    ``entropy`` a batch of N samples is a prefix of a batch of M > N.
+    (The service folds ``count`` into the entropy it passes, so two
+    requests differing only in ``count`` draw unrelated batches.)  The
+    whole body is a pure function of (model, count, entropy), which is
+    what makes the cached response bit-identical to a cold one.  An
+    SKG-backed model counts each sample inside the sampler kernel
+    without building a graph (:func:`~repro.core.synthesis.sample_statistics`).
     """
-    from repro.stats.counts import matching_statistics
-
     children = np.random.SeedSequence(entropy).spawn(count)
     rows = []
     for child in children:
-        graph = model.sample_graph(seed=child)
-        stats = matching_statistics(graph)
+        n_nodes, n_edges, stats = sample_statistics(model, seed=child)
         rows.append(
             {
-                "n_nodes": int(graph.n_nodes),
-                "n_edges": int(graph.n_edges),
+                "n_nodes": int(n_nodes),
+                "n_edges": int(n_edges),
                 "edges": float(stats.edges),
                 "hairpins": float(stats.hairpins),
                 "tripins": float(stats.tripins),

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.synthesis import ensemble_matching_statistics, sample_ensemble
+from repro.core.baseline import DPDegreeSequenceSynthesizer
+from repro.core.protocols import FixedInitiatorModel
+from repro.core.synthesis import (
+    ensemble_matching_statistics,
+    sample_ensemble,
+    sample_statistics,
+)
+from repro.graphs.generators import barabasi_albert_graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.moments import expected_statistics
+from repro.stats.counts import matching_statistics
 
 
 class TestSampleEnsemble:
@@ -25,6 +34,30 @@ class TestSampleEnsemble:
 
     def test_zero_count(self):
         assert sample_ensemble(Initiator(0.9, 0.5, 0.2), 6, 0, seed=0) == []
+
+
+class TestSampleStatistics:
+    """One sample's row equals counting ``model.sample_graph`` on the
+    same draws, whether the model counts in the sampler kernel (SKG) or
+    through a graph (the DPDegree configuration model)."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            FixedInitiatorModel(Initiator(1.0, 0.537, 0.218), 9),
+            DPDegreeSequenceSynthesizer(epsilon=1.0, seed=0).fit(
+                barabasi_albert_graph(200, 3, seed=0)
+            ),
+        ],
+        ids=["skg", "dpdegree"],
+    )
+    def test_equals_counting_the_sampled_graph(self, model):
+        rng_a = np.random.default_rng(11)
+        rng_b = np.random.default_rng(11)
+        graph = model.sample_graph(seed=rng_a)
+        row = sample_statistics(model, seed=rng_b)
+        assert row == (graph.n_nodes, graph.n_edges, matching_statistics(graph))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestEnsembleStatistics:

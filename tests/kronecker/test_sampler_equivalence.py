@@ -25,10 +25,17 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.sampling import sample_skg, sample_skg_naive
+from repro.kronecker.sampling import (
+    _unrank_pair_key,
+    profile_class_size,
+    sample_skg,
+    sample_skg_naive,
+    sample_skg_statistics,
+)
 from repro.native import sampling as native_sampling
 from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
-from repro.native.sampling import SAMPLER_KERNEL
+from repro.native.sampling import SAMPLER_KERNEL, choose_table
+from repro.stats.counts import MatchingStatistics, matching_statistics
 
 
 def _backend_params() -> list:
@@ -123,6 +130,140 @@ class TestSamplerMatrix:
             [sample_skg_naive(theta, k, seed=s).n_edges for s in range(20)]
         )
         assert abs(fast - naive) / naive < 0.25
+
+
+NATIVE = [p for p in BACKENDS if p.values[0] != "numpy"]
+
+
+def _i64(*values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+class TestExhaustiveUnranking:
+    """Drawing a whole class (count = class size) makes Floyd's algorithm
+    emit every class index once, so the kernel's keys must be exactly the
+    reference unranking of ``range(class_size)`` — at every k ≤ 7 and
+    every class, so every (zero, differing, orientation) pattern the
+    masked level walks can produce is checked."""
+
+    @pytest.mark.parametrize("backend", NATIVE)
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_class_unranks_like_the_reference(self, k, backend):
+        kernel = SAMPLER_KERNEL.kernel(backend)
+        choose = choose_table(k)
+        none = np.zeros(0, dtype=np.int64)
+        every_pair = []
+        for z in range(k + 1):
+            for x in range(1, k - z + 1):
+                size = profile_class_size(k, z, x, k - z - x)
+                capacity = 16
+                while capacity < 2 * size:
+                    capacity *= 2
+                keys = np.zeros(size, dtype=np.int64)
+                uniforms = np.random.default_rng(size).random(size)
+                written = kernel(
+                    k, 1, _i64(z), _i64(x), _i64(size), _i64(0), _i64(size),
+                    choose, uniforms, keys,
+                    np.zeros(capacity, dtype=np.int64),
+                    np.zeros(capacity, dtype=np.int64), capacity, none, none, 0,
+                )
+                assert written == size
+                expected = {
+                    _unrank_pair_key(k, z, x, idx, choose) for idx in range(size)
+                }
+                assert sorted(keys.tolist()) == sorted(expected)
+                every_pair.extend(keys.tolist())
+        # The classes partition the upper triangle of the 2^k × 2^k matrix.
+        n = 2**k
+        assert sorted(every_pair) == [
+            (u << k) | v for u in range(n) for v in range(u + 1, n)
+        ]
+
+
+# Counts-mode cells: the paper's Θ, the hub-heavy Θ fitted to as20, and a
+# c = 0 initiator whose o > 0 classes are skipped before any draw.
+COUNT_THETAS = {
+    "paper": Initiator(0.99, 0.45, 0.25),
+    "hub": Initiator(1.0, 0.537, 0.218),
+    "c0": Initiator(0.99, 0.45, 0.0),
+}
+
+
+class TestSampleStatistics:
+    """``sample_skg_statistics``: the kernel's counts mode against the
+    numpy engine, which is ``matching_statistics(sample_skg(...))``."""
+
+    @pytest.mark.parametrize("backend", NATIVE)
+    @pytest.mark.parametrize("theta", sorted(COUNT_THETAS))
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 13])
+    def test_counts_equal_the_numpy_rows(self, k, theta, backend):
+        initiator = COUNT_THETAS[theta]
+        for seed in (0, 1):
+            expected = sample_skg_statistics(initiator, k, seed=seed, backend="numpy")
+            got = sample_skg_statistics(initiator, k, seed=seed, backend=backend)
+            assert got == expected
+            assert type(got[0]) is int
+
+    @pytest.mark.parametrize("backend", NATIVE)
+    @pytest.mark.parametrize("theta", sorted(COUNT_THETAS))
+    def test_counts_at_k16(self, theta, backend):
+        """At k=16 the Python unranking of the numpy engine takes seconds
+        per graph, so the oracle counts the cext-sampled graph (which the
+        matrix above pins to the numpy graph) on the A² path."""
+        initiator = COUNT_THETAS[theta]
+        graph = sample_skg(initiator, 16, seed=3, backend=backend)
+        got = sample_skg_statistics(initiator, 16, seed=3, backend=backend)
+        assert got == (graph.n_edges, matching_statistics(graph))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_draw(self, backend):
+        got = sample_skg_statistics(
+            Initiator(1e-12, 1e-12, 1e-12), 2, seed=0, backend=backend
+        )
+        assert got == (0, MatchingStatistics(0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_generator_ends_where_sample_skg_leaves_it(self, backend):
+        theta = COUNT_THETAS["paper"]
+        rng_a = np.random.default_rng(42)
+        rng_b = np.random.default_rng(42)
+        sample_skg(theta, 9, seed=rng_a, backend="numpy")
+        sample_skg_statistics(theta, 9, seed=rng_b, backend=backend)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("backend", NATIVE)
+    def test_short_scratch_is_refused(self, backend):
+        """The kernel checks its scratch length instead of overrunning it."""
+        kernel = SAMPLER_KERNEL.kernel(backend)
+        k, size = 2, 2
+        counts_out = np.zeros(4, dtype=np.int64)
+        scratch = np.zeros(3 * 4 + size, dtype=np.int64)  # one slot short
+        written = kernel(
+            k, 1, _i64(0), _i64(1), _i64(size), _i64(0), _i64(size),
+            choose_table(k), np.full(size, 0.5),
+            np.zeros(size, dtype=np.int64), np.zeros(16, dtype=np.int64),
+            np.zeros(16, dtype=np.int64), 16, counts_out, scratch,
+            scratch.shape[0],
+        )
+        assert written == -1
+
+
+class TestProbeSmokeTest:
+    @pytest.mark.parametrize("backend", NATIVE)
+    def test_passes_on_the_compiled_kernel(self, backend):
+        native_sampling._smoke_test(SAMPLER_KERNEL.kernel(backend))
+
+    @pytest.mark.parametrize("backend", NATIVE)
+    def test_catches_wrong_counts(self, backend):
+        kernel = SAMPLER_KERNEL.kernel(backend)
+
+        def miscounting(*args):
+            written = kernel(*args)
+            args[13][3:] = 0  # drop the triangle count of counts mode
+            return written
+
+        with pytest.raises(RuntimeError, match="counts self-check"):
+            native_sampling._smoke_test(miscounting)
 
 
 class TestSamplerBackendSelection:

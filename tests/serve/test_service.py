@@ -9,10 +9,17 @@ bytes on top of this surface.
 from __future__ import annotations
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
-from repro.serve.service import SynthesisService
+from repro.core.protocols import FixedInitiatorModel, build_estimator
+from repro.graphs.datasets import load_dataset
+from repro.kronecker.initiator import Initiator
+from repro.serve.registry import ModelRegistry, _served
+from repro.serve.service import SynthesisService, _sample_work
+from repro.stats.counts import matching_statistics
 
 from serve_helpers import make_config
 
@@ -334,3 +341,45 @@ class TestBreaker:
         assert service.handle("GET", "/readyz").status == 200
         assert not service.breaker.is_open
         assert service.handle("POST", "/fit", fit_request()).status == 200
+
+
+class TestSampleWork:
+    """``_sample_work``, the body of every ``/sample`` and ``/release``
+    sample list, called directly."""
+
+    MODEL = FixedInitiatorModel(Initiator(1.0, 0.537, 0.218), 10)
+
+    def test_rows_equal_counting_the_sampled_graphs(self):
+        rows = _sample_work(model=self.MODEL, count=3, entropy=99)
+        children = np.random.SeedSequence(99).spawn(3)
+        for row, child in zip(rows, children):
+            graph = self.MODEL.sample_graph(seed=child)
+            stats = matching_statistics(graph)
+            expected = {
+                "n_nodes": int(graph.n_nodes),
+                "n_edges": int(graph.n_edges),
+                "edges": float(stats.edges),
+                "hairpins": float(stats.hairpins),
+                "tripins": float(stats.tripins),
+                "triangles": float(stats.triangles),
+            }
+            assert json.dumps(row) == json.dumps(expected)
+
+    def test_fixed_entropy_batches_are_prefixes(self):
+        short = _sample_work(model=self.MODEL, count=2, entropy=5)
+        long = _sample_work(model=self.MODEL, count=4, entropy=5)
+        assert json.dumps(short) == json.dumps(long[:2])
+
+    def test_registry_stores_only_the_served_fields(self):
+        """A private fit's degree release is dropped from the registry's
+        copy; the response body built from it is unchanged."""
+        full = build_estimator("Private", {}, epsilon=0.5, delta=0.01, seed=0).fit(
+            load_dataset("as20")
+        )
+        served = _served(full)
+        registry = ModelRegistry(accountants=None, executor=None)
+        assert registry.summarize_model(served) == registry.summarize_model(full)
+        assert json.dumps(_sample_work(model=served, count=2, entropy=1)) == (
+            json.dumps(_sample_work(model=full, count=2, entropy=1))
+        )
+        assert len(pickle.dumps(served)) < len(pickle.dumps(full)) // 50

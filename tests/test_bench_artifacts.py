@@ -233,15 +233,19 @@ class TestBenchArtifactSchema:
 
     def test_serve_artifact_records_floors(self):
         """The committed serve bench must carry the latency distribution
-        and both floors, measured above their requirements (the full run
-        asserts them at bench time; this guards the committed record)."""
+        and all three floors, measured above their requirements (the full
+        run asserts them at bench time; this guards the committed record)."""
         report = json.loads(
             (OUT_DIR / "BENCH_serve.json").read_text(encoding="utf-8")
         )
         warm = report["cold_vs_warm"]["warm"]
         assert {"p50_ms", "p95_ms", "p99_ms"} <= set(warm)
         assert report["cold_vs_warm"]["bit_identical"] is True
-        for floor in (report["cache_speedup_floor"], report["throughput_floor"]):
+        for floor in (
+            report["cache_speedup_floor"],
+            report["throughput_floor"],
+            report["mixed_throughput_floor"],
+        ):
             assert floor["measured"] >= floor["required"]
         assert report["sustained"]["clients"] >= 8
         assert report["sustained"]["throughput_rps"] > 0
