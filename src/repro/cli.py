@@ -10,6 +10,7 @@ Subcommands::
 
     python -m repro fit GRAPH [--method private|kronmom|kronfit]
                               [--epsilon E --delta D --seed S]
+                              [--kronfit-iterations N]
         Estimate the SKG initiator and print it (with the privacy ledger
         for the private method).
 
@@ -65,9 +66,14 @@ Subcommands::
 ``GRAPH`` is either a registered dataset name (see ``datasets``) or a path
 to a SNAP-format edge list (optionally gzipped).
 
+Every flag that mirrors a ``REPRO_*`` knob (``--epsilon``, ``--n-jobs``,
+``--cache-dir``, ``--queue``, ...) is declared from its :data:`KNOBS`
+entry: an unset flag falls back to the variable, then to the table
+default, and ``--help`` names the variable.
+
 The global ``--kernel-backend {auto,scipy,numpy,cext}`` option selects the
-execution engine of every native-kernel family — the A² counting pass,
-the KronFit Metropolis chain and the SKG sampler: ``auto`` (default)
+execution engine of all three native-kernel families — the A² counting
+pass, the KronFit Metropolis chain and the SKG sampler: ``auto`` (default)
 prefers the compiled-C ``cext`` kernels and falls back to the pure-Python
 references (blocked scipy SpGEMM / numpy chain and sampler); naming an
 unavailable backend fails with a clear error.  All results are
@@ -91,15 +97,35 @@ from repro.graphs.datasets import available_datasets, dataset_info
 from repro.core.estimator import PrivateKroneckerEstimator
 from repro.core.nonprivate import fit_kronfit, fit_kronmom
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.sampling import sample_skg
-from repro.knobs import KERNEL_BACKEND_CHOICES, default
-from repro.native.registry import KERNEL_THREADS_ENV, resolve_kernel_threads
-from repro.stats.kernels import KERNEL_BACKEND_ENV, resolve_kernel_backend
+from repro.kronecker.sampling import sample_skg, sample_skg_statistics
+from repro.knobs import KNOBS, knob
+from repro.native.registry import resolve_kernel_threads
+from repro.stats.kernels import resolve_kernel_backend
 from repro.stats.summary import summarize
 from repro.utils.tables import TextTable
 from repro.utils.validation import check_integer
 
 __all__ = ["main", "build_parser"]
+
+
+def _knob_flags(parser: argparse.ArgumentParser, flags: dict[str, str]) -> None:
+    """Declare each ``flag`` as the command-line face of its knob.
+
+    The type, choices and help come from the knob's :data:`KNOBS` entry,
+    and the default is ``None``: the handler resolves the value through
+    :func:`repro.knobs.knob`, so an unset flag falls back to the variable,
+    then to the table default.
+    """
+    for flag, name in flags.items():
+        spec = KNOBS[name]
+        fallback = "unset" if spec.default is None else spec.default
+        parser.add_argument(
+            flag,
+            type={"int": int, "float": float}.get(spec.kind),
+            choices=spec.check if spec.kind == "choice" else None,
+            default=None,
+            help=f"{spec.doc} (default: {name}, else {fallback})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,30 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Differentially private stochastic Kronecker graph estimation",
     )
-    parser.add_argument(
-        "--kernel-backend",
-        choices=KERNEL_BACKEND_CHOICES,
-        default=None,
-        dest="kernel_backend",
-        help=(
-            "execution engine of the native kernels — the A² counting pass "
-            "and the KronFit Metropolis chain (sets REPRO_KERNEL_BACKEND; "
-            "auto prefers the compiled C kernels and falls back to the "
-            "pure-Python references; results are bit-identical for any "
-            "backend)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel-threads",
-        type=int,
-        default=None,
-        dest="kernel_threads",
-        help=(
-            "threads the batched multichain kernel shards KronFit multi-start "
-            "chains across (sets REPRO_KERNEL_THREADS; 0 = all usable cores; "
-            "results are bit-identical for any value)"
-        ),
-    )
+    _knob_flags(parser, {
+        "--kernel-backend": "REPRO_KERNEL_BACKEND",
+        "--kernel-threads": "REPRO_KERNEL_THREADS",
+    })
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("datasets", help="list registered datasets")
@@ -148,27 +154,24 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("private", "kronmom", "kronfit"),
         default="private",
     )
-    fit_parser.add_argument("--epsilon", type=float, default=default("REPRO_EPSILON"))
-    fit_parser.add_argument("--delta", type=float, default=default("REPRO_DELTA"))
     fit_parser.add_argument("--seed", type=int, default=None)
-    fit_parser.add_argument(
-        "--kronfit-iterations",
-        type=int,
-        default=default("REPRO_KRONFIT_ITERATIONS"),
-        dest="kronfit_iterations",
-    )
+    _knob_flags(fit_parser, {
+        "--epsilon": "REPRO_EPSILON",
+        "--delta": "REPRO_DELTA",
+        "--kronfit-iterations": "REPRO_KRONFIT_ITERATIONS",
+    })
 
     release_parser = commands.add_parser(
         "release", help="produce a private release package"
     )
     release_parser.add_argument("graph", help="dataset name or edge-list path")
     release_parser.add_argument("--out", required=True, help="output directory")
-    release_parser.add_argument(
-        "--epsilon", type=float, default=default("REPRO_EPSILON")
-    )
-    release_parser.add_argument("--delta", type=float, default=default("REPRO_DELTA"))
     release_parser.add_argument("--samples", type=int, default=1)
     release_parser.add_argument("--seed", type=int, default=None)
+    _knob_flags(release_parser, {
+        "--epsilon": "REPRO_EPSILON",
+        "--delta": "REPRO_DELTA",
+    })
 
     sample_parser = commands.add_parser(
         "sample", help="sample a synthetic SKG from an initiator"
@@ -191,23 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble_parser.add_argument(
         "--count", type=int, default=20, help="ensemble size (default 20)"
     )
-    ensemble_parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        dest="n_jobs",
-        help="worker processes (default: REPRO_N_JOBS or 1; 0 = all cores)",
-    )
-    ensemble_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        dest="cache_dir",
-        help="memoize completed trials in this directory",
-    )
     ensemble_parser.add_argument("--seed", type=int, default=0)
     ensemble_parser.add_argument(
         "--out", default=None, help="write the per-trial statistics as JSON"
     )
+    _knob_flags(ensemble_parser, {
+        "--n-jobs": "REPRO_N_JOBS",
+        "--cache-dir": "REPRO_CACHE_DIR",
+    })
 
     scenario_parser = commands.add_parser(
         "run-scenario",
@@ -238,44 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     scenario_parser.add_argument(
-        "--epsilon", type=float, default=None, help="privacy budget axis value"
-    )
-    scenario_parser.add_argument(
-        "--delta", type=float, default=None, help="privacy parameter delta"
-    )
-    scenario_parser.add_argument(
-        "--count",
-        type=int,
-        default=None,
-        help="trials per scenario (default: REPRO_REALIZATIONS)",
-    )
-    scenario_parser.add_argument(
-        "--n-starts",
-        type=int,
-        default=None,
-        dest="n_starts",
-        help=(
-            "KronFit chains per fit; best final log-likelihood wins "
-            "(default: REPRO_N_STARTS, i.e. 1)"
-        ),
-    )
-    scenario_parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        dest="n_jobs",
-        help="worker processes (default: REPRO_N_JOBS or 1; 0 = all cores)",
-    )
-    scenario_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        dest="cache_dir",
-        help="memoize completed trials in this directory",
-    )
-    scenario_parser.add_argument(
-        "--seed", type=int, default=None, help="root seed (default: REPRO_SEED)"
-    )
-    scenario_parser.add_argument(
         "--out", default=None, help="write the scenario report here"
     )
     scenario_parser.add_argument(
@@ -298,12 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
             "tables, environment fingerprint, cache attribution)"
         ),
     )
-    scenario_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        dest="runs_dir",
-        help="tracked-run root for --track (default: REPRO_RUNS_DIR or runs/)",
-    )
+    _knob_flags(scenario_parser, {
+        "--epsilon": "REPRO_EPSILON",
+        "--delta": "REPRO_DELTA",
+        "--count": "REPRO_REALIZATIONS",
+        "--n-starts": "REPRO_N_STARTS",
+        "--n-jobs": "REPRO_N_JOBS",
+        "--cache-dir": "REPRO_CACHE_DIR",
+        "--seed": "REPRO_SEED",
+        "--runs-dir": "REPRO_RUNS_DIR",
+    })
 
     compare_parser = commands.add_parser(
         "compare", help="diff two tracked run directories"
@@ -311,17 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("run_a", help="run directory path or name")
     compare_parser.add_argument("run_b", help="run directory path or name")
     compare_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        dest="runs_dir",
-        help="where to resolve bare run names (default: REPRO_RUNS_DIR or runs/)",
-    )
-    compare_parser.add_argument(
         "--tolerance",
         type=float,
         default=0.0,
         help="max |metric delta| treated as identical (default 0 = bitwise)",
     )
+    _knob_flags(compare_parser, {"--runs-dir": "REPRO_RUNS_DIR"})
 
     runs_parser = commands.add_parser(
         "runs", help="inspect tracked run directories"
@@ -331,26 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="tabulate tracked runs, oldest first"
     )
     runs_list_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        dest="runs_dir",
-        help="tracked-run root (default: REPRO_RUNS_DIR or runs/)",
-    )
-    runs_list_parser.add_argument(
         "--paths",
         action="store_true",
         help="print bare run-directory paths (for scripting)",
     )
+    _knob_flags(runs_list_parser, {"--runs-dir": "REPRO_RUNS_DIR"})
     runs_show_parser = runs_commands.add_parser(
         "show", help="print one tracked run's record"
     )
     runs_show_parser.add_argument("run", help="run directory path or name")
-    runs_show_parser.add_argument(
-        "--runs-dir",
-        default=None,
-        dest="runs_dir",
-        help="where to resolve bare run names (default: REPRO_RUNS_DIR or runs/)",
-    )
+    _knob_flags(runs_show_parser, {"--runs-dir": "REPRO_RUNS_DIR"})
 
     figure_parser = commands.add_parser(
         "figure", help="regenerate one of the paper's figures (1-4)"
@@ -368,42 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--port", type=int, default=8377, help="bind port (0 = ephemeral)"
     )
-    serve_parser.add_argument(
-        "--queue", type=int, default=None,
-        help="admission capacity before 429 (default REPRO_SERVE_QUEUE)",
-    )
-    serve_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-request deadline in seconds (default REPRO_SERVE_TIMEOUT)",
-    )
-    serve_parser.add_argument(
-        "--drain", type=float, default=None,
-        help="graceful-drain deadline in seconds (default REPRO_SERVE_DRAIN)",
-    )
-    serve_parser.add_argument(
-        "--breaker", type=int, default=None,
-        help="circuit-breaker trip threshold (default REPRO_SERVE_BREAKER)",
-    )
-    serve_parser.add_argument(
-        "--budget-epsilon", type=float, default=None,
-        help="per-dataset epsilon budget (default REPRO_SERVE_BUDGET_EPSILON)",
-    )
-    serve_parser.add_argument(
-        "--budget-delta", type=float, default=None,
-        help="per-dataset delta budget (default REPRO_SERVE_BUDGET_DELTA)",
-    )
-    serve_parser.add_argument(
-        "--n-jobs", type=int, default=None,
-        help="worker pool size; 1 = in-process (default REPRO_N_JOBS)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", default=None,
-        help="response/model cache directory (default REPRO_CACHE_DIR)",
-    )
-    serve_parser.add_argument(
-        "--ledger-dir", default=None,
-        help="privacy ledger directory (default REPRO_SERVE_LEDGER_DIR)",
-    )
+    _knob_flags(serve_parser, {
+        "--queue": "REPRO_SERVE_QUEUE",
+        "--timeout": "REPRO_SERVE_TIMEOUT",
+        "--drain": "REPRO_SERVE_DRAIN",
+        "--breaker": "REPRO_SERVE_BREAKER",
+        "--budget-epsilon": "REPRO_SERVE_BUDGET_EPSILON",
+        "--budget-delta": "REPRO_SERVE_BUDGET_DELTA",
+        "--n-jobs": "REPRO_N_JOBS",
+        "--cache-dir": "REPRO_CACHE_DIR",
+        "--ledger-dir": "REPRO_SERVE_LEDGER_DIR",
+    })
 
     table_parser = commands.add_parser(
         "table1", help="regenerate the paper's Table 1"
@@ -429,13 +349,13 @@ def main(argv: list[str] | None = None) -> int:
             # --kernel-backend cext without a C compiler) fail loudly
             # rather than mid-pipeline.
             resolve_kernel_backend(arguments.kernel_backend)
-            os.environ[KERNEL_BACKEND_ENV] = arguments.kernel_backend
+            os.environ["REPRO_KERNEL_BACKEND"] = arguments.kernel_backend
         if arguments.kernel_threads is not None:
             # Same pattern: the multichain kernel reads the knob wherever
             # a batched multi-start fit is constructed (including inside
             # pool workers, which inherit the environment).
             resolve_kernel_threads(arguments.kernel_threads)
-            os.environ[KERNEL_THREADS_ENV] = str(arguments.kernel_threads)
+            os.environ["REPRO_KERNEL_THREADS"] = str(arguments.kernel_threads)
         handler = _HANDLERS[arguments.command]
         return handler(arguments)
     except ReproError as error:
@@ -484,19 +404,20 @@ def _cmd_summarize(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_fit(arguments: argparse.Namespace) -> int:
+    epsilon = knob("REPRO_EPSILON", arguments.epsilon)
+    delta = knob("REPRO_DELTA", arguments.delta)
+    iterations = knob("REPRO_KRONFIT_ITERATIONS", arguments.kronfit_iterations)
     graph = _resolve_graph(arguments.graph)
     if arguments.method == "private":
         estimate = PrivateKroneckerEstimator(
-            arguments.epsilon, arguments.delta, seed=arguments.seed
+            epsilon, delta, seed=arguments.seed
         ).fit(graph)
         print(estimate.describe())
         return 0
     if arguments.method == "kronmom":
         result = fit_kronmom(graph)
     else:
-        result = fit_kronfit(
-            graph, n_iterations=arguments.kronfit_iterations, seed=arguments.seed
-        )
+        result = fit_kronfit(graph, n_iterations=iterations, seed=arguments.seed)
     theta = result.initiator
     print(f"{result.method} estimate: a={theta.a:.4f} b={theta.b:.4f} c={theta.c:.4f}")
     print(f"kronecker order k={result.k} ({2 ** result.k} nodes)")
@@ -504,12 +425,12 @@ def _cmd_fit(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_release(arguments: argparse.Namespace) -> int:
+    epsilon = knob("REPRO_EPSILON", arguments.epsilon)
+    delta = knob("REPRO_DELTA", arguments.delta)
     graph = _resolve_graph(arguments.graph)
     out_dir = Path(arguments.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    estimate = PrivateKroneckerEstimator(
-        arguments.epsilon, arguments.delta, seed=arguments.seed
-    ).fit(graph)
+    estimate = PrivateKroneckerEstimator(epsilon, delta, seed=arguments.seed).fit(graph)
 
     theta = estimate.initiator
     (out_dir / "private_initiator.json").write_text(
@@ -551,14 +472,12 @@ def _cmd_sample(arguments: argparse.Namespace) -> int:
 
 
 def _ensemble_trial(rng, *, a: float, b: float, c: float, k: int):
-    """One ensemble realization: sample Θ^{⊗k} and count its statistics.
+    """One ensemble realization: sample Θ^{⊗k} and count its statistics
+    (inside the sampler kernel, without building the graph).
 
     Module-level so the runtime engine can ship it to worker processes.
     """
-    from repro.stats.counts import matching_statistics
-
-    graph = sample_skg(Initiator(a, b, c), k, seed=rng)
-    return matching_statistics(graph)
+    return sample_skg_statistics(Initiator(a, b, c), k, seed=rng)[1]
 
 
 def _cmd_run_ensemble(arguments: argparse.Namespace) -> int:
@@ -578,7 +497,7 @@ def _cmd_run_ensemble(arguments: argparse.Namespace) -> int:
         specs,
         seed=arguments.seed,
         n_jobs=arguments.n_jobs,
-        cache=arguments.cache_dir,
+        cache=knob("REPRO_CACHE_DIR", arguments.cache_dir),
         label="run-ensemble",
     )
     rows = np.array([tuple(stats) for stats in report.results], dtype=np.float64)
@@ -652,20 +571,13 @@ def _cmd_run_scenario(arguments: argparse.Namespace) -> int:
         )
         return 0
 
-    config = default_config()
-    overrides = {}
-    if arguments.epsilon is not None:
-        overrides["epsilon"] = arguments.epsilon
-    if arguments.delta is not None:
-        overrides["delta"] = arguments.delta
-    if arguments.seed is not None:
-        overrides["seed"] = arguments.seed
-    if arguments.n_starts is not None:
-        overrides["n_starts"] = check_integer(
-            arguments.n_starts, "n_starts", minimum=1
-        )
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(
+        default_config(),
+        epsilon=knob("REPRO_EPSILON", arguments.epsilon),
+        delta=knob("REPRO_DELTA", arguments.delta),
+        seed=knob("REPRO_SEED", arguments.seed),
+        n_starts=knob("REPRO_N_STARTS", arguments.n_starts),
+    )
 
     if arguments.preset is not None:
         if arguments.datasets or arguments.estimators or arguments.count is not None:
@@ -689,14 +601,11 @@ def _cmd_run_scenario(arguments: argparse.Namespace) -> int:
             for token in arguments.estimators.split(",")
             if token.strip()
         )
-        count = arguments.count
-        if count is not None:
-            check_integer(count, "count", minimum=1)
         scenarios = scenario_grid(
             config,
             workloads=datasets,
             methods=methods,
-            ensemble_size=count,
+            ensemble_size=knob("REPRO_REALIZATIONS", arguments.count),
         )
         title = (
             f"Scenario report — {len(datasets)} workload(s) x "
@@ -706,9 +615,7 @@ def _cmd_run_scenario(arguments: argparse.Namespace) -> int:
     reports = run_scenarios(
         scenarios,
         n_jobs=arguments.n_jobs,
-        # The flag wins; otherwise honour REPRO_CACHE_DIR like the rest
-        # of the evaluation harness.
-        cache=arguments.cache_dir or config.trial_cache,
+        cache=knob("REPRO_CACHE_DIR", arguments.cache_dir),
         on_error=arguments.on_error,
     )
     text = render_scenario_reports(reports, title=title)

@@ -31,8 +31,6 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["DatasetSpec", "available_datasets", "load_dataset", "dataset_info"]
 
-_DATA_DIR_ENV = "REPRO_DATA_DIR"
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -212,7 +210,7 @@ def load_dataset(name: str, seed: SeedLike = None) -> Graph:
         # which would otherwise rebuild the same graph repeatedly.  The
         # data directory is part of the key so REPRO_DATA_DIR changes
         # (tests monkeypatch it) are never served stale.
-        return _load_default(spec.name, knob(_DATA_DIR_ENV))
+        return _load_default(spec.name, knob("REPRO_DATA_DIR"))
     from_disk = _try_load_from_disk(spec.name)
     if from_disk is not None:
         return from_disk
@@ -229,7 +227,7 @@ def _load_default(name: str, _data_dir: str | None) -> Graph:
 
 
 def _try_load_from_disk(name: str) -> Graph | None:
-    data_dir = knob(_DATA_DIR_ENV)
+    data_dir = knob("REPRO_DATA_DIR")
     if data_dir is None:
         return None
     for suffix in (".txt", ".txt.gz"):

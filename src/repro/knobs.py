@@ -17,7 +17,8 @@ follows one policy for every knob:
   argument) it came from.
 
 Post-processing that is not validation — "≤ 0 means all cores", backend
-availability probing, fault-spec parsing — stays with the consumer.
+availability probing, fault-spec parsing — stays with the consumer;
+:func:`usable_cores` is the one definition of "all cores".
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any, Callable
 from repro.errors import ValidationError
 from repro.utils.validation import check_integer, check_nonnegative
 
-__all__ = ["Knob", "KNOBS", "KERNEL_BACKEND_CHOICES", "knob", "default"]
+__all__ = ["Knob", "KNOBS", "KERNEL_BACKEND_CHOICES", "knob", "default", "usable_cores"]
 
 # Everything REPRO_KERNEL_BACKEND accepts.  "scipy" and "numpy" both name
 # the pure-Python reference engine of whichever kernel family resolves
@@ -96,7 +97,7 @@ _TABLE = (
     Knob("REPRO_CACHE_DIR", "path", None, None,
          "On-disk trial cache directory"),
     Knob("REPRO_KERNEL_BACKEND", "choice", "auto", KERNEL_BACKEND_CHOICES,
-         "Engine of every native kernel family"),
+         "Engine of the A² counting pass, the KronFit chain and the SKG sampler"),
     Knob("REPRO_KERNEL_THREADS", "int", 1, _integer(),
          "Threads of the batched multichain kernel (<= 0 = all cores)"),
     # Trial engine.
@@ -148,6 +149,18 @@ KNOBS: dict[str, Knob] = {entry.name: entry for entry in _TABLE}
 def default(name: str) -> Any:
     """The table default of ``name`` (what :func:`knob` returns when unset)."""
     return KNOBS[name].default
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: what "<= 0 = all cores" means.
+
+    The scheduler affinity mask first (it honours taskset and cgroup
+    pinning), then ``os.cpu_count()`` on hosts without one.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return max(1, os.cpu_count() or 1)
 
 
 def knob(name: str, value: Any = None) -> Any:

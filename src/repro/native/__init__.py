@@ -33,10 +33,7 @@ from repro.native.chain import (
 )
 from repro.native.counting import COUNTING_KERNEL
 from repro.native.registry import (
-    KERNEL_BACKEND_ENV,
-    KERNEL_THREADS_ENV,
     NATIVE_BACKENDS,
-    OPENMP_ENV,
     NativeKernel,
     compile_shared_library,
     resolve_kernel_threads,
@@ -44,9 +41,6 @@ from repro.native.registry import (
 
 __all__ = [
     "NATIVE_BACKENDS",
-    "KERNEL_BACKEND_ENV",
-    "KERNEL_THREADS_ENV",
-    "OPENMP_ENV",
     "NativeKernel",
     "compile_shared_library",
     "resolve_kernel_threads",

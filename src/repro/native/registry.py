@@ -36,13 +36,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.errors import ValidationError
-from repro.knobs import knob
+from repro.knobs import knob, usable_cores
 
 __all__ = [
     "NATIVE_BACKENDS",
-    "KERNEL_BACKEND_ENV",
-    "KERNEL_THREADS_ENV",
-    "OPENMP_ENV",
     "NativeKernel",
     "compile_shared_library",
     "resolve_kernel_threads",
@@ -51,20 +48,6 @@ __all__ = [
 # Compiled backend names, in the preference order `auto` resolution uses.
 NATIVE_BACKENDS = ("cext",)
 
-# The environment knob shared by every native kernel (counting and chain).
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-# Worker threads for batched kernels (the multichain family).  Resolution
-# order: explicit argument, then this environment variable, then 1.  A
-# value of 0 means "all usable cores".  Threads never change results —
-# chains are data-independent, so the thread count only shards them.
-KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
-
-# Set to "off" (or 0/no/false) to compile cext kernels without -fopenmp
-# even on hosts whose compiler supports it.  CI uses this to prove the
-# serial fallback stays bit-identical; it is not needed for correctness.
-OPENMP_ENV = "REPRO_OPENMP"
-
 # Compile flags for every cext kernel.  -ffp-contract=off forbids the
 # compiler from fusing a*b+c into an FMA: the chain kernel accumulates
 # float64 scores and must round exactly like the numpy engine on every
@@ -72,7 +55,9 @@ OPENMP_ENV = "REPRO_OPENMP"
 # The flags participate in the cache key, so changing them recompiles.
 _C_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
-# Values of OPENMP_ENV that disable the -fopenmp optional flag.
+# Values of REPRO_OPENMP that compile cext kernels without -fopenmp even
+# on hosts whose compiler supports it.  CI uses this to prove the serial
+# fallback stays bit-identical; it is not needed for correctness.
 _OPENMP_OFF = ("off", "0", "no", "false")
 
 
@@ -98,14 +83,14 @@ def _host_supports_popcnt() -> bool:
 def _enabled_optional_flags(flags: Sequence[str]) -> tuple[str, ...]:
     """The subset of a kernel's optional compile flags usable on this host.
 
-    ``-fopenmp`` is dropped when :data:`OPENMP_ENV` says "off";
+    ``-fopenmp`` is dropped when ``REPRO_OPENMP`` says "off";
     ``-mpopcnt`` is dropped unless the build host's CPU executes POPCNT.
     Unknown optional flags pass through (the compile try/fallback in
     :meth:`NativeKernel._probe_cext` still guards them).
     """
     chosen = []
     for flag in flags:
-        if flag == "-fopenmp" and knob(OPENMP_ENV) in _OPENMP_OFF:
+        if flag == "-fopenmp" and knob("REPRO_OPENMP") in _OPENMP_OFF:
             continue
         if flag == "-mpopcnt" and not _host_supports_popcnt():
             continue
@@ -116,19 +101,15 @@ def _enabled_optional_flags(flags: Sequence[str]) -> tuple[str, ...]:
 def resolve_kernel_threads(threads: int | None = None) -> int:
     """How many threads a batched kernel call should use.
 
-    Resolution order: explicit argument, then :data:`KERNEL_THREADS_ENV`,
+    Resolution order: explicit argument, then ``REPRO_KERNEL_THREADS``,
     then 1 (serial — the bit-identity contracts make threading purely a
     throughput knob, so the conservative default never oversubscribes a
     pool worker).  A value of 0 (or any negative value) means "all usable
-    cores".
+    cores" (:func:`repro.knobs.usable_cores`).  Threads never change
+    results: chains are data-independent, so the count only shards them.
     """
-    threads = knob(KERNEL_THREADS_ENV, threads)
-    if threads <= 0:
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # pragma: no cover - non-Linux hosts
-            return max(1, os.cpu_count() or 1)
-    return threads
+    threads = knob("REPRO_KERNEL_THREADS", threads)
+    return usable_cores() if threads <= 0 else threads
 
 
 class NativeKernel:
@@ -234,8 +215,8 @@ class NativeKernel:
         """
         source = "argument"
         if backend is None:
-            source = f"environment variable {KERNEL_BACKEND_ENV}"
-        backend = knob(KERNEL_BACKEND_ENV, backend)
+            source = "environment variable REPRO_KERNEL_BACKEND"
+        backend = knob("REPRO_KERNEL_BACKEND", backend)
         if backend == "auto":
             for candidate in NATIVE_BACKENDS:
                 if self.available(candidate):

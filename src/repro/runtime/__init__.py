@@ -39,28 +39,18 @@ bench and the ``repro run-ensemble`` CLI subcommand.
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import (
     ON_ERROR_POLICIES,
-    POOL_RESTARTS_ENV,
-    TRIAL_BACKOFF_ENV,
-    TRIAL_RETRIES_ENV,
-    TRIAL_TIMEOUT_ENV,
     TrialTimeoutError,
     call_with_timeout,
     persistent_executor,
     pool_worker_pids,
     resolve_n_jobs,
     resolve_on_error,
-    resolve_pool_restarts,
-    resolve_retry_backoff,
-    resolve_trial_retries,
-    resolve_trial_timeout,
     run_trials,
     shutdown_pool,
 )
 from repro.runtime.faults import (
     CRASH_EXIT_CODE,
-    FAULT_INJECT_ENV,
     FAULT_KINDS,
-    SERVE_FAULT_INJECT_ENV,
     SERVE_FAULT_KINDS,
     FaultClause,
     FaultPlan,
@@ -85,23 +75,13 @@ __all__ = [
     "run_trials",
     "resolve_n_jobs",
     "resolve_on_error",
-    "resolve_trial_retries",
-    "resolve_trial_timeout",
-    "resolve_retry_backoff",
-    "resolve_pool_restarts",
     "persistent_executor",
     "shutdown_pool",
     "pool_worker_pids",
     "call_with_timeout",
     "TrialTimeoutError",
     "ON_ERROR_POLICIES",
-    "TRIAL_RETRIES_ENV",
-    "TRIAL_TIMEOUT_ENV",
-    "TRIAL_BACKOFF_ENV",
-    "POOL_RESTARTS_ENV",
-    "FAULT_INJECT_ENV",
     "FAULT_KINDS",
-    "SERVE_FAULT_INJECT_ENV",
     "SERVE_FAULT_KINDS",
     "CRASH_EXIT_CODE",
     "InjectedFault",

@@ -78,11 +78,10 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.knobs import default, knob
+from repro.knobs import default, knob, usable_cores
 from repro.runtime.cache import TrialCache
 from repro.runtime.faults import (
     CRASH_EXIT_CODE,
-    FAULT_INJECT_ENV,
     FaultPlan,
     InjectedFault,
     NO_FAULTS,
@@ -99,34 +98,21 @@ __all__ = [
     "run_trials",
     "resolve_n_jobs",
     "resolve_on_error",
-    "resolve_trial_retries",
-    "resolve_trial_timeout",
-    "resolve_retry_backoff",
-    "resolve_pool_restarts",
     "persistent_executor",
     "shutdown_pool",
     "pool_worker_pids",
     "call_with_timeout",
     "TrialTimeoutError",
     "ON_ERROR_POLICIES",
-    "TRIAL_RETRIES_ENV",
-    "TRIAL_TIMEOUT_ENV",
-    "TRIAL_BACKOFF_ENV",
-    "POOL_RESTARTS_ENV",
 ]
 
 _logger = get_logger(__name__)
 
 ON_ERROR_POLICIES = ("raise", "collect")
-TRIAL_RETRIES_ENV = "REPRO_TRIAL_RETRIES"
-TRIAL_TIMEOUT_ENV = "REPRO_TRIAL_TIMEOUT"
-TRIAL_BACKOFF_ENV = "REPRO_TRIAL_BACKOFF"
-POOL_RESTARTS_ENV = "REPRO_POOL_RESTARTS"
 
 # Deterministic retry pacing: attempt N sleeps BACKOFF * 2**(N-1) seconds
 # (no jitter — two chaos runs with the same faults back off identically),
 # capped so a deep retry budget cannot stall a worker for minutes.
-DEFAULT_RETRY_BACKOFF = default(TRIAL_BACKOFF_ENV)
 MAX_RETRY_BACKOFF = 5.0
 
 # The process-wide persistent executor: the pool itself, the worker count
@@ -163,26 +149,6 @@ def resolve_on_error(on_error: str | None = None) -> str:
             f"got {on_error!r}"
         )
     return on_error
-
-
-def resolve_trial_retries(retries: int | None = None) -> int:
-    """Extra attempts per trial (``REPRO_TRIAL_RETRIES``; 0 = run once)."""
-    return knob(TRIAL_RETRIES_ENV, retries)
-
-
-def resolve_trial_timeout(timeout: float | None = None) -> float | None:
-    """Per-attempt seconds (``REPRO_TRIAL_TIMEOUT``; ``None`` = no limit)."""
-    return knob(TRIAL_TIMEOUT_ENV, timeout)
-
-
-def resolve_retry_backoff(backoff: float | None = None) -> float:
-    """Base retry backoff in seconds (``REPRO_TRIAL_BACKOFF``; 0 = none)."""
-    return knob(TRIAL_BACKOFF_ENV, backoff)
-
-
-def resolve_pool_restarts(restarts: int | None = None) -> int:
-    """Broken-pool rebuilds per run (``REPRO_POOL_RESTARTS``; 0 = none)."""
-    return knob(POOL_RESTARTS_ENV, restarts)
 
 
 def persistent_executor(n_workers: int) -> concurrent.futures.ProcessPoolExecutor:
@@ -243,13 +209,11 @@ def pool_worker_pids() -> tuple[int, ...]:
 def resolve_n_jobs(n_jobs: int | None = None) -> int:
     """Resolve a worker count: argument, then ``REPRO_N_JOBS``, then 1.
 
-    ``n_jobs <= 0`` (from either source) requests one worker per available
-    CPU core.
+    ``n_jobs <= 0`` (from either source) requests one worker per usable
+    core (:func:`repro.knobs.usable_cores`).
     """
     n_jobs = knob("REPRO_N_JOBS", n_jobs)
-    if n_jobs <= 0:
-        return os.cpu_count() or 1
-    return n_jobs
+    return usable_cores() if n_jobs <= 0 else n_jobs
 
 
 @dataclass(frozen=True)
@@ -264,7 +228,7 @@ class _ExecutionSettings:
 
     retries: int = 0
     timeout: float | None = None
-    backoff: float = DEFAULT_RETRY_BACKOFF
+    backoff: float = default("REPRO_TRIAL_BACKOFF")
     collect: bool = False
     faults: TrialFaults = NO_FAULTS
     crash: bool = False
@@ -337,26 +301,22 @@ def run_trials(
         ``collect`` (a :class:`~repro.runtime.spec.TrialFailure` takes
         the trial's place in the results and the ensemble continues).
     retries:
-        Extra attempts per trial after the first; see
-        :func:`resolve_trial_retries` (``REPRO_TRIAL_RETRIES``, default
-        0).  Every attempt re-derives the same per-trial stream, so a
+        Extra attempts per trial after the first (``REPRO_TRIAL_RETRIES``,
+        default 0).  Every attempt re-derives the same per-trial stream, so a
         retried run is bit-identical to a clean one.
     timeout:
-        Per-attempt wall-clock budget in seconds; see
-        :func:`resolve_trial_timeout` (``REPRO_TRIAL_TIMEOUT``, default
-        none).  A timed-out attempt counts as a failure (and is retried
+        Per-attempt wall-clock budget in seconds (``REPRO_TRIAL_TIMEOUT``,
+        default none).  A timed-out attempt counts as a failure (and is retried
         if budget remains).  Enforced identically on the serial and pool
         paths via an in-process watchdog; the abandoned attempt finishes
         in a daemon thread whose result is discarded, so trial callables
         should be pure (they already must be, for caching).
     backoff:
         Base seconds of the deterministic exponential backoff between
-        attempts; see :func:`resolve_retry_backoff`
-        (``REPRO_TRIAL_BACKOFF``).
+        attempts (``REPRO_TRIAL_BACKOFF``).
     pool_restarts:
         How many broken-pool rebuilds this call may perform before
-        surfacing the breakage; see :func:`resolve_pool_restarts`
-        (``REPRO_POOL_RESTARTS``).
+        surfacing the breakage (``REPRO_POOL_RESTARTS``).
     faults:
         Deterministic fault-injection plan — a spec string, a parsed
         :class:`~repro.runtime.faults.FaultPlan`, or ``None`` to honour
@@ -374,10 +334,10 @@ def run_trials(
     # serial/cached branches too, not only once the call site first runs
     # parallel (or first injects a fault).
     on_error = resolve_on_error(on_error)
-    retries = resolve_trial_retries(retries)
-    timeout = resolve_trial_timeout(timeout)
-    backoff = resolve_retry_backoff(backoff)
-    restart_budget = resolve_pool_restarts(pool_restarts)
+    retries = knob("REPRO_TRIAL_RETRIES", retries)
+    timeout = knob("REPRO_TRIAL_TIMEOUT", timeout)
+    backoff = knob("REPRO_TRIAL_BACKOFF", backoff)
+    restart_budget = knob("REPRO_POOL_RESTARTS", pool_restarts)
     plan = resolve_fault_plan(faults)
     store = _as_cache(cache)
     seeds = _effective_seeds(specs, seed)
@@ -575,9 +535,10 @@ def _collect(
             if restarts > restart_budget:
                 _logger.error(
                     "%s: worker pool broke %d time(s), exceeding the restart "
-                    "budget of %d (%s=%d); %d trial(s) unrecovered",
-                    state.label, restarts, restart_budget, POOL_RESTARTS_ENV,
-                    restart_budget, len(todo),
+                    "budget of %d (REPRO_POOL_RESTARTS=%d); %d trial(s) "
+                    "unrecovered",
+                    state.label, restarts, restart_budget, restart_budget,
+                    len(todo),
                 )
                 raise
             _logger.warning(
@@ -655,7 +616,7 @@ def _attempt(
         if faults.error_attempts >= attempt:
             raise InjectedFault(
                 f"injected trial error (trial {spec.index}, attempt {attempt}; "
-                f"{FAULT_INJECT_ENV})"
+                "REPRO_FAULT_INJECT)"
             )
         rng = np.random.default_rng(trial_seed)
         return spec.fn(rng, **dict(spec.params))

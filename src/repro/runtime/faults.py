@@ -37,10 +37,10 @@ never depend on what a worker process inherited at fork time.
 ``worker_crash`` is a no-op on the serial path — there is no worker to
 kill without killing the ensemble itself.
 
-The serve layer (:mod:`repro.serve`) has its own clause vocabulary under
-the separate ``REPRO_SERVE_FAULT_INJECT`` knob, targeting *requests*
-instead of trials (``nth`` is 1-based over the work requests admitted
-past the backpressure gate, in admission order)::
+The serve layer (:mod:`repro.serve`) has its own kinds of the same
+clause grammar under the separate ``REPRO_SERVE_FAULT_INJECT`` knob,
+targeting *requests* instead of trials (``nth`` is 1-based over the work
+requests admitted past the backpressure gate, in admission order)::
 
     slow_request:nth=3:seconds=30       # 3rd admitted work request stalls
                                         # 30s inside its deadline watchdog
@@ -64,15 +64,13 @@ Requests are not retried by the server, so ``slow_request`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ValidationError
 from repro.knobs import knob
 
 __all__ = [
-    "FAULT_INJECT_ENV",
     "FAULT_KINDS",
-    "SERVE_FAULT_INJECT_ENV",
     "SERVE_FAULT_KINDS",
     "InjectedFault",
     "TrialFaults",
@@ -88,10 +86,8 @@ __all__ = [
     "resolve_serve_fault_plan",
 ]
 
-FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 FAULT_KINDS = ("trial_error", "worker_crash", "slow_trial")
 
-SERVE_FAULT_INJECT_ENV = "REPRO_SERVE_FAULT_INJECT"
 SERVE_FAULT_KINDS = ("slow_request", "handler_error", "pool_breakage")
 
 # Exit code an injected worker crash dies with: distinguishable from a
@@ -203,112 +199,89 @@ _SERVE_EXAMPLES = (
     "pool_breakage:nth=5:attempts=2"
 )
 
+# The clause grammar of both families, one row per kind: the target keys
+# (a clause names exactly one), the keys it must carry, and the keys it
+# may carry.  Keys are FaultClause fields.
+_GRAMMAR = {
+    "trial_error": (("index",), (), ("attempts",)),
+    "worker_crash": (("index", "nth"), (), ("attempts",)),
+    "slow_trial": (("index",), ("seconds",), ("attempts",)),
+    "slow_request": (("nth",), ("seconds",), ()),
+    "handler_error": (("nth",), (), ()),
+    "pool_breakage": (("nth",), (), ("attempts",)),
+}
 
-def _clause_error(
-    clause: str,
-    reason: str,
-    kinds: Sequence[str] = FAULT_KINDS,
-    examples: str = _TRIAL_EXAMPLES,
-) -> ValidationError:
-    return ValidationError(
-        f"bad fault clause {clause!r}: {reason}; expected "
-        f"kind:key=value[:key=value...] with kind one of {', '.join(kinds)} "
-        f"(e.g. {examples})"
+# The smallest value of each integer key: ``index`` is a 0-based
+# position, ``nth`` and ``attempts`` count from 1.
+_MINIMUM = {"index": 0, "nth": 1, "attempts": 1}
+
+
+def _parse_clauses(
+    spec: str, kinds: Sequence[str], examples: str
+) -> tuple[FaultClause, ...]:
+    """The clauses of ``spec``, each of one of ``kinds`` (one family)."""
+    return tuple(
+        _parse_clause(raw.strip(), kinds, examples)
+        for raw in spec.split(";")
+        if raw.strip()
     )
 
 
-def _serve_clause_error(clause: str, reason: str) -> ValidationError:
-    return _clause_error(clause, reason, SERVE_FAULT_KINDS, _SERVE_EXAMPLES)
+def _parse_clause(raw: str, kinds: Sequence[str], examples: str) -> FaultClause:
+    """Parse one clause against :data:`_GRAMMAR`.
 
+    Malformed clauses raise :class:`~repro.errors.ValidationError` naming
+    the clause — an injection harness that silently ignores a typo'd
+    fault would "pass" every chaos test vacuously.
+    """
 
-def _parse_fields(clause: str, fields: Sequence[str], error=_clause_error) -> dict[str, str]:
+    def error(reason: str) -> ValidationError:
+        return ValidationError(
+            f"bad fault clause {raw!r}: {reason}; expected "
+            f"kind:key=value[:key=value...] with kind one of "
+            f"{', '.join(kinds)} (e.g. {examples})"
+        )
+
+    kind, *fields = [token.strip() for token in raw.split(":")]
+    if kind not in kinds:
+        raise error(f"unknown kind {kind!r}")
+    targets, required, optional = _GRAMMAR[kind]
     values: dict[str, str] = {}
     for token in fields:
         key, separator, value = token.partition("=")
         if not separator or not key or not value:
-            raise error(clause, f"malformed field {token!r}")
+            raise error(f"malformed field {token!r}")
         if key in values:
-            raise error(clause, f"duplicate key {key!r}")
+            raise error(f"duplicate key {key!r}")
         values[key] = value
-    return values
-
-
-def _field_int(
-    clause: str, values: Mapping[str, str], key: str, minimum: int, error=_clause_error
-) -> int:
-    raw = values[key]
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise error(clause, f"{key} must be an integer, got {raw!r}") from exc
-    if value < minimum:
-        raise error(clause, f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _field_float(
-    clause: str, values: Mapping[str, str], key: str, error=_clause_error
-) -> float:
-    raw = values[key]
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise error(clause, f"{key} must be a number, got {raw!r}") from exc
-    if not value > 0:
-        raise error(clause, f"{key} must be positive, got {value}")
-    return value
-
-
-_ALLOWED_KEYS = {
-    "trial_error": {"index", "attempts"},
-    "slow_trial": {"index", "seconds", "attempts"},
-    "worker_crash": {"index", "nth", "attempts"},
-}
+    unknown = set(values) - {*targets, *required, *optional}
+    if unknown:
+        raise error(f"unknown key(s) {', '.join(sorted(unknown))} for {kind}")
+    if sum(key in values for key in targets) != 1:
+        choice = " or ".join(f"{key}=" for key in targets)
+        raise error(
+            f"needs exactly one of {choice}" if len(targets) > 1 else f"needs {choice}"
+        )
+    for key in required:
+        if key not in values:
+            raise error(f"needs {key}=")
+    parsed: dict[str, int | float] = {}
+    for key, value in values.items():
+        try:
+            parsed[key] = float(value) if key == "seconds" else int(value)
+        except ValueError as exc:
+            expected = "a number" if key == "seconds" else "an integer"
+            raise error(f"{key} must be {expected}, got {value!r}") from exc
+        if key == "seconds" and not parsed[key] > 0:
+            raise error(f"{key} must be positive, got {parsed[key]}")
+        if key in _MINIMUM and parsed[key] < _MINIMUM[key]:
+            raise error(f"{key} must be >= {_MINIMUM[key]}, got {parsed[key]}")
+    return FaultClause(kind=kind, **parsed)
 
 
 def parse_fault_plan(spec: str) -> FaultPlan:
-    """Parse a fault spec string into a :class:`FaultPlan`.
-
-    Malformed specs raise :class:`~repro.errors.ValidationError` with the
-    offending clause named — an injection harness that silently ignores a
-    typo'd fault would "pass" every chaos test vacuously.
-    """
-    clauses: list[FaultClause] = []
-    for raw in spec.split(";"):
-        raw = raw.strip()
-        if not raw:
-            continue
-        kind, *fields = [token.strip() for token in raw.split(":")]
-        if kind not in FAULT_KINDS:
-            raise _clause_error(raw, f"unknown kind {kind!r}")
-        values = _parse_fields(raw, fields)
-        unknown = set(values) - _ALLOWED_KEYS[kind]
-        if unknown:
-            raise _clause_error(
-                raw, f"unknown key(s) {', '.join(sorted(unknown))} for {kind}"
-            )
-        attempts = _field_int(raw, values, "attempts", 1) if "attempts" in values else 1
-        if kind == "worker_crash":
-            if ("index" in values) == ("nth" in values):
-                raise _clause_error(raw, "needs exactly one of index= or nth=")
-            index = _field_int(raw, values, "index", 0) if "index" in values else None
-            nth = _field_int(raw, values, "nth", 1) if "nth" in values else None
-            clauses.append(
-                FaultClause(kind=kind, index=index, nth=nth, attempts=attempts)
-            )
-            continue
-        if "index" not in values:
-            raise _clause_error(raw, "needs index=")
-        index = _field_int(raw, values, "index", 0)
-        seconds = 0.0
-        if kind == "slow_trial":
-            if "seconds" not in values:
-                raise _clause_error(raw, "needs seconds=")
-            seconds = _field_float(raw, values, "seconds")
-        clauses.append(
-            FaultClause(kind=kind, index=index, attempts=attempts, seconds=seconds)
-        )
-    return FaultPlan(clauses=tuple(clauses))
+    """Parse a trial fault spec string into a :class:`FaultPlan`."""
+    return FaultPlan(_parse_clauses(spec, FAULT_KINDS, _TRIAL_EXAMPLES))
 
 
 def resolve_fault_plan(faults: "str | FaultPlan | None" = None) -> FaultPlan:
@@ -317,7 +290,7 @@ def resolve_fault_plan(faults: "str | FaultPlan | None" = None) -> FaultPlan:
     if isinstance(faults, FaultPlan):
         return faults
     if faults is None:
-        faults = knob(FAULT_INJECT_ENV)
+        faults = knob("REPRO_FAULT_INJECT")
     return parse_fault_plan(faults)
 
 
@@ -387,48 +360,13 @@ class ServeFaultPlan:
         return faults
 
 
-_SERVE_ALLOWED_KEYS = {
-    "slow_request": {"nth", "seconds"},
-    "handler_error": {"nth"},
-    "pool_breakage": {"nth", "attempts"},
-}
-
-
 def parse_serve_fault_plan(spec: str) -> ServeFaultPlan:
     """Parse a serve fault spec string into a :class:`ServeFaultPlan`.
 
-    Same strictness contract as :func:`parse_fault_plan`: malformed specs
-    raise :class:`~repro.errors.ValidationError` naming the clause.
+    The same clause grammar and strictness as :func:`parse_fault_plan`,
+    over the serve kinds.
     """
-    clauses: list[FaultClause] = []
-    for raw in spec.split(";"):
-        raw = raw.strip()
-        if not raw:
-            continue
-        kind, *fields = [token.strip() for token in raw.split(":")]
-        if kind not in SERVE_FAULT_KINDS:
-            raise _serve_clause_error(raw, f"unknown kind {kind!r}")
-        values = _parse_fields(raw, fields, _serve_clause_error)
-        unknown = set(values) - _SERVE_ALLOWED_KEYS[kind]
-        if unknown:
-            raise _serve_clause_error(
-                raw, f"unknown key(s) {', '.join(sorted(unknown))} for {kind}"
-            )
-        if "nth" not in values:
-            raise _serve_clause_error(raw, "needs nth=")
-        nth = _field_int(raw, values, "nth", 1, _serve_clause_error)
-        seconds = 0.0
-        if kind == "slow_request":
-            if "seconds" not in values:
-                raise _serve_clause_error(raw, "needs seconds=")
-            seconds = _field_float(raw, values, "seconds", _serve_clause_error)
-        attempts = 1
-        if "attempts" in values:
-            attempts = _field_int(raw, values, "attempts", 1, _serve_clause_error)
-        clauses.append(
-            FaultClause(kind=kind, nth=nth, attempts=attempts, seconds=seconds)
-        )
-    return ServeFaultPlan(clauses=tuple(clauses))
+    return ServeFaultPlan(_parse_clauses(spec, SERVE_FAULT_KINDS, _SERVE_EXAMPLES))
 
 
 def resolve_serve_fault_plan(
@@ -439,5 +377,5 @@ def resolve_serve_fault_plan(
     if isinstance(faults, ServeFaultPlan):
         return faults
     if faults is None:
-        faults = knob(SERVE_FAULT_INJECT_ENV)
+        faults = knob("REPRO_SERVE_FAULT_INJECT")
     return parse_serve_fault_plan(faults)

@@ -55,16 +55,12 @@ from repro.graphs.graph import Graph
 from repro.knobs import knob
 
 __all__ = [
-    "SHM_ENV",
     "AUTO_THRESHOLD_BYTES",
-    "resolve_shm_mode",
     "should_share",
     "share_graph",
     "live_segments",
     "attached_segments",
 ]
-
-SHM_ENV = "REPRO_SHM"
 
 # `auto` shares a graph once its pickled edge payload reaches 1 MiB
 # (two int64 arrays: 65536 edges).  Below that, pickling is cheaper than
@@ -82,14 +78,9 @@ _LIVE: dict[str, shared_memory.SharedMemory] = {}
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 
-def resolve_shm_mode(mode: str | None = None) -> str:
-    """The sharing mode: argument, else ``REPRO_SHM``, else ``auto``."""
-    return knob(SHM_ENV, mode)
-
-
 def should_share(graph: Graph) -> bool:
     """Whether the pool path should publish ``graph`` to shared memory."""
-    if resolve_shm_mode() == "off" or graph.n_edges == 0:
+    if knob("REPRO_SHM") == "off" or graph.n_edges == 0:
         return False
     return 2 * 8 * graph.n_edges >= AUTO_THRESHOLD_BYTES
 

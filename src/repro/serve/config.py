@@ -39,26 +39,7 @@ from repro.runtime.engine import resolve_n_jobs
 from repro.runtime.faults import ServeFaultPlan, resolve_serve_fault_plan
 from repro.utils.validation import check_integer
 
-__all__ = [
-    "ServeConfig",
-    "SERVE_QUEUE_ENV",
-    "SERVE_TIMEOUT_ENV",
-    "SERVE_DRAIN_ENV",
-    "SERVE_BREAKER_ENV",
-    "SERVE_BUDGET_EPSILON_ENV",
-    "SERVE_BUDGET_DELTA_ENV",
-    "SERVE_LEDGER_DIR_ENV",
-    "SERVE_MAX_SAMPLES_ENV",
-]
-
-SERVE_QUEUE_ENV = "REPRO_SERVE_QUEUE"
-SERVE_TIMEOUT_ENV = "REPRO_SERVE_TIMEOUT"
-SERVE_DRAIN_ENV = "REPRO_SERVE_DRAIN"
-SERVE_BREAKER_ENV = "REPRO_SERVE_BREAKER"
-SERVE_BUDGET_EPSILON_ENV = "REPRO_SERVE_BUDGET_EPSILON"
-SERVE_BUDGET_DELTA_ENV = "REPRO_SERVE_BUDGET_DELTA"
-SERVE_LEDGER_DIR_ENV = "REPRO_SERVE_LEDGER_DIR"
-SERVE_MAX_SAMPLES_ENV = "REPRO_SERVE_MAX_SAMPLES"
+__all__ = ["ServeConfig"]
 
 
 @dataclass(frozen=True)
@@ -67,19 +48,19 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8377
-    queue_limit: int = default(SERVE_QUEUE_ENV)
-    timeout: float = default(SERVE_TIMEOUT_ENV)
-    drain_deadline: float = default(SERVE_DRAIN_ENV)
-    breaker_threshold: int = default(SERVE_BREAKER_ENV)
-    budget_epsilon: float = default(SERVE_BUDGET_EPSILON_ENV)
-    budget_delta: float = default(SERVE_BUDGET_DELTA_ENV)
+    queue_limit: int = default("REPRO_SERVE_QUEUE")
+    timeout: float = default("REPRO_SERVE_TIMEOUT")
+    drain_deadline: float = default("REPRO_SERVE_DRAIN")
+    breaker_threshold: int = default("REPRO_SERVE_BREAKER")
+    budget_epsilon: float = default("REPRO_SERVE_BUDGET_EPSILON")
+    budget_delta: float = default("REPRO_SERVE_BUDGET_DELTA")
     default_epsilon: float = default("REPRO_EPSILON")
     default_delta: float = default("REPRO_DELTA")
     n_jobs: int = default("REPRO_N_JOBS")
     pool_restarts: int = default("REPRO_POOL_RESTARTS")
     cache_dir: str | None = None
     ledger_dir: str | None = None
-    max_samples: int = default(SERVE_MAX_SAMPLES_ENV)
+    max_samples: int = default("REPRO_SERVE_MAX_SAMPLES")
     faults: ServeFaultPlan = field(default_factory=ServeFaultPlan)
 
     @classmethod
@@ -111,18 +92,18 @@ class ServeConfig:
         return cls(
             host=host if host is not None else "127.0.0.1",
             port=check_integer(port if port is not None else 8377, "port", minimum=0),
-            queue_limit=knob(SERVE_QUEUE_ENV, queue),
-            timeout=knob(SERVE_TIMEOUT_ENV, timeout),
-            drain_deadline=knob(SERVE_DRAIN_ENV, drain),
-            breaker_threshold=knob(SERVE_BREAKER_ENV, breaker),
-            budget_epsilon=knob(SERVE_BUDGET_EPSILON_ENV, budget_epsilon),
-            budget_delta=knob(SERVE_BUDGET_DELTA_ENV, budget_delta),
+            queue_limit=knob("REPRO_SERVE_QUEUE", queue),
+            timeout=knob("REPRO_SERVE_TIMEOUT", timeout),
+            drain_deadline=knob("REPRO_SERVE_DRAIN", drain),
+            breaker_threshold=knob("REPRO_SERVE_BREAKER", breaker),
+            budget_epsilon=knob("REPRO_SERVE_BUDGET_EPSILON", budget_epsilon),
+            budget_delta=knob("REPRO_SERVE_BUDGET_DELTA", budget_delta),
             default_epsilon=knob("REPRO_EPSILON"),
             default_delta=knob("REPRO_DELTA"),
             n_jobs=resolve_n_jobs(n_jobs),
             pool_restarts=knob("REPRO_POOL_RESTARTS", pool_restarts),
             cache_dir=knob("REPRO_CACHE_DIR", cache_dir),
-            ledger_dir=knob(SERVE_LEDGER_DIR_ENV, ledger_dir),
-            max_samples=knob(SERVE_MAX_SAMPLES_ENV, max_samples),
+            ledger_dir=knob("REPRO_SERVE_LEDGER_DIR", ledger_dir),
+            max_samples=knob("REPRO_SERVE_MAX_SAMPLES", max_samples),
             faults=resolve_serve_fault_plan(faults),
         )

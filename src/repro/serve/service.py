@@ -55,7 +55,7 @@ from repro.runtime.faults import InjectedFault, RequestFaults
 from repro.runtime.hashing import stable_hash
 from repro.serve.accounting import AccountantRegistry
 from repro.serve.admission import AdmissionGate, CircuitBreaker, KeyedLocks
-from repro.serve.config import SERVE_MAX_SAMPLES_ENV, ServeConfig
+from repro.serve.config import ServeConfig
 from repro.serve.registry import (
     ModelRegistry,
     ModelSpec,
@@ -466,7 +466,7 @@ class SynthesisService:
                 raise ValidationError(
                     f"count {count} exceeds the per-request cap of "
                     f"{self.config.max_samples} (raise it with "
-                    f"{SERVE_MAX_SAMPLES_ENV})"
+                    "REPRO_SERVE_MAX_SAMPLES)"
                 )
             canonical["count"] = count
         return tuple(sorted(canonical.items()))

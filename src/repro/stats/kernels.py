@@ -52,7 +52,7 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.knobs import KERNEL_BACKEND_CHOICES, knob
 from repro.native.counting import COUNTING_KERNEL
-from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
+from repro.native.registry import NATIVE_BACKENDS
 from repro.utils.validation import check_integer
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "reference_count_triangles",
     "reference_triangles_per_node",
     "reference_max_common_neighbors",
-    "KERNEL_BACKEND_ENV",
     "KERNEL_BACKEND_CHOICES",
 ]
 
@@ -272,7 +271,7 @@ def triangle_pass(
     # misconfigured pipeline (bad backend name, unavailable C kernel, bad
     # block size) fails loudly even when its first graph is empty.
     block_size = check_integer(block_size, "block_size", minimum=0)
-    requested = knob(KERNEL_BACKEND_ENV, backend)
+    requested = knob("REPRO_KERNEL_BACKEND", backend)
     backend = resolve_kernel_backend(backend)
     wedges, tripins = _degree_moments(graph.degrees)
     per_node = np.zeros(n, dtype=np.int64)

@@ -39,7 +39,6 @@ from repro.tracking.record import (
     seed_token,
 )
 from repro.tracking.store import (
-    RUNS_DIR_ENV,
     find_run,
     list_runs,
     load_run,
@@ -49,7 +48,6 @@ from repro.tracking.store import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RUNS_DIR_ENV",
     "RunRecord",
     "RunComparison",
     "build_run_record",

@@ -131,12 +131,7 @@ def environment_fingerprint() -> dict[str, Any]:
     from repro.knobs import knob
     from repro.native.chain import resolve_multichain_backend
     from repro.native.sampling import resolve_sampler_backend
-    from repro.runtime import (
-        FAULT_INJECT_ENV,
-        resolve_n_jobs,
-        resolve_trial_retries,
-        resolve_trial_timeout,
-    )
+    from repro.runtime import resolve_n_jobs
     from repro.stats.kernels import resolve_kernel_backend
 
     return {
@@ -149,9 +144,9 @@ def environment_fingerprint() -> dict[str, Any]:
         "chain_backend": resolve_multichain_backend(),
         "sampler_backend": resolve_sampler_backend(),
         "n_jobs": resolve_n_jobs(),
-        "trial_retries": resolve_trial_retries(),
-        "trial_timeout": resolve_trial_timeout(),
-        "fault_inject": knob(FAULT_INJECT_ENV) or None,
+        "trial_retries": knob("REPRO_TRIAL_RETRIES"),
+        "trial_timeout": knob("REPRO_TRIAL_TIMEOUT"),
+        "fault_inject": knob("REPRO_FAULT_INJECT") or None,
     }
 
 

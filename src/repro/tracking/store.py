@@ -39,15 +39,12 @@ from repro.runtime.hashing import stable_hash
 from repro.tracking.record import SCHEMA_VERSION, RunRecord
 
 __all__ = [
-    "RUNS_DIR_ENV",
     "resolve_runs_dir",
     "write_run",
     "load_run",
     "list_runs",
     "find_run",
 ]
-
-RUNS_DIR_ENV = "REPRO_RUNS_DIR"
 
 RUN_FILE = "run.json"
 METRICS_DIR = "metrics"
@@ -56,7 +53,7 @@ METRICS_DIR = "metrics"
 def resolve_runs_dir(runs_dir: str | os.PathLike | None = None) -> Path:
     """Resolve the runs directory: argument, then ``REPRO_RUNS_DIR``,
     then ``runs/`` under the working directory."""
-    return Path(knob(RUNS_DIR_ENV, runs_dir))
+    return Path(knob("REPRO_RUNS_DIR", runs_dir))
 
 
 def _slug(token: str) -> str:

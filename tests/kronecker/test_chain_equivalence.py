@@ -44,7 +44,7 @@ from repro.kronecker.likelihood import (
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
 from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
+from repro.native.registry import NATIVE_BACKENDS
 
 
 def _backend_params() -> list:
@@ -211,7 +211,7 @@ class TestChainBackendSelection:
             native_chain.resolve_chain_backend
             is native_chain.resolve_multichain_backend
         )
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "scipy")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scipy")
         assert native_chain.resolve_chain_backend() == "numpy"
 
     def test_invalid_name_rejected(self):
@@ -230,7 +230,7 @@ class TestChainBackendSelection:
     def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
         for name in NATIVE_BACKENDS:
             monkeypatch.setitem(MULTICHAIN_KERNEL.states, name, (None, f"{name} disabled"))
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
         graph, k = family_graph("near-empty-k3")
         sampler = PermutationSampler(graph, k, THETAS["paper"])
         assert sampler.backend == "numpy"

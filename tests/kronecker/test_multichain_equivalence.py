@@ -47,8 +47,6 @@ from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
 from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import (
-    KERNEL_BACKEND_ENV,
-    KERNEL_THREADS_ENV,
     NATIVE_BACKENDS,
     resolve_kernel_threads,
 )
@@ -227,7 +225,7 @@ class TestMultiChainMatrix:
 
 class TestMultiChainBackendSelection:
     def test_resolution_values(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert native_chain.resolve_multichain_backend() in (
             MULTICHAIN_KERNEL.available_backends()
         )
@@ -247,7 +245,7 @@ class TestMultiChainBackendSelection:
     def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
         for name in NATIVE_BACKENDS:
             monkeypatch.setitem(MULTICHAIN_KERNEL.states, name, (None, f"{name} disabled"))
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
         assert native_chain.resolve_multichain_backend() == "numpy"
         assert MULTICHAIN_KERNEL.available_backends() == ("numpy",)
         graph, k = family_graph("near-empty-k3")
@@ -259,21 +257,21 @@ class TestMultiChainBackendSelection:
         reason="no fused multichain backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert native_chain.resolve_multichain_backend() != "numpy"
 
 
 class TestKernelThreadsKnob:
     def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
         assert resolve_kernel_threads() == 1
         assert resolve_kernel_threads(3) == 3
-        monkeypatch.setenv(KERNEL_THREADS_ENV, "2")
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
         assert resolve_kernel_threads() == 2
         assert resolve_kernel_threads(5) == 5
 
     def test_zero_means_all_usable_cores(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
         assert resolve_kernel_threads(0) >= 1
 
     def test_invalid_values_rejected(self, monkeypatch):
@@ -281,8 +279,8 @@ class TestKernelThreadsKnob:
             resolve_kernel_threads("two")
         with pytest.raises(ValidationError):
             resolve_kernel_threads(True)
-        monkeypatch.setenv(KERNEL_THREADS_ENV, "soon")
-        with pytest.raises(ValidationError, match=KERNEL_THREADS_ENV):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "soon")
+        with pytest.raises(ValidationError, match="REPRO_KERNEL_THREADS"):
             resolve_kernel_threads()
 
 

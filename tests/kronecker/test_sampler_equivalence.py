@@ -33,7 +33,7 @@ from repro.kronecker.sampling import (
     sample_skg_statistics,
 )
 from repro.native import sampling as native_sampling
-from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
+from repro.native.registry import NATIVE_BACKENDS
 from repro.native.sampling import SAMPLER_KERNEL, choose_table
 from repro.stats.counts import MatchingStatistics, matching_statistics
 
@@ -268,7 +268,7 @@ class TestProbeSmokeTest:
 
 class TestSamplerBackendSelection:
     def test_resolution_values(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert native_sampling.resolve_sampler_backend() in (
             SAMPLER_KERNEL.available_backends()
         )
@@ -278,7 +278,7 @@ class TestSamplerBackendSelection:
         assert native_sampling.resolve_sampler_backend("scipy") == "numpy"
 
     def test_environment_knob(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "scipy")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scipy")
         assert native_sampling.resolve_sampler_backend() == "numpy"
 
     def test_invalid_name_rejected(self):
@@ -298,7 +298,7 @@ class TestSamplerBackendSelection:
     def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
         for name in NATIVE_BACKENDS:
             monkeypatch.setitem(SAMPLER_KERNEL.states, name, (None, f"{name} disabled"))
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
         assert native_sampling.resolve_sampler_backend() == "numpy"
         assert SAMPLER_KERNEL.available_backends() == ("numpy",)
         graph = sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0)
@@ -309,5 +309,5 @@ class TestSamplerBackendSelection:
         reason="no fused sampler backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert native_sampling.resolve_sampler_backend() != "numpy"

@@ -21,12 +21,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.knobs import knob
 from repro.runtime import (
-    FAULT_INJECT_ENV,
-    POOL_RESTARTS_ENV,
-    TRIAL_BACKOFF_ENV,
-    TRIAL_RETRIES_ENV,
-    TRIAL_TIMEOUT_ENV,
     FaultPlan,
     InjectedFault,
     TrialCache,
@@ -36,10 +32,6 @@ from repro.runtime import (
     parse_fault_plan,
     resolve_fault_plan,
     resolve_on_error,
-    resolve_pool_restarts,
-    resolve_retry_backoff,
-    resolve_trial_retries,
-    resolve_trial_timeout,
     run_trials,
     shutdown_pool,
 )
@@ -140,14 +132,14 @@ class TestParsing:
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "trial_error:index=1")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "trial_error:index=1")
         plan = resolve_fault_plan()
         assert plan.clauses[0].index == 1
-        monkeypatch.delenv(FAULT_INJECT_ENV)
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
         assert not resolve_fault_plan()
 
     def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "trial_error:index=1")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "trial_error:index=1")
         explicit = parse_fault_plan("slow_trial:index=2:seconds=1")
         assert resolve_fault_plan(explicit) is explicit
         assert resolve_fault_plan("").clauses == ()
@@ -181,54 +173,52 @@ class TestTargeting:
 
 class TestKnobResolution:
     def test_defaults(self, monkeypatch):
-        for name in (TRIAL_RETRIES_ENV, TRIAL_TIMEOUT_ENV, TRIAL_BACKOFF_ENV,
-                     POOL_RESTARTS_ENV):
+        for name in ("REPRO_TRIAL_RETRIES", "REPRO_TRIAL_TIMEOUT",
+                     "REPRO_TRIAL_BACKOFF", "REPRO_POOL_RESTARTS"):
             monkeypatch.delenv(name, raising=False)
-        assert resolve_trial_retries() == 0
-        assert resolve_trial_timeout() is None
-        assert resolve_retry_backoff() == pytest.approx(0.05)
-        assert resolve_pool_restarts() == 2
+        assert knob("REPRO_TRIAL_RETRIES") == 0
+        assert knob("REPRO_TRIAL_TIMEOUT") is None
+        assert knob("REPRO_TRIAL_BACKOFF") == pytest.approx(0.05)
+        assert knob("REPRO_POOL_RESTARTS") == 2
         assert resolve_on_error() == "raise"
 
     def test_environment_values(self, monkeypatch):
-        monkeypatch.setenv(TRIAL_RETRIES_ENV, "3")
-        monkeypatch.setenv(TRIAL_TIMEOUT_ENV, "1.5")
-        monkeypatch.setenv(TRIAL_BACKOFF_ENV, "0")
-        monkeypatch.setenv(POOL_RESTARTS_ENV, "5")
-        assert resolve_trial_retries() == 3
-        assert resolve_trial_timeout() == 1.5
-        assert resolve_retry_backoff() == 0.0
-        assert resolve_pool_restarts() == 5
+        monkeypatch.setenv("REPRO_TRIAL_RETRIES", "3")
+        monkeypatch.setenv("REPRO_TRIAL_TIMEOUT", "1.5")
+        monkeypatch.setenv("REPRO_TRIAL_BACKOFF", "0")
+        monkeypatch.setenv("REPRO_POOL_RESTARTS", "5")
+        assert knob("REPRO_TRIAL_RETRIES") == 3
+        assert knob("REPRO_TRIAL_TIMEOUT") == 1.5
+        assert knob("REPRO_TRIAL_BACKOFF") == 0.0
+        assert knob("REPRO_POOL_RESTARTS") == 5
 
     @pytest.mark.parametrize(
-        ("resolver", "env"),
+        "env",
         [
-            (resolve_trial_retries, TRIAL_RETRIES_ENV),
-            (resolve_trial_timeout, TRIAL_TIMEOUT_ENV),
-            (resolve_retry_backoff, TRIAL_BACKOFF_ENV),
-            (resolve_pool_restarts, POOL_RESTARTS_ENV),
+            "REPRO_TRIAL_RETRIES",
+            "REPRO_TRIAL_TIMEOUT",
+            "REPRO_TRIAL_BACKOFF",
+            "REPRO_POOL_RESTARTS",
         ],
     )
-    def test_bad_environment_values_chain_their_cause(
-        self, monkeypatch, resolver, env
-    ):
+    def test_bad_environment_values_chain_their_cause(self, monkeypatch, env):
         monkeypatch.setenv(env, "banana")
         with pytest.raises(ValidationError, match=env) as info:
-            resolver()
+            knob(env)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_invalid_direct_values(self):
         with pytest.raises(ValidationError):
-            resolve_trial_retries(-1)
+            knob("REPRO_TRIAL_RETRIES", -1)
         with pytest.raises(ValidationError):
-            resolve_trial_timeout(0)
+            knob("REPRO_TRIAL_TIMEOUT", 0)
         with pytest.raises(ValidationError):
-            resolve_retry_backoff(-0.1)
+            knob("REPRO_TRIAL_BACKOFF", -0.1)
         with pytest.raises(ValidationError):
             resolve_on_error("ignore")
 
     def test_bad_fault_spec_fails_even_a_serial_run(self, monkeypatch):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "not-a-kind:index=1")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "not-a-kind:index=1")
         with pytest.raises(ValidationError, match="fault clause"):
             run_trials(_specs(2), seed=0)
 
@@ -252,9 +242,9 @@ class TestRetries:
         REPRO_FAULT_INJECT: the injected fault hits the outer trial's
         first attempt only, so the retry heals bit-identically."""
         specs = _specs(1, fn=_kronfit_trial, k=5)
-        monkeypatch.delenv(FAULT_INJECT_ENV, raising=False)
+        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
         clean = run_trials(specs, seed=0)
-        monkeypatch.setenv(FAULT_INJECT_ENV, "trial_error:index=0:attempts=1")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "trial_error:index=0:attempts=1")
         healed = run_trials(specs, seed=0, retries=2, backoff=0)
         assert healed.results == clean.results
         assert healed.retried_indices == (0,)
@@ -489,16 +479,68 @@ class TestServeFaultGrammar:
             parse_serve_fault_plan("handler_error:nth=1:seconds=2")
 
     def test_environment_resolution(self, monkeypatch):
-        from repro.runtime import SERVE_FAULT_INJECT_ENV, resolve_serve_fault_plan
+        from repro.runtime import resolve_serve_fault_plan
 
-        monkeypatch.setenv(SERVE_FAULT_INJECT_ENV, "handler_error:nth=7")
+        monkeypatch.setenv("REPRO_SERVE_FAULT_INJECT", "handler_error:nth=7")
         plan = resolve_serve_fault_plan()
         assert plan.for_request(7).error
 
     def test_argument_beats_environment(self, monkeypatch):
-        from repro.runtime import SERVE_FAULT_INJECT_ENV, resolve_serve_fault_plan
+        from repro.runtime import resolve_serve_fault_plan
 
-        monkeypatch.setenv(SERVE_FAULT_INJECT_ENV, "handler_error:nth=7")
+        monkeypatch.setenv("REPRO_SERVE_FAULT_INJECT", "handler_error:nth=7")
         plan = resolve_serve_fault_plan("slow_request:nth=1:seconds=1")
         assert not plan.for_request(7).error
         assert plan.for_request(1).slow_seconds == 1.0
+
+
+# One valid clause per kind, trial family first.
+_VALID_CLAUSES = {
+    "trial_error": "trial_error:index=1:attempts=2",
+    "worker_crash": "worker_crash:nth=2:attempts=2",
+    "slow_trial": "slow_trial:index=1:seconds=2",
+    "slow_request": "slow_request:nth=1:seconds=2",
+    "handler_error": "handler_error:nth=1",
+    "pool_breakage": "pool_breakage:nth=1:attempts=2",
+}
+
+
+def _broken_clause(clause: str, case: str) -> str:
+    kind, *fields = clause.split(":")
+    if case == "unknown key":
+        return f"{clause}:bogus=1"
+    if case == "duplicate key":
+        return f"{clause}:{fields[0]}"
+    if case == "missing target":
+        kept = [f for f in fields if f.split("=")[0] not in ("index", "nth")]
+        return ":".join([kind, *kept])
+    if case == "non-positive seconds":
+        kept = [f for f in fields if not f.startswith("seconds=")]
+        return ":".join([kind, *kept, "seconds=0"])
+    return clause  # "other family": a valid clause, parsed by the wrong entry point
+
+
+class TestOneClauseGrammar:
+    """Both entry points share one clause parser and one per-kind table:
+    every kind rejects the same malformations, and each family rejects the
+    other's kinds, always naming the offending clause."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["unknown key", "duplicate key", "missing target",
+         "non-positive seconds", "other family"],
+    )
+    @pytest.mark.parametrize("kind", list(_VALID_CLAUSES))
+    def test_malformed_clause_is_rejected_by_both_entry_points(self, kind, case):
+        from repro.runtime import FAULT_KINDS, parse_serve_fault_plan
+
+        own, other = parse_fault_plan, parse_serve_fault_plan
+        if kind not in FAULT_KINDS:
+            own, other = other, own
+        assert [c.kind for c in own(_VALID_CLAUSES[kind]).clauses] == [kind]
+        clause = _broken_clause(_VALID_CLAUSES[kind], case)
+        entry_points = (other,) if case == "other family" else (own, other)
+        for parse in entry_points:
+            with pytest.raises(ValidationError) as info:
+                parse(clause)
+            assert f"bad fault clause {clause!r}" in str(info.value)

@@ -21,16 +21,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.knobs import knob
 from repro.graphs.generators import star_graph
 from repro.graphs.graph import Graph
 from repro.runtime import TrialSpec, run_trials, shutdown_pool
 from repro.runtime import shm as shm_module
 from repro.runtime.shm import (
     AUTO_THRESHOLD_BYTES,
-    SHM_ENV,
     attached_segments,
     live_segments,
-    resolve_shm_mode,
     share_graph,
     should_share,
 )
@@ -97,24 +96,24 @@ def _specs(graph: Graph, count: int = 4) -> list[TrialSpec]:
 
 class TestModeResolution:
     def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(SHM_ENV, raising=False)
-        assert resolve_shm_mode() == "auto"
-        monkeypatch.setenv(SHM_ENV, "")
-        assert resolve_shm_mode() == "auto"
+        monkeypatch.delenv("REPRO_SHM", raising=False)
+        assert knob("REPRO_SHM") == "auto"
+        monkeypatch.setenv("REPRO_SHM", "")
+        assert knob("REPRO_SHM") == "auto"
 
     def test_environment_knob(self, monkeypatch):
-        monkeypatch.setenv(SHM_ENV, "off")
-        assert resolve_shm_mode() == "off"
-        assert resolve_shm_mode("auto") == "auto"  # argument beats environment
+        monkeypatch.setenv("REPRO_SHM", "off")
+        assert knob("REPRO_SHM") == "off"
+        assert knob("REPRO_SHM", "auto") == "auto"  # argument beats environment
 
     def test_invalid_values_rejected(self, monkeypatch):
         with pytest.raises(ValidationError, match="shared-memory mode"):
-            resolve_shm_mode("mmap")
+            knob("REPRO_SHM", "mmap")
         with pytest.raises(ValidationError, match="shared-memory mode"):
-            resolve_shm_mode("on")  # not a mode: lower the threshold to force sharing
-        monkeypatch.setenv(SHM_ENV, "yes")
-        with pytest.raises(ValidationError, match=SHM_ENV):
-            resolve_shm_mode()
+            knob("REPRO_SHM", "on")  # not a mode: lower the threshold to force sharing
+        monkeypatch.setenv("REPRO_SHM", "yes")
+        with pytest.raises(ValidationError, match="REPRO_SHM"):
+            knob("REPRO_SHM")
 
     def test_should_share_thresholds(self, monkeypatch):
         big = big_graph()
@@ -124,7 +123,7 @@ class TestModeResolution:
         monkeypatch.setattr(shm_module, "AUTO_THRESHOLD_BYTES", 0)
         assert should_share(SMALL_GRAPH)
         assert not should_share(Graph(4))  # empty: nothing to map
-        monkeypatch.setenv(SHM_ENV, "off")
+        monkeypatch.setenv("REPRO_SHM", "off")
         assert not should_share(big)
 
 
@@ -196,7 +195,7 @@ class TestEngineIntegration:
         assert graph._shm is None
 
     def test_pool_run_with_sharing_off(self, monkeypatch):
-        monkeypatch.setenv(SHM_ENV, "off")
+        monkeypatch.setenv("REPRO_SHM", "off")
         report = run_trials(_specs(big_graph()), seed=0, n_jobs=2)
         assert all(r[3] == 0 for r in report.results)
 

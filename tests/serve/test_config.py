@@ -6,17 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.knobs import default
-from repro.serve.config import (
-    SERVE_BREAKER_ENV,
-    SERVE_BUDGET_DELTA_ENV,
-    SERVE_BUDGET_EPSILON_ENV,
-    SERVE_DRAIN_ENV,
-    SERVE_LEDGER_DIR_ENV,
-    SERVE_MAX_SAMPLES_ENV,
-    SERVE_QUEUE_ENV,
-    SERVE_TIMEOUT_ENV,
-    ServeConfig,
-)
+from repro.serve.config import ServeConfig
 
 
 def _resolve(**arguments) -> ServeConfig:
@@ -27,13 +17,13 @@ def _resolve(**arguments) -> ServeConfig:
 # (environment variable, ServeConfig field, resolve() argument,
 #  environment value, resolved value, argument value)
 FIELD_KNOBS = [
-    (SERVE_QUEUE_ENV, "queue_limit", "queue", "32", 32, 2),
-    (SERVE_TIMEOUT_ENV, "timeout", "timeout", "2.5", 2.5, 1.5),
-    (SERVE_DRAIN_ENV, "drain_deadline", "drain", "4.5", 4.5, 0.5),
-    (SERVE_BREAKER_ENV, "breaker_threshold", "breaker", "7", 7, 5),
-    (SERVE_BUDGET_EPSILON_ENV, "budget_epsilon", "budget_epsilon", "3.5", 3.5, 0.7),
-    (SERVE_BUDGET_DELTA_ENV, "budget_delta", "budget_delta", "0.25", 0.25, 0.05),
-    (SERVE_MAX_SAMPLES_ENV, "max_samples", "max_samples", "200", 200, 16),
+    ("REPRO_SERVE_QUEUE", "queue_limit", "queue", "32", 32, 2),
+    ("REPRO_SERVE_TIMEOUT", "timeout", "timeout", "2.5", 2.5, 1.5),
+    ("REPRO_SERVE_DRAIN", "drain_deadline", "drain", "4.5", 4.5, 0.5),
+    ("REPRO_SERVE_BREAKER", "breaker_threshold", "breaker", "7", 7, 5),
+    ("REPRO_SERVE_BUDGET_EPSILON", "budget_epsilon", "budget_epsilon", "3.5", 3.5, 0.7),
+    ("REPRO_SERVE_BUDGET_DELTA", "budget_delta", "budget_delta", "0.25", 0.25, 0.05),
+    ("REPRO_SERVE_MAX_SAMPLES", "max_samples", "max_samples", "200", 200, 16),
 ]
 FIELD_IDS = [row[1] for row in FIELD_KNOBS]
 
@@ -62,22 +52,22 @@ class TestKnobResolution:
             _resolve()
 
     def test_defaults(self, monkeypatch):
-        for name in (SERVE_QUEUE_ENV, SERVE_TIMEOUT_ENV, SERVE_DRAIN_ENV,
-                     SERVE_BREAKER_ENV, SERVE_MAX_SAMPLES_ENV):
+        for name in ("REPRO_SERVE_QUEUE", "REPRO_SERVE_TIMEOUT", "REPRO_SERVE_DRAIN",
+                     "REPRO_SERVE_BREAKER", "REPRO_SERVE_MAX_SAMPLES"):
             monkeypatch.delenv(name, raising=False)
         config = _resolve()
-        assert config.queue_limit == default(SERVE_QUEUE_ENV)
-        assert config.timeout == default(SERVE_TIMEOUT_ENV)
-        assert config.drain_deadline == default(SERVE_DRAIN_ENV)
-        assert config.breaker_threshold == default(SERVE_BREAKER_ENV)
-        assert config.budget_epsilon == default(SERVE_BUDGET_EPSILON_ENV)
-        assert config.max_samples == default(SERVE_MAX_SAMPLES_ENV)
+        assert config.queue_limit == default("REPRO_SERVE_QUEUE")
+        assert config.timeout == default("REPRO_SERVE_TIMEOUT")
+        assert config.drain_deadline == default("REPRO_SERVE_DRAIN")
+        assert config.breaker_threshold == default("REPRO_SERVE_BREAKER")
+        assert config.budget_epsilon == default("REPRO_SERVE_BUDGET_EPSILON")
+        assert config.max_samples == default("REPRO_SERVE_MAX_SAMPLES")
 
     def test_environment_knobs(self, monkeypatch):
-        monkeypatch.setenv(SERVE_QUEUE_ENV, "32")
-        monkeypatch.setenv(SERVE_TIMEOUT_ENV, "2.5")
-        monkeypatch.setenv(SERVE_BREAKER_ENV, "7")
-        monkeypatch.setenv(SERVE_BUDGET_EPSILON_ENV, "3.5")
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "32")
+        monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "2.5")
+        monkeypatch.setenv("REPRO_SERVE_BREAKER", "7")
+        monkeypatch.setenv("REPRO_SERVE_BUDGET_EPSILON", "3.5")
         config = _resolve()
         assert config.queue_limit == 32
         assert config.timeout == 2.5
@@ -85,20 +75,20 @@ class TestKnobResolution:
         assert config.budget_epsilon == 3.5
 
     def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(SERVE_QUEUE_ENV, "32")
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "32")
         assert _resolve(queue=2).queue_limit == 2
 
     def test_empty_environment_means_default(self, monkeypatch):
-        monkeypatch.setenv(SERVE_TIMEOUT_ENV, "")
-        assert _resolve().timeout == default(SERVE_TIMEOUT_ENV)
+        monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "")
+        assert _resolve().timeout == default("REPRO_SERVE_TIMEOUT")
 
     def test_malformed_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(SERVE_QUEUE_ENV, "many")
-        with pytest.raises(ValidationError, match=SERVE_QUEUE_ENV):
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "many")
+        with pytest.raises(ValidationError, match="REPRO_SERVE_QUEUE"):
             _resolve()
-        monkeypatch.delenv(SERVE_QUEUE_ENV)
-        monkeypatch.setenv(SERVE_TIMEOUT_ENV, "soon")
-        with pytest.raises(ValidationError, match=SERVE_TIMEOUT_ENV):
+        monkeypatch.delenv("REPRO_SERVE_QUEUE")
+        monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "soon")
+        with pytest.raises(ValidationError, match="REPRO_SERVE_TIMEOUT"):
             _resolve()
 
     def test_nonpositive_rejected(self):
@@ -114,13 +104,13 @@ class TestKnobResolution:
             _resolve(max_samples=0)
 
     def test_max_samples_environment_knob(self, monkeypatch):
-        monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "200")
+        monkeypatch.setenv("REPRO_SERVE_MAX_SAMPLES", "200")
         assert _resolve().max_samples == 200
         assert _resolve(max_samples=16).max_samples == 16
-        monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "lots")
-        with pytest.raises(ValidationError, match=SERVE_MAX_SAMPLES_ENV):
+        monkeypatch.setenv("REPRO_SERVE_MAX_SAMPLES", "lots")
+        with pytest.raises(ValidationError, match="REPRO_SERVE_MAX_SAMPLES"):
             _resolve()
-        monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "0")
+        monkeypatch.setenv("REPRO_SERVE_MAX_SAMPLES", "0")
         with pytest.raises(ValidationError):
             _resolve()
 
@@ -145,7 +135,7 @@ class TestServeConfig:
             ServeConfig.resolve(port=-1)
 
     def test_ledger_dir_environment_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(SERVE_LEDGER_DIR_ENV, str(tmp_path / "ledgers"))
+        monkeypatch.setenv("REPRO_SERVE_LEDGER_DIR", str(tmp_path / "ledgers"))
         config = ServeConfig.resolve(port=0, n_jobs=1)
         assert config.ledger_dir == str(tmp_path / "ledgers")
         assert ServeConfig.resolve(port=0, n_jobs=1, ledger_dir="x").ledger_dir == "x"
@@ -157,15 +147,15 @@ class TestServeConfig:
 
     def test_default_budget_delta(self):
         assert ServeConfig.resolve(port=0, n_jobs=1).budget_delta == (
-            default(SERVE_BUDGET_DELTA_ENV)
+            default("REPRO_SERVE_BUDGET_DELTA")
         )
 
     def test_max_samples_resolution(self, monkeypatch):
-        monkeypatch.delenv(SERVE_MAX_SAMPLES_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SERVE_MAX_SAMPLES", raising=False)
         assert ServeConfig.resolve(port=0, n_jobs=1).max_samples == (
-            default(SERVE_MAX_SAMPLES_ENV)
+            default("REPRO_SERVE_MAX_SAMPLES")
         )
-        monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "3")
+        monkeypatch.setenv("REPRO_SERVE_MAX_SAMPLES", "3")
         assert ServeConfig.resolve(port=0, n_jobs=1).max_samples == 3
         assert ServeConfig.resolve(port=0, n_jobs=1, max_samples=9).max_samples == 9
 

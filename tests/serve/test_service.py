@@ -163,13 +163,11 @@ class TestSampling:
         assert "REPRO_SERVE_MAX_SAMPLES" in message
 
     def test_count_cap_is_a_knob(self, monkeypatch):
-        from repro.serve.config import SERVE_MAX_SAMPLES_ENV
-
         service = SynthesisService(make_config(max_samples=2))
         assert service.handle("POST", "/sample", fit_request(count=3)).status == 400
         assert service.handle("POST", "/sample", fit_request(count=2)).status == 200
 
-        monkeypatch.setenv(SERVE_MAX_SAMPLES_ENV, "1")
+        monkeypatch.setenv("REPRO_SERVE_MAX_SAMPLES", "1")
         service = SynthesisService(make_config())
         response = service.handle("POST", "/sample", fit_request(count=2))
         assert response.status == 400

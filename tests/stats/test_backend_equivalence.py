@@ -34,7 +34,6 @@ from repro.kronecker.sampling import sample_skg
 from repro.native.counting import COUNTING_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
 from repro.stats.kernels import (
-    KERNEL_BACKEND_ENV,
     TrianglePassResult,
     available_kernel_backends,
     float64_conversion_count,
@@ -165,7 +164,7 @@ class TestBackendFamilyMatrix:
 
 class TestBackendResolution:
     def test_default_resolves_to_an_available_backend(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert resolve_kernel_backend() in available_kernel_backends()
 
     def test_scipy_is_always_available(self):
@@ -176,7 +175,7 @@ class TestBackendResolution:
         """The chain kernels call their reference 'numpy'; the counting
         resolution accepts it so one knob value drives both families."""
         assert resolve_kernel_backend("numpy") == "scipy"
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numpy")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         assert resolve_kernel_backend() == "scipy"
         result = triangle_pass(family_graph("star"), 0, "numpy")
         assert_bit_identical(
@@ -185,15 +184,15 @@ class TestBackendResolution:
         assert result.triangles == family_reference("star").triangles
 
     def test_environment_knob(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "scipy")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scipy")
         assert resolve_kernel_backend() == "scipy"
 
     def test_empty_environment_value_means_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "")
         assert resolve_kernel_backend() in available_kernel_backends()
 
     def test_explicit_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "cext")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
         assert resolve_kernel_backend("scipy") == "scipy"
 
     def test_invalid_argument_rejected(self):
@@ -203,8 +202,8 @@ class TestBackendResolution:
 
     def test_invalid_environment_rejected(self, monkeypatch):
         for name in ("fortran", "numba"):
-            monkeypatch.setenv(KERNEL_BACKEND_ENV, name)
-            with pytest.raises(ValidationError, match=KERNEL_BACKEND_ENV):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
+            with pytest.raises(ValidationError, match="REPRO_KERNEL_BACKEND"):
                 resolve_kernel_backend()
 
     def test_unavailable_cext_fails_loudly(self, monkeypatch):
@@ -212,7 +211,7 @@ class TestBackendResolution:
         monkeypatch.setitem(
             COUNTING_KERNEL.states, "cext", (None, "no C compiler found")
         )
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "cext")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
         with pytest.raises(ValidationError, match="no C compiler found"):
             resolve_kernel_backend()
         with pytest.raises(ValidationError, match="no C compiler found"):
@@ -231,7 +230,7 @@ class TestBackendResolution:
             monkeypatch.setitem(
                 COUNTING_KERNEL.states, name, (None, f"{name} disabled")
             )
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
         assert resolve_kernel_backend() == "scipy"
         assert available_kernel_backends() == ("scipy",)
         graph = family_graph("clique")
@@ -242,7 +241,7 @@ class TestBackendResolution:
         reason="no fused backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert resolve_kernel_backend() != "scipy"
 
 

@@ -423,3 +423,124 @@ class TestRunScenarioCacheEnv:
         assert "2 trial(s) executed, 0 from cache" in capsys.readouterr().out
         assert main(arguments) == 0
         assert "0 trial(s) executed, 2 from cache" in capsys.readouterr().out
+
+
+# Every flag that mirrors a knob, as (subcommand path, flag) -> variable.
+KNOB_FLAGS = {
+    ("", "--kernel-backend"): "REPRO_KERNEL_BACKEND",
+    ("", "--kernel-threads"): "REPRO_KERNEL_THREADS",
+    ("fit", "--epsilon"): "REPRO_EPSILON",
+    ("fit", "--delta"): "REPRO_DELTA",
+    ("fit", "--kronfit-iterations"): "REPRO_KRONFIT_ITERATIONS",
+    ("release", "--epsilon"): "REPRO_EPSILON",
+    ("release", "--delta"): "REPRO_DELTA",
+    ("run-ensemble", "--n-jobs"): "REPRO_N_JOBS",
+    ("run-ensemble", "--cache-dir"): "REPRO_CACHE_DIR",
+    ("run-scenario", "--epsilon"): "REPRO_EPSILON",
+    ("run-scenario", "--delta"): "REPRO_DELTA",
+    ("run-scenario", "--count"): "REPRO_REALIZATIONS",
+    ("run-scenario", "--n-starts"): "REPRO_N_STARTS",
+    ("run-scenario", "--n-jobs"): "REPRO_N_JOBS",
+    ("run-scenario", "--cache-dir"): "REPRO_CACHE_DIR",
+    ("run-scenario", "--seed"): "REPRO_SEED",
+    ("run-scenario", "--runs-dir"): "REPRO_RUNS_DIR",
+    ("compare", "--runs-dir"): "REPRO_RUNS_DIR",
+    ("runs list", "--runs-dir"): "REPRO_RUNS_DIR",
+    ("runs show", "--runs-dir"): "REPRO_RUNS_DIR",
+    ("serve", "--queue"): "REPRO_SERVE_QUEUE",
+    ("serve", "--timeout"): "REPRO_SERVE_TIMEOUT",
+    ("serve", "--drain"): "REPRO_SERVE_DRAIN",
+    ("serve", "--breaker"): "REPRO_SERVE_BREAKER",
+    ("serve", "--budget-epsilon"): "REPRO_SERVE_BUDGET_EPSILON",
+    ("serve", "--budget-delta"): "REPRO_SERVE_BUDGET_DELTA",
+    ("serve", "--n-jobs"): "REPRO_N_JOBS",
+    ("serve", "--cache-dir"): "REPRO_CACHE_DIR",
+    ("serve", "--ledger-dir"): "REPRO_SERVE_LEDGER_DIR",
+}
+
+
+def _parser_actions(parser, path=""):
+    """(subcommand path, action) for every option of the parser tree."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parser_actions(child, f"{path} {name}".strip())
+        elif action.option_strings:
+            yield path, action
+
+
+class TestKnobFlags:
+    def test_every_knob_flag_is_generated_from_the_table(self):
+        import re
+
+        from repro.cli import build_parser
+        from repro.knobs import KNOBS
+
+        found = {}
+        for path, action in _parser_actions(build_parser()):
+            match = re.search(r"\(default: (REPRO_\w+)", action.help or "")
+            if match is None:
+                continue
+            name = match.group(1)
+            found[(path, action.option_strings[-1])] = name
+            spec = KNOBS[name]
+            assert action.default is None
+            assert action.help.startswith(spec.doc)
+            assert action.type is {"int": int, "float": float}.get(spec.kind)
+            expected = spec.check if spec.kind == "choice" else None
+            assert action.choices == expected
+        assert len(KNOB_FLAGS) == 29
+        assert found == KNOB_FLAGS
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            (["fit"], "REPRO_EPSILON"),
+            (["fit"], "REPRO_DELTA"),
+            (["fit", "--method", "kronfit"], "REPRO_KRONFIT_ITERATIONS"),
+            (["release", "--out", "{tmp}"], "REPRO_EPSILON"),
+            (["release", "--out", "{tmp}"], "REPRO_DELTA"),
+        ],
+    )
+    def test_fit_and_release_honour_the_environment(
+        self, edge_list_file, tmp_path, capsys, monkeypatch, command, name
+    ):
+        monkeypatch.setenv(name, "x")
+        arguments = [token.format(tmp=tmp_path / "pkg") for token in command]
+        assert main(arguments[:1] + [str(edge_list_file)] + arguments[1:]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert name in lines[0]
+
+    def test_run_ensemble_honours_repro_cache_dir(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+        assert main(TestRunEnsemble.ARGS) == 0
+        assert "3 trial(s) executed, 0 from cache" in capsys.readouterr().out
+        assert main(TestRunEnsemble.ARGS) == 0
+        assert "0 trial(s) executed, 3 from cache" in capsys.readouterr().out
+
+
+class TestRunEnsembleCounts:
+    def test_kernel_counts_equal_the_graph_path(self, tmp_path, capsys):
+        """Counting inside the sampler kernel reports exactly what counting
+        the sampled graph does, trial by trial."""
+        import numpy as np
+
+        from repro.kronecker.initiator import Initiator
+        from repro.kronecker.sampling import sample_skg
+        from repro.stats.counts import matching_statistics
+
+        target = tmp_path / "ensemble.json"
+        arguments = ["run-ensemble", "--a", "0.9", "--b", "0.5", "--c", "0.2",
+                     "-k", "10", "--count", "3", "--seed", "5", "--out", str(target)]
+        assert main(arguments) == 0
+        rows = json.loads(target.read_text())["statistics"]
+        theta = Initiator(0.9, 0.5, 0.2)
+        for row, child in zip(rows, np.random.SeedSequence(5).spawn(3), strict=True):
+            graph = sample_skg(theta, 10, seed=np.random.default_rng(child))
+            assert row == matching_statistics(graph)._asdict()

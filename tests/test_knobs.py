@@ -18,16 +18,7 @@ from repro.errors import ValidationError
 from repro.evaluation.experiments import default_config
 from repro.knobs import KNOBS, knob
 from repro.native.registry import resolve_kernel_threads
-from repro.runtime import (
-    resolve_fault_plan,
-    resolve_n_jobs,
-    resolve_pool_restarts,
-    resolve_retry_backoff,
-    resolve_serve_fault_plan,
-    resolve_trial_retries,
-    resolve_trial_timeout,
-)
-from repro.runtime.shm import resolve_shm_mode
+from repro.runtime import resolve_fault_plan, resolve_n_jobs, resolve_serve_fault_plan
 from repro.serve.config import ServeConfig
 from repro.stats.kernels import resolve_kernel_backend
 from repro.tracking.store import resolve_runs_dir
@@ -67,11 +58,11 @@ def _observed():
         resolve_n_jobs(),
         resolve_kernel_backend(),
         resolve_kernel_threads(),
-        resolve_trial_retries(),
-        resolve_trial_timeout(),
-        resolve_retry_backoff(),
-        resolve_pool_restarts(),
-        resolve_shm_mode(),
+        knob("REPRO_TRIAL_RETRIES"),
+        knob("REPRO_TRIAL_TIMEOUT"),
+        knob("REPRO_TRIAL_BACKOFF"),
+        knob("REPRO_POOL_RESTARTS"),
+        knob("REPRO_SHM"),
         resolve_fault_plan(),
         resolve_serve_fault_plan(),
         resolve_runs_dir(),
@@ -150,3 +141,20 @@ class TestResolution:
         for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE"):
             assert name not in KNOBS
         assert KNOBS["REPRO_SHM"].check == ("auto", "off")
+
+
+class TestUsableCores:
+    def test_all_cores_means_the_affinity_mask(self, clean_env):
+        """``0`` resolves to the cores this process may use, for the trial
+        engine and the batched kernel alike: a process pinned to one core
+        of a 64-core host forks one worker, not 64."""
+        import os
+
+        clean_env.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        clean_env.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_n_jobs(0) == 1
+        assert resolve_kernel_threads(0) == 1
+        clean_env.setenv("REPRO_N_JOBS", "-1")
+        clean_env.setenv("REPRO_KERNEL_THREADS", "0")
+        assert resolve_n_jobs() == 1
+        assert resolve_kernel_threads() == 1
