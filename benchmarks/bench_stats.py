@@ -20,7 +20,12 @@ measured where.
 
 Counts must be bit-identical; the k=14 draw must show a >= 3x wall-clock
 speedup on the combined path, and — when a fused backend is available —
-a >= 2x pass speedup over the blocked scipy pass.  Results (wall-clock,
+a >= 2x pass speedup over the blocked scipy pass.
+
+The isotonic rows time the degree release's PAVA pass — the compiled
+twin against the numpy oracle — on noisy sorted degree sequences of
+as20's length (6,474) and k=18's (262,144).  Results must be
+bit-identical, and the compiled twin must be >= 10x faster at both.  Results (wall-clock,
 tracemalloc peaks, and the process peak-RSS trajectory) are written to
 ``benchmarks/out/BENCH_stats.json`` so the gains are recorded artifacts.
 
@@ -37,10 +42,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 try:
@@ -56,7 +63,9 @@ from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
 from repro.native.counting import COUNTING_KERNEL
+from repro.native.isotonic import ISOTONIC_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
+from repro.privacy.isotonic import isotonic_regression
 from repro.stats import kernels
 from repro.stats.clustering import local_clustering
 from repro.stats.counts import count_triangles, max_common_neighbors
@@ -67,8 +76,9 @@ from repro.stats.kernels import available_kernel_backends, stats_context, triang
 # PR 3 layout was the unversioned v1); 3 = added the large-k scale rows
 # (native grass-hopping sampler trajectory + KronMom at k ∈ {16, 18, 20});
 # 4 = dropped the per-workload "parallel" trajectory and the top-level
-# "block_size" provenance key (the pass is serial, its block size auto).
-SCHEMA_VERSION = 4
+# "block_size" provenance key (the pass is serial, its block size auto);
+# 5 = added the isotonic (PAVA) rows and their floor.
+SCHEMA_VERSION = 5
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_stats.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -88,6 +98,15 @@ LARGE_K_ORDERS = (16, 18, 20)
 LARGE_K_QUICK_ORDERS = (16,)
 SAMPLER_SPEEDUP_FLOOR = 2.0
 SAMPLER_FLOOR_K = 18
+
+# The isotonic rows: the degree release's PAVA input at the served
+# dataset's length and at k=18's.  The compiled twin must beat the numpy
+# oracle by >= 10x at every measured length.
+ISOTONIC_WORKLOADS = ("as20", "skg-k18")
+ISOTONIC_QUICK_WORKLOADS = ("as20",)
+ISOTONIC_SPEEDUP_FLOOR = 10.0
+# Lap(2/ε) at the paper's degree-release share ε/2 = 0.1.
+ISOTONIC_NOISE_SCALE = 20.0
 
 
 def baseline_combined(graph: Graph):
@@ -243,6 +262,86 @@ def bench_large_k(k: int, repeats: int) -> dict:
     }
 
 
+@contextmanager
+def kernel_backend(backend: str):
+    """Run the enclosed calls with ``REPRO_KERNEL_BACKEND`` set to ``backend``."""
+    previous = os.environ.get("REPRO_KERNEL_BACKEND")
+    os.environ["REPRO_KERNEL_BACKEND"] = backend
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_KERNEL_BACKEND"]
+        else:
+            os.environ["REPRO_KERNEL_BACKEND"] = previous
+
+
+def isotonic_input(name: str) -> np.ndarray:
+    """A noisy sorted degree sequence: the degree release's PAVA input."""
+    if name == "as20":
+        graph = load_dataset("as20")
+    else:
+        graph = sample_skg(THETA, 18, seed=SEED + 18)
+    degrees = np.sort(graph.degrees).astype(np.float64)
+    noise = np.random.default_rng(SEED).laplace(0.0, ISOTONIC_NOISE_SCALE, degrees.size)
+    return degrees + noise
+
+
+def bench_isotonic(name: str, repeats: int) -> dict:
+    """One isotonic row: every available engine, checked bit-identical
+    against the numpy oracle (fewer oracle repeats: it is an O(n) Python
+    loop)."""
+    values = isotonic_input(name)
+    with kernel_backend("numpy"):
+        reference = isotonic_regression(values)
+        engines: dict[str, dict] = {
+            "numpy": {
+                "available": True,
+                "seconds": time_best(
+                    lambda: isotonic_regression(values), max(2, repeats // 2)
+                ),
+            }
+        }
+    for backend in NATIVE_BACKENDS:
+        if not ISOTONIC_KERNEL.available(backend):
+            engines[backend] = {
+                "available": False,
+                "reason": ISOTONIC_KERNEL.error(backend),
+            }
+            continue
+        with kernel_backend(backend):
+            if isotonic_regression(values).tobytes() != reference.tobytes():
+                raise AssertionError(
+                    f"isotonic backend {backend} diverges from numpy on {name}"
+                )
+            seconds = time_best(lambda: isotonic_regression(values), repeats)
+        engines[backend] = {"available": True, "bit_identical": True, "seconds": seconds}
+    numpy_seconds = engines["numpy"]["seconds"]
+    for record in engines.values():
+        if record.get("available"):
+            record["speedup_vs_numpy"] = numpy_seconds / record["seconds"]
+    return {"workload": name, "n": int(values.size), "engines": engines}
+
+
+def _isotonic_floor(rows: list[dict]) -> dict:
+    """The fastest compiled engine's *smallest* speedup over the rows."""
+    entry = {
+        "workloads": [row["workload"] for row in rows],
+        "required": ISOTONIC_SPEEDUP_FLOOR,
+        "backend": None,
+        "measured": None,
+    }
+    fused = {
+        backend: min(row["engines"][backend]["speedup_vs_numpy"] for row in rows)
+        for backend in NATIVE_BACKENDS
+        if rows and all(row["engines"][backend].get("available") for row in rows)
+    }
+    if fused:
+        entry["backend"] = max(fused, key=fused.get)
+        entry["measured"] = fused[entry["backend"]]
+    return entry
+
+
 def _sampler_floor(large_k_rows: list[dict]) -> dict:
     """The fastest fused sampler engine's speedup on the floor order."""
     entry = {
@@ -387,11 +486,26 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"{'':12s}   sample[{backend}] unavailable: {entry['reason']}")
 
+    isotonic_rows = []
+    for name in ISOTONIC_QUICK_WORKLOADS if arguments.quick else ISOTONIC_WORKLOADS:
+        row = bench_isotonic(name, arguments.repeats)
+        isotonic_rows.append(row)
+        for backend, entry in row["engines"].items():
+            if entry.get("available"):
+                print(
+                    f"{'isotonic-' + name:12s} n={row['n']:>7d} [{backend}] "
+                    f"{entry['seconds'] * 1000:8.2f} ms "
+                    f"({entry['speedup_vs_numpy']:.2f}x vs numpy)"
+                )
+            else:
+                print(f"{'isotonic-' + name:12s} [{backend}] unavailable: {entry['reason']}")
+
     floor_record = next(
         (r for r in results if r["workload"] == SPEEDUP_WORKLOAD), None
     )
     fused_floor = _fused_floor(floor_record)
     sampler_floor = _sampler_floor(large_k_rows)
+    isotonic_floor = _isotonic_floor(isotonic_rows)
     configuration = default_config()
     report = {
         "bench": "bench_stats",
@@ -410,14 +524,29 @@ def main(argv: list[str] | None = None) -> int:
         },
         "fused_speedup_floor": fused_floor,
         "sampler_speedup_floor": sampler_floor,
+        "isotonic_speedup_floor": isotonic_floor,
         "workloads": results,
         "large_k": large_k_rows,
+        "isotonic": isotonic_rows,
         "rss_trajectory_kb": rss_trajectory,
     }
     out_path = Path(arguments.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"[written to {out_path}]")
+
+    if isotonic_floor["backend"] is not None:
+        assert isotonic_floor["measured"] >= ISOTONIC_SPEEDUP_FLOOR, (
+            f"compiled isotonic pass {isotonic_floor['backend']} is only "
+            f"{isotonic_floor['measured']:.2f}x over the numpy oracle "
+            f"(floor: {ISOTONIC_SPEEDUP_FLOOR}x)"
+        )
+        print(
+            f"isotonic pass ({isotonic_floor['backend']}) "
+            f"{isotonic_floor['measured']:.2f}x >= {ISOTONIC_SPEEDUP_FLOOR}x floor"
+        )
+    else:
+        print("no compiled isotonic backend available on this host; floor not asserted")
 
     if floor_record is not None:
         measured = floor_record["speedup"]

@@ -18,12 +18,12 @@ everything derived from it afterwards is post-processing.
 
 from __future__ import annotations
 
-from repro.errors import EstimationError
+from repro.errors import EstimationError, ValidationError
 from repro.graphs.graph import Graph
 from repro.graphs.operations import next_power_of_two_exponent
 from repro.kronecker.kronmom import DEFAULT_FEATURES, KronMomEstimator
 from repro.core.release import PrivateEstimate
-from repro.privacy.stats_release import release_matching_statistics
+from repro.privacy.stats_release import check_degree_share, release_matching_statistics
 from repro.stats.counts import MatchingStatistics
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_in_unit_interval, check_positive
@@ -87,10 +87,10 @@ class PrivateKroneckerEstimator:
     ) -> None:
         self.epsilon = check_positive(epsilon, "epsilon")
         self.delta = check_in_unit_interval(delta, "delta")
-        self.degree_share = degree_share
+        self.degree_share = check_degree_share(degree_share)
         self.constrained_inference = constrained_inference
         if triangle_floor not in ("noise_scale", "one", "none"):
-            raise ValueError(
+            raise ValidationError(
                 f"triangle_floor must be 'noise_scale', 'one' or 'none', "
                 f"got {triangle_floor!r}"
             )

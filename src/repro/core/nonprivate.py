@@ -20,7 +20,13 @@ from repro.kronecker.kronmom import KronMomEstimator
 from repro.core.estimator import PrivateKroneckerEstimator
 from repro.utils.rng import SeedLike
 
-__all__ = ["EstimatorResult", "fit_kronmom", "fit_kronfit", "fit_private"]
+__all__ = [
+    "EstimatorResult",
+    "estimator_result",
+    "fit_kronmom",
+    "fit_kronfit",
+    "fit_private",
+]
 
 
 @dataclass(frozen=True)
@@ -61,20 +67,21 @@ class EstimatorResult:
         return self.initiator.sample(self.k, seed=seed)
 
 
+def estimator_result(method: str, result: Any) -> EstimatorResult:
+    """Wrap an estimator's own result (it carries ``initiator`` and ``k``)."""
+    return EstimatorResult(
+        method=method, initiator=result.initiator, k=result.k, details=result
+    )
+
+
 def fit_kronmom(graph: Graph, **kwargs) -> EstimatorResult:
     """Non-private Gleich–Owen moment matching on exact statistics."""
-    result = KronMomEstimator(**kwargs).fit(graph)
-    return EstimatorResult(
-        method="KronMom", initiator=result.initiator, k=result.k, details=result
-    )
+    return estimator_result("KronMom", KronMomEstimator(**kwargs).fit(graph))
 
 
 def fit_kronfit(graph: Graph, **kwargs) -> EstimatorResult:
     """Leskovec–Faloutsos approximate MLE."""
-    result = KronFitEstimator(**kwargs).fit(graph)
-    return EstimatorResult(
-        method="KronFit", initiator=result.initiator, k=result.k, details=result
-    )
+    return estimator_result("KronFit", KronFitEstimator(**kwargs).fit(graph))
 
 
 def fit_private(
@@ -85,12 +92,7 @@ def fit_private(
 ) -> EstimatorResult:
     """The paper's Algorithm 1 (differentially private moment matching)."""
     estimate = PrivateKroneckerEstimator(epsilon, delta, **kwargs).fit(graph)
-    return EstimatorResult(
-        method="Private",
-        initiator=estimate.initiator,
-        k=estimate.k,
-        details=estimate,
-    )
+    return estimator_result("Private", estimate)
 
 
 def kronecker_order(graph: Graph) -> int:

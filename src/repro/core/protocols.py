@@ -112,15 +112,22 @@ class FixedInitiatorEstimator:
         return FixedInitiatorModel(initiator=self.initiator, k=self.k)
 
 
-class _FunctionEstimator:
-    """Adapter: a ``fit_*`` front-door function bound to its kwargs."""
+class _BuiltEstimator:
+    """Adapter: an SKG estimator built up front, its results wrapped as
+    :class:`~repro.core.nonprivate.EstimatorResult`.
 
-    def __init__(self, fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> None:
-        self._fn = fn
-        self._kwargs = dict(kwargs)
+    Building the estimator at :func:`build_estimator` time validates its
+    params from public inputs alone, before any fit (or budget charge).
+    """
+
+    def __init__(self, method: str, estimator: Any) -> None:
+        self._method = method
+        self._estimator = estimator
 
     def fit(self, graph: Graph) -> FittedModel:
-        return self._fn(graph, **self._kwargs)
+        from repro.core.nonprivate import estimator_result
+
+        return estimator_result(self._method, self._estimator.fit(graph))
 
 
 @dataclass(frozen=True)
@@ -165,21 +172,21 @@ class EstimatorMethod:
 
 
 def _kronfit_factory(**params: Any) -> Estimator:
-    from repro.core.nonprivate import fit_kronfit
+    from repro.kronecker.kronfit import KronFitEstimator
 
-    return _FunctionEstimator(fit_kronfit, params)
+    return _BuiltEstimator("KronFit", KronFitEstimator(**params))
 
 
 def _kronmom_factory(**params: Any) -> Estimator:
-    from repro.core.nonprivate import fit_kronmom
+    from repro.kronecker.kronmom import KronMomEstimator
 
-    return _FunctionEstimator(fit_kronmom, params)
+    return _BuiltEstimator("KronMom", KronMomEstimator(**params))
 
 
 def _private_factory(**params: Any) -> Estimator:
-    from repro.core.nonprivate import fit_private
+    from repro.core.estimator import PrivateKroneckerEstimator
 
-    return _FunctionEstimator(fit_private, params)
+    return _BuiltEstimator("Private", PrivateKroneckerEstimator(**params))
 
 
 ESTIMATOR_METHODS: dict[str, EstimatorMethod] = {

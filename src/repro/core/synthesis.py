@@ -29,19 +29,22 @@ def sample_ensemble(initiator, k: int, count: int, seed: SeedLike = None) -> lis
 
 
 def sample_statistics(
-    model, seed: SeedLike = None
+    model, seed: SeedLike = None, backend: str | None = None
 ) -> tuple[int, int, MatchingStatistics]:
     """``(n_nodes, n_edges, {E, H, T, Δ})`` of one synthetic graph of ``model``.
 
     Equal to counting ``model.sample_graph(seed)``, with the same draws.
     An SKG-backed model (one with an ``initiator``) counts inside the
-    sampler kernel (:func:`~repro.kronecker.sampling.sample_skg_statistics`)
-    and never builds a :class:`Graph`; any other model, such as the
-    DPDegree configuration model, samples a graph and counts it.
+    sampler kernel (:func:`~repro.kronecker.sampling.sample_skg_statistics`,
+    on the engine ``backend`` names) and never builds a :class:`Graph`;
+    any other model, such as the DPDegree configuration model, samples a
+    graph and counts it.
     """
     initiator = getattr(model, "initiator", None)
     if initiator is not None:
-        n_edges, stats = sample_skg_statistics(initiator, model.k, seed=seed)
+        n_edges, stats = sample_skg_statistics(
+            initiator, model.k, seed=seed, backend=backend
+        )
         return 2**model.k, n_edges, stats
     graph = model.sample_graph(seed=seed)
     return graph.n_nodes, graph.n_edges, matching_statistics(graph)

@@ -16,6 +16,9 @@ Both distance functions (squared / absolute) and all four normalisations
 Optimisation is a dense vectorised grid search (the closed forms broadcast
 over parameter arrays) followed by Nelder–Mead refinement from the best
 grid points, with the identifiability convention a ≥ c applied at the end.
+The refinement is :func:`_nelder_mead`, a copy of scipy's Nelder–Mead on
+Python floats that returns the same bits without scipy's per-call array
+dispatch.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from repro.errors import EstimationError, ValidationError
 from repro.graphs.graph import Graph
@@ -169,6 +171,11 @@ class KronMomEstimator:
             )
         if not features:
             raise ValidationError("at least one feature must be matched")
+        unknown = [name for name in features if name not in DEFAULT_FEATURES]
+        if unknown:
+            raise ValidationError(
+                f"unknown feature(s) {unknown}; options: {list(DEFAULT_FEATURES)}"
+            )
         self.distance = distance
         self.normalization = normalization
         self.features = tuple(features)
@@ -254,8 +261,8 @@ class KronMomEstimator:
         observed_values = observed.tolist()
         features = self.features
 
-        def objective(params: np.ndarray) -> float:
-            x, y, z = params.tolist()
+        def objective(params: list[float]) -> float:
+            x, y, z = params
             a, b, c = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0), min(max(z, 0.0), 1.0)
             penalty = abs(x - a) + abs(y - b) + abs(z - c)
             expected = expected_feature_vector(a, b, c, k, features)
@@ -271,13 +278,114 @@ class KronMomEstimator:
             jitter = rng.normal(scale=0.08, size=3)
             starts.append(np.clip(grid_best + jitter, 0.0, 1.0))
         for start in starts:
-            result = scipy.optimize.minimize(
-                objective,
-                start,
-                method="Nelder-Mead",
-                options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000},
+            x, fun = _nelder_mead(
+                objective, start.tolist(), xatol=1e-6, fatol=1e-10, maxiter=2000
             )
-            if result.fun < best_value:
-                best_value = float(result.fun)
-                best_params = np.clip(result.x, 0.0, 1.0)
+            if fun < best_value:
+                best_value = float(fun)
+                best_params = np.clip(np.array(x), 0.0, 1.0)
         return best_params, best_value
+
+
+# scipy's Nelder–Mead coefficients (reflection, expansion, contraction,
+# shrink) and initial-simplex steps, non-adaptive variant.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
+def _simplex_order(fsim: list[float]) -> list[int]:
+    """The vertex order ``np.argsort(fsim)`` gives.
+
+    numpy's default argsort is not stable on ties (its SIMD sort orders
+    some tie patterns differently from a stable sort), so ``sorted`` —
+    the fast path — is used only when the values are distinct and not
+    NaN, where every correct sort agrees; anything else goes through
+    ``np.argsort`` exactly as scipy does.
+    """
+    if len(set(fsim)) == len(fsim) and not any(f != f for f in fsim):
+        return sorted(range(len(fsim)), key=fsim.__getitem__)
+    return np.argsort(np.array(fsim)).tolist()
+
+
+def _nelder_mead(
+    func, x0: list[float], *, xatol: float, fatol: float, maxiter: int
+) -> tuple[list[float], float]:
+    """``(x, fun)`` of ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    options={"xatol", "fatol", "maxiter"})``, bit for bit.
+
+    A line-by-line copy of scipy 1.17's ``_minimize_neldermead`` (no
+    bounds, no adaptive coefficients, ``maxfev`` unbounded because
+    ``maxiter`` is given) on lists of Python floats: the same initial
+    simplex, the same vertex sums (``xbar`` adds the first N vertices
+    left to right, then divides by N), the same branch order and
+    termination test, and the same argsort reordering.  ``func`` takes a
+    list of floats and returns a float.
+    """
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        if y[k] != 0:
+            y[k] = (1 + _NONZDELT) * y[k]
+        else:
+            y[k] = _ZDELT
+        sim.append(y)
+    fsim = [func(vertex) for vertex in sim]
+    # scipy sorts twice before the first iteration.
+    for _ in range(2):
+        order = _simplex_order(fsim)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+
+    iterations = 1
+    while iterations < maxiter:
+        best = sim[0]
+        if all(
+            abs(v - b) <= xatol for vertex in sim[1:] for v, b in zip(vertex, best)
+        ) and all(abs(fsim[0] - f) <= fatol for f in fsim[1:]):
+            break
+        worst = sim[-1]
+        xbar = [0.0] * n
+        for j in range(n):
+            total = sim[0][j]
+            for vertex in sim[1:-1]:
+                total = total + vertex[j]
+            xbar[j] = total / n
+        xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            shrink = False
+            if fxr < fsim[-1]:
+                xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)]
+                fxc = func(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = [(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
+                fxcc = func(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [b + _SIGMA * (v - b) for v, b in zip(sim[j], sim[0])]
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        order = _simplex_order(fsim)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+    # np.min: NaN if any vertex value is NaN, else the least value.
+    fun = float("nan") if any(f != f for f in fsim) else min(fsim)
+    return sim[0], fun

@@ -47,6 +47,7 @@ from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.sampling import (
     SAMPLER_KERNEL,
     choose_table,
+    lex_table,
     resolve_sampler_backend,
 )
 from repro.stats.counts import MatchingStatistics, matching_statistics
@@ -160,6 +161,7 @@ def _run_kernel(
     table_stamp = np.zeros(capacity, dtype=np.int64)
     counts_out = np.zeros(4 if statistics else 0, dtype=np.int64)
     scratch = np.zeros(3 * 2**k + 1 + total if statistics else 0, dtype=np.int64)
+    lex, lex_offsets = lex_table(k)
     written = int(
         kernel(
             k,
@@ -170,6 +172,8 @@ def _run_kernel(
             draw.offsets,
             draw.sizes,
             choose_table(k),
+            lex,
+            lex_offsets,
             draw.uniforms,
             keys,
             table_keys,

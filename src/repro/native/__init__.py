@@ -13,12 +13,16 @@ engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
   a :class:`repro.kronecker.likelihood.PermutationSampler` is a view of
   one of its chains;
 * the **sampler kernel** (:mod:`repro.native.sampling`) — exact O(E)
-  grass-hopping SKG generation.
+  grass-hopping SKG generation;
+* the **isotonic kernel** (:mod:`repro.native.isotonic`) — the
+  pool-adjacent-violators pass behind
+  :func:`repro.privacy.isotonic.isotonic_regression`.
 
 Each kernel is a C function compiled on first use via the system
 compiler, next to a pure-Python reference engine that lives with its
 caller.  Each is registered as a :class:`~repro.native.registry.NativeKernel`
-(``COUNTING_KERNEL``, ``MULTICHAIN_KERNEL``, ``SAMPLER_KERNEL``), which
+(``COUNTING_KERNEL``, ``MULTICHAIN_KERNEL``, ``SAMPLER_KERNEL``,
+``ISOTONIC_KERNEL``), which
 owns the shared machinery: lazy availability probes with memoized failure
 reasons, compile-once shared-library caching, smoke tests at probe time,
 and the common ``auto``/loud-failure resolution contract.  Both engines
@@ -32,6 +36,7 @@ from repro.native.chain import (
     resolve_multichain_backend,
 )
 from repro.native.counting import COUNTING_KERNEL
+from repro.native.isotonic import ISOTONIC_KERNEL
 from repro.native.registry import (
     NATIVE_BACKENDS,
     NativeKernel,
@@ -45,6 +50,7 @@ __all__ = [
     "compile_shared_library",
     "resolve_kernel_threads",
     "COUNTING_KERNEL",
+    "ISOTONIC_KERNEL",
     "draw_proposal_batch",
     "resolve_chain_backend",
     "MULTICHAIN_KERNEL",

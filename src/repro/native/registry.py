@@ -1,7 +1,8 @@
 """The native-kernel backend registry: probe, compile-cache, loud failure.
 
 Every hot loop of the pipeline — the A² counting pass, the KronFit
-Metropolis chain, the grass-hopping sampler — has two execution engines:
+Metropolis chain, the grass-hopping sampler, the isotonic (PAVA) pass of
+the degree release — has two execution engines:
 a pure-Python reference that lives with its caller and is the oracle the
 equivalence suites compare against, and the identical loop nest written
 in C, compiled on first use with the system compiler and called through
@@ -10,7 +11,7 @@ in C, compiled on first use with the system compiler and called through
 * :class:`NativeKernel` — one kernel family: its C source, lazy probing
   memoized in :attr:`NativeKernel.states` (tests monkeypatch that dict to
   simulate hosts without a compiler), the name of its reference engine
-  (``scipy`` for the counting pass, ``numpy`` for the chain and sampler),
+  (``scipy`` for the counting pass, ``numpy`` for the others),
   and the ``REPRO_KERNEL_BACKEND`` resolution contract
   (:meth:`NativeKernel.resolve`: ``auto`` prefers the compiled engine and
   silently falls back to the reference; *naming* an unavailable engine
@@ -20,7 +21,8 @@ in C, compiled on first use with the system compiler and called through
   build to private scratch files and install with atomic renames).
 
 Concrete kernels live next door: :mod:`repro.native.counting`,
-:mod:`repro.native.chain` and :mod:`repro.native.sampling`.
+:mod:`repro.native.chain`, :mod:`repro.native.sampling` and
+:mod:`repro.native.isotonic`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import threading
+import weakref
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -112,14 +116,27 @@ def resolve_kernel_threads(threads: int | None = None) -> int:
     return usable_cores() if threads <= 0 else threads
 
 
+# Every kernel, so a forked child can replace probe locks that another
+# parent thread held at the fork (the child would otherwise wait forever).
+_KERNELS: "weakref.WeakSet[NativeKernel]" = weakref.WeakSet()
+
+
+def _fresh_probe_locks() -> None:
+    for kernel in _KERNELS:
+        kernel._probe_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_probe_locks)
+
+
 class NativeKernel:
     """One kernel family: a C loop nest plus the name of its reference engine.
 
     Parameters
     ----------
     name:
-        Kernel identifier ("counting", "multichain", "sampler"); names the
-        cached ``.so``.
+        Kernel identifier ("counting", "multichain", "sampler",
+        "isotonic"); names the cached ``.so``.
     reference:
         The name ``auto`` falls back to when no compiled engine can run:
         the family's pure-Python reference engine, which lives with its
@@ -168,6 +185,10 @@ class NativeKernel:
         # None); exactly one of the two is None.  Tests monkeypatch
         # entries to simulate unavailable backends.
         self.states: dict[str, tuple[Callable | None, str | None]] = {}
+        # Serializes first probes: threads racing to a cold kernel must
+        # compile, smoke-test and record it once.
+        self._probe_lock = threading.Lock()
+        _KERNELS.add(self)
 
     def available(self, backend: str) -> bool:
         """Whether ``backend`` can run this kernel on this host."""
@@ -237,12 +258,16 @@ class NativeKernel:
         if backend not in NATIVE_BACKENDS:
             raise KeyError(f"unknown fused backend {backend!r}")
         state = self.states.get(backend)
-        if state is None:
-            try:
-                state = (self._probe_cext(), None)
-            except Exception as error:  # unavailable, remember why
-                state = (None, str(error))
-            self.states[backend] = state
+        if state is not None:
+            return state
+        with self._probe_lock:
+            state = self.states.get(backend)
+            if state is None:
+                try:
+                    state = (self._probe_cext(), None)
+                except Exception as error:  # unavailable, remember why
+                    state = (None, str(error))
+                self.states[backend] = state
         return state
 
     def _probe_cext(self) -> Callable:

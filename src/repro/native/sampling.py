@@ -50,6 +50,16 @@ indices to identical keys; distinct indices within a class and disjoint
 classes mean one global sort of the emitted keys yields the canonical
 edge arrays directly.
 
+The compiled engine unranks both subsets by table lookup.  In this
+order the r-subsets of the low n levels are the *last* C(n, r) of the
+r-subsets of all k levels, in the same relative order, so the lex rank
+``i`` among n levels is entry ``C(k, r) − C(n, r) + i`` of the k-level
+order.  One table (:func:`lex_table`) of all 2^k masks, grouped by
+popcount, therefore serves both: the both-0 mask is entry ``a`` of group
+z, and the differing subset is entry ``C(k, x) − C(m, x) + b`` of group
+x, a mask on m packed levels that the kernel deposits onto the free
+levels, lowest first.
+
 **The counts contract.**  In counts mode the kernel reads its own
 unsorted keys: the degrees give E, ``H = Σ C(d, 2)`` and ``T = Σ C(d, 3)``
 in exact int64 arithmetic, and a forward triangle count over the edges
@@ -66,6 +76,7 @@ the counts mode against ``matching_statistics``.
 from __future__ import annotations
 
 import ctypes
+import functools
 from math import comb
 from typing import Callable
 
@@ -77,22 +88,48 @@ __all__ = [
     "SAMPLER_KERNEL",
     "resolve_sampler_backend",
     "choose_table",
+    "lex_table",
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def choose_table(k: int) -> np.ndarray:
     """Flat ``(k+1)×(k+1)`` Pascal table ``C(n, r)`` at ``n*(k+1)+r``.
 
     Entries with ``r > n`` are 0.  Every binomial the kernels consult
     (class sizes, combination unranking) lives in this range; values fit
     int64 comfortably for the supported ``k`` (pair counts at k=20 are
-    ~5·10¹¹ ≪ 2⁶³).
+    ~5·10¹¹ ≪ 2⁶³).  Built once per ``k`` and shared read-only.
     """
     table = np.zeros((k + 1) * (k + 1), dtype=np.int64)
     for n in range(k + 1):
         for r in range(n + 1):
             table[n * (k + 1) + r] = comb(n, r)
+    table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def lex_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lex, offsets)``: every k-bit mask in unranking order, by popcount.
+
+    ``lex[offsets[r] + i]`` (int32) is the level mask of lex rank ``i``
+    among the r-subsets of the k levels, most significant level first —
+    within a popcount group that is descending numeric order.
+    ``offsets[r] = Σ_{j<r} C(k, j)`` (int64, length k + 2).  Built in
+    O(2^k) with numpy (a popcount by doubling and a stable radix argsort
+    on it), once per ``k``, and shared read-only.
+    """
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(k):
+        popcount = np.concatenate([popcount, popcount + 1])
+    descending = np.arange(2**k - 1, -1, -1, dtype=np.int32)
+    lex = descending[np.argsort(popcount[::-1], kind="stable")]
+    offsets = np.zeros(k + 2, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(popcount, minlength=k + 1))
+    lex.flags.writeable = False
+    offsets.flags.writeable = False
+    return lex, offsets
 
 
 # Select and unrank every class's pairs.  Per class c (skipped when
@@ -103,10 +140,11 @@ def choose_table(k: int) -> np.ndarray:
 # ≥ 2·max(counts)) back the epoch-stamped membership table.
 #
 # The unranking runs without data-dependent branches: one division
-# splits idx, each level is taken or skipped by compare-and-mask, and
-# the free and differing levels are walked most significant first with
-# __builtin_clzll.  A local Pascal table padded with C(n, −1) = 0 lets
-# every level walk run its full, class-constant length.
+# splits idx, the both-0 and packed differing masks are lookups in the
+# popcount-grouped lex table (lex, lex_offsets: see lex_table), the
+# packed mask is deposited onto the free levels in a loop of
+# class-constant length, and the differing levels are oriented most
+# significant first with __builtin_clzll.
 #
 # Counts mode: when scratch_len > 0, the kernel also writes the matching
 # statistics (E, H, T, Δ) of the drawn graph to counts_out[0..3], from
@@ -199,6 +237,8 @@ int64_t repro_sampler_block(
     const int64_t *offsets,
     const int64_t *class_sizes,
     const int64_t *choose,
+    const int32_t *lex,
+    const int64_t *lex_offsets,
     const double *uniforms,
     int64_t *keys_out,
     int64_t *table_keys,
@@ -212,15 +252,6 @@ int64_t repro_sampler_block(
         return -1;
     }
     int64_t kp1 = k + 1;
-    int64_t kp2 = k + 2;
-    /* pascal[n*(k+2) + r + 1] = C(n, r) for -1 <= r <= k. */
-    int64_t pascal[32 * 33];
-    for (int64_t nn = 0; nn < kp1; nn++) {
-        pascal[nn * kp2] = 0;
-        for (int64_t r = 0; r < kp1; r++) {
-            pascal[nn * kp2 + r + 1] = choose[nn * kp1 + r];
-        }
-    }
     int64_t mask = capacity - 1;
     int64_t full = ((int64_t)1 << k) - 1;
     int64_t total = 0;
@@ -237,6 +268,11 @@ int64_t repro_sampler_block(
         int64_t epoch = c + 1;
         int64_t orient_mask = ((int64_t)1 << (x - 1)) - 1;
         int64_t c2 = choose[m * kp1 + x];
+        /* The both-0 subset ranks over all k levels; the differing
+           subset ranks over the m free levels, the last C(m, x) entries
+           of the k-level popcount-x group. */
+        int64_t zero_base = lex_offsets[z];
+        int64_t differ_base = lex_offsets[x + 1] - c2;
         int64_t emitted = 0;
         for (int64_t t = size - count; t < size; t++) {
             double u = uniforms[base + emitted];
@@ -270,26 +306,16 @@ int64_t repro_sampler_block(
             int64_t q = idx >> (x - 1);
             int64_t a = q / c2;
             int64_t b = q - a * c2;
-            int64_t zero_mask = 0;
-            int64_t slots = z;
-            for (int64_t level = k - 1; level >= 0; level--) {
-                int64_t cnt = pascal[level * kp2 + slots];
-                int64_t take = -(int64_t)(a < cnt);
-                zero_mask |= take & ((int64_t)1 << level);
-                slots += take;
-                a -= cnt & ~take;
-            }
+            int64_t zero_mask = lex[zero_base + a];
+            int64_t packed = lex[differ_base + b];
+            /* deposit packed's low m bits onto the free levels, lowest
+               free level first (a software pdep) */
             int64_t free_mask = full & ~zero_mask;
             int64_t differ_mask = 0;
-            slots = x;
-            for (int64_t pos = m - 1; pos >= 0; pos--) {
-                int64_t bit = top_bit(free_mask);
+            for (int64_t pos = 0; pos < m; pos++) {
+                int64_t bit = free_mask & -free_mask;
                 free_mask ^= bit;
-                int64_t cnt = pascal[pos * kp2 + slots];
-                int64_t take = -(int64_t)(b < cnt);
-                differ_mask |= take & bit;
-                slots += take;
-                b -= cnt & ~take;
+                differ_mask |= bit & -((packed >> pos) & 1);
             }
             int64_t lead = top_bit(differ_mask);
             int64_t rest = differ_mask ^ lead;
@@ -337,6 +363,7 @@ def _smoke_test(kernel: Callable) -> None:
     x_arr = np.array([1, 2, 1], dtype=np.int64)
     class_sizes = np.array([2, 2, 2], dtype=np.int64)
     choose = choose_table(k)
+    lex, lex_offsets = lex_table(k)
     table_keys = np.zeros(16, dtype=np.int64)
     table_stamp = np.zeros(16, dtype=np.int64)
     none = np.zeros(0, dtype=np.int64)
@@ -346,8 +373,9 @@ def _smoke_test(kernel: Callable) -> None:
     uniforms = np.array([0.9, 0.5, 0.3, 0.99, 0.2], dtype=np.float64)
     keys_out = np.zeros(5, dtype=np.int64)
     total = int(
-        kernel(k, 3, z_arr, x_arr, counts, offsets, class_sizes, choose,
-               uniforms, keys_out, table_keys, table_stamp, 16, none, none, 0)
+        kernel(k, 3, z_arr, x_arr, counts, offsets, class_sizes, choose, lex,
+               lex_offsets, uniforms, keys_out, table_keys, table_stamp, 16,
+               none, none, 0)
     )
     expected = [11, 3, 6, 1, 2]
     if total != 5 or keys_out.tolist() != expected:
@@ -363,9 +391,9 @@ def _smoke_test(kernel: Callable) -> None:
     counts_out = np.zeros(4, dtype=np.int64)
     scratch = np.zeros(3 * 4 + 1 + 6, dtype=np.int64)
     total = int(
-        kernel(k, 3, z_arr, x_arr, counts, offsets, class_sizes, choose,
-               uniforms, keys_out, table_keys, table_stamp, 16, counts_out,
-               scratch, scratch.shape[0])
+        kernel(k, 3, z_arr, x_arr, counts, offsets, class_sizes, choose, lex,
+               lex_offsets, uniforms, keys_out, table_keys, table_stamp, 16,
+               counts_out, scratch, scratch.shape[0])
     )
     if total != 6 or counts_out.tolist() != [6, 12, 4, 4]:
         raise RuntimeError(
@@ -374,6 +402,7 @@ def _smoke_test(kernel: Callable) -> None:
         )
 
 
+_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
@@ -392,6 +421,8 @@ SAMPLER_KERNEL = NativeKernel(
         _INT64_ARG,  # offsets into uniforms/keys_out
         _INT64_ARG,  # class_sizes
         _INT64_ARG,  # choose (flat Pascal table)
+        _INT32_ARG,  # lex (masks by popcount, unranking order)
+        _INT64_ARG,  # lex_offsets (popcount group starts)
         _FLOAT64_ARG,  # uniforms (one flat stream)
         _INT64_ARG,  # keys_out
         _INT64_ARG,  # table_keys (membership scratch)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.degree_release import DegreeRelease, release_sorted_degrees
@@ -24,7 +25,15 @@ from repro.stats.counts import MatchingStatistics, degree_moment_statistics
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_unit_interval, check_positive
 
-__all__ = ["StatisticsRelease", "release_matching_statistics"]
+__all__ = ["StatisticsRelease", "release_matching_statistics", "check_degree_share"]
+
+
+def check_degree_share(degree_share: float) -> float:
+    """Validate the degree release's share of ε: strictly inside (0, 1)."""
+    degree_share = check_in_unit_interval(degree_share, "degree_share")
+    if degree_share in (0.0, 1.0):
+        raise ValidationError("degree_share must be strictly between 0 and 1")
+    return degree_share
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,7 @@ def release_matching_statistics(
     """
     epsilon = check_positive(epsilon, "epsilon")
     delta = check_in_unit_interval(delta, "delta")
-    degree_share = check_in_unit_interval(degree_share, "degree_share")
-    if degree_share in (0.0, 1.0):
-        raise ValueError("degree_share must be strictly between 0 and 1")
+    degree_share = check_degree_share(degree_share)
     rng = as_generator(seed)
     accountant = PrivacyAccountant(epsilon=epsilon, delta=delta)
 

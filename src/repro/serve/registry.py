@@ -20,7 +20,7 @@ drawn), through the accountant's atomic check-and-spend; an over-budget
 request dies with :class:`~repro.errors.PrivacyBudgetError` having
 perturbed nothing.
 
-:func:`execute_work` is how fits (and sample batches) run: in-process
+:func:`execute_work` is how fits run: in-process
 when the server is serial, else on the trial engine's persistent worker
 pool with the same self-healing contract as ``run_trials`` — a
 :class:`~concurrent.futures.process.BrokenProcessPool` rebuilds the pool
@@ -32,6 +32,7 @@ like the engine's ``worker_crash`` clauses.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -46,6 +47,7 @@ from repro.core.synthesis import sample_statistics
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
+from repro.native.sampling import SAMPLER_KERNEL
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import persistent_executor, shutdown_pool
 from repro.runtime.faults import CRASH_EXIT_CODE
@@ -182,7 +184,9 @@ def _served(model: FittedModel) -> FittedModel:
     )
 
 
-def _sample_work(*, model: FittedModel, count: int, entropy: int) -> list[dict]:
+def _sample_work(
+    *, model: FittedModel, count: int, entropy: int, mapper: Callable = map
+) -> list[dict]:
     """Sample ``count`` synthetic graphs and summarize each.
 
     Seeds are spawned from ``entropy`` by index, so for a fixed
@@ -193,22 +197,31 @@ def _sample_work(*, model: FittedModel, count: int, entropy: int) -> list[dict]:
     what makes the cached response bit-identical to a cold one.  An
     SKG-backed model counts each sample inside the sampler kernel
     without building a graph (:func:`~repro.core.synthesis.sample_statistics`).
+
+    ``mapper`` runs the per-sample rows: the builtin ``map``, or the
+    service's ``ThreadPoolExecutor.map``, which fans them over threads
+    (the compiled sampler releases the interpreter lock) and yields them
+    in index order, so the rows are the same either way.  The sampler
+    engine is resolved once here, before the fan-out.
     """
     children = np.random.SeedSequence(entropy).spawn(count)
-    rows = []
-    for child in children:
-        n_nodes, n_edges, stats = sample_statistics(model, seed=child)
-        rows.append(
-            {
-                "n_nodes": int(n_nodes),
-                "n_edges": int(n_edges),
-                "edges": float(stats.edges),
-                "hairpins": float(stats.hairpins),
-                "tripins": float(stats.tripins),
-                "triangles": float(stats.triangles),
-            }
-        )
-    return rows
+    row = functools.partial(_sample_row, model, SAMPLER_KERNEL.resolve())
+    return list(mapper(row, children))
+
+
+def _sample_row(
+    model: FittedModel, backend: str, seed: np.random.SeedSequence
+) -> dict:
+    """One sample's summary row of :func:`_sample_work`."""
+    n_nodes, n_edges, stats = sample_statistics(model, seed=seed, backend=backend)
+    return {
+        "n_nodes": int(n_nodes),
+        "n_edges": int(n_edges),
+        "edges": float(stats.edges),
+        "hairpins": float(stats.hairpins),
+        "tripins": float(stats.tripins),
+        "triangles": float(stats.triangles),
+    }
 
 
 def _probe_work() -> int:

@@ -188,6 +188,7 @@ class ServeRuntime:
         self._server.shutdown()
         drained = self.service.drain(self.config.drain_deadline)
         self._server.server_close()
+        self.service.close()
         shutdown_pool()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -28,9 +28,10 @@ Request flow on ``/fit`` / ``/sample`` / ``/release``::
       -> assign work sequence number (fault-injection target)
       -> under the deadline watchdog:
            canonicalize -> injected faults -> response-cache probe
-           -> single-flight lock -> re-probe -> model fit
+           -> single-flight lock -> re-probe -> build the estimator
+              (malformed params: 400, nothing charged) -> model fit
               (atomic budget charge BEFORE the fit) -> samples
-           -> store response
+              (fanned over the service's n_jobs threads) -> store response
 
 Determinism: a request that omits ``seed`` gets one derived from the
 stable hash of its canonical parameters, so retrying the same request —
@@ -43,10 +44,11 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.core.protocols import estimator_method
+from repro.core.protocols import build_estimator, estimator_method
 from repro.errors import DatasetError, PrivacyBudgetError, ValidationError
 from repro.graphs.datasets import available_datasets
 from repro.runtime.cache import TrialCache
@@ -118,6 +120,12 @@ class SynthesisService:
         self._response_cache = cache
         self._response_memory: dict[str, dict] = {}
         self._response_locks = KeyedLocks()
+        # Sample rows fan out over n_jobs threads: the fit pool is idle
+        # while a request samples, and the compiled sampler releases the
+        # interpreter lock.
+        self._sampler = ThreadPoolExecutor(
+            max_workers=max(1, config.n_jobs), thread_name_prefix="repro-serve-sample"
+        )
         self._lock = threading.Lock()
         self._work_sequence = 0
         self._requests = 0
@@ -159,6 +167,10 @@ class SynthesisService:
             self.gate.in_flight,
         )
         return drained
+
+    def close(self) -> None:
+        """Release the sampling threads (after :meth:`drain`)."""
+        self._sampler.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Routing
@@ -327,6 +339,23 @@ class SynthesisService:
             seed=request["seed"],
             params=request["params"],
         )
+        # Build the estimator once here, on public inputs only (no noise
+        # is drawn), so malformed params answer 400 before the fit
+        # charges the budget.
+        try:
+            build_estimator(
+                spec.method,
+                spec.params,
+                epsilon=spec.epsilon,
+                delta=spec.delta,
+                seed=spec.seed,
+            )
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"invalid params for method {spec.method}: {exc}"
+            ) from exc
         model, _source = self.models.get_or_fit(
             spec, crash_submissions=faults.crash_submissions
         )
@@ -346,7 +375,9 @@ class SynthesisService:
                 stable_hash(("serve-entropy", spec.token(), count))[:16], 16
             )
             body["count"] = count
-            body["samples"] = _sample_work(model=model, count=count, entropy=entropy)
+            body["samples"] = _sample_work(
+                model=model, count=count, entropy=entropy, mapper=self._sampler.map
+            )
         return body
 
     # ------------------------------------------------------------------
@@ -429,6 +460,14 @@ class SynthesisService:
         params_raw = payload.get("params", {})
         if not isinstance(params_raw, dict):
             raise ValidationError("request field 'params' must be a JSON object")
+        # The budget and the seed are top-level fields: a copy inside
+        # params would override what the ledger charges.
+        shadowing = sorted({"epsilon", "delta", "seed"} & set(params_raw))
+        if shadowing:
+            raise ValidationError(
+                f"estimator param(s) {', '.join(map(repr, shadowing))} must be "
+                "sent as top-level request fields, not inside 'params'"
+            )
         for name, value in params_raw.items():
             if not isinstance(value, (int, float, str, bool)):
                 raise ValidationError(

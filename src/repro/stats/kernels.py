@@ -138,7 +138,8 @@ def resolve_kernel_backend(backend: str | None = None) -> str:
     slower.  Both backends return bit-identical statistics; the knob only
     selects the execution engine.  (The shared resolution contract lives
     in :mod:`repro.native.registry`; the same ``REPRO_KERNEL_BACKEND``
-    knob also drives the KronFit chain and the SKG sampler kernels.)
+    knob also drives the KronFit chain, the SKG sampler and the isotonic
+    kernels.)
     """
     return COUNTING_KERNEL.resolve(backend)
 

@@ -19,6 +19,7 @@ explicit skips, which CI treats as failures, so the full matrix runs.
 from __future__ import annotations
 
 import functools
+from math import comb
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from repro.kronecker.sampling import (
 )
 from repro.native import sampling as native_sampling
 from repro.native.registry import NATIVE_BACKENDS
-from repro.native.sampling import SAMPLER_KERNEL, choose_table
+from repro.native.sampling import SAMPLER_KERNEL, choose_table, lex_table
 from repro.stats.counts import MatchingStatistics, matching_statistics
 
 
@@ -163,7 +164,7 @@ class TestExhaustiveUnranking:
                 uniforms = np.random.default_rng(size).random(size)
                 written = kernel(
                     k, 1, _i64(z), _i64(x), _i64(size), _i64(0), _i64(size),
-                    choose, uniforms, keys,
+                    choose, *lex_table(k), uniforms, keys,
                     np.zeros(capacity, dtype=np.int64),
                     np.zeros(capacity, dtype=np.int64), capacity, none, none, 0,
                 )
@@ -178,6 +179,49 @@ class TestExhaustiveUnranking:
         assert sorted(every_pair) == [
             (u << k) | v for u in range(n) for v in range(u + 1, n)
         ]
+
+
+class TestLexTable:
+    """The compiled engine's unranking table (:func:`lex_table`)."""
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_popcount_grouped_bijection(self, k):
+        lex, offsets = lex_table(k)
+        assert lex.dtype == np.int32 and offsets.dtype == np.int64
+        assert offsets.tolist() == [
+            sum(comb(k, j) for j in range(r)) for r in range(k + 2)
+        ]
+        assert np.array_equal(np.sort(lex), np.arange(2**k))
+        popcount = np.array([bin(mask).count("1") for mask in lex.tolist()])
+        for r in range(k + 1):
+            group = lex[offsets[r] : offsets[r + 1]]
+            assert np.all(popcount[offsets[r] : offsets[r + 1]] == r)
+            # Lex order, most significant level first: descending masks.
+            assert np.all(np.diff(group) < 0)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_entries_are_the_reference_unranking(self, k):
+        """Group r, entry C(k, r) − C(n, r) + i is the rank-i r-subset of
+        the low n levels, for every n ≤ k: the reference's both-0 walk
+        at z = r over a k' = n level graph."""
+        lex, offsets = lex_table(k)
+        for n in range(1, k + 1):
+            choose = choose_table(n)
+            for r in range(n):
+                for rank in range(comb(n, r)):
+                    # x = n − r differing levels with w = 0: u carries the
+                    # ones, so the zero mask is the complement of u's bits
+                    # minus the differing levels; read it off directly.
+                    key = _unrank_pair_key(n, r, n - r, rank * 2 ** (n - r - 1), choose)
+                    zero_mask = (2**n - 1) & ~((key >> n) | (key & (2**n - 1)))
+                    entry = lex[offsets[r] + comb(k, r) - comb(n, r) + rank]
+                    assert entry == zero_mask
+
+    def test_tables_are_cached_read_only(self):
+        assert lex_table(9)[0] is lex_table(9)[0]
+        assert choose_table(9) is choose_table(9)
+        for table in (*lex_table(9), choose_table(9)):
+            assert not table.flags.writeable
 
 
 # Counts-mode cells: the paper's Θ, the hub-heavy Θ fitted to as20, and a
@@ -240,7 +284,7 @@ class TestSampleStatistics:
         scratch = np.zeros(3 * 4 + size, dtype=np.int64)  # one slot short
         written = kernel(
             k, 1, _i64(0), _i64(1), _i64(size), _i64(0), _i64(size),
-            choose_table(k), np.full(size, 0.5),
+            choose_table(k), *lex_table(k), np.full(size, 0.5),
             np.zeros(size, dtype=np.int64), np.zeros(16, dtype=np.int64),
             np.zeros(16, dtype=np.int64), 16, counts_out, scratch,
             scratch.shape[0],
@@ -259,7 +303,7 @@ class TestProbeSmokeTest:
 
         def miscounting(*args):
             written = kernel(*args)
-            args[13][3:] = 0  # drop the triangle count of counts mode
+            args[15][3:] = 0  # drop the triangle count of counts mode
             return written
 
         with pytest.raises(RuntimeError, match="counts self-check"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,9 +64,8 @@ class TestAgainstScipyOracle:
     @given(values=float_arrays)
     @settings(max_examples=60)
     def test_matches_scipy(self, values):
-        scipy_optimize = pytest.importorskip("scipy.optimize")
         ours = isotonic_regression(values)
-        theirs = scipy_optimize.isotonic_regression(values, increasing=True).x
+        theirs = scipy.optimize.isotonic_regression(values, increasing=True).x
         np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-9)
 
 

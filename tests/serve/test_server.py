@@ -115,6 +115,19 @@ class TestLifecycle:
         with pytest.raises(OSError):
             http(runtime.base_url, "GET", "/healthz", timeout=2.0)
 
+    def test_stop_releases_the_sampling_threads(self):
+        runtime = ServeRuntime(make_config(n_jobs=2))
+        runtime.start()
+        status, _h, body = http(
+            runtime.base_url, "POST", "/sample",
+            {"dataset": "as20", "count": 4, "seed": 1},
+        )
+        assert status == 200 and len(body["samples"]) == 4
+        sampler_threads = list(runtime.service._sampler._threads)
+        assert sampler_threads
+        assert runtime.stop()
+        assert not any(thread.is_alive() for thread in sampler_threads)
+
     def test_sigterm_triggers_graceful_drain(self, tmp_path):
         """A real SIGTERM to this process drains the runtime cleanly."""
         runtime = ServeRuntime(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -234,6 +236,45 @@ class TestValidation:
             assert service.handle("POST", "/fit", payload).status == 400
 
 
+class TestParamsCannotSpend:
+    """Estimator params are checked before the fit charges the ledger."""
+
+    @pytest.mark.parametrize("field", ["epsilon", "delta", "seed"])
+    def test_budget_fields_inside_params_are_400(self, field):
+        service = SynthesisService(make_config())
+        response = service.handle(
+            "POST", "/release",
+            {"dataset": "as20", "epsilon": 0.2, "delta": 0.01, "seed": 3,
+             "params": {field: 50.0 if field != "seed" else 4}},
+        )
+        assert response.status == 400
+        assert field in response.body["error"]["message"]
+        assert service.handle("GET", "/stats").body["budget"] == {}
+
+    @pytest.mark.parametrize("params", [
+        {"triangle_floor": "bogus"},
+        {"degree_share": 1.0},
+        {"no_such": 1},
+        {"grid_points": 1},
+        {"features": "edges"},
+    ])
+    def test_malformed_params_are_400_and_charge_nothing(self, params):
+        service = SynthesisService(make_config())
+        ok = service.handle(
+            "POST", "/release", {"dataset": "as20", "epsilon": 0.2, "seed": 1}
+        )
+        assert ok.status == 200
+        response = service.handle(
+            "POST", "/release",
+            {"dataset": "as20", "epsilon": 0.2, "delta": 0.01, "seed": 3,
+             "params": params},
+        )
+        assert response.status == 400
+        assert response.body["error"]["code"] == "bad-request"
+        budget = service.handle("GET", "/stats").body["budget"]["as20"]
+        assert budget["entries"] == 1
+
+
 class TestBudgetRefusal:
     def test_exhaustion_is_403_with_the_refusing_charge(self):
         service = SynthesisService(make_config(budget_epsilon=0.5))
@@ -362,6 +403,43 @@ class TestSampleWork:
                 "triangles": float(stats.triangles),
             }
             assert json.dumps(row) == json.dumps(expected)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_threaded_rows_equal_the_serial_rows(self, n_jobs):
+        serial = _sample_work(model=self.MODEL, count=7, entropy=11)
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            threaded = _sample_work(
+                model=self.MODEL, count=7, entropy=11, mapper=pool.map
+            )
+        assert json.dumps(threaded) == json.dumps(serial)
+
+    def test_service_samples_on_its_threads_and_close_releases_them(self):
+        service = SynthesisService(make_config(n_jobs=2))
+        seen: set[str] = set()
+        original = service._sampler.map
+
+        def recording_map(fn, *iterables):
+            def row(*args):
+                seen.add(threading.current_thread().name)
+                return fn(*args)
+
+            return original(row, *iterables)
+
+        service._sampler.map = recording_map
+        response = service.handle(
+            "POST", "/sample", {"dataset": "as20", "count": 4, "seed": 2}
+        )
+        assert response.status == 200
+        serial = SynthesisService(make_config(n_jobs=1)).handle(
+            "POST", "/sample", {"dataset": "as20", "count": 4, "seed": 2}
+        )
+        assert render(response) == render(serial)
+        assert seen and all(name.startswith("repro-serve-sample") for name in seen)
+        service.close()
+        assert not any(
+            thread.name.startswith("repro-serve-sample") and thread.is_alive()
+            for thread in service._sampler._threads
+        )
 
     def test_fixed_entropy_batches_are_prefixes(self):
         short = _sample_work(model=self.MODEL, count=2, entropy=5)

@@ -272,6 +272,29 @@ class TestBenchArtifactSchema:
         if floor["backend"] is not None:
             assert floor["measured"] >= floor["required"]
 
+    def test_stats_artifact_records_isotonic_rows(self):
+        """Schema 5 added the isotonic (PAVA) rows: the compiled twin vs
+        the numpy oracle at as20's length and k=18's, bit-identity
+        enforced by the bench, and the >= 10x floor record."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_stats.json").read_text(encoding="utf-8")
+        )
+        rows = report["isotonic"]
+        assert [(row["workload"], row["n"]) for row in rows] == [
+            ("as20", 6474),
+            ("skg-k18", 2**18),
+        ]
+        for row in rows:
+            assert row["engines"]["numpy"]["available"]
+            for backend, entry in row["engines"].items():
+                if backend != "numpy" and entry.get("available"):
+                    assert entry["bit_identical"] is True
+        floor = report["isotonic_speedup_floor"]
+        assert floor["workloads"] == ["as20", "skg-k18"]
+        assert floor["required"] == 10.0
+        if floor["backend"] is not None:
+            assert floor["measured"] >= floor["required"]
+
     def test_kronfit_artifact_records_large_k_rows(self):
         """Schema 3's large-k fit rows: per-engine Table-1-budget fits on
         the skg-k16/k18/k20 datasets, with the k=18 fused floor."""
