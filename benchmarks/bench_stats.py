@@ -25,7 +25,13 @@ a >= 2x pass speedup over the blocked scipy pass.
 The isotonic rows time the degree release's PAVA pass — the compiled
 twin against the numpy oracle — on noisy sorted degree sequences of
 as20's length (6,474) and k=18's (262,144).  Results must be
-bit-identical, and the compiled twin must be >= 10x faster at both.  Results (wall-clock,
+bit-identical, and the compiled twin must be >= 10x faster at both.
+
+The KronMom rows time ``KronMomEstimator.fit_statistics`` on Algorithm
+1's noisy release of as20 and ca-grqc, with the refinement on the
+compiled Nelder–Mead kernel and on the numpy oracle.  Fits must be
+bit-identical (initiator, objective, restarts), and the compiled engine
+must make the whole fit >= 5x faster at both.  Results (wall-clock,
 tracemalloc peaks, and the process peak-RSS trajectory) are written to
 ``benchmarks/out/BENCH_stats.json`` so the gains are recorded artifacts.
 
@@ -57,18 +63,21 @@ except ImportError:  # running from a checkout without `pip install -e .`
 
 import numpy as np
 
+from repro.core.estimator import PrivateKroneckerEstimator
 from repro.evaluation.experiments import default_config
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
+from repro.kronecker.kronmom import KronMomEstimator
 from repro.kronecker.sampling import sample_skg
 from repro.native.counting import COUNTING_KERNEL
 from repro.native.isotonic import ISOTONIC_KERNEL
+from repro.native.kronmom import KRONMOM_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
 from repro.privacy.isotonic import isotonic_regression
 from repro.stats import kernels
 from repro.stats.clustering import local_clustering
-from repro.stats.counts import count_triangles, max_common_neighbors
+from repro.stats.counts import MatchingStatistics, count_triangles, max_common_neighbors
 from repro.stats.kernels import available_kernel_backends, stats_context, triangle_pass
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
@@ -77,8 +86,9 @@ from repro.stats.kernels import available_kernel_backends, stats_context, triang
 # (native grass-hopping sampler trajectory + KronMom at k ∈ {16, 18, 20});
 # 4 = dropped the per-workload "parallel" trajectory and the top-level
 # "block_size" provenance key (the pass is serial, its block size auto);
-# 5 = added the isotonic (PAVA) rows and their floor.
-SCHEMA_VERSION = 5
+# 5 = added the isotonic (PAVA) rows and their floor; 6 = added the KronMom
+# refinement rows and their floor.
+SCHEMA_VERSION = 6
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_stats.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -107,6 +117,13 @@ ISOTONIC_QUICK_WORKLOADS = ("as20",)
 ISOTONIC_SPEEDUP_FLOOR = 10.0
 # Lap(2/ε) at the paper's degree-release share ε/2 = 0.1.
 ISOTONIC_NOISE_SCALE = 20.0
+
+# The KronMom rows: fit_statistics on Algorithm 1's noisy release of each
+# dataset.  With the compiled Nelder–Mead refinement the whole fit must be
+# >= 5x faster than with the numpy oracle (the grid stage is numpy on both).
+KRONMOM_WORKLOADS = ("as20", "ca-grqc")
+KRONMOM_QUICK_WORKLOADS = ("as20",)
+KRONMOM_SPEEDUP_FLOOR = 5.0
 
 
 def baseline_combined(graph: Graph):
@@ -204,7 +221,6 @@ def bench_large_k(k: int, repeats: int) -> dict:
     equivalence matrix pins); the reference's selection loop is O(E)
     Python, so it is timed with fewer repeats at the largest orders.
     """
-    from repro.kronecker.kronmom import KronMomEstimator
     from repro.native.sampling import SAMPLER_KERNEL
 
     seed = SEED + k
@@ -287,47 +303,66 @@ def isotonic_input(name: str) -> np.ndarray:
     return degrees + noise
 
 
-def bench_isotonic(name: str, repeats: int) -> dict:
-    """One isotonic row: every available engine, checked bit-identical
-    against the numpy oracle (fewer oracle repeats: it is an O(n) Python
-    loop)."""
-    values = isotonic_input(name)
+def bench_engines(kernel, run, fingerprint, repeats: int, label: str) -> dict:
+    """Every engine of ``kernel`` running ``run()``: the numpy oracle
+    (fewer repeats: it is interpreted Python) and each available compiled
+    engine, whose ``fingerprint(run())`` must equal the oracle's."""
     with kernel_backend("numpy"):
-        reference = isotonic_regression(values)
+        reference = fingerprint(run())
         engines: dict[str, dict] = {
-            "numpy": {
-                "available": True,
-                "seconds": time_best(
-                    lambda: isotonic_regression(values), max(2, repeats // 2)
-                ),
-            }
+            "numpy": {"available": True, "seconds": time_best(run, max(2, repeats // 2))}
         }
     for backend in NATIVE_BACKENDS:
-        if not ISOTONIC_KERNEL.available(backend):
-            engines[backend] = {
-                "available": False,
-                "reason": ISOTONIC_KERNEL.error(backend),
-            }
+        if not kernel.available(backend):
+            engines[backend] = {"available": False, "reason": kernel.error(backend)}
             continue
         with kernel_backend(backend):
-            if isotonic_regression(values).tobytes() != reference.tobytes():
-                raise AssertionError(
-                    f"isotonic backend {backend} diverges from numpy on {name}"
-                )
-            seconds = time_best(lambda: isotonic_regression(values), repeats)
+            if fingerprint(run()) != reference:
+                raise AssertionError(f"{label} backend {backend} diverges from numpy")
+            seconds = time_best(run, repeats)
         engines[backend] = {"available": True, "bit_identical": True, "seconds": seconds}
     numpy_seconds = engines["numpy"]["seconds"]
     for record in engines.values():
         if record.get("available"):
             record["speedup_vs_numpy"] = numpy_seconds / record["seconds"]
+    return engines
+
+
+def bench_isotonic(name: str, repeats: int) -> dict:
+    """One isotonic row: every engine on the noisy degree sequence."""
+    values = isotonic_input(name)
+    engines = bench_engines(
+        ISOTONIC_KERNEL, lambda: isotonic_regression(values),
+        lambda result: result.tobytes(), repeats, f"isotonic {name}",
+    )
     return {"workload": name, "n": int(values.size), "engines": engines}
 
 
-def _isotonic_floor(rows: list[dict]) -> dict:
+def kronmom_input(name: str) -> tuple[MatchingStatistics, int]:
+    """Algorithm 1's noisy statistics of a dataset (ε = 0.2, δ = 0.01),
+    as it hands them to KronMom, and the Kronecker order."""
+    estimate = PrivateKroneckerEstimator(0.2, 0.01, seed=SEED).fit(load_dataset(name))
+    return estimate.moment_result.observed, estimate.k
+
+
+def bench_kronmom(name: str, repeats: int) -> dict:
+    """One KronMom row: every engine of the Nelder–Mead refinement, timed
+    on the whole ``fit_statistics`` (grid stage included)."""
+    observed, k = kronmom_input(name)
+    estimator = KronMomEstimator()
+    engines = bench_engines(
+        KRONMOM_KERNEL, lambda: estimator.fit_statistics(observed, k),
+        lambda result: (result.initiator, result.objective, result.n_restarts),
+        repeats, f"kronmom {name}",
+    )
+    return {"workload": name, "k": k, "observed": list(observed), "engines": engines}
+
+
+def _engine_floor(rows: list[dict], required: float) -> dict:
     """The fastest compiled engine's *smallest* speedup over the rows."""
     entry = {
         "workloads": [row["workload"] for row in rows],
-        "required": ISOTONIC_SPEEDUP_FLOOR,
+        "required": required,
         "backend": None,
         "measured": None,
     }
@@ -486,26 +521,33 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"{'':12s}   sample[{backend}] unavailable: {entry['reason']}")
 
-    isotonic_rows = []
-    for name in ISOTONIC_QUICK_WORKLOADS if arguments.quick else ISOTONIC_WORKLOADS:
-        row = bench_isotonic(name, arguments.repeats)
-        isotonic_rows.append(row)
-        for backend, entry in row["engines"].items():
-            if entry.get("available"):
-                print(
-                    f"{'isotonic-' + name:12s} n={row['n']:>7d} [{backend}] "
-                    f"{entry['seconds'] * 1000:8.2f} ms "
-                    f"({entry['speedup_vs_numpy']:.2f}x vs numpy)"
-                )
-            else:
-                print(f"{'isotonic-' + name:12s} [{backend}] unavailable: {entry['reason']}")
+    engine_rows = {}
+    for label, bench, names in (
+        ("isotonic", bench_isotonic,
+         ISOTONIC_QUICK_WORKLOADS if arguments.quick else ISOTONIC_WORKLOADS),
+        ("kronmom", bench_kronmom,
+         KRONMOM_QUICK_WORKLOADS if arguments.quick else KRONMOM_WORKLOADS),
+    ):
+        engine_rows[label] = [bench(name, arguments.repeats) for name in names]
+        for row in engine_rows[label]:
+            for backend, entry in row["engines"].items():
+                tag = f"{label}-{row['workload']}"
+                if entry.get("available"):
+                    print(
+                        f"{tag:16s} [{backend}] {entry['seconds'] * 1000:8.2f} ms "
+                        f"({entry['speedup_vs_numpy']:.2f}x vs numpy)"
+                    )
+                else:
+                    print(f"{tag:16s} [{backend}] unavailable: {entry['reason']}")
+    isotonic_rows, kronmom_rows = engine_rows["isotonic"], engine_rows["kronmom"]
 
     floor_record = next(
         (r for r in results if r["workload"] == SPEEDUP_WORKLOAD), None
     )
     fused_floor = _fused_floor(floor_record)
     sampler_floor = _sampler_floor(large_k_rows)
-    isotonic_floor = _isotonic_floor(isotonic_rows)
+    isotonic_floor = _engine_floor(isotonic_rows, ISOTONIC_SPEEDUP_FLOOR)
+    kronmom_floor = _engine_floor(kronmom_rows, KRONMOM_SPEEDUP_FLOOR)
     configuration = default_config()
     report = {
         "bench": "bench_stats",
@@ -525,9 +567,11 @@ def main(argv: list[str] | None = None) -> int:
         "fused_speedup_floor": fused_floor,
         "sampler_speedup_floor": sampler_floor,
         "isotonic_speedup_floor": isotonic_floor,
+        "kronmom_speedup_floor": kronmom_floor,
         "workloads": results,
         "large_k": large_k_rows,
         "isotonic": isotonic_rows,
+        "kronmom": kronmom_rows,
         "rss_trajectory_kb": rss_trajectory,
     }
     out_path = Path(arguments.out)
@@ -535,18 +579,17 @@ def main(argv: list[str] | None = None) -> int:
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"[written to {out_path}]")
 
-    if isotonic_floor["backend"] is not None:
-        assert isotonic_floor["measured"] >= ISOTONIC_SPEEDUP_FLOOR, (
-            f"compiled isotonic pass {isotonic_floor['backend']} is only "
-            f"{isotonic_floor['measured']:.2f}x over the numpy oracle "
-            f"(floor: {ISOTONIC_SPEEDUP_FLOOR}x)"
+    for label, floor in (("isotonic pass", isotonic_floor),
+                         ("KronMom refinement", kronmom_floor)):
+        if floor["backend"] is None:
+            print(f"no compiled {label} backend available on this host; floor not asserted")
+            continue
+        assert floor["measured"] >= floor["required"], (
+            f"compiled {label} {floor['backend']} is only {floor['measured']:.2f}x "
+            f"over the numpy oracle (floor: {floor['required']}x)"
         )
-        print(
-            f"isotonic pass ({isotonic_floor['backend']}) "
-            f"{isotonic_floor['measured']:.2f}x >= {ISOTONIC_SPEEDUP_FLOOR}x floor"
-        )
-    else:
-        print("no compiled isotonic backend available on this host; floor not asserted")
+        print(f"{label} ({floor['backend']}) {floor['measured']:.2f}x >= "
+              f"{floor['required']}x floor")
 
     if floor_record is not None:
         measured = floor_record["speedup"]

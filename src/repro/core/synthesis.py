@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import as_initiator
 from repro.kronecker.sampling import sample_skg, sample_skg_statistics
@@ -69,7 +70,7 @@ def ensemble_matching_statistics(
     for any worker count.
     """
     if not graphs:
-        raise ValueError("ensemble must contain at least one graph")
+        raise ValidationError("ensemble must contain at least one graph")
     from repro.runtime import TrialSpec, run_trials
 
     report = run_trials(

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.core.nonprivate import (
@@ -134,7 +135,7 @@ def average_statistics(
       degree occurs.
     """
     if not per_graph:
-        raise ValueError("cannot average an empty ensemble")
+        raise ValidationError("cannot average an empty ensemble")
     series: dict[str, FigureSeries] = {}
     series["hop_plot"] = _average_padded(
         [g["hop_plot"] for g in per_graph], label, pad="last"
@@ -230,7 +231,7 @@ def run_figure(
     curves over ``config.realizations`` realizations.
     """
     if figure_number not in FIGURE_DATASETS:
-        raise ValueError(
+        raise ValidationError(
             f"figure_number must be one of {sorted(FIGURE_DATASETS)}, got {figure_number}"
         )
     config = config or default_config()
@@ -308,5 +309,5 @@ def _fit_methods(
                 graph, epsilon=config.epsilon, delta=config.delta, seed=rng
             )
         else:
-            raise ValueError(f"unknown method {method!r}")
+            raise ValidationError(f"unknown method {method!r}")
     return results

@@ -97,8 +97,8 @@ _TABLE = (
     Knob("REPRO_CACHE_DIR", "path", None, None,
          "On-disk trial cache directory"),
     Knob("REPRO_KERNEL_BACKEND", "choice", "auto", KERNEL_BACKEND_CHOICES,
-         "Engine of the A² counting pass, the KronFit chain, the SKG sampler "
-         "and the isotonic (PAVA) pass"),
+         "Engine of the A² counting pass, the KronFit chain, the SKG sampler, "
+         "the isotonic (PAVA) pass and KronMom's Nelder–Mead refinement"),
     Knob("REPRO_KERNEL_THREADS", "int", 1, _integer(),
          "Threads of the batched multichain kernel (<= 0 = all cores)"),
     # Trial engine.

@@ -16,13 +16,25 @@ Both distance functions (squared / absolute) and all four normalisations
 Optimisation is a dense vectorised grid search (the closed forms broadcast
 over parameter arrays) followed by Nelder–Mead refinement from the best
 grid points, with the identifiability convention a ≥ c applied at the end.
-The refinement is :func:`_nelder_mead`, a copy of scipy's Nelder–Mead on
-Python floats that returns the same bits without scipy's per-call array
-dispatch.
+
+Which engine runs where:
+
+* the grid stage is always numpy;
+* the refinement resolves through ``REPRO_KERNEL_BACKEND`` like every
+  :mod:`repro.native` family.  ``cext`` (the ``auto`` choice when a C
+  compiler is present) steps every restart in
+  :data:`repro.native.kronmom.KRONMOM_KERNEL`; ``numpy`` runs the oracle,
+  :func:`_nelder_mead` (a copy of scipy's Nelder–Mead on Python floats)
+  over :meth:`KronMomEstimator._float_objective`.  Both give the same
+  bits, and a restart the kernel flags for a vertex tie reruns on the
+  oracle;
+* the jittered restart starts and the best-of-restarts choice are
+  Python on either engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +44,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.operations import next_power_of_two_exponent
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.moments import expected_feature_vector
+from repro.native.kronmom import KRONMOM_KERNEL, refine_restarts
 from repro.stats.counts import MatchingStatistics, matching_statistics
 from repro.utils.validation import check_integer
 
@@ -41,6 +54,7 @@ __all__ = [
     "DISTANCES",
     "NORMALIZATIONS",
     "DEFAULT_FEATURES",
+    "MAX_K",
 ]
 
 DEFAULT_FEATURES = ("edges", "hairpins", "tripins", "triangles")
@@ -94,9 +108,17 @@ NORMALIZATIONS = {
     "expected_squared": _norm_expected_squared,
 }
 
+# The largest Kronecker order fit_statistics accepts: far past the
+# sampler's k <= 31, and small enough that no closed-form power of a
+# clamped initiator overflows a double (the largest base is 16).
+MAX_K = 64
+
 # Denominators are floored at this value to keep the objective finite when
 # an expected count vanishes (e.g. b = c = 0 grid corners).
 _NORM_FLOOR = 1e-12
+
+# Tolerances and iteration cap of every refinement restart, on both engines.
+_NELDER_MEAD_OPTIONS = {"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000}
 
 
 @dataclass(frozen=True)
@@ -197,14 +219,18 @@ class KronMomEstimator:
         This is the entry point Algorithm 1 uses: the private estimator
         computes DP statistics and hands them to the same solver as the
         non-private KronMom.
+
+        Raises :class:`~repro.errors.ValidationError` for ``k`` outside
+        ``1..MAX_K`` or a non-finite observed value, on every engine.
         """
         k = check_integer(k, "k", minimum=1)
-        floored = MatchingStatistics(
-            edges=max(float(observed.edges), _FEATURE_FLOOR),
-            hairpins=max(float(observed.hairpins), _FEATURE_FLOOR),
-            tripins=max(float(observed.tripins), _FEATURE_FLOOR),
-            triangles=max(float(observed.triangles), _FEATURE_FLOOR),
-        )
+        if k > MAX_K:
+            raise ValidationError(f"k must be <= {MAX_K}, got {k}")
+        values = [float(value) for value in observed]
+        for name, value in zip(MatchingStatistics._fields, values):
+            if not math.isfinite(value):
+                raise ValidationError(f"observed {name} must be finite, got {value!r}")
+        floored = MatchingStatistics(*(max(value, _FEATURE_FLOOR) for value in values))
         observed_vector = np.array(
             [getattr(floored, name) for name in self.features], dtype=np.float64
         )
@@ -253,9 +279,38 @@ class KronMomEstimator:
         grid_best: np.ndarray,
         grid_value: float,
     ) -> tuple[np.ndarray, float]:
-        # Runs on plain floats (see repro.kronecker.moments) and returns the
-        # bits an array evaluation would: numpy's clip is min/max, and its
-        # sums over fewer than 8 items add left to right, as these do.
+        rng = np.random.default_rng(12345)  # deterministic restart jitter
+        starts = [grid_best]
+        for _ in range(self.n_refinements - 1):
+            jitter = rng.normal(scale=0.08, size=3)
+            starts.append(np.clip(grid_best + jitter, 0.0, 1.0))
+        engine = KRONMOM_KERNEL.resolve()
+        if engine == KRONMOM_KERNEL.reference:
+            runs = [None] * len(starts)
+        else:
+            runs = refine_restarts(
+                KRONMOM_KERNEL.kernel(engine), [s.tolist() for s in starts],
+                observed.tolist(), k, self.features, self.distance,
+                self.normalization, **_NELDER_MEAD_OPTIONS,
+            )
+        objective = self._float_objective(observed, k)
+        best_params, best_value = grid_best.copy(), grid_value
+        for start, run in zip(starts, runs):
+            # A restart the kernel flagged (a vertex tie) reruns on the oracle.
+            x, fun = run or _nelder_mead(objective, start.tolist(), **_NELDER_MEAD_OPTIONS)
+            if fun < best_value:
+                best_value = float(fun)
+                best_params = np.clip(np.array(x), 0.0, 1.0)
+        return best_params, best_value
+
+    def _float_objective(self, observed: np.ndarray, k: int):
+        """The refinement objective on plain floats: the numpy oracle of
+        :data:`repro.native.kronmom.KRONMOM_KERNEL`.
+
+        It returns the bits an array evaluation would (see
+        :mod:`repro.kronecker.moments`): numpy's clip is min/max, and its
+        sums over fewer than 8 items add left to right, as these do.
+        """
         dist = DISTANCES[self.distance]
         norm = NORMALIZATIONS[self.normalization]
         observed_values = observed.tolist()
@@ -271,21 +326,7 @@ class KronMomEstimator:
                 total += dist(obs, exp) / max(abs(norm(obs, exp)), _NORM_FLOOR)
             return total + penalty * 1e3
 
-        rng = np.random.default_rng(12345)  # deterministic restart jitter
-        best_params, best_value = grid_best.copy(), grid_value
-        starts = [grid_best]
-        for _ in range(self.n_refinements - 1):
-            jitter = rng.normal(scale=0.08, size=3)
-            starts.append(np.clip(grid_best + jitter, 0.0, 1.0))
-        for start in starts:
-            x, fun = _nelder_mead(
-                objective, start.tolist(), xatol=1e-6, fatol=1e-10, maxiter=2000
-            )
-            if fun < best_value:
-                best_value = float(fun)
-                best_params = np.clip(np.array(x), 0.0, 1.0)
-        return best_params, best_value
-
+        return objective
 
 # scipy's Nelder–Mead coefficients (reflection, expansion, contraction,
 # shrink) and initial-simplex steps, non-adaptive variant.

@@ -13,10 +13,13 @@ Kronecker powers for k ≤ 4 and against Monte-Carlo sampling.
 
 All functions are vectorised in ``(a, b, c)`` via numpy broadcasting, which
 the moment-matching grid search relies on.  :func:`expected_feature_vector`
-also evaluates plain Python floats, which is what KronMom's Nelder–Mead
-refinement does on every step: on three scalars, numpy's per-operation
-dispatch costs ten times the arithmetic.  One body per feature serves
-both, and the float results are bit-identical to the 0-d array ones:
+also evaluates plain Python floats, which is what the numpy oracle of
+KronMom's Nelder–Mead refinement does on every step: on three scalars,
+numpy's per-operation dispatch costs ten times the arithmetic.  (The
+default ``cext`` refinement engine, :mod:`repro.native.kronmom`, writes
+the same bodies out in C and takes only the cubes from numpy.)  One body
+per feature serves both, and the float results are bit-identical to the
+0-d array ones:
 
 * squares of ``a``, ``b``, ``c`` are written as products — numpy's
   ``x**2`` on an array is ``x*x``, where Python's ``x**2`` is libm ``pow``;
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.kronecker.initiator import as_initiator
 from repro.stats.counts import MatchingStatistics
 from repro.utils.validation import check_integer
@@ -173,7 +177,7 @@ def expected_feature_vector(a, b, c, k: int, features: tuple[str, ...]):
             bodies.append(_FEATURE_BODIES[name])
         except KeyError:
             known = ", ".join(_FEATURE_BODIES)
-            raise ValueError(f"unknown feature {name!r}; known features: {known}") from None
+            raise ValidationError(f"unknown feature {name!r}; known features: {known}") from None
     if type(a) is float and type(b) is float and type(c) is float:
         cubes = np.power(np.array((a, b, c)), 3).tolist()
         return tuple([body(a, b, c, cubes, k) for body in bodies])

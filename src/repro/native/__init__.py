@@ -16,13 +16,16 @@ engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
   grass-hopping SKG generation;
 * the **isotonic kernel** (:mod:`repro.native.isotonic`) — the
   pool-adjacent-violators pass behind
-  :func:`repro.privacy.isotonic.isotonic_regression`.
+  :func:`repro.privacy.isotonic.isotonic_regression`;
+* the **KronMom kernel** (:mod:`repro.native.kronmom`) — every
+  Nelder–Mead restart of KronMom's refinement stage, stepped in lockstep
+  with numpy supplying the cubes.
 
 Each kernel is a C function compiled on first use via the system
 compiler, next to a pure-Python reference engine that lives with its
 caller.  Each is registered as a :class:`~repro.native.registry.NativeKernel`
 (``COUNTING_KERNEL``, ``MULTICHAIN_KERNEL``, ``SAMPLER_KERNEL``,
-``ISOTONIC_KERNEL``), which
+``ISOTONIC_KERNEL``, ``KRONMOM_KERNEL``), which
 owns the shared machinery: lazy availability probes with memoized failure
 reasons, compile-once shared-library caching, smoke tests at probe time,
 and the common ``auto``/loud-failure resolution contract.  Both engines
@@ -37,6 +40,7 @@ from repro.native.chain import (
 )
 from repro.native.counting import COUNTING_KERNEL
 from repro.native.isotonic import ISOTONIC_KERNEL
+from repro.native.kronmom import KRONMOM_KERNEL
 from repro.native.registry import (
     NATIVE_BACKENDS,
     NativeKernel,
@@ -51,6 +55,7 @@ __all__ = [
     "resolve_kernel_threads",
     "COUNTING_KERNEL",
     "ISOTONIC_KERNEL",
+    "KRONMOM_KERNEL",
     "draw_proposal_batch",
     "resolve_chain_backend",
     "MULTICHAIN_KERNEL",

@@ -2,7 +2,8 @@
 
 Every hot loop of the pipeline — the A² counting pass, the KronFit
 Metropolis chain, the grass-hopping sampler, the isotonic (PAVA) pass of
-the degree release — has two execution engines:
+the degree release, KronMom's Nelder–Mead refinement — five families in
+all, has two execution engines:
 a pure-Python reference that lives with its caller and is the oracle the
 equivalence suites compare against, and the identical loop nest written
 in C, compiled on first use with the system compiler and called through
@@ -21,8 +22,8 @@ in C, compiled on first use with the system compiler and called through
   build to private scratch files and install with atomic renames).
 
 Concrete kernels live next door: :mod:`repro.native.counting`,
-:mod:`repro.native.chain`, :mod:`repro.native.sampling` and
-:mod:`repro.native.isotonic`.
+:mod:`repro.native.chain`, :mod:`repro.native.sampling`,
+:mod:`repro.native.isotonic` and :mod:`repro.native.kronmom`.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class NativeKernel:
     ----------
     name:
         Kernel identifier ("counting", "multichain", "sampler",
-        "isotonic"); names the cached ``.so``.
+        "isotonic", "kronmom"); names the cached ``.so``.
     reference:
         The name ``auto`` falls back to when no compiled engine can run:
         the family's pure-Python reference engine, which lives with its

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import ValidationError
 from repro.tracking.record import RunRecord
 from repro.utils.tables import TextTable
 
@@ -98,7 +99,7 @@ def compare_runs(
 ) -> RunComparison:
     """Diff two run records (see module docstring for semantics)."""
     if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+        raise ValidationError(f"tolerance must be non-negative, got {tolerance}")
     config_delta = _mapping_delta(record_a.config, record_b.config)
     environment_delta = _mapping_delta(record_a.environment, record_b.environment)
 

@@ -18,6 +18,8 @@ from typing import Union
 
 import numpy as np
 
+from repro.errors import ValidationError
+
 __all__ = ["as_generator", "spawn_generators", "SeedLike"]
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
@@ -46,7 +48,7 @@ def spawn_generators(seed: SeedLike, count: int) -> list[np.random.Generator]:
     reproducible from a single seed.
     """
     if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+        raise ValidationError(f"count must be non-negative, got {count}")
     if isinstance(seed, np.random.Generator):
         # Derive children by drawing fresh entropy from the parent stream.
         seeds = seed.integers(0, 2**63 - 1, size=count)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.errors import ValidationError
+
 __all__ = ["TextTable", "format_float", "format_series"]
 
 
@@ -55,7 +57,7 @@ class TextTable:
             else:
                 formatted.append(str(cell))
         if len(formatted) != len(self.headers):
-            raise ValueError(
+            raise ValidationError(
                 f"row has {len(formatted)} cells but table has {len(self.headers)} columns"
             )
         self.rows.append(formatted)

@@ -169,10 +169,13 @@ class TestSimplexOrder:
 
 class TestKronMomRefinement:
     def test_fit_statistics_match_a_scipy_refinement(self, monkeypatch):
-        """A whole KronMom fit equals one whose refinement calls scipy."""
+        """A whole KronMom fit, on the default engine, equals one whose
+        refinement runs the numpy oracle with scipy's Nelder–Mead."""
         observed = MatchingStatistics(23628.0, 584162.0, 14041912.0, 1822.0)
         estimator = KronMomEstimator()
         ours = estimator.fit_statistics(observed, 13)
+        # The compiled engine calls _nelder_mead only for flagged restarts.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
 
         def scipy_nelder_mead(func, x0, *, xatol, fatol, maxiter):
             result = scipy.optimize.minimize(

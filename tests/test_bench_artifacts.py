@@ -295,6 +295,31 @@ class TestBenchArtifactSchema:
         if floor["backend"] is not None:
             assert floor["measured"] >= floor["required"]
 
+    def test_stats_artifact_records_kronmom_rows(self):
+        """Schema 6 added the KronMom rows: fit_statistics on the noisy
+        as20 and ca-grqc releases with the compiled Nelder–Mead kernel vs
+        the numpy oracle, bit-identity enforced by the bench, and the
+        >= 5x floor record."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_stats.json").read_text(encoding="utf-8")
+        )
+        rows = report["kronmom"]
+        assert [(row["workload"], row["k"]) for row in rows] == [
+            ("as20", 13),
+            ("ca-grqc", 13),
+        ]
+        for row in rows:
+            assert len(row["observed"]) == 4
+            assert row["engines"]["numpy"]["available"]
+            for backend, entry in row["engines"].items():
+                if backend != "numpy" and entry.get("available"):
+                    assert entry["bit_identical"] is True
+        floor = report["kronmom_speedup_floor"]
+        assert floor["workloads"] == ["as20", "ca-grqc"]
+        assert floor["required"] == 5.0
+        if floor["backend"] is not None:
+            assert floor["measured"] >= floor["required"]
+
     def test_kronfit_artifact_records_large_k_rows(self):
         """Schema 3's large-k fit rows: per-engine Table-1-budget fits on
         the skg-k16/k18/k20 datasets, with the k=18 fused floor."""

@@ -93,6 +93,21 @@ class TestLayering:
         ]
         assert not calls, f"{name} calls .laplace( at lines {calls}"
 
+    @pytest.mark.parametrize("name", ALL_MODULES)
+    def test_rejections_raise_validation_error(self, name):
+        # A bad argument raises the structured ValidationError (itself a
+        # ValueError), never a bare ValueError.
+        module = importlib.import_module(name)
+        with open(module.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        bare = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"
+        ]
+        assert not bare, f"{name} raises ValueError at lines {bare}"
+
 
 class TestDocumentation:
     @pytest.mark.parametrize("name", ALL_MODULES)
