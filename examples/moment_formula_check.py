@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from repro.core.synthesis import ensemble_matching_statistics, sample_ensemble
+from repro.core.synthesis import ensemble_matching_statistics
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronpower import (
     brute_force_expected_counts,
@@ -36,8 +36,7 @@ def main(a: float = 0.9, b: float = 0.5, c: float = 0.2, k: int = 6) -> None:
 
     closed = expected_statistics(theta, k)
     brute = brute_force_expected_counts(edge_probability_matrix(theta, k))
-    ensemble = sample_ensemble(theta, k, 2000, seed=0)
-    monte_carlo = ensemble_matching_statistics(ensemble)
+    monte_carlo = ensemble_matching_statistics(theta, k, 2000, seed=0)
 
     table = TextTable(
         ["feature", "closed form (Eq. 1)", "dense expectation", "monte carlo (2000)"],

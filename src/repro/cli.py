@@ -97,13 +97,12 @@ from repro.graphs.datasets import available_datasets, dataset_info
 from repro.core.estimator import PrivateKroneckerEstimator
 from repro.core.nonprivate import fit_kronfit, fit_kronmom
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.sampling import sample_skg, sample_skg_statistics
+from repro.kronecker.sampling import sample_skg
 from repro.knobs import KNOBS, knob
 from repro.native.registry import resolve_kernel_threads
 from repro.stats.kernels import resolve_kernel_backend
 from repro.stats.summary import summarize
 from repro.utils.tables import TextTable
-from repro.utils.validation import check_integer
 
 __all__ = ["main", "build_parser"]
 
@@ -471,36 +470,19 @@ def _cmd_sample(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _ensemble_trial(rng, *, a: float, b: float, c: float, k: int):
-    """One ensemble realization: sample Θ^{⊗k} and count its statistics
-    (inside the sampler kernel, without building the graph).
-
-    Module-level so the runtime engine can ship it to worker processes.
-    """
-    return sample_skg_statistics(Initiator(a, b, c), k, seed=rng)[1]
-
-
 def _cmd_run_ensemble(arguments: argparse.Namespace) -> int:
-    import numpy as np
-
+    from repro.core.synthesis import run_skg_ensemble
     from repro.kronecker.moments import expected_statistics
-    from repro.runtime import TrialSpec, run_trials
 
     theta = Initiator(arguments.a, arguments.b, arguments.c)
-    check_integer(arguments.count, "count", minimum=1)
-    params = {"a": theta.a, "b": theta.b, "c": theta.c, "k": arguments.k}
-    specs = [
-        TrialSpec(fn=_ensemble_trial, params=params, index=trial)
-        for trial in range(arguments.count)
-    ]
-    report = run_trials(
-        specs,
+    rows, report = run_skg_ensemble(
+        theta,
+        arguments.k,
+        arguments.count,
         seed=arguments.seed,
         n_jobs=arguments.n_jobs,
         cache=knob("REPRO_CACHE_DIR", arguments.cache_dir),
-        label="run-ensemble",
     )
-    rows = np.array([tuple(stats) for stats in report.results], dtype=np.float64)
     expected = expected_statistics(theta, arguments.k)
     table = TextTable(
         ["statistic", "ensemble mean", "ensemble std", "expected (moments)"],

@@ -1,24 +1,40 @@
 """Synthetic-graph ensembles from a fitted initiator.
 
 The paper's figures average statistics over 100 synthetic realizations
-("Expected kron-fit", "Expected private", ...).  These helpers produce
-reproducible ensembles and their aggregate matching statistics; the
-figure-series averaging itself lives in :mod:`repro.evaluation.figures`.
+("Expected kron-fit", "Expected private", ...).  :func:`sample_ensemble`
+returns such an ensemble as graphs.  :func:`run_skg_ensemble` counts one:
+it runs one trial per realization through
+:func:`repro.runtime.run_trials`, and each trial counts {E, H, T, Δ}
+inside the sampler kernel
+(:func:`~repro.kronecker.sampling.sample_skg_statistics`) without
+building a :class:`Graph`, so no edge list is built in the parent or
+shipped to a worker.  The trials draw exactly what
+:func:`sample_ensemble` draws with the same integer seed, so the rows
+equal counting its graphs.  :func:`ensemble_matching_statistics` and
+``repro run-ensemble`` both run through it; the figure-series averaging
+itself lives in :mod:`repro.evaluation.figures`.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.kronecker.initiator import as_initiator
+from repro.kronecker.initiator import Initiator, as_initiator
 from repro.kronecker.sampling import sample_skg, sample_skg_statistics
+from repro.runtime import TrialCache, TrialRunReport, TrialSpec, run_trials
 from repro.stats.counts import MatchingStatistics, matching_statistics
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import check_integer
 
-__all__ = ["sample_ensemble", "sample_statistics", "ensemble_matching_statistics"]
+__all__ = [
+    "sample_ensemble",
+    "sample_statistics",
+    "run_skg_ensemble",
+    "ensemble_matching_statistics",
+]
 
 
 def sample_ensemble(initiator, k: int, count: int, seed: SeedLike = None) -> list[Graph]:
@@ -51,42 +67,64 @@ def sample_statistics(
     return graph.n_nodes, graph.n_edges, matching_statistics(graph)
 
 
-def _graph_statistics_trial(
-    rng: np.random.Generator, *, graph: Graph
+def _skg_statistics_trial(
+    rng: np.random.Generator, *, a: float, b: float, c: float, k: int
 ) -> MatchingStatistics:
-    """Count one ensemble member (deterministic; ``rng`` is unused)."""
-    return matching_statistics(graph)
+    """Count one realization of Θ^{⊗k} inside the sampler kernel.
+
+    Module-level so the trial engine can ship it to worker processes.
+    """
+    return sample_skg_statistics(Initiator(a, b, c), k, seed=rng)[1]
+
+
+def run_skg_ensemble(
+    initiator,
+    k: int,
+    count: int,
+    *,
+    seed=None,
+    n_jobs: int | None = None,
+    cache: TrialCache | str | os.PathLike | None = None,
+) -> tuple[np.ndarray, TrialRunReport]:
+    """Per-realization {E, H, T, Δ} of ``count`` SKG realizations of Θ^{⊗k}.
+
+    Returns the ``(count, 4)`` float64 rows, in realization order, and
+    the :class:`~repro.runtime.TrialRunReport`.  ``seed``, ``n_jobs``
+    (default: the ``REPRO_N_JOBS`` knob) and ``cache`` are those of
+    :func:`~repro.runtime.run_trials`; a trial's stream depends only on
+    ``(seed, index)``, so the rows are bit-identical for any worker
+    count.  Raises :class:`~repro.errors.ValidationError` for an empty
+    ensemble.
+    """
+    theta = as_initiator(initiator)
+    k = check_integer(k, "k", minimum=1)
+    count = check_integer(count, "count", minimum=1)
+    params = {"a": theta.a, "b": theta.b, "c": theta.c, "k": k}
+    report = run_trials(
+        [
+            TrialSpec(fn=_skg_statistics_trial, params=params, index=index)
+            for index in range(count)
+        ],
+        seed=seed,
+        n_jobs=n_jobs,
+        cache=cache,
+        label="skg-ensemble",
+    )
+    rows = np.array([tuple(stats) for stats in report.results], dtype=np.float64)
+    return rows, report
 
 
 def ensemble_matching_statistics(
-    graphs: list[Graph], *, n_jobs: int | None = None
+    initiator, k: int, count: int, *, seed=None, n_jobs: int | None = None
 ) -> MatchingStatistics:
-    """Mean {E, H, T, Δ} over an ensemble (Monte-Carlo expected statistics).
+    """Mean {E, H, T, Δ} over ``count`` SKG realizations (Monte-Carlo
+    expected statistics).
 
-    The per-graph counting passes are independent, so they run through
-    :func:`repro.runtime.run_trials`: ``n_jobs`` (default: the
-    ``REPRO_N_JOBS`` knob) fans them across the persistent worker pool,
-    and — the counts being deterministic — the means are bit-identical
-    for any worker count.
+    Counts through :func:`run_skg_ensemble`, never building a graph.
+    For an integer (or ``SeedSequence``) ``seed`` the means equal, bit
+    for bit, the mean of :func:`~repro.stats.counts.matching_statistics`
+    over ``sample_ensemble(initiator, k, count, seed=seed)``, for any
+    ``n_jobs``.
     """
-    if not graphs:
-        raise ValidationError("ensemble must contain at least one graph")
-    from repro.runtime import TrialSpec, run_trials
-
-    report = run_trials(
-        [
-            TrialSpec(fn=_graph_statistics_trial, params={"graph": graph}, index=index)
-            for index, graph in enumerate(graphs)
-        ],
-        seed=0,
-        n_jobs=n_jobs,
-        label="ensemble-statistics",
-    )
-    rows = np.array([tuple(stats) for stats in report.results], dtype=np.float64)
-    means = rows.mean(axis=0)
-    return MatchingStatistics(
-        edges=float(means[0]),
-        hairpins=float(means[1]),
-        tripins=float(means[2]),
-        triangles=float(means[3]),
-    )
+    rows, _ = run_skg_ensemble(initiator, k, count, seed=seed, n_jobs=n_jobs)
+    return MatchingStatistics(*(float(mean) for mean in rows.mean(axis=0)))

@@ -57,7 +57,6 @@ class Graph:
         "_degrees",
         "_hash",
         "_stats",
-        "_shm",
         "__weakref__",  # the cached StatsContext refers back weakly
     )
 
@@ -90,7 +89,6 @@ class Graph:
         self._degrees: np.ndarray | None = None
         self._hash: int | None = None
         self._stats = None  # lazy StatsContext (see repro.stats.kernels)
-        self._shm = None  # active share token (see repro.runtime.shm)
 
     # ------------------------------------------------------------------
     # Alternate constructors
@@ -128,7 +126,6 @@ class Graph:
         graph._degrees = None
         graph._hash = None
         graph._stats = None
-        graph._shm = None
         return graph
 
     @classmethod
@@ -305,21 +302,11 @@ class Graph:
         return self._hash
 
     def __reduce__(self):
-        # While the trial engine has this instance published to a shared
-        # segment (repro.runtime.shm stamps the token for the duration of
-        # a pool session), pickle to the ~100-byte attach token instead of
-        # the arrays: pool workers rebuild the graph over zero-copy views
-        # of the segment.  The token is instance- and session-scoped, so
-        # anything pickled outside the session (cache entries, results,
-        # fresh instances) takes the by-value path below.
-        if self._shm is not None:
-            from repro.runtime.shm import _attach_graph
-
-            return (_attach_graph, (self._shm,))
         # Pickle only the canonical arrays: the derived caches (adjacency,
         # degrees, stats context) are cheap to rebuild relative to shipping
         # them across process boundaries, and the trial engine pickles
-        # graphs when results cross worker processes or the on-disk cache.
+        # graphs when params or results cross worker processes or the
+        # on-disk cache.
         return (_rebuild_canonical, (self._n_nodes, self._edge_u, self._edge_v))
 
     def __repr__(self) -> str:

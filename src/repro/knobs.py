@@ -47,9 +47,9 @@ class Knob:
 
     ``kind`` is ``int``, ``float``, ``choice``, ``path`` or ``spec``.
     ``check`` is the accepted-value tuple of a choice, or a
-    ``(value, where) -> value`` validator of a number.  ``label`` names
-    the value in error messages (default: the variable name without its
-    prefix, in lower case).
+    ``(value, where) -> value`` validator of a number.  Error messages
+    name the value by :attr:`title`: the variable name without its
+    prefix, in lower case.
     """
 
     name: str
@@ -57,11 +57,10 @@ class Knob:
     default: Any
     check: Any
     doc: str
-    label: str = ""
 
     @property
     def title(self) -> str:
-        return self.label or self.name[len("REPRO_"):].lower().replace("_", " ")
+        return self.name[len("REPRO_"):].lower().replace("_", " ")
 
 
 def _integer(minimum: int | None = None) -> Callable[[Any, str], int]:
@@ -112,9 +111,6 @@ _TABLE = (
          "Broken-pool rebuilds per run before the breakage surfaces"),
     Knob("REPRO_FAULT_INJECT", "spec", "", None,
          "Trial fault-injection spec"),
-    Knob("REPRO_SHM", "choice", "auto", ("auto", "off"),
-         "Shared-memory handoff of large graphs to pool workers",
-         label="shared-memory mode"),
     # Native build and tracking.
     Knob("REPRO_OPENMP", "choice", "on",
          ("on", "off", "1", "0", "yes", "no", "true", "false"),

@@ -221,7 +221,8 @@ class KronMomEstimator:
         non-private KronMom.
 
         Raises :class:`~repro.errors.ValidationError` for ``k`` outside
-        ``1..MAX_K`` or a non-finite observed value, on every engine.
+        ``1..MAX_K``, a non-finite observed value, or a positive one whose
+        square overflows a double (above ~1.34e154), on every engine.
         """
         k = check_integer(k, "k", minimum=1)
         if k > MAX_K:
@@ -230,6 +231,14 @@ class KronMomEstimator:
         for name, value in zip(MatchingStatistics._fields, values):
             if not math.isfinite(value):
                 raise ValidationError(f"observed {name} must be finite, got {value!r}")
+            if value > 0 and not math.isfinite(value * value):
+                # The objective squares the floored value (negatives floor to
+                # _FEATURE_FLOOR); an overflow would turn every grid value
+                # into NaN and the fit into Initiator(0, 0, 0).
+                raise ValidationError(
+                    f"observed {name} = {value!r} is too large: its square "
+                    "overflows a double"
+                )
         floored = MatchingStatistics(*(max(value, _FEATURE_FLOOR) for value in values))
         observed_vector = np.array(
             [getattr(floored, name) for name in self.features], dtype=np.float64

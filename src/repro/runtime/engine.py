@@ -41,16 +41,15 @@ module-level functions (workers import them by name).
 
 Parallel runs execute on a **persistent worker pool** by default: one
 process-wide :class:`~concurrent.futures.ProcessPoolExecutor`, created on
-first parallel use and reused across :func:`run_trials` calls and blocked
-counting passes, so consecutive ensembles (Table 1's fits, figure
-ensembles, bench trajectories) pay the worker fork/spawn cost once
-instead of per call.  The persistent pool is the only executor
-lifecycle: it is resized only when a caller asks for a *different*
-worker count, shut down at interpreter exit (and discarded on breakage),
-and :func:`shutdown_pool` releases it eagerly.  The serial default
-(``n_jobs=1``) never touches the pool, and results are bit-identical
-either way — per-trial seeds depend only on (root seed, index), never on
-which worker ran what.
+first parallel use and reused across :func:`run_trials` calls, so
+consecutive ensembles (Table 1's fits, figure ensembles, bench
+trajectories) pay the worker fork/spawn cost once instead of per call.
+The persistent pool is the only executor lifecycle: it is resized only
+when a caller asks for a *different* worker count, shut down at
+interpreter exit (and discarded on breakage), and :func:`shutdown_pool`
+releases it eagerly.  The serial default (``n_jobs=1``) never touches
+the pool, and results are bit-identical either way — per-trial seeds
+depend only on (root seed, index), never on which worker ran what.
 Workers inherit the parent's state (environment, loaded modules) at pool
 creation time, not per call.
 
@@ -67,7 +66,6 @@ import atexit
 import concurrent.futures
 import os
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 import threading
 import time
 import traceback
@@ -77,7 +75,6 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.graphs.graph import Graph
 from repro.knobs import default, knob, usable_cores
 from repro.runtime.cache import TrialCache
 from repro.runtime.faults import (
@@ -89,7 +86,6 @@ from repro.runtime.faults import (
     resolve_fault_plan,
 )
 from repro.runtime.hashing import trial_key
-from repro.runtime.shm import share_graph
 from repro.runtime.spec import TrialFailure, TrialRunReport, TrialSpec
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_integer
@@ -244,22 +240,6 @@ class _TrialOutcome:
     attempts: int = 1
 
 
-def _shared_graph_params(
-    specs: Sequence[TrialSpec], pending: Sequence[int]
-) -> list[Graph]:
-    """Distinct Graph instances appearing in the pending specs' params.
-
-    Deduplicated by identity: specs that reference one graph object
-    share one segment.
-    """
-    seen: dict[int, Graph] = {}
-    for position in pending:
-        for value in specs[position].params.values():
-            if isinstance(value, Graph) and id(value) not in seen:
-                seen[id(value)] = value
-    return list(seen.values())
-
-
 def run_trials(
     specs: Iterable[TrialSpec],
     *,
@@ -385,22 +365,10 @@ def run_trials(
                 outcome = _execute_trial(specs[position], seeds[position], settings)
                 state.fold(position, specs[position], outcome)
         else:
-            # Publish large graphs appearing in pending trial params to
-            # shared memory for the duration of the pool session: every
-            # task payload then pickles an attach token instead of the
-            # edge arrays (see repro.runtime.shm).  Cache keys were
-            # computed above — before any token existed — and worker
-            # results are fresh instances, so nothing cacheable can
-            # observe a token.  The ExitStack's unwind is the single
-            # release point; worker crashes and pool rebuilds inside
-            # _collect re-attach by name against the still-open segments.
-            with ExitStack() as session:
-                for graph in _shared_graph_params(specs, pending):
-                    session.enter_context(share_graph(graph))
-                restarts = _collect(
-                    specs, seeds, pending, state, base, trial_faults,
-                    n_jobs=n_jobs, restart_budget=restart_budget,
-                )
+            restarts = _collect(
+                specs, seeds, pending, state, base, trial_faults,
+                n_jobs=n_jobs, restart_budget=restart_budget,
+            )
 
     elapsed = time.perf_counter() - start
     _logger.info(

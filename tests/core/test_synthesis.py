@@ -12,6 +12,7 @@ from repro.core.synthesis import (
     sample_ensemble,
     sample_statistics,
 )
+from repro.errors import ValidationError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.moments import expected_statistics
@@ -64,28 +65,47 @@ class TestEnsembleStatistics:
     def test_mean_tracks_expectation(self):
         theta = Initiator(0.9, 0.5, 0.2)
         k = 7
-        graphs = sample_ensemble(theta, k, 200, seed=0)
-        means = ensemble_matching_statistics(graphs)
+        means = ensemble_matching_statistics(theta, k, 200, seed=0)
         expected = expected_statistics(theta, k)
         assert means.edges == pytest.approx(expected.edges, rel=0.05)
         assert means.hairpins == pytest.approx(expected.hairpins, rel=0.15)
 
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_matching_statistics([])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_ensemble_rejected(self, count):
+        with pytest.raises(ValidationError, match="count must be >= 1"):
+            ensemble_matching_statistics(Initiator(0.9, 0.5, 0.2), 6, count)
+
+    def test_deterministic(self):
+        theta = Initiator(0.9, 0.5, 0.2)
+        reference = ensemble_matching_statistics(theta, 6, 5, seed=4)
+        assert ensemble_matching_statistics(theta, 6, 5, seed=4) == reference
+        assert ensemble_matching_statistics(theta, 6, 5, seed=5) != reference
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("k", [6, 13])
+    def test_equals_counting_sample_ensemble(self, k, seed, n_jobs):
+        """Counting in the sampler kernel gives, bit for bit, the mean of
+        counting the graphs ``sample_ensemble`` builds from the same seed."""
+        theta = Initiator(0.99, 0.45, 0.25)
+        graphs = sample_ensemble(theta, k, 5, seed=seed)
+        rows = np.array([tuple(matching_statistics(g)) for g in graphs], dtype=np.float64)
+        means = ensemble_matching_statistics(theta, k, 5, seed=seed, n_jobs=n_jobs)
+        assert tuple(means) == tuple(float(mean) for mean in rows.mean(axis=0))
 
 
 class TestEnsembleStatisticsParallelism:
-    """The stats evaluation runs through the trial engine (PR 5)."""
+    """The per-realization trials run through the trial engine."""
 
     def test_bit_identical_across_n_jobs(self):
-        graphs = sample_ensemble(Initiator(0.9, 0.5, 0.2), 6, 6, seed=2)
-        serial = ensemble_matching_statistics(graphs, n_jobs=1)
-        parallel = ensemble_matching_statistics(graphs, n_jobs=3)
+        theta = Initiator(0.9, 0.5, 0.2)
+        serial = ensemble_matching_statistics(theta, 6, 6, seed=2, n_jobs=1)
+        parallel = ensemble_matching_statistics(theta, 6, 6, seed=2, n_jobs=3)
         assert serial == parallel
 
     def test_honours_repro_n_jobs_env(self, monkeypatch):
-        graphs = sample_ensemble(Initiator(0.9, 0.5, 0.2), 6, 4, seed=2)
-        reference = ensemble_matching_statistics(graphs)
+        theta = Initiator(0.9, 0.5, 0.2)
+        reference = ensemble_matching_statistics(theta, 6, 4, seed=2)
         monkeypatch.setenv("REPRO_N_JOBS", "2")
-        assert ensemble_matching_statistics(graphs) == reference
+        assert ensemble_matching_statistics(theta, 6, 4, seed=2) == reference
+

@@ -244,6 +244,34 @@ class TestValidation:
             KronMomEstimator().fit_statistics(observed, 10)
 
     @pytest.mark.parametrize("backend", ["numpy", *NATIVE])
+    @pytest.mark.parametrize("field", MatchingStatistics._fields)
+    @pytest.mark.parametrize("value", [1.4e154, 1e160, 1e308])
+    def test_observations_whose_square_overflows_rejected(
+        self, monkeypatch, backend, field, value
+    ):
+        """Squaring such a value overflows, which made every objective NaN
+        and the fit a silent Initiator(0, 0, 0)."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        observed = MatchingStatistics(10.0, 10.0, 10.0, 10.0)._replace(**{field: value})
+        with pytest.raises(ValidationError, match=f"observed {field} = .* too large"):
+            KronMomEstimator().fit_statistics(observed, 64)
+
+    @pytest.mark.parametrize("backend", ["numpy", *NATIVE])
+    def test_largest_squarable_and_huge_negative_observations_fit(
+        self, monkeypatch, backend
+    ):
+        """1.3e154 still squares to a finite double; a huge negative value
+        floors to 1 before anything squares it."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        fit = KronMomEstimator().fit_statistics(MatchingStatistics(*[1.3e154] * 4), 64)
+        assert fit.objective == 4.0
+        fit = KronMomEstimator().fit_statistics(
+            MatchingStatistics(10.0, -1e160, 10.0, 10.0), 10
+        )
+        assert math.isfinite(fit.objective)
+        assert fit.observed.hairpins == 1.0
+
+    @pytest.mark.parametrize("backend", ["numpy", *NATIVE])
     @pytest.mark.parametrize("k", [MAX_K + 1, 600])
     def test_orders_past_the_bound_rejected(self, monkeypatch, backend, k):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)

@@ -165,13 +165,12 @@ class TestExpectedStatistics:
 
     def test_monte_carlo_consistency(self):
         # Empirical means over many exact samples must approach Eq. (1).
-        from repro.core.synthesis import ensemble_matching_statistics, sample_ensemble
+        from repro.core.synthesis import ensemble_matching_statistics
 
         theta = Initiator(0.9, 0.5, 0.2)
         k = 6
         stats = expected_statistics(theta, k)
-        ensemble = sample_ensemble(theta, k, 400, seed=0)
-        means = ensemble_matching_statistics(ensemble)
+        means = ensemble_matching_statistics(theta, k, 400, seed=0)
         assert means.edges == pytest.approx(stats.edges, rel=0.05)
         assert means.hairpins == pytest.approx(stats.hairpins, rel=0.10)
         assert means.tripins == pytest.approx(stats.tripins, rel=0.15)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.graphs.generators import star_graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
-from repro.runtime import TrialSpec, resolve_n_jobs, run_trials
+from repro.runtime import TrialSpec, resolve_n_jobs, run_trials, shutdown_pool
 from repro.stats.counts import matching_statistics
 
 
@@ -24,6 +25,14 @@ def _skg_trial(rng, *, a, b, c, k):
 
 def _failing_trial(rng):
     raise RuntimeError("trial exploded")
+
+
+def _graph_trial(rng, *, graph, boom=False):
+    """The graph's shape and an edge checksum; ``boom`` interrupts."""
+    if boom:
+        raise KeyboardInterrupt
+    u, v = graph.edge_arrays
+    return (graph.n_nodes, graph.n_edges, int(u.sum() + 3 * v.sum()))
 
 
 def _specs(count=6, size=4):
@@ -169,3 +178,51 @@ class TestErrors:
         report = run_trials([], seed=0, n_jobs=2)
         assert report.results == []
         assert report.executed == report.cached == 0
+
+
+class TestGraphParams:
+    """Graphs in trial params reach pool workers pickled by value, through
+    the compact canonical-array ``Graph.__reduce__``."""
+
+    # 70,000 edges: about 1.1 MiB of int64 endpoint pairs.
+    GRAPHS = (star_graph(70_001), star_graph(70_002))
+
+    def _specs(self, count, **extra):
+        return [
+            TrialSpec(
+                fn=_graph_trial,
+                params={"graph": self.GRAPHS[index % 2], **extra},
+                index=index,
+            )
+            for index in range(count)
+        ]
+
+    def test_bit_identical_across_worker_counts(self):
+        serial = run_trials(self._specs(4), seed=0, n_jobs=1)
+        pooled = run_trials(self._specs(4), seed=0, n_jobs=2)
+        assert pooled.results == serial.results
+        assert [row[1] for row in pooled.results] == [70_000, 70_001] * 2
+
+    def test_worker_crash_self_heals(self):
+        clean = run_trials(self._specs(6), seed=0, n_jobs=1)
+        report = run_trials(
+            self._specs(6), seed=0, n_jobs=2, backoff=0,
+            faults="worker_crash:nth=2",
+        )
+        assert report.pool_restarts >= 1
+        assert report.results == clean.results
+
+    def test_keyboard_interrupt_in_a_worker_propagates(self):
+        specs = [
+            TrialSpec(
+                fn=_graph_trial,
+                params={"graph": self.GRAPHS[0], "boom": index == 1},
+                index=index,
+            )
+            for index in range(4)
+        ]
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_trials(specs, seed=0, n_jobs=2)
+        finally:
+            shutdown_pool()

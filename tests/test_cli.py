@@ -183,6 +183,34 @@ class TestRunEnsemble:
             "edges", "hairpins", "tripins", "triangles"
         }
 
+    # Per-trial (E, H, T, Δ) of the CI smoke ensemble (Θ = (0.99, 0.45,
+    # 0.25), k = 10, 8 realizations, seed 0): a golden, so moving the
+    # trial function or its run_trials site cannot shift a row.
+    GOLDEN_ROWS = [
+        (1017, 6395, 32495, 40), (973, 5623, 27129, 28),
+        (1077, 6786, 28728, 56), (1010, 6098, 24055, 34),
+        (946, 5411, 19791, 39), (1040, 6584, 31796, 31),
+        (994, 5700, 24265, 31), (997, 5887, 28359, 35),
+    ]
+
+    @pytest.mark.parametrize("n_jobs", ["1", "2"])
+    def test_rows_match_the_golden(self, tmp_path, capsys, n_jobs):
+        target = tmp_path / "ensemble.json"
+        arguments = ["run-ensemble", "--a", "0.99", "--b", "0.45", "--c", "0.25",
+                     "-k", "10", "--count", "8", "--seed", "0",
+                     "--n-jobs", n_jobs, "--out", str(target)]
+        assert main(arguments) == 0
+        rows = json.loads(target.read_text())["statistics"]
+        names = ("edges", "hairpins", "tripins", "triangles")
+        assert rows == [
+            {name: float(value) for name, value in zip(names, golden)}
+            for golden in self.GOLDEN_ROWS
+        ]
+
+    def test_empty_ensemble_rejected(self, capsys):
+        assert main(self.ARGS[:-4] + ["--count", "0"]) == 1
+        assert "count must be >= 1" in capsys.readouterr().err
+
     def test_invalid_initiator_rejected(self, capsys):
         code = main(
             ["run-ensemble", "--a", "1.5", "--b", "0.5", "--c", "0.2", "-k", "4"]

@@ -62,7 +62,6 @@ def _observed():
         knob("REPRO_TRIAL_TIMEOUT"),
         knob("REPRO_TRIAL_BACKOFF"),
         knob("REPRO_POOL_RESTARTS"),
-        knob("REPRO_SHM"),
         resolve_fault_plan(),
         resolve_serve_fault_plan(),
         resolve_runs_dir(),
@@ -138,9 +137,9 @@ class TestResolution:
             default_config()
 
     def test_pool_knob_is_gone(self):
-        for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE"):
+        for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE", "REPRO_SHM"):
             assert name not in KNOBS
-        assert KNOBS["REPRO_SHM"].check == ("auto", "off")
+        assert len(KNOBS) == 29
 
 
 class TestUsableCores:
