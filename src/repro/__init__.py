@@ -49,7 +49,6 @@ from repro.kronecker import (
     KronFitEstimator,
 )
 from repro.privacy import (
-    laplace_mechanism,
     PrivacyAccountant,
     release_sorted_degrees,
     release_triangle_count,
@@ -97,7 +96,6 @@ __all__ = [
     "KronMomEstimator",
     "KronFitEstimator",
     # privacy
-    "laplace_mechanism",
     "PrivacyAccountant",
     "release_sorted_degrees",
     "release_triangle_count",

@@ -2,8 +2,8 @@
 
 Implements everything Algorithm 1 of the paper needs:
 
-* :mod:`repro.privacy.mechanisms` — the Laplace mechanism calibrated to
-  global sensitivity (Dwork et al., Theorem 4.5 in the paper),
+* :mod:`repro.privacy.mechanisms` — the Laplace noise every release
+  draws through (Dwork et al.'s mechanism, Theorem 4.5 in the paper),
 * :mod:`repro.privacy.accountant` — sequential-composition budget tracking
   (Theorem 4.9),
 * :mod:`repro.privacy.isotonic` — pool-adjacent-violators regression,
@@ -17,7 +17,7 @@ Implements everything Algorithm 1 of the paper needs:
   matching statistics {Ẽ, H̃, T̃, Δ̃} used by the private estimator.
 """
 
-from repro.privacy.mechanisms import laplace_mechanism, laplace_noise
+from repro.privacy.mechanisms import laplace_noise
 from repro.privacy.accountant import PrivacyAccountant, PrivacySpend
 from repro.privacy.isotonic import isotonic_regression
 from repro.privacy.degree_release import release_sorted_degrees, DegreeRelease
@@ -37,7 +37,6 @@ from repro.privacy.k_edge import (
 )
 
 __all__ = [
-    "laplace_mechanism",
     "laplace_noise",
     "PrivacyAccountant",
     "PrivacySpend",

@@ -55,13 +55,9 @@ from repro.runtime.faults import (
     FaultClause,
     FaultPlan,
     InjectedFault,
-    RequestFaults,
-    ServeFaultPlan,
     TrialFaults,
     parse_fault_plan,
-    parse_serve_fault_plan,
     resolve_fault_plan,
-    resolve_serve_fault_plan,
 )
 from repro.runtime.hashing import code_fingerprint, stable_hash, trial_key
 from repro.runtime.spec import TrialFailure, TrialRunReport, TrialSeed, TrialSpec
@@ -86,14 +82,10 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "InjectedFault",
     "TrialFaults",
-    "RequestFaults",
     "FaultClause",
     "FaultPlan",
-    "ServeFaultPlan",
     "parse_fault_plan",
-    "parse_serve_fault_plan",
     "resolve_fault_plan",
-    "resolve_serve_fault_plan",
     "stable_hash",
     "code_fingerprint",
     "trial_key",

@@ -17,6 +17,7 @@ the repository's datasets).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import tempfile
@@ -25,7 +26,7 @@ from typing import Any, Tuple
 
 from repro.utils.logging import get_logger
 
-__all__ = ["TrialCache"]
+__all__ = ["TrialCache", "atomic_write"]
 
 _logger = get_logger(__name__)
 
@@ -33,6 +34,27 @@ _logger = get_logger(__name__)
 # suffix; __len__ counts only healthy *.pkl entries, so quarantine is
 # invisible to the hit/miss accounting.
 CORRUPT_SUFFIX = ".corrupt"
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` atomically.
+
+    The bytes go to a temporary file beside ``path`` (same suffix), then
+    :func:`os.replace` renames it over the target, so a reader sees the
+    old file or the new one, never a truncated one.  On any failure the
+    temporary file is removed and the error propagates.
+    """
+    descriptor, temp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            handle.write(data)
+        os.replace(temp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp_name)
+        raise
 
 
 class TrialCache:
@@ -97,19 +119,7 @@ class TrialCache:
         """Persist ``result`` under ``key`` atomically (write + rename)."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
     def __len__(self) -> int:
         """Number of cached entries currently on disk."""

@@ -54,11 +54,18 @@ requests admitted past the backpressure gate, in admission order)::
     pool_breakage:nth=6:attempts=9      # ...on its first 9 submissions
                                         # (exhausts the restart budget)
 
-Requests are not retried by the server, so ``slow_request`` and
-``handler_error`` fire at most once; ``attempts`` only applies to
-``pool_breakage``, bounding how many resubmissions crash their worker.
-``pool_breakage`` is inert when the server runs its work in-process
-(``--n-jobs 1``), mirroring ``worker_crash`` on the serial trial path.
+A request is a one-attempt trial: both families parse into one
+:class:`FaultPlan`, and each clause maps onto the same per-target
+:class:`TrialFaults` record by its effect — ``handler_error`` sets
+``error_attempts=1``, ``slow_request`` sets ``slow_attempts=1`` plus
+``slow_seconds``, and ``pool_breakage`` sets ``crash_submissions`` to
+its ``attempts``.  Requests are not retried by the server, so
+``slow_request`` and ``handler_error`` fire at most once; ``attempts``
+only applies to ``pool_breakage``, bounding how many resubmissions crash
+their worker.  ``pool_breakage`` is inert when the server runs its work
+in-process (``--n-jobs 1``), mirroring ``worker_crash`` on the serial
+trial path.  Each knob accepts only its own family's kinds
+(:func:`parse_fault_plan` takes the knob's name).
 """
 
 from __future__ import annotations
@@ -75,15 +82,10 @@ __all__ = [
     "InjectedFault",
     "TrialFaults",
     "NO_FAULTS",
-    "RequestFaults",
-    "NO_REQUEST_FAULTS",
     "FaultClause",
     "FaultPlan",
-    "ServeFaultPlan",
     "parse_fault_plan",
-    "parse_serve_fault_plan",
     "resolve_fault_plan",
-    "resolve_serve_fault_plan",
 ]
 
 FAULT_KINDS = ("trial_error", "worker_crash", "slow_trial")
@@ -96,12 +98,14 @@ CRASH_EXIT_CODE = 87
 
 
 class InjectedFault(RuntimeError):
-    """The transient, retryable error ``trial_error`` clauses raise."""
+    """The transient error ``trial_error`` and ``handler_error`` clauses
+    raise (a trial retries it; a request answers 503)."""
 
 
 @dataclass(frozen=True)
 class TrialFaults:
-    """The faults one trial is subject to (picklable; ships in the task).
+    """The faults one trial, or one serve request, is subject to
+    (picklable; ships in the task).  A request runs as attempt 1 only.
 
     Attributes
     ----------
@@ -122,7 +126,7 @@ class TrialFaults:
     crash_submissions: int = 0
 
     def merged(self, other: "TrialFaults") -> "TrialFaults":
-        """Combine two clauses targeting the same trial (maxima win)."""
+        """Combine two clauses with the same target (maxima win)."""
         return TrialFaults(
             error_attempts=max(self.error_attempts, other.error_attempts),
             slow_attempts=max(self.slow_attempts, other.slow_attempts),
@@ -147,7 +151,7 @@ class FaultClause:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """The parsed ``REPRO_FAULT_INJECT`` spec: zero or more clauses."""
+    """A parsed fault spec (either knob's): zero or more clauses."""
 
     clauses: tuple[FaultClause, ...] = ()
 
@@ -179,25 +183,46 @@ class FaultPlan:
             targeted[position] = faults if previous is None else previous.merged(faults)
         return targeted
 
+    def for_request(self, nth: int) -> TrialFaults:
+        """The merged faults the ``nth`` admitted work request suffers.
+
+        Serve clauses target by ``nth`` — the 1-based position of a work
+        request (``/fit``, ``/sample``, ``/release``) in admission order
+        — which is the only stable coordinate under concurrent clients.
+        The request runs once, as attempt 1 of a trial.
+        """
+        faults = NO_FAULTS
+        for clause in self.clauses:
+            if clause.nth == nth:
+                faults = faults.merged(_clause_faults(clause))
+        return faults
+
 
 def _clause_faults(clause: FaultClause) -> TrialFaults:
-    if clause.kind == "trial_error":
+    """A clause's effect; the serve kinds carry no ``attempts`` key, so
+    ``handler_error`` and ``slow_request`` fire on attempt 1 only."""
+    if clause.kind in ("trial_error", "handler_error"):
         return replace(NO_FAULTS, error_attempts=clause.attempts)
-    if clause.kind == "slow_trial":
+    if clause.kind in ("slow_trial", "slow_request"):
         return replace(
             NO_FAULTS, slow_attempts=clause.attempts, slow_seconds=clause.seconds
         )
     return replace(NO_FAULTS, crash_submissions=clause.attempts)
 
 
-_TRIAL_EXAMPLES = (
-    "trial_error:index=3:attempts=1, worker_crash:nth=2, "
-    "slow_trial:index=5:seconds=30"
-)
-_SERVE_EXAMPLES = (
-    "slow_request:nth=3:seconds=30, handler_error:nth=4, "
-    "pool_breakage:nth=5:attempts=2"
-)
+# Each fault knob's kind family and the examples its errors quote.
+_FAMILIES = {
+    "REPRO_FAULT_INJECT": (
+        FAULT_KINDS,
+        "trial_error:index=3:attempts=1, worker_crash:nth=2, "
+        "slow_trial:index=5:seconds=30",
+    ),
+    "REPRO_SERVE_FAULT_INJECT": (
+        SERVE_FAULT_KINDS,
+        "slow_request:nth=3:seconds=30, handler_error:nth=4, "
+        "pool_breakage:nth=5:attempts=2",
+    ),
+}
 
 # The clause grammar of both families, one row per kind: the target keys
 # (a clause names exactly one), the keys it must carry, and the keys it
@@ -214,17 +239,6 @@ _GRAMMAR = {
 # The smallest value of each integer key: ``index`` is a 0-based
 # position, ``nth`` and ``attempts`` count from 1.
 _MINIMUM = {"index": 0, "nth": 1, "attempts": 1}
-
-
-def _parse_clauses(
-    spec: str, kinds: Sequence[str], examples: str
-) -> tuple[FaultClause, ...]:
-    """The clauses of ``spec``, each of one of ``kinds`` (one family)."""
-    return tuple(
-        _parse_clause(raw.strip(), kinds, examples)
-        for raw in spec.split(";")
-        if raw.strip()
-    )
 
 
 def _parse_clause(raw: str, kinds: Sequence[str], examples: str) -> FaultClause:
@@ -279,103 +293,26 @@ def _parse_clause(raw: str, kinds: Sequence[str], examples: str) -> FaultClause:
     return FaultClause(kind=kind, **parsed)
 
 
-def parse_fault_plan(spec: str) -> FaultPlan:
-    """Parse a trial fault spec string into a :class:`FaultPlan`."""
-    return FaultPlan(_parse_clauses(spec, FAULT_KINDS, _TRIAL_EXAMPLES))
+def parse_fault_plan(spec: str, knob_name: str = "REPRO_FAULT_INJECT") -> FaultPlan:
+    """Parse a fault spec string of the ``knob_name`` knob's kinds."""
+    kinds, examples = _FAMILIES[knob_name]
+    return FaultPlan(
+        tuple(
+            _parse_clause(raw.strip(), kinds, examples)
+            for raw in spec.split(";")
+            if raw.strip()
+        )
+    )
 
 
-def resolve_fault_plan(faults: "str | FaultPlan | None" = None) -> FaultPlan:
-    """Resolve the fault plan: argument, then ``REPRO_FAULT_INJECT``,
+def resolve_fault_plan(
+    faults: "str | FaultPlan | None" = None,
+    knob_name: str = "REPRO_FAULT_INJECT",
+) -> FaultPlan:
+    """Resolve a fault plan: argument, then the ``knob_name`` variable,
     then the empty (fault-free) plan."""
     if isinstance(faults, FaultPlan):
         return faults
     if faults is None:
-        faults = knob("REPRO_FAULT_INJECT")
-    return parse_fault_plan(faults)
-
-
-@dataclass(frozen=True)
-class RequestFaults:
-    """The faults one serve request is subject to.
-
-    Attributes
-    ----------
-    error:
-        The handler raises :class:`InjectedFault` instead of executing
-        (the server answers with a structured 503).
-    slow_seconds:
-        The handler sleeps this long before executing, inside the
-        per-request deadline watchdog (so ``REPRO_SERVE_TIMEOUT``
-        observes the stall and answers 504).
-    crash_submissions:
-        Submissions 1..N of this request's pool work kill their worker
-        process, driving the server's pool self-healing (and, when the
-        restart budget is exhausted, the circuit breaker).
-    """
-
-    error: bool = False
-    slow_seconds: float = 0.0
-    crash_submissions: int = 0
-
-    def merged(self, other: "RequestFaults") -> "RequestFaults":
-        """Combine two clauses targeting the same request (maxima win)."""
-        return RequestFaults(
-            error=self.error or other.error,
-            slow_seconds=max(self.slow_seconds, other.slow_seconds),
-            crash_submissions=max(self.crash_submissions, other.crash_submissions),
-        )
-
-
-NO_REQUEST_FAULTS = RequestFaults()
-
-
-@dataclass(frozen=True)
-class ServeFaultPlan:
-    """The parsed ``REPRO_SERVE_FAULT_INJECT`` spec: zero or more clauses.
-
-    All serve clauses target by ``nth`` — the 1-based position of a work
-    request (``/fit``, ``/sample``, ``/release``) in admission order —
-    which is the only stable coordinate under concurrent clients.
-    """
-
-    clauses: tuple[FaultClause, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.clauses)
-
-    def for_request(self, nth: int) -> RequestFaults:
-        """The merged faults the ``nth`` admitted work request suffers."""
-        faults = NO_REQUEST_FAULTS
-        for clause in self.clauses:
-            if clause.nth != nth:
-                continue
-            if clause.kind == "handler_error":
-                faults = faults.merged(RequestFaults(error=True))
-            elif clause.kind == "slow_request":
-                faults = faults.merged(RequestFaults(slow_seconds=clause.seconds))
-            else:  # pool_breakage
-                faults = faults.merged(
-                    RequestFaults(crash_submissions=clause.attempts)
-                )
-        return faults
-
-
-def parse_serve_fault_plan(spec: str) -> ServeFaultPlan:
-    """Parse a serve fault spec string into a :class:`ServeFaultPlan`.
-
-    The same clause grammar and strictness as :func:`parse_fault_plan`,
-    over the serve kinds.
-    """
-    return ServeFaultPlan(_parse_clauses(spec, SERVE_FAULT_KINDS, _SERVE_EXAMPLES))
-
-
-def resolve_serve_fault_plan(
-    faults: "str | ServeFaultPlan | None" = None,
-) -> ServeFaultPlan:
-    """Resolve the serve fault plan: argument, then
-    ``REPRO_SERVE_FAULT_INJECT``, then the empty (fault-free) plan."""
-    if isinstance(faults, ServeFaultPlan):
-        return faults
-    if faults is None:
-        faults = knob("REPRO_SERVE_FAULT_INJECT")
-    return parse_serve_fault_plan(faults)
+        faults = knob(knob_name)
+    return parse_fault_plan(faults, knob_name)

@@ -10,7 +10,8 @@ accountant whose refusals happen *before* any noise is drawn.
 Layering (each importable and testable without the ones above it)::
 
     config.py      knobs      -> ServeConfig (REPRO_SERVE_* resolution)
-    admission.py   primitives -> AdmissionGate, CircuitBreaker, KeyedLocks
+    admission.py   primitives -> AdmissionGate, CircuitBreaker, KeyedLocks,
+                                 SingleFlightMemo
     accounting.py  privacy    -> AccountantRegistry (atomic charge+persist)
     registry.py    models     -> ModelSpec, ModelRegistry, execute_work
     service.py     policy     -> SynthesisService.handle(verb, path, body)
@@ -18,7 +19,7 @@ Layering (each importable and testable without the ones above it)::
 """
 
 from repro.serve.accounting import AccountantRegistry
-from repro.serve.admission import AdmissionGate, CircuitBreaker, KeyedLocks
+from repro.serve.admission import AdmissionGate, CircuitBreaker, KeyedLocks, SingleFlightMemo
 from repro.serve.config import ServeConfig
 from repro.serve.registry import ModelRegistry, ModelSpec, execute_work
 from repro.serve.server import ServeRuntime
@@ -34,6 +35,7 @@ __all__ = [
     "ServeConfig",
     "ServeResponse",
     "ServeRuntime",
+    "SingleFlightMemo",
     "SynthesisService",
     "execute_work",
 ]

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 
 from repro.privacy.accountant import PrivacyAccountant
+from repro.runtime.cache import atomic_write
 from repro.utils.logging import get_logger
 
 __all__ = ["AccountantRegistry"]
@@ -132,19 +132,7 @@ class AccountantRegistry:
             return False
         payload = json.dumps(accountant.to_json(), indent=2, sort_keys=True) + "\n"
         try:
-            descriptor, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, payload.encode("utf-8"))
         except OSError as exc:
             _logger.warning(
                 "could not persist privacy ledger for %s to %s: %s",

@@ -1,6 +1,6 @@
 """Concurrency primitives of the serve layer.
 
-Three small, self-contained pieces, each guarding one robustness
+Four small, self-contained pieces, each guarding one robustness
 promise:
 
 * :class:`AdmissionGate` — bounded admission with explicit backpressure.
@@ -14,12 +14,17 @@ promise:
   pool-breakage events.  While open, work requests fail fast with 503
   (no queue time wasted on a broken pool) and ``/readyz`` drives a
   single-flight recovery probe; a successful probe closes the breaker.
-* :class:`KeyedLocks` — per-key single-flight locks (model fits,
-  response computation): concurrent identical requests serialize so the
-  work — and for private fits, the **budget charge** — happens once,
-  with the waiters served from cache.  Lock objects are refcounted and
-  dropped when idle, so the table stays bounded by live concurrency,
-  not by the key universe.
+* :class:`KeyedLocks` — per-key mutual exclusion.  Lock objects are
+  refcounted and dropped when idle, so the table stays bounded by live
+  concurrency, not by the key universe.
+* :class:`SingleFlightMemo` — the one memo behind both fitted models and
+  response bodies: memory, then a keyed lock, then disk (the optional
+  :class:`~repro.runtime.cache.TrialCache`), then ``compute``.
+  Concurrent identical requests serialize on the key, so the work — and
+  for private fits, the **budget charge** — happens once, with the
+  waiters served from memory.  It counts where each value came from
+  (``memory`` / ``disk`` / ``computed``) for ``/stats``.  Nothing is
+  evicted: the memo grows with the distinct keys it has served.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
+from repro.runtime.cache import TrialCache
 from repro.utils.validation import check_integer
 
-__all__ = ["AdmissionGate", "CircuitBreaker", "KeyedLocks"]
+__all__ = ["AdmissionGate", "CircuitBreaker", "KeyedLocks", "SingleFlightMemo"]
 
 
 class AdmissionGate:
@@ -198,3 +204,60 @@ class KeyedLocks:
     def __len__(self) -> int:
         with self._master:
             return len(self._locks)
+
+
+class SingleFlightMemo:
+    """Memory → keyed lock → memory → disk → compute, once per key.
+
+    A computed value is stored to disk, and every value found on disk or
+    computed is stored to memory, before the key's lock is released, so
+    a waiter on the same key always finds it in memory: the ``disk``
+    count stays exact when identical requests arrive together after a
+    restart.  A ``compute`` that raises stores and counts nothing; the
+    next call for the key computes again.
+    """
+
+    def __init__(self, cache: TrialCache | None = None) -> None:
+        self._cache = cache
+        self._memory: dict[str, Any] = {}
+        self._lock = threading.Lock()
+        self._locks = KeyedLocks()
+        self._counts = {"memory": 0, "disk": 0, "computed": 0}
+
+    def get(self, key: str, compute: Callable[[], Any]) -> tuple[Any, str]:
+        """``(value, source)`` for ``key``; ``source`` is ``memory``,
+        ``disk`` or ``computed``."""
+        found, value = self._recall(key)
+        if found:
+            return value, "memory"
+        with self._locks.lock(key):
+            found, value = self._recall(key)
+            if found:
+                return value, "memory"
+            source = "disk"
+            found, value = (False, None) if self._cache is None else self._cache.load(key)
+            if not found:
+                source = "computed"
+                value = compute()
+                if self._cache is not None:
+                    self._cache.store(key, value)
+            with self._lock:
+                self._memory[key] = value
+                self._counts[source] += 1
+            return value, source
+
+    def _recall(self, key: str) -> tuple[bool, Any]:
+        with self._lock:
+            if key not in self._memory:
+                return False, None
+            self._counts["memory"] += 1
+            return True, self._memory[key]
+
+    def counts(self) -> dict[str, int]:
+        """How many values each source has served so far."""
+        with self._lock:
+            return dict(self._counts)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._memory)

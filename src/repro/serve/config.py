@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.knobs import default, knob
 from repro.runtime.engine import resolve_n_jobs
-from repro.runtime.faults import ServeFaultPlan, resolve_serve_fault_plan
+from repro.runtime.faults import FaultPlan, resolve_fault_plan
 from repro.utils.validation import check_integer
 
 __all__ = ["ServeConfig"]
@@ -61,7 +61,7 @@ class ServeConfig:
     cache_dir: str | None = None
     ledger_dir: str | None = None
     max_samples: int = default("REPRO_SERVE_MAX_SAMPLES")
-    faults: ServeFaultPlan = field(default_factory=ServeFaultPlan)
+    faults: FaultPlan = field(default_factory=FaultPlan)
 
     @classmethod
     def resolve(
@@ -80,7 +80,7 @@ class ServeConfig:
         cache_dir: str | None = None,
         ledger_dir: str | None = None,
         max_samples: int | None = None,
-        faults: "str | ServeFaultPlan | None" = None,
+        faults: "str | FaultPlan | None" = None,
     ) -> "ServeConfig":
         """Build a config with the standard knob-resolution order.
 
@@ -105,5 +105,5 @@ class ServeConfig:
             cache_dir=knob("REPRO_CACHE_DIR", cache_dir),
             ledger_dir=knob("REPRO_SERVE_LEDGER_DIR", ledger_dir),
             max_samples=knob("REPRO_SERVE_MAX_SAMPLES", max_samples),
-            faults=resolve_serve_fault_plan(faults),
+            faults=resolve_fault_plan(faults, "REPRO_SERVE_FAULT_INJECT"),
         )

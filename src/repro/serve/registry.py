@@ -4,21 +4,29 @@
 estimators it is also the privacy win: one (ε, δ) charge buys a fitted
 model whose samples are free post-processing.  :class:`ModelRegistry`
 memoizes fitted models by a stable content hash of (dataset, method,
-budget, seed, params):
+budget, seed, params) in one
+:class:`~repro.serve.admission.SingleFlightMemo`, whose request flow is::
+
+    memory hit -> model
+      | keyed lock -> memory hit -> model          (a concurrent winner's fit)
+      | disk hit (TrialCache) -> model, uncharged  (a restarted server)
+      | budget charge -> fit -> disk -> memory
 
 * in memory for the process lifetime (the hot path; an SKG model is
-  kept as the fields responses read, see :class:`_SkgModel`),
-* through the content-addressed :class:`~repro.runtime.cache.TrialCache`
-  on disk, so a restarted server reuses earlier fits **without charging
-  the budget again** (the matching spend is in the restored ledger);
-* single-flight per key: concurrent identical requests serialize on a
-  keyed lock, so the fit — and its budget charge — happens exactly once
-  while the losers wait and read the winner's result.
+  kept as the fields responses read, see :class:`_SkgModel`);
+* on disk through the content-addressed
+  :class:`~repro.runtime.cache.TrialCache`, so a restarted server reuses
+  earlier fits **without charging the budget again** (the matching
+  spend is in the restored ledger);
+* single-flight per key, so the fit — and its budget charge — happens
+  exactly once while concurrent identical requests wait and read the
+  winner's result.
 
-The budget charge happens *before* the fit executes (before any noise is
-drawn), through the accountant's atomic check-and-spend; an over-budget
-request dies with :class:`~repro.errors.PrivacyBudgetError` having
-perturbed nothing.
+The budget charge is the first step of the memo's compute, *before* the
+fit executes (before any noise is drawn), through the accountant's
+atomic check-and-spend; an over-budget request dies with
+:class:`~repro.errors.PrivacyBudgetError` having perturbed nothing, and
+the memo stores nothing for it.
 
 :func:`execute_work` is how fits run: in-process
 when the server is serial, else on the trial engine's persistent worker
@@ -35,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -52,7 +59,7 @@ from repro.runtime.cache import TrialCache
 from repro.runtime.engine import persistent_executor, shutdown_pool
 from repro.runtime.faults import CRASH_EXIT_CODE
 from repro.runtime.hashing import stable_hash
-from repro.serve.admission import KeyedLocks
+from repro.serve.admission import SingleFlightMemo
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike
 
@@ -296,50 +303,24 @@ class ModelRegistry:
     ) -> None:
         self._accountants = accountants
         self._executor = executor
-        self._cache = cache
-        self._models: dict[str, FittedModel] = {}
-        self._lock = threading.Lock()
-        self._locks = KeyedLocks()
-        self._fitted = 0
-        self._restored = 0
+        self._memo = SingleFlightMemo(cache)
 
-    def get_or_fit(
-        self, spec: ModelSpec, *, crash_submissions: int = 0
-    ) -> tuple[FittedModel, str]:
+    def get_or_fit(self, spec: ModelSpec, *, crash_submissions: int = 0) -> FittedModel:
         """The model for ``spec``, fitting (and charging) at most once.
 
-        Returns ``(model, source)`` with source one of ``memory`` /
-        ``cache`` / ``fitted``.  Single-flight per key: under concurrent
-        identical requests exactly one caller fits (charging the budget
-        exactly once for private methods); the rest block on the keyed
-        lock and then hit memory.
+        Single-flight per key: under concurrent identical requests
+        exactly one caller fits (charging the budget exactly once for
+        private methods); the rest block on the key and then hit memory.
+        A model restored from disk was charged by an earlier process.
         """
-        token = spec.token()
-        with self._lock:
-            model = self._models.get(token)
-        if model is not None:
-            return model, "memory"
-        with self._locks.lock(token):
-            with self._lock:
-                model = self._models.get(token)
-            if model is not None:
-                return model, "memory"
-            if self._cache is not None:
-                hit, value = self._cache.load(token)
-                if hit:
-                    # A persisted fit: its budget charge is in the
-                    # restored ledger, so reusing it is free.
-                    with self._lock:
-                        self._models[token] = value
-                        self._restored += 1
-                    return value, "cache"
-            epsilon, delta = spec.charge
+
+        def fit() -> FittedModel:
             if spec.charges_budget:
                 # Atomic check-and-spend BEFORE the fit runs: an
                 # over-budget request is refused here, before any noise
                 # is drawn.
-                self._accountants.charge(spec.dataset, spec.label(), epsilon, delta)
-            model = self._executor(
+                self._accountants.charge(spec.dataset, spec.label(), *spec.charge)
+            return self._executor(
                 _fit_work,
                 {
                     "dataset": spec.dataset,
@@ -351,12 +332,8 @@ class ModelRegistry:
                 },
                 crash_submissions=crash_submissions,
             )
-            if self._cache is not None:
-                self._cache.store(token, model)
-            with self._lock:
-                self._models[token] = model
-                self._fitted += 1
-            return model, "fitted"
+
+        return self._memo.get(spec.token(), fit)[0]
 
     def summarize_model(self, model: FittedModel) -> dict:
         """The JSON-safe released view of a fitted model."""
@@ -379,9 +356,9 @@ class ModelRegistry:
 
     def snapshot(self) -> dict:
         """Counters for ``/stats``."""
-        with self._lock:
-            return {
-                "loaded": len(self._models),
-                "fitted": self._fitted,
-                "restored": self._restored,
-            }
+        counts = self._memo.counts()
+        return {
+            "loaded": len(self._memo),
+            "fitted": counts["computed"],
+            "restored": counts["disk"],
+        }

@@ -29,7 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.runtime.engine import shutdown_pool
 from repro.serve.config import ServeConfig
-from repro.serve.service import ServeResponse, SynthesisService
+from repro.serve.service import ServeResponse, SynthesisService, _error
 from repro.utils.logging import get_logger
 
 __all__ = ["ServeRuntime"]
@@ -79,19 +79,11 @@ class _Handler(BaseHTTPRequestHandler):
             if raw:
                 try:
                     payload = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    self._respond(
-                        ServeResponse(
-                            400,
-                            {
-                                "error": {
-                                    "code": "bad-json",
-                                    "message": f"request body is not JSON: {exc}",
-                                    "status": 400,
-                                }
-                            },
-                        )
-                    )
+                except (ValueError, RecursionError) as exc:
+                    # ValueError covers JSONDecodeError and a body that
+                    # is not UTF-8; RecursionError a body nested deeper
+                    # than the decoder's stack.
+                    self._respond(_error(400, "bad-json", f"request body is not JSON: {exc}"))
                     return
         path = self.path.split("?", 1)[0]
         response = self.server.service.handle(verb, path, payload)

@@ -27,11 +27,13 @@ Request flow on ``/fit`` / ``/sample`` / ``/release``::
     drain? -> 503 | breaker open? -> 503 | gate full? -> 429
       -> assign work sequence number (fault-injection target)
       -> under the deadline watchdog:
-           canonicalize -> injected faults -> response-cache probe
-           -> single-flight lock -> re-probe -> build the estimator
-              (malformed params: 400, nothing charged) -> model fit
-              (atomic budget charge BEFORE the fit) -> samples
-              (fanned over the service's n_jobs threads) -> store response
+           canonicalize -> injected faults (the request's TrialFaults)
+           -> response memo (memory -> keyed lock -> memory -> disk):
+              hit -> body
+              miss -> build the estimator (malformed params: 400,
+                 nothing charged) -> model memo (atomic budget charge
+                 BEFORE the fit) -> samples (fanned over the service's
+                 n_jobs threads) -> body to disk, then to memory
 
 Determinism: a request that omits ``seed`` gets one derived from the
 stable hash of its canonical parameters, so retrying the same request —
@@ -53,10 +55,10 @@ from repro.errors import DatasetError, PrivacyBudgetError, ValidationError
 from repro.graphs.datasets import available_datasets
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import TrialTimeoutError, call_with_timeout
-from repro.runtime.faults import InjectedFault, RequestFaults
+from repro.runtime.faults import InjectedFault, TrialFaults
 from repro.runtime.hashing import stable_hash
 from repro.serve.accounting import AccountantRegistry
-from repro.serve.admission import AdmissionGate, CircuitBreaker, KeyedLocks
+from repro.serve.admission import AdmissionGate, CircuitBreaker, SingleFlightMemo
 from repro.serve.config import ServeConfig
 from repro.serve.registry import (
     ModelRegistry,
@@ -117,9 +119,7 @@ class SynthesisService:
         self.models = ModelRegistry(
             accountants=self.accountants, executor=self._run_work, cache=cache
         )
-        self._response_cache = cache
-        self._response_memory: dict[str, dict] = {}
-        self._response_locks = KeyedLocks()
+        self._responses = SingleFlightMemo(cache)
         # Sample rows fan out over n_jobs threads: the fit pool is idle
         # while a request samples, and the compiled sampler releases the
         # interpreter lock.
@@ -130,8 +130,6 @@ class SynthesisService:
         self._work_sequence = 0
         self._requests = 0
         self._by_status: dict[int, int] = {}
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._draining = False
 
     # ------------------------------------------------------------------
@@ -278,58 +276,31 @@ class SynthesisService:
             except Exception as exc:
                 _logger.warning("%s failed: %s: %s", endpoint, type(exc).__name__, exc)
                 return _error(503, "work-failed", f"{type(exc).__name__}: {exc}")
-            with self._lock:
-                if cached:
-                    self._cache_hits += 1
-                else:
-                    self._cache_misses += 1
             return ServeResponse(
                 200, body, {"X-Repro-Cache": "hit" if cached else "miss"}
             )
         finally:
             self.gate.leave()
 
-    def _execute(self, endpoint: str, payload: Any, faults: RequestFaults):
-        """Canonicalize, apply injected faults, compute-or-cache."""
+    def _execute(self, endpoint: str, payload: Any, faults: TrialFaults):
+        """Canonicalize, apply injected faults, compute-or-cache.
+
+        Returns ``(body, cached)``.  The request is attempt 1 of a trial.
+        """
         canonical = self._canonicalize(endpoint, payload)
-        if faults.slow_seconds > 0:
+        if faults.slow_attempts:
             # Injected latency sits inside the watchdog so a slow enough
             # clause drives the 504 path end to end.
             time.sleep(faults.slow_seconds)
-        if faults.error:
+        if faults.error_attempts:
             raise InjectedFault("injected handler error")
         key = stable_hash(("serve", _RESPONSE_KEY_VERSION, endpoint, canonical))
-        body = self._probe_response(key)
-        if body is not None:
-            return body, True
-        with self._response_locks.lock(key):
-            body = self._probe_response(key)
-            if body is not None:
-                return body, True
-            body = self._compute(endpoint, canonical, faults)
-            self._store_response(key, body)
-            return body, False
+        body, source = self._responses.get(
+            key, lambda: self._compute(endpoint, canonical, faults)
+        )
+        return body, source != "computed"
 
-    def _probe_response(self, key: str) -> dict | None:
-        with self._lock:
-            body = self._response_memory.get(key)
-        if body is not None:
-            return body
-        if self._response_cache is not None:
-            hit, value = self._response_cache.load(key)
-            if hit:
-                with self._lock:
-                    self._response_memory[key] = value
-                return value
-        return None
-
-    def _store_response(self, key: str, body: dict) -> None:
-        with self._lock:
-            self._response_memory[key] = body
-        if self._response_cache is not None:
-            self._response_cache.store(key, body)
-
-    def _compute(self, endpoint: str, canonical: tuple, faults: RequestFaults) -> dict:
+    def _compute(self, endpoint: str, canonical: tuple, faults: TrialFaults) -> dict:
         request = dict(canonical)
         spec = ModelSpec(
             dataset=request["dataset"],
@@ -356,7 +327,7 @@ class SynthesisService:
             raise ValidationError(
                 f"invalid params for method {spec.method}: {exc}"
             ) from exc
-        model, _source = self.models.get_or_fit(
+        model = self.models.get_or_fit(
             spec, crash_submissions=faults.crash_submissions
         )
         epsilon, delta = spec.charge
@@ -544,11 +515,12 @@ class SynthesisService:
                 "total": self._requests,
                 "by_status": {str(k): v for k, v in sorted(self._by_status.items())},
             }
-            responses = {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-                "cached": len(self._response_memory),
-            }
+        served = self._responses.counts()
+        responses = {
+            "hits": served["memory"] + served["disk"],
+            "misses": served["computed"],
+            "cached": len(self._responses),
+        }
         return {
             "status": "draining" if self.draining else "ok",
             "requests": counters,

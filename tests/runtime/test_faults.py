@@ -416,44 +416,55 @@ class TestPoolSelfHealing:
         assert report.failed == 0
 
 
+def parse_serve_fault_plan(spec):
+    """The ``REPRO_SERVE_FAULT_INJECT`` family's parse."""
+    return parse_fault_plan(spec, "REPRO_SERVE_FAULT_INJECT")
+
+
 class TestServeFaultGrammar:
     """The serve-side clauses: same strictness, request-order targeting."""
 
     def test_empty_spec_is_falsy(self):
-        from repro.runtime import parse_serve_fault_plan
-        from repro.runtime.faults import NO_REQUEST_FAULTS
+        from repro.runtime.faults import NO_FAULTS
 
         plan = parse_serve_fault_plan("")
         assert not plan
-        assert plan.for_request(1) == NO_REQUEST_FAULTS
+        assert plan.for_request(1) == NO_FAULTS
 
     def test_all_three_kinds_parse(self):
-        from repro.runtime import parse_serve_fault_plan
-        from repro.runtime.faults import NO_REQUEST_FAULTS
+        from repro.runtime.faults import NO_FAULTS
 
         plan = parse_serve_fault_plan(
             "slow_request:nth=2:seconds=0.5;handler_error:nth=3;"
             "pool_breakage:nth=4:attempts=2"
         )
-        assert plan.for_request(1) == NO_REQUEST_FAULTS
+        assert plan.for_request(1) == NO_FAULTS
         assert plan.for_request(2).slow_seconds == 0.5
-        assert plan.for_request(3).error
+        assert plan.for_request(3).error_attempts == 1
         assert plan.for_request(4).crash_submissions == 2
 
-    def test_clauses_on_the_same_request_merge(self):
-        from repro.runtime import parse_serve_fault_plan
+    def test_each_kind_maps_onto_trial_faults_by_effect(self):
+        from repro.runtime import TrialFaults
 
+        plan = parse_serve_fault_plan(
+            "handler_error:nth=1;slow_request:nth=2:seconds=0.5;"
+            "pool_breakage:nth=3:attempts=4;pool_breakage:nth=4"
+        )
+        assert plan.for_request(1) == TrialFaults(error_attempts=1)
+        assert plan.for_request(2) == TrialFaults(slow_attempts=1, slow_seconds=0.5)
+        assert plan.for_request(3) == TrialFaults(crash_submissions=4)
+        assert plan.for_request(4) == TrialFaults(crash_submissions=1)
+
+    def test_clauses_on_the_same_request_merge(self):
         plan = parse_serve_fault_plan(
             "slow_request:nth=1:seconds=0.2;handler_error:nth=1;"
             "slow_request:nth=1:seconds=0.1"
         )
         faults = plan.for_request(1)
-        assert faults.error
+        assert faults.error_attempts == 1
         assert faults.slow_seconds == 0.2
 
     def test_trial_kinds_are_rejected_with_serve_examples(self):
-        from repro.runtime import parse_serve_fault_plan
-
         with pytest.raises(ValidationError) as excinfo:
             parse_serve_fault_plan("worker_crash:nth=1")
         message = str(excinfo.value)
@@ -461,36 +472,32 @@ class TestServeFaultGrammar:
         assert "worker_crash:nth=1" in message
 
     def test_slow_request_requires_seconds(self):
-        from repro.runtime import parse_serve_fault_plan
-
         with pytest.raises(ValidationError, match="seconds="):
             parse_serve_fault_plan("slow_request:nth=1")
 
     def test_nth_is_mandatory(self):
-        from repro.runtime import parse_serve_fault_plan
-
         with pytest.raises(ValidationError, match="nth="):
             parse_serve_fault_plan("handler_error")
 
     def test_unknown_keys_rejected_per_kind(self):
-        from repro.runtime import parse_serve_fault_plan
-
         with pytest.raises(ValidationError, match="seconds"):
             parse_serve_fault_plan("handler_error:nth=1:seconds=2")
 
     def test_environment_resolution(self, monkeypatch):
-        from repro.runtime import resolve_serve_fault_plan
+        from repro.runtime import resolve_fault_plan
 
         monkeypatch.setenv("REPRO_SERVE_FAULT_INJECT", "handler_error:nth=7")
-        plan = resolve_serve_fault_plan()
-        assert plan.for_request(7).error
+        plan = resolve_fault_plan(knob_name="REPRO_SERVE_FAULT_INJECT")
+        assert plan.for_request(7).error_attempts == 1
 
     def test_argument_beats_environment(self, monkeypatch):
-        from repro.runtime import resolve_serve_fault_plan
+        from repro.runtime import resolve_fault_plan
 
         monkeypatch.setenv("REPRO_SERVE_FAULT_INJECT", "handler_error:nth=7")
-        plan = resolve_serve_fault_plan("slow_request:nth=1:seconds=1")
-        assert not plan.for_request(7).error
+        plan = resolve_fault_plan(
+            "slow_request:nth=1:seconds=1", knob_name="REPRO_SERVE_FAULT_INJECT"
+        )
+        assert not plan.for_request(7).error_attempts
         assert plan.for_request(1).slow_seconds == 1.0
 
 
@@ -532,7 +539,7 @@ class TestOneClauseGrammar:
     )
     @pytest.mark.parametrize("kind", list(_VALID_CLAUSES))
     def test_malformed_clause_is_rejected_by_both_entry_points(self, kind, case):
-        from repro.runtime import FAULT_KINDS, parse_serve_fault_plan
+        from repro.runtime import FAULT_KINDS
 
         own, other = parse_fault_plan, parse_serve_fault_plan
         if kind not in FAULT_KINDS:

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.serve.admission import AdmissionGate, CircuitBreaker, KeyedLocks
+from repro.runtime.cache import TrialCache
+from repro.serve.admission import (
+    AdmissionGate,
+    CircuitBreaker,
+    KeyedLocks,
+    SingleFlightMemo,
+)
 
 
 class TestAdmissionGate:
@@ -137,3 +144,87 @@ class TestKeyedLocks:
         with locks.lock("k"):
             assert len(locks) == 1
         assert len(locks) == 0
+
+
+def _run_together(count, call):
+    """Run ``call()`` on ``count`` threads at once, switching threads
+    often so a lost update would show; return their results."""
+    barrier = threading.Barrier(count, timeout=5.0)
+    results = [None] * count
+
+    def worker(slot):
+        barrier.wait()
+        results[slot] = call()
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestSingleFlightMemo:
+    def test_concurrent_callers_on_one_key_compute_once(self):
+        memo = SingleFlightMemo()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            time.sleep(0.05)  # hold the key while the others arrive
+            return {"value": 7}
+
+        results = _run_together(8, lambda: memo.get("k", compute))
+        assert len(calls) == 1
+        assert all(value is results[0][0] for value, _source in results)
+        assert sorted(source for _value, source in results) == ["computed"] + ["memory"] * 7
+        assert memo.counts() == {"memory": 7, "disk": 0, "computed": 1}
+        assert len(memo) == 1
+
+    def test_disk_hit_never_computes(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        cache.store("ab" * 32, {"value": 3})
+        memo = SingleFlightMemo(cache)
+
+        def compute():
+            raise AssertionError("a disk hit must not compute")
+
+        assert memo.get("ab" * 32, compute) == ({"value": 3}, "disk")
+        assert memo.get("ab" * 32, compute) == ({"value": 3}, "memory")
+        assert memo.counts() == {"memory": 1, "disk": 1, "computed": 0}
+
+    def test_restart_counts_one_disk_hit_under_concurrency(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        SingleFlightMemo(cache).get("cd" * 32, lambda: "fitted")
+        restarted = SingleFlightMemo(TrialCache(tmp_path))
+        results = _run_together(6, lambda: restarted.get("cd" * 32, lambda: "refit"))
+        assert {value for value, _source in results} == {"fitted"}
+        assert restarted.counts() == {"memory": 5, "disk": 1, "computed": 0}
+
+    def test_compute_that_raises_stores_nothing(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        memo = SingleFlightMemo(cache)
+
+        def failing():
+            raise RuntimeError("fit failed")
+
+        with pytest.raises(RuntimeError, match="fit failed"):
+            memo.get("ef" * 32, failing)
+        assert len(memo) == 0
+        assert len(cache) == 0
+        assert memo.counts() == {"memory": 0, "disk": 0, "computed": 0}
+        assert memo.get("ef" * 32, lambda: 5) == (5, "computed")
+        assert len(cache) == 1
+
+    def test_counts_and_len_track_distinct_keys(self):
+        memo = SingleFlightMemo()
+        for key in ("a", "b", "a", "c", "a"):
+            memo.get(key, lambda key=key: key.upper())
+        assert memo.counts() == {"memory": 2, "disk": 0, "computed": 3}
+        assert len(memo) == 3

@@ -81,13 +81,19 @@ class TestTransport:
         assert statistics.median(round_trips) < 0.020
 
     def test_malformed_json_is_a_structured_400(self, runtime):
-        request = urllib.request.Request(
-            runtime.base_url + "/fit", data=b"{not json", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["error"]["code"] == "bad-json"
+        bodies = [
+            b"{not json",
+            b'{"dataset": "as\xe920"}',  # not UTF-8: a decode error
+            b"[" * 5000,  # deeper than the decoder's recursion limit
+        ]
+        for data in bodies:
+            request = urllib.request.Request(
+                runtime.base_url + "/fit", data=data, method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert excinfo.value.code == 400, data[:20]
+            assert json.loads(excinfo.value.read())["error"]["code"] == "bad-json"
 
     def test_budget_refusal_over_the_wire(self, runtime):
         status, _headers, body = http(

@@ -18,7 +18,7 @@ from repro.errors import ValidationError
 from repro.evaluation.experiments import default_config
 from repro.knobs import KNOBS, knob
 from repro.native.registry import resolve_kernel_threads
-from repro.runtime import resolve_fault_plan, resolve_n_jobs, resolve_serve_fault_plan
+from repro.runtime import resolve_fault_plan, resolve_n_jobs
 from repro.serve.config import ServeConfig
 from repro.stats.kernels import resolve_kernel_backend
 from repro.tracking.store import resolve_runs_dir
@@ -63,7 +63,7 @@ def _observed():
         knob("REPRO_TRIAL_BACKOFF"),
         knob("REPRO_POOL_RESTARTS"),
         resolve_fault_plan(),
-        resolve_serve_fault_plan(),
+        resolve_fault_plan(knob_name="REPRO_SERVE_FAULT_INJECT"),
         resolve_runs_dir(),
     )
 
