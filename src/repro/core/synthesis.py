@@ -18,12 +18,17 @@ itself lives in :mod:`repro.evaluation.figures`.
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
 import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
-from repro.kronecker.sampling import sample_skg, sample_skg_statistics
+from repro.kronecker.sampling import (
+    sample_skg,
+    sample_skg_statistics,
+    sample_skg_statistics_batch,
+)
 from repro.runtime import TrialCache, TrialRunReport, TrialSpec, run_trials
 from repro.stats.counts import MatchingStatistics, matching_statistics
 from repro.utils.rng import SeedLike, spawn_generators
@@ -32,6 +37,7 @@ from repro.utils.validation import check_integer
 __all__ = [
     "sample_ensemble",
     "sample_statistics",
+    "sample_statistics_batch",
     "run_skg_ensemble",
     "ensemble_matching_statistics",
 ]
@@ -50,21 +56,38 @@ def sample_statistics(
 ) -> tuple[int, int, MatchingStatistics]:
     """``(n_nodes, n_edges, {E, H, T, Δ})`` of one synthetic graph of ``model``.
 
-    Equal to counting ``model.sample_graph(seed)``, with the same draws.
-    An SKG-backed model (one with an ``initiator``) counts inside the
-    sampler kernel (:func:`~repro.kronecker.sampling.sample_skg_statistics`,
-    on the engine ``backend`` names) and never builds a :class:`Graph`;
-    any other model, such as the DPDegree configuration model, samples a
+    The batch of one of :func:`sample_statistics_batch`.
+    """
+    return sample_statistics_batch(model, [seed], backend=backend)[0]
+
+
+def sample_statistics_batch(
+    model, seeds: Sequence[SeedLike], backend: str | None = None
+) -> list[tuple[int, int, MatchingStatistics]]:
+    """:func:`sample_statistics` of ``model`` for each of ``seeds``.
+
+    Each row equals counting ``model.sample_graph(seed)``, with the same
+    draws.  An SKG-backed model (one with an ``initiator``) counts the
+    whole batch in one sampler-kernel call
+    (:func:`~repro.kronecker.sampling.sample_skg_statistics_batch`, on
+    the engine ``backend`` names) and never builds a :class:`Graph`; any
+    other model, such as the DPDegree configuration model, samples each
     graph and counts it.
     """
     initiator = getattr(model, "initiator", None)
     if initiator is not None:
-        n_edges, stats = sample_skg_statistics(
-            initiator, model.k, seed=seed, backend=backend
-        )
-        return 2**model.k, n_edges, stats
-    graph = model.sample_graph(seed=seed)
-    return graph.n_nodes, graph.n_edges, matching_statistics(graph)
+        n_nodes = 2**model.k
+        return [
+            (n_nodes, n_edges, stats)
+            for n_edges, stats in sample_skg_statistics_batch(
+                initiator, model.k, seeds, backend=backend
+            )
+        ]
+    rows = []
+    for seed in seeds:
+        graph = model.sample_graph(seed=seed)
+        rows.append((graph.n_nodes, graph.n_edges, matching_statistics(graph)))
+    return rows
 
 
 def _skg_statistics_trial(

@@ -25,10 +25,16 @@ streams (the draw contract documented there) and run the same Floyd
 selection + combination unranking, so the sampled graph is
 **bit-identical** across engines for every seed.
 
-:func:`sample_skg_statistics` makes the same draws and returns only the
-sample's matching statistics {E, H, T, Δ}: the compiled kernel counts
-them from its unsorted keys without building a :class:`Graph`, which is
-what ``/sample``, ``/release`` and the scenario statistics measure need.
+:func:`sample_skg_statistics_batch` makes the same draws per seed and
+returns only each sample's matching statistics {E, H, T, Δ}, which is
+what ``/sample``, ``/release``, ensembles and the scenario statistics
+measure need.  Its compiled engine counts a whole batch in one kernel
+call without building a :class:`Graph`: numpy draws each sample's class
+counts with one vectorised ``binomial`` over the (Θ, k) class table, and
+the kernel draws the uniforms from the sample's own generator.
+:func:`sample_skg_statistics` is its batch of one.  The per-sample
+Python draw loop (``_draw_classes``) and ``_reference_select`` stay as
+the numpy oracle.
 
 Both samplers agree in distribution; tests check profile-class counts and
 expected statistics across thousands of draws.
@@ -36,8 +42,10 @@ expected statistics across thousands of draws.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +54,7 @@ from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.sampling import (
     SAMPLER_KERNEL,
+    bitgen_pointers,
     choose_table,
     lex_table,
     resolve_sampler_backend,
@@ -57,6 +66,7 @@ from repro.utils.validation import check_integer
 __all__ = [
     "sample_skg",
     "sample_skg_statistics",
+    "sample_skg_statistics_batch",
     "sample_skg_naive",
     "profile_class_size",
     "pair_probability",
@@ -142,25 +152,38 @@ def _draw_classes(
     )
 
 
-def _run_kernel(
-    engine: str, k: int, draw: _ClassDraw, statistics: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the compiled sampler on ``draw``: ``(keys, counts_out)``.
+def _table_draw(
+    theta: Initiator, k: int, rng: np.random.Generator
+) -> _ClassDraw | None:
+    """:func:`_draw_classes`' draws, part 1 vectorised over the class table."""
+    table = _class_table(theta.a, theta.b, theta.c, k)
+    counts = rng.binomial(table.sizes, table.probabilities)
+    drawn = counts > 0
+    if not drawn.any():
+        return None
+    counts = counts[drawn]
+    offsets = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)[:-1]]
+    )
+    return _ClassDraw(
+        table.z[drawn],
+        table.x[drawn],
+        counts,
+        offsets,
+        table.sizes[drawn],
+        rng.random(int(counts.sum())),
+    )
 
-    With ``statistics``, the kernel's counts mode also fills
-    ``counts_out`` with the drawn graph's (E, H, T, Δ); otherwise
-    ``counts_out`` is empty.
-    """
+
+def _run_kernel(engine: str, k: int, draw: _ClassDraw) -> np.ndarray:
+    """The keys the compiled sampler selects for ``draw``."""
     kernel = SAMPLER_KERNEL.kernel(engine)
     total = draw.uniforms.shape[0]
     capacity = 16
     while capacity < 2 * int(draw.counts.max()):
         capacity *= 2
     keys = np.zeros(total, dtype=np.int64)
-    table_keys = np.zeros(capacity, dtype=np.int64)
-    table_stamp = np.zeros(capacity, dtype=np.int64)
-    counts_out = np.zeros(4 if statistics else 0, dtype=np.int64)
-    scratch = np.zeros(3 * 2**k + 1 + total if statistics else 0, dtype=np.int64)
+    none = np.zeros(0, dtype=np.int64)
     lex, lex_offsets = lex_table(k)
     written = int(
         kernel(
@@ -176,17 +199,17 @@ def _run_kernel(
             lex_offsets,
             draw.uniforms,
             keys,
-            table_keys,
-            table_stamp,
+            np.zeros(capacity, dtype=np.int64),
+            np.zeros(capacity, dtype=np.int64),
             capacity,
-            counts_out,
-            scratch,
-            scratch.shape[0],
+            none,
+            none,
+            0,
         )
     )
     if written != total:
         raise RuntimeError(f"sampler kernel wrote {written} keys, expected {total}")
-    return keys, counts_out
+    return keys
 
 
 def sample_skg(
@@ -203,13 +226,15 @@ def sample_skg(
     rng = as_generator(seed)
     engine = resolve_sampler_backend(backend)
     n = 2**k
-    draw = _draw_classes(theta, k, rng)
+    # The numpy oracle draws class by class; the compiled engine makes
+    # the same draws with one vectorised binomial.
+    draw = (_draw_classes if engine == "numpy" else _table_draw)(theta, k, rng)
     if draw is None:
         return Graph(n)
     if engine == "numpy":
         keys = _reference_select(k, draw, choose_table(k))
     else:
-        keys, _ = _run_kernel(engine, k, draw)
+        keys = _run_kernel(engine, k, draw)
     # Keys within a class are distinct and classes are disjoint, so one
     # global sort yields canonical edge arrays directly: the key
     # (u << k) | v with u < v orders exactly like the lexicographic (u, v)
@@ -225,27 +250,137 @@ def sample_skg_statistics(
 ) -> tuple[int, MatchingStatistics]:
     """``(n_edges, matching statistics)`` of one :func:`sample_skg` draw.
 
-    The same draw contract as :func:`sample_skg` — the generator ends in
-    the same state, and the result equals
-    ``matching_statistics(sample_skg(initiator, k, seed))`` exactly — but
-    the compiled engine counts {E, H, T, Δ} inside the sampler kernel
-    without building a :class:`Graph`.  The numpy engine is that
-    composition itself, the oracle the kernel is tested against.
+    The batch of one of :func:`sample_skg_statistics_batch`: the
+    generator ends where :func:`sample_skg` leaves it, and the result
+    equals ``matching_statistics(sample_skg(initiator, k, seed))``
+    exactly.
+    """
+    return sample_skg_statistics_batch(initiator, k, [seed], backend=backend)[0]
+
+
+def sample_skg_statistics_batch(
+    initiator, k: int, seeds: Sequence[SeedLike], backend: str | None = None
+) -> list[tuple[int, MatchingStatistics]]:
+    """``[sample_skg_statistics(initiator, k, seed) for seed in seeds]``.
+
+    Each seed's draws, rows and generator end state are those of its own
+    :func:`sample_skg` call, but the compiled engine counts {E, H, T, Δ}
+    inside the sampler kernel without building any :class:`Graph`, and
+    counts the whole batch in one call that releases the interpreter
+    lock throughout: numpy draws each sample's class counts with one
+    vectorised ``binomial`` over the class table, then the kernel draws
+    its uniforms from the sample's generator.  A generator that occurs
+    twice in ``seeds`` starts a new call, so its draws keep the per-seed
+    order.  The numpy engine is the per-seed composition
+    ``matching_statistics(sample_skg(...))`` itself, the oracle the
+    kernel is tested against.
     """
     theta = as_initiator(initiator)
     k = check_integer(k, "k", minimum=1)
     engine = resolve_sampler_backend(backend)
     if engine == "numpy":
-        graph = sample_skg(theta, k, seed=seed, backend=engine)
-        return graph.n_edges, matching_statistics(graph)
-    draw = _draw_classes(theta, k, as_generator(seed))
-    if draw is None:
-        return 0, MatchingStatistics(0.0, 0.0, 0.0, 0.0)
-    _, counts_out = _run_kernel(engine, k, draw, statistics=True)
-    edges, hairpins, tripins, triangles = counts_out.tolist()
-    return edges, MatchingStatistics(
-        float(edges), float(hairpins), float(tripins), float(triangles)
+        rows = []
+        for seed in seeds:
+            graph = sample_skg(theta, k, seed=seed, backend=engine)
+            rows.append((graph.n_edges, matching_statistics(graph)))
+        return rows
+    rows = []
+    run: list[np.random.Generator] = []
+    for rng in map(as_generator, seeds):
+        if any(rng is earlier for earlier in run):
+            rows.extend(_count_batch(engine, theta, k, run))
+            run = []
+        run.append(rng)
+    rows.extend(_count_batch(engine, theta, k, run))
+    return rows
+
+
+class _ClassTable(NamedTuple):
+    """The classes of (Θ, k) the draw contract draws a count for."""
+
+    z: np.ndarray
+    x: np.ndarray
+    sizes: np.ndarray
+    probabilities: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _class_table(a: float, b: float, c: float, k: int) -> _ClassTable:
+    """Part 1's classes in ascending ``(z, x)`` order, without the empty
+    and zero-probability ones (:func:`_draw_classes` skips those before
+    any draw).  Built once per (Θ, k)."""
+    theta = Initiator(a, b, c)
+    classes = [
+        (z, x, profile_class_size(k, z, x, k - z - x),
+         pair_probability(theta, z, x, k - z - x))
+        for z in range(k + 1)
+        for x in range(1, k - z + 1)
+    ]
+    classes = [row for row in classes if row[3] > 0.0]
+    columns = list(zip(*classes)) or [(), (), (), ()]
+    table = _ClassTable(
+        *(np.asarray(column, dtype=np.int64) for column in columns[:3]),
+        np.asarray(columns[3], dtype=np.float64),
     )
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _count_batch(
+    engine: str, theta: Initiator, k: int, generators: list[np.random.Generator]
+) -> list[tuple[int, MatchingStatistics]]:
+    """Count one sample per (distinct) generator in one kernel call."""
+    if not generators:
+        return []
+    table = _class_table(theta.a, theta.b, theta.c, k)
+    # Part 1 of the draw contract, one vectorised call per sample: the
+    # same binomials, in the same order, as _draw_classes' scalar loop.
+    counts = np.array(
+        [rng.binomial(table.sizes, table.probabilities) for rng in generators],
+        dtype=np.int64,
+    )
+    longest = int(counts.sum(axis=1).max())
+    capacity = 16
+    while capacity < 2 * int(counts.max(initial=0)):
+        capacity *= 2
+    scratch_len = 3 * 2**k + 1 + longest
+    rows_out = np.zeros((len(generators), 4), dtype=np.int64)
+    lex, lex_offsets = lex_table(k)
+    kernel = SAMPLER_KERNEL.kernel(engine, "repro_sampler_batch")
+    # Part 2 runs inside the kernel, on each generator's bitgen, under
+    # its lock, as numpy's own draws do.
+    with contextlib.ExitStack() as locks:
+        for rng in generators:
+            locks.enter_context(rng.bit_generator.lock)
+        status = kernel(
+            k,
+            table.sizes.shape[0],
+            table.z,
+            table.x,
+            table.sizes,
+            choose_table(k),
+            lex,
+            lex_offsets,
+            len(generators),
+            counts,
+            bitgen_pointers(generators),
+            np.empty(longest, dtype=np.int64),
+            longest,
+            np.empty(capacity, dtype=np.int64),
+            np.zeros(capacity, dtype=np.int64),
+            capacity,
+            np.empty(scratch_len, dtype=np.int64),
+            scratch_len,
+            rows_out,
+        )
+    if status != 0:
+        raise RuntimeError(f"sampler batch kernel failed with status {status}")
+    return [
+        (edges, MatchingStatistics(float(edges), float(hairpins), float(tripins),
+                                   float(triangles)))
+        for edges, hairpins, tripins, triangles in rows_out.tolist()
+    ]
 
 
 def _reference_select(k: int, draw: _ClassDraw, choose: np.ndarray) -> np.ndarray:

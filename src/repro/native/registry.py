@@ -29,6 +29,7 @@ Concrete kernels live next door: :mod:`repro.native.counting`,
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -38,7 +39,7 @@ import tempfile
 import threading
 import weakref
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.errors import ValidationError
 from repro.knobs import knob, usable_cores
@@ -66,38 +67,65 @@ _C_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _OPENMP_OFF = ("off", "0", "no", "false")
 
 
-def _host_supports_popcnt() -> bool:
-    """Whether this host can execute the x86 POPCNT instruction.
+@functools.lru_cache(maxsize=None)
+def _host_cpu() -> tuple[str, int, frozenset[str]]:
+    """``(vendor, family, flags)`` of this host's first CPU, read once.
 
-    ``-mpopcnt`` is only ever *offered* as an optional flag; it must not
-    be passed on hosts whose CPU lacks the instruction (the compile would
-    succeed but the kernel would die with SIGILL at run time), so the
-    gate is the build host's own CPU flags — the compile cache is keyed
-    by the chosen flags, so heterogeneous hosts sharing a cache directory
-    build separate libraries.
+    Empty on non-x86 hosts and where ``/proc/cpuinfo`` is unreadable, so
+    every ISA flag gated on it is dropped there.
     """
     if platform.machine() not in ("x86_64", "AMD64", "amd64"):
-        return False
+        return "", 0, frozenset()
+    fields: dict[str, str] = {}
     try:
         with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
-            return " popcnt" in handle.read()
+            for line in handle:
+                if not line.strip():
+                    break  # the first processor's block is enough
+                name, _, value = line.partition(":")
+                fields[name.strip()] = value.strip()
     except OSError:
-        return False
+        return "", 0, frozenset()
+    try:
+        family = int(fields.get("cpu family", "0"))
+    except ValueError:
+        family = 0
+    return fields.get("vendor_id", ""), family, frozenset(fields.get("flags", "").split())
+
+
+def _host_runs(flag: str) -> bool:
+    """Whether the optional ISA flag ``-mpopcnt`` / ``-mbmi2`` pays off here.
+
+    Either is only ever *offered*: on a CPU without the instruction the
+    compile would succeed but the kernel would die with SIGILL at run
+    time, so the gate is the build host's own CPU flags — the compile
+    cache is keyed by the chosen flags, so heterogeneous hosts sharing a
+    cache directory build separate libraries.  BMI2 is also refused on
+    AMD before Zen 3 (family 19h), where ``pdep`` is microcoded and
+    slower than the portable loop it replaces.
+    """
+    vendor, family, flags = _host_cpu()
+    if flag == "-mpopcnt":
+        return "popcnt" in flags
+    if flag == "-mbmi2":
+        return "bmi2" in flags and not (vendor == "AuthenticAMD" and family < 0x19)
+    return True
 
 
 def _enabled_optional_flags(flags: Sequence[str]) -> tuple[str, ...]:
     """The subset of a kernel's optional compile flags usable on this host.
 
     ``-fopenmp`` is dropped when ``REPRO_OPENMP`` says "off";
-    ``-mpopcnt`` is dropped unless the build host's CPU executes POPCNT.
-    Unknown optional flags pass through (the compile try/fallback in
+    ``-mpopcnt`` and ``-mbmi2`` are dropped unless the build host's CPU
+    runs them well (:func:`_host_runs`).  Unknown optional flags pass
+    through (the compile try/fallback in
     :meth:`NativeKernel._probe_cext` still guards them).
     """
     chosen = []
     for flag in flags:
         if flag == "-fopenmp" and knob("REPRO_OPENMP") in _OPENMP_OFF:
             continue
-        if flag == "-mpopcnt" and not _host_supports_popcnt():
+        if not _host_runs(flag):
             continue
         chosen.append(flag)
     return tuple(chosen)
@@ -157,6 +185,11 @@ class NativeKernel:
         up-front when the host can't honour it, and the whole set falls
         back to the base flags if the compile still fails; the flags that
         did take effect are recorded in :attr:`cext_extra_flags`.
+    c_extra_symbols:
+        Further functions exported by the same C source, as
+        ``name -> (restype, argtypes, smoke_test)``; each is loaded and
+        smoke-tested with the main one, and :meth:`kernel` returns it by
+        name.
     """
 
     def __init__(
@@ -169,6 +202,7 @@ class NativeKernel:
         c_argtypes: Sequence,
         smoke_test: Callable[[Callable], None],
         c_optional_flags: Sequence[str] = (),
+        c_extra_symbols: Mapping[str, tuple] | None = None,
     ) -> None:
         self.name = name
         self.reference = reference
@@ -178,6 +212,9 @@ class NativeKernel:
         self.c_argtypes = list(c_argtypes)
         self.smoke_test = smoke_test
         self.c_optional_flags = tuple(c_optional_flags)
+        self.c_extra_symbols = dict(c_extra_symbols or {})
+        # The loaded extra symbols (filled by a successful cext probe).
+        self._extra: dict[str, Callable] = {}
         # The optional flags the cext probe actually compiled with (None
         # until the probe has run).  CI's OpenMP-less fallback check
         # reads this to prove -fopenmp really was dropped.
@@ -199,19 +236,21 @@ class NativeKernel:
         """Why ``backend`` is unavailable (None when it is available)."""
         return self._state(backend)[1]
 
-    def kernel(self, backend: str) -> Callable:
+    def kernel(self, backend: str, symbol: str | None = None) -> Callable:
         """The compiled kernel of an *available* backend.
 
-        Raises ``RuntimeError`` if the backend is unavailable — callers
-        are expected to have gone through :meth:`resolve` first, which
-        turns unavailability into a user-facing :class:`ValidationError`.
+        ``symbol`` names one of :attr:`c_extra_symbols` instead of the
+        main function.  Raises ``RuntimeError`` if the backend is
+        unavailable — callers are expected to have gone through
+        :meth:`resolve` first, which turns unavailability into a
+        user-facing :class:`ValidationError`.
         """
         kernel, error = self._state(backend)
         if kernel is None:
             raise RuntimeError(
                 f"fused backend {backend!r} is unavailable: {error}"
             )
-        return kernel
+        return kernel if symbol is None else self._extra[symbol]
 
     def available_backends(self) -> tuple[str, ...]:
         """The concrete engines that can run this kernel on this host.
@@ -290,7 +329,8 @@ class NativeKernel:
             extra_flags = ()
             library = compile_shared_library(self.c_source, self.name)
         self.cext_extra_flags = extra_flags
-        raw = getattr(ctypes.CDLL(str(library)), self.c_symbol)
+        handle = ctypes.CDLL(str(library))
+        raw = getattr(handle, self.c_symbol)
         raw.restype = self.c_restype
         raw.argtypes = self.c_argtypes
 
@@ -298,6 +338,12 @@ class NativeKernel:
             return raw(*args)
 
         self.smoke_test(kernel)
+        for symbol, (restype, argtypes, smoke_test) in self.c_extra_symbols.items():
+            extra = getattr(handle, symbol)
+            extra.restype = restype
+            extra.argtypes = list(argtypes)
+            smoke_test(extra)
+            self._extra[symbol] = extra
         return kernel
 
 

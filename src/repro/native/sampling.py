@@ -6,16 +6,21 @@ and the chosen pairs are uniform without replacement within the class.
 This module is the sampler family of the ``repro.native`` kernels (next
 to the counting pass and the multichain kernel): the whole per-class
 selection loop in compiled code, bit-identical to the numpy reference by
-construction.  One exported function, ``repro_sampler_block``, serves
-both callers: keys only for
-:func:`~repro.kronecker.sampling.sample_skg`, which sorts them into a
-:class:`~repro.graphs.graph.Graph`, and a *counts mode* for
-:func:`~repro.kronecker.sampling.sample_skg_statistics`, which also
-returns the drawn graph's matching statistics {E, H, T, Δ} without any
-graph being built.
+construction.  Two exported functions share one selection loop:
 
-**The draw contract** (owned by :mod:`repro.kronecker.sampling`).  All randomness is
-pre-drawn in numpy-land, once per call:
+* ``repro_sampler_block`` selects one sample from pre-drawn uniforms.
+  It returns the keys for :func:`~repro.kronecker.sampling.sample_skg`,
+  which sorts them into a :class:`~repro.graphs.graph.Graph`.  In
+  *counts mode* it also returns the drawn graph's matching statistics
+  {E, H, T, Δ}.
+* ``repro_sampler_batch`` counts S samples of one (Θ, k) in one call,
+  for :func:`~repro.kronecker.sampling.sample_skg_statistics_batch`
+  (and its batch of one, ``sample_skg_statistics``): S rows of
+  (E, H, T, Δ), no graph built, the interpreter lock released for the
+  whole call.
+
+**The draw contract** (owned by :mod:`repro.kronecker.sampling`).  Each
+sample's generator makes, in this order:
 
 1. Per class, in ascending ``(z, x)`` order — exactly the reference
    enumeration ``z ∈ 0..k``, ``x ∈ 0..k−z``, skipping empty classes and
@@ -25,16 +30,25 @@ pre-drawn in numpy-land, once per call:
    class-by-class in the same ascending order, exactly ``count`` values
    per class.
 
-Kernels only ever *consume* these streams, so stream consumption cannot
-depend on the engine.
+The numpy oracle (``_draw_classes``) makes both draws in Python, and
+``repro_sampler_block`` consumes its uniforms.  For the batch, numpy
+draws part 1 as one vectorised ``rng.binomial(sizes, probabilities)``
+over the class table (the non-skipped classes, built once per (Θ, k)),
+which makes the same binomial calls in the same order; the kernel then
+draws part 2 itself, one ``next_double`` of the generator's public
+``bitgen_t`` (``rng.bit_generator.ctypes.bit_generator``) per uniform —
+the very call ``rng.random`` makes per value.  Nothing from numpy is
+included or linked.  Either way every generator ends in the same state,
+so stream consumption cannot depend on the engine.
 
 **The selection contract.**  Per class, Floyd's algorithm draws ``count``
 distinct indices from ``[0, class_size)`` using exactly ``count``
 uniforms: for ``t = class_size−count .. class_size−1``, ``r = ⌊u·(t+1)⌋``
 (clamped to ``t``); emit ``t`` if ``r`` was already selected, else ``r``.
 Membership is a Python ``set`` in the reference and an epoch-stamped
-open-addressing table here (``table_stamp[slot] == class index + 1``
-marks live entries, so the table is never cleared between classes).  The
+open-addressing table here (``table_stamp[slot]`` equal to the class's
+epoch — its index + 1, offset by ``s·n_classes`` for sample s of a
+batch — marks live entries, so the table is never cleared).  The
 engines emit the *same index sequence*, hence the same pair multiset.
 
 **The unranking contract.**  A class index decomposes bijectively as
@@ -58,7 +72,12 @@ order.  One table (:func:`lex_table`) of all 2^k masks, grouped by
 popcount, therefore serves both: the both-0 mask is entry ``a`` of group
 z, and the differing subset is entry ``C(k, x) − C(m, x) + b`` of group
 x, a mask on m packed levels that the kernel deposits onto the free
-levels, lowest first.
+levels, lowest first.  Built with BMI2 (``-mbmi2``, offered only where
+the host runs ``pdep`` fast), that deposit is one ``pdep``, and so is
+the orientation's, of ``w`` bit-reversed onto the differing levels
+below the most significant one; the portable build walks the levels in
+loops.  Both emit identical keys
+(``tests/kronecker/test_sampler_batch_equivalence.py``).
 
 **The counts contract.**  In counts mode the kernel reads its own
 unsorted keys: the degrees give E, ``H = Σ C(d, 2)`` and ``T = Σ C(d, 3)``
@@ -70,7 +89,9 @@ sorted graph.
 The equivalence matrix (``tests/kronecker/test_sampler_equivalence.py``)
 pins every backend × k × initiator cell to graphs bit-identical to the
 numpy reference, checks the unranking exhaustively for k ≤ 7, and checks
-the counts mode against ``matching_statistics``.
+the counts mode against ``matching_statistics``;
+``tests/kronecker/test_sampler_batch_equivalence.py`` pins the batch to
+the per-sample oracle.
 """
 
 from __future__ import annotations
@@ -89,6 +110,7 @@ __all__ = [
     "resolve_sampler_backend",
     "choose_table",
     "lex_table",
+    "bitgen_pointers",
 ]
 
 
@@ -132,35 +154,189 @@ def lex_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return lex, offsets
 
 
-# Select and unrank every class's pairs.  Per class c (skipped when
-# counts[c] == 0): Floyd's algorithm over
-# uniforms[offsets[c] : offsets[c]+counts[c]] emits distinct class
-# indices, each unranked to a pair key written at the same slot of
-# keys_out.  table_keys / table_stamp (length capacity, a power of two
-# ≥ 2·max(counts)) back the epoch-stamped membership table.
+# repro_sampler_block selects and unranks one sample's pairs from
+# pre-drawn uniforms.  Per class c (skipped when counts[c] == 0): Floyd's
+# algorithm over uniforms[offsets[c] : offsets[c]+counts[c]] emits
+# distinct class indices, each unranked to a pair key written at the same
+# slot of keys_out.  table_keys / table_stamp (length capacity, a power
+# of two ≥ 2·max(counts)) back the epoch-stamped membership table.
+#
+# repro_sampler_batch counts n_samples samples of one (Θ, k) in one call.
+# Sample s reads its binomial class counts from row s of counts (n_classes
+# columns over the class table z_arr/x_arr/class_sizes) and draws its
+# uniforms from its own generator, bitgens[s], through the bitgen_t's
+# next_double, in the same class-by-class order; it writes its
+# (E, H, T, Δ) to rows_out[4s..4s+3].  keys (keys_len slots), the
+# membership table and scratch are shared by the samples in turn; epochs
+# s·n_classes + c + 1 keep the table valid without clearing.  Returns 0,
+# or −1 when k is out of range or a buffer is short.
 #
 # The unranking runs without data-dependent branches: one division
 # splits idx, the both-0 and packed differing masks are lookups in the
 # popcount-grouped lex table (lex, lex_offsets: see lex_table), the
-# packed mask is deposited onto the free levels in a loop of
-# class-constant length, and the differing levels are oriented most
-# significant first with __builtin_clzll.
+# packed mask is deposited onto the free levels, and the orientation
+# word onto the differing levels below the most significant one.  With
+# BMI2 each deposit is one pdep (the orientation word bit-reversed, since
+# its bit 0 orients the highest of those levels); the portable branch
+# walks the levels in loops of class-constant length.
 #
-# Counts mode: when scratch_len > 0, the kernel also writes the matching
-# statistics (E, H, T, Δ) of the drawn graph to counts_out[0..3], from
-# the unsorted keys: degrees give E, H = ΣC(d,2) and T = ΣC(d,3); the
-# edges oriented from their lower-(degree, id) end form a forward CSR
-# whose triangles are counted once each with a marker array.  scratch
-# holds 3·2^k + 1 + Σcounts int64 slots.  Returns the number of keys
-# written (Σ counts), or −1 when k is out of range or scratch is short.
+# Counts mode: when scratch_len > 0 (always, for the batch), the kernel
+# also writes the matching statistics (E, H, T, Δ) of the drawn graph to
+# counts_out[0..3], from the unsorted keys: degrees give E,
+# H = ΣC(d,2) and T = ΣC(d,3); the edges oriented from their
+# lower-(degree, id) end form a forward CSR whose triangles are counted
+# once each with a marker array.  scratch holds 3·2^k + 1 + Σcounts int64
+# slots.  repro_sampler_block returns the number of keys written
+# (Σ counts), or −1 when k is out of range or scratch is short.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
+#ifdef __BMI2__
+#include <immintrin.h>
+#endif
+
+/* numpy's public bitgen_t (numpy/random/bitgen.h), declared here so the
+   kernel neither includes nor links anything from numpy. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 /* The highest set bit of a nonzero word. */
 static inline int64_t top_bit(int64_t word)
 {
     return (int64_t)1 << (63 - __builtin_clzll((unsigned long long)word));
+}
+
+#ifdef __BMI2__
+static inline uint64_t reverse_bits(uint64_t word)
+{
+    word = ((word >> 1) & 0x5555555555555555ULL) | ((word & 0x5555555555555555ULL) << 1);
+    word = ((word >> 2) & 0x3333333333333333ULL) | ((word & 0x3333333333333333ULL) << 2);
+    word = ((word >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((word & 0x0F0F0F0F0F0F0F0FULL) << 4);
+    return __builtin_bswap64(word);
+}
+#endif
+
+/* Select and unrank every class of one sample; returns Σ counts.  The
+   uniforms come from uniforms[offsets[c] + i] when uniforms is non-NULL,
+   else from bitgen (keys then land contiguously from keys_out[0]). */
+static int64_t select_sample(
+    int64_t k,
+    int64_t n_classes,
+    const int64_t *z_arr,
+    const int64_t *x_arr,
+    const int64_t *counts,
+    const int64_t *offsets,
+    const int64_t *class_sizes,
+    const int64_t *choose,
+    const int32_t *lex,
+    const int64_t *lex_offsets,
+    const double *uniforms,
+    bitgen_t *bitgen,
+    int64_t *keys_out,
+    int64_t *table_keys,
+    int64_t *table_stamp,
+    int64_t capacity,
+    int64_t epoch_base)
+{
+    int64_t kp1 = k + 1;
+    int64_t mask = capacity - 1;
+    int64_t full = ((int64_t)1 << k) - 1;
+    int64_t total = 0;
+    for (int64_t c = 0; c < n_classes; c++) {
+        int64_t count = counts[c];
+        if (count == 0) {
+            continue;
+        }
+        int64_t z = z_arr[c];
+        int64_t x = x_arr[c];
+        int64_t m = k - z;
+        int64_t size = class_sizes[c];
+        int64_t base = offsets ? offsets[c] : total;
+        int64_t epoch = epoch_base + c + 1;
+        int64_t orient_mask = ((int64_t)1 << (x - 1)) - 1;
+        int64_t c2 = choose[m * kp1 + x];
+        /* The both-0 subset ranks over all k levels; the differing
+           subset ranks over the m free levels, the last C(m, x) entries
+           of the k-level popcount-x group. */
+        int64_t zero_base = lex_offsets[z];
+        int64_t differ_base = lex_offsets[x + 1] - c2;
+        int64_t emitted = 0;
+        for (int64_t t = size - count; t < size; t++) {
+            double u = uniforms ? uniforms[base + emitted]
+                                : bitgen->next_double(bitgen->state);
+            int64_t r = (int64_t)(u * ((double)t + 1.0));
+            if (r > t) {
+                r = t;
+            }
+            int64_t slot = r & mask;
+            int64_t found = 0;
+            while (table_stamp[slot] == epoch) {
+                if (table_keys[slot] == r) {
+                    found = 1;
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+            int64_t idx;
+            if (found) {
+                idx = t;
+                slot = t & mask;
+                while (table_stamp[slot] == epoch) {
+                    slot = (slot + 1) & mask;
+                }
+            } else {
+                idx = r;
+            }
+            table_keys[slot] = idx;
+            table_stamp[slot] = epoch;
+            /* unrank idx -> (a, b, w) -> bit masks -> pair key */
+            int64_t w = idx & orient_mask;
+            int64_t q = idx >> (x - 1);
+            int64_t a = q / c2;
+            int64_t b = q - a * c2;
+            int64_t zero_mask = lex[zero_base + a];
+            int64_t packed = lex[differ_base + b];
+            int64_t free_mask = full & ~zero_mask;
+#ifdef __BMI2__
+            int64_t differ_mask = (int64_t)_pdep_u64(
+                (uint64_t)packed, (uint64_t)free_mask);
+            int64_t rest = differ_mask ^ top_bit(differ_mask);
+            /* w's bit i orients the (i+1)-th highest differing level,
+               so deposit w bit-reversed within its x − 1 bits. */
+            int64_t u_bits = (int64_t)_pdep_u64(
+                (reverse_bits((uint64_t)w) >> (64 - x)) >> 1, (uint64_t)rest);
+#else
+            /* deposit packed's low m bits onto the free levels, lowest
+               free level first (a software pdep) */
+            int64_t free_walk = free_mask;
+            int64_t differ_mask = 0;
+            for (int64_t pos = 0; pos < m; pos++) {
+                int64_t bit = free_walk & -free_walk;
+                free_walk ^= bit;
+                differ_mask |= bit & -((packed >> pos) & 1);
+            }
+            int64_t rest = differ_mask ^ top_bit(differ_mask);
+            int64_t u_bits = 0;
+            for (int64_t tw = 0; tw < x - 1; tw++) {
+                int64_t bit = top_bit(rest);
+                rest ^= bit;
+                u_bits |= bit & -((w >> tw) & 1);
+            }
+#endif
+            int64_t one_mask = free_mask & ~differ_mask;
+            int64_t u_val = one_mask | u_bits;
+            int64_t v_val = one_mask | (differ_mask ^ u_bits);
+            keys_out[base + emitted] = (u_val << k) | v_val;
+            emitted += 1;
+        }
+        total += emitted;
+    }
+    return total;
 }
 
 static void matching_counts(
@@ -251,95 +427,64 @@ int64_t repro_sampler_block(
     if (k < 1 || k > 31) {
         return -1;
     }
-    int64_t kp1 = k + 1;
-    int64_t mask = capacity - 1;
-    int64_t full = ((int64_t)1 << k) - 1;
-    int64_t total = 0;
-    for (int64_t c = 0; c < n_classes; c++) {
-        int64_t count = counts[c];
-        if (count == 0) {
-            continue;
-        }
-        int64_t z = z_arr[c];
-        int64_t x = x_arr[c];
-        int64_t m = k - z;
-        int64_t size = class_sizes[c];
-        int64_t base = offsets[c];
-        int64_t epoch = c + 1;
-        int64_t orient_mask = ((int64_t)1 << (x - 1)) - 1;
-        int64_t c2 = choose[m * kp1 + x];
-        /* The both-0 subset ranks over all k levels; the differing
-           subset ranks over the m free levels, the last C(m, x) entries
-           of the k-level popcount-x group. */
-        int64_t zero_base = lex_offsets[z];
-        int64_t differ_base = lex_offsets[x + 1] - c2;
-        int64_t emitted = 0;
-        for (int64_t t = size - count; t < size; t++) {
-            double u = uniforms[base + emitted];
-            int64_t r = (int64_t)(u * ((double)t + 1.0));
-            if (r > t) {
-                r = t;
-            }
-            int64_t slot = r & mask;
-            int64_t found = 0;
-            while (table_stamp[slot] == epoch) {
-                if (table_keys[slot] == r) {
-                    found = 1;
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
-            int64_t idx;
-            if (found) {
-                idx = t;
-                slot = t & mask;
-                while (table_stamp[slot] == epoch) {
-                    slot = (slot + 1) & mask;
-                }
-            } else {
-                idx = r;
-            }
-            table_keys[slot] = idx;
-            table_stamp[slot] = epoch;
-            /* unrank idx -> (a, b, w) -> bit masks -> pair key */
-            int64_t w = idx & orient_mask;
-            int64_t q = idx >> (x - 1);
-            int64_t a = q / c2;
-            int64_t b = q - a * c2;
-            int64_t zero_mask = lex[zero_base + a];
-            int64_t packed = lex[differ_base + b];
-            /* deposit packed's low m bits onto the free levels, lowest
-               free level first (a software pdep) */
-            int64_t free_mask = full & ~zero_mask;
-            int64_t differ_mask = 0;
-            for (int64_t pos = 0; pos < m; pos++) {
-                int64_t bit = free_mask & -free_mask;
-                free_mask ^= bit;
-                differ_mask |= bit & -((packed >> pos) & 1);
-            }
-            int64_t lead = top_bit(differ_mask);
-            int64_t rest = differ_mask ^ lead;
-            int64_t u_bits = 0;
-            for (int64_t tw = 0; tw < x - 1; tw++) {
-                int64_t bit = top_bit(rest);
-                rest ^= bit;
-                u_bits |= bit & -((w >> tw) & 1);
-            }
-            int64_t one_mask = full & ~zero_mask & ~differ_mask;
-            int64_t u_val = one_mask | u_bits;
-            int64_t v_val = one_mask | (differ_mask ^ u_bits);
-            keys_out[base + emitted] = (u_val << k) | v_val;
-            emitted += 1;
-        }
-        total += emitted;
-    }
+    int64_t total = select_sample(
+        k, n_classes, z_arr, x_arr, counts, offsets, class_sizes, choose,
+        lex, lex_offsets, uniforms, NULL, keys_out, table_keys, table_stamp,
+        capacity, 0);
     if (scratch_len > 0) {
-        if (scratch_len < 3 * (full + 1) + 1 + total) {
+        if (scratch_len < 3 * ((int64_t)1 << k) + 1 + total) {
             return -1;
         }
         matching_counts(k, total, keys_out, scratch, counts_out);
     }
     return total;
+}
+
+int64_t repro_sampler_batch(
+    int64_t k,
+    int64_t n_classes,
+    const int64_t *z_arr,
+    const int64_t *x_arr,
+    const int64_t *class_sizes,
+    const int64_t *choose,
+    const int32_t *lex,
+    const int64_t *lex_offsets,
+    int64_t n_samples,
+    const int64_t *counts,
+    bitgen_t *const *bitgens,
+    int64_t *keys,
+    int64_t keys_len,
+    int64_t *table_keys,
+    int64_t *table_stamp,
+    int64_t capacity,
+    int64_t *scratch,
+    int64_t scratch_len,
+    int64_t *rows_out)
+{
+    if (k < 1 || k > 31) {
+        return -1;
+    }
+    for (int64_t s = 0; s < n_samples; s++) {
+        const int64_t *row = counts + s * n_classes;
+        int64_t total = 0;
+        for (int64_t c = 0; c < n_classes; c++) {
+            total += row[c];
+            if (2 * row[c] > capacity) {
+                return -1;
+            }
+        }
+        if (total > keys_len || scratch_len < 3 * ((int64_t)1 << k) + 1 + total) {
+            return -1;
+        }
+    }
+    for (int64_t s = 0; s < n_samples; s++) {
+        int64_t total = select_sample(
+            k, n_classes, z_arr, x_arr, counts + s * n_classes, NULL,
+            class_sizes, choose, lex, lex_offsets, NULL, bitgens[s], keys,
+            table_keys, table_stamp, capacity, s * n_classes);
+        matching_counts(k, total, keys, scratch, rows_out + 4 * s);
+    }
+    return 0;
 }
 """
 
@@ -402,9 +547,55 @@ def _smoke_test(kernel: Callable) -> None:
         )
 
 
+def _smoke_test_batch(kernel: Callable) -> None:
+    """Run the batch kernel on two k=2 samples drawing from real generators.
+
+    Sample 0 draws every pair of the three classes of
+    :func:`_smoke_test` (K₄: (6, 12, 4, 4)) and sample 1 one pair of the
+    first class ((1, 0, 0, 0)), so the uniforms themselves cannot change
+    the rows.  Each generator must then sit exactly where ``random``
+    drawing as many values leaves a twin: that pins the ``bitgen_t``
+    layout the kernel calls ``next_double`` through.
+    """
+    k = 2
+    generators = [np.random.default_rng(seed) for seed in (1, 2)]
+    twins = [np.random.default_rng(seed) for seed in (1, 2)]
+    lex, lex_offsets = lex_table(k)
+    rows = np.zeros((2, 4), dtype=np.int64)
+    status = int(
+        kernel(k, 3, np.array([0, 0, 1], dtype=np.int64),
+               np.array([1, 2, 1], dtype=np.int64), np.full(3, 2, dtype=np.int64),
+               choose_table(k), lex, lex_offsets, 2,
+               np.array([[2, 2, 2], [1, 0, 0]], dtype=np.int64),
+               bitgen_pointers(generators), np.zeros(6, dtype=np.int64), 6,
+               np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64), 16,
+               np.zeros(3 * 4 + 1 + 6, dtype=np.int64), 3 * 4 + 1 + 6, rows)
+    )
+    for twin, draws in zip(twins, (6, 1)):
+        twin.random(draws)
+    expected = [[6, 12, 4, 4], [1, 0, 0, 0]]
+    if status != 0 or rows.tolist() != expected or any(
+        rng.bit_generator.state != twin.bit_generator.state
+        for rng, twin in zip(generators, twins)
+    ):
+        raise RuntimeError(
+            f"sampler batch self-check failed: status={status}, "
+            f"rows={rows.tolist()} (expected {expected})"
+        )
+
+
+def bitgen_pointers(generators) -> np.ndarray:
+    """The ``bitgen_t *`` of each generator, for ``repro_sampler_batch``."""
+    return np.array(
+        [rng.bit_generator.ctypes.bit_generator.value for rng in generators],
+        dtype=np.uintp,
+    )
+
+
 _INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_POINTER_ARG = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
 
 SAMPLER_KERNEL = NativeKernel(
     name="sampler",
@@ -433,6 +624,34 @@ SAMPLER_KERNEL = NativeKernel(
         ctypes.c_int64,  # scratch_len (0 = keys only)
     ],
     smoke_test=_smoke_test,
+    c_optional_flags=("-mbmi2",),
+    c_extra_symbols={
+        "repro_sampler_batch": (
+            ctypes.c_int64,
+            [
+                ctypes.c_int64,  # k
+                ctypes.c_int64,  # n_classes
+                _INT64_ARG,  # z_arr (class table)
+                _INT64_ARG,  # x_arr
+                _INT64_ARG,  # class_sizes
+                _INT64_ARG,  # choose (flat Pascal table)
+                _INT32_ARG,  # lex
+                _INT64_ARG,  # lex_offsets
+                ctypes.c_int64,  # n_samples
+                _INT64_ARG,  # counts (n_samples × n_classes binomial draws)
+                _POINTER_ARG,  # bitgens (one bitgen_t * per sample)
+                _INT64_ARG,  # keys (scratch, keys_len slots)
+                ctypes.c_int64,  # keys_len
+                _INT64_ARG,  # table_keys
+                _INT64_ARG,  # table_stamp (zeroed)
+                ctypes.c_int64,  # capacity (power of two)
+                _INT64_ARG,  # scratch
+                ctypes.c_int64,  # scratch_len
+                _INT64_ARG,  # rows_out (n_samples × 4: E, H, T, Δ)
+            ],
+            _smoke_test_batch,
+        )
+    },
 )
 
 

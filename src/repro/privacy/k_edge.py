@@ -2,10 +2,14 @@
 
 Two graphs are *k-edge neighbours* when |V ⊕ V′| + |E ⊕ E′| ≤ k, i.e. they
 differ in up to k edges (and/or isolated-node insertions).  The paper
-notes that any mechanism with (ε, δ) guarantees for 1-edge neighbours is
-(kε, kδ)-DP for k-edge neighbours by the composition argument — which also
+notes that a 1-edge guarantee extends to k-edge neighbours, which also
 yields a *weak form of node privacy*: a degree-d node's entire
-neighbourhood is covered by taking k = d + 1.
+neighbourhood is covered by taking k = d + 1.  The paper gives no
+formula for δ; the bound used here is the group-privacy lemma for
+approximate DP (Vadhan, "The Complexity of Differential Privacy", 2017):
+an (ε, δ)-DP mechanism is (kε, k·e^{(k−1)ε}·δ)-DP for groups of k, since
+chaining k neighbour steps multiplies the δ picked up at step i by
+e^{(i−1)ε}, and Σ_{i<k} e^{iε} ≤ k·e^{(k−1)ε}.
 
 These helpers make that arithmetic explicit, including its inverse: how
 much per-edge budget to request so that a *group* guarantee holds.
@@ -13,6 +17,7 @@ much per-edge budget to request so that a *group* guarantee holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.utils.validation import check_integer, check_nonnegative
@@ -46,15 +51,18 @@ class KEdgeGuarantee:
 
 
 def k_edge_guarantee(epsilon: float, delta: float, k: int) -> KEdgeGuarantee:
-    """The k-edge guarantee implied by a 1-edge (ε, δ) guarantee.
+    """The k-edge guarantee implied by a 1-edge (ε, δ) guarantee:
+    (kε, k·e^{(k−1)ε}·δ).
 
     >>> k_edge_guarantee(0.2, 0.01, 5).describe()
-    '(1, 0.05)-differential privacy for groups of up to 5 edge(s)'
+    '(1, 0.111277)-differential privacy for groups of up to 5 edge(s)'
     """
     epsilon = check_nonnegative(epsilon, "epsilon")
     delta = check_nonnegative(delta, "delta")
     k = check_integer(k, "k", minimum=1)
-    return KEdgeGuarantee(k=k, epsilon=k * epsilon, delta=k * delta)
+    return KEdgeGuarantee(
+        k=k, epsilon=k * epsilon, delta=k * math.exp((k - 1) * epsilon) * delta
+    )
 
 
 def per_edge_budget_for_group(
@@ -64,12 +72,15 @@ def per_edge_budget_for_group(
 
     Useful when a curator wants node-level cover for nodes of degree up to
     ``k - 1``: run the estimator with the returned (stricter) parameters
-    and publish the ``target`` guarantee for k-edge groups.
+    and publish the ``target`` guarantee for k-edge groups.  The inverse
+    of :func:`k_edge_guarantee`: ε = ε_T/k and δ = δ_T / (k·e^{(k−1)ε}).
 
-    >>> per_edge_budget_for_group(1.0, 0.05, 5)
-    (0.2, 0.01)
+    >>> epsilon, delta = per_edge_budget_for_group(1.0, 0.05, 5)
+    >>> epsilon, round(delta, 6)
+    (0.2, 0.004493)
     """
     target_epsilon = check_nonnegative(target_epsilon, "target_epsilon")
     target_delta = check_nonnegative(target_delta, "target_delta")
     k = check_integer(k, "k", minimum=1)
-    return target_epsilon / k, target_delta / k
+    epsilon = target_epsilon / k
+    return epsilon, target_delta / (k * math.exp((k - 1) * epsilon))

@@ -50,7 +50,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.protocols import FittedModel, build_estimator, estimator_method
-from repro.core.synthesis import sample_statistics
+from repro.core.synthesis import sample_statistics_batch
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
@@ -192,7 +192,12 @@ def _served(model: FittedModel) -> FittedModel:
 
 
 def _sample_work(
-    *, model: FittedModel, count: int, entropy: int, mapper: Callable = map
+    *,
+    model: FittedModel,
+    count: int,
+    entropy: int,
+    mapper: Callable = map,
+    shards: int = 1,
 ) -> list[dict]:
     """Sample ``count`` synthetic graphs and summarize each.
 
@@ -201,34 +206,44 @@ def _sample_work(
     (The service folds ``count`` into the entropy it passes, so two
     requests differing only in ``count`` draw unrelated batches.)  The
     whole body is a pure function of (model, count, entropy), which is
-    what makes the cached response bit-identical to a cold one.  An
-    SKG-backed model counts each sample inside the sampler kernel
-    without building a graph (:func:`~repro.core.synthesis.sample_statistics`).
+    what makes the cached response bit-identical to a cold one.
 
-    ``mapper`` runs the per-sample rows: the builtin ``map``, or the
-    service's ``ThreadPoolExecutor.map``, which fans them over threads
-    (the compiled sampler releases the interpreter lock) and yields them
-    in index order, so the rows are the same either way.  The sampler
-    engine is resolved once here, before the fan-out.
+    The seeds are cut into ``shards`` contiguous runs, and ``mapper``
+    runs one :func:`~repro.core.synthesis.sample_statistics_batch` per
+    run: the builtin ``map``, or the service's
+    ``ThreadPoolExecutor.map``, which gives each sampler thread one run
+    — for an SKG model, one sampler-kernel call that releases the
+    interpreter lock — and yields the runs in order, so the rows are the
+    same for any ``shards`` and ``mapper``.  The sampler engine is
+    resolved once here, before the fan-out.
     """
     children = np.random.SeedSequence(entropy).spawn(count)
-    row = functools.partial(_sample_row, model, SAMPLER_KERNEL.resolve())
-    return list(mapper(row, children))
+    shards = max(1, min(shards, count))
+    runs = [
+        children[index * count // shards : (index + 1) * count // shards]
+        for index in range(shards)
+    ]
+    work = functools.partial(_sample_rows, model, SAMPLER_KERNEL.resolve())
+    return [row for rows in mapper(work, runs) for row in rows]
 
 
-def _sample_row(
-    model: FittedModel, backend: str, seed: np.random.SeedSequence
-) -> dict:
-    """One sample's summary row of :func:`_sample_work`."""
-    n_nodes, n_edges, stats = sample_statistics(model, seed=seed, backend=backend)
-    return {
-        "n_nodes": int(n_nodes),
-        "n_edges": int(n_edges),
-        "edges": float(stats.edges),
-        "hairpins": float(stats.hairpins),
-        "tripins": float(stats.tripins),
-        "triangles": float(stats.triangles),
-    }
+def _sample_rows(
+    model: FittedModel, backend: str, seeds: list[np.random.SeedSequence]
+) -> list[dict]:
+    """The summary rows of one run of :func:`_sample_work`'s seeds."""
+    return [
+        {
+            "n_nodes": int(n_nodes),
+            "n_edges": int(n_edges),
+            "edges": float(stats.edges),
+            "hairpins": float(stats.hairpins),
+            "tripins": float(stats.tripins),
+            "triangles": float(stats.triangles),
+        }
+        for n_nodes, n_edges, stats in sample_statistics_batch(
+            model, seeds, backend=backend
+        )
+    ]
 
 
 def _probe_work() -> int:

@@ -1,10 +1,10 @@
 """The HTTP shell around :class:`~repro.serve.service.SynthesisService`.
 
 Stdlib-only transport: a :class:`ThreadingHTTPServer` whose handler does
-exactly three things — parse the JSON body, call ``service.handle``,
-write the structured response with an explicit ``Content-Length``.  All
-policy lives in the service; all lifecycle lives in
-:class:`ServeRuntime`:
+exactly three things — read the body, call ``service.handle_body``
+(which parses it), write the structured response with an explicit
+``Content-Length``.  All policy lives in the service; all lifecycle
+lives in :class:`ServeRuntime`:
 
 * ``start()`` binds and serves on a background thread (port 0 works and
   reports the ephemeral port, which is how tests and the benchmark boot
@@ -29,7 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.runtime.engine import shutdown_pool
 from repro.serve.config import ServeConfig
-from repro.serve.service import ServeResponse, SynthesisService, _error
+from repro.serve.service import ServeResponse, SynthesisService
 from repro.utils.logging import get_logger
 
 __all__ = ["ServeRuntime"]
@@ -69,25 +69,15 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _dispatch(self, verb: str) -> None:
-        payload = None
+        raw = b""
         if verb == "POST":
             try:
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
                 length = 0
             raw = self.rfile.read(length) if length > 0 else b""
-            if raw:
-                try:
-                    payload = json.loads(raw)
-                except (ValueError, RecursionError) as exc:
-                    # ValueError covers JSONDecodeError and a body that
-                    # is not UTF-8; RecursionError a body nested deeper
-                    # than the decoder's stack.
-                    self._respond(_error(400, "bad-json", f"request body is not JSON: {exc}"))
-                    return
         path = self.path.split("?", 1)[0]
-        response = self.server.service.handle(verb, path, payload)
-        self._respond(response)
+        self._respond(self.server.service.handle_body(verb, path, raw))
 
     def _respond(self, response: ServeResponse) -> None:
         # sort_keys is load-bearing: cold and cached responses must be

@@ -32,8 +32,8 @@ Request flow on ``/fit`` / ``/sample`` / ``/release``::
               hit -> body
               miss -> build the estimator (malformed params: 400,
                  nothing charged) -> model memo (atomic budget charge
-                 BEFORE the fit) -> samples (fanned over the service's
-                 n_jobs threads) -> body to disk, then to memory
+                 BEFORE the fit) -> samples (one run of seeds per
+                 sampler thread) -> body to disk, then to memory
 
 Determinism: a request that omits ``seed`` gets one derived from the
 stable hash of its canonical parameters, so retrying the same request —
@@ -44,6 +44,7 @@ rides the ``X-Repro-Cache`` header and ``/stats``.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -120,9 +121,9 @@ class SynthesisService:
             accountants=self.accountants, executor=self._run_work, cache=cache
         )
         self._responses = SingleFlightMemo(cache)
-        # Sample rows fan out over n_jobs threads: the fit pool is idle
-        # while a request samples, and the compiled sampler releases the
-        # interpreter lock.
+        # A request's samples are cut into n_jobs runs, one per thread:
+        # the fit pool is idle while a request samples, and each run is
+        # one sampler-kernel call that releases the interpreter lock.
         self._sampler = ThreadPoolExecutor(
             max_workers=max(1, config.n_jobs), thread_name_prefix="repro-serve-sample"
         )
@@ -174,6 +175,25 @@ class SynthesisService:
     # Routing
     # ------------------------------------------------------------------
 
+    def handle_body(self, verb: str, path: str, body: bytes) -> ServeResponse:
+        """:meth:`handle` for a raw request body (empty: no payload).
+
+        A body that is not JSON answers the 400 ``bad-json``, counted in
+        ``/stats`` like every other answer.
+        """
+        payload = None
+        if body:
+            try:
+                payload = json.loads(body)
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and a body that is
+                # not UTF-8; RecursionError a body nested deeper than the
+                # decoder's stack.
+                return self._record(
+                    _error(400, "bad-json", f"request body is not JSON: {exc}")
+                )
+        return self.handle(verb, path, payload)
+
     def handle(self, verb: str, path: str, payload: Any = None) -> ServeResponse:
         """Serve one request; never raises, always a structured response."""
         try:
@@ -181,6 +201,10 @@ class SynthesisService:
         except Exception as exc:  # the never-a-hung-socket backstop
             _logger.exception("unhandled error serving %s %s", verb, path)
             response = _error(503, "internal", f"{type(exc).__name__}: {exc}")
+        return self._record(response)
+
+    def _record(self, response: ServeResponse) -> ServeResponse:
+        """Count ``response`` in ``/stats``; every answer passes here."""
         with self._lock:
             self._requests += 1
             self._by_status[response.status] = self._by_status.get(response.status, 0) + 1
@@ -347,7 +371,11 @@ class SynthesisService:
             )
             body["count"] = count
             body["samples"] = _sample_work(
-                model=model, count=count, entropy=entropy, mapper=self._sampler.map
+                model=model,
+                count=count,
+                entropy=entropy,
+                mapper=self._sampler.map,
+                shards=self.config.n_jobs,
             )
         return body
 

@@ -95,6 +95,18 @@ class TestTransport:
             assert excinfo.value.code == 400, data[:20]
             assert json.loads(excinfo.value.read())["error"]["code"] == "bad-json"
 
+    def test_bad_json_answers_are_counted_in_stats(self, runtime):
+        for data in (b"{not json", b"[" * 5000):
+            request = urllib.request.Request(
+                runtime.base_url + "/fit", data=data, method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError):
+                urllib.request.urlopen(request, timeout=10)
+        status, _headers, stats = http(runtime.base_url, "GET", "/stats")
+        assert status == 200
+        # The /stats request itself is counted after its body is built.
+        assert stats["requests"] == {"total": 2, "by_status": {"400": 2}}
+
     def test_budget_refusal_over_the_wire(self, runtime):
         status, _headers, body = http(
             runtime.base_url, "POST", "/release",
