@@ -19,22 +19,24 @@ each unordered pair {u, v} an independent edge with probability
 
 ``sample_skg`` executes behind the ``REPRO_KERNEL_BACKEND`` knob like the
 counting pass and the Metropolis chain: the pure-Python reference engine
-defined here, or the compiled-C selection kernel of
-:mod:`repro.native.sampling`.  Both engines consume the same pre-drawn
-streams (the draw contract documented there) and run the same Floyd
-selection + combination unranking, so the sampled graph is
-**bit-identical** across engines for every seed.
+defined here, or the compiled-C kernel of :mod:`repro.native.sampling`.
+Both engines make the same draws (the draw contract documented there)
+and run the same Floyd selection + combination unranking, so the sampled
+graph is **bit-identical** across engines for every seed.
 
 :func:`sample_skg_statistics_batch` makes the same draws per seed and
 returns only each sample's matching statistics {E, H, T, Δ}, which is
 what ``/sample``, ``/release``, ensembles and the scenario statistics
-measure need.  Its compiled engine counts a whole batch in one kernel
-call without building a :class:`Graph`: numpy draws each sample's class
-counts with one vectorised ``binomial`` over the (Θ, k) class table, and
-the kernel draws the uniforms from the sample's own generator.
-:func:`sample_skg_statistics` is its batch of one.  The per-sample
-Python draw loop (``_draw_classes``) and ``_reference_select`` stay as
-the numpy oracle.
+measure need; :func:`sample_skg_statistics` is its batch of one.  The
+compiled engine serves graphs and statistics through one function
+(``_compiled_draw``): numpy draws each sample's class counts with one
+vectorised ``binomial`` over the (Θ, k) class table, then one kernel
+call, holding each generator's lock, draws the uniforms from the
+sample's own generator and selects the pairs — in keys-only mode for
+:func:`sample_skg`, in counts mode, a whole batch at once and without
+building a :class:`Graph`, for the statistics.  The per-sample Python
+draw loop (``_draw_classes``) and ``_reference_select`` stay as the
+numpy oracle.
 
 Both samplers agree in distribution; tests check profile-class counts and
 expected statistics across thousands of draws.
@@ -42,7 +44,6 @@ expected statistics across thousands of draws.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from math import comb
 from typing import NamedTuple, Sequence
@@ -54,9 +55,8 @@ from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.sampling import (
     SAMPLER_KERNEL,
-    bitgen_pointers,
     choose_table,
-    lex_table,
+    draw_batch,
     resolve_sampler_backend,
 )
 from repro.stats.counts import MatchingStatistics, matching_statistics
@@ -97,7 +97,7 @@ def profile_class_size(k: int, z: int, x: int, o: int) -> int:
 
 
 class _ClassDraw(NamedTuple):
-    """The pre-drawn streams of one sample (the draw contract)."""
+    """The numpy oracle's draws of one sample (the draw contract)."""
 
     z: np.ndarray
     x: np.ndarray
@@ -152,66 +152,6 @@ def _draw_classes(
     )
 
 
-def _table_draw(
-    theta: Initiator, k: int, rng: np.random.Generator
-) -> _ClassDraw | None:
-    """:func:`_draw_classes`' draws, part 1 vectorised over the class table."""
-    table = _class_table(theta.a, theta.b, theta.c, k)
-    counts = rng.binomial(table.sizes, table.probabilities)
-    drawn = counts > 0
-    if not drawn.any():
-        return None
-    counts = counts[drawn]
-    offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)[:-1]]
-    )
-    return _ClassDraw(
-        table.z[drawn],
-        table.x[drawn],
-        counts,
-        offsets,
-        table.sizes[drawn],
-        rng.random(int(counts.sum())),
-    )
-
-
-def _run_kernel(engine: str, k: int, draw: _ClassDraw) -> np.ndarray:
-    """The keys the compiled sampler selects for ``draw``."""
-    kernel = SAMPLER_KERNEL.kernel(engine)
-    total = draw.uniforms.shape[0]
-    capacity = 16
-    while capacity < 2 * int(draw.counts.max()):
-        capacity *= 2
-    keys = np.zeros(total, dtype=np.int64)
-    none = np.zeros(0, dtype=np.int64)
-    lex, lex_offsets = lex_table(k)
-    written = int(
-        kernel(
-            k,
-            draw.counts.shape[0],
-            draw.z,
-            draw.x,
-            draw.counts,
-            draw.offsets,
-            draw.sizes,
-            choose_table(k),
-            lex,
-            lex_offsets,
-            draw.uniforms,
-            keys,
-            np.zeros(capacity, dtype=np.int64),
-            np.zeros(capacity, dtype=np.int64),
-            capacity,
-            none,
-            none,
-            0,
-        )
-    )
-    if written != total:
-        raise RuntimeError(f"sampler kernel wrote {written} keys, expected {total}")
-    return keys
-
-
 def sample_skg(
     initiator, k: int, seed: SeedLike = None, backend: str | None = None
 ) -> Graph:
@@ -226,15 +166,15 @@ def sample_skg(
     rng = as_generator(seed)
     engine = resolve_sampler_backend(backend)
     n = 2**k
-    # The numpy oracle draws class by class; the compiled engine makes
-    # the same draws with one vectorised binomial.
-    draw = (_draw_classes if engine == "numpy" else _table_draw)(theta, k, rng)
-    if draw is None:
-        return Graph(n)
     if engine == "numpy":
+        draw = _draw_classes(theta, k, rng)
+        if draw is None:
+            return Graph(n)
         keys = _reference_select(k, draw, choose_table(k))
     else:
-        keys = _run_kernel(engine, k, draw)
+        keys = _compiled_draw(engine, theta, k, [rng], keys_only=True)[0]
+        if keys.size == 0:
+            return Graph(n)
     # Keys within a class are distinct and classes are disjoint, so one
     # global sort yields canonical edge arrays directly: the key
     # (u << k) | v with u < v orders exactly like the lexicographic (u, v)
@@ -327,59 +267,40 @@ def _class_table(a: float, b: float, c: float, k: int) -> _ClassTable:
     return table
 
 
+def _compiled_draw(
+    engine: str,
+    theta: Initiator,
+    k: int,
+    generators: list[np.random.Generator],
+    keys_only: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The compiled engine's draw of one sample per (distinct) generator.
+
+    Part 1 of the draw contract is one vectorised binomial per sample
+    over the class table (the same binomials, in the same order, as
+    :func:`_draw_classes`' scalar loop); part 2 runs inside the kernel,
+    on each generator's bitgen, under its lock.  ``(keys, rows)`` as
+    :func:`repro.native.sampling.draw_batch` returns them.
+    """
+    table = _class_table(theta.a, theta.b, theta.c, k)
+    counts = [rng.binomial(table.sizes, table.probabilities) for rng in generators]
+    return draw_batch(
+        SAMPLER_KERNEL.kernel(engine), k, table.z, table.x, table.sizes,
+        counts, generators, keys_only=keys_only,
+    )
+
+
 def _count_batch(
     engine: str, theta: Initiator, k: int, generators: list[np.random.Generator]
 ) -> list[tuple[int, MatchingStatistics]]:
     """Count one sample per (distinct) generator in one kernel call."""
     if not generators:
         return []
-    table = _class_table(theta.a, theta.b, theta.c, k)
-    # Part 1 of the draw contract, one vectorised call per sample: the
-    # same binomials, in the same order, as _draw_classes' scalar loop.
-    counts = np.array(
-        [rng.binomial(table.sizes, table.probabilities) for rng in generators],
-        dtype=np.int64,
-    )
-    longest = int(counts.sum(axis=1).max())
-    capacity = 16
-    while capacity < 2 * int(counts.max(initial=0)):
-        capacity *= 2
-    scratch_len = 3 * 2**k + 1 + longest
-    rows_out = np.zeros((len(generators), 4), dtype=np.int64)
-    lex, lex_offsets = lex_table(k)
-    kernel = SAMPLER_KERNEL.kernel(engine, "repro_sampler_batch")
-    # Part 2 runs inside the kernel, on each generator's bitgen, under
-    # its lock, as numpy's own draws do.
-    with contextlib.ExitStack() as locks:
-        for rng in generators:
-            locks.enter_context(rng.bit_generator.lock)
-        status = kernel(
-            k,
-            table.sizes.shape[0],
-            table.z,
-            table.x,
-            table.sizes,
-            choose_table(k),
-            lex,
-            lex_offsets,
-            len(generators),
-            counts,
-            bitgen_pointers(generators),
-            np.empty(longest, dtype=np.int64),
-            longest,
-            np.empty(capacity, dtype=np.int64),
-            np.zeros(capacity, dtype=np.int64),
-            capacity,
-            np.empty(scratch_len, dtype=np.int64),
-            scratch_len,
-            rows_out,
-        )
-    if status != 0:
-        raise RuntimeError(f"sampler batch kernel failed with status {status}")
+    rows = _compiled_draw(engine, theta, k, generators)[1]
     return [
         (edges, MatchingStatistics(float(edges), float(hairpins), float(tripins),
                                    float(triangles)))
-        for edges, hairpins, tripins, triangles in rows_out.tolist()
+        for edges, hairpins, tripins, triangles in rows.tolist()
     ]
 
 

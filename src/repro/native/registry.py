@@ -39,7 +39,7 @@ import tempfile
 import threading
 import weakref
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ValidationError
 from repro.knobs import knob, usable_cores
@@ -171,8 +171,9 @@ class NativeKernel:
         the family's pure-Python reference engine, which lives with its
         caller (``scipy`` for the counting pass, ``numpy`` otherwise).
     c_source / c_symbol:
-        The loop nest as a C translation unit and the exported function
-        name.
+        The loop nest as a C translation unit and the one function it
+        exports; a family whose callers need several modes selects them
+        by call arguments, not by further symbols.
     c_restype / c_argtypes:
         The ctypes signature of ``c_symbol``.
     smoke_test:
@@ -181,15 +182,10 @@ class NativeKernel:
         instead of corrupting results later.
     c_optional_flags:
         Extra compile flags that improve the C twin but are not required
-        for correctness (``-fopenmp``, ``-mpopcnt``).  Each is dropped
-        up-front when the host can't honour it, and the whole set falls
-        back to the base flags if the compile still fails; the flags that
-        did take effect are recorded in :attr:`cext_extra_flags`.
-    c_extra_symbols:
-        Further functions exported by the same C source, as
-        ``name -> (restype, argtypes, smoke_test)``; each is loaded and
-        smoke-tested with the main one, and :meth:`kernel` returns it by
-        name.
+        for correctness (``-fopenmp``, ``-mpopcnt``, ``-mbmi2``).  Each is
+        dropped up-front when the host can't honour it, and the whole set
+        falls back to the base flags if the compile still fails; the flags
+        that did take effect are recorded in :attr:`cext_extra_flags`.
     """
 
     def __init__(
@@ -202,7 +198,6 @@ class NativeKernel:
         c_argtypes: Sequence,
         smoke_test: Callable[[Callable], None],
         c_optional_flags: Sequence[str] = (),
-        c_extra_symbols: Mapping[str, tuple] | None = None,
     ) -> None:
         self.name = name
         self.reference = reference
@@ -212,9 +207,6 @@ class NativeKernel:
         self.c_argtypes = list(c_argtypes)
         self.smoke_test = smoke_test
         self.c_optional_flags = tuple(c_optional_flags)
-        self.c_extra_symbols = dict(c_extra_symbols or {})
-        # The loaded extra symbols (filled by a successful cext probe).
-        self._extra: dict[str, Callable] = {}
         # The optional flags the cext probe actually compiled with (None
         # until the probe has run).  CI's OpenMP-less fallback check
         # reads this to prove -fopenmp really was dropped.
@@ -236,21 +228,19 @@ class NativeKernel:
         """Why ``backend`` is unavailable (None when it is available)."""
         return self._state(backend)[1]
 
-    def kernel(self, backend: str, symbol: str | None = None) -> Callable:
+    def kernel(self, backend: str) -> Callable:
         """The compiled kernel of an *available* backend.
 
-        ``symbol`` names one of :attr:`c_extra_symbols` instead of the
-        main function.  Raises ``RuntimeError`` if the backend is
-        unavailable — callers are expected to have gone through
-        :meth:`resolve` first, which turns unavailability into a
-        user-facing :class:`ValidationError`.
+        Raises ``RuntimeError`` if the backend is unavailable — callers
+        are expected to have gone through :meth:`resolve` first, which
+        turns unavailability into a user-facing :class:`ValidationError`.
         """
         kernel, error = self._state(backend)
         if kernel is None:
             raise RuntimeError(
                 f"fused backend {backend!r} is unavailable: {error}"
             )
-        return kernel if symbol is None else self._extra[symbol]
+        return kernel
 
     def available_backends(self) -> tuple[str, ...]:
         """The concrete engines that can run this kernel on this host.
@@ -338,12 +328,6 @@ class NativeKernel:
             return raw(*args)
 
         self.smoke_test(kernel)
-        for symbol, (restype, argtypes, smoke_test) in self.c_extra_symbols.items():
-            extra = getattr(handle, symbol)
-            extra.restype = restype
-            extra.argtypes = list(argtypes)
-            smoke_test(extra)
-            self._extra[symbol] = extra
         return kernel
 
 

@@ -6,18 +6,18 @@ and the chosen pairs are uniform without replacement within the class.
 This module is the sampler family of the ``repro.native`` kernels (next
 to the counting pass and the multichain kernel): the whole per-class
 selection loop in compiled code, bit-identical to the numpy reference by
-construction.  Two exported functions share one selection loop:
+construction.  The family exports one function, ``repro_sampler_batch``,
+which selects S samples of one (Θ, k) in one call with the interpreter
+lock released throughout (:func:`draw_batch` calls it).  The call's
+scratch length picks its mode:
 
-* ``repro_sampler_block`` selects one sample from pre-drawn uniforms.
-  It returns the keys for :func:`~repro.kronecker.sampling.sample_skg`,
-  which sorts them into a :class:`~repro.graphs.graph.Graph`.  In
-  *counts mode* it also returns the drawn graph's matching statistics
-  {E, H, T, Δ}.
-* ``repro_sampler_batch`` counts S samples of one (Θ, k) in one call,
-  for :func:`~repro.kronecker.sampling.sample_skg_statistics_batch`
-  (and its batch of one, ``sample_skg_statistics``): S rows of
-  (E, H, T, Δ), no graph built, the interpreter lock released for the
-  whole call.
+* *keys-only mode* (no scratch, exactly one sample) skips the counting
+  pass and leaves the sample's pair keys for
+  :func:`~repro.kronecker.sampling.sample_skg`, which sorts them into a
+  :class:`~repro.graphs.graph.Graph`;
+* *counts mode* returns each sample's matching statistics {E, H, T, Δ}
+  and builds no graph, for
+  :func:`~repro.kronecker.sampling.sample_skg_statistics_batch`.
 
 **The draw contract** (owned by :mod:`repro.kronecker.sampling`).  Each
 sample's generator makes, in this order:
@@ -30,16 +30,16 @@ sample's generator makes, in this order:
    class-by-class in the same ascending order, exactly ``count`` values
    per class.
 
-The numpy oracle (``_draw_classes``) makes both draws in Python, and
-``repro_sampler_block`` consumes its uniforms.  For the batch, numpy
-draws part 1 as one vectorised ``rng.binomial(sizes, probabilities)``
-over the class table (the non-skipped classes, built once per (Θ, k)),
-which makes the same binomial calls in the same order; the kernel then
-draws part 2 itself, one ``next_double`` of the generator's public
-``bitgen_t`` (``rng.bit_generator.ctypes.bit_generator``) per uniform —
-the very call ``rng.random`` makes per value.  Nothing from numpy is
-included or linked.  Either way every generator ends in the same state,
-so stream consumption cannot depend on the engine.
+The numpy oracle (``_draw_classes``) makes both draws in Python.  The
+compiled engine draws part 1 in numpy as one vectorised
+``rng.binomial(sizes, probabilities)`` over the class table (the
+non-skipped classes, built once per (Θ, k)), which makes the same
+binomial calls in the same order.  The kernel always draws part 2
+itself, one ``next_double`` of the generator's public ``bitgen_t``
+(``rng.bit_generator.ctypes.bit_generator``) per uniform — the very
+call ``rng.random`` makes per value.  Nothing from numpy is included or
+linked.  Either way every generator ends in the same state, so stream
+consumption cannot depend on the engine.
 
 **The selection contract.**  Per class, Floyd's algorithm draws ``count``
 distinct indices from ``[0, class_size)`` using exactly ``count``
@@ -89,17 +89,18 @@ sorted graph.
 The equivalence matrix (``tests/kronecker/test_sampler_equivalence.py``)
 pins every backend × k × initiator cell to graphs bit-identical to the
 numpy reference, checks the unranking exhaustively for k ≤ 7, and checks
-the counts mode against ``matching_statistics``;
+counts mode against ``matching_statistics``;
 ``tests/kronecker/test_sampler_batch_equivalence.py`` pins the batch to
 the per-sample oracle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,6 +111,7 @@ __all__ = [
     "resolve_sampler_backend",
     "choose_table",
     "lex_table",
+    "draw_batch",
     "bitgen_pointers",
 ]
 
@@ -154,22 +156,16 @@ def lex_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return lex, offsets
 
 
-# repro_sampler_block selects and unranks one sample's pairs from
-# pre-drawn uniforms.  Per class c (skipped when counts[c] == 0): Floyd's
-# algorithm over uniforms[offsets[c] : offsets[c]+counts[c]] emits
-# distinct class indices, each unranked to a pair key written at the same
-# slot of keys_out.  table_keys / table_stamp (length capacity, a power
-# of two ≥ 2·max(counts)) back the epoch-stamped membership table.
-#
-# repro_sampler_batch counts n_samples samples of one (Θ, k) in one call.
-# Sample s reads its binomial class counts from row s of counts (n_classes
-# columns over the class table z_arr/x_arr/class_sizes) and draws its
-# uniforms from its own generator, bitgens[s], through the bitgen_t's
-# next_double, in the same class-by-class order; it writes its
-# (E, H, T, Δ) to rows_out[4s..4s+3].  keys (keys_len slots), the
-# membership table and scratch are shared by the samples in turn; epochs
-# s·n_classes + c + 1 keep the table valid without clearing.  Returns 0,
-# or −1 when k is out of range or a buffer is short.
+# repro_sampler_batch selects n_samples samples of one (Θ, k) in one
+# call.  Sample s reads its binomial class counts from row s of counts
+# (n_classes columns over the class table z_arr/x_arr/class_sizes) and
+# draws its uniforms from its own generator, bitgens[s], through the
+# bitgen_t's next_double, class by class in the same order.  Per class
+# (skipped when its count is 0), Floyd's algorithm emits distinct class
+# indices, each unranked to a pair key; keys land contiguously from
+# keys[0] (keys_len slots).  table_keys / table_stamp (length capacity,
+# a power of two ≥ 2·max(counts)) back the epoch-stamped membership
+# table; epochs s·n_classes + c + 1 keep it valid without clearing.
 #
 # The unranking runs without data-dependent branches: one division
 # splits idx, the both-0 and packed differing masks are lookups in the
@@ -180,14 +176,15 @@ def lex_table(k: int) -> tuple[np.ndarray, np.ndarray]:
 # its bit 0 orients the highest of those levels); the portable branch
 # walks the levels in loops of class-constant length.
 #
-# Counts mode: when scratch_len > 0 (always, for the batch), the kernel
-# also writes the matching statistics (E, H, T, Δ) of the drawn graph to
-# counts_out[0..3], from the unsorted keys: degrees give E,
-# H = ΣC(d,2) and T = ΣC(d,3); the edges oriented from their
+# The scratch length picks the mode.  Keys-only mode (scratch_len == 0)
+# takes exactly one sample and leaves its keys in keys for the caller.
+# Counts mode (scratch_len > 0) writes each sample's matching statistics
+# (E, H, T, Δ) to rows_out[4s..4s+3], from the unsorted keys: degrees
+# give E, H = ΣC(d,2) and T = ΣC(d,3); the edges oriented from their
 # lower-(degree, id) end form a forward CSR whose triangles are counted
-# once each with a marker array.  scratch holds 3·2^k + 1 + Σcounts int64
-# slots.  repro_sampler_block returns the number of keys written
-# (Σ counts), or −1 when k is out of range or scratch is short.
+# once each with a marker array.  scratch then holds 3·2^k + 1 + Σcounts
+# int64 slots for the longest sample.  Returns 0, or −1 when k is out of
+# range, a buffer is short, or keys-only mode is asked for n_samples ≠ 1.
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
@@ -221,21 +218,19 @@ static inline uint64_t reverse_bits(uint64_t word)
 }
 #endif
 
-/* Select and unrank every class of one sample; returns Σ counts.  The
-   uniforms come from uniforms[offsets[c] + i] when uniforms is non-NULL,
-   else from bitgen (keys then land contiguously from keys_out[0]). */
+/* Select and unrank every class of one sample, drawing its uniforms
+   from bitgen; the keys land contiguously from keys_out[0].  Returns
+   Σ counts. */
 static int64_t select_sample(
     int64_t k,
     int64_t n_classes,
     const int64_t *z_arr,
     const int64_t *x_arr,
     const int64_t *counts,
-    const int64_t *offsets,
     const int64_t *class_sizes,
     const int64_t *choose,
     const int32_t *lex,
     const int64_t *lex_offsets,
-    const double *uniforms,
     bitgen_t *bitgen,
     int64_t *keys_out,
     int64_t *table_keys,
@@ -256,7 +251,6 @@ static int64_t select_sample(
         int64_t x = x_arr[c];
         int64_t m = k - z;
         int64_t size = class_sizes[c];
-        int64_t base = offsets ? offsets[c] : total;
         int64_t epoch = epoch_base + c + 1;
         int64_t orient_mask = ((int64_t)1 << (x - 1)) - 1;
         int64_t c2 = choose[m * kp1 + x];
@@ -267,8 +261,7 @@ static int64_t select_sample(
         int64_t differ_base = lex_offsets[x + 1] - c2;
         int64_t emitted = 0;
         for (int64_t t = size - count; t < size; t++) {
-            double u = uniforms ? uniforms[base + emitted]
-                                : bitgen->next_double(bitgen->state);
+            double u = bitgen->next_double(bitgen->state);
             int64_t r = (int64_t)(u * ((double)t + 1.0));
             if (r > t) {
                 r = t;
@@ -331,7 +324,7 @@ static int64_t select_sample(
             int64_t one_mask = free_mask & ~differ_mask;
             int64_t u_val = one_mask | u_bits;
             int64_t v_val = one_mask | (differ_mask ^ u_bits);
-            keys_out[base + emitted] = (u_val << k) | v_val;
+            keys_out[total + emitted] = (u_val << k) | v_val;
             emitted += 1;
         }
         total += emitted;
@@ -404,42 +397,6 @@ static void matching_counts(
     counts_out[3] = triangles;
 }
 
-int64_t repro_sampler_block(
-    int64_t k,
-    int64_t n_classes,
-    const int64_t *z_arr,
-    const int64_t *x_arr,
-    const int64_t *counts,
-    const int64_t *offsets,
-    const int64_t *class_sizes,
-    const int64_t *choose,
-    const int32_t *lex,
-    const int64_t *lex_offsets,
-    const double *uniforms,
-    int64_t *keys_out,
-    int64_t *table_keys,
-    int64_t *table_stamp,
-    int64_t capacity,
-    int64_t *counts_out,
-    int64_t *scratch,
-    int64_t scratch_len)
-{
-    if (k < 1 || k > 31) {
-        return -1;
-    }
-    int64_t total = select_sample(
-        k, n_classes, z_arr, x_arr, counts, offsets, class_sizes, choose,
-        lex, lex_offsets, uniforms, NULL, keys_out, table_keys, table_stamp,
-        capacity, 0);
-    if (scratch_len > 0) {
-        if (scratch_len < 3 * ((int64_t)1 << k) + 1 + total) {
-            return -1;
-        }
-        matching_counts(k, total, keys_out, scratch, counts_out);
-    }
-    return total;
-}
-
 int64_t repro_sampler_batch(
     int64_t k,
     int64_t n_classes,
@@ -461,7 +418,8 @@ int64_t repro_sampler_batch(
     int64_t scratch_len,
     int64_t *rows_out)
 {
-    if (k < 1 || k > 31) {
+    int64_t keys_only = scratch_len == 0;
+    if (k < 1 || k > 31 || (keys_only && n_samples != 1)) {
         return -1;
     }
     for (int64_t s = 0; s < n_samples; s++) {
@@ -473,115 +431,82 @@ int64_t repro_sampler_batch(
                 return -1;
             }
         }
-        if (total > keys_len || scratch_len < 3 * ((int64_t)1 << k) + 1 + total) {
+        if (total > keys_len || (!keys_only
+                && scratch_len < 3 * ((int64_t)1 << k) + 1 + total)) {
             return -1;
         }
     }
     for (int64_t s = 0; s < n_samples; s++) {
         int64_t total = select_sample(
-            k, n_classes, z_arr, x_arr, counts + s * n_classes, NULL,
-            class_sizes, choose, lex, lex_offsets, NULL, bitgens[s], keys,
-            table_keys, table_stamp, capacity, s * n_classes);
-        matching_counts(k, total, keys, scratch, rows_out + 4 * s);
+            k, n_classes, z_arr, x_arr, counts + s * n_classes, class_sizes,
+            choose, lex, lex_offsets, bitgens[s], keys, table_keys,
+            table_stamp, capacity, s * n_classes);
+        if (!keys_only) {
+            matching_counts(k, total, keys, scratch, rows_out + 4 * s);
+        }
     }
     return 0;
 }
 """
 
 
-def _smoke_test(kernel: Callable) -> None:
-    """Run the kernel on two hand-checked instances at k=2.
+def draw_batch(
+    kernel: Callable,
+    k: int,
+    z: np.ndarray,
+    x: np.ndarray,
+    sizes: np.ndarray,
+    counts: Sequence[Sequence[int]],
+    generators: Sequence[np.random.Generator],
+    *,
+    keys_only: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``repro_sampler_batch`` call: one sample per generator.
 
-    Keys only: classes in ascending (z, x) order — (0,1,1), (0,2,0),
-    (1,1,0), each of size 2 — with uniforms chosen so Floyd's algorithm
-    takes both arms (two collisions emit ``t``) and the epoch-stamped
-    table is reused across classes without clearing.  The expected keys
-    were derived by hand from the unranking contract.
-
-    Counts mode: the same three classes with every pair drawn are the
-    complete graph K₄, so (E, H, T, Δ) = (6, 12, 4, 4).
-
-    Catches a miscompiled or ABI-mismatched kernel at probe time.
+    Sample s draws ``counts[s][c]`` pairs of class c of the ``(z, x,
+    sizes)`` table, its uniforms from ``generators[s]`` (distinct
+    generators; each one's lock is held for the call, as numpy's own
+    draws hold it).  Returns ``(keys, rows)``: in keys-only mode (one
+    generator) ``keys`` holds the sample's Σ counts pair keys in
+    emission order; in counts mode ``rows`` holds each sample's
+    (E, H, T, Δ).  Raises ``RuntimeError`` if the kernel refuses.
     """
-    k = 2
-    z_arr = np.array([0, 0, 1], dtype=np.int64)
-    x_arr = np.array([1, 2, 1], dtype=np.int64)
-    class_sizes = np.array([2, 2, 2], dtype=np.int64)
-    choose = choose_table(k)
+    counts = np.asarray(counts, dtype=np.int64)
+    longest = int(counts.sum(axis=1).max())
+    capacity = 16
+    while capacity < 2 * int(counts.max(initial=0)):
+        capacity *= 2
+    scratch_len = 0 if keys_only else 3 * 2**k + 1 + longest
+    keys = np.empty(longest, dtype=np.int64)
+    rows = np.zeros((len(generators), 4), dtype=np.int64)
     lex, lex_offsets = lex_table(k)
-    table_keys = np.zeros(16, dtype=np.int64)
-    table_stamp = np.zeros(16, dtype=np.int64)
-    none = np.zeros(0, dtype=np.int64)
-
-    counts = np.array([1, 2, 2], dtype=np.int64)
-    offsets = np.array([0, 1, 3], dtype=np.int64)
-    uniforms = np.array([0.9, 0.5, 0.3, 0.99, 0.2], dtype=np.float64)
-    keys_out = np.zeros(5, dtype=np.int64)
-    total = int(
-        kernel(k, 3, z_arr, x_arr, counts, offsets, class_sizes, choose, lex,
-               lex_offsets, uniforms, keys_out, table_keys, table_stamp, 16,
-               none, none, 0)
-    )
-    expected = [11, 3, 6, 1, 2]
-    if total != 5 or keys_out.tolist() != expected:
-        raise RuntimeError(
-            f"sampler kernel self-check failed: total={total}, "
-            f"keys={keys_out.tolist()} (expected {expected})"
+    with contextlib.ExitStack() as locks:
+        for rng in generators:
+            locks.enter_context(rng.bit_generator.lock)
+        status = kernel(
+            k,
+            z.shape[0],
+            z,
+            x,
+            sizes,
+            choose_table(k),
+            lex,
+            lex_offsets,
+            len(generators),
+            counts,
+            bitgen_pointers(generators),
+            keys,
+            longest,
+            np.empty(capacity, dtype=np.int64),
+            np.zeros(capacity, dtype=np.int64),
+            capacity,
+            np.empty(scratch_len, dtype=np.int64),
+            scratch_len,
+            rows,
         )
-
-    counts = class_sizes.copy()
-    offsets = np.array([0, 2, 4], dtype=np.int64)
-    uniforms = np.full(6, 0.5, dtype=np.float64)
-    keys_out = np.zeros(6, dtype=np.int64)
-    counts_out = np.zeros(4, dtype=np.int64)
-    scratch = np.zeros(3 * 4 + 1 + 6, dtype=np.int64)
-    total = int(
-        kernel(k, 3, z_arr, x_arr, counts, offsets, class_sizes, choose, lex,
-               lex_offsets, uniforms, keys_out, table_keys, table_stamp, 16,
-               counts_out, scratch, scratch.shape[0])
-    )
-    if total != 6 or counts_out.tolist() != [6, 12, 4, 4]:
-        raise RuntimeError(
-            f"sampler kernel counts self-check failed: total={total}, "
-            f"counts={counts_out.tolist()} (expected [6, 12, 4, 4])"
-        )
-
-
-def _smoke_test_batch(kernel: Callable) -> None:
-    """Run the batch kernel on two k=2 samples drawing from real generators.
-
-    Sample 0 draws every pair of the three classes of
-    :func:`_smoke_test` (K₄: (6, 12, 4, 4)) and sample 1 one pair of the
-    first class ((1, 0, 0, 0)), so the uniforms themselves cannot change
-    the rows.  Each generator must then sit exactly where ``random``
-    drawing as many values leaves a twin: that pins the ``bitgen_t``
-    layout the kernel calls ``next_double`` through.
-    """
-    k = 2
-    generators = [np.random.default_rng(seed) for seed in (1, 2)]
-    twins = [np.random.default_rng(seed) for seed in (1, 2)]
-    lex, lex_offsets = lex_table(k)
-    rows = np.zeros((2, 4), dtype=np.int64)
-    status = int(
-        kernel(k, 3, np.array([0, 0, 1], dtype=np.int64),
-               np.array([1, 2, 1], dtype=np.int64), np.full(3, 2, dtype=np.int64),
-               choose_table(k), lex, lex_offsets, 2,
-               np.array([[2, 2, 2], [1, 0, 0]], dtype=np.int64),
-               bitgen_pointers(generators), np.zeros(6, dtype=np.int64), 6,
-               np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64), 16,
-               np.zeros(3 * 4 + 1 + 6, dtype=np.int64), 3 * 4 + 1 + 6, rows)
-    )
-    for twin, draws in zip(twins, (6, 1)):
-        twin.random(draws)
-    expected = [[6, 12, 4, 4], [1, 0, 0, 0]]
-    if status != 0 or rows.tolist() != expected or any(
-        rng.bit_generator.state != twin.bit_generator.state
-        for rng, twin in zip(generators, twins)
-    ):
-        raise RuntimeError(
-            f"sampler batch self-check failed: status={status}, "
-            f"rows={rows.tolist()} (expected {expected})"
-        )
+    if status != 0:
+        raise RuntimeError(f"sampler kernel failed with status {status}")
+    return keys, rows
 
 
 def bitgen_pointers(generators) -> np.ndarray:
@@ -592,66 +517,91 @@ def bitgen_pointers(generators) -> np.ndarray:
     )
 
 
+def _smoke_test(kernel: Callable) -> None:
+    """Run the kernel in both modes at k=2, drawing from real generators.
+
+    The classes of k=2 in ascending (z, x) order — (0,1,1), (0,2,0),
+    (1,1,0) — hold two pairs each.
+
+    Keys-only mode draws counts (1, 2, 2) with seed 1, whose uniforms
+    make Floyd's algorithm take its collision arm in both full classes
+    while the epoch-stamped table is reused across classes without
+    clearing.  The expected keys were derived once from the numpy
+    oracle (``_reference_select`` on the same five uniforms).
+
+    Counts mode: sample 0 draws every pair (the complete graph K₄:
+    (6, 12, 4, 4)) and sample 1 one pair of the first class
+    ((1, 0, 0, 0)), so the uniforms themselves cannot change the rows.
+
+    Each generator must then sit exactly where ``random`` drawing as
+    many values leaves a twin: that pins the ``bitgen_t`` layout the
+    kernel calls ``next_double`` through.  Catches a miscompiled or
+    ABI-mismatched kernel at probe time.
+    """
+    k = 2
+    table = (
+        np.array([0, 0, 1], dtype=np.int64),
+        np.array([1, 2, 1], dtype=np.int64),
+        np.full(3, 2, dtype=np.int64),
+    )
+    generators = [np.random.default_rng(seed) for seed in (1, 1, 2)]
+    keys, _ = draw_batch(kernel, k, *table, [[1, 2, 2]], generators[:1], keys_only=True)
+    _, rows = draw_batch(kernel, k, *table, [[2, 2, 2], [1, 0, 0]], generators[1:])
+    expected_keys = [11, 3, 6, 1, 2]
+    if keys.tolist() != expected_keys:
+        raise RuntimeError(
+            f"sampler kernel keys self-check failed: keys={keys.tolist()} "
+            f"(expected {expected_keys})"
+        )
+    expected_rows = [[6, 12, 4, 4], [1, 0, 0, 0]]
+    if rows.tolist() != expected_rows:
+        raise RuntimeError(
+            f"sampler kernel counts self-check failed: rows={rows.tolist()} "
+            f"(expected {expected_rows})"
+        )
+    for rng, (seed, draws) in zip(generators, ((1, 5), (1, 6), (2, 1))):
+        twin = np.random.default_rng(seed)
+        twin.random(draws)
+        if rng.bit_generator.state != twin.bit_generator.state:
+            raise RuntimeError(
+                "sampler kernel generator self-check failed: "
+                f"seed {seed} did not advance by {draws} uniforms"
+            )
+
+
 _INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _POINTER_ARG = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
 
 SAMPLER_KERNEL = NativeKernel(
     name="sampler",
     reference="numpy",
     c_source=_C_SOURCE,
-    c_symbol="repro_sampler_block",
+    c_symbol="repro_sampler_batch",
     c_restype=ctypes.c_int64,
     c_argtypes=[
         ctypes.c_int64,  # k
         ctypes.c_int64,  # n_classes
-        _INT64_ARG,  # z_arr
+        _INT64_ARG,  # z_arr (class table)
         _INT64_ARG,  # x_arr
-        _INT64_ARG,  # counts (binomial draws, per class)
-        _INT64_ARG,  # offsets into uniforms/keys_out
         _INT64_ARG,  # class_sizes
         _INT64_ARG,  # choose (flat Pascal table)
         _INT32_ARG,  # lex (masks by popcount, unranking order)
         _INT64_ARG,  # lex_offsets (popcount group starts)
-        _FLOAT64_ARG,  # uniforms (one flat stream)
-        _INT64_ARG,  # keys_out
+        ctypes.c_int64,  # n_samples
+        _INT64_ARG,  # counts (n_samples × n_classes binomial draws)
+        _POINTER_ARG,  # bitgens (one bitgen_t * per sample)
+        _INT64_ARG,  # keys (keys_len slots)
+        ctypes.c_int64,  # keys_len
         _INT64_ARG,  # table_keys (membership scratch)
-        _INT64_ARG,  # table_stamp (epoch scratch)
+        _INT64_ARG,  # table_stamp (zeroed)
         ctypes.c_int64,  # capacity (power of two)
-        _INT64_ARG,  # counts_out (E, H, T, Δ; counts mode only)
         _INT64_ARG,  # scratch (counts mode only)
-        ctypes.c_int64,  # scratch_len (0 = keys only)
+        ctypes.c_int64,  # scratch_len (0 = keys-only mode)
+        _INT64_ARG,  # rows_out (n_samples × 4: E, H, T, Δ; counts mode)
     ],
     smoke_test=_smoke_test,
     c_optional_flags=("-mbmi2",),
-    c_extra_symbols={
-        "repro_sampler_batch": (
-            ctypes.c_int64,
-            [
-                ctypes.c_int64,  # k
-                ctypes.c_int64,  # n_classes
-                _INT64_ARG,  # z_arr (class table)
-                _INT64_ARG,  # x_arr
-                _INT64_ARG,  # class_sizes
-                _INT64_ARG,  # choose (flat Pascal table)
-                _INT32_ARG,  # lex
-                _INT64_ARG,  # lex_offsets
-                ctypes.c_int64,  # n_samples
-                _INT64_ARG,  # counts (n_samples × n_classes binomial draws)
-                _POINTER_ARG,  # bitgens (one bitgen_t * per sample)
-                _INT64_ARG,  # keys (scratch, keys_len slots)
-                ctypes.c_int64,  # keys_len
-                _INT64_ARG,  # table_keys
-                _INT64_ARG,  # table_stamp (zeroed)
-                ctypes.c_int64,  # capacity (power of two)
-                _INT64_ARG,  # scratch
-                ctypes.c_int64,  # scratch_len
-                _INT64_ARG,  # rows_out (n_samples × 4: E, H, T, Δ)
-            ],
-            _smoke_test_batch,
-        )
-    },
 )
 
 

@@ -10,10 +10,11 @@ overspent — the losing request is refused with
 
 With a ledger directory configured, each successful charge is persisted
 immediately (atomic write-then-rename of ``<dataset>.json``, the
-:meth:`~repro.privacy.accountant.PrivacyAccountant.to_json` payload) and
-reloaded on boot, so a restarted server remembers what was already spent
-— the conservative behaviour for DP: a crash can forget a *failed*
-request, never a recorded spend.  The graceful-drain path calls
+:meth:`~repro.privacy.accountant.PrivacyAccountant.to_json` payload,
+snapshot and write under one per-dataset lock so the newest charge is
+the last written) and reloaded on boot, so a restarted server remembers
+what was already spent — the conservative behaviour for DP: a crash can
+forget a *failed* request, never a recorded spend.  The graceful-drain path calls
 :meth:`AccountantRegistry.flush` as its final act.
 """
 
@@ -50,6 +51,10 @@ class AccountantRegistry:
             self.ledger_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._accountants: dict[str, PrivacyAccountant] = {}
+        # Per dataset, one lock spans each ledger write from snapshot to
+        # rename, so writes land in snapshot order and the file always
+        # ends with the newest charge.
+        self._write_locks: dict[str, threading.Lock] = {}
 
     def ledger_path(self, dataset: str) -> Path | None:
         """Where ``dataset``'s ledger persists (``None`` = in-memory)."""
@@ -64,6 +69,7 @@ class AccountantRegistry:
             if accountant is None:
                 accountant = self._load(dataset)
                 self._accountants[dataset] = accountant
+                self._write_locks[dataset] = threading.Lock()
             return accountant
 
     def charge(self, dataset: str, label: str, epsilon: float, delta: float) -> None:
@@ -130,9 +136,10 @@ class AccountantRegistry:
         path = self.ledger_path(dataset)
         if path is None:
             return False
-        payload = json.dumps(accountant.to_json(), indent=2, sort_keys=True) + "\n"
         try:
-            atomic_write(path, payload.encode("utf-8"))
+            with self._write_locks[dataset]:
+                payload = json.dumps(accountant.to_json(), indent=2, sort_keys=True)
+                atomic_write(path, (payload + "\n").encode("utf-8"))
         except OSError as exc:
             _logger.warning(
                 "could not persist privacy ledger for %s to %s: %s",

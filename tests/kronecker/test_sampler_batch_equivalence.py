@@ -39,7 +39,7 @@ from repro.kronecker.sampling import (
 from repro.native import registry
 from repro.native import sampling as native_sampling
 from repro.native.registry import NATIVE_BACKENDS, compile_shared_library
-from repro.native.sampling import SAMPLER_KERNEL, choose_table, lex_table
+from repro.native.sampling import SAMPLER_KERNEL, draw_batch
 from repro.serve.registry import _sample_work
 from repro.stats.counts import matching_statistics
 
@@ -157,30 +157,24 @@ class TestGeneratorState:
 
 
 @functools.lru_cache(maxsize=None)
-def _portable_block():
-    """``repro_sampler_block`` compiled with the base flags only: the
-    portable unranking loops, whatever the host's CPU."""
+def _portable_kernel():
+    """The sampler kernel compiled with the base flags only: the portable
+    unranking loops, whatever the host's CPU."""
     library = ctypes.CDLL(
         str(compile_shared_library(native_sampling._C_SOURCE, "sampler"))
     )
-    kernel = library.repro_sampler_block
+    kernel = getattr(library, SAMPLER_KERNEL.c_symbol)
     kernel.restype = SAMPLER_KERNEL.c_restype
     kernel.argtypes = SAMPLER_KERNEL.c_argtypes
     return kernel
 
 
-def _keys(kernel, k, z, x, counts, offsets, sizes, uniforms) -> np.ndarray:
-    capacity = 16
-    while capacity < 2 * int(counts.max()):
-        capacity *= 2
-    keys = np.zeros(uniforms.shape[0], dtype=np.int64)
-    none = np.zeros(0, dtype=np.int64)
-    written = kernel(
-        k, z.shape[0], z, x, counts, offsets, sizes, choose_table(k),
-        *lex_table(k), uniforms, keys, np.zeros(capacity, dtype=np.int64),
-        np.zeros(capacity, dtype=np.int64), capacity, none, none, 0,
+def _keys(kernel, k, z, x, sizes, counts, seed) -> np.ndarray:
+    """Keys-only mode: one sample whose uniforms come from ``seed``."""
+    keys, _ = draw_batch(
+        kernel, k, z, x, sizes, [counts], [np.random.default_rng(seed)],
+        keys_only=True,
     )
-    assert written == uniforms.shape[0]
     return keys
 
 
@@ -197,10 +191,9 @@ class TestPortableUnranking:
         for z in range(k + 1):
             for x in range(1, k - z + 1):
                 size = profile_class_size(k, z, x, k - z - x)
-                uniforms = np.random.default_rng(size).random(size)
-                args = (k, _i64(z), _i64(x), _i64(size), _i64(0), _i64(size), uniforms)
+                args = (k, _i64(z), _i64(x), _i64(size), _i64(size), size)
                 np.testing.assert_array_equal(
-                    _keys(loaded, *args), _keys(_portable_block(), *args)
+                    _keys(loaded, *args), _keys(_portable_kernel(), *args)
                 )
 
     @pytest.mark.parametrize("backend", NATIVE)
@@ -209,10 +202,9 @@ class TestPortableUnranking:
         loaded = SAMPLER_KERNEL.kernel(backend)
         for seed in range(3):
             draw = _draw_classes(THETAS["paper"], k, np.random.default_rng(seed))
-            args = (k, draw.z, draw.x, draw.counts, draw.offsets, draw.sizes,
-                    draw.uniforms)
+            args = (k, draw.z, draw.x, draw.sizes, draw.counts, seed)
             np.testing.assert_array_equal(
-                _keys(loaded, *args), _keys(_portable_block(), *args)
+                _keys(loaded, *args), _keys(_portable_kernel(), *args)
             )
 
     @pytest.mark.parametrize("backend", NATIVE)

@@ -4,8 +4,8 @@
 selection + combination unranking on one of two engines — the pure
 Python reference and the compiled-C kernel of
 :mod:`repro.native.sampling` — behind the same ``REPRO_KERNEL_BACKEND``
-knob as the counting and chain kernels.  Both engines consume identical
-pre-drawn streams (the draw contract), so the sampled graph must be
+knob as the counting and chain kernels.  Both engines make identical
+draws (the draw contract), so the sampled graph must be
 **bit-identical** across engines for every (seed, k, initiator) cell.
 This module is that matrix (the chain-equivalence pattern of
 ``test_chain_equivalence.py``, now for the sampler), plus the selection
@@ -35,7 +35,13 @@ from repro.kronecker.sampling import (
 )
 from repro.native import sampling as native_sampling
 from repro.native.registry import NATIVE_BACKENDS
-from repro.native.sampling import SAMPLER_KERNEL, choose_table, lex_table
+from repro.native.sampling import (
+    SAMPLER_KERNEL,
+    bitgen_pointers,
+    choose_table,
+    draw_batch,
+    lex_table,
+)
 from repro.stats.counts import MatchingStatistics, matching_statistics
 
 
@@ -152,23 +158,15 @@ class TestExhaustiveUnranking:
     def test_every_class_unranks_like_the_reference(self, k, backend):
         kernel = SAMPLER_KERNEL.kernel(backend)
         choose = choose_table(k)
-        none = np.zeros(0, dtype=np.int64)
         every_pair = []
         for z in range(k + 1):
             for x in range(1, k - z + 1):
                 size = profile_class_size(k, z, x, k - z - x)
-                capacity = 16
-                while capacity < 2 * size:
-                    capacity *= 2
-                keys = np.zeros(size, dtype=np.int64)
-                uniforms = np.random.default_rng(size).random(size)
-                written = kernel(
-                    k, 1, _i64(z), _i64(x), _i64(size), _i64(0), _i64(size),
-                    choose, *lex_table(k), uniforms, keys,
-                    np.zeros(capacity, dtype=np.int64),
-                    np.zeros(capacity, dtype=np.int64), capacity, none, none, 0,
+                keys, _ = draw_batch(
+                    kernel, k, _i64(z), _i64(x), _i64(size), [[size]],
+                    [np.random.default_rng(size)], keys_only=True,
                 )
-                assert written == size
+                assert keys.shape == (size,)
                 expected = {
                     _unrank_pair_key(k, z, x, idx, choose) for idx in range(size)
                 }
@@ -278,18 +276,29 @@ class TestSampleStatistics:
     @pytest.mark.parametrize("backend", NATIVE)
     def test_short_scratch_is_refused(self, backend):
         """The kernel checks its scratch length instead of overrunning it."""
-        kernel = SAMPLER_KERNEL.kernel(backend)
-        k, size = 2, 2
-        counts_out = np.zeros(4, dtype=np.int64)
-        scratch = np.zeros(3 * 4 + size, dtype=np.int64)  # one slot short
-        written = kernel(
-            k, 1, _i64(0), _i64(1), _i64(size), _i64(0), _i64(size),
-            choose_table(k), *lex_table(k), np.full(size, 0.5),
-            np.zeros(size, dtype=np.int64), np.zeros(16, dtype=np.int64),
-            np.zeros(16, dtype=np.int64), 16, counts_out, scratch,
-            scratch.shape[0],
-        )
-        assert written == -1
+        scratch = np.zeros(3 * 4 + 2, dtype=np.int64)  # one slot short
+        assert _call_kernel(backend, 1, scratch) == -1
+
+    @pytest.mark.parametrize("backend", NATIVE)
+    def test_keys_only_mode_takes_exactly_one_sample(self, backend):
+        """Keys-only mode (no scratch) leaves one sample's keys behind."""
+        no_scratch = np.zeros(0, dtype=np.int64)
+        statuses = [_call_kernel(backend, n, no_scratch) for n in (0, 1, 2)]
+        assert statuses == [-1, 0, -1]
+
+
+def _call_kernel(backend, n_samples, scratch) -> int:
+    """The raw kernel at k=2, each of up to two samples drawing both pairs
+    of class (0, 1)."""
+    k, size = 2, 2
+    generators = [np.random.default_rng(seed) for seed in (0, 1)]
+    return SAMPLER_KERNEL.kernel(backend)(
+        k, 1, _i64(0), _i64(1), _i64(size), choose_table(k), *lex_table(k),
+        n_samples, np.full((2, 1), size, dtype=np.int64),
+        bitgen_pointers(generators), np.zeros(size, dtype=np.int64), size,
+        np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64), 16,
+        scratch, scratch.shape[0], np.zeros((2, 4), dtype=np.int64),
+    )
 
 
 class TestProbeSmokeTest:
@@ -302,9 +311,9 @@ class TestProbeSmokeTest:
         kernel = SAMPLER_KERNEL.kernel(backend)
 
         def miscounting(*args):
-            written = kernel(*args)
-            args[15][3:] = 0  # drop the triangle count of counts mode
-            return written
+            status = kernel(*args)
+            args[18][:, 3] = 0  # drop the triangle count of counts mode
+            return status
 
         with pytest.raises(RuntimeError, match="counts self-check"):
             native_sampling._smoke_test(miscounting)

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.errors import PrivacyBudgetError
+from repro.serve import accounting
 from repro.serve.accounting import AccountantRegistry
 
 
@@ -73,6 +74,38 @@ class TestPersistence:
         assert accountant.spent == (0.4, 0.01)
         with pytest.raises(PrivacyBudgetError):
             reborn.charge("as20", "too much", 0.7, 0.0)
+
+    def test_concurrent_charges_persist_the_newest_snapshot(self, tmp_path, monkeypatch):
+        """The first charge's write is held back until the second charge
+        has written (or a second passes): the file must still end with
+        both spends, not with the first charge's older snapshot."""
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        real_write = accounting.atomic_write
+        first_writing = threading.Event()
+        second_written = threading.Event()
+        writes = []
+
+        def delayed_write(path, data):
+            writes.append(data)
+            if len(writes) == 1:
+                first_writing.set()
+                second_written.wait(timeout=1.0)
+                real_write(path, data)
+            else:
+                real_write(path, data)
+                second_written.set()
+
+        monkeypatch.setattr(accounting, "atomic_write", delayed_write)
+        first = threading.Thread(target=registry.charge, args=("as20", "first", 0.1, 0.0))
+        first.start()
+        assert first_writing.wait(timeout=10)
+        second = threading.Thread(target=registry.charge, args=("as20", "second", 0.2, 0.0))
+        second.start()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        ledger = json.loads(registry.ledger_path("as20").read_text())["ledger"]
+        assert [entry["label"] for entry in ledger] == ["first", "second"]
 
     def test_configured_budget_wins_over_persisted(self, tmp_path):
         first = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
