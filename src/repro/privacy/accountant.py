@@ -11,11 +11,11 @@ The accountant is **concurrency-safe**: :meth:`~PrivacyAccountant.charge`
 is one atomic check-and-spend under an internal lock, so concurrent
 callers drawing on one budget (the ``repro serve`` request handlers) can
 never jointly overspend — an over-budget request is refused *before* any
-noise is drawn, under arbitrary interleaving.  The ledger round-trips
-through JSON (:meth:`~PrivacyAccountant.to_json` /
-:meth:`~PrivacyAccountant.from_json`), so a long-running service can
-flush its spend record to disk and restore it across restarts, and the
-whole object stays picklable (the lock is recreated, never shipped).
+noise is drawn, under arbitrary interleaving.  A ledger entry is one
+``{label, epsilon, delta}`` JSON object (:meth:`PrivacySpend.from_json`
+validates one), so a long-running service can append each spend to disk
+and replay the lines across restarts; the whole object stays picklable
+(the lock is recreated, never shipped).
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ class PrivacySpend:
     label: str
     epsilon: float
     delta: float
+
+    @classmethod
+    def from_json(cls, entry: Any) -> "PrivacySpend":
+        """One validated entry from its ``{label, epsilon, delta}`` dict."""
+        try:
+            return cls(
+                label=str(entry["label"]),
+                epsilon=check_nonnegative(entry["epsilon"], "ledger epsilon"),
+                delta=check_nonnegative(entry["delta"], "ledger delta"),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed accountant ledger entry: {entry!r}") from exc
 
 
 class PrivacyAccountant:
@@ -113,29 +125,9 @@ class PrivacyAccountant:
                 )
             self._ledger.append(PrivacySpend(label=label, epsilon=epsilon, delta=delta))
 
-    def to_json(self) -> dict[str, Any]:
-        """The budget and ledger as a JSON-serializable dict.
-
-        A consistent snapshot: taken under the lock, so a concurrent
-        charge is either fully included or fully absent.
-        """
-        with self._lock:
-            return {
-                "epsilon": self.epsilon,
-                "delta": self.delta,
-                "ledger": [
-                    {
-                        "label": entry.label,
-                        "epsilon": entry.epsilon,
-                        "delta": entry.delta,
-                    }
-                    for entry in self._ledger
-                ],
-            }
-
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "PrivacyAccountant":
-        """Restore an accountant from :meth:`to_json` output.
+        """Restore an accountant from an ``{epsilon, delta, ledger}`` snapshot.
 
         The ledger is restored **verbatim, without re-checking** against
         the budget: the record of what was already spent is historical
@@ -154,18 +146,7 @@ class PrivacyAccountant:
                 f"{sorted(payload) if isinstance(payload, Mapping) else type(payload).__name__}"
             ) from exc
         accountant = cls(epsilon, delta)
-        for entry in entries:
-            try:
-                spend = PrivacySpend(
-                    label=str(entry["label"]),
-                    epsilon=check_nonnegative(entry["epsilon"], "ledger epsilon"),
-                    delta=check_nonnegative(entry["delta"], "ledger delta"),
-                )
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"malformed accountant ledger entry: {entry!r}"
-                ) from exc
-            accountant._ledger.append(spend)
+        accountant._ledger.extend(PrivacySpend.from_json(entry) for entry in entries)
         return accountant
 
     def __getstate__(self) -> dict[str, Any]:

@@ -36,13 +36,14 @@ _logger = get_logger(__name__)
 CORRUPT_SUFFIX = ".corrupt"
 
 
-def atomic_write(path: Path, data: bytes) -> None:
+def atomic_write(path: Path, data: bytes, *, durable: bool = False) -> None:
     """Replace ``path`` with ``data`` atomically.
 
     The bytes go to a temporary file beside ``path`` (same suffix), then
     :func:`os.replace` renames it over the target, so a reader sees the
-    old file or the new one, never a truncated one.  On any failure the
-    temporary file is removed and the error propagates.
+    old file or the new one, never a truncated one (``durable``: not even
+    after a power loss).  On any failure the temporary file is removed
+    and the error propagates.
     """
     descriptor, temp_name = tempfile.mkstemp(
         dir=path.parent, prefix=".tmp-", suffix=path.suffix
@@ -50,6 +51,9 @@ def atomic_write(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
+            if durable:
+                handle.flush()
+                os.fsync(descriptor)
         os.replace(temp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):

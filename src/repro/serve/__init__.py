@@ -12,7 +12,7 @@ Layering (each importable and testable without the ones above it)::
     config.py      knobs      -> ServeConfig (REPRO_SERVE_* resolution)
     admission.py   primitives -> AdmissionGate, CircuitBreaker, KeyedLocks,
                                  SingleFlightMemo
-    accounting.py  privacy    -> AccountantRegistry (atomic charge+persist)
+    accounting.py  privacy    -> AccountantRegistry (charge + fsync'd append)
     registry.py    models     -> ModelSpec, ModelRegistry, execute_work
     service.py     policy     -> SynthesisService.handle(verb, path, body)
     server.py      transport  -> ServeRuntime (HTTP + signals + drain)

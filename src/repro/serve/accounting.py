@@ -8,30 +8,50 @@ overspent — the losing request is refused with
 :class:`~repro.errors.PrivacyBudgetError` (the HTTP layer answers 403)
 *before* any noise is drawn.
 
-With a ledger directory configured, each successful charge is persisted
-immediately (atomic write-then-rename of ``<dataset>.json``, the
-:meth:`~repro.privacy.accountant.PrivacyAccountant.to_json` payload,
-snapshot and write under one per-dataset lock so the newest charge is
-the last written) and reloaded on boot, so a restarted server remembers
-what was already spent — the conservative behaviour for DP: a crash can
-forget a *failed* request, never a recorded spend.  The graceful-drain path calls
-:meth:`AccountantRegistry.flush` as its final act.
+With a ledger directory configured, :meth:`AccountantRegistry.charge`
+appends one JSON line (``label``, ``epsilon``, ``delta``) per spend to
+``<dataset>.jsonl`` and fsyncs it before returning, so a fit draws noise
+only under a spend already on disk and a drain has nothing left to
+write.  A failed append raises, and memory keeps the spend.  First use
+replays the file: a torn last line (a crash mid-append, before its fit
+drew noise) is dropped and truncated away, any other malformed line
+raises :class:`~repro.errors.PrivacyError` naming the file and line, and
+a ``<dataset>.json`` of the older whole-file format is migrated once.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
-from repro.privacy.accountant import PrivacyAccountant
+from repro.errors import PrivacyError
+from repro.privacy.accountant import PrivacyAccountant, PrivacySpend
 from repro.runtime.cache import atomic_write
 from repro.utils.logging import get_logger
 
 __all__ = ["AccountantRegistry"]
 
 _logger = get_logger(__name__)
+
+
+def _line(spend: PrivacySpend) -> bytes:
+    """``spend`` as one ledger line."""
+    return json.dumps(asdict(spend)).encode("utf-8") + b"\n"
+
+
+def _append(path: Path, data: bytes) -> None:
+    """One ``O_APPEND`` write of ``data`` to ``path``, fsync'd."""
+    descriptor = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        if os.write(descriptor, data) != len(data):
+            raise OSError(errno.EIO, f"short write to {path}")
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 class AccountantRegistry:
@@ -51,50 +71,37 @@ class AccountantRegistry:
             self.ledger_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._accountants: dict[str, PrivacyAccountant] = {}
-        # Per dataset, one lock spans each ledger write from snapshot to
-        # rename, so writes land in snapshot order and the file always
-        # ends with the newest charge.
-        self._write_locks: dict[str, threading.Lock] = {}
 
     def ledger_path(self, dataset: str) -> Path | None:
         """Where ``dataset``'s ledger persists (``None`` = in-memory)."""
         if self.ledger_dir is None:
             return None
-        return self.ledger_dir / f"{dataset}.json"
+        return self.ledger_dir / f"{dataset}.jsonl"
 
     def for_dataset(self, dataset: str) -> PrivacyAccountant:
-        """The dataset's accountant, restoring a persisted ledger once."""
+        """The dataset's accountant: the configured budget, the ledger's spends."""
         with self._lock:
             accountant = self._accountants.get(dataset)
             if accountant is None:
-                accountant = self._load(dataset)
+                accountant = PrivacyAccountant(self.epsilon, self.delta)
+                if self.ledger_dir is not None:
+                    accountant._ledger.extend(self._replay(dataset))
                 self._accountants[dataset] = accountant
-                self._write_locks[dataset] = threading.Lock()
             return accountant
 
     def charge(self, dataset: str, label: str, epsilon: float, delta: float) -> None:
-        """Atomically charge the dataset's budget, then persist.
+        """Atomically charge the dataset's budget, then append it to disk.
 
-        Raises :class:`~repro.errors.PrivacyBudgetError` (and persists
-        nothing) when the spend would exceed the budget.  A persistence
-        failure after a successful charge is logged, not raised: the
-        spend is recorded in memory and the drain-time flush retries.
+        Raises :class:`~repro.errors.PrivacyBudgetError` (writing nothing)
+        when the spend would exceed the budget.  An :class:`OSError` from
+        the append propagates with the spend kept in memory, so the
+        caller draws no noise under an unrecorded spend.
         """
         accountant = self.for_dataset(dataset)
         accountant.charge(label, epsilon, delta)
-        self._persist(dataset, accountant)
-
-    def flush(self) -> int:
-        """Persist every accountant; returns how many were written."""
-        if self.ledger_dir is None:
-            return 0
-        with self._lock:
-            accountants = dict(self._accountants)
-        written = 0
-        for dataset, accountant in accountants.items():
-            if self._persist(dataset, accountant):
-                written += 1
-        return written
+        path = self.ledger_path(dataset)
+        if path is not None:
+            _append(path, _line(PrivacySpend(label, float(epsilon), float(delta))))
 
     def snapshot(self) -> dict:
         """Per-dataset budget state for ``/stats``."""
@@ -113,37 +120,43 @@ class AccountantRegistry:
             }
         return report
 
-    def _load(self, dataset: str) -> PrivacyAccountant:
+    def _replay(self, dataset: str) -> list[PrivacySpend]:
+        """The spends on disk for ``dataset``; leaves its file ready to append."""
         path = self.ledger_path(dataset)
-        if path is not None and path.exists():
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            restored = PrivacyAccountant.from_json(payload)
-            # The configured budget wins over the persisted one (a config
-            # change must take effect), but the recorded spends are
-            # historical fact and come along verbatim.
-            accountant = PrivacyAccountant(self.epsilon, self.delta)
-            accountant._ledger.extend(restored.ledger)
-            spent_epsilon, spent_delta = accountant.spent
-            _logger.info(
-                "restored privacy ledger for %s: %d spend(s), "
-                "epsilon=%.6g delta=%.6g already consumed",
-                dataset, len(accountant.ledger), spent_epsilon, spent_delta,
-            )
-            return accountant
-        return PrivacyAccountant(self.epsilon, self.delta)
+        legacy = self.ledger_dir / f"{dataset}.json"
+        if legacy.exists() or not path.exists():
+            # Create the ledger, from a snapshot if there is one.  A .jsonl
+            # beside a snapshot was written by an interrupted migration and
+            # already holds the snapshot's spends, so it wins.
+            if not path.exists():
+                migrated: tuple[PrivacySpend, ...] = ()
+                if legacy.exists():
+                    try:
+                        payload = json.loads(legacy.read_bytes())
+                        migrated = PrivacyAccountant.from_json(payload).ledger
+                    except (ValueError, TypeError) as exc:
+                        raise PrivacyError(f"privacy ledger {legacy} is malformed: {exc}") from exc
+                atomic_write(path, b"".join(map(_line, migrated)), durable=True)
+            if legacy.exists():
+                os.replace(legacy, legacy.with_name(legacy.name + ".migrated"))
+            directory = os.open(self.ledger_dir, os.O_RDONLY)
+            try:
+                os.fsync(directory)  # the new names survive a power loss
+            finally:
+                os.close(directory)
 
-    def _persist(self, dataset: str, accountant: PrivacyAccountant) -> bool:
-        path = self.ledger_path(dataset)
-        if path is None:
-            return False
-        try:
-            with self._write_locks[dataset]:
-                payload = json.dumps(accountant.to_json(), indent=2, sort_keys=True)
-                atomic_write(path, (payload + "\n").encode("utf-8"))
-        except OSError as exc:
-            _logger.warning(
-                "could not persist privacy ledger for %s to %s: %s",
-                dataset, path, exc,
-            )
-            return False
-        return True
+        data = path.read_bytes()
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            _logger.warning("dropped the torn last line of %s: its fit drew no noise", path)
+            os.truncate(path, keep)
+        spends = []
+        for number, line in enumerate(data[:keep].splitlines(), start=1):
+            try:
+                spends.append(PrivacySpend.from_json(json.loads(line)))
+            except ValueError as exc:
+                raise PrivacyError(
+                    f"privacy ledger {path} line {number} is malformed: {exc}"
+                ) from exc
+        _logger.info("restored %d privacy spend(s) for %s", len(spends), dataset)
+        return spends

@@ -16,8 +16,8 @@ variable, then the table default):
   ``/readyz`` probes until recovery).
 * ``REPRO_SERVE_BUDGET_EPSILON`` / ``REPRO_SERVE_BUDGET_DELTA`` — the
   per-dataset (ε, δ) privacy budget every private request draws on.
-* ``REPRO_SERVE_LEDGER_DIR`` — where per-dataset accountant ledgers are
-  persisted (unset = in-memory only; spends do not survive restarts).
+* ``REPRO_SERVE_LEDGER_DIR`` — directory of the append-only ledgers
+  (unset = in-memory only; spends do not survive restarts).
 * ``REPRO_SERVE_MAX_SAMPLES`` — per-request cap on synthetic graphs a
   single sample request may ask for; a request above it is answered
   ``400`` with a structured message naming the limit.

@@ -12,7 +12,8 @@ lives in :class:`ServeRuntime`:
 * ``install_signal_handlers()`` + SIGTERM/SIGINT → **graceful drain**:
   mark draining (work answers 503, ``/readyz`` flips), stop accepting,
   wait up to ``REPRO_SERVE_DRAIN`` seconds for in-flight requests,
-  flush every privacy ledger to disk, tear down the worker pool.  The
+  tear down the worker pool.  The privacy ledgers need no final write:
+  each charge is appended and fsync'd before its fit runs.  The
   signal handler itself only sets a flag and hands off to a thread —
   nothing blocking, nothing reentrant.
 * ``stop()`` is the same path, callable directly (idempotent, so a

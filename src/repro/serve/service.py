@@ -148,21 +148,20 @@ class SynthesisService:
             self._draining = True
 
     def drain(self, deadline: float | None = None) -> bool:
-        """Wait for in-flight work, then flush ledgers to disk.
+        """Stop admitting work and wait for in-flight requests.
 
         Returns ``True`` when every in-flight request finished within the
-        deadline.  The ledger flush happens either way — recorded spends
-        must reach disk even when a straggler is abandoned.
+        deadline.  The ledgers need no final write: each charge was
+        appended and fsync'd before its fit drew noise, so an abandoned
+        straggler's spend is already on disk.
         """
         self.begin_drain()
         if deadline is None:
             deadline = self.config.drain_deadline
         drained = self.gate.wait_idle(deadline)
-        flushed = self.accountants.flush()
         _logger.info(
-            "drain %s: %d ledger(s) flushed, %d request(s) still in flight",
+            "drain %s: %d request(s) still in flight",
             "complete" if drained else "deadline expired",
-            flushed,
             self.gate.in_flight,
         )
         return drained

@@ -1,15 +1,24 @@
-"""Tests for the per-dataset accountant registry and ledger persistence."""
+"""Tests for the per-dataset accountant registry and its append-only ledger."""
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.errors import PrivacyBudgetError
-from repro.serve import accounting
+import repro
+from repro.errors import PrivacyBudgetError, PrivacyError
+from repro.serve import accounting, registry as model_registry
 from repro.serve.accounting import AccountantRegistry
+from repro.serve.service import SynthesisService
+
+from serve_helpers import make_config
 
 
 class TestCharging:
@@ -62,9 +71,10 @@ class TestPersistence:
     def test_charge_persists_and_restores(self, tmp_path):
         registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
         registry.charge("as20", "private fit", 0.4, 0.01)
-        path = registry.ledger_path("as20")
-        payload = json.loads(path.read_text())
-        assert payload["ledger"][0]["label"] == "private fit"
+        lines = registry.ledger_path("as20").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"label": "private fit", "epsilon": 0.4, "delta": 0.01}
+        ]
 
         # A fresh process (new registry, same directory) remembers.
         reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
@@ -75,27 +85,27 @@ class TestPersistence:
         with pytest.raises(PrivacyBudgetError):
             reborn.charge("as20", "too much", 0.7, 0.0)
 
-    def test_concurrent_charges_persist_the_newest_snapshot(self, tmp_path, monkeypatch):
-        """The first charge's write is held back until the second charge
-        has written (or a second passes): the file must still end with
-        both spends, not with the first charge's older snapshot."""
+    def test_two_concurrent_charges_both_reach_disk(self, tmp_path, monkeypatch):
+        """The first charge's append is held back until the second
+        charge has appended (or a second passes): both spends must be
+        on disk, whatever order the lines land in."""
         registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
-        real_write = accounting.atomic_write
+        real_append = accounting._append
         first_writing = threading.Event()
         second_written = threading.Event()
-        writes = []
+        appends = []
 
-        def delayed_write(path, data):
-            writes.append(data)
-            if len(writes) == 1:
+        def delayed_append(path, data):
+            appends.append(data)
+            if len(appends) == 1:
                 first_writing.set()
                 second_written.wait(timeout=1.0)
-                real_write(path, data)
+                real_append(path, data)
             else:
-                real_write(path, data)
+                real_append(path, data)
                 second_written.set()
 
-        monkeypatch.setattr(accounting, "atomic_write", delayed_write)
+        monkeypatch.setattr(accounting, "_append", delayed_append)
         first = threading.Thread(target=registry.charge, args=("as20", "first", 0.1, 0.0))
         first.start()
         assert first_writing.wait(timeout=10)
@@ -104,8 +114,10 @@ class TestPersistence:
         first.join(timeout=10)
         second.join(timeout=10)
         assert not first.is_alive() and not second.is_alive()
-        ledger = json.loads(registry.ledger_path("as20").read_text())["ledger"]
-        assert [entry["label"] for entry in ledger] == ["first", "second"]
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        ledger = reborn.for_dataset("as20").ledger
+        assert sorted(entry.label for entry in ledger) == ["first", "second"]
+        assert reborn.for_dataset("as20").spent == pytest.approx((0.3, 0.0))
 
     def test_configured_budget_wins_over_persisted(self, tmp_path):
         first = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
@@ -129,23 +141,209 @@ class TestPersistence:
             registry.charge("as20", "refused", 0.1, 0.0)
         assert registry.ledger_path("as20").read_text() == before
 
-    def test_flush_writes_every_dataset(self, tmp_path):
+    def test_every_charged_dataset_has_its_own_ledger(self, tmp_path):
         registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
         registry.charge("as20", "a", 0.1, 0.0)
         registry.charge("ca-grqc", "b", 0.2, 0.0)
-        assert registry.flush() == 2
-        assert registry.ledger_path("as20").exists()
-        assert registry.ledger_path("ca-grqc").exists()
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert [e.label for e in reborn.for_dataset("as20").ledger] == ["a"]
+        assert [e.label for e in reborn.for_dataset("ca-grqc").ledger] == ["b"]
 
-    def test_memory_only_mode_flushes_nothing(self):
+    def test_memory_only_mode_writes_nothing(self, monkeypatch):
+        def no_append(path, data):
+            raise AssertionError("memory-only registry touched the disk")
+
+        monkeypatch.setattr(accounting, "_append", no_append)
         registry = AccountantRegistry(epsilon=1.0, delta=0.1)
         registry.charge("as20", "a", 0.1, 0.0)
         assert registry.ledger_path("as20") is None
-        assert registry.flush() == 0
+        assert registry.snapshot()["as20"]["entries"] == 1
 
     def test_no_temp_files_left_behind(self, tmp_path):
         registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
         for index in range(5):
             registry.charge("as20", f"c{index}", 0.1, 0.0)
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
-        assert leftovers == []
+        assert [p.name for p in tmp_path.iterdir()] == ["as20.jsonl"]
+        assert len(registry.ledger_path("as20").read_text().splitlines()) == 5
+
+
+def _write_legacy(directory: Path, dataset: str, labels: list[str]) -> Path:
+    """A ledger in the older whole-file snapshot format."""
+    legacy = directory / f"{dataset}.json"
+    payload = {
+        "epsilon": 1.0,
+        "delta": 0.1,
+        "ledger": [{"label": label, "epsilon": 0.1, "delta": 0.0} for label in labels],
+    }
+    legacy.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return legacy
+
+
+class TestReplay:
+    def test_torn_tail_is_dropped_and_truncated_before_the_next_append(
+        self, tmp_path, caplog
+    ):
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        registry.charge("as20", "kept", 0.1, 0.0)
+        path = registry.ledger_path("as20")
+        with open(path, "ab") as handle:  # a crash mid-append
+            handle.write(b'{"label": "torn", "epsi')
+
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        with caplog.at_level("WARNING", logger="repro"):
+            assert [e.label for e in reborn.for_dataset("as20").ledger] == ["kept"]
+        assert "torn last line" in caplog.text
+        reborn.charge("as20", "next", 0.2, 0.0)
+        # The next spend starts a line of its own, not glued to the fragment.
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["label"] for line in lines] == ["kept", "next"]
+        third = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert third.for_dataset("as20").spent == pytest.approx((0.3, 0.0))
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [b"not json\n", b'{"label": "x", "epsilon": -1.0, "delta": 0.0}\n', b'{"label": "x"}\n'],
+        ids=["not-json", "negative-epsilon", "missing-keys"],
+    )
+    def test_malformed_middle_line_is_refused_with_its_line_number(
+        self, tmp_path, bad_line
+    ):
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        registry.charge("as20", "first", 0.1, 0.0)
+        path = registry.ledger_path("as20")
+        with open(path, "ab") as handle:
+            handle.write(bad_line)
+        registry.charge("as20", "third", 0.1, 0.0)
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        with pytest.raises(PrivacyError, match=r"as20\.jsonl line 2 is malformed"):
+            reborn.for_dataset("as20")
+
+    def test_legacy_snapshot_migrates_once(self, tmp_path):
+        legacy = _write_legacy(tmp_path, "as20", ["old-1", "old-2"])
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert [e.label for e in registry.for_dataset("as20").ledger] == ["old-1", "old-2"]
+        assert not legacy.exists()
+        assert (tmp_path / "as20.json.migrated").exists()
+        registry.charge("as20", "new", 0.1, 0.0)
+        # A second boot replays the .jsonl alone: nothing twice, nothing lost.
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        labels = [e.label for e in reborn.for_dataset("as20").ledger]
+        assert labels == ["old-1", "old-2", "new"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "as20.json.migrated", "as20.jsonl"
+        ]
+
+    def test_crash_between_migration_write_and_rename(self, tmp_path):
+        """Both files exist: the .jsonl (which already holds the legacy
+        entries and every later spend) wins, and the rename finishes."""
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        legacy = _write_legacy(tmp_path, "as20", ["old-1", "old-2"])
+        registry.ledger_path("as20").write_text(
+            "".join(
+                json.dumps({"label": label, "epsilon": 0.1, "delta": 0.0}) + "\n"
+                for label in ["old-1", "old-2", "after-migration"]
+            )
+        )
+        labels = [e.label for e in registry.for_dataset("as20").ledger]
+        assert labels == ["old-1", "old-2", "after-migration"]
+        assert not legacy.exists()
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert len(reborn.for_dataset("as20").ledger) == 3
+
+    def test_malformed_legacy_snapshot_is_refused_and_kept(self, tmp_path):
+        legacy = tmp_path / "as20.json"
+        legacy.write_text('{"epsilon": 1.0, "delta": 0.1, "ledger": [')
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        with pytest.raises(PrivacyError, match=r"as20\.json is malformed"):
+            registry.for_dataset("as20")
+        assert legacy.exists()
+        assert not registry.ledger_path("as20").exists()
+
+
+class TestServiceLedgerFaults:
+    """A ledger fault is the server's, never the client's: 503, no fit."""
+
+    RELEASE = {"dataset": "as20", "epsilon": 0.3}
+
+    @pytest.mark.parametrize(
+        "suffix, content",
+        [
+            (".jsonl", '{"label": "ok", "epsilon": 0.1, "delta": 0.0}\n'
+                       '{"label": "bad", "epsilon": "x", "delta": 0.0}\n'),
+            (".json", '{"epsilon": 1.0, "delta": 0.1, "ledger": [{"label'),
+            (".json", '{"epsilon": 1.0, "delta": 0.1, "ledger": [{"label": "x"}]}'),
+        ],
+        ids=["malformed-entry", "truncated-legacy", "malformed-legacy-entry"],
+    )
+    def test_corrupt_ledger_answers_503_with_the_privacy_error(
+        self, tmp_path, monkeypatch, suffix, content
+    ):
+        fits = []
+        monkeypatch.setattr(model_registry, "_fit_work", lambda **kw: fits.append(kw))
+        service = SynthesisService(make_config(ledger_dir=str(tmp_path)))
+        corrupt = service.accountants.ledger_path("as20").with_suffix(suffix)
+        corrupt.write_text(content)
+        response = service.handle("POST", "/release", self.RELEASE)
+        assert response.status == 503
+        assert response.body["error"]["code"] == "work-failed"
+        assert response.body["error"]["message"].startswith("PrivacyError: privacy ledger")
+        assert str(corrupt) in response.body["error"]["message"]
+        assert fits == []
+
+    def test_write_failure_answers_503_before_the_fit(self, tmp_path, monkeypatch):
+        def failing_append(path, data):
+            raise OSError(28, "No space left on device")
+
+        fits = []
+        monkeypatch.setattr(accounting, "_append", failing_append)
+        monkeypatch.setattr(model_registry, "_fit_work", lambda **kw: fits.append(kw))
+        service = SynthesisService(make_config(ledger_dir=str(tmp_path)))
+        response = service.handle("POST", "/release", self.RELEASE)
+        assert response.status == 503
+        assert response.body["error"]["code"] == "work-failed"
+        assert "No space left on device" in response.body["error"]["message"]
+        assert fits == []
+        # Memory keeps the spend: the conservative side.
+        budget = service.handle("GET", "/stats").body["budget"]["as20"]
+        assert budget["entries"] == 1
+        assert budget["spent"]["epsilon"] == pytest.approx(0.3)
+
+
+_CHARGE_LOOP = """
+import sys
+from repro.serve.accounting import AccountantRegistry
+
+registry = AccountantRegistry(epsilon=1e9, delta=1e9, ledger_dir=sys.argv[1])
+index = 0
+while True:
+    registry.charge("as20", f"c{index}", 0.001, 0.0)
+    print(f"c{index}", flush=True)
+    index += 1
+"""
+
+
+class TestCrashDurability:
+    def test_kill_9_keeps_every_acknowledged_charge(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _CHARGE_LOOP, str(tmp_path)],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        acked = []
+        try:
+            while len(acked) < 40:
+                line = child.stdout.readline()
+                assert line, f"charge loop exited with {child.poll()}"
+                acked.append(line.strip())
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        reborn = AccountantRegistry(epsilon=1e9, delta=1e9, ledger_dir=tmp_path)
+        labels = [entry.label for entry in reborn.for_dataset("as20").ledger]
+        assert set(acked) <= set(labels)
+        # At most the in-flight charge is on disk beyond the acks, never twice.
+        assert len(labels) == len(set(labels))
+        assert labels[: len(acked)] == acked

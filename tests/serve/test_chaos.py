@@ -22,6 +22,7 @@ import urllib.request
 
 import pytest
 
+from repro.serve.accounting import AccountantRegistry
 from repro.serve.server import ServeRuntime
 
 from serve_helpers import make_config
@@ -221,9 +222,9 @@ class TestChaosAcceptance:
 
         # --- 4. The drain leaves the exact ledger on disk.
         assert storm_runtime.stop()
-        ledger_path = service.accountants.ledger_path("as20")
-        payload = json.loads(ledger_path.read_text())
-        assert len(payload["ledger"]) == len(ledger)
-        assert sum(entry["epsilon"] for entry in payload["ledger"]) == (
-            pytest.approx(spent_epsilon)
-        )
+        on_disk = AccountantRegistry(
+            epsilon=BUDGET_EPSILON, delta=1.0,
+            ledger_dir=service.accountants.ledger_dir,
+        ).for_dataset("as20")
+        assert len(on_disk.ledger) == len(ledger)
+        assert on_disk.spent[0] == pytest.approx(spent_epsilon)

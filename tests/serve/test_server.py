@@ -14,6 +14,7 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.serve.accounting import AccountantRegistry
 from repro.serve.server import ServeRuntime
 
 from serve_helpers import make_config
@@ -128,7 +129,10 @@ class TestLifecycle:
         assert status == 200
         assert runtime.stop()
         assert runtime.stop()  # second call: waits, no error
-        assert (tmp_path / "ledgers" / "as20.json").exists()
+        reborn = AccountantRegistry(
+            epsilon=1.0, delta=0.1, ledger_dir=tmp_path / "ledgers"
+        )
+        assert len(reborn.for_dataset("as20").ledger) == 1
         # The socket is really closed.
         with pytest.raises(OSError):
             http(runtime.base_url, "GET", "/healthz", timeout=2.0)
@@ -162,7 +166,10 @@ class TestLifecycle:
             assert status == 200
             os.kill(os.getpid(), signal.SIGTERM)
             assert runtime.stopped.wait(timeout=15.0)
-            assert (tmp_path / "ledgers" / "as20.json").exists()
+            reborn = AccountantRegistry(
+                epsilon=1.0, delta=0.1, ledger_dir=tmp_path / "ledgers"
+            )
+            assert len(reborn.for_dataset("as20").ledger) == 1
         finally:
             signal.signal(signal.SIGTERM, previous_term)
             signal.signal(signal.SIGINT, previous_int)
