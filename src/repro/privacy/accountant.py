@@ -11,18 +11,20 @@ The accountant is **concurrency-safe**: :meth:`~PrivacyAccountant.charge`
 is one atomic check-and-spend under an internal lock, so concurrent
 callers drawing on one budget (the ``repro serve`` request handlers) can
 never jointly overspend — an over-budget request is refused *before* any
-noise is drawn, under arbitrary interleaving.  A ledger entry is one
-``{label, epsilon, delta}`` JSON object (:meth:`PrivacySpend.from_json`
-validates one), so a long-running service can append each spend to disk
-and replay the lines across restarts; the whole object stays picklable
-(the lock is recreated, never shipped).
+noise is drawn, under arbitrary interleaving.  The ledger round-trips
+through JSON (:meth:`~PrivacyAccountant.to_json` /
+:meth:`~PrivacyAccountant.from_json`), one ``{label, epsilon, delta}``
+object per entry (:meth:`PrivacySpend.from_json` validates one), so a
+long-running service can append each spend to disk as it happens and
+replay the lines across restarts; the whole object stays picklable (the
+lock is recreated, never shipped).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import asdict, dataclass
+from typing import Any, Iterable, Mapping
 
 from repro.errors import PrivacyBudgetError, ValidationError
 from repro.utils.validation import check_nonnegative
@@ -78,7 +80,18 @@ class PrivacyAccountant:
         self.epsilon = check_nonnegative(epsilon, "epsilon")
         self.delta = check_nonnegative(delta, "delta")
         self._ledger: list[PrivacySpend] = []
+        self._spent = (0.0, 0.0)  # the ledger's running sums: a charge is O(1)
         self._lock = threading.RLock()
+
+    def _record(self, entries: Iterable[PrivacySpend]) -> None:
+        """Append ``entries`` to the ledger verbatim, with no budget check."""
+        with self._lock:
+            spent_epsilon, spent_delta = self._spent
+            for entry in entries:
+                self._ledger.append(entry)
+                spent_epsilon += entry.epsilon
+                spent_delta += entry.delta
+            self._spent = (spent_epsilon, spent_delta)
 
     @property
     def ledger(self) -> tuple[PrivacySpend, ...]:
@@ -90,9 +103,7 @@ class PrivacyAccountant:
     def spent(self) -> tuple[float, float]:
         """Total (epsilon, delta) consumed (sequential composition)."""
         with self._lock:
-            total_epsilon = sum(entry.epsilon for entry in self._ledger)
-            total_delta = sum(entry.delta for entry in self._ledger)
-        return total_epsilon, total_delta
+            return self._spent
 
     @property
     def remaining(self) -> tuple[float, float]:
@@ -111,8 +122,7 @@ class PrivacyAccountant:
         epsilon = check_nonnegative(epsilon, "epsilon")
         delta = check_nonnegative(delta, "delta")
         with self._lock:
-            spent_epsilon = sum(entry.epsilon for entry in self._ledger)
-            spent_delta = sum(entry.delta for entry in self._ledger)
+            spent_epsilon, spent_delta = self._spent
             if spent_epsilon + epsilon > self.epsilon + self._SLACK:
                 raise PrivacyBudgetError(
                     f"charge {label!r} of epsilon={epsilon} exceeds remaining "
@@ -123,11 +133,21 @@ class PrivacyAccountant:
                     f"charge {label!r} of delta={delta} exceeds remaining "
                     f"delta budget {self.delta - spent_delta:.6g}"
                 )
-            self._ledger.append(PrivacySpend(label=label, epsilon=epsilon, delta=delta))
+            self._record([PrivacySpend(label=label, epsilon=epsilon, delta=delta)])
+
+    def to_json(self) -> dict[str, Any]:
+        """The budget and ledger as a JSON-serializable dict.
+
+        A consistent snapshot: taken under the lock, so a concurrent
+        charge is either fully included or fully absent.
+        """
+        with self._lock:
+            ledger = [asdict(entry) for entry in self._ledger]
+        return {"epsilon": self.epsilon, "delta": self.delta, "ledger": ledger}
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "PrivacyAccountant":
-        """Restore an accountant from an ``{epsilon, delta, ledger}`` snapshot.
+        """Restore an accountant from :meth:`to_json` output.
 
         The ledger is restored **verbatim, without re-checking** against
         the budget: the record of what was already spent is historical
@@ -146,7 +166,7 @@ class PrivacyAccountant:
                 f"{sorted(payload) if isinstance(payload, Mapping) else type(payload).__name__}"
             ) from exc
         accountant = cls(epsilon, delta)
-        accountant._ledger.extend(PrivacySpend.from_json(entry) for entry in entries)
+        accountant._record([PrivacySpend.from_json(entry) for entry in entries])
         return accountant
 
     def __getstate__(self) -> dict[str, Any]:
@@ -163,8 +183,10 @@ class PrivacyAccountant:
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.epsilon = state["epsilon"]
         self.delta = state["delta"]
-        self._ledger = list(state["_ledger"])
+        self._ledger = []
+        self._spent = (0.0, 0.0)
         self._lock = threading.RLock()
+        self._record(state["_ledger"])
 
     def describe(self) -> str:
         """Human-readable ledger summary."""

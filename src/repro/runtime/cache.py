@@ -55,6 +55,12 @@ def atomic_write(path: Path, data: bytes, *, durable: bool = False) -> None:
                 handle.flush()
                 os.fsync(descriptor)
         os.replace(temp_name, path)
+        if durable:  # the new name survives a power loss too
+            directory = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temp_name)

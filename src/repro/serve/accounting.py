@@ -12,11 +12,13 @@ With a ledger directory configured, :meth:`AccountantRegistry.charge`
 appends one JSON line (``label``, ``epsilon``, ``delta``) per spend to
 ``<dataset>.jsonl`` and fsyncs it before returning, so a fit draws noise
 only under a spend already on disk and a drain has nothing left to
-write.  A failed append raises, and memory keeps the spend.  First use
-replays the file: a torn last line (a crash mid-append, before its fit
-drew noise) is dropped and truncated away, any other malformed line
-raises :class:`~repro.errors.PrivacyError` naming the file and line, and
-a ``<dataset>.json`` of the older whole-file format is migrated once.
+write.  A failed append is cut back off the file and raises, and memory
+keeps the spend.  First use replays the file: a torn last line (a crash
+mid-append, before its fit drew noise) is dropped and truncated away,
+any other malformed line raises :class:`~repro.errors.PrivacyError`
+naming the file and line, and a ``<dataset>.json`` of the older
+whole-file format is migrated once.  :meth:`AccountantRegistry.read_ledger`
+reads a ledger without writing, to inspect a live server's directory.
 """
 
 from __future__ import annotations
@@ -44,12 +46,24 @@ def _line(spend: PrivacySpend) -> bytes:
 
 
 def _append(path: Path, data: bytes) -> None:
-    """One ``O_APPEND`` write of ``data`` to ``path``, fsync'd."""
-    descriptor = os.open(path, os.O_WRONLY | os.O_APPEND)
+    """One ``O_APPEND`` write of ``data`` to ``path``, fsync'd.
+
+    Never glues a line onto a fragment: a torn last line refuses the
+    append until a restart's replay drops it, and a failed write or
+    fsync is truncated back off before the error propagates.
+    """
+    descriptor = os.open(path, os.O_RDWR | os.O_APPEND)
     try:
-        if os.write(descriptor, data) != len(data):
-            raise OSError(errno.EIO, f"short write to {path}")
-        os.fsync(descriptor)
+        length = os.fstat(descriptor).st_size
+        if length and os.pread(descriptor, 1, length - 1) != b"\n":
+            raise PrivacyError(f"privacy ledger {path} ends in a torn line until a restart")
+        try:
+            if os.write(descriptor, data) != len(data):
+                raise OSError(errno.EIO, f"short write to {path}")
+            os.fsync(descriptor)
+        except OSError:
+            os.ftruncate(descriptor, length)
+            raise
     finally:
         os.close(descriptor)
 
@@ -85,7 +99,7 @@ class AccountantRegistry:
             if accountant is None:
                 accountant = PrivacyAccountant(self.epsilon, self.delta)
                 if self.ledger_dir is not None:
-                    accountant._ledger.extend(self._replay(dataset))
+                    accountant._record(self._replay(dataset))
                 self._accountants[dataset] = accountant
             return accountant
 
@@ -94,14 +108,27 @@ class AccountantRegistry:
 
         Raises :class:`~repro.errors.PrivacyBudgetError` (writing nothing)
         when the spend would exceed the budget.  An :class:`OSError` from
-        the append propagates with the spend kept in memory, so the
-        caller draws no noise under an unrecorded spend.
+        the append (a :class:`~repro.errors.PrivacyError` after a torn
+        line) propagates with the spend kept in memory, so the caller
+        draws no noise under an unrecorded spend.
         """
         accountant = self.for_dataset(dataset)
-        accountant.charge(label, epsilon, delta)
         path = self.ledger_path(dataset)
-        if path is not None:
-            _append(path, _line(PrivacySpend(label, float(epsilon), float(delta))))
+        # The accountant's lock (reentrant) orders the dataset's appends,
+        # so a failed one is cut off before the next line can follow it.
+        with accountant._lock:
+            accountant.charge(label, epsilon, delta)
+            if path is not None:
+                _append(path, _line(accountant._ledger[-1]))
+
+    def read_ledger(self, dataset: str) -> tuple[PrivacySpend, ...]:
+        """The spends on disk for ``dataset``, read without writing anything.
+
+        Safe beside a live server: a torn last line (perhaps an append in
+        progress) is skipped rather than truncated, and a snapshot not yet
+        migrated is read where it lies.
+        """
+        return tuple(self._read(dataset)[0])
 
     def snapshot(self) -> dict:
         """Per-dataset budget state for ``/stats``."""
@@ -120,36 +147,21 @@ class AccountantRegistry:
             }
         return report
 
-    def _replay(self, dataset: str) -> list[PrivacySpend]:
-        """The spends on disk for ``dataset``; leaves its file ready to append."""
+    def _read(self, dataset: str) -> tuple[list[PrivacySpend], int | None]:
+        """The spends on disk and, if the ``.jsonl`` has a torn last line,
+        the length of its complete lines."""
         path = self.ledger_path(dataset)
-        legacy = self.ledger_dir / f"{dataset}.json"
-        if legacy.exists() or not path.exists():
-            # Create the ledger, from a snapshot if there is one.  A .jsonl
-            # beside a snapshot was written by an interrupted migration and
-            # already holds the snapshot's spends, so it wins.
-            if not path.exists():
-                migrated: tuple[PrivacySpend, ...] = ()
-                if legacy.exists():
-                    try:
-                        payload = json.loads(legacy.read_bytes())
-                        migrated = PrivacyAccountant.from_json(payload).ledger
-                    except (ValueError, TypeError) as exc:
-                        raise PrivacyError(f"privacy ledger {legacy} is malformed: {exc}") from exc
-                atomic_write(path, b"".join(map(_line, migrated)), durable=True)
-            if legacy.exists():
-                os.replace(legacy, legacy.with_name(legacy.name + ".migrated"))
-            directory = os.open(self.ledger_dir, os.O_RDONLY)
+        legacy = path.with_suffix(".json")
+        snapshot = None
+        if legacy.exists():
             try:
-                os.fsync(directory)  # the new names survive a power loss
-            finally:
-                os.close(directory)
-
+                snapshot = list(PrivacyAccountant.from_json(json.loads(legacy.read_bytes())).ledger)
+            except (ValueError, TypeError) as exc:
+                raise PrivacyError(f"privacy ledger {legacy} is malformed: {exc}") from exc
+        if not path.exists():
+            return snapshot or [], None
         data = path.read_bytes()
         keep = data.rfind(b"\n") + 1
-        if keep < len(data):
-            _logger.warning("dropped the torn last line of %s: its fit drew no noise", path)
-            os.truncate(path, keep)
         spends = []
         for number, line in enumerate(data[:keep].splitlines(), start=1):
             try:
@@ -158,5 +170,30 @@ class AccountantRegistry:
                 raise PrivacyError(
                     f"privacy ledger {path} line {number} is malformed: {exc}"
                 ) from exc
+        # A .jsonl beside a snapshot is an interrupted migration's only if
+        # it starts with the snapshot's spends; otherwise neither file
+        # alone holds the record.
+        if snapshot is not None and spends[: len(snapshot)] != snapshot:
+            raise PrivacyError(f"privacy ledgers {legacy} and {path} disagree")
+        return spends, keep if keep < len(data) else None
+
+    def _replay(self, dataset: str) -> list[PrivacySpend]:
+        """The spends on disk for ``dataset``; leaves its file ready to append."""
+        spends, torn = self._read(dataset)
+        path = self.ledger_path(dataset)
+        if torn is not None:
+            _logger.warning("dropped the torn last line of %s: its fit drew no noise", path)
+            os.truncate(path, torn)
+        legacy = path.with_suffix(".json")
+        if legacy.exists() or not path.exists():
+            # Create the ledger, from the snapshot if there is one, then
+            # retire the snapshot without overwriting an older one.
+            migrated = legacy.with_name(legacy.name + ".migrated")
+            if legacy.exists() and migrated.exists():
+                raise PrivacyError(f"privacy ledger {legacy} cannot be migrated: {migrated} exists")
+            if not path.exists():
+                atomic_write(path, b"".join(map(_line, spends)), durable=True)
+            if legacy.exists():
+                os.replace(legacy, migrated)  # if lost to a power cut, it reruns
         _logger.info("restored %d privacy spend(s) for %s", len(spends), dataset)
         return spends

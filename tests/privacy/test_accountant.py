@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PrivacyBudgetError, ValidationError
-from repro.privacy.accountant import PrivacyAccountant, PrivacySpend
+from repro.privacy.accountant import PrivacyAccountant
 
 
 class TestCharging:
@@ -161,15 +161,32 @@ class TestConcurrency:
 
 
 class TestSerialization:
+    def test_json_roundtrip(self):
+        accountant = PrivacyAccountant(1.0, 0.1)
+        accountant.charge("degrees", 0.4, 0.02)
+        accountant.charge("triangles", 0.1, 0.0)
+        payload = accountant.to_json()
+        restored = PrivacyAccountant.from_json(payload)
+        assert restored.epsilon == accountant.epsilon
+        assert restored.delta == accountant.delta
+        assert restored.ledger == accountant.ledger
+        assert restored.spent == accountant.spent
+
+    def test_json_is_plain_data(self):
+        import json
+
+        accountant = PrivacyAccountant(0.5)
+        accountant.charge("x", 0.2)
+        text = json.dumps(accountant.to_json())
+        assert PrivacyAccountant.from_json(json.loads(text)).spent == (0.2, 0.0)
+
     def test_restored_ledger_is_verbatim_even_over_budget(self):
         """A budget shrink must not erase recorded spends."""
-        payload = {
-            "epsilon": 0.5,  # config shrank after the spend
-            "delta": 0.0,
-            "ledger": [{"label": "big", "epsilon": 0.9, "delta": 0.0}],
-        }
+        accountant = PrivacyAccountant(1.0)
+        accountant.charge("big", 0.9)
+        payload = accountant.to_json()
+        payload["epsilon"] = 0.5  # config shrank after the spend
         restored = PrivacyAccountant.from_json(payload)
-        assert restored.ledger == (PrivacySpend("big", 0.9, 0.0),)
         assert restored.spent == (0.9, 0.0)
         assert restored.remaining == (0.0, 0.0)
         with pytest.raises(PrivacyBudgetError):
@@ -197,3 +214,24 @@ class TestSerialization:
         # The clone's lock works: it can keep charging.
         clone.charge("more", 0.1, 0.0)
         assert clone.spent[0] == pytest.approx(0.4)
+
+    def test_spent_is_the_ledger_summed_in_order_after_every_restore(self):
+        """The running totals equal the left-to-right sum of the ledger,
+        bit for bit, whether entries came from charges, a JSON restore
+        or a pickle."""
+        import pickle
+
+        spends = [0.1, 0.2, 0.3, 1e-17, 0.7, 1 / 3]
+        accountant = PrivacyAccountant(10.0, 10.0)
+        for index, value in enumerate(spends[:3]):
+            accountant.charge(f"c{index}", value, value / 7)
+        restored = PrivacyAccountant.from_json(accountant.to_json())
+        for index, value in enumerate(spends[3:]):
+            restored.charge(f"r{index}", value, value / 7)
+        for clone in (restored, pickle.loads(pickle.dumps(restored))):
+            expected_epsilon = expected_delta = 0.0
+            for entry in clone.ledger:
+                expected_epsilon += entry.epsilon
+                expected_delta += entry.delta
+            assert clone.spent == (expected_epsilon, expected_delta)
+        assert restored.spent[0] == sum(spends)

@@ -86,37 +86,38 @@ class TestPersistence:
             reborn.charge("as20", "too much", 0.7, 0.0)
 
     def test_two_concurrent_charges_both_reach_disk(self, tmp_path, monkeypatch):
-        """The first charge's append is held back until the second
-        charge has appended (or a second passes): both spends must be
-        on disk, whatever order the lines land in."""
+        """While the first charge's append is held, the second charge
+        waits for it (a failed append is cut off before another line can
+        follow it); both spends reach disk, in charge order."""
         registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
         real_append = accounting._append
         first_writing = threading.Event()
-        second_written = threading.Event()
-        appends = []
+        release = threading.Event()
+        appended = []
 
-        def delayed_append(path, data):
-            appends.append(data)
-            if len(appends) == 1:
+        def held_append(path, data):
+            if not appended and not first_writing.is_set():
                 first_writing.set()
-                second_written.wait(timeout=1.0)
-                real_append(path, data)
-            else:
-                real_append(path, data)
-                second_written.set()
+                assert release.wait(timeout=10)
+            appended.append(json.loads(data)["label"])
+            real_append(path, data)
 
-        monkeypatch.setattr(accounting, "_append", delayed_append)
+        monkeypatch.setattr(accounting, "_append", held_append)
         first = threading.Thread(target=registry.charge, args=("as20", "first", 0.1, 0.0))
         first.start()
         assert first_writing.wait(timeout=10)
         second = threading.Thread(target=registry.charge, args=("as20", "second", 0.2, 0.0))
         second.start()
+        second.join(timeout=0.2)
+        assert second.is_alive() and appended == []
+        release.set()
         first.join(timeout=10)
         second.join(timeout=10)
         assert not first.is_alive() and not second.is_alive()
+        assert appended == ["first", "second"]
         reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
         ledger = reborn.for_dataset("as20").ledger
-        assert sorted(entry.label for entry in ledger) == ["first", "second"]
+        assert [entry.label for entry in ledger] == ["first", "second"]
         assert reborn.for_dataset("as20").spent == pytest.approx((0.3, 0.0))
 
     def test_configured_budget_wins_over_persisted(self, tmp_path):
@@ -165,6 +166,64 @@ class TestPersistence:
             registry.charge("as20", f"c{index}", 0.1, 0.0)
         assert [p.name for p in tmp_path.iterdir()] == ["as20.jsonl"]
         assert len(registry.ledger_path("as20").read_text().splitlines()) == 5
+
+
+class TestFailedAppend:
+    """A failed append leaves no fragment for the next line to glue onto."""
+
+    @staticmethod
+    def _short_write_once(monkeypatch):
+        real_write = os.write
+        calls = []
+
+        def short_write(descriptor, data):
+            calls.append(descriptor)
+            if len(calls) == 1:
+                return real_write(descriptor, data[:10])  # e.g. ENOSPC mid-line
+            return real_write(descriptor, data)
+
+        monkeypatch.setattr(os, "write", short_write)
+
+    def test_short_write_is_cut_off_and_the_next_charge_lands_cleanly(
+        self, tmp_path, monkeypatch
+    ):
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        registry.charge("as20", "kept", 0.1, 0.0)
+        before = registry.ledger_path("as20").read_bytes()
+        self._short_write_once(monkeypatch)
+        with pytest.raises(OSError, match="short write"):
+            registry.charge("as20", "short", 0.2, 0.0)
+        assert registry.ledger_path("as20").read_bytes() == before
+        assert registry.snapshot()["as20"]["entries"] == 2  # memory keeps it
+        registry.charge("as20", "next", 0.3, 0.0)
+        monkeypatch.undo()
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert [e.label for e in reborn.for_dataset("as20").ledger] == ["kept", "next"]
+
+    def test_failed_cut_refuses_appends_until_a_restart(self, tmp_path, monkeypatch):
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        registry.charge("as20", "kept", 0.1, 0.0)
+        self._short_write_once(monkeypatch)
+
+        def failing_truncate(descriptor, length):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "ftruncate", failing_truncate)
+        with pytest.raises(OSError, match="Input/output error"):
+            registry.charge("as20", "short", 0.2, 0.0)
+        torn = registry.ledger_path("as20").read_bytes()
+        assert not torn.endswith(b"\n")
+        with pytest.raises(PrivacyError, match="torn line until a restart"):
+            registry.charge("as20", "refused", 0.1, 0.0)
+        assert registry.ledger_path("as20").read_bytes() == torn
+        registry.charge("ca-grqc", "other dataset", 0.1, 0.0)  # unaffected
+        monkeypatch.undo()
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert [e.label for e in reborn.for_dataset("as20").ledger] == ["kept"]
+        reborn.charge("as20", "after restart", 0.1, 0.0)
+        third = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        labels = [e.label for e in third.for_dataset("as20").ledger]
+        assert labels == ["kept", "after restart"]
 
 
 def _write_legacy(directory: Path, dataset: str, labels: list[str]) -> Path:
@@ -258,6 +317,43 @@ class TestReplay:
             registry.for_dataset("as20")
         assert legacy.exists()
         assert not registry.ledger_path("as20").exists()
+
+
+    def test_disagreeing_snapshot_and_lines_are_refused(self, tmp_path):
+        """A snapshot written after the .jsonl (say, by an older build
+        run in between) is not an interrupted migration: neither wins."""
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        registry.charge("as20", "old-1", 0.1, 0.0)
+        legacy = _write_legacy(tmp_path, "as20", ["old-1", "older-build"])
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        with pytest.raises(PrivacyError, match="disagree"):
+            reborn.for_dataset("as20")
+        assert legacy.exists()
+
+    def test_existing_migrated_snapshot_is_never_overwritten(self, tmp_path):
+        earlier = tmp_path / "as20.json.migrated"
+        earlier.write_text("the first migration's snapshot")
+        legacy = _write_legacy(tmp_path, "as20", ["old-1"])
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        with pytest.raises(PrivacyError, match="cannot be migrated"):
+            registry.for_dataset("as20")
+        assert earlier.read_text() == "the first migration's snapshot"
+        assert legacy.exists()
+        assert not registry.ledger_path("as20").exists()
+
+    def test_read_ledger_writes_nothing(self, tmp_path):
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        registry.charge("as20", "kept", 0.1, 0.0)
+        with open(registry.ledger_path("as20"), "ab") as handle:  # an append in progress
+            handle.write(b'{"label": "in flight", "epsi')
+        _write_legacy(tmp_path, "ca-grqc", ["old-1"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        reader = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert [e.label for e in reader.read_ledger("as20")] == ["kept"]
+        assert [e.label for e in reader.read_ledger("ca-grqc")] == ["old-1"]
+        assert reader.read_ledger("unused") == ()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert reader.snapshot() == {}
 
 
 class TestServiceLedgerFaults:
