@@ -29,8 +29,14 @@ Workloads: SKG draws at k ∈ {10, 12} and the ca-grqc dataset (the
 padded fit runs at k=13).  The k=12 draw asserts the floor: the best
 fused engine must complete the fit ≥ 2× faster than the numpy reference
 (the PR target is ≥ 5×; the measured value is recorded in the artifact).
-Unavailable engines are recorded with the reason, so the artifact states
-exactly what was measured where.
+Every workload records its ``proposal_events`` — the cell events
+(2·(deg i + deg j)) of the bit-identity stream's proposals.  The SKG
+draws make a handful per proposal; ca-grqc's heavy-tailed degrees make
+several times more, with a long tail, which is the load of the Table 1
+KronFit baseline.  So ca-grqc is also in the ``--quick`` subset, and CI
+checks its chain bit-identity on every run.  Unavailable engines are
+recorded with the reason, so the artifact states exactly what was
+measured where.
 
 Results go to ``benchmarks/out/BENCH_kronfit.json``.  The artifact
 carries ``schema_version``; ``tests/test_bench_artifacts.py`` guards that
@@ -65,7 +71,7 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import PermutationSampler
 from repro.kronecker.sampling import sample_skg
-from repro.native.chain import MULTICHAIN_KERNEL
+from repro.native.chain import MULTICHAIN_KERNEL, draw_proposal_batch
 from repro.native.registry import NATIVE_BACKENDS
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
@@ -74,8 +80,10 @@ from repro.native.registry import NATIVE_BACKENDS
 # batched multichain column (``multichain`` workload rows at
 # S ∈ {8, 64} × kernel_threads ∈ {1, 2} plus ``multichain_floor``);
 # 5 = dropped the pool ``multistart`` column and its floor, and re-based
-# the multichain column on S sequential single-start fits.
-SCHEMA_VERSION = 5
+# the multichain column on S sequential single-start fits; 6 = added
+# per-workload ``proposal_events`` and the heavy-tailed ca-grqc chain row
+# to the quick subset.
+SCHEMA_VERSION = 6
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_kronfit.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -172,6 +180,27 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
                 record["proposals_per_second"] / numpy_rate
             )
     return records
+
+
+def proposal_events(graph: Graph, n_proposals: int) -> dict:
+    """Cell events per proposal on the bit-identity stream.
+
+    A proposal (i, j) updates two profile cells per edge of i and j,
+    the i–j edge excluded: 2·(deg i + deg j − 2·[i ~ j]).
+    """
+    i_nodes, j_nodes, _ = draw_proposal_batch(
+        np.random.default_rng(SEED), graph.n_nodes, n_proposals
+    )
+    degrees = graph.degrees
+    linked = np.asarray(graph.adjacency[i_nodes, j_nodes]).ravel() != 0
+    events = 2 * (degrees[i_nodes] + degrees[j_nodes] - 2 * linked)
+    return {
+        "n_proposals": n_proposals,
+        "mean": float(events.mean()),
+        "p99": float(np.percentile(events, 99)),
+        "max": int(events.max()),
+        "max_degree": int(degrees.max()),
+    }
 
 
 def _chain_state(graph: Graph, k: int, engine: str, n_proposals: int):
@@ -351,6 +380,7 @@ def bench_workload(
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "k": k,
+        "proposal_events": proposal_events(padded, EQUIVALENCE_PROPOSALS),
         "chain": bench_chain(padded, k, repeats, quick),
         "fit": {"params": fit_params, **bench_fit(graph, fit_params)},
     }
@@ -363,8 +393,7 @@ def build_workloads(quick: bool):
     orders = (10,) if quick else (10, 12)
     for k in orders:
         yield f"skg-k{k}", sample_skg(THETA, k, seed=SEED)
-    if not quick:
-        yield "ca-grqc", load_dataset("ca-grqc")
+    yield "ca-grqc", load_dataset("ca-grqc")
 
 
 def _multichain_floor(results: list[dict], quick: bool) -> dict:
@@ -427,7 +456,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke subset (skg-k10, short chains); skips the floor assertion",
+        help=(
+            "CI smoke subset (skg-k10 and ca-grqc, short chains); skips the "
+            "floor assertion"
+        ),
     )
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats")
     parser.add_argument(
@@ -454,7 +486,12 @@ def main(argv: list[str] | None = None) -> int:
             name, graph, arguments.repeats, arguments.quick, fit_params
         )
         results.append(record)
-        print(f"{name:12s} n={record['n_nodes']:>6d} E={record['n_edges']:>7d} k={record['k']}")
+        events = record["proposal_events"]
+        print(
+            f"{name:12s} n={record['n_nodes']:>6d} E={record['n_edges']:>7d} "
+            f"k={record['k']}  cell events/proposal: mean {events['mean']:.1f}, "
+            f"p99 {events['p99']:.0f}, max {events['max']}"
+        )
         for engine, entry in record["chain"].items():
             if entry.get("available"):
                 print(

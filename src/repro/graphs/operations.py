@@ -87,8 +87,9 @@ def pad_to_power_of_two(graph: Graph) -> tuple[Graph, int]:
     target = 2**k
     if target == graph.n_nodes:
         return graph, k
+    # Isolated nodes keep canonical edges canonical: no re-canonicalizing.
     u, v = graph.edge_arrays
-    return Graph.from_edge_arrays(target, u, v), k
+    return Graph._from_canonical(target, u, v), k
 
 
 def relabel_random(graph: Graph, seed: SeedLike = None) -> Graph:

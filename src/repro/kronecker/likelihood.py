@@ -42,6 +42,7 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.chain import (
+    CHAIN_BITMAP_WORDS,
     MULTICHAIN_KERNEL,
     draw_proposal_batch,
     resolve_multichain_backend,
@@ -265,6 +266,11 @@ class MultiChainSampler:
         sigmas = [None] * len(thetas) if sigmas is None else list(sigmas)
         if len(sigmas) != len(thetas):
             raise ValidationError(f"got {len(sigmas)} sigmas for {len(thetas)} chains")
+        if (k + 1) ** 2 > 64 * CHAIN_BITMAP_WORDS:
+            raise ValidationError(
+                f"k={k} has {(k + 1) ** 2} profile cells, more than the chain "
+                f"kernel's {64 * CHAIN_BITMAP_WORDS}-bit touched-cell bitmap"
+            )
         if graph.n_nodes != 2**k:
             raise ValidationError(
                 f"graph has {graph.n_nodes} nodes, expected 2^{k} = {2**k}"
@@ -289,14 +295,9 @@ class MultiChainSampler:
         self._hist = np.empty((n_chains, self._n_cells), dtype=np.int64)
         self._score = np.empty((n_chains, self._n_cells), dtype=np.float64)
         self._counts = np.zeros((n_chains, self._n_cells), dtype=np.int64)
-        # Delta-scan scratch: a proposal touches at most 2·(deg i + deg j)
-        # cells, so 4·max_deg bounds the per-proposal event list (+8 slack
-        # for degenerate graphs).  _stats[s] accumulates chain s's
-        # score-table touches on every engine — the observable the
-        # O(k²)-rescan regression test pins (see the delta-scan contract
-        # in repro.native.chain).
-        max_deg = int(np.diff(self._indptr).max()) if graph.n_edges else 0
-        self._touched = np.zeros((n_chains, 4 * max_deg + 8), dtype=np.int64)
+        # _stats[s] accumulates chain s's score-table touches on every
+        # engine — the observable the O(k²)-rescan regression test pins
+        # (see the delta-scan contract in repro.native.chain).
         self._stats = np.zeros(n_chains, dtype=np.int64)
         self.thetas: list[Initiator] = [None] * n_chains
         self.tables: list[_LogTables] = [None] * n_chains
@@ -420,8 +421,6 @@ class MultiChainSampler:
                 self._score.ravel(),
                 self._hist.ravel(),
                 self._counts.ravel(),
-                self._touched.ravel(),
-                self._touched.shape[1],
                 self._stats,
                 i_all.ravel(),
                 j_all.ravel(),
@@ -576,7 +575,9 @@ class PermutationSampler:
         """Total score-table cells read while scanning proposal deltas.
 
         Every engine increments this once per *distinct nonzero* touched
-        cell per proposal — O(deg i + deg j) per swap, never O(k²).  The
+        cell per proposal — the numpy engine over ``np.unique`` of the
+        touched cells, the kernel over the set bits of its touched-cell
+        bitmap — so at most 2·(deg i + deg j) per swap, never O(k²).  The
         delta-scan regression tests assert this stays proportional to the
         touched neighbourhoods rather than the full profile table.
         """
@@ -656,9 +657,9 @@ def _scan_delta(
     summation would round differently from the compiled kernel's
     sequential accumulation, breaking cross-engine bit-identity.
     ``touched`` (``np.unique`` output) is ascending and deduplicated —
-    the same cell sequence as the kernel's sorted dup-skipping event
-    scan, and every nonzero-count cell is in it.  Returns the delta and
-    the number of score-table cells actually read.
+    the same cell sequence as the kernel's ascending walk of its
+    touched-cell bitmap, and every nonzero-count cell is in it.  Returns
+    the delta and the number of score-table cells actually read.
     """
     delta = 0.0
     scanned = 0

@@ -48,16 +48,19 @@ integers, so the touched cells are exactly those of the direct
 ``(k − x − o, o)`` derivation the numpy reference uses.  The C twin uses
 the compiler's ``__builtin_popcountll``.
 
-**The delta-scan contract.**  Every ``counts[]`` update records its cell
-in a touched-cell event list (at most ``2·(deg i + deg j)`` events per
-proposal); the per-proposal scan, histogram fold, and scratch reset all
-walk that list instead of the full ``(k+1)²`` table.  A proposal on a
-sparse graph therefore costs O(deg) rather than O(deg + k²).  Because any
-cell with a nonzero count necessarily appears in the event list, sorting
-the events and skipping duplicates reproduces the full ascending scan's
-float accumulation sequence exactly.  ``stats_all[c]`` accumulates chain
-``c``'s score-table touches (nonzero cells accumulated), which is how
-tests prove the O(k²) rescan stays gone.
+**The delta-scan contract.**  Every ``counts[]`` update sets its cell's
+bit in a per-chain stack bitmap of the ``(k+1)²`` profile cells
+(:data:`CHAIN_BITMAP_WORDS` words, so k ≤ 63).  The delta scan, then the
+histogram fold and scratch reset (which clear the words), walk its set
+bits in ascending order with ``__builtin_ctzll``: O(deg i + deg j +
+(k+1)²/64) per proposal, and no sort of the ``2·(deg i + deg j)`` cell
+events that a heavy-tailed graph's hubs make by the hundred.  The walk
+visits exactly the distinct touched cells in ascending order — the numpy
+reference's ``np.unique`` sequence — and every nonzero-count cell is
+among them, so the float accumulation sequence equals the full ascending
+scan's.  ``stats_all[c]`` accumulates chain ``c``'s score-table touches
+(nonzero cells accumulated), which is how tests prove the O(k²) rescan
+stays gone.
 
 **The histogram contract.**  ``Δcount`` of an accepted swap is folded
 into the persistent profile histogram, so the histogram is maintained
@@ -87,6 +90,7 @@ from repro.errors import ValidationError
 from repro.native.registry import NativeKernel
 
 __all__ = [
+    "CHAIN_BITMAP_WORDS",
     "draw_proposal_batch",
     "MULTICHAIN_KERNEL",
     "resolve_multichain_backend",
@@ -124,20 +128,25 @@ def draw_proposal_batch(
     return i_nodes, j_nodes, log_u
 
 
+# Words in each chain's stack bitmap of touched profile cells: (k+1)²
+# bits fit for every k ≤ 63, the width of an int64 Kronecker id.
+CHAIN_BITMAP_WORDS = 64
+
 # Execute proposals [start, stop) of S pre-drawn streams in place.
 # Stacked per-chain state is passed as flat C-contiguous arrays: chain c
 # owns sigma_all[c·n_nodes:], the (k+1)²-long slices of score_all /
-# hist_all / counts_all at c·(k+1)², the touched_len-long event scratch at
-# c·touched_len, and the draw-contract streams i_all / j_all / u_all at
-# c·stream_len.  accepted_all[c] is *set* to the number of accepted swaps
-# of this call (the caller accumulates); stats_all[c] accumulates chain
-# c's score-table touches.  The event scratch must be at least
-# 2·(deg i + deg j) long for any proposal (4·max_degree suffices), and
-# counts_all starts and ends all-zero.  n_threads only shards chains
-# across OpenMP threads (the pragma is inert without -fopenmp) — chains
-# are data-independent, so results are bit-identical for any thread
-# count.  Returns the total accepted across chains.
-_MULTICHAIN_C_SOURCE = """\
+# hist_all / counts_all at c·(k+1)², and the draw-contract streams
+# i_all / j_all / u_all at c·stream_len.  accepted_all[c] is *set* to the
+# number of accepted swaps of this call (the caller accumulates);
+# stats_all[c] accumulates chain c's score-table touches.  Every counts[]
+# update sets its cell's bit in the chain's stack bitmap, whose set bits
+# the delta scan and then the fold-and-reset walk in ascending order
+# (see the delta-scan contract).  counts_all starts and ends all-zero.
+# n_threads only shards chains across OpenMP threads (the pragma is inert
+# without -fopenmp) — chains are data-independent, so results are
+# bit-identical for any thread count.  Returns the total accepted across
+# chains.
+_MULTICHAIN_C_SOURCE = f"#define BITMAP_WORDS {CHAIN_BITMAP_WORDS}\n" + """\
 #include <stdint.h>
 
 int64_t repro_multichain_block(
@@ -150,8 +159,6 @@ int64_t repro_multichain_block(
     const double *score_all,
     int64_t *hist_all,
     int64_t *counts_all,
-    int64_t *touched_all,
-    int64_t touched_len,
     int64_t *stats_all,
     const int64_t *i_all,
     const int64_t *j_all,
@@ -163,6 +170,7 @@ int64_t repro_multichain_block(
     int64_t n_threads)
 {
     int64_t n_cells = (k + 1) * (k + 1);
+    int64_t n_words = (n_cells + 63) >> 6;
     int nt = n_threads > 0 ? (int)n_threads : 1;
     (void)nt;
 #pragma omp parallel for num_threads(nt) schedule(static)
@@ -171,10 +179,10 @@ int64_t repro_multichain_block(
         const double *score = score_all + c * n_cells;
         int64_t *hist = hist_all + c * n_cells;
         int64_t *counts = counts_all + c * n_cells;
-        int64_t *touched = touched_all + c * touched_len;
         const int64_t *i_nodes = i_all + c * stream_len;
         const int64_t *j_nodes = j_all + c * stream_len;
         const double *log_u = u_all + c * stream_len;
+        uint64_t touched[BITMAP_WORDS] = {0};
         int64_t accepted = 0;
         int64_t touches = 0;
         for (int64_t t = start; t < stop; t++) {
@@ -185,7 +193,6 @@ int64_t repro_multichain_block(
             int64_t o, wid, cell;
             int64_t zi = k - __builtin_popcountll((uint64_t)id_i);
             int64_t zj = k - __builtin_popcountll((uint64_t)id_j);
-            int64_t n_touched = 0;
             for (int32_t idx = indptr[i]; idx < indptr[i + 1]; idx++) {
                 int32_t w = indices[idx];
                 if (w == j) {
@@ -196,11 +203,11 @@ int64_t repro_multichain_block(
                 o = __builtin_popcountll((uint64_t)(id_i & wid));
                 cell = (zw + o) * (k + 1) + o;
                 counts[cell] -= 1;
-                touched[n_touched++] = cell;
+                touched[cell >> 6] |= (uint64_t)1 << (cell & 63);
                 o = __builtin_popcountll((uint64_t)(id_j & wid));
                 cell = (zw - zi + zj + o) * (k + 1) + o;
                 counts[cell] += 1;
-                touched[n_touched++] = cell;
+                touched[cell >> 6] |= (uint64_t)1 << (cell & 63);
             }
             for (int32_t idx = indptr[j]; idx < indptr[j + 1]; idx++) {
                 int32_t w = indices[idx];
@@ -212,49 +219,37 @@ int64_t repro_multichain_block(
                 o = __builtin_popcountll((uint64_t)(id_j & wid));
                 cell = (zw + o) * (k + 1) + o;
                 counts[cell] -= 1;
-                touched[n_touched++] = cell;
+                touched[cell >> 6] |= (uint64_t)1 << (cell & 63);
                 o = __builtin_popcountll((uint64_t)(id_i & wid));
                 cell = (zw - zj + zi + o) * (k + 1) + o;
                 counts[cell] += 1;
-                touched[n_touched++] = cell;
-            }
-            for (int64_t a = 1; a < n_touched; a++) {
-                int64_t key = touched[a];
-                int64_t b = a - 1;
-                while (b >= 0 && touched[b] > key) {
-                    touched[b + 1] = touched[b];
-                    b -= 1;
-                }
-                touched[b + 1] = key;
+                touched[cell >> 6] |= (uint64_t)1 << (cell & 63);
             }
             double delta = 0.0;
-            int64_t previous = -1;
-            for (int64_t a = 0; a < n_touched; a++) {
-                cell = touched[a];
-                if (cell == previous) {
-                    continue;
-                }
-                previous = cell;
-                if (counts[cell] != 0) {
-                    delta += (double)counts[cell] * score[cell];
-                    touches += 1;
+            for (int64_t w = 0; w < n_words; w++) {
+                for (uint64_t bits = touched[w]; bits; bits &= bits - 1) {
+                    cell = (w << 6) | __builtin_ctzll(bits);
+                    if (counts[cell] != 0) {
+                        delta += (double)counts[cell] * score[cell];
+                        touches += 1;
+                    }
                 }
             }
-            if (delta >= 0.0 || log_u[t] < delta) {
+            int accept = delta >= 0.0 || log_u[t] < delta;
+            if (accept) {
                 sigma[i] = id_j;
                 sigma[j] = id_i;
                 accepted += 1;
-                for (int64_t a = 0; a < n_touched; a++) {
-                    cell = touched[a];
-                    if (counts[cell] != 0) {
+            }
+            for (int64_t w = 0; w < n_words; w++) {
+                for (uint64_t bits = touched[w]; bits; bits &= bits - 1) {
+                    cell = (w << 6) | __builtin_ctzll(bits);
+                    if (accept) {
                         hist[cell] += counts[cell];
-                        counts[cell] = 0;
                     }
+                    counts[cell] = 0;
                 }
-            } else {
-                for (int64_t a = 0; a < n_touched; a++) {
-                    counts[touched[a]] = 0;
-                }
+                touched[w] = 0;
             }
         }
         accepted_all[c] = accepted;
@@ -300,13 +295,12 @@ def _multichain_smoke_test(kernel: Callable) -> None:
     )
     hist = np.zeros((3, 9), dtype=np.int64)
     counts = np.zeros((3, 9), dtype=np.int64)
-    touched = np.zeros((3, 16), dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
     accepted = np.zeros(3, dtype=np.int64)
     total = int(
         kernel(
             indptr, indices, 3, 4, sigma.ravel(), 2, score.ravel(),
-            hist.ravel(), counts.ravel(), touched.ravel(), 16, stats,
+            hist.ravel(), counts.ravel(), stats,
             i_nodes.ravel(), j_nodes.ravel(), log_u.ravel(), 4, 0, 4,
             accepted, 2,
         )
@@ -353,8 +347,6 @@ MULTICHAIN_KERNEL = NativeKernel(
         _FLOAT64_ARG,  # score_all (flat S x (k+1)^2)
         _INT64_ARG,  # hist_all (flat S x (k+1)^2)
         _INT64_ARG,  # counts_all scratch (flat S x (k+1)^2)
-        _INT64_ARG,  # touched_all scratch (flat S x touched_len)
-        ctypes.c_int64,  # touched_len
         _INT64_ARG,  # stats_all (per-chain touch accumulators)
         _INT64_ARG,  # i_all (flat S x stream_len)
         _INT64_ARG,  # j_all

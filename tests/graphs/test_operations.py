@@ -80,6 +80,33 @@ class TestPadding:
             np.sort(padded.degrees)[-100:], np.sort(graph.degrees)
         )
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(5, [(0, 4)]),
+            Graph(3),
+            erdos_renyi_graph(100, 0.1, seed=0),
+            path_graph(1000),
+        ],
+        ids=["one-edge", "edgeless", "er-100", "path-1000"],
+    )
+    def test_padding_skips_recanonicalization(self, graph, monkeypatch):
+        """Isolated nodes keep canonical edges canonical, so padding builds
+        the validating constructor's graph without re-canonicalizing."""
+        expected = Graph.from_edge_arrays(
+            2 ** next_power_of_two_exponent(graph.n_nodes), *graph.edge_arrays
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pad_to_power_of_two re-canonicalized its edges")
+
+        monkeypatch.setattr("repro.graphs.graph._canonicalize_edges", refuse)
+        padded, _ = pad_to_power_of_two(graph)
+        assert padded == expected
+        assert hash(padded) == hash(expected)
+        np.testing.assert_array_equal(padded.degrees[: graph.n_nodes], graph.degrees)
+        assert not padded.degrees[graph.n_nodes :].any()
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             pad_to_power_of_two(Graph(0))

@@ -18,7 +18,16 @@ same graph families the solo matrix pins
 * KronFit end-to-end — a multi-start fit on the fused engine selects
   the same winner, with bit-identical per-start results, as the numpy
   reference engine, and its start 0 is the single-start fit seeded with
-  start 0's ``SeedSequence`` child.
+  start 0's ``SeedSequence`` child;
+* the multi-word touched-cell bitmap — at k=9 the 100 profile cells
+  straddle two 64-bit words (k=8 is the smallest order whose bitmap
+  has two words, but its highest reachable cell, (k−1)(k+1) = 63, is
+  in the first), and at k=13 (196 cells, four words) hubs of degree
+  > 64 make hundreds of cell events per proposal.  Both families
+  run in the matrix, and are also pinned in ``score_touches`` across
+  thread counts and on knife-edge streams whose thresholds sit exactly
+  on the reference delta, so a word-indexing or walk-order slip that
+  moves one float addition flips an accept decision.
 
 Backends unavailable on the host (e.g. no C compiler) appear as
 explicit skips, which CI treats as failures, so the full matrix runs.
@@ -76,11 +85,29 @@ THETA_CYCLE = (
     Initiator(0.6, 0.6, 0.6),  # flat
 )
 
+
+def hub_graph(k: int, n_hubs: int, hub_degree: int, seed: int) -> Graph:
+    """``2^k`` nodes: a sparse random background (mean degree ~6) plus
+    ``n_hubs`` star centres joined to ``hub_degree`` random nodes each."""
+    n = 2**k
+    rng = np.random.default_rng(seed)
+    hubs = rng.choice(n, size=n_hubs, replace=False)
+    u = np.concatenate([rng.integers(0, n, 3 * n), np.repeat(hubs, hub_degree)])
+    v = np.concatenate(
+        [rng.integers(0, n, 3 * n), rng.integers(0, n, n_hubs * hub_degree)]
+    )
+    return Graph.from_edge_arrays(n, u, v)
+
+
 FAMILIES = {
     "skg-k5": lambda: (sample_skg(Initiator(0.9, 0.5, 0.2), 5, seed=3), 5),
     "star-16": lambda: (star_graph(16), 4),
     "near-empty-k3": lambda: (Graph(8, [(0, 1)]), 3),
+    # Multi-word touched-cell bitmaps: (k+1)² = 100 and 196 cells.
+    "skg-k9": lambda: (sample_skg(Initiator(0.99, 0.45, 0.25), 9, seed=8), 9),
+    "hubs-k13": lambda: (hub_graph(13, 512, 80, seed=13), 13),
 }
+MULTI_WORD_FAMILIES = ("skg-k9", "hubs-k13")
 
 RUN_LENGTHS = (120, 80)  # two run() calls: a checkpointed trajectory
 SEED = 20120330
@@ -223,6 +250,100 @@ class TestMultiChainMatrix:
             assert sampler.chain(s).accepted == solo[s].accepted
 
 
+def knife_edge_streams(family: str, n_chains: int, n_steps: int):
+    """Per-chain proposal streams whose thresholds sit on the numpy delta.
+
+    Every other proposal moves a node of maximum degree.  Proposal ``t``'s
+    threshold is the numpy engine's exact delta (even ``t``: a negative
+    delta is rejected) or the next double below it (odd ``t``: accepted),
+    so an engine whose delta differs by one ulp flips a decision.  Returns
+    the streams and the numpy ensemble that ran them one proposal at a
+    time.  Needs ``draw_proposal_batch`` patched to hand a stream through.
+    """
+    graph, k = family_graph(family)
+    thetas = [THETA_CYCLE[s % len(THETA_CYCLE)] for s in range(n_chains)]
+    reference = MultiChainSampler(graph, k, thetas, backend="numpy")
+    hubs = np.flatnonzero(graph.degrees == graph.degrees.max())
+    streams = []
+    for s in range(n_chains):
+        rng = np.random.default_rng(SEED + s)
+        i_nodes, j_nodes, _ = native_chain.draw_proposal_batch(
+            rng, graph.n_nodes, n_steps
+        )
+        i_nodes[::2] = rng.choice(hubs, size=i_nodes[::2].size)
+        same = i_nodes == j_nodes
+        j_nodes[same] = (i_nodes[same] + 1) % graph.n_nodes
+        streams.append((i_nodes, j_nodes, np.empty(n_steps)))
+    for t in range(n_steps):
+        for s, (i_nodes, j_nodes, log_u) in enumerate(streams):
+            delta = reference.chain(s)._swap_delta(int(i_nodes[t]), int(j_nodes[t]))
+            log_u[t] = delta if t % 2 == 0 else np.nextafter(delta, -np.inf)
+        reference.run(1, [tuple(a[t : t + 1] for a in stream) for stream in streams])
+    return streams, reference
+
+
+@functools.lru_cache(maxsize=None)
+def numpy_ensemble(family: str) -> MultiChainSampler:
+    """The three-chain numpy run the multi-word cells are compared with."""
+    return run_multichain(family, "numpy", None, 3)[0]
+
+
+class TestMultiWordBitmap:
+    """Families whose profile cells span several bitmap words."""
+
+    @pytest.mark.parametrize("family", MULTI_WORD_FAMILIES)
+    def test_families_exercise_several_words(self, family):
+        """The matrix's first-run proposals touch cells past word 0."""
+        graph, k = family_graph(family)
+        sampler = MultiChainSampler(graph, k, [THETA_CYCLE[0]], backend="numpy")
+        i_nodes, j_nodes, _ = native_chain.draw_proposal_batch(
+            np.random.default_rng(SEED), graph.n_nodes, RUN_LENGTHS[0]
+        )
+        beyond = 0
+        for i, j in zip(i_nodes, j_nodes):
+            _, touched = sampler._count_delta(sampler._sigma[0], i, j)
+            beyond += bool((touched >= 64).any())
+        assert beyond >= 5
+        if family == "hubs-k13":
+            assert graph.degrees.max() > 64
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("threads", (1, 2))
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("family", MULTI_WORD_FAMILIES)
+    def test_touches_match_numpy(self, family, batch_size, threads, backend):
+        reference = numpy_ensemble(family)
+        sampler, _ = run_multichain(family, backend, batch_size, 3, threads)
+        np.testing.assert_array_equal(sampler._sigma, reference._sigma)
+        np.testing.assert_array_equal(sampler.histograms(), reference.histograms())
+        assert sampler.accepted == reference.accepted
+        assert [sampler.chain(s).score_touches for s in range(3)] == [
+            reference.chain(s).score_touches for s in range(3)
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("family", MULTI_WORD_FAMILIES)
+    def test_knife_edge_thresholds(self, family, backend, monkeypatch):
+        """One kernel call over streams built to flip on any one-ulp
+        change in any proposal's delta reproduces the numpy run."""
+        monkeypatch.setattr(
+            "repro.kronecker.likelihood.draw_proposal_batch",
+            lambda stream, n_nodes, size: stream,
+        )
+        streams, reference = knife_edge_streams(family, 3, 160)
+        graph, k = family_graph(family)
+        thetas = [THETA_CYCLE[s % len(THETA_CYCLE)] for s in range(3)]
+        sampler = MultiChainSampler(graph, k, thetas, backend=backend, threads=2)
+        sampler.run(160, streams)
+        np.testing.assert_array_equal(sampler._sigma, reference._sigma)
+        np.testing.assert_array_equal(sampler.histograms(), reference.histograms())
+        assert sampler.accepted == reference.accepted
+        assert 0 < min(reference.accepted) and max(reference.accepted) < 160
+        assert [sampler.chain(s).score_touches for s in range(3)] == [
+            reference.chain(s).score_touches for s in range(3)
+        ]
+
+
 class TestMultiChainBackendSelection:
     def test_resolution_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
@@ -312,6 +433,10 @@ class TestMultiChainValidation:
         with pytest.raises(ValidationError, match="MultiChainSampler.run"):
             view.step(np.random.default_rng(0))
         assert sampler.proposed == view.proposed == 0
+
+    def test_order_beyond_the_bitmap_rejected(self):
+        with pytest.raises(ValidationError, match="bitmap"):
+            MultiChainSampler(Graph(2, [(0, 1)]), 64, [THETA_CYCLE[0]])
 
     def test_tables_follow_set_theta(self):
         graph, k = family_graph("skg-k5")

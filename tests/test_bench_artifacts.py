@@ -336,6 +336,27 @@ class TestBenchArtifactSchema:
         if floor["backend"] is not None:
             assert floor["measured"] >= floor["required"]
 
+    def test_kronfit_artifact_records_heavy_tailed_chain_row(self):
+        """Schema 6's per-workload ``proposal_events``: the padded ca-grqc
+        row (k=13) makes several times the SKG rows' cell events per
+        proposal, with hubs of degree > 64, and every available engine's
+        chain is bit-identical to the numpy reference there."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_kronfit.json").read_text(encoding="utf-8")
+        )
+        rows = {row["workload"]: row for row in report["workloads"]}
+        heavy = rows["ca-grqc"]
+        assert heavy["k"] == 13
+        events = heavy["proposal_events"]
+        assert events["max_degree"] > 64
+        assert events["p99"] > 2 * 64
+        for name in ("skg-k10", "skg-k12"):
+            assert events["mean"] > 3 * rows[name]["proposal_events"]["mean"]
+        for engine, record in heavy["chain"].items():
+            if record["available"] and engine != "numpy":
+                assert record["bit_identical"] is True
+                assert record["proposals_per_second"] > 0
+
     def test_kronfit_artifact_records_multichain_column(self):
         """Schema 5's batched multichain column: S ∈ {8, 64} rows with
         the sequential single-start baseline and batched timings at
