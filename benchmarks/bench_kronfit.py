@@ -23,7 +23,13 @@ records two trajectories per workload:
   floor workload.  Sequential fit 0 is enforced bit-identical to batched
   chain 0 (the multichain kernel's per-chain bit-identity contract).
   The batched-vs-sequential floor (S=8, ``kernel_threads=1``, ≥ 1.25×)
-  needs no second core, so every host asserts it.
+  needs no second core, so every host asserts it;
+* **Table 1 fit** — the ``kronfit-paper`` benchmark op: one single-start
+  fit at the default budget and 30 iterations on ca-grqc and as20, on
+  the best engine, split into the time inside
+  :meth:`MultiChainSampler.run` (the draw and chain calls) and the
+  remainder (tables, gradient math, Θ steps).  The engine is first
+  checked bit-identical to the numpy reference on a 2-iteration fit.
 
 Workloads: SKG draws at k ∈ {10, 12} and the ca-grqc dataset (the
 padded fit runs at k=13).  The k=12 draw asserts the floor: the best
@@ -69,7 +75,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
-from repro.kronecker.likelihood import PermutationSampler
+from repro.kronecker.likelihood import MultiChainSampler, PermutationSampler
 from repro.kronecker.sampling import sample_skg
 from repro.native.chain import MULTICHAIN_KERNEL, draw_proposal_batch
 from repro.native.registry import NATIVE_BACKENDS
@@ -82,8 +88,9 @@ from repro.native.registry import NATIVE_BACKENDS
 # 5 = dropped the pool ``multistart`` column and its floor, and re-based
 # the multichain column on S sequential single-start fits; 6 = added
 # per-workload ``proposal_events`` and the heavy-tailed ca-grqc chain row
-# to the quick subset.
-SCHEMA_VERSION = 6
+# to the quick subset; 7 = added the ``table1_fit`` rows (fit, chain-call
+# and remainder ms of the 30-iteration ca-grqc and as20 fits).
+SCHEMA_VERSION = 7
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_kronfit.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -129,6 +136,12 @@ LARGE_K_ORDERS = (16, 18, 20)
 LARGE_K_QUICK_ORDERS = (16,)
 LARGE_K_FLOOR_K = 18
 LARGE_K_FIT_FLOOR = 2.0
+
+# The Table 1 fit rows: the kronfit-paper benchmark op (default budget,
+# 30 iterations), and the short fit its bit-identity is checked on.
+TABLE1_DATASETS = ("ca-grqc", "as20")
+TABLE1_ITERATIONS = 30
+TABLE1_CHECK_ITERATIONS = 2
 
 
 def chain_engines() -> tuple[str, ...]:
@@ -332,6 +345,68 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
     return records
 
 
+def bench_table1_fit(name: str, repeats: int) -> dict:
+    """One Table 1 fit row: best-of-``repeats`` fit ms on the best engine,
+    with the ms spent inside :meth:`MultiChainSampler.run` during that fit
+    and the remainder.
+
+    The engine's fit must first equal the numpy reference's on a
+    ``TABLE1_CHECK_ITERATIONS`` fit: the numpy engine would take seconds
+    per 30-iteration fit.
+    """
+    graph = load_dataset(name)
+    engine = best_engine()
+    check = {
+        backend: KronFitEstimator(
+            n_iterations=TABLE1_CHECK_ITERATIONS, seed=SEED, backend=backend
+        ).fit(graph)
+        for backend in ("numpy", engine)
+    }
+    if check[engine] != check["numpy"]:
+        raise AssertionError(
+            f"Table 1 fit on {name} with engine {engine} diverges from the "
+            "numpy reference"
+        )
+    estimator = KronFitEstimator(
+        n_iterations=TABLE1_ITERATIONS, seed=SEED, backend=engine
+    )
+    estimator.fit(graph)  # warm-up
+    run = MultiChainSampler.__dict__["run"]
+    inside = [0.0]
+
+    def timed_run(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            inside[0] += time.perf_counter() - start
+
+    best = (float("inf"), 0.0)
+    MultiChainSampler.run = timed_run
+    try:
+        for _ in range(max(repeats, 5)):
+            inside[0] = 0.0
+            start = time.perf_counter()
+            result = estimator.fit(graph)
+            best = min(best, (time.perf_counter() - start, inside[0]))
+    finally:
+        MultiChainSampler.run = run
+    seconds, chain_seconds = best
+    return {
+        "dataset": name,
+        "backend": engine,
+        "k": result.k,
+        "n_iterations": TABLE1_ITERATIONS,
+        "n_proposals": TABLE1_ITERATIONS
+        * (estimator.warmup_swaps
+           + estimator.n_permutation_samples * estimator.sample_spacing),
+        "bit_identical_iterations": TABLE1_CHECK_ITERATIONS,
+        "fit_ms": seconds * 1000,
+        "chain_call_ms": chain_seconds * 1000,
+        "remainder_ms": (seconds - chain_seconds) * 1000,
+    }
+
+
 def bench_large_k(k: int, fit_params: dict) -> dict:
     """One large-k scale row: per-engine end-to-end fits on ``skg-k{k}``.
 
@@ -526,6 +601,16 @@ def main(argv: list[str] | None = None) -> int:
                         f"start {row['winning_start']} wins)"
                     )
 
+    table1_rows = []
+    for name in TABLE1_DATASETS:
+        row = bench_table1_fit(name, arguments.repeats)
+        table1_rows.append(row)
+        print(
+            f"{name:12s} Table 1 fit[{row['backend']}] {row['fit_ms']:7.1f} ms "
+            f"= chain calls {row['chain_call_ms']:.1f} + remainder "
+            f"{row['remainder_ms']:.1f} ms ({row['n_proposals']:,} proposals)"
+        )
+
     large_k_rows = []
     for k in LARGE_K_QUICK_ORDERS if arguments.quick else LARGE_K_ORDERS:
         row = bench_large_k(k, fit_params)
@@ -557,6 +642,7 @@ def main(argv: list[str] | None = None) -> int:
         "multichain_floor": multichain_floor,
         "large_k_fit_floor": large_k_floor,
         "workloads": results,
+        "table1_fit": table1_rows,
         "large_k": large_k_rows,
     }
     out_path = Path(arguments.out)

@@ -19,9 +19,11 @@ deterministic).
 
 Every fit, single- or multi-start, runs one code path: all S chains
 advance in lockstep inside one
-:class:`~repro.kronecker.likelihood.MultiChainSampler` — a single native
-call per proposal batch, sharded across threads by the ``kernel_threads``
-/ ``REPRO_KERNEL_THREADS`` knob — in the calling process.  A single-start
+:class:`~repro.kronecker.likelihood.MultiChainSampler` — two native calls
+per gradient iteration (draw every proposal, then run the warm-up and
+all permutation samples), the run sharded across threads by the
+``kernel_threads`` / ``REPRO_KERNEL_THREADS`` knob — in the calling
+process.  A single-start
 fit is the S=1 case and draws straight from ``as_generator(seed)``;
 multi-start fits give each start its own ``SeedSequence`` child of the
 estimator seed.  Results are bit-identical for any thread count and
@@ -40,8 +42,8 @@ from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.kronecker.likelihood import (
     _PARAM_CEIL,
-    _PARAM_FLOOR,
     MultiChainSampler,
+    _clamp,
     _empty_graph_gradient,
     _empty_graph_term,
     degree_matched_initial_sigma,
@@ -227,16 +229,18 @@ class KronFitEstimator:
         ``graph`` is padded to ``2^k`` nodes; chain ``s`` starts from
         :func:`perturbed_initial_sigma` of start ``s`` and draws from
         ``default_rng(seeds[s])`` (a Generator passes through unchanged).
-        The Metropolis kernel is exact by the multichain contracts, and
-        the stacked likelihood math below uses only IEEE
+        Each iteration is one stacked table build, one
+        :meth:`MultiChainSampler.run` (the warm-up and every permutation
+        sample, whose histograms it returns), and stacked likelihood math
+        over all P·S histograms.  The Metropolis kernel is exact by the
+        multichain contracts, and the math uses only IEEE
         correctly-rounded elementwise operations plus per-row contiguous
         sums — shape-independent, so each row reproduces
-        :class:`ProfileLikelihood`'s float sequence exactly and chain
-        ``s`` is bit-identical to a solo fit of start ``s``.  The only
-        position-sensitive pieces (the ``exp``/``log1p`` table builds and
-        the scalar empty-graph terms) stay per-chain, computed once per
-        gradient iteration (Θ is constant within an iteration, so caching
-        them is exact).
+        :class:`ProfileLikelihood`'s float sequence exactly, the samples
+        are accumulated in sample order, and chain ``s`` is bit-identical
+        to a solo fit of start ``s``.  The scalar empty-graph terms stay
+        per chain, computed once per iteration (Θ is constant within an
+        iteration, so caching them is exact).
         """
         n_chains = len(seeds)
         rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -257,78 +261,50 @@ class KronFitEstimator:
         trajectories: list[list[tuple[float, float, float]]] = [
             [] for _ in range(n_chains)
         ]
-        grid = np.arange(k + 1)
-        z_grid = np.broadcast_to(grid[:, None], (k + 1, k + 1))
-        o_grid = np.broadcast_to(grid[None, :], (k + 1, k + 1))
-        x_grid = np.maximum(k - z_grid - o_grid, 0)
+        # The (z, x, o) of every profile cell, one row per parameter.
+        z, o = np.divmod(np.arange((k + 1) ** 2), k + 1)
+        zxo = np.stack([z, np.maximum(k - z - o, 0), o])
+        n_samples = self.n_permutation_samples
+        n_steps = self.warmup_swaps + n_samples * self.sample_spacing
         for iteration in range(self.n_iterations):
-            # Θ is fixed within an iteration: build each chain's tables once
-            # and reuse them for the score row and all likelihood samples.
-            for s in range(n_chains):
-                sampler.set_theta(s, thetas[s])
-            tables = sampler.tables
-            w_tab = np.stack([t.log_p - t.log_1mp for t in tables])
-            inv_1mp = 1.0 / np.maximum(
-                1.0 - np.stack([t.p for t in tables]), 1.0 - _PARAM_CEIL
-            )
+            # Θ is fixed within an iteration: build every chain's tables
+            # once and reuse them for the score rows and all samples.
+            tables = sampler.set_thetas(thetas)
+            w_tab = (tables.log_p - tables.log_1mp).reshape(n_chains, -1)
+            inv_1mp = (
+                1.0 / np.maximum(1.0 - tables.p, 1.0 - _PARAM_CEIL)
+            ).reshape(n_chains, -1)
             abc = np.array(
-                [
-                    [
-                        min(max(theta.a, _PARAM_FLOOR), _PARAM_CEIL),
-                        min(max(theta.b, _PARAM_FLOOR), _PARAM_CEIL),
-                        min(max(theta.c, _PARAM_FLOOR), _PARAM_CEIL),
-                    ]
-                    for theta in thetas
-                ]
+                [[_clamp(theta.a), _clamp(theta.b), _clamp(theta.c)] for theta in thetas]
             )
-            empty_grad = np.stack(
-                [
-                    _empty_graph_gradient(abc[s, 0], abc[s, 1], abc[s, 2], k)
-                    for s in range(n_chains)
-                ]
-            )
-            empty_term = np.array(
-                [_empty_graph_term(thetas[s], k) for s in range(n_chains)]
-            )
-            sampler.run(self.warmup_swaps, rngs)
+            empty_grad = np.array([_empty_graph_gradient(*row, k) for row in abc])
+            empty_term = np.array([_empty_graph_term(theta, k) for theta in thetas])
+            hist = sampler.run(
+                n_steps, rngs, n_samples=n_samples, sample_spacing=self.sample_spacing
+            ).reshape(n_samples, n_chains, -1).astype(np.float64)
+            weight = hist * inv_1mp
+            sample_gradients = (weight[:, :, None, :] * zxo).sum(axis=3) / abc + empty_grad
+            sample_values = (hist * w_tab).sum(axis=2) + empty_term
+            # Summed from zero in sample order: a solo fit's float sequence.
             gradients = np.zeros((n_chains, 3))
             values = np.zeros(n_chains)
-            for _ in range(self.n_permutation_samples):
-                sampler.run(self.sample_spacing, rngs)
-                hist = sampler.histograms().astype(np.float64)
-                weight = hist * inv_1mp
-                grad_a = (weight * z_grid).reshape(n_chains, -1).sum(axis=1)
-                grad_b = (weight * x_grid).reshape(n_chains, -1).sum(axis=1)
-                grad_c = (weight * o_grid).reshape(n_chains, -1).sum(axis=1)
-                gradients += (
-                    np.stack(
-                        [
-                            grad_a / abc[:, 0],
-                            grad_b / abc[:, 1],
-                            grad_c / abc[:, 2],
-                        ],
-                        axis=1,
-                    )
-                    + empty_grad
-                )
-                values += (hist * w_tab).reshape(n_chains, -1).sum(axis=1) + empty_term
-            gradients /= self.n_permutation_samples
-            values /= self.n_permutation_samples
+            for sample in range(n_samples):
+                gradients += sample_gradients[sample]
+                values += sample_values[sample]
+            gradients /= n_samples
+            values /= n_samples
             step_scale = self.learning_rate / (1.0 + iteration / 10.0)
+            sup_norms = np.abs(gradients).max(axis=1)
+            moving = sup_norms > 0
+            rows = np.array([(theta.a, theta.b, theta.c) for theta in thetas])
+            rows[moving] = np.clip(
+                rows[moving] + step_scale * gradients[moving] / sup_norms[moving, None],
+                _PARAM_LOW,
+                _PARAM_HIGH,
+            )
+            thetas = [Initiator(*row) for row in rows.tolist()]
             for s in range(n_chains):
                 log_likelihoods[s].append(float(values[s]))
-                gradient = gradients[s]
-                sup_norm = float(np.abs(gradient).max())
-                if sup_norm > 0:
-                    step = step_scale * gradient / sup_norm
-                    theta = thetas[s]
-                    thetas[s] = _clip(
-                        Initiator(
-                            float(np.clip(theta.a + step[0], _PARAM_LOW, _PARAM_HIGH)),
-                            float(np.clip(theta.b + step[1], _PARAM_LOW, _PARAM_HIGH)),
-                            float(np.clip(theta.c + step[2], _PARAM_LOW, _PARAM_HIGH)),
-                        )
-                    )
                 trajectories[s].append((thetas[s].a, thetas[s].b, thetas[s].c))
                 _logger.debug(
                     "kronfit iter %d (chain %d): loglik=%.2f theta=(%.4f, %.4f, %.4f)",

@@ -26,8 +26,11 @@ KronFit averages its gradients over Metropolis chains on σ.
 them in lockstep; every KronFit fit runs on one (S=1 for a single-start
 fit).  It executes pre-drawn proposal streams behind the
 ``REPRO_KERNEL_BACKEND`` knob: the numpy reference engine defined here,
-or the compiled-C multichain kernel of :mod:`repro.native.chain`.  Both
-engines are bit-identical (see the contracts documented there).
+or the compiled-C multichain kernel of :mod:`repro.native.chain`, which
+also draws the streams.  Both engines are bit-identical (see the
+contracts documented there).  One scheduled
+:meth:`MultiChainSampler.run` covers a KronFit iteration: the warm-up and
+every permutation sample, returning the sample histograms.
 :class:`PermutationSampler` is a view of one chain; constructing it
 directly builds a one-chain ensemble.
 """
@@ -42,9 +45,12 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.chain import (
+    _NO_POINTERS,
+    _RUN,
     CHAIN_BITMAP_WORDS,
     MULTICHAIN_KERNEL,
     draw_proposal_batch,
+    draw_proposal_streams,
     resolve_multichain_backend,
 )
 from repro.native.registry import resolve_kernel_threads
@@ -61,6 +67,11 @@ __all__ = [
 # Initiator entries are clamped into this open interval before taking logs.
 _PARAM_FLOOR = 1e-6
 _PARAM_CEIL = 1.0 - 1e-6
+
+
+def _clamp(value: float) -> float:
+    """An initiator entry clamped into ``[_PARAM_FLOOR, _PARAM_CEIL]``."""
+    return min(max(value, _PARAM_FLOOR), _PARAM_CEIL)
 
 
 def _popcount(values: np.ndarray) -> np.ndarray:
@@ -99,17 +110,31 @@ def profile_histogram(z: np.ndarray, x: np.ndarray, o: np.ndarray, k: int) -> np
 
 @dataclass(frozen=True)
 class _LogTables:
-    """Per-profile log-probability tables for one initiator."""
+    """Per-profile log-probability tables: ``(k+1, k+1)`` arrays for one
+    initiator, or ``(S, k+1, k+1)`` stacks for S of them."""
 
-    log_p: np.ndarray  # (k+1, k+1): log P for profile (z, o)
+    log_p: np.ndarray  # log P for profile (z, o)
     log_1mp: np.ndarray  # log(1 - P)
     p: np.ndarray  # P itself
 
     @classmethod
     def build(cls, theta: Initiator, k: int) -> "_LogTables":
-        a = min(max(theta.a, _PARAM_FLOOR), _PARAM_CEIL)
-        b = min(max(theta.b, _PARAM_FLOOR), _PARAM_CEIL)
-        c = min(max(theta.c, _PARAM_FLOOR), _PARAM_CEIL)
+        stacked = cls.stack([theta], k)
+        return cls(log_p=stacked.log_p[0], log_1mp=stacked.log_1mp[0], p=stacked.p[0])
+
+    @classmethod
+    def stack(cls, thetas, k: int) -> "_LogTables":
+        """Every Θ's tables in one elementwise pass, stacked in order.
+
+        The ``log`` of each clamped a, b, c is a scalar call; the rest
+        are elementwise operations, whose value per element does not
+        depend on the stack's shape, so row ``s`` equals
+        :meth:`build` of ``thetas[s]``.
+        """
+        logs = np.array(
+            [[np.log(_clamp(value)) for value in (t.a, t.b, t.c)] for t in thetas]
+        )
+        log_a, log_b, log_c = (logs[:, column, None, None] for column in range(3))
         z = np.arange(k + 1)[:, None]
         o = np.arange(k + 1)[None, :]
         x = k - z - o  # negative for infeasible cells (z + o > k)
@@ -118,9 +143,7 @@ class _LogTables:
         # always satisfy z + o <= k), so zeroing them is safe and avoids
         # 0 * inf = NaN in histogram contractions.
         log_p = np.where(
-            valid,
-            z * np.log(a) + np.where(valid, x, 0) * np.log(b) + o * np.log(c),
-            0.0,
+            valid, z * log_a + np.where(valid, x, 0) * log_b + o * log_c, 0.0
         )
         p = np.where(valid, np.exp(log_p), 0.0)
         log_1mp = np.where(valid, np.log1p(-np.minimum(p, _PARAM_CEIL)), 0.0)
@@ -156,9 +179,7 @@ class ProfileLikelihood:
 
     def gradient(self, theta: Initiator) -> np.ndarray:
         """∇_{(a,b,c)} l(Θ, σ) (same approximation as the value)."""
-        a = min(max(theta.a, _PARAM_FLOOR), _PARAM_CEIL)
-        b = min(max(theta.b, _PARAM_FLOOR), _PARAM_CEIL)
-        c = min(max(theta.c, _PARAM_FLOOR), _PARAM_CEIL)
+        a, b, c = _clamp(theta.a), _clamp(theta.b), _clamp(theta.c)
         tables = _LogTables.build(theta, self.k)
         # d/dθ [log P - log(1-P)] = (count_θ / θ) / (1 - P)
         inv_1mp = 1.0 / np.maximum(1.0 - tables.p, 1.0 - _PARAM_CEIL)
@@ -299,30 +320,60 @@ class MultiChainSampler:
         # engine — the observable the O(k²)-rescan regression test pins
         # (see the delta-scan contract in repro.native.chain).
         self._stats = np.zeros(n_chains, dtype=np.int64)
-        self.thetas: list[Initiator] = [None] * n_chains
-        self.tables: list[_LogTables] = [None] * n_chains
+        self._accepted = np.zeros(n_chains, dtype=np.int64)
         self.accepted = [0] * n_chains
         self.proposed = 0  # chains advance in lockstep
-        for s, (theta, sigma) in enumerate(zip(thetas, sigmas)):
+        self.set_thetas(thetas)
+        for s, sigma in enumerate(sigmas):
             self.set_sigma(
                 s, degree_matched_initial_sigma(graph, k) if sigma is None else sigma
             )
-            self.set_theta(s, theta)
-        # Draw-stream buffers, reused across same-length run() calls.
-        self._streams: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Flat draw-stream buffers, grown to the longest run: a run of n
+        # proposals views the first S·n slots of each as (S, n).
+        self._streams = (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
 
     def chain(self, index: int) -> "PermutationSampler":
         """Chain ``index`` as a live :class:`PermutationSampler` view."""
         return PermutationSampler._view(self, range(self.n_chains)[index])
 
-    def set_theta(self, index: int, theta: Initiator) -> None:
-        """Update chain ``index``'s Θ (rebuilds its tables and score row)."""
-        tables = _LogTables.build(theta, self.k)
-        self.thetas[index] = theta
-        self.tables[index] = tables
+    @property
+    def tables(self) -> list[_LogTables]:
+        """Each chain's log tables (views of the stacked rows)."""
+        t = self._tables
+        return [
+            _LogTables(log_p=t.log_p[s], log_1mp=t.log_1mp[s], p=t.p[s])
+            for s in range(self.n_chains)
+        ]
+
+    def set_thetas(self, thetas) -> _LogTables:
+        """Set every chain's Θ with one stacked table build.
+
+        Returns the stacked ``(S, k+1, k+1)`` tables, which the sampler
+        keeps: treat them as read-only.
+        """
+        thetas = list(thetas)
+        if len(thetas) != self.n_chains:
+            raise ValidationError(
+                f"got {len(thetas)} thetas for {self.n_chains} chains"
+            )
+        self.thetas = thetas
+        self._tables = _LogTables.stack(thetas, self.k)
         # Hoisted out of the proposal loop: `log P - log(1-P)` per profile
         # cell, read by every engine's delta scan.
-        self._score[index] = (tables.log_p - tables.log_1mp).ravel()
+        self._score[:] = (self._tables.log_p - self._tables.log_1mp).reshape(
+            self.n_chains, -1
+        )
+        return self._tables
+
+    def set_theta(self, index: int, theta: Initiator) -> None:
+        """Update chain ``index``'s Θ (rebuilds the tables and score rows)."""
+        thetas = list(self.thetas)
+        thetas[index] = theta
+        self.set_thetas(thetas)
 
     def set_sigma(self, index: int, sigma: np.ndarray) -> None:
         """Replace chain ``index``'s σ (rebuilds its profile histogram)."""
@@ -339,23 +390,39 @@ class MultiChainSampler:
         n_steps: int,
         rngs,
         batch_size: int | None = None,
-    ) -> None:
+        *,
+        n_samples: int = 0,
+        sample_spacing: int = 1,
+    ) -> np.ndarray | None:
         """Advance every chain ``n_steps`` proposals.
 
-        ``rngs`` holds one generator per chain; streams are pre-drawn per
-        chain **in chain order** with the draw contract, so chain ``s``
-        consumes its generator exactly like a one-chain run would — then
-        the configured engine executes them in kernel batches of
-        ``batch_size`` (default: one batch).  The batch size only bounds
-        how much work enters compiled code at once — the trajectory is
-        bit-identical for any value.
+        ``rngs`` holds one generator per chain (chains may share one).
+        The last ``n_samples`` segments of ``sample_spacing`` proposals
+        are sample segments (the rest is warm-up): the run returns the
+        ``(n_samples, S, k+1, k+1)`` histograms at the end of each
+        (``None`` without samples) — what running each segment on its own
+        and reading :meth:`histograms` after it gives.  Every segment's
+        streams are drawn first, segment by segment and chain by chain,
+        with the draw contract, so chain ``s`` consumes its generator
+        exactly like a one-chain run would; on the cext engine that is
+        one native call, and running them one more.  The cext engine
+        runs the streams in kernel batches of ``batch_size`` (default: one
+        batch), which only bounds how much work enters compiled code at
+        once — the trajectory is bit-identical for any value.
         """
-        self._advance(n_steps, rngs, batch_size)
+        return self._advance(n_steps, rngs, batch_size, n_samples, sample_spacing)
 
     # -- internals --------------------------------------------------------
 
-    def _advance(self, n_steps: int, rngs, batch_size: int | None) -> None:
-        """Draw every chain's stream, then execute the batch."""
+    def _advance(
+        self,
+        n_steps: int,
+        rngs,
+        batch_size: int | None,
+        n_samples: int = 0,
+        sample_spacing: int = 1,
+    ) -> np.ndarray | None:
+        """Draw every chain's streams, then execute them."""
         rngs = list(rngs)
         if len(rngs) != self.n_chains:
             raise ValidationError(
@@ -363,76 +430,100 @@ class MultiChainSampler:
             )
         if n_steps < 0:
             raise ValidationError(f"n_steps must be non-negative, got {n_steps}")
-        if n_steps == 0 or self.graph.n_nodes < 2:
-            return
-        streams = self._streams.get(n_steps)
-        if streams is None:
-            streams = (
-                np.empty((self.n_chains, n_steps), dtype=np.int64),
-                np.empty((self.n_chains, n_steps), dtype=np.int64),
-                np.empty((self.n_chains, n_steps), dtype=np.float64),
+        if n_samples < 0 or sample_spacing < 1 or n_samples * sample_spacing > n_steps:
+            raise ValidationError(
+                f"{n_samples} samples {sample_spacing} proposals apart do not "
+                f"fit in a run of {n_steps}"
             )
-            self._streams[n_steps] = streams
-        i_all, j_all, u_all = streams
-        for s, rng in enumerate(rngs):
-            i_all[s], j_all[s], u_all[s] = draw_proposal_batch(
-                rng, self.graph.n_nodes, n_steps
-            )
-        if self._kernel is None:
-            batches = _batches(n_steps, batch_size)
-            for s in range(self.n_chains):
-                for start, stop in batches:
-                    self.accepted[s] += self._reference_block(
-                        s, i_all[s], j_all[s], u_all[s], start, stop
-                    )
+        snapshots = np.empty((n_samples, self.n_chains, self._n_cells), dtype=np.int64)
+        n_nodes = self.graph.n_nodes
+        if n_steps == 0 or n_nodes < 2:
+            snapshots[:] = self._hist
         else:
-            accepted = self._run_fused(i_all, j_all, u_all, batch_size)
-            for s in range(self.n_chains):
-                self.accepted[s] += int(accepted[s])
-        self.proposed += n_steps
+            batches = _batches(n_steps, batch_size)
+            ends = np.arange(
+                n_steps - n_samples * sample_spacing,
+                n_steps + 1,
+                sample_spacing,
+                dtype=np.int64,
+            )
+            streams = self._stream_views(n_steps)
+            if self._kernel is not None and all(
+                isinstance(rng, np.random.Generator) for rng in rngs
+            ):
+                draw_proposal_streams(self._kernel, rngs, n_nodes, ends, *streams)
+            else:
+                begin = 0
+                for end in ends.tolist():
+                    for s, rng in enumerate(rngs if end > begin else ()):
+                        drawn = draw_proposal_batch(rng, n_nodes, end - begin)
+                        for stream, values in zip(streams, drawn):
+                            stream[s, begin:end] = values
+                    begin = end
+            if self._kernel is None:
+                self._run_reference(streams, ends, snapshots)
+            else:
+                self._run_fused(streams, ends, snapshots, batches)
+            self.proposed += n_steps
+        if n_samples == 0:
+            return None
+        return snapshots.reshape(n_samples, self.n_chains, self.k + 1, self.k + 1)
+
+    def _stream_views(self, n_steps: int) -> tuple[np.ndarray, ...]:
+        """``(S, n_steps)`` C-contiguous views of the draw buffers."""
+        size = self.n_chains * n_steps
+        if self._streams[0].size < size:
+            self._streams = tuple(
+                np.empty(size, dtype=buffer.dtype) for buffer in self._streams
+            )
+        return tuple(
+            buffer[:size].reshape(self.n_chains, n_steps) for buffer in self._streams
+        )
+
+    def _run_reference(
+        self, streams: tuple[np.ndarray, ...], ends: np.ndarray, snapshots: np.ndarray
+    ) -> None:
+        """Run every chain's segments on the numpy engine, snapshotting
+        the histogram after each sample segment."""
+        i_all, j_all, u_all = streams
+        first_sample = ends.size - snapshots.shape[0]
+        for s in range(self.n_chains):
+            begin = 0
+            for g, end in enumerate(ends.tolist()):
+                self.accepted[s] += self._reference_block(
+                    s, i_all[s], j_all[s], u_all[s], begin, end
+                )
+                if g >= first_sample:
+                    snapshots[g - first_sample, s] = self._hist[s]
+                begin = end
 
     def _run_fused(
         self,
-        i_all: np.ndarray,
-        j_all: np.ndarray,
-        u_all: np.ndarray,
-        batch_size: int | None,
-    ) -> np.ndarray:
+        streams: tuple[np.ndarray, ...],
+        ends: np.ndarray,
+        snapshots: np.ndarray,
+        batches: list[tuple[int, int]],
+    ) -> None:
         """Advance every chain through the fused multichain kernel.
 
         The state rows and the pre-drawn streams are C-contiguous
-        ``(S, ·)`` blocks, mutated in place.  Returns each chain's
-        accepted-swap count.  At most one thread per chain is used —
-        extra threads would only idle.
+        ``(S, ·)`` blocks, mutated in place; the kernel writes the
+        snapshots.  At most one thread per chain is used — extra threads
+        would only idle.
         """
+        i_all, j_all, u_all = streams
         n_chains, n_nodes = self._sigma.shape
-        total = i_all.shape[1]
         n_threads = max(1, min(self.threads, n_chains))
-        accepted = np.zeros(n_chains, dtype=np.int64)
-        scratch = np.zeros(n_chains, dtype=np.int64)
-        for start, stop in _batches(total, batch_size):
+        for start, stop in batches:
             self._kernel(
-                self._indptr32,
-                self._indices32,
-                n_chains,
-                n_nodes,
-                self._sigma.ravel(),
-                self.k,
-                self._score.ravel(),
-                self._hist.ravel(),
-                self._counts.ravel(),
-                self._stats,
-                i_all.ravel(),
-                j_all.ravel(),
-                u_all.ravel(),
-                total,
-                start,
-                stop,
-                scratch,
-                n_threads,
+                _RUN, self._indptr32, self._indices32, n_chains, n_nodes,
+                self._sigma, self.k, self._score, self._hist, self._counts,
+                self._stats, i_all, j_all, u_all, i_all.shape[1], ends,
+                ends.size, snapshots.shape[0], snapshots, _NO_POINTERS, start,
+                stop, self._accepted, n_threads,
             )
-            accepted += scratch
-        return accepted
+            for s in range(n_chains):
+                self.accepted[s] += int(self._accepted[s])
 
     def _reference_block(
         self,

@@ -14,8 +14,12 @@ owns every chain's state (a solo
 one-chain ensemble, so it runs the kernel at S=1).
 Four contracts make the C engine bit-identical to the numpy reference:
 
-**The draw contract** (:func:`draw_proposal_batch`).  All randomness is
-pre-drawn in numpy-land, once per sampler ``run`` call and chain:
+**The draw contract** (:func:`draw_proposal_batch`).  A sampler ``run``
+splits its proposals into segments — a warm-up, then any sample segments
+(see :meth:`~repro.kronecker.likelihood.MultiChainSampler.run`) — and
+every segment of every chain is drawn before any proposal runs: segment
+by segment, and within a segment chain by chain, each from its chain's
+generator:
 
 1. ``i ← rng.integers(0, n, size)`` — one draw per proposal;
 2. ``j ← rng.integers(0, n, size)``, then, while any ``i == j`` collision
@@ -26,8 +30,19 @@ pre-drawn in numpy-land, once per sampler ``run`` call and chain:
 3. ``log u ← log(rng.random(size))`` — the acceptance thresholds, drawn
    after the collision loop settles.
 
-Kernels only ever *consume* these streams, so stream consumption cannot
-depend on the engine or on how a run is chunked into kernel batches.
+The numpy engine draws each segment with :func:`draw_proposal_batch`,
+which is also the oracle.  The cext engine makes the same calls in C
+through each generator's public ``bitgen_t``
+(:func:`draw_proposal_streams`): numpy's 32-bit Lemire bounded draw on
+``next_uint32`` for ``i`` and ``j``, ``next_double`` for ``u``.  It
+takes every segment of a run in one call, with each distinct generator's
+lock held once, so chains may share a generator.  Only the ``log`` stays
+in numpy, one call over the whole buffer: numpy's vectorized ``log``
+rounds differently from the C library's on a small share of inputs, and
+it gives each element the same value whatever the array's length or the
+element's position in it.  Kernels only ever *consume* the streams, so
+stream consumption cannot depend on the engine or on how a run is
+chunked into kernel batches.
 
 **The score contract.**  A swap of σ(i) and σ(j) changes the edge term by
 ``Σ_cells Δcount[cell] · score[cell]`` where ``score = log P − log(1−P)``
@@ -65,7 +80,9 @@ stays gone.
 **The histogram contract.**  ``Δcount`` of an accepted swap is folded
 into the persistent profile histogram, so the histogram is maintained
 incrementally on touched edges only — no O(E) ``edge_profiles`` recompute
-per permutation sample.
+per permutation sample.  At the end of each sample segment the kernel
+copies every chain's histogram into a snapshot buffer, so one call runs
+a KronFit iteration's warm-up and all its samples.
 
 The C loop is compiled via :mod:`repro.native.registry`, with
 ``-fopenmp`` and ``-mpopcnt`` as optional compile flags; the numpy
@@ -81,6 +98,7 @@ acceptance counts.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 from typing import Callable
 
@@ -88,10 +106,12 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.native.registry import NativeKernel
+from repro.native.sampling import BITGEN_T_C, bitgen_pointers
 
 __all__ = [
     "CHAIN_BITMAP_WORDS",
     "draw_proposal_batch",
+    "draw_proposal_streams",
     "MULTICHAIN_KERNEL",
     "resolve_multichain_backend",
     "resolve_chain_backend",
@@ -132,24 +152,89 @@ def draw_proposal_batch(
 # bits fit for every k ≤ 63, the width of an int64 Kronecker id.
 CHAIN_BITMAP_WORDS = 64
 
-# Execute proposals [start, stop) of S pre-drawn streams in place.
-# Stacked per-chain state is passed as flat C-contiguous arrays: chain c
-# owns sigma_all[c·n_nodes:], the (k+1)²-long slices of score_all /
-# hist_all / counts_all at c·(k+1)², and the draw-contract streams
-# i_all / j_all / u_all at c·stream_len.  accepted_all[c] is *set* to the
-# number of accepted swaps of this call (the caller accumulates);
-# stats_all[c] accumulates chain c's score-table touches.  Every counts[]
-# update sets its cell's bit in the chain's stack bitmap, whose set bits
-# the delta scan and then the fold-and-reset walk in ascending order
-# (see the delta-scan contract).  counts_all starts and ends all-zero.
-# n_threads only shards chains across OpenMP threads (the pragma is inert
-# without -fopenmp) — chains are data-independent, so results are
-# bit-identical for any thread count.  Returns the total accepted across
-# chains.
-_MULTICHAIN_C_SOURCE = f"#define BITMAP_WORDS {CHAIN_BITMAP_WORDS}\n" + """\
+# The modes of repro_multichain_block.
+_RUN = 0
+_DRAW = 1
+
+# repro_multichain_block works on S chains' stacked state, passed as flat
+# C-contiguous arrays: chain c owns sigma_all[c·n_nodes:], the
+# (k+1)²-long slices of score_all / hist_all / counts_all at c·(k+1)²,
+# and the draw-contract streams i_all / j_all / u_all at c·stream_len.
+# ends[0..n_ends) are the ascending ends of a run's segments within every
+# stream.  The mode argument picks what the call does.
+#
+# Draw mode fills the streams by the draw contract, chain c from
+# bitgens[c], and leaves raw uniforms in u_all for the caller's log; the
+# caller holds the generators' locks.  Collisions are redrawn in passes,
+# each redrawing (in index order) the j of every collision the previous
+# pass left: numpy's rounds of flatnonzero(i == j).  Returns 0, or −1
+# when n_nodes is outside [2, 2³² − 1].
+#
+# Run mode executes proposals [start, stop) of every chain in place.
+# accepted_all[c] is *set* to the number of accepted swaps of this call
+# (the caller accumulates); stats_all[c] accumulates chain c's
+# score-table touches.  Every counts[] update sets its cell's bit in the
+# chain's stack bitmap, whose set bits the delta scan and then the
+# fold-and-reset walk in ascending order (see the delta-scan contract).
+# counts_all starts and ends all-zero.  The last n_snapshots segments are
+# sample segments: once proposal ends[g] − 1 of one has run, chain c
+# copies its histogram to row (g − n_ends + n_snapshots)·S + c of
+# snapshots.  n_threads only shards chains across OpenMP threads (the
+# pragma is inert without -fopenmp) — chains are data-independent, so
+# results are bit-identical for any thread count.  Returns the total
+# accepted across chains.
+_MULTICHAIN_C_SOURCE = (
+    f"#define BITMAP_WORDS {CHAIN_BITMAP_WORDS}\n#define DRAW_MODE {_DRAW}\n"
+    + """\
 #include <stdint.h>
+#include <string.h>
+
+"""
+    + BITGEN_T_C
+    + """
+/* numpy's bounded draw from [0, rng] for rng < 2^32 - 1: Lemire's method
+   on next_uint32, as random_bounded_uint64_fill makes it. */
+static inline int64_t bounded_draw(bitgen_t *bitgen, uint32_t rng)
+{
+    uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* One segment of one chain, drawn as draw_proposal_batch draws it. */
+static void draw_segment(bitgen_t *bitgen, uint32_t rng, int64_t size,
+    int64_t *i_nodes, int64_t *j_nodes, double *u)
+{
+    for (int64_t t = 0; t < size; t++) {
+        i_nodes[t] = bounded_draw(bitgen, rng);
+    }
+    for (int64_t t = 0; t < size; t++) {
+        j_nodes[t] = bounded_draw(bitgen, rng);
+    }
+    for (int redrawn = 1; redrawn;) {
+        redrawn = 0;
+        for (int64_t t = 0; t < size; t++) {
+            if (i_nodes[t] == j_nodes[t]) {
+                j_nodes[t] = bounded_draw(bitgen, rng);
+                redrawn = 1;
+            }
+        }
+    }
+    for (int64_t t = 0; t < size; t++) {
+        u[t] = bitgen->next_double(bitgen->state);
+    }
+}
 
 int64_t repro_multichain_block(
+    int64_t mode,
     const int32_t *indptr,
     const int32_t *indices,
     int64_t n_chains,
@@ -160,17 +245,38 @@ int64_t repro_multichain_block(
     int64_t *hist_all,
     int64_t *counts_all,
     int64_t *stats_all,
-    const int64_t *i_all,
-    const int64_t *j_all,
-    const double *u_all,
+    int64_t *i_all,
+    int64_t *j_all,
+    double *u_all,
     int64_t stream_len,
+    const int64_t *ends,
+    int64_t n_ends,
+    int64_t n_snapshots,
+    int64_t *snapshots,
+    bitgen_t *const *bitgens,
     int64_t start,
     int64_t stop,
     int64_t *accepted_all,
     int64_t n_threads)
 {
+    if (mode == DRAW_MODE) {
+        if (n_nodes < 2 || n_nodes > (int64_t)UINT32_MAX) {
+            return -1;
+        }
+        int64_t begin = 0;
+        for (int64_t g = 0; g < n_ends; g++) {
+            for (int64_t c = 0; c < n_chains; c++) {
+                int64_t offset = c * stream_len + begin;
+                draw_segment(bitgens[c], (uint32_t)(n_nodes - 1), ends[g] - begin,
+                    i_all + offset, j_all + offset, u_all + offset);
+            }
+            begin = ends[g];
+        }
+        return 0;
+    }
     int64_t n_cells = (k + 1) * (k + 1);
     int64_t n_words = (n_cells + 63) >> 6;
+    int64_t first_snapshot = n_ends - n_snapshots;
     int nt = n_threads > 0 ? (int)n_threads : 1;
     (void)nt;
 #pragma omp parallel for num_threads(nt) schedule(static)
@@ -185,6 +291,10 @@ int64_t repro_multichain_block(
         uint64_t touched[BITMAP_WORDS] = {0};
         int64_t accepted = 0;
         int64_t touches = 0;
+        int64_t g = first_snapshot;
+        while (g < n_ends && ends[g] <= start) {
+            g++;
+        }
         for (int64_t t = start; t < stop; t++) {
             int64_t i = i_nodes[t];
             int64_t j = j_nodes[t];
@@ -251,6 +361,11 @@ int64_t repro_multichain_block(
                 }
                 touched[w] = 0;
             }
+            if (g < n_ends && t + 1 == ends[g]) {
+                memcpy(snapshots + ((g - first_snapshot) * n_chains + c) * n_cells,
+                    hist, (size_t)n_cells * sizeof(int64_t));
+                g++;
+            }
         }
         accepted_all[c] = accepted;
         stats_all[c] += touches;
@@ -262,19 +377,78 @@ int64_t repro_multichain_block(
     return total;
 }
 """
+)
+
+_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_POINTER_ARG = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
+
+# Stand-ins for the arrays a draw-mode call does not read.
+_NO_INT32 = np.empty(0, dtype=np.int32)
+_NO_INT64 = np.empty(0, dtype=np.int64)
+_NO_FLOAT64 = np.empty(0, dtype=np.float64)
+_NO_POINTERS = np.empty(0, dtype=np.uintp)
+
+
+def draw_proposal_streams(
+    kernel: Callable,
+    rngs,
+    n_nodes: int,
+    ends: np.ndarray,
+    i_all: np.ndarray,
+    j_all: np.ndarray,
+    u_all: np.ndarray,
+) -> None:
+    """Fill ``(S, L)`` streams with the draw contract in one native call.
+
+    Row ``s`` holds chain ``s``'s segments ``[0, ends[0])``,
+    ``[ends[0], ends[1])``, … (``ends`` ascending int64, ``ends[-1] ==
+    L``): equal to :func:`draw_proposal_batch` of each segment, chain by
+    chain from ``rngs[s]``, leaving every generator in the same state.
+    Generators may repeat; each distinct one's lock is held once.
+    """
+    if n_nodes < 2:
+        raise ValidationError(
+            f"proposal draws need at least 2 nodes, got {n_nodes}"
+        )
+    n_chains, stream_len = i_all.shape
+    bit_generators = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
+    with contextlib.ExitStack() as locks:
+        for bit_generator in bit_generators.values():
+            locks.enter_context(bit_generator.lock)
+        status = kernel(
+            _DRAW, _NO_INT32, _NO_INT32, n_chains, n_nodes, _NO_INT64, 0,
+            _NO_FLOAT64, _NO_INT64, _NO_INT64, _NO_INT64, i_all, j_all, u_all,
+            stream_len, ends, ends.size, 0, _NO_INT64, bitgen_pointers(rngs),
+            0, 0, _NO_INT64, 1,
+        )
+    if status != 0:
+        raise RuntimeError(f"multichain kernel draw failed with status {status}")
+    # log(0.0) = -inf accepts, as in draw_proposal_batch.
+    with np.errstate(divide="ignore"):
+        np.log(u_all, out=u_all)
 
 
 def _multichain_smoke_test(kernel: Callable) -> None:
-    """Run the kernel on a hand-checked three-chain, 4-proposal batch.
+    """Run both modes on hand-checked instances.
 
-    Three chains on the path graph 0–1–2–3 at k=2 with different σ,
-    synthetic score tables, and acceptance thresholds; chain 0 accepts a
-    below-threshold negative delta, two non-negative deltas, then rejects
-    a negative delta above its threshold.  The expected σ, histograms,
-    touch counts, and acceptances were captured from the retired
-    single-chain kernel, one chain at a time.  Runs with ``n_threads=2``
-    to exercise the threaded path at probe time and catches a miscompiled
-    or ABI-mismatched kernel.
+    Run mode: three chains on the path graph 0–1–2–3 at k=2 with
+    different σ, synthetic score tables, and acceptance thresholds; chain
+    0 accepts a below-threshold negative delta, two non-negative deltas,
+    then rejects a negative delta above its threshold.  The expected σ,
+    histograms, touch counts, and acceptances were captured from the
+    retired single-chain kernel, one chain at a time.  The run is one
+    sample segment after a 2-proposal warm-up, so the snapshot must hold
+    the final histograms.  Runs with ``n_threads=2`` to exercise the
+    threaded path at probe time.
+
+    Draw mode: two segments of three chains, chains 0 and 2 sharing one
+    generator, at n=3 (collisions on a third of the draws).  The streams
+    and every generator's state must equal a twin's
+    :func:`draw_proposal_batch` calls: that pins the ``bitgen_t`` layout
+    the kernel calls through.  Catches a miscompiled or ABI-mismatched
+    kernel at probe time.
     """
     indptr = np.array([0, 1, 3, 5, 6], dtype=np.int32)
     indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int32)
@@ -296,13 +470,13 @@ def _multichain_smoke_test(kernel: Callable) -> None:
     hist = np.zeros((3, 9), dtype=np.int64)
     counts = np.zeros((3, 9), dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
+    snapshots = np.zeros((1, 3, 9), dtype=np.int64)
     accepted = np.zeros(3, dtype=np.int64)
     total = int(
         kernel(
-            indptr, indices, 3, 4, sigma.ravel(), 2, score.ravel(),
-            hist.ravel(), counts.ravel(), stats,
-            i_nodes.ravel(), j_nodes.ravel(), log_u.ravel(), 4, 0, 4,
-            accepted, 2,
+            _RUN, indptr, indices, 3, 4, sigma, 2, score, hist, counts, stats,
+            i_nodes, j_nodes, log_u, 4, np.array([2, 4], dtype=np.int64), 2, 1,
+            snapshots, _NO_POINTERS, 0, 4, accepted, 2,
         )
     )
     expected_hist = np.zeros((3, 9), dtype=np.int64)
@@ -314,22 +488,38 @@ def _multichain_smoke_test(kernel: Callable) -> None:
         or accepted.tolist() != [3, 3, 3]
         or sigma.tolist() != [[3, 2, 0, 1], [1, 2, 3, 0], [0, 2, 3, 1]]
         or not np.array_equal(hist, expected_hist)
+        or not np.array_equal(snapshots[0], expected_hist)
         or stats.tolist() != [8, 4, 8]
     ):
         raise RuntimeError(
             f"multichain kernel self-check failed: total={total}, "
             f"accepted={accepted.tolist()}, sigma={sigma.tolist()}, "
-            f"hist={hist.tolist()}, stats={stats.tolist()}"
+            f"hist={hist.tolist()}, snapshots={snapshots.tolist()}, "
+            f"stats={stats.tolist()}"
         )
     if counts.any():
         raise RuntimeError(
             "multichain kernel self-check failed: counts not zeroed"
         )
+    shared, twin = np.random.default_rng(5), np.random.default_rng(5)
+    rngs = [shared, np.random.default_rng(6), shared]
+    twins = [twin, np.random.default_rng(6), twin]
+    streams = [np.empty((3, 12), dtype=dtype) for dtype in (np.int64, np.int64, np.float64)]
+    draw_proposal_streams(kernel, rngs, 3, np.array([7, 12], dtype=np.int64), *streams)
+    for begin, end in ((0, 7), (7, 12)):
+        for s, rng in enumerate(twins):
+            for got, want in zip(streams, draw_proposal_batch(rng, 3, end - begin)):
+                if not np.array_equal(got[s, begin:end], want):
+                    raise RuntimeError(
+                        f"multichain kernel draw self-check failed: chain {s} "
+                        f"segment [{begin}, {end}) differs from draw_proposal_batch"
+                    )
+    if [r.bit_generator.state for r in rngs] != [r.bit_generator.state for r in twins]:
+        raise RuntimeError(
+            "multichain kernel draw self-check failed: a generator did not "
+            "end where draw_proposal_batch leaves it"
+        )
 
-
-_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 MULTICHAIN_KERNEL = NativeKernel(
     name="multichain",
@@ -338,6 +528,7 @@ MULTICHAIN_KERNEL = NativeKernel(
     c_symbol="repro_multichain_block",
     c_restype=ctypes.c_int64,
     c_argtypes=[
+        ctypes.c_int64,  # mode (_RUN or _DRAW)
         _INT32_ARG,  # indptr
         _INT32_ARG,  # indices
         ctypes.c_int64,  # n_chains
@@ -352,6 +543,11 @@ MULTICHAIN_KERNEL = NativeKernel(
         _INT64_ARG,  # j_all
         _FLOAT64_ARG,  # u_all
         ctypes.c_int64,  # stream_len
+        _INT64_ARG,  # ends (segment ends, ascending)
+        ctypes.c_int64,  # n_ends
+        ctypes.c_int64,  # n_snapshots (trailing sample segments)
+        _INT64_ARG,  # snapshots (flat n_snapshots x S x (k+1)^2)
+        _POINTER_ARG,  # bitgens (one bitgen_t * per chain; draw mode)
         ctypes.c_int64,  # start
         ctypes.c_int64,  # stop
         _INT64_ARG,  # accepted_all (per-chain, set per call)

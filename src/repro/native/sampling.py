@@ -156,6 +156,22 @@ def lex_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return lex, offsets
 
 
+# numpy's public bitgen_t, shared by every kernel that draws from a
+# Generator (pass pointers from bitgen_pointers, and hold the generators'
+# locks for the call).
+BITGEN_T_C = """\
+/* numpy's public bitgen_t (numpy/random/bitgen.h), declared here so the
+   kernel neither includes nor links anything from numpy. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
+"""
+
+
 # repro_sampler_batch selects n_samples samples of one (Θ, k) in one
 # call.  Sample s reads its binomial class counts from row s of counts
 # (n_classes columns over the class table z_arr/x_arr/class_sizes) and
@@ -192,16 +208,7 @@ _C_SOURCE = r"""
 #include <immintrin.h>
 #endif
 
-/* numpy's public bitgen_t (numpy/random/bitgen.h), declared here so the
-   kernel neither includes nor links anything from numpy. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *state);
-    uint32_t (*next_uint32)(void *state);
-    double (*next_double)(void *state);
-    uint64_t (*next_raw)(void *state);
-} bitgen_t;
-
+""" + BITGEN_T_C + r"""
 /* The highest set bit of a nonzero word. */
 static inline int64_t top_bit(int64_t word)
 {

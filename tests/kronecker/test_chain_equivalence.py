@@ -255,3 +255,94 @@ class TestKronFitAcrossBackends:
         assert result.log_likelihoods == reference.log_likelihoods
         assert result.acceptance_rate == reference.acceptance_rate
         assert result.trajectory == reference.trajectory
+
+
+CEXT_KERNEL = pytest.mark.skipif(
+    not MULTICHAIN_KERNEL.available("cext"),
+    reason=f"cext backend unavailable: {MULTICHAIN_KERNEL.error('cext')}",
+)
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+def _streams(n_chains: int, length: int) -> tuple[np.ndarray, ...]:
+    return tuple(
+        np.empty((n_chains, length), dtype=dtype)
+        for dtype in (np.int64, np.int64, np.float64)
+    )
+
+
+@CEXT_KERNEL
+class TestNativeDrawContract:
+    """The cext engine's draw (through each generator's ``bitgen_t``,
+    then one bulk ``log``) is ``draw_proposal_batch`` array for array,
+    and leaves every generator where the numpy draw leaves it."""
+
+    @pytest.mark.parametrize("size", (1, 7, 200, 2_000))
+    @pytest.mark.parametrize("n_nodes", (2, 3, 5, 6_474, 8_192, 2**31 - 1))
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    def test_matches_draw_proposal_batch(self, bit_generator, n_nodes, size):
+        rng = np.random.Generator(bit_generator(17))
+        twin = np.random.Generator(bit_generator(17))
+        streams = _streams(1, size)
+        native_chain.draw_proposal_streams(
+            MULTICHAIN_KERNEL.kernel("cext"),
+            [rng],
+            n_nodes,
+            np.array([size], dtype=np.int64),
+            *streams,
+        )
+        for got, want in zip(streams, native_chain.draw_proposal_batch(twin, n_nodes, size)):
+            np.testing.assert_array_equal(got[0], want)
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    def test_segments_at_odd_offsets_of_a_shared_buffer(self, bit_generator):
+        """Three chains (0 and 2 sharing a generator) over segments that
+        start at odd offsets: the rows equal ``draw_proposal_batch`` per
+        segment, chain by chain in chain order."""
+        ends = np.array([7, 207, 208, 1_209], dtype=np.int64)
+        shared = np.random.Generator(bit_generator(3))
+        rngs = [shared, np.random.Generator(bit_generator(4)), shared]
+        twin = np.random.Generator(bit_generator(3))
+        twins = [twin, np.random.Generator(bit_generator(4)), twin]
+        streams = _streams(3, int(ends[-1]))
+        native_chain.draw_proposal_streams(
+            MULTICHAIN_KERNEL.kernel("cext"), rngs, 5, ends, *streams
+        )
+        begin = 0
+        for end in ends.tolist():
+            for s, rng in enumerate(twins):
+                want = native_chain.draw_proposal_batch(rng, 5, end - begin)
+                for got, expected in zip(streams, want):
+                    np.testing.assert_array_equal(got[s, begin:end], expected)
+            begin = end
+        for rng, twin_rng in zip(rngs, twins):
+            np.testing.assert_equal(rng.bit_generator.state, twin_rng.bit_generator.state)
+
+    def test_node_counts_outside_the_32_bit_draw_rejected(self):
+        kernel = MULTICHAIN_KERNEL.kernel("cext")
+        ends = np.array([4], dtype=np.int64)
+        with pytest.raises(ValidationError):
+            native_chain.draw_proposal_streams(
+                kernel, [np.random.default_rng(0)], 1, ends, *_streams(1, 4)
+            )
+        with pytest.raises(RuntimeError, match="status -1"):
+            native_chain.draw_proposal_streams(
+                kernel, [np.random.default_rng(0)], 2**32, ends, *_streams(1, 4)
+            )
+
+    def test_smoke_test_catches_a_misdirected_draw(self):
+        """A kernel that draws through the wrong ``bitgen_t`` fails the
+        probe's smoke test, which turns the backend off instead of
+        letting it corrupt chains."""
+        kernel = MULTICHAIN_KERNEL.kernel("cext")
+        stranger = native_chain.bitgen_pointers([np.random.default_rng(99)])
+
+        def misdirected(*args):
+            if args[0] == native_chain._DRAW:
+                args = list(args)
+                args[19] = np.repeat(stranger, len(args[19]))
+            return kernel(*args)
+
+        with pytest.raises(RuntimeError, match="draw self-check"):
+            native_chain._multichain_smoke_test(misdirected)

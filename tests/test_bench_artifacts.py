@@ -357,6 +357,25 @@ class TestBenchArtifactSchema:
                 assert record["bit_identical"] is True
                 assert record["proposals_per_second"] > 0
 
+    def test_kronfit_artifact_records_table1_fit_rows(self):
+        """Schema 7's ``table1_fit`` rows: the 30-iteration ca-grqc and
+        as20 fits (84,000 proposals each, the kronfit-paper op), split
+        into the time inside the sampler's run calls and the remainder,
+        after a bit-identity check against the numpy engine."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_kronfit.json").read_text(encoding="utf-8")
+        )
+        rows = report["table1_fit"]
+        assert [row["dataset"] for row in rows] == ["ca-grqc", "as20"]
+        for row in rows:
+            assert row["k"] == 13 and row["n_iterations"] == 30
+            assert row["n_proposals"] == 84_000
+            assert row["bit_identical_iterations"] >= 1
+            assert 0 < row["chain_call_ms"] < row["fit_ms"]
+            assert row["remainder_ms"] == pytest.approx(
+                row["fit_ms"] - row["chain_call_ms"]
+            )
+
     def test_kronfit_artifact_records_multichain_column(self):
         """Schema 5's batched multichain column: S ∈ {8, 64} rows with
         the sequential single-start baseline and batched timings at
