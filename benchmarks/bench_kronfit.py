@@ -27,9 +27,10 @@ records two trajectories per workload:
 * **Table 1 fit** — the ``kronfit-paper`` benchmark op: one single-start
   fit at the default budget and 30 iterations on ca-grqc and as20, on
   the best engine, split into the time inside
-  :meth:`MultiChainSampler.run` (the draw and chain calls) and the
-  remainder (tables, gradient math, Θ steps).  The engine is first
-  checked bit-identical to the numpy reference on a 2-iteration fit.
+  :meth:`MultiChainSampler.run` (the draw and chain calls; also per
+  proposal) and the remainder (tables, gradient math, Θ steps).  The
+  engine is first checked bit-identical to the numpy reference on a
+  2-iteration fit.
 
 Workloads: SKG draws at k ∈ {10, 12} and the ca-grqc dataset (the
 padded fit runs at k=13).  The k=12 draw asserts the floor: the best
@@ -89,8 +90,9 @@ from repro.native.registry import NATIVE_BACKENDS
 # the multichain column on S sequential single-start fits; 6 = added
 # per-workload ``proposal_events`` and the heavy-tailed ca-grqc chain row
 # to the quick subset; 7 = added the ``table1_fit`` rows (fit, chain-call
-# and remainder ms of the 30-iteration ca-grqc and as20 fits).
-SCHEMA_VERSION = 7
+# and remainder ms of the 30-iteration ca-grqc and as20 fits); 8 = added
+# their ``chain_ns_per_proposal`` (chain-call time per proposal).
+SCHEMA_VERSION = 8
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_kronfit.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -392,17 +394,20 @@ def bench_table1_fit(name: str, repeats: int) -> dict:
     finally:
         MultiChainSampler.run = run
     seconds, chain_seconds = best
+    n_proposals = TABLE1_ITERATIONS * (
+        estimator.warmup_swaps
+        + estimator.n_permutation_samples * estimator.sample_spacing
+    )
     return {
         "dataset": name,
         "backend": engine,
         "k": result.k,
         "n_iterations": TABLE1_ITERATIONS,
-        "n_proposals": TABLE1_ITERATIONS
-        * (estimator.warmup_swaps
-           + estimator.n_permutation_samples * estimator.sample_spacing),
+        "n_proposals": n_proposals,
         "bit_identical_iterations": TABLE1_CHECK_ITERATIONS,
         "fit_ms": seconds * 1000,
         "chain_call_ms": chain_seconds * 1000,
+        "chain_ns_per_proposal": chain_seconds * 1e9 / n_proposals,
         "remainder_ms": (seconds - chain_seconds) * 1000,
     }
 
@@ -608,7 +613,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{name:12s} Table 1 fit[{row['backend']}] {row['fit_ms']:7.1f} ms "
             f"= chain calls {row['chain_call_ms']:.1f} + remainder "
-            f"{row['remainder_ms']:.1f} ms ({row['n_proposals']:,} proposals)"
+            f"{row['remainder_ms']:.1f} ms ({row['n_proposals']:,} proposals, "
+            f"{row['chain_ns_per_proposal']:.0f} ns each in chain calls)"
         )
 
     large_k_rows = []

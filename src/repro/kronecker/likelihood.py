@@ -37,6 +37,7 @@ directly builds a one-chain ensemble.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.chain import (
-    _NO_POINTERS,
     _RUN,
     CHAIN_BITMAP_WORDS,
     MULTICHAIN_KERNEL,
@@ -53,7 +53,7 @@ from repro.native.chain import (
     draw_proposal_streams,
     resolve_multichain_backend,
 )
-from repro.native.registry import resolve_kernel_threads
+from repro.native.registry import buffer_addresses, resolve_kernel_threads
 
 __all__ = [
     "edge_profiles",
@@ -306,11 +306,6 @@ class MultiChainSampler:
         adjacency = graph.adjacency
         self._indptr = adjacency.indptr
         self._indices = adjacency.indices
-        self._kernel = None
-        if self.backend != "numpy":
-            self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
-            self._indptr32 = np.ascontiguousarray(self._indptr, dtype=np.int32)
-            self._indices32 = np.ascontiguousarray(self._indices, dtype=np.int32)
         self._n_cells = (k + 1) * (k + 1)
         self._sigma = np.empty((n_chains, graph.n_nodes), dtype=np.int64)
         self._hist = np.empty((n_chains, self._n_cells), dtype=np.int64)
@@ -328,13 +323,28 @@ class MultiChainSampler:
             self.set_sigma(
                 s, degree_matched_initial_sigma(graph, k) if sigma is None else sigma
             )
-        # Flat draw-stream buffers, grown to the longest run: a run of n
-        # proposals views the first S·n slots of each as (S, n).
+        # Flat draw-stream buffers (see _run_layout).
         self._streams = (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64),
         )
+        self._layout = (None,)  # the last run's, keyed (see _run_layout)
+        self._kernel = self._run_call = None
+        if self.backend != "numpy":
+            # The kernel takes raw addresses: every buffer it reads is
+            # checked here, once, and must never be replaced afterwards.
+            self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
+            self._csr32 = [np.ascontiguousarray(self._indptr, dtype=np.int32),
+                           np.ascontiguousarray(self._indices, dtype=np.int32)]
+            sigma, hist, counts, stats, self._accepted_address = buffer_addresses(
+                np.int64, self._sigma, self._hist, self._counts, self._stats, self._accepted
+            )
+            self._run_call = functools.partial(
+                self._kernel, _RUN, *buffer_addresses(np.int32, *self._csr32), n_chains,
+                graph.n_nodes, sigma, k, *buffer_addresses(np.float64, self._score),
+                hist, counts, stats,
+            )
 
     def chain(self, index: int) -> "PermutationSampler":
         """Chain ``index`` as a live :class:`PermutationSampler` view."""
@@ -435,19 +445,15 @@ class MultiChainSampler:
                 f"{n_samples} samples {sample_spacing} proposals apart do not "
                 f"fit in a run of {n_steps}"
             )
-        snapshots = np.empty((n_samples, self.n_chains, self._n_cells), dtype=np.int64)
         n_nodes = self.graph.n_nodes
         if n_steps == 0 or n_nodes < 2:
+            snapshots = np.empty((n_samples, self.n_chains, self._n_cells), dtype=np.int64)
             snapshots[:] = self._hist
         else:
             batches = _batches(n_steps, batch_size)
-            ends = np.arange(
-                n_steps - n_samples * sample_spacing,
-                n_steps + 1,
-                sample_spacing,
-                dtype=np.int64,
+            streams, ends, snapshots, run_call = self._run_layout(
+                n_steps, n_samples, sample_spacing
             )
-            streams = self._stream_views(n_steps)
             if self._kernel is not None and all(
                 isinstance(rng, np.random.Generator) for rng in rngs
             ):
@@ -460,25 +466,57 @@ class MultiChainSampler:
                         for stream, values in zip(streams, drawn):
                             stream[s, begin:end] = values
                     begin = end
-            if self._kernel is None:
+            if run_call is None:
                 self._run_reference(streams, ends, snapshots)
             else:
-                self._run_fused(streams, ends, snapshots, batches)
+                # The fused kernel mutates the state rows in place and writes
+                # the snapshots, using at most one thread per chain.
+                n_threads = max(1, min(self.threads, self.n_chains))
+                for start, stop in batches:
+                    run_call(start, stop, self._accepted_address, n_threads)
+                    for s in range(self.n_chains):
+                        self.accepted[s] += int(self._accepted[s])
             self.proposed += n_steps
         if n_samples == 0:
             return None
-        return snapshots.reshape(n_samples, self.n_chains, self.k + 1, self.k + 1)
+        return snapshots.reshape(n_samples, self.n_chains, self.k + 1, self.k + 1).copy()
 
-    def _stream_views(self, n_steps: int) -> tuple[np.ndarray, ...]:
-        """``(S, n_steps)`` C-contiguous views of the draw buffers."""
-        size = self.n_chains * n_steps
-        if self._streams[0].size < size:
-            self._streams = tuple(
-                np.empty(size, dtype=buffer.dtype) for buffer in self._streams
+    def _run_layout(self, n_steps: int, n_samples: int, sample_spacing: int):
+        """``(streams, ends, snapshots, run_call)`` for a run, rebuilt only
+        when the layout differs from the last run's.
+
+        ``streams`` are ``(S, n_steps)`` C-contiguous views of the draw
+        buffers, which grow to the longest run; ``ends`` holds the segment
+        ends and ``snapshots`` is the buffer the run fills.  On the cext
+        engine ``run_call(start, stop, accepted, n_threads)`` runs
+        proposals ``[start, stop)`` with every address bound; a rebuild
+        binds again, as growing a buffer frees the old one.
+        """
+        key = (n_steps, n_samples, sample_spacing)
+        if self._layout[0] != key:
+            size = self.n_chains * n_steps
+            if self._streams[0].size < size:
+                self._streams = tuple(
+                    np.empty(size, dtype=buffer.dtype) for buffer in self._streams
+                )
+            i_all, j_all, u_all = streams = tuple(
+                buffer[:size].reshape(self.n_chains, n_steps) for buffer in self._streams
             )
-        return tuple(
-            buffer[:size].reshape(self.n_chains, n_steps) for buffer in self._streams
-        )
+            ends = np.arange(
+                n_steps - n_samples * sample_spacing,
+                n_steps + 1,
+                sample_spacing,
+                dtype=np.int64,
+            )
+            snapshots = np.empty((n_samples, self.n_chains, self._n_cells), dtype=np.int64)
+            run_call = self._run_call and functools.partial(
+                self._run_call, *buffer_addresses(np.int64, i_all, j_all),
+                *buffer_addresses(np.float64, u_all), n_steps,
+                *buffer_addresses(np.int64, ends), ends.size, n_samples,
+                *buffer_addresses(np.int64, snapshots), None,
+            )
+            self._layout = (key, streams, ends, snapshots, run_call)
+        return self._layout[1:]
 
     def _run_reference(
         self, streams: tuple[np.ndarray, ...], ends: np.ndarray, snapshots: np.ndarray
@@ -496,34 +534,6 @@ class MultiChainSampler:
                 if g >= first_sample:
                     snapshots[g - first_sample, s] = self._hist[s]
                 begin = end
-
-    def _run_fused(
-        self,
-        streams: tuple[np.ndarray, ...],
-        ends: np.ndarray,
-        snapshots: np.ndarray,
-        batches: list[tuple[int, int]],
-    ) -> None:
-        """Advance every chain through the fused multichain kernel.
-
-        The state rows and the pre-drawn streams are C-contiguous
-        ``(S, ·)`` blocks, mutated in place; the kernel writes the
-        snapshots.  At most one thread per chain is used — extra threads
-        would only idle.
-        """
-        i_all, j_all, u_all = streams
-        n_chains, n_nodes = self._sigma.shape
-        n_threads = max(1, min(self.threads, n_chains))
-        for start, stop in batches:
-            self._kernel(
-                _RUN, self._indptr32, self._indices32, n_chains, n_nodes,
-                self._sigma, self.k, self._score, self._hist, self._counts,
-                self._stats, i_all, j_all, u_all, i_all.shape[1], ends,
-                ends.size, snapshots.shape[0], snapshots, _NO_POINTERS, start,
-                stop, self._accepted, n_threads,
-            )
-            for s in range(n_chains):
-                self.accepted[s] += int(self._accepted[s])
 
     def _reference_block(
         self,

@@ -48,9 +48,11 @@ chunked into kernel batches.
 ``Σ_cells Δcount[cell] · score[cell]`` where ``score = log P − log(1−P)``
 per profile cell and ``Δcount`` is the *integer* profile-histogram change
 — computed exactly (increments), hence order-independent.  The float
-accumulation visits the *touched* cells in ascending index order,
-skipping zero counts; the numpy reference performs the identical scan
-(``np.unique`` yields ascending touched cells), so the sum sequence —
+accumulation visits the *touched* cells in ascending index order; the
+numpy reference performs the identical scan (``np.unique`` yields
+ascending touched cells).  It skips zero counts, which the kernel adds:
+scores are finite, so a zero count adds ±0.0 to a sum that starts at
++0.0 and so is never −0.0, which changes nothing.  The sum sequence —
 and therefore every accept/reject decision — is bit-identical across
 engines.  (The cext build passes ``-ffp-contract=off`` so no FMA
 contraction can perturb the rounding.)  The profile cell of a neighbor
@@ -65,19 +67,20 @@ the compiler's ``__builtin_popcountll``.
 
 **The delta-scan contract.**  Every ``counts[]`` update sets its cell's
 bit in a per-chain stack bitmap of the ``(k+1)²`` profile cells
-(:data:`CHAIN_BITMAP_WORDS` words, so k ≤ 63).  The delta scan, then the
-histogram fold and scratch reset (which clear the words), walk its set
-bits in ascending order with ``__builtin_ctzll``: O(deg i + deg j +
-(k+1)²/64) per proposal, and no sort of the ``2·(deg i + deg j)`` cell
-events that a heavy-tailed graph's hubs make by the hundred.  The walk
-visits exactly the distinct touched cells in ascending order — the numpy
-reference's ``np.unique`` sequence — and every nonzero-count cell is
-among them, so the float accumulation sequence equals the full ascending
-scan's.  ``stats_all[c]`` accumulates chain ``c``'s score-table touches
-(nonzero cells accumulated), which is how tests prove the O(k²) rescan
-stays gone.
+(:data:`CHAIN_BITMAP_WORDS` words, so k ≤ 63).  The delta scan walks
+its set bits once, in ascending order with ``__builtin_ctzll``: O(deg i
++ deg j + (k+1)²/64) per proposal, and no sort of the ``2·(deg i + deg
+j)`` cell events that a heavy-tailed graph's hubs make by the hundred.
+The walk visits exactly the distinct touched cells in ascending order —
+the numpy reference's ``np.unique`` sequence — and every nonzero-count
+cell is among them, so the float accumulation sequence equals the full
+ascending scan's.  At each cell the scan zeroes the count, adds it to the
+delta without a branch, and lists ``(cell, count)``, keeping the entry
+only for a nonzero count; each bitmap word is cleared once walked.
+``stats_all[c]`` accumulates chain ``c``'s list lengths (score-table
+touches), which is how tests prove the O(k²) rescan stays gone.
 
-**The histogram contract.**  ``Δcount`` of an accepted swap is folded
+**The histogram contract.**  An accepted swap adds the delta scan's list
 into the persistent profile histogram, so the histogram is maintained
 incrementally on touched edges only — no O(E) ``edge_profiles`` recompute
 per permutation sample.  At the end of each sample segment the kernel
@@ -105,7 +108,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.native.registry import NativeKernel
+from repro.native.registry import NativeKernel, buffer_addresses
 from repro.native.sampling import BITGEN_T_C, bitgen_pointers
 
 __all__ = [
@@ -161,7 +164,9 @@ _DRAW = 1
 # (k+1)²-long slices of score_all / hist_all / counts_all at c·(k+1)²,
 # and the draw-contract streams i_all / j_all / u_all at c·stream_len.
 # ends[0..n_ends) are the ascending ends of a run's segments within every
-# stream.  The mode argument picks what the call does.
+# stream.  Arrays are raw addresses, checked (dtype, C-contiguity) when
+# the caller binds them with registry.buffer_addresses, and NULL where a
+# mode does not read them.  The mode argument picks what the call does.
 #
 # Draw mode fills the streams by the draw contract, chain c from
 # bitgens[c], and leaves raw uniforms in u_all for the caller's log; the
@@ -174,8 +179,9 @@ _DRAW = 1
 # accepted_all[c] is *set* to the number of accepted swaps of this call
 # (the caller accumulates); stats_all[c] accumulates chain c's
 # score-table touches.  Every counts[] update sets its cell's bit in the
-# chain's stack bitmap, whose set bits the delta scan and then the
-# fold-and-reset walk in ascending order (see the delta-scan contract).
+# chain's stack bitmap, walked once in ascending order by the delta scan,
+# which zeroes counts and words and lists the nonzero counts that an
+# accepted swap adds into hist (see the delta-scan contract).
 # counts_all starts and ends all-zero.  The last n_snapshots segments are
 # sample segments: once proposal ends[g] − 1 of one has run, chain c
 # copies its histogram to row (g − n_ends + n_snapshots)·S + c of
@@ -289,6 +295,10 @@ int64_t repro_multichain_block(
         const int64_t *j_nodes = j_all + c * stream_len;
         const double *log_u = u_all + c * stream_len;
         uint64_t touched[BITMAP_WORDS] = {0};
+        /* The scan's (cell, count) fold list.  Each visited cell writes
+           slot n_folds, below the number of cells visited so far, so
+           (k+1)^2 <= 64 * BITMAP_WORDS slots suffice. */
+        struct { int64_t cell, cnt; } folds[64 * BITMAP_WORDS];
         int64_t accepted = 0;
         int64_t touches = 0;
         int64_t g = first_snapshot;
@@ -336,30 +346,27 @@ int64_t repro_multichain_block(
                 touched[cell >> 6] |= (uint64_t)1 << (cell & 63);
             }
             double delta = 0.0;
+            int64_t n_folds = 0;
             for (int64_t w = 0; w < n_words; w++) {
                 for (uint64_t bits = touched[w]; bits; bits &= bits - 1) {
                     cell = (w << 6) | __builtin_ctzll(bits);
-                    if (counts[cell] != 0) {
-                        delta += (double)counts[cell] * score[cell];
-                        touches += 1;
-                    }
+                    int64_t cnt = counts[cell];
+                    counts[cell] = 0;
+                    delta += (double)cnt * score[cell];
+                    folds[n_folds].cell = cell;
+                    folds[n_folds].cnt = cnt;
+                    n_folds += cnt != 0;
                 }
+                touched[w] = 0;
             }
-            int accept = delta >= 0.0 || log_u[t] < delta;
-            if (accept) {
+            touches += n_folds;
+            if (delta >= 0.0 || log_u[t] < delta) {
                 sigma[i] = id_j;
                 sigma[j] = id_i;
                 accepted += 1;
-            }
-            for (int64_t w = 0; w < n_words; w++) {
-                for (uint64_t bits = touched[w]; bits; bits &= bits - 1) {
-                    cell = (w << 6) | __builtin_ctzll(bits);
-                    if (accept) {
-                        hist[cell] += counts[cell];
-                    }
-                    counts[cell] = 0;
+                for (int64_t f = 0; f < n_folds; f++) {
+                    hist[folds[f].cell] += folds[f].cnt;
                 }
-                touched[w] = 0;
             }
             if (g < n_ends && t + 1 == ends[g]) {
                 memcpy(snapshots + ((g - first_snapshot) * n_chains + c) * n_cells,
@@ -379,17 +386,6 @@ int64_t repro_multichain_block(
 """
 )
 
-_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_POINTER_ARG = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
-
-# Stand-ins for the arrays a draw-mode call does not read.
-_NO_INT32 = np.empty(0, dtype=np.int32)
-_NO_INT64 = np.empty(0, dtype=np.int64)
-_NO_FLOAT64 = np.empty(0, dtype=np.float64)
-_NO_POINTERS = np.empty(0, dtype=np.uintp)
-
 
 def draw_proposal_streams(
     kernel: Callable,
@@ -406,22 +402,32 @@ def draw_proposal_streams(
     ``[ends[0], ends[1])``, … (``ends`` ascending int64, ``ends[-1] ==
     L``): equal to :func:`draw_proposal_batch` of each segment, chain by
     chain from ``rngs[s]``, leaving every generator in the same state.
-    Generators may repeat; each distinct one's lock is held once.
+    Generators may repeat; each distinct one's lock is held once.  The
+    arrays' dtypes, C-contiguity and shapes are checked before the call.
     """
     if n_nodes < 2:
         raise ValidationError(
             f"proposal draws need at least 2 nodes, got {n_nodes}"
         )
     n_chains, stream_len = i_all.shape
+    bitgens = bitgen_pointers(rngs)
+    i_address, j_address, ends_address = buffer_addresses(np.int64, i_all, j_all, ends)
+    [u_address] = buffer_addresses(np.float64, u_all)
+    if (j_all.shape, u_all.shape, bitgens.size) != (i_all.shape, i_all.shape, n_chains) or (
+        ends.size and ends[-1] > stream_len
+    ):
+        raise ValidationError(
+            f"{bitgens.size} generators and segment ends {ends[-1:]} do not "
+            f"fit streams {i_all.shape}, {j_all.shape}, {u_all.shape}"
+        )
     bit_generators = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
     with contextlib.ExitStack() as locks:
         for bit_generator in bit_generators.values():
             locks.enter_context(bit_generator.lock)
         status = kernel(
-            _DRAW, _NO_INT32, _NO_INT32, n_chains, n_nodes, _NO_INT64, 0,
-            _NO_FLOAT64, _NO_INT64, _NO_INT64, _NO_INT64, i_all, j_all, u_all,
-            stream_len, ends, ends.size, 0, _NO_INT64, bitgen_pointers(rngs),
-            0, 0, _NO_INT64, 1,
+            _DRAW, None, None, n_chains, n_nodes, None, 0, None, None, None,
+            None, i_address, j_address, u_address, stream_len, ends_address,
+            ends.size, 0, None, bitgens.ctypes.data, 0, 0, None, 1,
         )
     if status != 0:
         raise RuntimeError(f"multichain kernel draw failed with status {status}")
@@ -472,11 +478,15 @@ def _multichain_smoke_test(kernel: Callable) -> None:
     stats = np.zeros(3, dtype=np.int64)
     snapshots = np.zeros((1, 3, 9), dtype=np.int64)
     accepted = np.zeros(3, dtype=np.int64)
+    ends = np.array([2, 4], dtype=np.int64)
     total = int(
         kernel(
-            _RUN, indptr, indices, 3, 4, sigma, 2, score, hist, counts, stats,
-            i_nodes, j_nodes, log_u, 4, np.array([2, 4], dtype=np.int64), 2, 1,
-            snapshots, _NO_POINTERS, 0, 4, accepted, 2,
+            _RUN, *buffer_addresses(np.int32, indptr, indices), 3, 4,
+            *buffer_addresses(np.int64, sigma), 2, *buffer_addresses(np.float64, score),
+            *buffer_addresses(np.int64, hist, counts, stats, i_nodes, j_nodes),
+            *buffer_addresses(np.float64, log_u), 4, *buffer_addresses(np.int64, ends),
+            2, 1, *buffer_addresses(np.int64, snapshots), None, 0, 4,
+            *buffer_addresses(np.int64, accepted), 2,
         )
     )
     expected_hist = np.zeros((3, 9), dtype=np.int64)
@@ -529,28 +539,28 @@ MULTICHAIN_KERNEL = NativeKernel(
     c_restype=ctypes.c_int64,
     c_argtypes=[
         ctypes.c_int64,  # mode (_RUN or _DRAW)
-        _INT32_ARG,  # indptr
-        _INT32_ARG,  # indices
+        ctypes.c_void_p,  # indptr (int32)
+        ctypes.c_void_p,  # indices (int32)
         ctypes.c_int64,  # n_chains
         ctypes.c_int64,  # n_nodes
-        _INT64_ARG,  # sigma_all (flat S x n_nodes)
+        ctypes.c_void_p,  # sigma_all (int64, flat S x n_nodes)
         ctypes.c_int64,  # k
-        _FLOAT64_ARG,  # score_all (flat S x (k+1)^2)
-        _INT64_ARG,  # hist_all (flat S x (k+1)^2)
-        _INT64_ARG,  # counts_all scratch (flat S x (k+1)^2)
-        _INT64_ARG,  # stats_all (per-chain touch accumulators)
-        _INT64_ARG,  # i_all (flat S x stream_len)
-        _INT64_ARG,  # j_all
-        _FLOAT64_ARG,  # u_all
+        ctypes.c_void_p,  # score_all (float64, flat S x (k+1)^2)
+        ctypes.c_void_p,  # hist_all (int64, flat S x (k+1)^2)
+        ctypes.c_void_p,  # counts_all scratch (int64, flat S x (k+1)^2)
+        ctypes.c_void_p,  # stats_all (int64 per-chain touch accumulators)
+        ctypes.c_void_p,  # i_all (int64, flat S x stream_len)
+        ctypes.c_void_p,  # j_all (int64)
+        ctypes.c_void_p,  # u_all (float64)
         ctypes.c_int64,  # stream_len
-        _INT64_ARG,  # ends (segment ends, ascending)
+        ctypes.c_void_p,  # ends (int64 segment ends, ascending)
         ctypes.c_int64,  # n_ends
         ctypes.c_int64,  # n_snapshots (trailing sample segments)
-        _INT64_ARG,  # snapshots (flat n_snapshots x S x (k+1)^2)
-        _POINTER_ARG,  # bitgens (one bitgen_t * per chain; draw mode)
+        ctypes.c_void_p,  # snapshots (int64, flat n_snapshots x S x (k+1)^2)
+        ctypes.c_void_p,  # bitgens (uintp: one bitgen_t * per chain; draw mode)
         ctypes.c_int64,  # start
         ctypes.c_int64,  # stop
-        _INT64_ARG,  # accepted_all (per-chain, set per call)
+        ctypes.c_void_p,  # accepted_all (int64 per chain, set per call)
         ctypes.c_int64,  # n_threads
     ],
     smoke_test=_multichain_smoke_test,

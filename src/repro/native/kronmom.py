@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.native.registry import NativeKernel
+from repro.native.registry import NativeKernel, buffer_addresses
 
 __all__ = ["KRONMOM_KERNEL", "refine_restarts"]
 
@@ -379,8 +379,10 @@ class _Buffers:
     """One fit's kernel buffers, with their addresses bound once.
 
     ``step()`` is the kernel call with every argument bound as a raw
-    address: ~1.4 µs a call, where ``ndpointer`` argument checks on the
-    six arrays would cost ~20 µs on each of a fit's few hundred steps.
+    address, checked once by :func:`~repro.native.registry.buffer_addresses`:
+    1–2 µs a call, where ``ndpointer`` argument checks on the six arrays
+    would make it 28–35 µs (2-vCPU Xeon VM) on each of a fit's few
+    hundred steps.
     The arrays live as long as this object, which the caller keeps for
     as long as it calls ``step``.
     """
@@ -401,9 +403,10 @@ class _Buffers:
         self.cubes = np.zeros((n, 4, 3), dtype=np.float64)
         self.step = functools.partial(
             kernel, n,
-            *(array.ctypes.data for array in (
-                self.config, self.settings, self.state, self.status,
-                self.points, self.cubes)),
+            *buffer_addresses(np.int64, self.config),
+            *buffer_addresses(np.float64, self.settings, self.state),
+            *buffer_addresses(np.int64, self.status),
+            *buffer_addresses(np.float64, self.points, self.cubes),
         )
 
 

@@ -341,7 +341,8 @@ class TestNativeDrawContract:
         def misdirected(*args):
             if args[0] == native_chain._DRAW:
                 args = list(args)
-                args[19] = np.repeat(stranger, len(args[19]))
+                strangers = np.repeat(stranger, args[3])  # one per chain
+                args[19] = strangers.ctypes.data
             return kernel(*args)
 
         with pytest.raises(RuntimeError, match="draw self-check"):

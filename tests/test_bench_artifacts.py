@@ -376,6 +376,17 @@ class TestBenchArtifactSchema:
                 row["fit_ms"] - row["chain_call_ms"]
             )
 
+    def test_kronfit_artifact_records_table1_chain_ns_per_proposal(self):
+        """Schema 8: each ``table1_fit`` row also gives the time inside
+        the sampler's run calls per proposal, in ns."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_kronfit.json").read_text(encoding="utf-8")
+        )
+        for row in report["table1_fit"]:
+            assert row["chain_ns_per_proposal"] == pytest.approx(
+                row["chain_call_ms"] * 1e6 / row["n_proposals"]
+            )
+
     def test_kronfit_artifact_records_multichain_column(self):
         """Schema 5's batched multichain column: S ∈ {8, 64} rows with
         the sequential single-start baseline and batched timings at
