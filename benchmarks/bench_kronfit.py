@@ -17,8 +17,9 @@ records two trajectories per workload:
   Table-1-scale chain parameters, per engine, with bit-identical fitted
   initiators enforced across engines;
 * **batched multichain fit** — wall-clock of ``KronFitEstimator(n_starts=S)``
-  (all S chains advanced in *one* native call per proposal batch,
-  ``kernel_threads`` ∈ {1, 2}) against S sequential single-start fits
+  (the S chains cut into ``kernel_threads`` ∈ {1, 2} contiguous ranges,
+  one native call per range and proposal batch, each range on its own
+  Python thread) against S sequential single-start fits
   seeded with the same ``SeedSequence`` children, at S ∈ {8, 64} on the
   floor workload.  Sequential fit 0 is enforced bit-identical to batched
   chain 0 (the multichain kernel's per-chain bit-identity contract).
@@ -101,8 +102,9 @@ SEED = 20120330
 FUSED_FIT_FLOOR = 2.0
 FLOOR_WORKLOAD = "skg-k12"
 
-# Batched multichain column: all S chains advanced in one native call vs
-# S sequential single-start fits.
+# Batched multichain column: all S chains advanced together (one native
+# call per chain range, one range per kernel thread) vs S sequential
+# single-start fits.
 MULTICHAIN_STARTS = (8, 64)
 MULTICHAIN_QUICK_STARTS = (8,)
 MULTICHAIN_THREADS = (1, 2)
@@ -300,8 +302,9 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
 
     For each S the baseline runs S ``KronFitEstimator(n_starts=1)`` fits
     one after another, seeded with the ``SeedSequence`` children the
-    batched fit gives its starts; the batched fit advances all S chains
-    in one native call per proposal batch, at each kernel-thread count.
+    batched fit gives its starts; the batched fit advances the S chains
+    in one native call per proposal batch and chain range, with one
+    range per kernel thread.
     Both are timed best-of-``repeats`` after an untimed warm-up.
     Sequential fit 0 (degree-matched σ, child 0) must be bit-identical
     to batched chain 0 — the per-chain contract pinned per proposal by

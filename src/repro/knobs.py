@@ -99,7 +99,7 @@ _TABLE = (
          "Engine of the A² counting pass, the KronFit chain, the SKG sampler, "
          "the isotonic (PAVA) pass and KronMom's Nelder–Mead refinement"),
     Knob("REPRO_KERNEL_THREADS", "int", 1, _integer(),
-         "Threads of the batched multichain kernel (<= 0 = all cores)"),
+         "Threads sharding the multichain kernel's chains (<= 0 = all cores)"),
     # Trial engine.
     Knob("REPRO_TRIAL_RETRIES", "int", 0, _integer(0),
          "Extra attempts per trial after the first"),
@@ -111,10 +111,7 @@ _TABLE = (
          "Broken-pool rebuilds per run before the breakage surfaces"),
     Knob("REPRO_FAULT_INJECT", "spec", "", None,
          "Trial fault-injection spec"),
-    # Native build and tracking.
-    Knob("REPRO_OPENMP", "choice", "on",
-         ("on", "off", "1", "0", "yes", "no", "true", "false"),
-         "Compile the C multichain kernel with -fopenmp"),
+    # Tracking and data.
     Knob("REPRO_RUNS_DIR", "path", "runs", None,
          "Root directory of tracked runs"),
     Knob("REPRO_DATA_DIR", "path", None, None,

@@ -19,10 +19,10 @@ deterministic).
 
 Every fit, single- or multi-start, runs one code path: all S chains
 advance in lockstep inside one
-:class:`~repro.kronecker.likelihood.MultiChainSampler` — two native calls
-per gradient iteration (draw every proposal, then run the warm-up and
-all permutation samples), the run sharded across threads by the
-``kernel_threads`` / ``REPRO_KERNEL_THREADS`` knob — in the calling
+:class:`~repro.kronecker.likelihood.MultiChainSampler` — per gradient
+iteration one native call draws every proposal and one per chain range
+runs the warm-up and all permutation samples, a range per
+``kernel_threads`` / ``REPRO_KERNEL_THREADS`` thread — in the calling
 process.  A single-start
 fit is the S=1 case and draws straight from ``as_generator(seed)``;
 multi-start fits give each start its own ``SeedSequence`` child of the
@@ -136,7 +136,7 @@ class KronFitEstimator:
         ``1`` (the default) is bit-identical to the historical
         single-chain fit.
     kernel_threads:
-        Threads the multichain kernel shards chains across (default: the
+        Python threads the chains are sharded across (default: the
         ``REPRO_KERNEL_THREADS`` knob, else 1; 0 means all usable cores;
         never more than ``n_starts``).  Purely a throughput knob —
         results are bit-identical for any value.

@@ -38,6 +38,7 @@ directly builds a one-chain ensemble.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.native.chain import (
     draw_proposal_streams,
     resolve_multichain_backend,
 )
-from repro.native.registry import buffer_addresses, resolve_kernel_threads
+from repro.native.registry import buffer_addresses, resolve_kernel_threads, shard_bounds
 
 __all__ = [
     "edge_profiles",
@@ -84,15 +85,18 @@ def edge_profiles(
     """Per-edge profiles (z, x, o) under node correspondence ``sigma``.
 
     ``sigma[node]`` is the Kronecker id assigned to ``node``; ids must be a
-    permutation of ``0 .. 2^k - 1`` with ``2^k == graph.n_nodes``.
+    permutation of ``0 .. 2^k - 1`` with ``2^k == graph.n_nodes``, checked
+    in O(n): any other id would index outside the profile cells.
     """
     if graph.n_nodes != 2**k:
         raise ValidationError(
             f"graph has {graph.n_nodes} nodes, expected 2^{k} = {2**k}"
         )
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if sigma.shape != (graph.n_nodes,):
-        raise ValidationError("sigma must assign an id to every node")
+    sigma, seen = np.asarray(sigma), np.zeros(graph.n_nodes, dtype=bool)
+    if sigma.shape == seen.shape and sigma.dtype.kind in "iu":
+        seen[sigma[(sigma >= 0) & (sigma < seen.size)]] = True
+    if not seen.all():
+        raise ValidationError(f"sigma is not a permutation of 0 .. {seen.size - 1}")
     u, v = graph.edge_arrays
     su, sv = sigma[u], sigma[v]
     x = _popcount(su ^ sv)
@@ -260,9 +264,9 @@ class MultiChainSampler:
     CSR structure.  This class owns every chain's state, stacked into
     C-contiguous ``(S, ·)`` blocks, and both engines (``backend`` /
     ``REPRO_KERNEL_BACKEND``): the numpy reference defined here, and the
-    compiled-C multichain kernel of :mod:`repro.native.chain`, which
-    advances the whole ensemble in one call sharded across ``threads``.
-    Both consume the same pre-drawn streams under the same score contract
+    compiled-C multichain kernel of :mod:`repro.native.chain`, one
+    GIL-free call per batch for each of ``threads`` chain ranges.  Both
+    consume the same pre-drawn streams under the same score contract
     (integer count deltas dotted with the score table in ascending cell
     order), so trajectories, histograms, and acceptance counts are
     **bit-identical** for any engine, batch size, or thread count, and
@@ -386,7 +390,8 @@ class MultiChainSampler:
         self.set_thetas(thetas)
 
     def set_sigma(self, index: int, sigma: np.ndarray) -> None:
-        """Replace chain ``index``'s σ (rebuilds its profile histogram)."""
+        """Replace chain ``index``'s σ (rebuilds its profile histogram;
+        :func:`edge_profiles` refuses a σ that is not a permutation)."""
         z, x, o = edge_profiles(self.graph, sigma, self.k)
         self._sigma[index] = sigma
         self._hist[index] = profile_histogram(z, x, o, self.k).ravel()
@@ -415,10 +420,11 @@ class MultiChainSampler:
         streams are drawn first, segment by segment and chain by chain,
         with the draw contract, so chain ``s`` consumes its generator
         exactly like a one-chain run would; on the cext engine that is
-        one native call, and running them one more.  The cext engine
-        runs the streams in kernel batches of ``batch_size`` (default: one
-        batch), which only bounds how much work enters compiled code at
-        once — the trajectory is bit-identical for any value.
+        one native call, and running them one more per chain range.  The
+        cext engine runs the streams in kernel batches of ``batch_size``
+        (default: one batch), which only bounds how much work enters
+        compiled code at once — the trajectory is bit-identical for any
+        value.
         """
         return self._advance(n_steps, rngs, batch_size, n_samples, sample_spacing)
 
@@ -469,13 +475,7 @@ class MultiChainSampler:
             if run_call is None:
                 self._run_reference(streams, ends, snapshots)
             else:
-                # The fused kernel mutates the state rows in place and writes
-                # the snapshots, using at most one thread per chain.
-                n_threads = max(1, min(self.threads, self.n_chains))
-                for start, stop in batches:
-                    run_call(start, stop, self._accepted_address, n_threads)
-                    for s in range(self.n_chains):
-                        self.accepted[s] += int(self._accepted[s])
+                self._run_native(run_call, batches)
             self.proposed += n_steps
         if n_samples == 0:
             return None
@@ -488,8 +488,9 @@ class MultiChainSampler:
         ``streams`` are ``(S, n_steps)`` C-contiguous views of the draw
         buffers, which grow to the longest run; ``ends`` holds the segment
         ends and ``snapshots`` is the buffer the run fills.  On the cext
-        engine ``run_call(start, stop, accepted, n_threads)`` runs
-        proposals ``[start, stop)`` with every address bound; a rebuild
+        engine ``run_call(start, stop, accepted, c_begin, c_end)`` runs
+        proposals ``[start, stop)`` of chains ``[c_begin, c_end)`` with
+        every address bound; a rebuild
         binds again, as growing a buffer frees the old one.
         """
         key = (n_steps, n_samples, sample_spacing)
@@ -517,6 +518,38 @@ class MultiChainSampler:
             )
             self._layout = (key, streams, ends, snapshots, run_call)
         return self._layout[1:]
+
+    def _run_native(self, run_call, batches: list[tuple[int, int]]) -> None:
+        """Run every batch on the cext engine: one GIL-free call per batch
+        and chain range (:func:`~repro.native.registry.shard_bounds`), the
+        first range on the calling thread (a one-range run starts no
+        thread), each other on a short-lived thread joined before this
+        returns or raises.  No pool is kept: a forked worker (trial engine,
+        serve) would inherit its threads dead."""
+        first, *rest = shard_bounds(self.n_chains, self.threads)
+        errors: list[BaseException] = []
+
+        def run_range(begin: int, end: int) -> None:
+            try:
+                for start, stop in batches:
+                    run_call(start, stop, self._accepted_address, begin, end)
+                    for s in range(begin, end):
+                        self.accepted[s] += int(self._accepted[s])
+            except BaseException as error:  # re-raised on the calling thread
+                errors.append(error)
+
+        started = []
+        try:
+            for bounds in rest:
+                thread = threading.Thread(target=run_range, args=bounds)
+                thread.start()
+                started.append(thread)
+            run_range(*first)
+        finally:
+            for thread in started:
+                thread.join()
+        if errors:
+            raise errors[0]
 
     def _run_reference(
         self, streams: tuple[np.ndarray, ...], ends: np.ndarray, snapshots: np.ndarray

@@ -6,12 +6,11 @@ individual Python steps, each proposal costs ~10 tiny numpy operations;
 this module executes whole proposal *batches* inside compiled code.
 ``repro_multichain_block`` advances S *independent* chains — each with
 its own σ, score table, histogram, and pre-drawn proposal streams — in
-one native call, parallelized *across chains* with OpenMP (optional, and
-inert when unavailable).  It is the only chain kernel, and its only
-caller is :class:`~repro.kronecker.likelihood.MultiChainSampler`, which
-owns every chain's state (a solo
-:class:`~repro.kronecker.likelihood.PermutationSampler` is a view of a
-one-chain ensemble, so it runs the kernel at S=1).
+one native call per contiguous range of chains, which releases the
+interpreter lock.  It is the only chain kernel, and its only caller is
+:class:`~repro.kronecker.likelihood.MultiChainSampler`, which owns every
+chain's state (a solo :class:`~repro.kronecker.likelihood.PermutationSampler`
+is a view of a one-chain ensemble, so it runs the kernel at S=1).
 Four contracts make the C engine bit-identical to the numpy reference:
 
 **The draw contract** (:func:`draw_proposal_batch`).  A sampler ``run``
@@ -88,9 +87,9 @@ copies every chain's histogram into a snapshot buffer, so one call runs
 a KronFit iteration's warm-up and all its samples.
 
 The C loop is compiled via :mod:`repro.native.registry`, with
-``-fopenmp`` and ``-mpopcnt`` as optional compile flags; the numpy
-reference lives with :class:`~repro.kronecker.likelihood.MultiChainSampler`.
-Threads only shard whole chains, so chain ``c`` of a batched call is
+``-mpopcnt`` as an optional compile flag; the numpy reference lives with
+:class:`~repro.kronecker.likelihood.MultiChainSampler`.
+Chain ranges only shard whole chains, so chain ``c`` of a batched call is
 bit-identical to its solo trajectory for any chain count, batch size, or
 thread count.  The equivalence matrices
 (``tests/kronecker/test_chain_equivalence.py`` and
@@ -175,7 +174,8 @@ _DRAW = 1
 # pass left: numpy's rounds of flatnonzero(i == j).  Returns 0, or −1
 # when n_nodes is outside [2, 2³² − 1].
 #
-# Run mode executes proposals [start, stop) of every chain in place.
+# Run mode executes proposals [start, stop) of chains [c_begin, c_end)
+# in place; n_chains stays the row stride of the snapshots.
 # accepted_all[c] is *set* to the number of accepted swaps of this call
 # (the caller accumulates); stats_all[c] accumulates chain c's
 # score-table touches.  Every counts[] update sets its cell's bit in the
@@ -185,10 +185,9 @@ _DRAW = 1
 # counts_all starts and ends all-zero.  The last n_snapshots segments are
 # sample segments: once proposal ends[g] − 1 of one has run, chain c
 # copies its histogram to row (g − n_ends + n_snapshots)·S + c of
-# snapshots.  n_threads only shards chains across OpenMP threads (the
-# pragma is inert without -fopenmp) — chains are data-independent, so
-# results are bit-identical for any thread count.  Returns the total
-# accepted across chains.
+# snapshots.  Chains are data-independent, so calls on disjoint ranges
+# may run concurrently, and results are bit-identical however the chains
+# are cut.  Returns the total accepted across the range.
 _MULTICHAIN_C_SOURCE = (
     f"#define BITMAP_WORDS {CHAIN_BITMAP_WORDS}\n#define DRAW_MODE {_DRAW}\n"
     + """\
@@ -263,7 +262,8 @@ int64_t repro_multichain_block(
     int64_t start,
     int64_t stop,
     int64_t *accepted_all,
-    int64_t n_threads)
+    int64_t c_begin,
+    int64_t c_end)
 {
     if (mode == DRAW_MODE) {
         if (n_nodes < 2 || n_nodes > (int64_t)UINT32_MAX) {
@@ -283,10 +283,8 @@ int64_t repro_multichain_block(
     int64_t n_cells = (k + 1) * (k + 1);
     int64_t n_words = (n_cells + 63) >> 6;
     int64_t first_snapshot = n_ends - n_snapshots;
-    int nt = n_threads > 0 ? (int)n_threads : 1;
-    (void)nt;
-#pragma omp parallel for num_threads(nt) schedule(static)
-    for (int64_t c = 0; c < n_chains; c++) {
+    int64_t total = 0;
+    for (int64_t c = c_begin; c < c_end; c++) {
         int64_t *sigma = sigma_all + c * n_nodes;
         const double *score = score_all + c * n_cells;
         int64_t *hist = hist_all + c * n_cells;
@@ -376,10 +374,7 @@ int64_t repro_multichain_block(
         }
         accepted_all[c] = accepted;
         stats_all[c] += touches;
-    }
-    int64_t total = 0;
-    for (int64_t c = 0; c < n_chains; c++) {
-        total += accepted_all[c];
+        total += accepted;
     }
     return total;
 }
@@ -427,7 +422,7 @@ def draw_proposal_streams(
         status = kernel(
             _DRAW, None, None, n_chains, n_nodes, None, 0, None, None, None,
             None, i_address, j_address, u_address, stream_len, ends_address,
-            ends.size, 0, None, bitgens.ctypes.data, 0, 0, None, 1,
+            ends.size, 0, None, bitgens.ctypes.data, 0, 0, None, 0, 0,
         )
     if status != 0:
         raise RuntimeError(f"multichain kernel draw failed with status {status}")
@@ -446,8 +441,8 @@ def _multichain_smoke_test(kernel: Callable) -> None:
     histograms, touch counts, and acceptances were captured from the
     retired single-chain kernel, one chain at a time.  The run is one
     sample segment after a 2-proposal warm-up, so the snapshot must hold
-    the final histograms.  Runs with ``n_threads=2`` to exercise the
-    threaded path at probe time.
+    the final histograms.  Runs chains [0, 2) and [2, 3) in two calls,
+    so a kernel that ignores its chain range fails the probe.
 
     Draw mode: two segments of three chains, chains 0 and 2 sharing one
     generator, at n=3 (collisions on a third of the draws).  The streams
@@ -479,15 +474,16 @@ def _multichain_smoke_test(kernel: Callable) -> None:
     snapshots = np.zeros((1, 3, 9), dtype=np.int64)
     accepted = np.zeros(3, dtype=np.int64)
     ends = np.array([2, 4], dtype=np.int64)
-    total = int(
+    total = sum(
         kernel(
             _RUN, *buffer_addresses(np.int32, indptr, indices), 3, 4,
             *buffer_addresses(np.int64, sigma), 2, *buffer_addresses(np.float64, score),
             *buffer_addresses(np.int64, hist, counts, stats, i_nodes, j_nodes),
             *buffer_addresses(np.float64, log_u), 4, *buffer_addresses(np.int64, ends),
             2, 1, *buffer_addresses(np.int64, snapshots), None, 0, 4,
-            *buffer_addresses(np.int64, accepted), 2,
+            *buffer_addresses(np.int64, accepted), c_begin, c_end,
         )
+        for c_begin, c_end in ((0, 2), (2, 3))
     )
     expected_hist = np.zeros((3, 9), dtype=np.int64)
     expected_hist[0, [0, 3]] = (-1, 1)
@@ -561,10 +557,11 @@ MULTICHAIN_KERNEL = NativeKernel(
         ctypes.c_int64,  # start
         ctypes.c_int64,  # stop
         ctypes.c_void_p,  # accepted_all (int64 per chain, set per call)
-        ctypes.c_int64,  # n_threads
+        ctypes.c_int64,  # c_begin (first chain run)
+        ctypes.c_int64,  # c_end (one past the last chain run)
     ],
     smoke_test=_multichain_smoke_test,
-    c_optional_flags=("-fopenmp", "-mpopcnt"),
+    c_optional_flags=("-mpopcnt",),
 )
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "buffer_addresses",
     "compile_shared_library",
     "resolve_kernel_threads",
+    "shard_bounds",
 ]
 
 # Compiled backend names, in the preference order `auto` resolution uses.
@@ -63,12 +64,6 @@ NATIVE_BACKENDS = ("cext",)
 # host (the counting kernel is pure integer, where the flag is inert).
 # The flags participate in the cache key, so changing them recompiles.
 _C_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-
-# Values of REPRO_OPENMP that compile cext kernels without -fopenmp even
-# on hosts whose compiler supports it.  CI uses this to prove the serial
-# fallback stays bit-identical; it is not needed for correctness.
-_OPENMP_OFF = ("off", "0", "no", "false")
-
 
 @functools.lru_cache(maxsize=None)
 def _host_cpu() -> tuple[str, int, frozenset[str]]:
@@ -116,26 +111,13 @@ def _host_runs(flag: str) -> bool:
 
 
 def _enabled_optional_flags(flags: Sequence[str]) -> tuple[str, ...]:
-    """The subset of a kernel's optional compile flags usable on this host.
-
-    ``-fopenmp`` is dropped when ``REPRO_OPENMP`` says "off";
-    ``-mpopcnt`` and ``-mbmi2`` are dropped unless the build host's CPU
-    runs them well (:func:`_host_runs`).  Unknown optional flags pass
-    through (the compile try/fallback in
-    :meth:`NativeKernel._probe_cext` still guards them).
-    """
-    chosen = []
-    for flag in flags:
-        if flag == "-fopenmp" and knob("REPRO_OPENMP") in _OPENMP_OFF:
-            continue
-        if not _host_runs(flag):
-            continue
-        chosen.append(flag)
-    return tuple(chosen)
+    """The optional compile flags this host runs well (:func:`_host_runs`);
+    the compile fallback in :meth:`NativeKernel._probe_cext` guards the rest."""
+    return tuple(flag for flag in flags if _host_runs(flag))
 
 
 def resolve_kernel_threads(threads: int | None = None) -> int:
-    """How many threads a batched kernel call should use.
+    """How many threads (chain ranges) a multichain run is cut into.
 
     Resolution order: explicit argument, then ``REPRO_KERNEL_THREADS``,
     then 1 (serial — the bit-identity contracts make threading purely a
@@ -146,6 +128,14 @@ def resolve_kernel_threads(threads: int | None = None) -> int:
     """
     threads = knob("REPRO_KERNEL_THREADS", threads)
     return usable_cores() if threads <= 0 else threads
+
+
+def shard_bounds(count: int, shards: int) -> list[tuple[int, int]]:
+    """``range(count)`` cut into ``min(shards, count)`` contiguous ``[b, e)``
+    runs, in order: run ``r`` starts at ``count·r // shards``, so sizes
+    differ by at most one (one empty run when ``count`` is 0)."""
+    shards = max(1, min(shards, count))
+    return [(count * r // shards, count * (r + 1) // shards) for r in range(shards)]
 
 
 def buffer_addresses(dtype, *arrays: np.ndarray) -> list[int]:
@@ -199,7 +189,7 @@ class NativeKernel:
         instead of corrupting results later.
     c_optional_flags:
         Extra compile flags that improve the C twin but are not required
-        for correctness (``-fopenmp``, ``-mpopcnt``, ``-mbmi2``).  Each is
+        for correctness (``-mpopcnt``, ``-mbmi2``).  Each is
         dropped up-front when the host can't honour it, and the whole set
         falls back to the base flags if the compile still fails; the flags
         that did take effect are recorded in :attr:`cext_extra_flags`.
@@ -225,8 +215,7 @@ class NativeKernel:
         self.smoke_test = smoke_test
         self.c_optional_flags = tuple(c_optional_flags)
         # The optional flags the cext probe actually compiled with (None
-        # until the probe has run).  CI's OpenMP-less fallback check
-        # reads this to prove -fopenmp really was dropped.
+        # until the probe has run).
         self.cext_extra_flags: tuple[str, ...] | None = None
         # Lazily probed backend states: name -> (kernel or None, error or
         # None); exactly one of the two is None.  Tests monkeypatch
@@ -321,9 +310,8 @@ class NativeKernel:
         """Compile the C twin into a cached shared library and load it.
 
         Optional flags are tried first and dropped wholesale if the
-        compile fails — a host without OpenMP support still gets the
-        kernel, just serial (the ``#pragma omp`` lines become inert
-        unknown pragmas, so results are bit-identical either way).
+        compile fails — a compiler that rejects one still builds the
+        kernel from the base flags, with bit-identical results.
         """
         extra_flags = _enabled_optional_flags(self.c_optional_flags)
         try:

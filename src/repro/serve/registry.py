@@ -54,6 +54,7 @@ from repro.core.synthesis import sample_statistics_batch
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
+from repro.native.registry import shard_bounds
 from repro.native.sampling import SAMPLER_KERNEL
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import persistent_executor, shutdown_pool
@@ -208,7 +209,8 @@ def _sample_work(
     whole body is a pure function of (model, count, entropy), which is
     what makes the cached response bit-identical to a cold one.
 
-    The seeds are cut into ``shards`` contiguous runs, and ``mapper``
+    The seeds are cut into ``shards`` contiguous runs
+    (:func:`~repro.native.registry.shard_bounds`), and ``mapper``
     runs one :func:`~repro.core.synthesis.sample_statistics_batch` per
     run: the builtin ``map``, or the service's
     ``ThreadPoolExecutor.map``, which gives each sampler thread one run
@@ -218,11 +220,7 @@ def _sample_work(
     resolved once here, before the fan-out.
     """
     children = np.random.SeedSequence(entropy).spawn(count)
-    shards = max(1, min(shards, count))
-    runs = [
-        children[index * count // shards : (index + 1) * count // shards]
-        for index in range(shards)
-    ]
+    runs = [children[begin:end] for begin, end in shard_bounds(count, shards)]
     work = functools.partial(_sample_rows, model, SAMPLER_KERNEL.resolve())
     return [row for rows in mapper(work, runs) for row in rows]
 

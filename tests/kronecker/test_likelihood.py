@@ -9,6 +9,7 @@ from repro.errors import ValidationError
 from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.likelihood import (
+    MultiChainSampler,
     PermutationSampler,
     ProfileLikelihood,
     degree_matched_initial_sigma,
@@ -17,6 +18,8 @@ from repro.kronecker.likelihood import (
     profile_histogram,
 )
 from repro.kronecker.sampling import sample_skg
+from repro.native.chain import MULTICHAIN_KERNEL
+from repro.native.registry import NATIVE_BACKENDS
 
 
 @pytest.fixture
@@ -231,3 +234,49 @@ class TestInitialSigma:
         np.testing.assert_array_equal(
             sigma, degree_matched_initial_sigma(star_graph(8), 3)
         )
+
+
+def _backend_params() -> list:
+    params = [pytest.param("numpy")]
+    for name in NATIVE_BACKENDS:
+        if MULTICHAIN_KERNEL.available(name):
+            params.append(pytest.param(name))
+        else:
+            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
+            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
+    return params
+
+
+class TestSigmaValidation:
+    """Only a permutation of 0 .. 2^k − 1 reaches an engine: an id outside
+    it would index outside the profile cells (the C kernel would write
+    past ``counts``), and a repeated id is not a correspondence."""
+
+    PATH = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    THETA = Initiator(0.9, 0.5, 0.2)
+    BAD = {
+        "out-of-range": [0, 1, 2, 7],
+        "negative": [0, -1, 2, 3],
+        "duplicate": [0, 1, 1, 3],
+        "float": [0.0, 1.0, 2.0, 3.0],
+        "short": [0, 1, 2],
+    }
+
+    @pytest.mark.parametrize("backend", _backend_params())
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_bad_sigma_refused_before_any_run(self, backend, bad):
+        sigma = np.array(self.BAD[bad])
+        with pytest.raises(ValidationError, match="not a permutation"):
+            MultiChainSampler(self.PATH, 2, [self.THETA], sigmas=[sigma], backend=backend)
+        with pytest.raises(ValidationError, match="not a permutation"):
+            PermutationSampler(self.PATH, 2, self.THETA, sigma=sigma, backend=backend)
+        sampler = MultiChainSampler(self.PATH, 2, [self.THETA] * 2, backend=backend)
+        before = sampler._sigma.copy(), sampler.histograms()
+        with pytest.raises(ValidationError, match="not a permutation"):
+            sampler.set_sigma(1, sigma)
+        with pytest.raises(ValidationError, match="not a permutation"):
+            sampler.chain(0).set_sigma(sigma)
+        np.testing.assert_array_equal(sampler._sigma, before[0])
+        np.testing.assert_array_equal(sampler.histograms(), before[1])
+        sampler.run(200, [np.random.default_rng(0), np.random.default_rng(1)])
+        assert sampler.histograms().sum(axis=(1, 2)).tolist() == [3, 3]

@@ -137,9 +137,9 @@ class TestResolution:
             default_config()
 
     def test_pool_knob_is_gone(self):
-        for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE", "REPRO_SHM"):
+        for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE", "REPRO_SHM", "REPRO_OPENMP"):
             assert name not in KNOBS
-        assert len(KNOBS) == 29
+        assert len(KNOBS) == 28
 
 
 class TestUsableCores:
