@@ -18,11 +18,12 @@ records two trajectories per workload:
   initiators enforced across engines;
 * **batched multichain fit** — wall-clock of ``KronFitEstimator(n_starts=S)``
   (the S chains cut into ``kernel_threads`` ∈ {1, 2} contiguous ranges,
-  one native call per range and proposal batch, each range on its own
-  Python thread) against S sequential single-start fits
-  seeded with the same ``SeedSequence`` children, at S ∈ {8, 64} on the
-  floor workload.  Sequential fit 0 is enforced bit-identical to batched
-  chain 0 (the multichain kernel's per-chain bit-identity contract).
+  one native call per range and run, each range on its own Python
+  thread) against S sequential single-start fits seeded with the same
+  ``SeedSequence`` children, at S ∈ {8, 64} on the floor workload, the
+  timed repeats alternating between the three.  Sequential fit 0 is
+  enforced bit-identical to batched chain 0 (the multichain kernel's
+  per-chain bit-identity contract).
   The batched-vs-sequential floor (S=8, ``kernel_threads=1``, ≥ 1.25×)
   needs no second core, so every host asserts it;
 * **Table 1 fit** — the ``kronfit-paper`` benchmark op: one single-start
@@ -59,6 +60,7 @@ Run directly (no pytest needed)::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,13 +289,16 @@ def multichain_workload(quick: bool) -> str:
     return "skg-k10" if quick else FLOOR_WORKLOAD
 
 
-def _timed(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds of ``fn()``."""
-    best = float("inf")
+def _timed_alternating(fns, repeats: int) -> list[float]:
+    """Best-of-``repeats`` wall-clock seconds of each of ``fns``, the
+    repeats taken in turn (one of each per round), so host drift lands on
+    every timing alike instead of on whichever block ran later."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -303,9 +308,10 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
     For each S the baseline runs S ``KronFitEstimator(n_starts=1)`` fits
     one after another, seeded with the ``SeedSequence`` children the
     batched fit gives its starts; the batched fit advances the S chains
-    in one native call per proposal batch and chain range, with one
-    range per kernel thread.
-    Both are timed best-of-``repeats`` after an untimed warm-up.
+    in one native call per run and chain range, with one range per
+    kernel thread.  Each is timed best-of-``repeats`` after an untimed
+    warm-up, the repeats alternating between the sequential fits and
+    every thread count.
     Sequential fit 0 (degree-matched σ, child 0) must be bit-identical
     to batched chain 0 — the per-chain contract pinned per proposal by
     ``tests/kronecker/test_multichain_equivalence.py``.
@@ -320,10 +326,8 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
             for child in np.random.SeedSequence(SEED).spawn(n_starts)
         ]
         solo_zero = solos[0].fit(graph)  # warm-up (loads the kernel)
-        sequential = _timed(lambda: [solo.fit(graph) for solo in solos], repeats)
-        row = {"sequential": {"seconds": sequential}, "batched": {}}
-        for threads in MULTICHAIN_THREADS:
-            batched = KronFitEstimator(
+        batched = {
+            threads: KronFitEstimator(
                 initial=FIT_THETA,
                 seed=SEED,
                 backend=engine,
@@ -331,7 +335,10 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
                 kernel_threads=threads,
                 **fit_params,
             )
-            result = batched.fit(graph)  # warm-up
+            for threads in MULTICHAIN_THREADS
+        }
+        for threads, estimator in batched.items():
+            result = estimator.fit(graph)  # warm-up
             if result.start_log_likelihoods[0] != solo_zero.log_likelihoods[-1] or (
                 result.start == 0 and result.trajectory != solo_zero.trajectory
             ):
@@ -339,13 +346,19 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
                     f"batched multichain chain 0 (S={n_starts}, kernel_threads="
                     f"{threads}) diverges from the sequential single-start fit"
                 )
-            row["winning_start"] = result.start
-            seconds = _timed(lambda: batched.fit(graph), repeats)
+        sequential, *seconds = _timed_alternating(
+            [lambda: [solo.fit(graph) for solo in solos]]
+            + [functools.partial(estimator.fit, graph) for estimator in batched.values()],
+            repeats,
+        )
+        row = {"sequential": {"seconds": sequential}, "batched": {}}
+        for threads, threads_seconds in zip(batched, seconds):
             row["batched"][str(threads)] = {
-                "seconds": seconds,
+                "seconds": threads_seconds,
                 "bit_identical": True,
-                "speedup_vs_sequential": sequential / seconds,
+                "speedup_vs_sequential": sequential / threads_seconds,
             }
+        row["winning_start"] = result.start
         records["by_starts"][str(n_starts)] = row
     return records
 

@@ -39,14 +39,13 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.graphs.graph import Graph
 from repro.graphs.operations import pad_to_power_of_two
+from repro.knobs import knob
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.kronecker.likelihood import (
-    _PARAM_CEIL,
     MultiChainSampler,
-    _clamp,
-    _empty_graph_gradient,
-    _empty_graph_term,
+    clamped_rows,
     degree_matched_initial_sigma,
+    profile_log_likelihoods,
 )
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, as_generator
@@ -137,8 +136,8 @@ class KronFitEstimator:
         single-chain fit.
     kernel_threads:
         Python threads the chains are sharded across (default: the
-        ``REPRO_KERNEL_THREADS`` knob, else 1; 0 means all usable cores;
-        never more than ``n_starts``).  Purely a throughput knob —
+        ``REPRO_KERNEL_THREADS`` knob, else 1; 0 or less means all usable
+        cores; never more than ``n_starts``).  Purely a throughput knob —
         results are bit-identical for any value.
 
     Examples
@@ -176,9 +175,7 @@ class KronFitEstimator:
         self.backend = backend
         self.n_starts = check_integer(n_starts, "n_starts", minimum=1)
         self.kernel_threads = (
-            None
-            if kernel_threads is None
-            else check_integer(kernel_threads, "kernel_threads", minimum=0)
+            None if kernel_threads is None else knob("REPRO_KERNEL_THREADS", kernel_threads)
         )
 
     def fit(self, graph: Graph) -> KronFitResult:
@@ -231,16 +228,13 @@ class KronFitEstimator:
         ``default_rng(seeds[s])`` (a Generator passes through unchanged).
         Each iteration is one stacked table build, one
         :meth:`MultiChainSampler.run` (the warm-up and every permutation
-        sample, whose histograms it returns), and stacked likelihood math
+        sample, whose histograms it returns), and one
+        :func:`~repro.kronecker.likelihood.profile_log_likelihoods` call
         over all P·S histograms.  The Metropolis kernel is exact by the
-        multichain contracts, and the math uses only IEEE
-        correctly-rounded elementwise operations plus per-row contiguous
-        sums — shape-independent, so each row reproduces
-        :class:`ProfileLikelihood`'s float sequence exactly, the samples
-        are accumulated in sample order, and chain ``s`` is bit-identical
-        to a solo fit of start ``s``.  The scalar empty-graph terms stay
-        per chain, computed once per iteration (Θ is constant within an
-        iteration, so caching them is exact).
+        multichain contracts, each row of the likelihood call is
+        bit-identical to its P = S = 1 call, and the samples are
+        accumulated in sample order, so chain ``s`` is bit-identical to a
+        solo fit of start ``s``.
         """
         n_chains = len(seeds)
         rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -261,30 +255,18 @@ class KronFitEstimator:
         trajectories: list[list[tuple[float, float, float]]] = [
             [] for _ in range(n_chains)
         ]
-        # The (z, x, o) of every profile cell, one row per parameter.
-        z, o = np.divmod(np.arange((k + 1) ** 2), k + 1)
-        zxo = np.stack([z, np.maximum(k - z - o, 0), o])
         n_samples = self.n_permutation_samples
         n_steps = self.warmup_swaps + n_samples * self.sample_spacing
         for iteration in range(self.n_iterations):
             # Θ is fixed within an iteration: build every chain's tables
             # once and reuse them for the score rows and all samples.
             tables = sampler.set_thetas(thetas)
-            w_tab = (tables.log_p - tables.log_1mp).reshape(n_chains, -1)
-            inv_1mp = (
-                1.0 / np.maximum(1.0 - tables.p, 1.0 - _PARAM_CEIL)
-            ).reshape(n_chains, -1)
-            abc = np.array(
-                [[_clamp(theta.a), _clamp(theta.b), _clamp(theta.c)] for theta in thetas]
-            )
-            empty_grad = np.array([_empty_graph_gradient(*row, k) for row in abc])
-            empty_term = np.array([_empty_graph_term(theta, k) for theta in thetas])
             hist = sampler.run(
                 n_steps, rngs, n_samples=n_samples, sample_spacing=self.sample_spacing
             ).reshape(n_samples, n_chains, -1).astype(np.float64)
-            weight = hist * inv_1mp
-            sample_gradients = (weight[:, :, None, :] * zxo).sum(axis=3) / abc + empty_grad
-            sample_values = (hist * w_tab).sum(axis=2) + empty_term
+            sample_values, sample_gradients = profile_log_likelihoods(
+                tables, clamped_rows(thetas), hist
+            )
             # Summed from zero in sample order: a solo fit's float sequence.
             gradients = np.zeros((n_chains, 3))
             values = np.zeros(n_chains)

@@ -60,6 +60,8 @@ __all__ = [
     "edge_profiles",
     "profile_histogram",
     "ProfileLikelihood",
+    "clamped_rows",
+    "profile_log_likelihoods",
     "exact_log_likelihood",
     "PermutationSampler",
     "MultiChainSampler",
@@ -122,18 +124,13 @@ class _LogTables:
     p: np.ndarray  # P itself
 
     @classmethod
-    def build(cls, theta: Initiator, k: int) -> "_LogTables":
-        stacked = cls.stack([theta], k)
-        return cls(log_p=stacked.log_p[0], log_1mp=stacked.log_1mp[0], p=stacked.p[0])
-
-    @classmethod
     def stack(cls, thetas, k: int) -> "_LogTables":
         """Every Θ's tables in one elementwise pass, stacked in order.
 
         The ``log`` of each clamped a, b, c is a scalar call; the rest
         are elementwise operations, whose value per element does not
-        depend on the stack's shape, so row ``s`` equals
-        :meth:`build` of ``thetas[s]``.
+        depend on the stack's shape, so row ``s`` equals the stack of
+        ``thetas[s]`` alone.
         """
         logs = np.array(
             [[np.log(_clamp(value)) for value in (t.a, t.b, t.c)] for t in thetas]
@@ -158,7 +155,8 @@ class ProfileLikelihood:
     """Approximate log-likelihood and gradient from a profile histogram.
 
     The histogram fixes σ; this class evaluates l(Θ, σ) and ∇_Θ l(Θ, σ)
-    for any Θ in O(k²).
+    for any Θ in O(k²), as the P = S = 1 case of
+    :func:`profile_log_likelihoods`.
     """
 
     def __init__(self, histogram: np.ndarray, k: int) -> None:
@@ -169,63 +167,69 @@ class ProfileLikelihood:
             )
         self.histogram = histogram
         self.k = k
-        z = np.arange(k + 1)[:, None]
-        o = np.arange(k + 1)[None, :]
-        self._z = np.broadcast_to(z, histogram.shape)
-        self._o = np.broadcast_to(o, histogram.shape)
-        self._x = k - self._z - self._o
 
     def log_likelihood(self, theta: Initiator) -> float:
         """l(Θ, σ) with the Taylor-approximated non-edge term."""
-        tables = _LogTables.build(theta, self.k)
-        edge_term = float((self.histogram * (tables.log_p - tables.log_1mp)).sum())
-        return edge_term + self._empty_graph_term(theta)
+        return float(self._evaluate(theta)[0])
 
     def gradient(self, theta: Initiator) -> np.ndarray:
         """∇_{(a,b,c)} l(Θ, σ) (same approximation as the value)."""
-        a, b, c = _clamp(theta.a), _clamp(theta.b), _clamp(theta.c)
-        tables = _LogTables.build(theta, self.k)
-        # d/dθ [log P - log(1-P)] = (count_θ / θ) / (1 - P)
-        inv_1mp = 1.0 / np.maximum(1.0 - tables.p, 1.0 - _PARAM_CEIL)
-        weight = self.histogram * inv_1mp
-        grad_a = float((weight * self._z).sum()) / a
-        grad_b = float((weight * np.maximum(self._x, 0)).sum()) / b
-        grad_c = float((weight * self._o).sum()) / c
-        empty = self._empty_graph_gradient(a, b, c)
-        return np.array([grad_a, grad_b, grad_c]) + empty
+        return self._evaluate(theta)[1]
 
-    # -- the permutation-invariant "empty graph" term ---------------------
-
-    def _empty_graph_term(self, theta: Initiator) -> float:
-        return _empty_graph_term(theta, self.k)
-
-    def _empty_graph_gradient(self, a: float, b: float, c: float) -> np.ndarray:
-        return _empty_graph_gradient(a, b, c, self.k)
+    def _evaluate(self, theta: Initiator) -> tuple[np.float64, np.ndarray]:
+        values, gradients = profile_log_likelihoods(
+            _LogTables.stack([theta], self.k),
+            clamped_rows([theta]),
+            self.histogram.reshape(1, 1, -1),
+        )
+        return values[0, 0], gradients[0, 0]
 
 
-def _empty_graph_term(theta: Initiator, k: int) -> float:
-    """The Taylor-approximated Σ log(1−P) over all pairs (σ-invariant).
+def clamped_rows(thetas) -> np.ndarray:
+    """The ``(S, 3)`` rows of each Θ's (a, b, c), clamped as the tables are."""
+    return np.array([[_clamp(t.a), _clamp(t.b), _clamp(t.c)] for t in thetas])
 
-    Module-level so the batched multi-start fit can evaluate it per chain
-    with the exact scalar arithmetic of :class:`ProfileLikelihood`.
+
+def profile_log_likelihoods(
+    tables: _LogTables, abc: np.ndarray, histograms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample's l(Θ_s, σ) and ∇_{(a,b,c)} l(Θ_s, σ), stacked.
+
+    ``tables`` are S initiators' stacked ``(S, k+1, k+1)`` tables,
+    ``abc`` their :func:`clamped_rows` and ``histograms`` a float64
+    ``(P, S, (k+1)²)`` stack of profile histograms, sample ``p`` of
+    chain ``s`` at ``[p, s]``.  Returns the ``(P, S)`` values and
+    ``(P, S, 3)`` gradients.  The edge terms are IEEE correctly-rounded
+    elementwise operations plus one contiguous sum per row, and the
+    σ-invariant empty-graph terms are scalar per Θ, so row ``(p, s)`` is
+    bit-identical to the P = S = 1 call on that row whatever P and S.
+
+    The empty-graph term is the Taylor-approximated Σ log(1−P) over all
+    pairs, ``−(ΣP − Σ_diag P)/2 − (ΣP² − Σ_diag P²)/4``, with each sum a
+    k-th power of the initiator's entry sums; the gradient of
+    ``log P − log(1−P)`` in θ is ``(count_θ / θ) / (1 − P)``.
     """
-    a, b, c = theta.a, theta.b, theta.c
-    s1 = (a + 2 * b + c) ** k
-    d1 = (a + c) ** k
-    s2 = (a**2 + 2 * b**2 + c**2) ** k
-    d2 = (a**2 + c**2) ** k
-    return -(s1 - d1) / 2.0 - (s2 - d2) / 4.0
-
-
-def _empty_graph_gradient(a: float, b: float, c: float, k: int) -> np.ndarray:
-    s1_base = (a + 2 * b + c) ** (k - 1)
-    d1_base = (a + c) ** (k - 1)
-    s2_base = (a**2 + 2 * b**2 + c**2) ** (k - 1)
-    d2_base = (a**2 + c**2) ** (k - 1)
-    grad_a = -k * (s1_base - d1_base) / 2.0 - k * (2 * a * s2_base - 2 * a * d2_base) / 4.0
-    grad_b = -k * (2 * s1_base) / 2.0 - k * (4 * b * s2_base) / 4.0
-    grad_c = -k * (s1_base - d1_base) / 2.0 - k * (2 * c * s2_base - 2 * c * d2_base) / 4.0
-    return np.array([grad_a, grad_b, grad_c])
+    n_chains = abc.shape[0]
+    k = tables.p.shape[-1] - 1
+    z, o = np.divmod(np.arange((k + 1) ** 2), k + 1)
+    zxo = np.stack([z, np.maximum(k - z - o, 0), o])
+    score = (tables.log_p - tables.log_1mp).reshape(n_chains, -1)
+    inv_1mp = (1.0 / np.maximum(1.0 - tables.p, 1.0 - _PARAM_CEIL)).reshape(n_chains, -1)
+    empty_terms, empty_gradients = [], []
+    for a, b, c in abc.tolist():
+        bases = (a + 2 * b + c, a + c, a**2 + 2 * b**2 + c**2, a**2 + c**2)
+        s1, d1, s2, d2 = (base**k for base in bases)
+        empty_terms.append(-(s1 - d1) / 2.0 - (s2 - d2) / 4.0)
+        s1, d1, s2, d2 = (base ** (k - 1) for base in bases)
+        empty_gradients.append([
+            -k * (s1 - d1) / 2.0 - k * (2 * a * s2 - 2 * a * d2) / 4.0,
+            -k * (2 * s1) / 2.0 - k * (4 * b * s2) / 4.0,
+            -k * (s1 - d1) / 2.0 - k * (2 * c * s2 - 2 * c * d2) / 4.0,
+        ])
+    values = (histograms * score).sum(axis=2) + np.array(empty_terms)
+    weight = histograms * inv_1mp
+    gradients = (weight[:, :, None, :] * zxo).sum(axis=3) / abc + np.array(empty_gradients)
+    return values, gradients
 
 
 def exact_log_likelihood(initiator, graph: Graph, sigma: np.ndarray, k: int) -> float:
@@ -265,11 +269,11 @@ class MultiChainSampler:
     C-contiguous ``(S, ·)`` blocks, and both engines (``backend`` /
     ``REPRO_KERNEL_BACKEND``): the numpy reference defined here, and the
     compiled-C multichain kernel of :mod:`repro.native.chain`, one
-    GIL-free call per batch for each of ``threads`` chain ranges.  Both
+    GIL-free call per run for each of ``threads`` chain ranges.  Both
     consume the same pre-drawn streams under the same score contract
     (integer count deltas dotted with the score table in ascending cell
     order), so trajectories, histograms, and acceptance counts are
-    **bit-identical** for any engine, batch size, or thread count, and
+    **bit-identical** for any engine or thread count, and
     chain ``s`` matches a one-chain run with its Θ, σ, and generator.
     Histograms are maintained incrementally on accepted swaps.
     :meth:`chain` exposes one chain as a :class:`PermutationSampler`
@@ -314,13 +318,12 @@ class MultiChainSampler:
         self._sigma = np.empty((n_chains, graph.n_nodes), dtype=np.int64)
         self._hist = np.empty((n_chains, self._n_cells), dtype=np.int64)
         self._score = np.empty((n_chains, self._n_cells), dtype=np.float64)
-        self._counts = np.zeros((n_chains, self._n_cells), dtype=np.int64)
         # _stats[s] accumulates chain s's score-table touches on every
         # engine — the observable the O(k²)-rescan regression test pins
-        # (see the delta-scan contract in repro.native.chain).
+        # (see the delta-scan contract in repro.native.chain) — and
+        # _accepted[s] its accepted swaps.
         self._stats = np.zeros(n_chains, dtype=np.int64)
         self._accepted = np.zeros(n_chains, dtype=np.int64)
-        self.accepted = [0] * n_chains
         self.proposed = 0  # chains advance in lockstep
         self.set_thetas(thetas)
         for s, sigma in enumerate(sigmas):
@@ -341,14 +344,19 @@ class MultiChainSampler:
             self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
             self._csr32 = [np.ascontiguousarray(self._indptr, dtype=np.int32),
                            np.ascontiguousarray(self._indices, dtype=np.int32)]
-            sigma, hist, counts, stats, self._accepted_address = buffer_addresses(
-                np.int64, self._sigma, self._hist, self._counts, self._stats, self._accepted
+            sigma, hist, stats, self._accepted_address = buffer_addresses(
+                np.int64, self._sigma, self._hist, self._stats, self._accepted
             )
             self._run_call = functools.partial(
                 self._kernel, _RUN, *buffer_addresses(np.int32, *self._csr32), n_chains,
                 graph.n_nodes, sigma, k, *buffer_addresses(np.float64, self._score),
-                hist, counts, stats,
+                hist, stats,
             )
+
+    @property
+    def accepted(self) -> list[int]:
+        """Each chain's accepted swaps so far."""
+        return self._accepted.tolist()
 
     def chain(self, index: int) -> "PermutationSampler":
         """Chain ``index`` as a live :class:`PermutationSampler` view."""
@@ -404,7 +412,6 @@ class MultiChainSampler:
         self,
         n_steps: int,
         rngs,
-        batch_size: int | None = None,
         *,
         n_samples: int = 0,
         sample_spacing: int = 1,
@@ -420,23 +427,14 @@ class MultiChainSampler:
         streams are drawn first, segment by segment and chain by chain,
         with the draw contract, so chain ``s`` consumes its generator
         exactly like a one-chain run would; on the cext engine that is
-        one native call, and running them one more per chain range.  The
-        cext engine runs the streams in kernel batches of ``batch_size``
-        (default: one batch), which only bounds how much work enters
-        compiled code at once — the trajectory is bit-identical for any
-        value.
+        one native call, and running them one more per chain range.
         """
-        return self._advance(n_steps, rngs, batch_size, n_samples, sample_spacing)
+        return self._advance(n_steps, rngs, n_samples, sample_spacing)
 
     # -- internals --------------------------------------------------------
 
     def _advance(
-        self,
-        n_steps: int,
-        rngs,
-        batch_size: int | None,
-        n_samples: int = 0,
-        sample_spacing: int = 1,
+        self, n_steps: int, rngs, n_samples: int = 0, sample_spacing: int = 1
     ) -> np.ndarray | None:
         """Draw every chain's streams, then execute them."""
         rngs = list(rngs)
@@ -456,7 +454,6 @@ class MultiChainSampler:
             snapshots = np.empty((n_samples, self.n_chains, self._n_cells), dtype=np.int64)
             snapshots[:] = self._hist
         else:
-            batches = _batches(n_steps, batch_size)
             streams, ends, snapshots, run_call = self._run_layout(
                 n_steps, n_samples, sample_spacing
             )
@@ -475,7 +472,7 @@ class MultiChainSampler:
             if run_call is None:
                 self._run_reference(streams, ends, snapshots)
             else:
-                self._run_native(run_call, batches)
+                self._run_native(run_call)
             self.proposed += n_steps
         if n_samples == 0:
             return None
@@ -488,9 +485,8 @@ class MultiChainSampler:
         ``streams`` are ``(S, n_steps)`` C-contiguous views of the draw
         buffers, which grow to the longest run; ``ends`` holds the segment
         ends and ``snapshots`` is the buffer the run fills.  On the cext
-        engine ``run_call(start, stop, accepted, c_begin, c_end)`` runs
-        proposals ``[start, stop)`` of chains ``[c_begin, c_end)`` with
-        every address bound; a rebuild
+        engine ``run_call(c_begin, c_end)`` runs the whole streams of
+        chains ``[c_begin, c_end)`` with every address bound; a rebuild
         binds again, as growing a buffer frees the old one.
         """
         key = (n_steps, n_samples, sample_spacing)
@@ -514,14 +510,14 @@ class MultiChainSampler:
                 self._run_call, *buffer_addresses(np.int64, i_all, j_all),
                 *buffer_addresses(np.float64, u_all), n_steps,
                 *buffer_addresses(np.int64, ends), ends.size, n_samples,
-                *buffer_addresses(np.int64, snapshots), None,
+                *buffer_addresses(np.int64, snapshots), None, self._accepted_address,
             )
             self._layout = (key, streams, ends, snapshots, run_call)
         return self._layout[1:]
 
-    def _run_native(self, run_call, batches: list[tuple[int, int]]) -> None:
-        """Run every batch on the cext engine: one GIL-free call per batch
-        and chain range (:func:`~repro.native.registry.shard_bounds`), the
+    def _run_native(self, run_call) -> None:
+        """Run the streams on the cext engine: one GIL-free call per chain
+        range (:func:`~repro.native.registry.shard_bounds`), the
         first range on the calling thread (a one-range run starts no
         thread), each other on a short-lived thread joined before this
         returns or raises.  No pool is kept: a forked worker (trial engine,
@@ -531,10 +527,7 @@ class MultiChainSampler:
 
         def run_range(begin: int, end: int) -> None:
             try:
-                for start, stop in batches:
-                    run_call(start, stop, self._accepted_address, begin, end)
-                    for s in range(begin, end):
-                        self.accepted[s] += int(self._accepted[s])
+                run_call(begin, end)
             except BaseException as error:  # re-raised on the calling thread
                 errors.append(error)
 
@@ -561,7 +554,7 @@ class MultiChainSampler:
         for s in range(self.n_chains):
             begin = 0
             for g, end in enumerate(ends.tolist()):
-                self.accepted[s] += self._reference_block(
+                self._accepted[s] += self._reference_block(
                     s, i_all[s], j_all[s], u_all[s], begin, end
                 )
                 if g >= first_sample:
@@ -650,9 +643,9 @@ class PermutationSampler:
     returns views onto an existing ensemble.  Every observable (:attr:`sigma`,
     :attr:`accepted`, :meth:`histogram`, …) reads the ensemble's row, and
     :meth:`set_theta` / :meth:`set_sigma` write it, so a view can never
-    desynchronize from what the kernels read.  :meth:`run` and
-    :meth:`step` advance the ensemble, so they need a one-chain ensemble;
-    advance a larger one with :meth:`MultiChainSampler.run`.
+    desynchronize from what the kernels read.  :meth:`run` advances the
+    ensemble, so it needs a one-chain ensemble; advance a larger one with
+    :meth:`MultiChainSampler.run`.
 
     :attr:`sigma` is a live row: treat it as read-only between calls, and
     use :meth:`set_sigma` to reset the correspondence.
@@ -694,7 +687,7 @@ class PermutationSampler:
 
     @property
     def accepted(self) -> int:
-        return self._ensemble.accepted[self._index]
+        return int(self._ensemble._accepted[self._index])
 
     @property
     def proposed(self) -> int:
@@ -725,25 +718,9 @@ class PermutationSampler:
         """Replace the correspondence (rebuilds the profile histogram)."""
         self._ensemble.set_sigma(self._index, sigma)
 
-    def step(self, rng: np.random.Generator) -> bool:
-        """One Metropolis proposal; returns True if accepted.
-
-        Draws a single-proposal stream, so a sequence of ``step`` calls
-        consumes the generator differently from one :meth:`run` call (run
-        pre-draws its whole stream en bloc per the draw contract).
-        """
-        before = self.accepted
-        self._solo()._advance(1, [rng], None)
-        return self.accepted > before
-
-    def run(
-        self,
-        n_steps: int,
-        rng: np.random.Generator,
-        batch_size: int | None = None,
-    ) -> None:
+    def run(self, n_steps: int, rng: np.random.Generator) -> None:
         """Run ``n_steps`` proposals (see :meth:`MultiChainSampler.run`)."""
-        self._solo()._advance(n_steps, [rng], batch_size)
+        self._solo()._advance(n_steps, [rng])
 
     def edge_term(self) -> float:
         """Current Σ_E [log P − log(1−P)] under σ (for diagnostics)."""
@@ -802,18 +779,6 @@ def _scan_delta(
             delta += counts[cell] * score[cell]
             scanned += 1
     return delta, scanned
-
-
-def _batches(total: int, batch_size: int | None) -> list[tuple[int, int]]:
-    """The ``[start, stop)`` kernel batches of a ``total``-proposal run."""
-    if batch_size is None:
-        batch_size = total
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be positive, got {batch_size}")
-    return [
-        (start, min(start + batch_size, total))
-        for start in range(0, total, batch_size)
-    ]
 
 
 def degree_matched_initial_sigma(graph: Graph, k: int) -> np.ndarray:

@@ -3,11 +3,11 @@
 One KronFit fit runs on the order of 10⁵ Metropolis proposals over node
 correspondences σ (see :mod:`repro.kronecker.likelihood`).  Executed as
 individual Python steps, each proposal costs ~10 tiny numpy operations;
-this module executes whole proposal *batches* inside compiled code.
+this module executes whole proposal streams inside compiled code.
 ``repro_multichain_block`` advances S *independent* chains — each with
 its own σ, score table, histogram, and pre-drawn proposal streams — in
-one native call per contiguous range of chains, which releases the
-interpreter lock.  It is the only chain kernel, and its only caller is
+one native call per run and contiguous range of chains, which releases
+the interpreter lock.  It is the only chain kernel, and its only caller is
 :class:`~repro.kronecker.likelihood.MultiChainSampler`, which owns every
 chain's state (a solo :class:`~repro.kronecker.likelihood.PermutationSampler`
 is a view of a one-chain ensemble, so it runs the kernel at S=1).
@@ -40,8 +40,8 @@ in numpy, one call over the whole buffer: numpy's vectorized ``log``
 rounds differently from the C library's on a small share of inputs, and
 it gives each element the same value whatever the array's length or the
 element's position in it.  Kernels only ever *consume* the streams, so
-stream consumption cannot depend on the engine or on how a run is
-chunked into kernel batches.
+stream consumption cannot depend on the engine or on how a run's chains
+are cut into ranges.
 
 **The score contract.**  A swap of σ(i) and σ(j) changes the edge term by
 ``Σ_cells Δcount[cell] · score[cell]`` where ``score = log P − log(1−P)``
@@ -64,8 +64,10 @@ integers, so the touched cells are exactly those of the direct
 ``(k − x − o, o)`` derivation the numpy reference uses.  The C twin uses
 the compiler's ``__builtin_popcountll``.
 
-**The delta-scan contract.**  Every ``counts[]`` update sets its cell's
-bit in a per-chain stack bitmap of the ``(k+1)²`` profile cells
+**The delta-scan contract.**  Each chain's integer count deltas live in
+a stack array the kernel owns, zeroed once per chain per call.  Every
+``counts[]`` update sets its cell's bit in a per-chain stack bitmap of
+the ``(k+1)²`` profile cells
 (:data:`CHAIN_BITMAP_WORDS` words, so k ≤ 63).  The delta scan walks
 its set bits once, in ascending order with ``__builtin_ctzll``: O(deg i
 + deg j + (k+1)²/64) per proposal, and no sort of the ``2·(deg i + deg
@@ -90,12 +92,11 @@ The C loop is compiled via :mod:`repro.native.registry`, with
 ``-mpopcnt`` as an optional compile flag; the numpy reference lives with
 :class:`~repro.kronecker.likelihood.MultiChainSampler`.
 Chain ranges only shard whole chains, so chain ``c`` of a batched call is
-bit-identical to its solo trajectory for any chain count, batch size, or
-thread count.  The equivalence matrices
+bit-identical to its solo trajectory for any chain count or thread
+count.  The equivalence matrices
 (``tests/kronecker/test_chain_equivalence.py`` and
-``test_multichain_equivalence.py``) pin every backend × batch size ×
-graph family × θ cell to identical σ trajectories, histograms, and
-acceptance counts.
+``test_multichain_equivalence.py``) pin every backend × graph family ×
+θ cell to identical σ trajectories, histograms, and acceptance counts.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def draw_proposal_batch(
 
     This function *is* the draw contract (see the module docstring): every
     chain engine consumes these arrays verbatim, so trajectories cannot
-    depend on the engine or the kernel batch size.  Requires ``n_nodes >= 2``
+    depend on the engine.  Requires ``n_nodes >= 2``
     (with one node no distinct pair exists).
     """
     if n_nodes < 2:
@@ -160,8 +161,8 @@ _DRAW = 1
 
 # repro_multichain_block works on S chains' stacked state, passed as flat
 # C-contiguous arrays: chain c owns sigma_all[c·n_nodes:], the
-# (k+1)²-long slices of score_all / hist_all / counts_all at c·(k+1)²,
-# and the draw-contract streams i_all / j_all / u_all at c·stream_len.
+# (k+1)²-long slices of score_all / hist_all at c·(k+1)², and the
+# draw-contract streams i_all / j_all / u_all at c·stream_len.
 # ends[0..n_ends) are the ascending ends of a run's segments within every
 # stream.  Arrays are raw addresses, checked (dtype, C-contiguity) when
 # the caller binds them with registry.buffer_addresses, and NULL where a
@@ -174,15 +175,15 @@ _DRAW = 1
 # pass left: numpy's rounds of flatnonzero(i == j).  Returns 0, or −1
 # when n_nodes is outside [2, 2³² − 1].
 #
-# Run mode executes proposals [start, stop) of chains [c_begin, c_end)
-# in place; n_chains stays the row stride of the snapshots.
-# accepted_all[c] is *set* to the number of accepted swaps of this call
-# (the caller accumulates); stats_all[c] accumulates chain c's
-# score-table touches.  Every counts[] update sets its cell's bit in the
-# chain's stack bitmap, walked once in ascending order by the delta scan,
-# which zeroes counts and words and lists the nonzero counts that an
-# accepted swap adds into hist (see the delta-scan contract).
-# counts_all starts and ends all-zero.  The last n_snapshots segments are
+# Run mode executes every proposal [0, stream_len) of chains
+# [c_begin, c_end) in place; n_chains stays the row stride of the
+# snapshots.  accepted_all[c] accumulates chain c's accepted swaps and
+# stats_all[c] its score-table touches.  Each chain's count deltas live
+# in a stack array, zeroed once per chain per call; every counts[]
+# update sets its cell's bit in the chain's stack bitmap, walked once in
+# ascending order by the delta scan, which zeroes counts and words and
+# lists the nonzero counts that an accepted swap adds into hist (see the
+# delta-scan contract).  The last n_snapshots segments are
 # sample segments: once proposal ends[g] − 1 of one has run, chain c
 # copies its histogram to row (g − n_ends + n_snapshots)·S + c of
 # snapshots.  Chains are data-independent, so calls on disjoint ranges
@@ -248,7 +249,6 @@ int64_t repro_multichain_block(
     int64_t k,
     const double *score_all,
     int64_t *hist_all,
-    int64_t *counts_all,
     int64_t *stats_all,
     int64_t *i_all,
     int64_t *j_all,
@@ -259,8 +259,6 @@ int64_t repro_multichain_block(
     int64_t n_snapshots,
     int64_t *snapshots,
     bitgen_t *const *bitgens,
-    int64_t start,
-    int64_t stop,
     int64_t *accepted_all,
     int64_t c_begin,
     int64_t c_end)
@@ -288,10 +286,11 @@ int64_t repro_multichain_block(
         int64_t *sigma = sigma_all + c * n_nodes;
         const double *score = score_all + c * n_cells;
         int64_t *hist = hist_all + c * n_cells;
-        int64_t *counts = counts_all + c * n_cells;
         const int64_t *i_nodes = i_all + c * stream_len;
         const int64_t *j_nodes = j_all + c * stream_len;
         const double *log_u = u_all + c * stream_len;
+        int64_t counts[64 * BITMAP_WORDS];
+        memset(counts, 0, (size_t)n_cells * sizeof(int64_t));
         uint64_t touched[BITMAP_WORDS] = {0};
         /* The scan's (cell, count) fold list.  Each visited cell writes
            slot n_folds, below the number of cells visited so far, so
@@ -300,10 +299,7 @@ int64_t repro_multichain_block(
         int64_t accepted = 0;
         int64_t touches = 0;
         int64_t g = first_snapshot;
-        while (g < n_ends && ends[g] <= start) {
-            g++;
-        }
-        for (int64_t t = start; t < stop; t++) {
+        for (int64_t t = 0; t < stream_len; t++) {
             int64_t i = i_nodes[t];
             int64_t j = j_nodes[t];
             int64_t id_i = sigma[i];
@@ -372,7 +368,7 @@ int64_t repro_multichain_block(
                 g++;
             }
         }
-        accepted_all[c] = accepted;
+        accepted_all[c] += accepted;
         stats_all[c] += touches;
         total += accepted;
     }
@@ -421,8 +417,8 @@ def draw_proposal_streams(
             locks.enter_context(bit_generator.lock)
         status = kernel(
             _DRAW, None, None, n_chains, n_nodes, None, 0, None, None, None,
-            None, i_address, j_address, u_address, stream_len, ends_address,
-            ends.size, 0, None, bitgens.ctypes.data, 0, 0, None, 0, 0,
+            i_address, j_address, u_address, stream_len, ends_address,
+            ends.size, 0, None, bitgens.ctypes.data, None, 0, 0,
         )
     if status != 0:
         raise RuntimeError(f"multichain kernel draw failed with status {status}")
@@ -469,7 +465,6 @@ def _multichain_smoke_test(kernel: Callable) -> None:
         dtype=np.float64,
     )
     hist = np.zeros((3, 9), dtype=np.int64)
-    counts = np.zeros((3, 9), dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
     snapshots = np.zeros((1, 3, 9), dtype=np.int64)
     accepted = np.zeros(3, dtype=np.int64)
@@ -478,9 +473,9 @@ def _multichain_smoke_test(kernel: Callable) -> None:
         kernel(
             _RUN, *buffer_addresses(np.int32, indptr, indices), 3, 4,
             *buffer_addresses(np.int64, sigma), 2, *buffer_addresses(np.float64, score),
-            *buffer_addresses(np.int64, hist, counts, stats, i_nodes, j_nodes),
+            *buffer_addresses(np.int64, hist, stats, i_nodes, j_nodes),
             *buffer_addresses(np.float64, log_u), 4, *buffer_addresses(np.int64, ends),
-            2, 1, *buffer_addresses(np.int64, snapshots), None, 0, 4,
+            2, 1, *buffer_addresses(np.int64, snapshots), None,
             *buffer_addresses(np.int64, accepted), c_begin, c_end,
         )
         for c_begin, c_end in ((0, 2), (2, 3))
@@ -502,10 +497,6 @@ def _multichain_smoke_test(kernel: Callable) -> None:
             f"accepted={accepted.tolist()}, sigma={sigma.tolist()}, "
             f"hist={hist.tolist()}, snapshots={snapshots.tolist()}, "
             f"stats={stats.tolist()}"
-        )
-    if counts.any():
-        raise RuntimeError(
-            "multichain kernel self-check failed: counts not zeroed"
         )
     shared, twin = np.random.default_rng(5), np.random.default_rng(5)
     rngs = [shared, np.random.default_rng(6), shared]
@@ -543,7 +534,6 @@ MULTICHAIN_KERNEL = NativeKernel(
         ctypes.c_int64,  # k
         ctypes.c_void_p,  # score_all (float64, flat S x (k+1)^2)
         ctypes.c_void_p,  # hist_all (int64, flat S x (k+1)^2)
-        ctypes.c_void_p,  # counts_all scratch (int64, flat S x (k+1)^2)
         ctypes.c_void_p,  # stats_all (int64 per-chain touch accumulators)
         ctypes.c_void_p,  # i_all (int64, flat S x stream_len)
         ctypes.c_void_p,  # j_all (int64)
@@ -554,9 +544,7 @@ MULTICHAIN_KERNEL = NativeKernel(
         ctypes.c_int64,  # n_snapshots (trailing sample segments)
         ctypes.c_void_p,  # snapshots (int64, flat n_snapshots x S x (k+1)^2)
         ctypes.c_void_p,  # bitgens (uintp: one bitgen_t * per chain; draw mode)
-        ctypes.c_int64,  # start
-        ctypes.c_int64,  # stop
-        ctypes.c_void_p,  # accepted_all (int64 per chain, set per call)
+        ctypes.c_void_p,  # accepted_all (int64 per-chain acceptance accumulators)
         ctypes.c_int64,  # c_begin (first chain run)
         ctypes.c_int64,  # c_end (one past the last chain run)
     ],

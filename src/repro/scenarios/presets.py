@@ -70,7 +70,7 @@ def estimator_axis(method: str, config, *, n_starts: int | None = None) -> Estim
     budget, chain backend, multi-start count, and multichain kernel
     threads) into the spec so they are part of every trial's cache key.
     Multi-start fits advance all their chains in one native call per
-    proposal batch, sharded across ``config.kernel_threads`` threads —
+    run and chain range, sharded across ``config.kernel_threads`` threads —
     results are bit-identical for any thread count.
     """
     if method == "KronFit":

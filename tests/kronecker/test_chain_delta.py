@@ -12,13 +12,14 @@ This module locks both halves of that claim:
 
 * **Golden trajectories** — σ checkpoints, profile histograms, and
   acceptance counts captured from the PR 4 full-scan kernels, pinned as
-  sha256 digests for every (family, θ) cell and asserted across every
-  backend × batch size.  The families are built by sampler-independent
+  sha256 digests for every (family, θ) cell and asserted on every
+  backend, for a solo chain and for the first and last chain of a
+  three-chain ensemble.  The families are built by sampler-independent
   constructors (``sample_skg_naive`` and deterministic generators), so
   these goldens stay valid under future ``sample_skg`` changes.
 * **The pass count** — :attr:`PermutationSampler.score_touches` counts
-  score-table reads during delta scans; the tests pin that it is engine-
-  and batch-invariant and *far* below the old full-scan cost of
+  score-table reads during delta scans; the tests pin that it is
+  engine- and place-invariant and *far* below the old full-scan cost of
   2·(k+1)² reads per proposal.
 """
 
@@ -34,7 +35,7 @@ from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.likelihood import PermutationSampler
+from repro.kronecker.likelihood import MultiChainSampler, PermutationSampler
 from repro.kronecker.sampling import sample_skg_naive
 from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
@@ -52,7 +53,7 @@ def _backend_params() -> list:
 
 
 BACKENDS = _backend_params()
-BATCH_SIZES = (None, 1, 17)
+PLACES = (None, 0, 2)  # solo sampler; first and last chain of three
 
 # Built without sample_skg on purpose: the goldens below must never move
 # when the grass-hopping sampler's realizations change.
@@ -187,13 +188,26 @@ def family_graph(name: str) -> tuple[Graph, int]:
     return FAMILIES[name]()
 
 
-def run_chain(family: str, theta_name: str, backend: str, batch_size):
+def run_chain(family: str, theta_name: str, backend: str, place=None):
+    """Run one cell's chain; return its sampler (a view when ``place`` is
+    set) and σ checkpoints.  With ``place`` the cell is that chain of a
+    three-chain ensemble whose other chains run the other θs on other
+    seeds, which must not move a bit of it."""
     graph, k = family_graph(family)
-    sampler = PermutationSampler(graph, k, THETAS[theta_name], backend=backend)
-    rng = np.random.default_rng(SEED)
+    if place is None:
+        sampler = PermutationSampler(graph, k, THETAS[theta_name], backend=backend)
+        runner, rngs = sampler, np.random.default_rng(SEED)
+    else:
+        others = [name for name in sorted(THETAS) if name != theta_name]
+        names = others[:place] + [theta_name] + others[place:]
+        runner = MultiChainSampler(
+            graph, k, [THETAS[name] for name in names], backend=backend
+        )
+        rngs = [np.random.default_rng(SEED + s - place) for s in range(len(names))]
+        sampler = runner.chain(place)
     trace = []
     for n_steps in RUN_LENGTHS:
-        sampler.run(n_steps, rng, batch_size=batch_size)
+        runner.run(n_steps, rngs)
         trace.append(sampler.sigma.copy())
     return sampler, trace
 
@@ -202,12 +216,12 @@ class TestGoldenTrajectories:
     """Every engine reproduces the PR 4 full-scan kernels bit for bit."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("place", PLACES)
     @pytest.mark.parametrize("theta_name", sorted(THETAS))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_cell_matches_golden(self, family, theta_name, backend, batch_size):
+    def test_cell_matches_golden(self, family, theta_name, place, backend):
         sigma_digests, hist_digest, accepted = GOLDENS[(family, theta_name)]
-        sampler, trace = run_chain(family, theta_name, backend, batch_size)
+        sampler, trace = run_chain(family, theta_name, backend, place)
         for checkpoint, (sigma, want) in enumerate(zip(trace, sigma_digests)):
             assert digest(sigma) == want, (
                 f"sigma diverges from the pre-delta-scan kernels at "
@@ -224,13 +238,13 @@ class TestGoldenTrajectories:
 
 
 class TestScoreTouches:
-    """The delta scan's work counter: small, and engine/batch invariant."""
+    """The delta scan's work counter: small, and engine/place invariant."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_touches_invariant_across_engines(self, backend, batch_size):
-        reference, _ = run_chain("skg-naive-k7", "paper", "numpy", None)
-        sampler, _ = run_chain("skg-naive-k7", "paper", backend, batch_size)
+    @pytest.mark.parametrize("place", PLACES)
+    def test_touches_invariant_across_engines(self, backend, place):
+        reference, _ = run_chain("skg-naive-k7", "paper", "numpy")
+        sampler, _ = run_chain("skg-naive-k7", "paper", backend, place)
         assert sampler.score_touches == reference.score_touches > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -238,7 +252,7 @@ class TestScoreTouches:
         """The point of the rewrite: the old kernels read 2·(k+1)² score
         cells per proposal; the delta scan must do far less on sparse
         graphs (the measured ratio on this family is ~19×)."""
-        sampler, _ = run_chain("skg-naive-k7", "paper", backend, None)
+        sampler, _ = run_chain("skg-naive-k7", "paper", backend)
         k = 7
         full_scan_reads = 2 * sampler.proposed * (k + 1) ** 2
         assert 0 < sampler.score_touches < full_scan_reads // 8

@@ -5,8 +5,8 @@ KronFit's gradient estimates ride on the permutation chain of
 execution engine — the numpy reference and the compiled-C multichain
 kernel of :mod:`repro.native.chain`, run at S=1 — must
 produce **bit-identical** σ trajectories, profile histograms, and
-acceptance counts for every backend × kernel batch size × graph family ×
-θ cell.  This module is that
+acceptance counts for every backend × graph family × θ cell × split of
+the run into ``run`` calls.  This module is that
 matrix (PR 3's counting-equivalence pattern, now for chains), plus the
 contracts around it:
 
@@ -60,7 +60,7 @@ def _backend_params() -> list:
 
 
 BACKENDS = _backend_params()
-BATCH_SIZES = (None, 1, 17)  # whole-run, degenerate, ragged
+CALL_LENGTHS = (None, 1, 17)  # one run() per checkpoint, one proposal per run(), ragged
 
 # Graph families of the matrix: every PermutationSampler graph must have
 # exactly 2^k nodes.  Builders are memoized so the full matrix reuses one
@@ -92,14 +92,25 @@ def family_graph(name: str) -> tuple[Graph, int]:
     return FAMILIES[name]()
 
 
-def run_chain(family: str, theta_name: str, backend: str, batch_size):
+def run_in_calls(sampler, n_steps: int, rngs, call_length) -> None:
+    """Run ``n_steps`` proposals as ``run`` calls of at most ``call_length``
+    (one call when ``None``).  Each call draws its own proposal block, so
+    the trajectory depends on the split, but no engine's may differ from
+    the numpy engine's on the same split: a chain's σ, histogram and
+    tallies carry across calls, and the kernel's per-call scratch does not."""
+    step = n_steps if call_length is None else call_length
+    for begin in range(0, n_steps, max(step, 1)):
+        sampler.run(min(step, n_steps - begin), rngs)
+
+
+def run_chain(family: str, theta_name: str, backend: str, call_length=None):
     """Run the two-checkpoint chain of one matrix cell; return its trace."""
     graph, k = family_graph(family)
     sampler = PermutationSampler(graph, k, THETAS[theta_name], backend=backend)
     rng = np.random.default_rng(SEED)
     trace = []
     for n_steps in RUN_LENGTHS:
-        sampler.run(n_steps, rng, batch_size=batch_size)
+        run_in_calls(sampler, n_steps, rng, call_length)
         trace.append(sampler.sigma.copy())
     return {
         "trace": trace,
@@ -111,19 +122,19 @@ def run_chain(family: str, theta_name: str, backend: str, batch_size):
 
 
 @functools.lru_cache(maxsize=None)
-def reference_cell(family: str, theta_name: str):
-    """The numpy whole-run oracle of one (family, θ) pair."""
-    return run_chain(family, theta_name, "numpy", None)
+def reference_cell(family: str, theta_name: str, call_length=None):
+    """The numpy oracle of one (family, θ) pair, run in the same calls."""
+    return run_chain(family, theta_name, "numpy", call_length)
 
 
 class TestChainMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("call_length", CALL_LENGTHS)
     @pytest.mark.parametrize("theta_name", sorted(THETAS))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_cell_bit_identical(self, family, theta_name, backend, batch_size):
-        expected = reference_cell(family, theta_name)
-        cell = run_chain(family, theta_name, backend, batch_size)
+    def test_cell_bit_identical(self, family, theta_name, call_length, backend):
+        expected = reference_cell(family, theta_name, call_length)
+        cell = run_chain(family, theta_name, backend, call_length)
         for step, (got, want) in enumerate(zip(cell["trace"], expected["trace"])):
             np.testing.assert_array_equal(
                 got, want, err_msg=f"sigma diverges at checkpoint {step}"
@@ -136,7 +147,7 @@ class TestChainMatrix:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_incremental_histogram_matches_recompute(self, family, backend):
         """The histogram contract: incremental == edge_profiles recompute."""
-        cell = run_chain(family, "skewed", backend, None)
+        cell = run_chain(family, "skewed", backend)
         sampler = cell["sampler"]
         graph, k = family_graph(family)
         z, x, o = edge_profiles(graph, sampler.sigma, k)
@@ -146,7 +157,7 @@ class TestChainMatrix:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sigma_stays_a_permutation(self, backend):
-        cell = run_chain("skg-k5", "paper", backend, 13)
+        cell = run_chain("skg-k5", "paper", backend)
         assert sorted(cell["sampler"].sigma.tolist()) == list(range(32))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -342,7 +353,7 @@ class TestNativeDrawContract:
             if args[0] == native_chain._DRAW:
                 args = list(args)
                 strangers = np.repeat(stranger, args[3])  # one per chain
-                args[19] = strangers.ctypes.data
+                args[18] = strangers.ctypes.data  # bitgens
             return kernel(*args)
 
         with pytest.raises(RuntimeError, match="draw self-check"):

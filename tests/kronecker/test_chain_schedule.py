@@ -4,7 +4,7 @@ One :meth:`MultiChainSampler.run` with ``n_samples`` / ``sample_spacing``
 runs a warm-up and P sample segments and returns the histogram after each
 sample segment; on the cext engine that is one draw call and one run call.
 This module pins the schedule to the per-segment calls it replaces, for
-every backend × chain count × thread count × batch size:
+every backend × chain count × thread count × sample schedule:
 
 * the snapshots equal per-segment ``run`` plus ``histograms()``, and σ,
   acceptances, touches and generator states match;
@@ -56,6 +56,8 @@ THETAS = (
     Initiator(0.6, 0.6, 0.6),
 )
 WARMUP, N_SAMPLES, SPACING = 45, 3, 20
+# (n_samples, spacing): KronFit-like, one-proposal segments, ragged.
+SCHEDULES = ((N_SAMPLES, SPACING), (1, 1), (5, 7))
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,46 +91,53 @@ def _assert_same_state(got, want):
     assert got["rngs"] == want["rngs"]
 
 
-def _segmented(backend, n_chains, rngs, warmup=WARMUP):
+def _segmented(
+    backend, n_chains, rngs, warmup=WARMUP, n_samples=N_SAMPLES, spacing=SPACING
+):
     """The per-segment oracle: warm-up run, then one run per sample."""
     sampler = _sampler(backend, n_chains)
     sampler.run(warmup, rngs)
     snapshots = []
-    for _ in range(N_SAMPLES):
-        sampler.run(SPACING, rngs)
+    for _ in range(n_samples):
+        sampler.run(spacing, rngs)
         snapshots.append(sampler.histograms())
     return np.stack(snapshots), _state(sampler, rngs)
 
 
-def _scheduled(backend, n_chains, rngs, threads=1, batch_size=None, warmup=WARMUP):
+def _scheduled(
+    backend, n_chains, rngs, threads=1, warmup=WARMUP, n_samples=N_SAMPLES, spacing=SPACING
+):
     sampler = _sampler(backend, n_chains, threads)
     snapshots = sampler.run(
-        warmup + N_SAMPLES * SPACING,
-        rngs,
-        batch_size,
-        n_samples=N_SAMPLES,
-        sample_spacing=SPACING,
+        warmup + n_samples * spacing, rngs, n_samples=n_samples, sample_spacing=spacing
     )
     return snapshots, _state(sampler, rngs)
 
 
 class TestSchedule:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("batch_size", (None, 1, 17))
+    @pytest.mark.parametrize("n_samples, spacing", SCHEDULES)
     @pytest.mark.parametrize("threads", (1, 2))
     @pytest.mark.parametrize("n_chains", (1, 3))
-    def test_snapshots_equal_per_segment_runs(self, n_chains, threads, batch_size, backend):
+    def test_snapshots_equal_per_segment_runs(
+        self, n_chains, threads, n_samples, spacing, backend
+    ):
         want_snapshots, want = _segmented(
-            "numpy", n_chains, [np.random.default_rng(50 + s) for s in range(n_chains)]
+            "numpy",
+            n_chains,
+            [np.random.default_rng(50 + s) for s in range(n_chains)],
+            n_samples=n_samples,
+            spacing=spacing,
         )
         snapshots, got = _scheduled(
             backend,
             n_chains,
             [np.random.default_rng(50 + s) for s in range(n_chains)],
             threads,
-            batch_size,
+            n_samples=n_samples,
+            spacing=spacing,
         )
-        assert snapshots.shape == (N_SAMPLES, n_chains, 8, 8)
+        assert snapshots.shape == (n_samples, n_chains, 8, 8)
         np.testing.assert_array_equal(snapshots, want_snapshots)
         _assert_same_state(got, want)
 
@@ -235,12 +244,12 @@ class TestStackedTables:
         stacked = _LogTables.stack(thetas, k)
         assert stacked.p.shape == (n_chains, k + 1, k + 1)
         for s, theta in enumerate(thetas):
-            solo = _LogTables.build(theta, k)
+            solo = _LogTables.stack([theta], k)
             for field, reference in zip(
                 ("log_p", "log_1mp", "p"), _unstacked_tables(theta, k)
             ):
-                np.testing.assert_array_equal(getattr(stacked, field)[s], getattr(solo, field))
-                np.testing.assert_array_equal(getattr(solo, field), reference)
+                np.testing.assert_array_equal(getattr(stacked, field)[s], getattr(solo, field)[0])
+                np.testing.assert_array_equal(getattr(solo, field)[0], reference)
 
     def test_set_thetas_writes_every_row(self):
         sampler = _sampler("numpy", 3)
@@ -271,7 +280,7 @@ def test_kronfit_iteration_is_two_native_calls(monkeypatch):
     graph, _ = _graph()
     KronFitEstimator(
         n_iterations=3, warmup_swaps=50, sample_spacing=10, n_starts=2, seed=1,
-        backend="cext",
+        backend="cext", kernel_threads=1,
     ).fit(graph)
     assert len(modes) == 6
     assert modes[0::2] != modes[1::2]

@@ -2,7 +2,7 @@
 
 On the cext engine :meth:`MultiChainSampler.run` cuts its S chains into
 ``min(threads, S)`` contiguous ranges (:func:`shard_bounds`) and makes
-one kernel call per range and batch: the first range on the calling
+one kernel call per range: the first range on the calling
 thread, each other range on a short-lived thread of its own.  The
 equivalence suites pin that the results are bit-identical for any
 thread count; this module pins the sharding itself:
@@ -134,12 +134,6 @@ class TestSharding:
         assert threads[(0, 2)] == threading.get_ident()
         assert threads[(2, 5)] != threading.get_ident()
         assert len(launched) == 1 and not launched[0].is_alive()
-
-    def test_one_call_per_range_and_batch(self, run_calls, starts):
-        sampler = _sampler(5, threads=2)
-        sampler.run(300, _rngs(5), batch_size=100)
-        assert sorted(call[:2] for call in run_calls.calls) == [(0, 2)] * 3 + [(2, 5)] * 3
-        assert len(starts[0]) == 1
 
     def test_threads_beyond_the_chain_count_are_capped(self, run_calls, starts):
         launched, _ = starts

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.graphs import Graph
@@ -12,10 +14,13 @@ from repro.kronecker.likelihood import (
     MultiChainSampler,
     PermutationSampler,
     ProfileLikelihood,
+    _LogTables,
+    clamped_rows,
     degree_matched_initial_sigma,
     edge_profiles,
     exact_log_likelihood,
     profile_histogram,
+    profile_log_likelihoods,
 )
 from repro.kronecker.sampling import sample_skg
 from repro.native.chain import MULTICHAIN_KERNEL
@@ -101,6 +106,41 @@ class TestProfileLikelihoodGradient:
             assert gradient[index] == pytest.approx(numeric, rel=1e-3, abs=1e-2)
 
 
+_UNIT = st.floats(0.0, 1.0)
+
+
+class TestStackedLikelihood:
+    @given(
+        k=st.integers(1, 15),
+        thetas=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=4),
+        n_samples=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_single_row_calls(self, k, thetas, n_samples, seed):
+        """Row (p, s) of a stacked call is bit for bit the P = S = 1 call
+        on that row, which is what makes chain s of a multi-start fit
+        equal the solo fit of start s.  Θ spans the clamp's edges."""
+        thetas = [Initiator(*theta) for theta in thetas]
+        z, o = np.divmod(np.arange((k + 1) ** 2), k + 1)
+        feasible = z + o <= k
+        rng = np.random.default_rng(seed)
+        histograms = (
+            rng.integers(0, 2_000, size=(n_samples, len(thetas), feasible.size)) * feasible
+        ).astype(np.float64)
+        values, gradients = profile_log_likelihoods(
+            _LogTables.stack(thetas, k), clamped_rows(thetas), histograms
+        )
+        assert values.shape == (n_samples, len(thetas))
+        assert gradients.shape == (n_samples, len(thetas), 3)
+        for p in range(n_samples):
+            for s, theta in enumerate(thetas):
+                solo = ProfileLikelihood(histograms[p, s].reshape(k + 1, k + 1), k)
+                value = np.float64(solo.log_likelihood(theta))
+                assert value.tobytes() == values[p, s].tobytes()
+                assert solo.gradient(theta).tobytes() == gradients[p, s].tobytes()
+
+
 class TestPermutationSampler:
     def test_swap_delta_matches_full_recompute(self, small_skg):
         theta = Initiator(0.7, 0.4, 0.2)
@@ -131,11 +171,18 @@ class TestPermutationSampler:
         assert sampler.proposed == 300
         assert 0 <= sampler.accepted <= sampler.proposed
 
-    def test_step_counts_every_proposal(self, small_skg):
+    def test_one_proposal_runs_count_every_proposal(self, small_skg):
+        """``run(1, rng)`` is the single-proposal step: fifty of them count
+        fifty proposals, each accepted at most once."""
         sampler = PermutationSampler(small_skg, 5, Initiator(0.7, 0.4, 0.2))
         rng = np.random.default_rng(4)
-        outcomes = [sampler.step(rng) for _ in range(50)]
+        outcomes = []
+        for _ in range(50):
+            before = sampler.accepted
+            sampler.run(1, rng)
+            outcomes.append(sampler.accepted - before)
         assert sampler.proposed == 50
+        assert set(outcomes) <= {0, 1}
         assert sampler.accepted == sum(outcomes)
 
     def test_histogram_maintained_incrementally(self, small_skg):
@@ -170,16 +217,6 @@ class TestPermutationSampler:
         assert sampler.theta == theta
         assert sampler.edge_term() == fresh.edge_term()
         assert sampler._swap_delta(0, 1) == fresh._swap_delta(0, 1)
-
-    def test_run_batch_size_does_not_change_the_trajectory(self, small_skg):
-        results = []
-        for batch_size in (None, 1, 23):
-            sampler = PermutationSampler(small_skg, 5, Initiator(0.7, 0.4, 0.2))
-            sampler.run(250, np.random.default_rng(10), batch_size=batch_size)
-            results.append((sampler.sigma.copy(), sampler.accepted))
-        for sigma, accepted in results[1:]:
-            np.testing.assert_array_equal(sigma, results[0][0])
-            assert accepted == results[0][1]
 
     def test_wrong_graph_size_rejected(self):
         with pytest.raises(ValidationError):

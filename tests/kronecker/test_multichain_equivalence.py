@@ -6,8 +6,8 @@ pre-drawn proposal stream — in **one** native call.  The contract is
 per-chain bit-identity: every chain of a batched run must reproduce the
 solo :class:`PermutationSampler` trajectory it replaces exactly (σ
 checkpoints, profile histogram, acceptance and proposal counts), for
-every backend × chain count × kernel batch size × θ assignment, on the
-same graph families the solo matrix pins
+every backend × chain count × split into ``run`` calls × θ assignment,
+on the same graph families the solo matrix pins
 (``test_chain_equivalence.py``).  On top of the matrix:
 
 * thread invariance — ``kernel_threads`` shards data-independent chains,
@@ -74,7 +74,7 @@ def _backend_params() -> list:
 
 
 BACKENDS = _backend_params()
-BATCH_SIZES = (None, 1, 17)  # whole-run, degenerate, ragged
+CALL_LENGTHS = (None, 1, 17)  # one run() per checkpoint, one proposal per run(), ragged
 CHAIN_COUNTS = (1, 3, 5)  # S=1 degenerate, exact θ cover, θ reuse
 
 # The θ cycle chains are assigned from (chain s gets THETA_CYCLE[s % 3]),
@@ -118,8 +118,17 @@ def family_graph(name: str) -> tuple[Graph, int]:
     return FAMILIES[name]()
 
 
+def run_in_calls(sampler, n_steps: int, rngs, call_length) -> None:
+    """Run ``n_steps`` proposals as ``run`` calls of at most ``call_length``
+    (one call when ``None``).  Each call draws its own proposal block, so
+    a split run is compared with a solo run split the same way."""
+    step = n_steps if call_length is None else call_length
+    for begin in range(0, n_steps, max(step, 1)):
+        sampler.run(min(step, n_steps - begin), rngs)
+
+
 @functools.lru_cache(maxsize=None)
-def solo_cell(family: str, chain_index: int):
+def solo_cell(family: str, chain_index: int, call_length=None):
     """The solo numpy trajectory chain ``chain_index`` must reproduce."""
     graph, k = family_graph(family)
     theta = THETA_CYCLE[chain_index % len(THETA_CYCLE)]
@@ -127,7 +136,7 @@ def solo_cell(family: str, chain_index: int):
     rng = np.random.default_rng(SEED + chain_index)
     trace = []
     for n_steps in RUN_LENGTHS:
-        sampler.run(n_steps, rng)
+        run_in_calls(sampler, n_steps, rng, call_length)
         trace.append(sampler.sigma.copy())
     return {
         "trace": trace,
@@ -138,7 +147,7 @@ def solo_cell(family: str, chain_index: int):
 
 
 def run_multichain(
-    family: str, backend: str, batch_size, n_chains: int, threads: int = 1
+    family: str, backend: str, n_chains: int, threads: int = 1, call_length=None
 ):
     """One batched run; returns per-chain traces alongside the sampler."""
     graph, k = family_graph(family)
@@ -147,7 +156,7 @@ def run_multichain(
     rngs = [np.random.default_rng(SEED + s) for s in range(n_chains)]
     traces = [[] for _ in range(n_chains)]
     for n_steps in RUN_LENGTHS:
-        sampler.run(n_steps, rngs, batch_size=batch_size)
+        run_in_calls(sampler, n_steps, rngs, call_length)
         for s in range(n_chains):
             traces[s].append(sampler.chain(s).sigma.copy())
     return sampler, traces
@@ -155,15 +164,17 @@ def run_multichain(
 
 class TestMultiChainMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("call_length", CALL_LENGTHS)
     @pytest.mark.parametrize("n_chains", CHAIN_COUNTS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_chain_matches_its_solo_trajectory(
-        self, family, n_chains, batch_size, backend
+        self, family, n_chains, call_length, backend
     ):
-        sampler, traces = run_multichain(family, backend, batch_size, n_chains)
+        sampler, traces = run_multichain(
+            family, backend, n_chains, call_length=call_length
+        )
         for s in range(n_chains):
-            expected = solo_cell(family, s)
+            expected = solo_cell(family, s, call_length)
             chain = sampler.chain(s)
             for step, (got, want) in enumerate(zip(traces[s], expected["trace"])):
                 np.testing.assert_array_equal(
@@ -177,7 +188,7 @@ class TestMultiChainMatrix:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_histograms_stack_and_match_recomputes(self, backend):
-        sampler, _ = run_multichain("skg-k5", backend, None, 3)
+        sampler, _ = run_multichain("skg-k5", backend, 3)
         graph, k = family_graph("skg-k5")
         stacked = sampler.histograms()
         assert stacked.shape == (3, k + 1, k + 1)
@@ -190,9 +201,9 @@ class TestMultiChainMatrix:
     def test_thread_count_is_bit_invariant(self, backend):
         """Chains are data-independent: sharding them across any number
         of kernel threads cannot change a single bit."""
-        serial, serial_traces = run_multichain("skg-k5", backend, None, 5, threads=1)
+        serial, serial_traces = run_multichain("skg-k5", backend, 5, threads=1)
         threaded, threaded_traces = run_multichain(
-            "skg-k5", backend, None, 5, threads=4
+            "skg-k5", backend, 5, threads=4
         )
         for s in range(5):
             for got, want in zip(threaded_traces[s], serial_traces[s]):
@@ -283,9 +294,9 @@ def knife_edge_streams(family: str, n_chains: int, n_steps: int):
 
 
 @functools.lru_cache(maxsize=None)
-def numpy_ensemble(family: str) -> MultiChainSampler:
+def numpy_ensemble(family: str, call_length=None) -> MultiChainSampler:
     """The three-chain numpy run the multi-word cells are compared with."""
-    return run_multichain(family, "numpy", None, 3)[0]
+    return run_multichain(family, "numpy", 3, call_length=call_length)[0]
 
 
 class TestMultiWordBitmap:
@@ -309,11 +320,11 @@ class TestMultiWordBitmap:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("threads", (1, 2))
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("call_length", CALL_LENGTHS)
     @pytest.mark.parametrize("family", MULTI_WORD_FAMILIES)
-    def test_touches_match_numpy(self, family, batch_size, threads, backend):
-        reference = numpy_ensemble(family)
-        sampler, _ = run_multichain(family, backend, batch_size, 3, threads)
+    def test_touches_match_numpy(self, family, call_length, threads, backend):
+        reference = numpy_ensemble(family, call_length)
+        sampler, _ = run_multichain(family, backend, 3, threads, call_length)
         np.testing.assert_array_equal(sampler._sigma, reference._sigma)
         np.testing.assert_array_equal(sampler.histograms(), reference.histograms())
         assert sampler.accepted == reference.accepted
@@ -430,8 +441,6 @@ class TestMultiChainValidation:
         view = sampler.chain(1)
         with pytest.raises(ValidationError, match="MultiChainSampler.run"):
             view.run(10, np.random.default_rng(0))
-        with pytest.raises(ValidationError, match="MultiChainSampler.run"):
-            view.step(np.random.default_rng(0))
         assert sampler.proposed == view.proposed == 0
 
     def test_order_beyond_the_bitmap_rejected(self):
@@ -446,10 +455,10 @@ class TestMultiChainValidation:
         assert sampler.thetas == [THETA_CYCLE[0], THETA_CYCLE[2], THETA_CYCLE[0]]
         for s, theta in enumerate(sampler.thetas):
             assert sampler.chain(s).theta == theta
-            expected = _LogTables.build(theta, k)
+            expected = _LogTables.stack([theta], k)
             for field in ("log_p", "log_1mp", "p"):
                 np.testing.assert_array_equal(
-                    getattr(sampler.tables[s], field), getattr(expected, field)
+                    getattr(sampler.tables[s], field), getattr(expected, field)[0]
                 )
 
 
@@ -468,8 +477,9 @@ class TestKronFitBatchedMultiStart:
         return sample_skg(Initiator(0.9, 0.5, 0.2), 6, seed=1)
 
     def test_options_validated(self):
-        with pytest.raises(ValidationError):
-            KronFitEstimator(kernel_threads=-1)
+        for bad in ("two", 1.5, True):
+            with pytest.raises(ValidationError):
+                KronFitEstimator(kernel_threads=bad)
         # One strategy, in-process: the fan-out-era options are gone.
         for retired in ("multi_start", "n_jobs"):
             with pytest.raises(TypeError, match=retired):
@@ -503,6 +513,25 @@ class TestKronFitBatchedMultiStart:
             self._graph()
         )
         assert solo.log_likelihoods[-1] == self._reference().start_log_likelihoods[0]
+
+    def test_nonpositive_kernel_threads_mean_all_cores(self, monkeypatch):
+        """KronFit takes every value the REPRO_KERNEL_THREADS knob takes:
+        one at or below 0 means all usable cores, whether it comes from
+        the knob through a scenario spec or from the argument."""
+        from repro.core.protocols import build_estimator
+        from repro.evaluation.experiments import default_config
+        from repro.scenarios.presets import estimator_axis
+
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "-1")
+        spec = estimator_axis("KronFit", default_config(), n_starts=2)
+        assert dict(spec.params)["kernel_threads"] == -1
+        build_estimator(spec.method, spec.params)  # refused -1 before
+        serial = KronFitEstimator(kernel_threads=1, **self.CONFIG).fit(self._graph())
+        for threads in (0, -1):
+            result = KronFitEstimator(kernel_threads=threads, **self.CONFIG).fit(
+                self._graph()
+            )
+            assert result.start_log_likelihoods == serial.start_log_likelihoods
 
     def test_kernel_threads_do_not_change_the_fit(self):
         graph = self._graph()
