@@ -155,7 +155,11 @@ def chain_engines() -> tuple[str, ...]:
 
 
 def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
-    """Per-engine chain throughput, pinned by a bit-identity prefix."""
+    """Per-engine chain throughput, pinned by a bit-identity prefix.
+
+    The engines' timed repeats alternate (one run of each per round), so
+    a slow patch of the host lands on every engine alike.
+    """
     reference = _chain_state(graph, k, "numpy", EQUIVALENCE_PROPOSALS)
     records: dict[str, dict] = {}
     for engine in chain_engines():
@@ -178,20 +182,31 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
         n_proposals = THROUGHPUT_PROPOSALS[engine]
         if quick:
             n_proposals //= 10
-        best = float("inf")
-        for _ in range(repeats):
-            sampler = PermutationSampler(graph, k, THETA, backend=engine)
-            rng = np.random.default_rng(SEED)
-            start = time.perf_counter()
-            sampler.run(n_proposals, rng)
-            best = min(best, time.perf_counter() - start)
         records[engine] = {
             "available": True,
             "bit_identical": True,
             "n_proposals": n_proposals,
-            "seconds": best,
-            "proposals_per_second": n_proposals / best,
         }
+    timed = [engine for engine, record in records.items() if record["available"]]
+
+    def fresh_chain(engine: str):
+        # A new sampler and stream per repeat, built outside the timing.
+        return lambda: (
+            PermutationSampler(graph, k, THETA, backend=engine),
+            np.random.default_rng(SEED),
+        )
+
+    def run_chain(n_proposals: int):
+        return lambda chain: chain[0].run(n_proposals, chain[1])
+
+    seconds = _timed_alternating(
+        [run_chain(records[engine]["n_proposals"]) for engine in timed],
+        repeats,
+        prepare=[fresh_chain(engine) for engine in timed],
+    )
+    for engine, best in zip(timed, seconds):
+        records[engine]["seconds"] = best
+        records[engine]["proposals_per_second"] = records[engine]["n_proposals"] / best
     numpy_rate = records["numpy"]["proposals_per_second"]
     for record in records.values():
         if record.get("available"):
@@ -289,15 +304,17 @@ def multichain_workload(quick: bool) -> str:
     return "skg-k10" if quick else FLOOR_WORKLOAD
 
 
-def _timed_alternating(fns, repeats: int) -> list[float]:
+def _timed_alternating(fns, repeats: int, prepare=None) -> list[float]:
     """Best-of-``repeats`` wall-clock seconds of each of ``fns``, the
     repeats taken in turn (one of each per round), so host drift lands on
-    every timing alike instead of on whichever block ran later."""
+    every timing alike instead of on whichever block ran later.  With
+    ``prepare``, ``fns[i]`` is called on ``prepare[i]()``, built untimed."""
     best = [float("inf")] * len(fns)
     for _ in range(repeats):
         for index, fn in enumerate(fns):
+            args = () if prepare is None else (prepare[index](),)
             start = time.perf_counter()
-            fn()
+            fn(*args)
             best[index] = min(best[index], time.perf_counter() - start)
     return best
 

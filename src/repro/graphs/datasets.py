@@ -79,22 +79,14 @@ def _build_as20(rng: np.random.Generator) -> Graph:
     return _trim_to_edge_count(graph, 26467, rng)
 
 
-def _build_synthetic_kronecker(rng: np.random.Generator) -> Graph:
-    # Imported here to keep repro.graphs free of a hard dependency on the
-    # Kronecker package at import time (the layering is graphs <- kronecker).
-    from repro.kronecker.initiator import Initiator
-    from repro.kronecker.sampling import sample_skg
-
-    initiator = Initiator(0.99, 0.45, 0.25)
-    return sample_skg(initiator, 14, seed=rng)
-
-
 def _build_skg_at(k: int) -> Callable[[np.random.Generator], Graph]:
-    # The large-k scale axis (ROADMAP open item 1): the paper's initiator
-    # at k far beyond the paper's 2^14 nodes.  The grass-hopping sampler
-    # is O(E + k²), so even k=20 (10⁶ nodes, ~2·10⁶ edges) builds in
-    # seconds with the fused kernels.
+    # The paper's initiator at order k: its synthetic test at k = 14, and
+    # the large-k scale axis (ROADMAP open item 1) far beyond it.  The
+    # grass-hopping sampler is O(E + k²), so even k=20 (10⁶ nodes, ~2·10⁶
+    # edges) builds in seconds with the fused kernels.
     def build(rng: np.random.Generator) -> Graph:
+        # Imported here to keep repro.graphs free of a hard dependency on the
+        # Kronecker package at import time (the layering is graphs <- kronecker).
         from repro.kronecker.initiator import Initiator
         from repro.kronecker.sampling import sample_skg
 
@@ -173,7 +165,7 @@ _REGISTRY: dict[str, DatasetSpec] = {
             ),
             kind="synthetic",
             default_seed=1205,
-            builder=_build_synthetic_kronecker,
+            builder=_build_skg_at(14),
         ),
         _large_k_spec(16, default_seed=1216),
         _large_k_spec(18, default_seed=1218),

@@ -13,6 +13,10 @@ These serve two roles in the reproduction:
 All generators take an explicit ``seed`` (see :mod:`repro.utils.rng`) and
 return :class:`repro.graphs.Graph` values.  Implementations are our own —
 networkx appears only in tests, as an oracle.
+
+The two growth models draw through :class:`repro.utils.rng.ScalarDraws`,
+holding the generator's lock for the whole build; each states its draw
+contract, which tests/graphs/test_standin_goldens.py pins.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.graphs.graph import Graph
-from repro.utils.rng import SeedLike, as_generator
+from repro.graphs.graph import Graph, sorted_unique
+from repro.utils.rng import ScalarDraws, SeedLike, as_generator
 from repro.utils.validation import check_in_unit_interval, check_integer
 
 __all__ = [
@@ -90,7 +94,7 @@ def gnm_random_graph(n: int, m: int, seed: SeedLike = None) -> Graph:
         v = rng.integers(0, n, size=2 * need + 8, dtype=np.int64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         fresh = lo[lo != hi] * np.int64(n) + hi[lo != hi]
-        keys = np.unique(np.concatenate([keys, fresh]))
+        keys = sorted_unique(np.concatenate([keys, fresh]))
     if keys.size > m:
         keys = rng.choice(keys, size=m, replace=False)
     return Graph.from_edge_arrays(n, keys // n, keys % n)
@@ -103,26 +107,27 @@ def barabasi_albert_graph(n: int, m: int, seed: SeedLike = None) -> Graph:
     ``m`` distinct existing nodes chosen proportionally to degree (the
     classic repeated-endpoints implementation).  Produces the hub-dominated,
     low-clustering topology used as the AS20 stand-in.
+
+    Draw contract: per arriving node, ``below(len(repeated))`` picks
+    endpoints until ``m`` distinct targets are in a set, whose iteration
+    order appends the node's edges.  Nothing else is drawn.
     """
     n = check_integer(n, "n", minimum=1)
     m = check_integer(m, "m", minimum=1)
     if m >= n:
         raise ValidationError(f"m={m} must be < n={n}")
-    rng = as_generator(seed)
-    edges: list[tuple[int, int]] = [(i, m) for i in range(m)]
-    # Endpoint multiset: each edge contributes both endpoints, giving
-    # degree-proportional sampling by uniform choice from the list.
-    repeated: list[int] = [node for edge in edges for node in edge]
-    for new_node in range(m + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            pick = repeated[int(rng.integers(0, len(repeated)))]
-            targets.add(pick)
-        for target in targets:
-            edges.append((new_node, target))
-            repeated.append(new_node)
-            repeated.append(target)
-    return Graph(n, edges)
+    # Endpoint multiset (in pairs, the edge list): each edge contributes both
+    # endpoints, giving degree-proportional sampling by uniform choice.
+    repeated: list[int] = [node for i in range(m) for node in (i, m)]
+    with ScalarDraws(as_generator(seed)) as draws:
+        below = draws.below
+        for new_node in range(m + 1, n):
+            targets: set[int] = set()
+            while len(targets) < m:
+                targets.add(repeated[below(len(repeated))])
+            for target in targets:
+                repeated += (new_node, target)
+    return Graph(n, np.array(repeated, dtype=np.int64).reshape(-1, 2))
 
 
 def powerlaw_cluster_graph(n: int, m: int, p: float, seed: SeedLike = None) -> Graph:
@@ -134,48 +139,53 @@ def powerlaw_cluster_graph(n: int, m: int, p: float, seed: SeedLike = None) -> G
     closing a triangle) and otherwise another preferential link.  This
     yields heavy-tailed degrees *and* high clustering — the structure of
     co-authorship networks, hence the CA-GrQC/CA-HepTh stand-in.
+
+    Draw contract, per arriving node: ``below(len(repeated))`` picks the
+    first link; each further step draws ``random()``, and below ``p``
+    ``below(count)`` picks among the previous target's unlinked neighbours in
+    its set order (if it has any), else ``below(len(repeated))`` picks an
+    endpoint, kept if unlinked.  The link set's order appends the edges.
     """
     n = check_integer(n, "n", minimum=1)
     m = check_integer(m, "m", minimum=1)
     p = check_in_unit_interval(p, "p")
     if m >= n:
         raise ValidationError(f"m={m} must be < n={n}")
-    rng = as_generator(seed)
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    repeated: list[int] = []
-
-    def add_edge(a: int, b: int) -> None:
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
-        repeated.append(a)
-        repeated.append(b)
+    repeated: list[int] = []  # the endpoint multiset, as in the BA model
 
     for i in range(m):
-        add_edge(i, m)
-    for new_node in range(m + 1, n):
-        first = repeated[int(rng.integers(0, len(repeated)))]
-        while first == new_node:
-            first = repeated[int(rng.integers(0, len(repeated)))]
-        new_links = {first}
-        previous = first
-        while len(new_links) < m:
-            if rng.random() < p:
-                candidates = [
-                    w for w in neighbor_sets[previous] if w != new_node and w not in new_links
-                ]
-                if candidates:
-                    choice = candidates[int(rng.integers(0, len(candidates)))]
-                    new_links.add(choice)
-                    previous = choice
-                    continue
-            pick = repeated[int(rng.integers(0, len(repeated)))]
-            if pick != new_node and pick not in new_links:
-                new_links.add(pick)
-                previous = pick
-        for target in new_links:
-            add_edge(new_node, target)
-    edges = [(a, b) for a in range(n) for b in neighbor_sets[a] if a < b]
-    return Graph(n, edges)
+        neighbor_sets[i].add(m)
+        neighbor_sets[m].add(i)
+        repeated += (i, m)
+    with ScalarDraws(as_generator(seed)) as draws:
+        below, random = draws.below, draws.random
+        for new_node in range(m + 1, n):
+            previous = repeated[below(len(repeated))]
+            new_links = {previous}
+            while len(new_links) < m:
+                if random() < p:
+                    # A uniform pick among the neighbours not yet linked: an
+                    # index into the set's order, stepped past linked ones.
+                    neighbours = neighbor_sets[previous]
+                    members = list(neighbours)
+                    linked = sorted(map(members.index, neighbours & new_links))
+                    if len(members) > len(linked):
+                        index = below(len(members) - len(linked))
+                        for position in linked:  # ascending
+                            index += position <= index
+                        previous = members[index]
+                        new_links.add(previous)
+                        continue
+                pick = repeated[below(len(repeated))]
+                if pick not in new_links:
+                    new_links.add(pick)
+                    previous = pick
+            for target in new_links:
+                neighbor_sets[new_node].add(target)
+                neighbor_sets[target].add(new_node)
+                repeated += (new_node, target)
+    return Graph(n, np.array(repeated, dtype=np.int64).reshape(-1, 2))
 
 
 def configuration_model_graph(degrees: np.ndarray, seed: SeedLike = None) -> Graph:

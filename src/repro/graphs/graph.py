@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from repro.errors import GraphFormatError, ValidationError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "sorted_unique"]
 
 
 class Graph:
@@ -339,14 +339,19 @@ def _canonicalize_edges(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np
         )
     u = np.minimum(edges[:, 0], edges[:, 1])
     v = np.maximum(edges[:, 0], edges[:, 1])
-    keep = u != v  # drop self-loops
-    u, v = u[keep], v[keep]
-    if u.size == 0:
-        return u.astype(np.int64), v.astype(np.int64)
-    # Dedupe and sort in one shot via the scalar key u * n + v; ascending key
-    # order equals lexicographic (u, v) order.  The int64 key overflows only
-    # beyond ~3e9 nodes, far past anything this library targets.
-    key = np.unique(u * np.int64(n_nodes) + v)
-    u = key // np.int64(n_nodes)
-    v = key % np.int64(n_nodes)
-    return np.ascontiguousarray(u), np.ascontiguousarray(v)
+    # Drop self-loops, then dedupe and sort in one shot via the scalar key
+    # u * n + v; ascending key order equals lexicographic (u, v) order.  The
+    # int64 key overflows only beyond ~3e9 nodes, far past anything this
+    # library targets.
+    key = sorted_unique((u * np.int64(n_nodes) + v)[u != v])
+    return key // np.int64(n_nodes), key % np.int64(n_nodes)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a 1-D integer array, by a sort and a neighbour
+    mask: numpy 2's hash-based dedupe is several times slower on edge keys."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]

@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sorted_unique
 
 __all__ = ["parse_edge_list", "read_edge_list", "write_edge_list"]
 
@@ -58,9 +58,8 @@ def parse_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
             ) from exc
     if not sources:
         return Graph(0), {}
-    all_ids = np.unique(np.concatenate([sources, targets]))
-    index_of = {int(original): dense for dense, original in enumerate(all_ids)}
-    edges = [(index_of[s], index_of[t]) for s, t in zip(sources, targets)]
+    all_ids = sorted_unique(np.concatenate([sources, targets]))
+    edges = np.column_stack([np.searchsorted(all_ids, sources), np.searchsorted(all_ids, targets)])
     labels = {dense: int(original) for dense, original in enumerate(all_ids)}
     return Graph(len(all_ids), edges), labels
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from repro.errors import ValidationError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sorted_unique
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -50,7 +50,7 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> Graph:
     ``nodes`` must not contain duplicates; order determines the new labels.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size != np.unique(nodes).size:
+    if nodes.size != sorted_unique(nodes).size:
         raise ValidationError("nodes for induced_subgraph must be unique")
     if nodes.size and (nodes.min() < 0 or nodes.max() >= graph.n_nodes):
         raise ValidationError("nodes for induced_subgraph out of range")

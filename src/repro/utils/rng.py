@@ -20,9 +20,11 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["as_generator", "spawn_generators", "SeedLike"]
+__all__ = ["as_generator", "spawn_generators", "ScalarDraws", "SeedLike"]
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
+
+_UINT32_MAX = 0xFFFFFFFF
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:
@@ -55,3 +57,44 @@ def spawn_generators(seed: SeedLike, count: int) -> list[np.random.Generator]:
         return [np.random.default_rng(int(s)) for s in seeds]
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
+
+
+class ScalarDraws:
+    """``rng.integers(0, high)`` and ``rng.random()`` through ``rng.bit_generator.ctypes``.
+
+    Numpy's values and end state at a fraction of its per-call cost: ``below``
+    is numpy's 32-bit Lemire draw on ``next_uint32`` (``bounded_draw`` in
+    :mod:`repro.native.chain`) and draws nothing when ``high == 1``.  As a
+    context manager it holds the bit generator's lock.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        interface = rng.bit_generator.ctypes
+        self._rng = rng  # owns the memory behind the state address
+        self._state = interface.state_address
+        self._next_uint32 = interface.next_uint32
+        self._next_double = interface.next_double
+
+    def __enter__(self) -> "ScalarDraws":
+        self._rng.bit_generator.lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._rng.bit_generator.lock.release()
+
+    def below(self, high: int) -> int:
+        """A uniform integer in ``[0, high)``, for ``1 <= high <= 2**32 - 1``."""
+        if not 1 <= high <= _UINT32_MAX:
+            raise ValidationError(f"high must be in [1, {_UINT32_MAX}], got {high}")
+        if high == 1:
+            return 0
+        m = self._next_uint32(self._state) * high
+        if m & _UINT32_MAX < high:
+            threshold = (_UINT32_MAX + 1 - high) % high
+            while m & _UINT32_MAX < threshold:
+                m = self._next_uint32(self._state) * high
+        return m >> 32
+
+    def random(self) -> float:
+        """A uniform double in ``[0, 1)``."""
+        return self._next_double(self._state)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError, ValidationError
 from repro.graphs import Graph
+from repro.graphs.graph import _canonicalize_edges, sorted_unique
 
 
 def edge_lists(max_nodes: int = 12, max_edges: int = 40):
@@ -293,3 +294,53 @@ class TestGraphProperties:
         once = Graph(n, edges)
         twice = Graph(n, list(once.edges()))
         assert once == twice
+
+
+def _unique_reference(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonicalization as it was written with ``np.unique``: the oracle."""
+    u = np.minimum(edges[:, 0], edges[:, 1])
+    v = np.maximum(edges[:, 0], edges[:, 1])
+    keep = u != v
+    key = np.unique(u[keep] * np.int64(n_nodes) + v[keep])
+    return key // np.int64(n_nodes), key % np.int64(n_nodes)
+
+
+class TestSortedUnique:
+    @given(edge_lists(), st.data())
+    @settings(max_examples=80)
+    def test_canonicalize_equals_the_unique_oracle(self, n_and_edges, data):
+        n, edges = n_and_edges
+        # Repeat a drawn sublist, some of it mirrored, so duplicates and
+        # reversed pairs are common rather than incidental.
+        extra = data.draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+        mirrored = data.draw(st.booleans())
+        edges = edges + [(b, a) if mirrored else (a, b) for a, b in extra]
+        array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = _canonicalize_edges(array, n)
+        ref_u, ref_v = _unique_reference(array, n)
+        assert u.dtype == v.dtype == np.int64
+        assert u.flags.c_contiguous and v.flags.c_contiguous
+        np.testing.assert_array_equal(u, ref_u)
+        np.testing.assert_array_equal(v, ref_v)
+
+    def test_canonicalize_empty_and_single_node(self):
+        for array, n in [(np.empty((0, 2), np.int64), 0), (np.empty((0, 2), np.int64), 5),
+                         (np.array([[0, 0], [0, 0]], np.int64), 1)]:
+            u, v = _canonicalize_edges(array, n)
+            assert u.size == v.size == 0
+            assert u.dtype == v.dtype == np.int64
+
+    @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=60), st.booleans())
+    @settings(max_examples=80)
+    def test_equals_np_unique(self, values, narrow):
+        array = np.array(values, dtype=np.int64)
+        if narrow:
+            array = array % 7
+        result = sorted_unique(array)
+        assert result.dtype == array.dtype
+        np.testing.assert_array_equal(result, np.unique(array))
+
+    def test_leaves_its_input_alone(self):
+        array = np.array([3, 1, 3, 2], dtype=np.int64)
+        sorted_unique(array)
+        assert array.tolist() == [3, 1, 3, 2]

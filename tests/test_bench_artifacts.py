@@ -26,6 +26,7 @@ ARTIFACT_SCRIPTS = {
     "BENCH_kronfit.json": "bench_kronfit.py",
     "BENCH_trajectory.json": "bench_trajectory.py",
     "BENCH_serve.json": "bench_serve.py",
+    "BENCH_graphs.json": "bench_graphs.py",
 }
 
 
@@ -249,6 +250,27 @@ class TestBenchArtifactSchema:
             assert floor["measured"] >= floor["required"]
         assert report["sustained"]["clients"] >= 8
         assert report["sustained"]["throughput_rps"] > 0
+
+    def test_graphs_artifact_records_the_load_stage(self):
+        """The load-graph stage: each stand-in's build time under its
+        pinned digest, ``Graph.from_edge_arrays`` at ca-grqc and skg-k18
+        size, and the canonicalization floor over the np.unique oracle."""
+        report = json.loads((OUT_DIR / "BENCH_graphs.json").read_text(encoding="utf-8"))
+        bench = load_bench_module("bench_graphs.py")
+        standins = {row["dataset"]: row for row in report["standins"]}
+        assert set(standins) == {"ca-grqc", "as20", "ca-hepth"}
+        for name, row in standins.items():
+            assert row["digest"] == bench.STANDIN_DIGESTS[name]
+            assert row["build"]["median_ms"] > 0
+        rows = {row["dataset"]: row for row in report["edge_arrays"]}
+        assert set(rows) == {"ca-grqc", "skg-k18"}
+        for row in rows.values():
+            assert row["canonicalize"]["bit_identical"] is True
+            assert row["from_edge_arrays"]["shuffled_input"]["median_ms"] > 0
+        floor = report["canonicalize_floor"]
+        assert floor["required"] == bench.CANONICALIZE_FLOOR >= 3.0
+        assert floor["measured"] >= floor["required"]
+        assert floor["measured"] == min(row["canonicalize"]["speedup"] for row in rows.values())
 
     def test_stats_artifact_records_large_k_rows(self):
         """Schema 3 added the large-k scale rows: sampler engine
