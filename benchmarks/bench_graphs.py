@@ -17,7 +17,14 @@ and every fit workload copies its graph through
   plus a neighbour mask) against the ``np.unique`` formulation it
   replaced, on the shuffled input, outputs checked equal.  The floor
   (``CANONICALIZE_FLOOR``, asserted on full runs) is the smallest
-  speedup over the measured sizes.
+  speedup over the measured sizes;
+* **the CSR build vs scipy** — :attr:`Graph.csr` on a cold copy of the
+  graph (its degree count included) against the scipy COO→CSR build it
+  replaced, outputs checked equal; floor ``CSR_FLOOR``, asserted on full
+  runs, on the smallest speedup;
+* **import footprint** — the peak RSS and ``len(sys.modules)`` of a fresh
+  interpreter that imports the estimator, KronFit and the server, and of
+  one that then imports the scipy modules the figure statistics load.
 
 Each timing is a median over ``--repeats`` runs, with the minimum and the
 sample count beside it; the two canonicalizations alternate run by run.
@@ -35,7 +42,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -52,11 +61,15 @@ from repro.graphs.graph import Graph, _canonicalize_edges
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
 # the committed artifact in sync.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_graphs.json"
 SEED = 20120330
 CANONICALIZE_FLOOR = 3.0
+CSR_FLOOR = 1.2
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+PIPELINE_MODULES = ("repro.core.estimator", "repro.kronecker.kronfit", "repro.serve.server")
+SCIPY_MODULES = ("scipy.sparse.csgraph", "scipy.sparse.linalg")
 
 # The stand-ins' edge digests at their default seeds (sha256 of the node
 # count and the canonical edge arrays, first 16 hex digits).
@@ -96,13 +109,93 @@ def timed(fns, repeats: int) -> list[list[float]]:
     return seconds
 
 
-def unique_oracle(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def unique_oracle(
+    raw_u: np.ndarray, raw_v: np.ndarray, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Canonicalization as it was written with ``np.unique``."""
-    u = np.minimum(edges[:, 0], edges[:, 1])
-    v = np.maximum(edges[:, 0], edges[:, 1])
+    u = np.minimum(raw_u, raw_v)
+    v = np.maximum(raw_u, raw_v)
     keep = u != v
     key = np.unique(u[keep] * np.int64(n_nodes) + v[keep])
     return key // np.int64(n_nodes), key % np.int64(n_nodes)
+
+
+def scipy_csr_oracle(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency's CSR arrays as scipy's COO→CSR build made them."""
+    import scipy.sparse as sp
+
+    u, v = graph.edge_arrays
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    n = graph.n_nodes
+    adjacency = sp.csr_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    return adjacency.indptr, adjacency.indices
+
+
+def bench_csr(name: str, repeats: int) -> dict:
+    graph = load_dataset(name)
+
+    def cold_copy_csr() -> tuple[np.ndarray, np.ndarray]:
+        return Graph._from_canonical(graph.n_nodes, *graph.edge_arrays).csr
+
+    identical = all(
+        np.array_equal(built, expected)
+        for built, expected in zip(cold_copy_csr(), scipy_csr_oracle(graph))
+    )
+    if not identical:
+        raise AssertionError(f"{name}: Graph.csr differs from the scipy COO→CSR oracle")
+    numpy_build, scipy_build = timed([cold_copy_csr, lambda: scipy_csr_oracle(graph)], repeats)
+    return {
+        "dataset": name,
+        "n_nodes": graph.n_nodes,
+        "n_edges": graph.n_edges,
+        "bit_identical": True,
+        "graph_csr": summarize(numpy_build),
+        "scipy_coo_oracle": summarize(scipy_build),
+        "speedup": statistics.median(scipy_build) / statistics.median(numpy_build),
+    }
+
+
+# The child reads its own high-water mark (VmHWM): ru_maxrss would carry
+# over the RSS of the bench process that spawned it.
+FOOTPRINT_PROBE = """
+import json, sys
+{imports}
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({{"peak_rss_mib": hwm / 1024, "modules": len(sys.modules),
+                  "scipy": "scipy" in sys.modules}}))
+"""
+
+
+def import_footprint(modules: tuple[str, ...]) -> dict:
+    """Peak RSS and module count of a fresh interpreter importing ``modules``."""
+    code = FOOTPRINT_PROBE.format(imports="\n".join(f"import {name}" for name in modules))
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(completed.stdout)
+
+
+def bench_import_footprint(repeats: int) -> dict:
+    rows = {}
+    for label, modules in (
+        ("pipeline", PIPELINE_MODULES),
+        ("pipeline_then_scipy", PIPELINE_MODULES + SCIPY_MODULES),
+    ):
+        runs = [import_footprint(modules) for _ in range(repeats)]
+        rows[label] = {
+            "modules": list(modules),
+            "peak_rss_mib": statistics.median(run["peak_rss_mib"] for run in runs),
+            "sys_modules": statistics.median(run["modules"] for run in runs),
+            "scipy_loaded": runs[0]["scipy"],
+            "samples": len(runs),
+        }
+    return rows
 
 
 def bench_standin(name: str, repeats: int) -> dict:
@@ -133,10 +226,9 @@ def bench_edge_arrays(name: str, repeats: int) -> dict:
     mirrored = rng.random(u.size) < 0.5
     raw_u = np.where(mirrored, v, u)[order]
     raw_v = np.where(mirrored, u, v)[order]
-    raw = np.column_stack([raw_u, raw_v])
 
-    new_u, new_v = _canonicalize_edges(raw, n)
-    old_u, old_v = unique_oracle(raw, n)
+    new_u, new_v = _canonicalize_edges(raw_u, raw_v, n)
+    old_u, old_v = unique_oracle(raw_u, raw_v, n)
     identical = (
         np.array_equal(new_u, old_u)
         and np.array_equal(new_v, old_v)
@@ -149,7 +241,8 @@ def bench_edge_arrays(name: str, repeats: int) -> dict:
         repeats,
     )
     by_sort, by_unique = timed(
-        [lambda: _canonicalize_edges(raw, n), lambda: unique_oracle(raw, n)], repeats
+        [lambda: _canonicalize_edges(raw_u, raw_v, n), lambda: unique_oracle(raw_u, raw_v, n)],
+        repeats,
     )
     return {
         "dataset": name,
@@ -215,6 +308,22 @@ def main(argv: list[str] | None = None) -> int:
             f"({canonicalize['speedup']:.1f}x)"
         )
     measured = min(row["canonicalize"]["speedup"] for row in rows)
+    csr_rows = []
+    for name in names:
+        row = bench_csr(name, repeats)
+        csr_rows.append(row)
+        print(
+            f"{name:10s} E={row['n_edges']:7d}  Graph.csr "
+            f"{row['graph_csr']['median_ms']:7.2f} ms vs scipy COO→CSR "
+            f"{row['scipy_coo_oracle']['median_ms']:7.2f} ms ({row['speedup']:.2f}x)"
+        )
+    csr_measured = min(row["speedup"] for row in csr_rows)
+    footprint = bench_import_footprint(3)
+    for label, row in footprint.items():
+        print(
+            f"import {label:20s} peak RSS {row['peak_rss_mib']:6.1f} MiB, "
+            f"{row['sys_modules']:4d} modules, scipy loaded: {row['scipy_loaded']}"
+        )
     report = {
         "bench": "bench_graphs",
         "schema_version": SCHEMA_VERSION,
@@ -223,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         "standins": standins,
         "edge_arrays": rows,
         "canonicalize_floor": {"required": CANONICALIZE_FLOOR, "measured": measured},
+        "csr": csr_rows,
+        "csr_floor": {"required": CSR_FLOOR, "measured": csr_measured},
+        "import_footprint": footprint,
     }
     out_path = Path(arguments.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -234,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{CANONICALIZE_FLOOR}x floor"
         )
         print(f"floor: canonicalization {measured:.1f}x >= {CANONICALIZE_FLOOR}x")
+        assert csr_measured >= CSR_FLOOR, (
+            f"CSR build speedup {csr_measured:.2f}x is below the {CSR_FLOOR}x floor"
+        )
+        print(f"floor: CSR build {csr_measured:.2f}x >= {CSR_FLOOR}x")
     return 0
 
 

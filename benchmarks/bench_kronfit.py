@@ -487,7 +487,7 @@ def bench_workload(
     name: str, graph: Graph, repeats: int, quick: bool, fit_params: dict
 ) -> dict:
     padded, k = pad_to_power_of_two(graph)
-    padded.adjacency  # warm the shared structures every engine starts from
+    padded.csr  # warm the shared structures every engine starts from
     record = {
         "workload": name,
         "n_nodes": graph.n_nodes,

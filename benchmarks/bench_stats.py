@@ -151,7 +151,7 @@ def kernel_combined(graph: Graph):
 def fresh_copy(graph: Graph) -> Graph:
     """A new Graph instance over the same canonical arrays (cold caches)."""
     clone = Graph._from_canonical(graph.n_nodes, *graph.edge_arrays)
-    clone.adjacency  # warm the shared structures both paths start from
+    clone.csr  # warm the shared structures both paths start from
     clone.degrees
     return clone
 
@@ -400,7 +400,7 @@ def _sampler_floor(large_k_rows: list[dict]) -> dict:
 
 
 def bench_workload(name: str, graph: Graph, repeats: int) -> dict:
-    graph.adjacency
+    graph.csr
     graph.degrees
 
     # Bit-identity first: the speedup is meaningless if the counts moved.

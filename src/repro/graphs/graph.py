@@ -6,8 +6,10 @@ Design notes
   labels relabel at the IO boundary (:func:`repro.graphs.io.parse_edge_list`
   does this automatically).
 * The edge set is stored once, canonically, as two parallel int64 arrays
-  ``(u, v)`` with ``u < v`` sorted lexicographically.  The CSR adjacency
-  matrix is derived lazily and cached; so are degrees.
+  ``(u, v)`` with ``u < v`` sorted lexicographically.  The CSR structure
+  (:attr:`Graph.csr`, plain numpy) is derived lazily and cached; so are
+  degrees.  The scipy matrix (:attr:`Graph.adjacency`) is built from it on
+  demand, so only the callers that need scipy import it.
 * Instances are value objects: hashable by content, comparable, and safe to
   share between estimators — no method mutates a constructed graph.
 
@@ -18,12 +20,14 @@ spectra) instead of aspiring to be a general graph library.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import GraphFormatError, ValidationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["Graph", "sorted_unique"]
 
@@ -61,34 +65,23 @@ class Graph:
     )
 
     def __init__(self, n_nodes: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)):
-            raise ValidationError(f"n_nodes must be an integer, got {n_nodes!r}")
-        if n_nodes < 0:
-            raise ValidationError(f"n_nodes must be non-negative, got {n_nodes}")
-        self._n_nodes = int(n_nodes)
+        n_nodes = _check_n_nodes(n_nodes)
         edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if edge_array.size == 0:
-            u = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.int64)
-        else:
-            if edge_array.ndim != 2 or edge_array.shape[1] != 2:
-                raise GraphFormatError(
-                    f"edges must be pairs, got array of shape {edge_array.shape}"
-                )
-            if not np.issubdtype(edge_array.dtype, np.integer):
-                converted = edge_array.astype(np.int64)
-                if not np.array_equal(converted, edge_array):
-                    raise GraphFormatError("edge endpoints must be integers")
-                edge_array = converted
-            u, v = _canonicalize_edges(edge_array.astype(np.int64), self._n_nodes)
-        self._edge_u = u
-        self._edge_v = v
-        self._edge_u.setflags(write=False)
-        self._edge_v.setflags(write=False)
-        self._adjacency: sp.csr_array | None = None
-        self._degrees: np.ndarray | None = None
-        self._hash: int | None = None
-        self._stats = None  # lazy StatsContext (see repro.stats.kernels)
+            edge_array = np.empty((0, 2), dtype=np.int64)
+        elif edge_array.ndim != 2 or edge_array.shape[1] != 2:
+            raise GraphFormatError(
+                f"edges must be pairs, got array of shape {edge_array.shape}"
+            )
+        elif not np.issubdtype(edge_array.dtype, np.integer):
+            converted = edge_array.astype(np.int64)
+            if not np.array_equal(converted, edge_array):
+                raise GraphFormatError("edge endpoints must be integers")
+            edge_array = converted
+        edge_array = edge_array.astype(np.int64, copy=False)
+        self._set_canonical(
+            n_nodes, *_canonicalize_edges(edge_array[:, 0], edge_array[:, 1], n_nodes)
+        )
 
     # ------------------------------------------------------------------
     # Alternate constructors
@@ -101,7 +94,8 @@ class Graph:
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape or u.ndim != 1:
             raise GraphFormatError("endpoint arrays must be 1-D and the same length")
-        return cls(n_nodes, np.column_stack([u, v]) if u.size else np.empty((0, 2), np.int64))
+        n_nodes = _check_n_nodes(n_nodes)
+        return cls._from_canonical(n_nodes, *_canonicalize_edges(u, v, n_nodes))
 
     @classmethod
     def _from_canonical(cls, n_nodes: int, u: np.ndarray, v: np.ndarray) -> "Graph":
@@ -117,16 +111,20 @@ class Graph:
         place, so callers must hand over ownership.
         """
         graph = object.__new__(cls)
-        graph._n_nodes = int(n_nodes)
-        graph._edge_u = np.ascontiguousarray(u, dtype=np.int64)
-        graph._edge_v = np.ascontiguousarray(v, dtype=np.int64)
-        graph._edge_u.setflags(write=False)
-        graph._edge_v.setflags(write=False)
-        graph._adjacency = None
-        graph._degrees = None
-        graph._hash = None
-        graph._stats = None
+        graph._set_canonical(n_nodes, u, v)
         return graph
+
+    def _set_canonical(self, n_nodes: int, u: np.ndarray, v: np.ndarray) -> None:
+        self._n_nodes = int(n_nodes)
+        self._edge_u = np.ascontiguousarray(u, dtype=np.int64)
+        self._edge_v = np.ascontiguousarray(v, dtype=np.int64)
+        self._edge_u.setflags(write=False)
+        self._edge_v.setflags(write=False)
+        # The CSR structure (see `csr`); the scipy matrix is derived per call.
+        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
+        self._degrees: np.ndarray | None = None
+        self._hash: int | None = None
+        self._stats = None  # lazy StatsContext (see repro.stats.kernels)
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "Graph":
@@ -141,6 +139,8 @@ class Graph:
     @classmethod
     def from_sparse(cls, matrix: sp.spmatrix | sp.sparray) -> "Graph":
         """Build from any scipy sparse adjacency (symmetrized, loops dropped)."""
+        import scipy.sparse as sp
+
         coo = sp.coo_array(matrix)
         if coo.shape[0] != coo.shape[1]:
             raise GraphFormatError(f"adjacency must be square, got shape {coo.shape}")
@@ -195,21 +195,44 @@ class Graph:
         return int(self.degrees[node])
 
     @property
-    def adjacency(self) -> sp.csr_array:
-        """Symmetric CSR adjacency matrix with int8 entries (cached)."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symmetric adjacency's CSR structure ``(indptr, indices)`` (cached).
+
+        Both int64 and read-only; the values are implied 1.  Node ``i``'s
+        neighbours are ``indices[indptr[i]:indptr[i + 1]]``, ascending: one
+        sort of the 2E keys ``(u << s) | v`` and ``(v << s) | u`` orders
+        every entry by row then column (``s`` bits hold a node id; exact up
+        to 2³¹ nodes), and ``indptr`` is the degree cumsum.  The same arrays
+        as scipy's COO→CSR build, without importing scipy.
+        """
         if self._adjacency is None:
-            n = self._n_nodes
-            rows = np.concatenate([self._edge_u, self._edge_v])
-            cols = np.concatenate([self._edge_v, self._edge_u])
-            data = np.ones(rows.size, dtype=np.int8)
-            self._adjacency = sp.csr_array((data, (rows, cols)), shape=(n, n))
+            u, v = self._edge_u, self._edge_v
+            shift = max(self._n_nodes - 1, 1).bit_length()
+            keys = np.concatenate([(u << shift) | v, (v << shift) | u])
+            keys.sort()
+            indices = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
+            indptr = np.zeros(self._n_nodes + 1, dtype=np.int64)
+            np.cumsum(self.degrees, out=indptr[1:])
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._adjacency = (indptr, indices)
         return self._adjacency
+
+    @property
+    def adjacency(self) -> sp.csr_array:
+        """Symmetric scipy CSR adjacency with int8 entries, built from :attr:`csr`
+        on each call; the one accessor here that imports scipy."""
+        import scipy.sparse as sp
+
+        indptr, indices = self.csr
+        data = np.ones(indices.size, dtype=np.int8)
+        return sp.csr_array((data, indices, indptr), shape=(self._n_nodes, self._n_nodes))
 
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted array of neighbours of ``node``."""
         self._check_node(node)
-        adjacency = self.adjacency
-        return adjacency.indices[adjacency.indptr[node] : adjacency.indptr[node + 1]].copy()
+        indptr, indices = self.csr
+        return indices[indptr[node] : indptr[node + 1]].copy()
 
     def has_edge(self, a: int, b: int) -> bool:
         """Whether the undirected edge ``{a, b}`` is present."""
@@ -241,7 +264,10 @@ class Graph:
 
     def to_dense(self) -> np.ndarray:
         """Dense int8 adjacency matrix (only sensible for small graphs)."""
-        return self.adjacency.toarray()
+        dense = np.zeros((self._n_nodes, self._n_nodes), dtype=np.int8)
+        dense[self._edge_u, self._edge_v] = 1
+        dense[self._edge_v, self._edge_u] = 1
+        return dense
 
     def to_networkx(self):
         """Convert to a ``networkx.Graph`` (imports networkx lazily)."""
@@ -330,20 +356,30 @@ def _rebuild_canonical(n_nodes: int, u: np.ndarray, v: np.ndarray) -> Graph:
     return Graph._from_canonical(n_nodes, u, v)
 
 
-def _canonicalize_edges(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_n_nodes(n_nodes: int) -> int:
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)):
+        raise ValidationError(f"n_nodes must be an integer, got {n_nodes!r}")
+    if n_nodes < 0:
+        raise ValidationError(f"n_nodes must be non-negative, got {n_nodes}")
+    return int(n_nodes)
+
+
+def _canonicalize_edges(
+    u: np.ndarray, v: np.ndarray, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Sort endpoints within pairs, drop loops, dedupe, lexicographically sort."""
-    if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
+    low = np.minimum(u, v)
+    high = np.maximum(u, v)
+    if low.size and (low.min() < 0 or high.max() >= n_nodes):
         raise GraphFormatError(
             f"edge endpoint out of range [0, {n_nodes}): "
-            f"min={edges.min()}, max={edges.max()}"
+            f"min={low.min()}, max={high.max()}"
         )
-    u = np.minimum(edges[:, 0], edges[:, 1])
-    v = np.maximum(edges[:, 0], edges[:, 1])
     # Drop self-loops, then dedupe and sort in one shot via the scalar key
     # u * n + v; ascending key order equals lexicographic (u, v) order.  The
     # int64 key overflows only beyond ~3e9 nodes, far past anything this
     # library targets.
-    key = sorted_unique((u * np.int64(n_nodes) + v)[u != v])
+    key = sorted_unique((low * np.int64(n_nodes) + high)[low != high])
     return key // np.int64(n_nodes), key % np.int64(n_nodes)
 
 

@@ -10,7 +10,6 @@ remaining helpers.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph, sorted_unique
@@ -28,6 +27,8 @@ __all__ = [
 
 def connected_components(graph: Graph) -> list[np.ndarray]:
     """Connected components as arrays of node ids, largest first."""
+    import scipy.sparse.csgraph as csgraph
+
     if graph.n_nodes == 0:
         return []
     count, labels = csgraph.connected_components(graph.adjacency, directed=False)

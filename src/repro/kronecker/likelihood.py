@@ -311,9 +311,7 @@ class MultiChainSampler:
         # requested but not compilable) fails at construction, not mid-fit.
         self.backend = resolve_multichain_backend(backend)
         self.threads = resolve_kernel_threads(threads)
-        adjacency = graph.adjacency
-        self._indptr = adjacency.indptr
-        self._indices = adjacency.indices
+        self._indptr, self._indices = graph.csr
         self._n_cells = (k + 1) * (k + 1)
         self._sigma = np.empty((n_chains, graph.n_nodes), dtype=np.int64)
         self._hist = np.empty((n_chains, self._n_cells), dtype=np.int64)

@@ -15,7 +15,6 @@ per-source reach counts by ``n / |sources|``, which is unbiased for every
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
@@ -81,6 +80,8 @@ def _distance_histogram(graph: Graph, sources: np.ndarray) -> np.ndarray:
     (``hop_plot`` then ``effective_diameter``, or figure reruns on the same
     graph) convert once instead of per call.
     """
+    import scipy.sparse.csgraph as csgraph
+
     adjacency = stats_context(graph).adjacency_float64
     counts = np.zeros(1, dtype=np.float64)
     for start in range(0, sources.size, _BATCH):

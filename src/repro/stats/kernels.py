@@ -43,10 +43,9 @@ measures the speedups against them.
 from __future__ import annotations
 
 import weakref
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
@@ -54,6 +53,9 @@ from repro.knobs import KERNEL_BACKEND_CHOICES, knob
 from repro.native.counting import COUNTING_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
 from repro.utils.validation import check_integer
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TrianglePassResult",
@@ -169,9 +171,10 @@ def row_blocks(graph: Graph, block_size: int = 0) -> list[tuple[int, int]]:
     # the budget the common case — one block — needs no per-row analysis.
     if int((degrees * degrees).sum()) <= AUTO_ENTRY_BUDGET:
         return [(0, n)]
-    # Per-row path-2 counts; the int8 @ int64 SpMV upcasts to int64.
-    path2 = graph.adjacency @ degrees
-    cumulative = np.cumsum(path2)
+    # Running path-2 counts: Σ_j d_j over the CSR entries of rows 0..r is
+    # the prefix sum of d[indices] read at indptr[r + 1] (exact in int64).
+    indptr, indices = graph.csr
+    cumulative = np.concatenate([[0], np.cumsum(degrees[indices])])[indptr[1:]]
     blocks: list[tuple[int, int]] = []
     start = 0
     consumed = 0
@@ -211,33 +214,18 @@ def _working_adjacency(graph: Graph) -> sp.csr_array:
     the off-diagonal reduction.  Pure representation changes: the
     arithmetic is unchanged.
     """
+    import scipy.sparse as sp
+
     dtype = _product_dtype(int(graph.degrees.max()))
-    adjacency = graph.adjacency
-    int32_max = np.iinfo(np.int32).max
-    if (
-        adjacency.indices.dtype != np.int32
-        and graph.n_nodes <= int32_max
-        and adjacency.nnz <= int32_max
-    ):
-        return sp.csr_array(
-            (
-                adjacency.data.astype(dtype, copy=False),
-                adjacency.indices.astype(np.int32),
-                adjacency.indptr.astype(np.int32),
-            ),
-            shape=adjacency.shape,
-        )
-    if adjacency.dtype != dtype:
-        adjacency = adjacency.astype(dtype)
-    return adjacency
+    indptr, indices = _fused_csr_arrays(graph) if _int32_indexable(graph) else graph.csr
+    data = np.ones(indices.size, dtype=dtype)
+    return sp.csr_array((data, indices, indptr), shape=(graph.n_nodes, graph.n_nodes))
 
 
 def _fused_csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The int32 CSR structure the fused kernels walk (values are implied 1)."""
-    adjacency = graph.adjacency
-    indptr = np.ascontiguousarray(adjacency.indptr, dtype=np.int32)
-    indices = np.ascontiguousarray(adjacency.indices, dtype=np.int32)
-    return indptr, indices
+    indptr, indices = graph.csr
+    return indptr.astype(np.int32), indices.astype(np.int32)
 
 
 def _int32_indexable(graph: Graph) -> bool:

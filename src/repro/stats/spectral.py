@@ -19,7 +19,6 @@ cost one solver run between them.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
@@ -78,12 +77,14 @@ def _solve_truncated_svd(
     if graph.n_edges == 0:
         return np.zeros(min(k, n), dtype=np.float64), np.zeros(n, dtype=np.float64)
     if n <= _DENSE_SVD_LIMIT or k >= n - 1:
-        dense = graph.adjacency.toarray().astype(np.float64)
+        dense = graph.to_dense().astype(np.float64)
         _u, sigma, v_transpose = np.linalg.svd(dense)
         keep = min(k, sigma.size)
         # .copy(), not a view: the triplet lives in the per-graph cache,
         # and a row/prefix view would pin the whole factor matrix with it.
         return sigma[:keep].copy(), v_transpose[0, :].copy()
+    import scipy.sparse.linalg
+
     # Fixed ARPACK start vector: the default draws from process-global
     # random state, which breaks bit-identical results across worker
     # processes (repro.runtime's determinism guarantee).  The adjacency

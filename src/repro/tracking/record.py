@@ -125,8 +125,7 @@ def environment_fingerprint() -> dict[str, Any]:
     knobs, and the machine's core count.
     """
     import platform
-
-    import scipy
+    from importlib.metadata import version
 
     from repro.knobs import knob
     from repro.native.chain import resolve_multichain_backend
@@ -137,7 +136,7 @@ def environment_fingerprint() -> dict[str, Any]:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": version("scipy"),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
         "counting_backend": resolve_kernel_backend(),

@@ -316,7 +316,7 @@ class TestSortedUnique:
         mirrored = data.draw(st.booleans())
         edges = edges + [(b, a) if mirrored else (a, b) for a, b in extra]
         array = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        u, v = _canonicalize_edges(array, n)
+        u, v = _canonicalize_edges(array[:, 0], array[:, 1], n)
         ref_u, ref_v = _unique_reference(array, n)
         assert u.dtype == v.dtype == np.int64
         assert u.flags.c_contiguous and v.flags.c_contiguous
@@ -326,7 +326,7 @@ class TestSortedUnique:
     def test_canonicalize_empty_and_single_node(self):
         for array, n in [(np.empty((0, 2), np.int64), 0), (np.empty((0, 2), np.int64), 5),
                          (np.array([[0, 0], [0, 0]], np.int64), 1)]:
-            u, v = _canonicalize_edges(array, n)
+            u, v = _canonicalize_edges(array[:, 0], array[:, 1], n)
             assert u.size == v.size == 0
             assert u.dtype == v.dtype == np.int64
 
@@ -344,3 +344,74 @@ class TestSortedUnique:
         array = np.array([3, 1, 3, 2], dtype=np.int64)
         sorted_unique(array)
         assert array.tolist() == [3, 1, 3, 2]
+
+
+def _scipy_csr_reference(graph: Graph):
+    """The adjacency as scipy's COO→CSR build made it: the oracle."""
+    import scipy.sparse as sp
+
+    u, v = graph.edge_arrays
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    data = np.ones(rows.size, dtype=np.int8)
+    n = graph.n_nodes
+    return sp.csr_array((data, (rows, cols)), shape=(n, n))
+
+
+def _assert_csr_matches_scipy(graph: Graph) -> None:
+    reference = _scipy_csr_reference(graph)
+    indptr, indices = graph.csr
+    assert indptr.dtype == indices.dtype == np.int64
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    np.testing.assert_array_equal(indptr, reference.indptr)
+    np.testing.assert_array_equal(indices, reference.indices)
+    assert graph.csr[0] is indptr and graph.csr[1] is indices  # cached
+    adjacency = graph.adjacency
+    assert adjacency.shape == reference.shape
+    for name in ("indptr", "indices", "data"):
+        built, expected = getattr(adjacency, name), getattr(reference, name)
+        assert built.dtype == expected.dtype, name
+        np.testing.assert_array_equal(built, expected)
+    assert adjacency.data.dtype == np.int8
+    assert adjacency.has_sorted_indices
+    np.testing.assert_array_equal(graph.to_dense(), reference.toarray())
+    for node in range(graph.n_nodes):
+        np.testing.assert_array_equal(graph.neighbors(node), reference[[node], :].indices)
+
+
+class TestCSR:
+    """``Graph.csr`` is the scipy COO→CSR structure, built in numpy."""
+
+    @given(edge_lists(max_nodes=40, max_edges=120))
+    @settings(max_examples=80)
+    def test_equals_the_scipy_oracle(self, n_and_edges):
+        _assert_csr_matches_scipy(Graph(*n_and_edges))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(0),
+            Graph(1),
+            Graph(9),
+            Graph(20, [(3, 7), (7, 11), (3, 11), (15, 16)]),
+            Graph(64, [(0, leaf) for leaf in range(1, 64)]),
+            Graph(64, [(leaf, 63) for leaf in range(63)]),
+        ],
+        ids=["empty", "n=1", "isolated-only", "isolated-nodes", "star-hub-0", "star-hub-last"],
+    )
+    def test_structured_graphs(self, graph):
+        _assert_csr_matches_scipy(graph)
+
+    def test_skg_sample(self):
+        from repro.kronecker.sampling import sample_skg
+
+        graph = sample_skg([0.99, 0.45, 0.25], 9, seed=3)
+        assert graph.n_edges > 0
+        _assert_csr_matches_scipy(graph)
+
+    def test_rebuilt_after_pickling(self, triangle):
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(triangle))
+        for built, expected in zip(clone.csr, triangle.csr):
+            np.testing.assert_array_equal(built, expected)

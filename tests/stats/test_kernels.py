@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,6 +153,36 @@ class TestRowBlocks:
 
     def test_empty_graph_has_no_blocks(self):
         assert row_blocks(Graph(0), 0) == []
+
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10**6),
+        budget=st.integers(min_value=1, max_value=400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_auto_blocks_equal_the_scipy_spmv_packing(self, n, p, seed, budget):
+        """The per-row path-2 counts read off the CSR pack rows exactly as
+        the scipy SpMV ``A @ d`` they replaced, under any budget."""
+        graph = erdos_renyi_graph(n, p, seed=seed)
+        with mock.patch.object(kernels, "AUTO_ENTRY_BUDGET", budget):
+            assert row_blocks(graph, 0) == _spmv_row_blocks(graph, budget)
+
+
+def _spmv_row_blocks(graph: Graph, budget: int) -> list[tuple[int, int]]:
+    """Auto row blocks as packed from the scipy SpMV: the oracle."""
+    n, degrees = graph.n_nodes, graph.degrees
+    if int((degrees * degrees).sum()) <= budget:
+        return [(0, n)]
+    cumulative = np.cumsum(graph.adjacency @ degrees)
+    blocks, start, consumed = [], 0, 0
+    while start < n:
+        end = int(np.searchsorted(cumulative, consumed + budget, side="right"))
+        end = min(max(end, start + 1), n)
+        blocks.append((start, end))
+        consumed = int(cumulative[end - 1])
+        start = end
+    return blocks
 
 
 class TestBlockSizeArgument:

@@ -272,6 +272,27 @@ class TestBenchArtifactSchema:
         assert floor["measured"] >= floor["required"]
         assert floor["measured"] == min(row["canonicalize"]["speedup"] for row in rows.values())
 
+    def test_graphs_artifact_records_the_csr_build_and_import_footprint(self):
+        """Schema 2: ``Graph.csr`` against the scipy COO→CSR oracle at
+        ca-grqc and skg-k18 (bit-identity enforced by the bench, floor
+        ≥ 1.2×), and the import footprint of the pipeline without scipy."""
+        report = json.loads((OUT_DIR / "BENCH_graphs.json").read_text(encoding="utf-8"))
+        bench = load_bench_module("bench_graphs.py")
+        rows = {row["dataset"]: row for row in report["csr"]}
+        assert set(rows) == {"ca-grqc", "skg-k18"}
+        assert all(row["bit_identical"] is True for row in rows.values())
+        floor = report["csr_floor"]
+        assert floor["required"] == bench.CSR_FLOOR >= 1.2
+        assert floor["measured"] >= floor["required"]
+        assert floor["measured"] == min(row["speedup"] for row in rows.values())
+        footprint = report["import_footprint"]
+        assert footprint["pipeline"]["scipy_loaded"] is False
+        assert footprint["pipeline_then_scipy"]["scipy_loaded"] is True
+        assert (
+            footprint["pipeline"]["peak_rss_mib"]
+            < footprint["pipeline_then_scipy"]["peak_rss_mib"]
+        )
+
     def test_stats_artifact_records_large_k_rows(self):
         """Schema 3 added the large-k scale rows: sampler engine
         trajectory (bit-identity enforced by the bench) plus the KronMom
