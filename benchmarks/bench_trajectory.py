@@ -133,7 +133,11 @@ def _kronfit_headline(report: dict) -> dict:
                         "fit_speedup": speedup,
                     }
     multichain = report.get("multichain_floor") or {}
-    headline["multichain_vs_solo_speedup"] = multichain.get("measured")
+    # The whole-fit ratio: the floor's own measure since schema 9 of
+    # bench_kronfit is the overhead ratio.
+    headline["multichain_vs_solo_speedup"] = multichain.get(
+        "speedup_vs_sequential", multichain.get("measured")
+    )
     return headline
 
 

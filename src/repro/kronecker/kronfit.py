@@ -20,10 +20,11 @@ deterministic).
 Every fit, single- or multi-start, runs one code path: all S chains
 advance in lockstep inside one
 :class:`~repro.kronecker.likelihood.MultiChainSampler` — per gradient
-iteration one native call draws every proposal and one per chain range
-runs the warm-up and all permutation samples, a range per
-``kernel_threads`` / ``REPRO_KERNEL_THREADS`` thread — in the calling
-process.  A single-start
+iteration one stacked table build, one native call that draws every
+proposal, and one per chain range that runs the warm-up and all
+permutation samples and then scores them and takes the Θ step, a range
+per ``kernel_threads`` / ``REPRO_KERNEL_THREADS`` thread — in the
+calling process.  A single-start
 fit is the S=1 case and draws straight from ``as_generator(seed)``;
 multi-start fits give each start its own ``SeedSequence`` child of the
 estimator seed.  Results are bit-identical for any thread count and
@@ -42,10 +43,10 @@ from repro.graphs.operations import pad_to_power_of_two
 from repro.knobs import knob
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.kronecker.likelihood import (
+    _STEP_HIGH,
+    _STEP_LOW,
     MultiChainSampler,
-    clamped_rows,
     degree_matched_initial_sigma,
-    profile_log_likelihoods,
 )
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, as_generator
@@ -59,9 +60,6 @@ __all__ = [
 ]
 
 _logger = get_logger(__name__)
-
-_PARAM_LOW = 0.001
-_PARAM_HIGH = 0.999
 
 # Entropy word of the deterministic per-start σ perturbation streams.
 # Fixed forever: changing it changes every multi-start trajectory.
@@ -226,13 +224,12 @@ class KronFitEstimator:
         ``graph`` is padded to ``2^k`` nodes; chain ``s`` starts from
         :func:`perturbed_initial_sigma` of start ``s`` and draws from
         ``default_rng(seeds[s])`` (a Generator passes through unchanged).
-        Each iteration is one stacked table build, one
-        :meth:`MultiChainSampler.run` (the warm-up and every permutation
-        sample, whose histograms it returns), and one
-        :func:`~repro.kronecker.likelihood.profile_log_likelihoods` call
-        over all P·S histograms.  The Metropolis kernel is exact by the
-        multichain contracts, each row of the likelihood call is
-        bit-identical to its P = S = 1 call, and the samples are
+        Each iteration is one stacked table build and one
+        :meth:`MultiChainSampler.run` with the iteration's step size: the
+        warm-up, every permutation sample and the gradient step, which
+        returns each chain's mean log-likelihood and new Θ.  The
+        Metropolis kernel is exact by the multichain contracts, each
+        chain's step reads only its own rows, and the samples are
         accumulated in sample order, so chain ``s`` is bit-identical to a
         solo fit of start ``s``.
         """
@@ -258,41 +255,25 @@ class KronFitEstimator:
         n_samples = self.n_permutation_samples
         n_steps = self.warmup_swaps + n_samples * self.sample_spacing
         for iteration in range(self.n_iterations):
-            # Θ is fixed within an iteration: build every chain's tables
-            # once and reuse them for the score rows and all samples.
-            tables = sampler.set_thetas(thetas)
-            hist = sampler.run(
-                n_steps, rngs, n_samples=n_samples, sample_spacing=self.sample_spacing
-            ).reshape(n_samples, n_chains, -1).astype(np.float64)
-            sample_values, sample_gradients = profile_log_likelihoods(
-                tables, clamped_rows(thetas), hist
-            )
-            # Summed from zero in sample order: a solo fit's float sequence.
-            gradients = np.zeros((n_chains, 3))
-            values = np.zeros(n_chains)
-            for sample in range(n_samples):
-                gradients += sample_gradients[sample]
-                values += sample_values[sample]
-            gradients /= n_samples
-            values /= n_samples
-            step_scale = self.learning_rate / (1.0 + iteration / 10.0)
-            sup_norms = np.abs(gradients).max(axis=1)
-            moving = sup_norms > 0
-            rows = np.array([(theta.a, theta.b, theta.c) for theta in thetas])
-            rows[moving] = np.clip(
-                rows[moving] + step_scale * gradients[moving] / sup_norms[moving, None],
-                _PARAM_LOW,
-                _PARAM_HIGH,
+            # Θ is fixed within an iteration: one stacked table build feeds
+            # the score rows, every sample's likelihood and the step.
+            sampler.set_thetas(thetas)
+            values, rows = sampler.run(
+                n_steps,
+                rngs,
+                n_samples=n_samples,
+                sample_spacing=self.sample_spacing,
+                step_scale=self.learning_rate / (1.0 + iteration / 10.0),
             )
             thetas = [Initiator(*row) for row in rows.tolist()]
-            for s in range(n_chains):
-                log_likelihoods[s].append(float(values[s]))
+            for s, value in enumerate(values.tolist()):
+                log_likelihoods[s].append(value)
                 trajectories[s].append((thetas[s].a, thetas[s].b, thetas[s].c))
                 _logger.debug(
                     "kronfit iter %d (chain %d): loglik=%.2f theta=(%.4f, %.4f, %.4f)",
                     iteration,
                     s,
-                    values[s],
+                    value,
                     thetas[s].a,
                     thetas[s].b,
                     thetas[s].c,
@@ -353,7 +334,7 @@ def select_best_start(results: list[KronFitResult]) -> int:
 
 def _clip(theta: Initiator) -> Initiator:
     return Initiator(
-        float(np.clip(theta.a, _PARAM_LOW, _PARAM_HIGH)),
-        float(np.clip(theta.b, _PARAM_LOW, _PARAM_HIGH)),
-        float(np.clip(theta.c, _PARAM_LOW, _PARAM_HIGH)),
+        float(np.clip(theta.a, _STEP_LOW, _STEP_HIGH)),
+        float(np.clip(theta.b, _STEP_LOW, _STEP_HIGH)),
+        float(np.clip(theta.c, _STEP_LOW, _STEP_HIGH)),
     )

@@ -29,8 +29,10 @@ fit).  It executes pre-drawn proposal streams behind the
 or the compiled-C multichain kernel of :mod:`repro.native.chain`, which
 also draws the streams.  Both engines are bit-identical (see the
 contracts documented there).  One scheduled
-:meth:`MultiChainSampler.run` covers a KronFit iteration: the warm-up and
-every permutation sample, returning the sample histograms.
+:meth:`MultiChainSampler.run` covers a KronFit iteration: the warm-up,
+every permutation sample and the gradient step, which on the numpy
+engine is :func:`profile_log_likelihoods` plus :func:`ascent_step`, the
+oracle of the kernel's step mode.
 :class:`PermutationSampler` is a view of one chain; constructing it
 directly builds a one-chain ensemble.
 """
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +50,11 @@ from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.chain import (
     _RUN,
+    _STEP,
     CHAIN_BITMAP_WORDS,
     MULTICHAIN_KERNEL,
+    bind_proposal_draw,
     draw_proposal_batch,
-    draw_proposal_streams,
     resolve_multichain_backend,
 )
 from repro.native.registry import buffer_addresses, resolve_kernel_threads, shard_bounds
@@ -62,6 +65,7 @@ __all__ = [
     "ProfileLikelihood",
     "clamped_rows",
     "profile_log_likelihoods",
+    "ascent_step",
     "exact_log_likelihood",
     "PermutationSampler",
     "MultiChainSampler",
@@ -70,6 +74,10 @@ __all__ = [
 # Initiator entries are clamped into this open interval before taking logs.
 _PARAM_FLOOR = 1e-6
 _PARAM_CEIL = 1.0 - 1e-6
+# KronFit's gradient steps keep Θ in this interval (the chain kernel's
+# step mode writes the same literals).
+_STEP_LOW = 0.001
+_STEP_HIGH = 0.999
 
 
 def _clamp(value: float) -> float:
@@ -114,8 +122,18 @@ def profile_histogram(z: np.ndarray, x: np.ndarray, o: np.ndarray, k: int) -> np
     return counts.reshape(k + 1, k + 1)
 
 
-@dataclass(frozen=True)
-class _LogTables:
+@functools.lru_cache(maxsize=None)
+def _profile_grid(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(k+1)²`` cells' read-only float64 z, x and o rows (x is 0
+    where infeasible, z + o > k) and infeasible mask."""
+    z, o = np.divmod(np.arange((k + 1) ** 2), k + 1)
+    infeasible = z + o > k
+    zxo = np.stack([z, np.where(infeasible, 0, k - z - o), o]).astype(np.float64)
+    zxo.flags.writeable = infeasible.flags.writeable = False
+    return zxo, infeasible
+
+
+class _LogTables(NamedTuple):
     """Per-profile log-probability tables: ``(k+1, k+1)`` arrays for one
     initiator, or ``(S, k+1, k+1)`` stacks for S of them."""
 
@@ -124,31 +142,32 @@ class _LogTables:
     p: np.ndarray  # P itself
 
     @classmethod
-    def stack(cls, thetas, k: int) -> "_LogTables":
+    def stack(cls, thetas, k: int, out: np.ndarray | None = None) -> "_LogTables":
         """Every Θ's tables in one elementwise pass, stacked in order.
 
-        The ``log`` of each clamped a, b, c is a scalar call; the rest
-        are elementwise operations, whose value per element does not
-        depend on the stack's shape, so row ``s`` equals the stack of
-        ``thetas[s]`` alone.
+        One ``np.log`` over the ``(S, 3)`` :func:`clamped_rows` (the same
+        bits as one scalar call per entry), then elementwise operations,
+        whose value per element does not depend on the stack's shape, so
+        row ``s`` equals the stack of ``thetas[s]`` alone.  The tables are
+        the three planes of ``out``, a C-contiguous float64 ``(3, S, k+1,
+        k+1)`` buffer, written in place (a new one without ``out``).
         """
-        logs = np.array(
-            [[np.log(_clamp(value)) for value in (t.a, t.b, t.c)] for t in thetas]
-        )
-        log_a, log_b, log_c = (logs[:, column, None, None] for column in range(3))
-        z = np.arange(k + 1)[:, None]
-        o = np.arange(k + 1)[None, :]
-        x = k - z - o  # negative for infeasible cells (z + o > k)
-        valid = x >= 0
+        logs = np.log(clamped_rows(thetas))
+        if out is None:
+            out = np.empty((3, logs.shape[0], k + 1, k + 1))
+        zxo, infeasible = _profile_grid(k)
+        planes = out.reshape(3, logs.shape[0], -1)
+        log_p, log_1mp, p = planes
+        terms = logs[:, :, None] * zxo  # z·log a, x·log b, o·log c
+        np.add(np.add(terms[:, 0], terms[:, 1], out=log_p), terms[:, 2], out=log_p)
+        np.exp(log_p, out=p)
+        np.minimum(p, _PARAM_CEIL, out=log_1mp)
+        np.log1p(np.negative(log_1mp, out=log_1mp), out=log_1mp)
         # Infeasible cells can never receive histogram mass (edge profiles
         # always satisfy z + o <= k), so zeroing them is safe and avoids
         # 0 * inf = NaN in histogram contractions.
-        log_p = np.where(
-            valid, z * log_a + np.where(valid, x, 0) * log_b + o * log_c, 0.0
-        )
-        p = np.where(valid, np.exp(log_p), 0.0)
-        log_1mp = np.where(valid, np.log1p(-np.minimum(p, _PARAM_CEIL)), 0.0)
-        return cls(log_p=log_p, log_1mp=log_1mp, p=p)
+        np.copyto(planes, 0.0, where=infeasible)
+        return cls(*out)
 
 
 class ProfileLikelihood:
@@ -211,8 +230,7 @@ def profile_log_likelihoods(
     """
     n_chains = abc.shape[0]
     k = tables.p.shape[-1] - 1
-    z, o = np.divmod(np.arange((k + 1) ** 2), k + 1)
-    zxo = np.stack([z, np.maximum(k - z - o, 0), o])
+    zxo = _profile_grid(k)[0]
     score = (tables.log_p - tables.log_1mp).reshape(n_chains, -1)
     inv_1mp = (1.0 / np.maximum(1.0 - tables.p, 1.0 - _PARAM_CEIL)).reshape(n_chains, -1)
     empty_terms, empty_gradients = [], []
@@ -230,6 +248,31 @@ def profile_log_likelihoods(
     weight = histograms * inv_1mp
     gradients = (weight[:, :, None, :] * zxo).sum(axis=3) / abc + np.array(empty_gradients)
     return values, gradients
+
+
+def ascent_step(sample_values, sample_gradients, rows, step_scale: float):
+    """KronFit's Θ step from :func:`profile_log_likelihoods`' ``(P, S)``
+    values and ``(P, S, 3)`` gradients: each chain's are summed from zero
+    in sample order and averaged, then its ``(S, 3)`` Θ row moves by
+    ``step_scale`` along the gradient over its sup-norm, clipped to
+    ``[_STEP_LOW, _STEP_HIGH]``, unless that norm is 0 or NaN.  Returns
+    the mean values and the new rows: the chain kernel's step, bit for bit.
+    """
+    values, gradients = np.zeros(sample_values.shape[1]), np.zeros(sample_gradients.shape[1:])
+    for sample_value, sample_gradient in zip(sample_values, sample_gradients):
+        values += sample_value
+        gradients += sample_gradient
+    values /= len(sample_values)
+    gradients /= len(sample_values)
+    sup_norms = np.abs(gradients).max(axis=1)
+    moving = sup_norms > 0
+    rows = np.array(rows, dtype=np.float64)
+    rows[moving] = np.clip(
+        rows[moving] + step_scale * gradients[moving] / sup_norms[moving, None],
+        _STEP_LOW,
+        _STEP_HIGH,
+    )
+    return values, rows
 
 
 def exact_log_likelihood(initiator, graph: Graph, sigma: np.ndarray, k: int) -> float:
@@ -316,6 +359,11 @@ class MultiChainSampler:
         self._sigma = np.empty((n_chains, graph.n_nodes), dtype=np.int64)
         self._hist = np.empty((n_chains, self._n_cells), dtype=np.int64)
         self._score = np.empty((n_chains, self._n_cells), dtype=np.float64)
+        self._table_planes = np.empty((3, n_chains, k + 1, k + 1))
+        # Row s: chain s's Θ (a, b, c); and what the kernel's step writes,
+        # the mean log-likelihood, then the stepped Θ.
+        self._theta = np.empty((n_chains, 3))
+        self._stepped = np.empty((n_chains, 4))
         # _stats[s] accumulates chain s's score-table touches on every
         # engine — the observable the O(k²)-rescan regression test pins
         # (see the delta-scan contract in repro.native.chain) — and
@@ -335,20 +383,25 @@ class MultiChainSampler:
             np.empty(0, dtype=np.float64),
         )
         self._layout = (None,)  # the last run's, keyed (see _run_layout)
-        self._kernel = self._run_call = None
+        self._draw = (None, None)  # the last run's generators and bound draw
+        self._kernel = self._bound = None
         if self.backend != "numpy":
             # The kernel takes raw addresses: every buffer it reads is
             # checked here, once, and must never be replaced afterwards.
             self._kernel = MULTICHAIN_KERNEL.kernel(self.backend)
             self._csr32 = [np.ascontiguousarray(self._indptr, dtype=np.int32),
                            np.ascontiguousarray(self._indices, dtype=np.int32)]
-            sigma, hist, stats, self._accepted_address = buffer_addresses(
+            sigma, hist, stats, accepted = buffer_addresses(
                 np.int64, self._sigma, self._hist, self._stats, self._accepted
             )
-            self._run_call = functools.partial(
-                self._kernel, _RUN, *buffer_addresses(np.int32, *self._csr32), n_chains,
-                graph.n_nodes, sigma, k, *buffer_addresses(np.float64, self._score),
-                hist, stats,
+            score, p, theta, stepped = buffer_addresses(
+                np.float64, self._score, self._table_planes[2], self._theta, self._stepped
+            )
+            # The arguments before and after each run's own (see _run_layout).
+            self._bound = (
+                (*buffer_addresses(np.int32, *self._csr32), n_chains, graph.n_nodes,
+                 sigma, k, score, hist, stats),
+                (accepted, p, theta, stepped),
             )
 
     @property
@@ -373,7 +426,7 @@ class MultiChainSampler:
         """Set every chain's Θ with one stacked table build.
 
         Returns the stacked ``(S, k+1, k+1)`` tables, which the sampler
-        keeps: treat them as read-only.
+        keeps and the next call overwrites: treat them as read-only.
         """
         thetas = list(thetas)
         if len(thetas) != self.n_chains:
@@ -381,13 +434,12 @@ class MultiChainSampler:
                 f"got {len(thetas)} thetas for {self.n_chains} chains"
             )
         self.thetas = thetas
-        self._tables = _LogTables.stack(thetas, self.k)
+        self._theta[:] = [(t.a, t.b, t.c) for t in thetas]
+        self._tables = tables = _LogTables.stack(thetas, self.k, out=self._table_planes)
         # Hoisted out of the proposal loop: `log P - log(1-P)` per profile
         # cell, read by every engine's delta scan.
-        self._score[:] = (self._tables.log_p - self._tables.log_1mp).reshape(
-            self.n_chains, -1
-        )
-        return self._tables
+        np.subtract(tables.log_p, tables.log_1mp, out=self._score.reshape(tables.p.shape))
+        return tables
 
     def set_theta(self, index: int, theta: Initiator) -> None:
         """Update chain ``index``'s Θ (rebuilds the tables and score rows)."""
@@ -413,7 +465,8 @@ class MultiChainSampler:
         *,
         n_samples: int = 0,
         sample_spacing: int = 1,
-    ) -> np.ndarray | None:
+        step_scale: float | None = None,
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray] | None:
         """Advance every chain ``n_steps`` proposals.
 
         ``rngs`` holds one generator per chain (chains may share one).
@@ -426,16 +479,19 @@ class MultiChainSampler:
         with the draw contract, so chain ``s`` consumes its generator
         exactly like a one-chain run would; on the cext engine that is
         one native call, and running them one more per chain range.
+
+        With ``step_scale`` it returns KronFit's gradient step from the
+        samples instead (:func:`ascent_step`, which the cext engine takes
+        inside its run call): the ``(S,)`` mean log-likelihoods and the new
+        ``(S, 3)`` Θ rows.  Θ itself is not changed.
         """
-        return self._advance(n_steps, rngs, n_samples, sample_spacing)
+        return self._advance(n_steps, rngs, n_samples, sample_spacing, step_scale)
 
     # -- internals --------------------------------------------------------
 
-    def _advance(
-        self, n_steps: int, rngs, n_samples: int = 0, sample_spacing: int = 1
-    ) -> np.ndarray | None:
-        """Draw every chain's streams, then execute them."""
-        rngs = list(rngs)
+    def _advance(self, n_steps: int, rngs, n_samples=0, sample_spacing=1, step_scale=None):
+        """Draw every chain's streams, execute them, and step if asked."""
+        rngs = tuple(rngs)
         if len(rngs) != self.n_chains:
             raise ValidationError(
                 f"got {len(rngs)} generators for {self.n_chains} chains"
@@ -447,18 +503,23 @@ class MultiChainSampler:
                 f"{n_samples} samples {sample_spacing} proposals apart do not "
                 f"fit in a run of {n_steps}"
             )
+        if step_scale is not None and n_samples == 0:
+            raise ValidationError("a gradient step needs at least one sample")
         n_nodes = self.graph.n_nodes
+        stepped = False
         if n_steps == 0 or n_nodes < 2:
             snapshots = np.empty((n_samples, self.n_chains, self._n_cells), dtype=np.int64)
             snapshots[:] = self._hist
         else:
-            streams, ends, snapshots, run_call = self._run_layout(
+            streams, ends, snapshots, calls = self._run_layout(
                 n_steps, n_samples, sample_spacing
             )
-            if self._kernel is not None and all(
+            if self._draw[0] != rngs and self._kernel is not None and all(
                 isinstance(rng, np.random.Generator) for rng in rngs
             ):
-                draw_proposal_streams(self._kernel, rngs, n_nodes, ends, *streams)
+                self._draw = (rngs, bind_proposal_draw(self._kernel, rngs, n_nodes, ends, *streams))
+            if self._draw[0] == rngs:
+                self._draw[1]()
             else:
                 begin = 0
                 for end in ends.tolist():
@@ -467,25 +528,37 @@ class MultiChainSampler:
                         for stream, values in zip(streams, drawn):
                             stream[s, begin:end] = values
                     begin = end
-            if run_call is None:
+            if calls is None:
                 self._run_reference(streams, ends, snapshots)
             else:
-                self._run_native(run_call)
+                stepped = step_scale is not None
+                self._run_native(calls[stepped], step_scale or 0.0)
             self.proposed += n_steps
+        if stepped:
+            return self._stepped[:, 0].copy(), self._stepped[:, 1:].copy()
+        if step_scale is not None:
+            return ascent_step(
+                *profile_log_likelihoods(
+                    self._tables, clamped_rows(self.thetas), snapshots.astype(np.float64)
+                ),
+                self._theta,
+                step_scale,
+            )
         if n_samples == 0:
             return None
         return snapshots.reshape(n_samples, self.n_chains, self.k + 1, self.k + 1).copy()
 
     def _run_layout(self, n_steps: int, n_samples: int, sample_spacing: int):
-        """``(streams, ends, snapshots, run_call)`` for a run, rebuilt only
+        """``(streams, ends, snapshots, calls)`` for a run, rebuilt only
         when the layout differs from the last run's.
 
         ``streams`` are ``(S, n_steps)`` C-contiguous views of the draw
         buffers, which grow to the longest run; ``ends`` holds the segment
         ends and ``snapshots`` is the buffer the run fills.  On the cext
-        engine ``run_call(c_begin, c_end)`` runs the whole streams of
-        chains ``[c_begin, c_end)`` with every address bound; a rebuild
-        binds again, as growing a buffer frees the old one.
+        engine ``calls[step](step_scale, c_begin, c_end)`` runs the whole
+        streams of chains ``[c_begin, c_end)`` with every address bound,
+        in step mode if ``step``; a rebuild binds again, as growing a
+        buffer frees the old one, and drops the bound draw.
         """
         key = (n_steps, n_samples, sample_spacing)
         if self._layout[0] != key:
@@ -504,16 +577,23 @@ class MultiChainSampler:
                 dtype=np.int64,
             )
             snapshots = np.empty((n_samples, self.n_chains, self._n_cells), dtype=np.int64)
-            run_call = self._run_call and functools.partial(
-                self._run_call, *buffer_addresses(np.int64, i_all, j_all),
-                *buffer_addresses(np.float64, u_all), n_steps,
-                *buffer_addresses(np.int64, ends), ends.size, n_samples,
-                *buffer_addresses(np.int64, snapshots), None, self._accepted_address,
-            )
-            self._layout = (key, streams, ends, snapshots, run_call)
+            calls = None
+            if self._bound is not None:
+                before, after = self._bound
+                run_args = (
+                    *before, *buffer_addresses(np.int64, i_all, j_all),
+                    *buffer_addresses(np.float64, u_all), n_steps,
+                    *buffer_addresses(np.int64, ends), ends.size, n_samples,
+                    *buffer_addresses(np.int64, snapshots), None, *after,
+                )
+                calls = tuple(
+                    functools.partial(self._kernel, mode, *run_args) for mode in (_RUN, _STEP)
+                )
+            self._layout = (key, streams, ends, snapshots, calls)
+            self._draw = (None, None)
         return self._layout[1:]
 
-    def _run_native(self, run_call) -> None:
+    def _run_native(self, call, step_scale: float) -> None:
         """Run the streams on the cext engine: one GIL-free call per chain
         range (:func:`~repro.native.registry.shard_bounds`), the
         first range on the calling thread (a one-range run starts no
@@ -525,7 +605,7 @@ class MultiChainSampler:
 
         def run_range(begin: int, end: int) -> None:
             try:
-                run_call(begin, end)
+                call(step_scale, begin, end)
             except BaseException as error:  # re-raised on the calling thread
                 errors.append(error)
 
@@ -788,10 +868,16 @@ def degree_matched_initial_sigma(graph: Graph, k: int) -> np.ndarray:
     value) and matched against nodes ranked by observed degree.  This
     starts the MCMC near the mode instead of a uniformly random σ.
     """
-    n = graph.n_nodes
-    ids = np.arange(n, dtype=np.int64)
-    id_rank = np.lexsort((ids, _popcount(ids)))
     node_rank = np.argsort(-graph.degrees, kind="stable")
-    sigma = np.empty(n, dtype=np.int64)
-    sigma[node_rank] = ids[id_rank]
+    sigma = np.empty(graph.n_nodes, dtype=np.int64)
+    sigma[node_rank] = _ids_by_popcount(graph.n_nodes)
     return sigma
+
+
+@functools.lru_cache(maxsize=8)
+def _ids_by_popcount(n: int) -> np.ndarray:
+    """The ids ``0 .. n-1`` ranked by (popcount, value), read-only."""
+    ids = np.arange(n, dtype=np.int64)
+    ranked = ids[np.lexsort((ids, _popcount(ids)))]
+    ranked.flags.writeable = False
+    return ranked

@@ -7,8 +7,8 @@ engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
   masked A² pass behind :func:`repro.stats.kernels.triangle_pass`;
 * the **chain kernel** (:mod:`repro.native.chain`) — a run's whole
   Metropolis proposal streams for a range of S independent chains per
-  native call, with the chains cut into ``REPRO_KERNEL_THREADS`` ranges,
-  one Python thread each.  Its one caller,
+  native call, then KronFit's gradient step for each, with the chains
+  cut into ``REPRO_KERNEL_THREADS`` ranges, one Python thread each.  Its one caller,
   :class:`repro.kronecker.likelihood.MultiChainSampler`, owns all chain
   state and the numpy reference; every KronFit fit runs through it, and
   a :class:`repro.kronecker.likelihood.PermutationSampler` is a view of

@@ -11,7 +11,7 @@ the interpreter lock.  It is the only chain kernel, and its only caller is
 :class:`~repro.kronecker.likelihood.MultiChainSampler`, which owns every
 chain's state (a solo :class:`~repro.kronecker.likelihood.PermutationSampler`
 is a view of a one-chain ensemble, so it runs the kernel at S=1).
-Four contracts make the C engine bit-identical to the numpy reference:
+Five contracts make the C engine bit-identical to the numpy reference:
 
 **The draw contract** (:func:`draw_proposal_batch`).  A sampler ``run``
 splits its proposals into segments — a warm-up, then any sample segments
@@ -88,6 +88,25 @@ per permutation sample.  At the end of each sample segment the kernel
 copies every chain's histogram into a snapshot buffer, so one call runs
 a KronFit iteration's warm-up and all its samples.
 
+**The step contract.**  In step mode the same call then takes the
+iteration's gradient step, chain by chain within its range: it scores
+the snapshots as
+:func:`~repro.kronecker.likelihood.profile_log_likelihoods` does,
+averages them and moves Θ as :func:`~repro.kronecker.likelihood.ascent_step`
+does, bit for bit.  Three rules make that possible.  Each score row and
+each of the three gradient rows is summed in numpy's float64 reduction
+order, ``0.0 + pairwise(a, n)``: sequential below 8 elements, 8
+accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to
+128, else halves split at ``n/2`` rounded down to a multiple of 8.  The
+empty-graph term and its gradient call libm ``pow`` through a volatile
+pointer (gcc may not fold ``pow(x, 2.0)``), in Python's operation order,
+as :mod:`repro.native.kronmom` does.  And the sup-norm and the clip keep
+numpy's NaN rules: a NaN gradient does not move, and ``np.clip`` passes
+a NaN through.  Everything else is IEEE basic arithmetic.  The
+transcendentals stay numpy's: the ``log`` of Θ, the ``exp`` and the
+``log1p`` of the tables (built between calls) and the ``log`` of the
+uniforms.  The kernel's C source calls none of them.
+
 The C loop is compiled via :mod:`repro.native.registry`, with
 ``-mpopcnt`` as an optional compile flag; the numpy reference lives with
 :class:`~repro.kronecker.likelihood.MultiChainSampler`.
@@ -101,8 +120,8 @@ count.  The equivalence matrices
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
+import functools
 from typing import Callable
 
 import numpy as np
@@ -113,6 +132,7 @@ from repro.native.sampling import BITGEN_T_C, bitgen_pointers
 
 __all__ = [
     "CHAIN_BITMAP_WORDS",
+    "bind_proposal_draw",
     "draw_proposal_batch",
     "draw_proposal_streams",
     "MULTICHAIN_KERNEL",
@@ -158,6 +178,7 @@ CHAIN_BITMAP_WORDS = 64
 # The modes of repro_multichain_block.
 _RUN = 0
 _DRAW = 1
+_STEP = 2
 
 # repro_multichain_block works on S chains' stacked state, passed as flat
 # C-contiguous arrays: chain c owns sigma_all[c·n_nodes:], the
@@ -189,9 +210,16 @@ _DRAW = 1
 # snapshots.  Chains are data-independent, so calls on disjoint ranges
 # may run concurrently, and results are bit-identical however the chains
 # are cut.  Returns the total accepted across the range.
+#
+# Step mode is run mode plus the step contract: chain c then scores its
+# snapshots rows with its score and p_all rows under its Θ row
+# theta_all[3c..3c+3), and writes stepped_all[4c..4c+4): the mean
+# log-likelihood, then the stepped Θ.  Stream_len 0 scores them as given.
 _MULTICHAIN_C_SOURCE = (
     f"#define BITMAP_WORDS {CHAIN_BITMAP_WORDS}\n#define DRAW_MODE {_DRAW}\n"
+    f"#define STEP_MODE {_STEP}\n"
     + """\
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -239,6 +267,99 @@ static void draw_segment(bitgen_t *bitgen, uint32_t rng, int64_t size,
     }
 }
 
+/* libm pow through a volatile pointer: gcc may not fold pow(x, 2.0) into
+   x*x, which can differ from the pow call Python's float ** int makes. */
+static double (*volatile libm_pow)(double, double) = pow;
+
+/* numpy's float64 pairwise sum (DOUBLE_pairwise_sum): a sequential sum
+   below 8 elements, 8 accumulators up to 128, else halves split at a
+   multiple of 8.  A row's np.sum is 0.0 + pairwise(row). */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n > 128) {
+        int64_t n2 = n / 2 - (n / 2) % 8;
+        return pairwise(a, n2) + pairwise(a + n2, n - n2);
+    }
+    double r[8] = {0.0}, res = 0.0;
+    int64_t i = 0;
+    if (n >= 8) {
+        for (int q = 0; q < 8; q++) r[q] = a[q];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int q = 0; q < 8; q++) r[q] += a[i + q];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++) res += a[i];
+    return res;
+}
+
+/* One chain's step (the step contract) from its n_samples histograms at
+   snaps + s*stride, under the Θ row theta, clamped as clamped_rows does
+   and clipped as ascent_step does: out gets the mean value, then the row.
+   inv_1mp and terms are (k+1)^2-double scratch rows. */
+static void step_chain(int64_t k, int64_t n_samples, const int64_t *snaps,
+    int64_t stride, const double *score, const double *p, const double *theta,
+    double step_scale, double *out, double *inv_1mp, double *terms)
+{
+    int64_t n_cells = (k + 1) * (k + 1);
+    double abc[3];
+    for (int r = 0; r < 3; r++) {
+        abc[r] = theta[r] < 1e-6 ? 1e-6 : theta[r];
+        abc[r] = abc[r] > 1.0 - 1e-6 ? 1.0 - 1e-6 : abc[r];
+    }
+    for (int64_t i = 0; i < n_cells; i++) {
+        double q = 1.0 - p[i];
+        inv_1mp[i] = 1.0 / (q < 1.0 - (1.0 - 1e-6) ? 1.0 - (1.0 - 1e-6) : q);
+    }
+    double a = abc[0], b = abc[1], c = abc[2], kd = (double)k;
+    double bases[4] = {a + 2.0 * b + c, a + c,
+        libm_pow(a, 2.0) + 2.0 * libm_pow(b, 2.0) + libm_pow(c, 2.0),
+        libm_pow(a, 2.0) + libm_pow(c, 2.0)};
+    double s1 = libm_pow(bases[0], kd), d1 = libm_pow(bases[1], kd);
+    double s2 = libm_pow(bases[2], kd), d2 = libm_pow(bases[3], kd);
+    double empty = -(s1 - d1) / 2.0 - (s2 - d2) / 4.0;
+    s1 = libm_pow(bases[0], kd - 1.0), d1 = libm_pow(bases[1], kd - 1.0);
+    s2 = libm_pow(bases[2], kd - 1.0), d2 = libm_pow(bases[3], kd - 1.0);
+    double empty_gradient[3] = {
+        -kd * (s1 - d1) / 2.0 - kd * (2.0 * a * s2 - 2.0 * a * d2) / 4.0,
+        -kd * (2.0 * s1) / 2.0 - kd * (4.0 * b * s2) / 4.0,
+        -kd * (s1 - d1) / 2.0 - kd * (2.0 * c * s2 - 2.0 * c * d2) / 4.0};
+    double value = 0.0, gradient[3] = {0.0, 0.0, 0.0};
+    for (int64_t s = 0; s < n_samples; s++) {
+        const int64_t *h = snaps + s * stride;
+        for (int64_t i = 0; i < n_cells; i++) terms[i] = (double)h[i] * score[i];
+        value += (0.0 + pairwise(terms, n_cells)) + empty;
+        for (int r = 0; r < 3; r++) {
+            /* Row r of the (z, x, o) cell counts, x clamped at 0. */
+            for (int64_t z = 0, i = 0; z <= k; z++) {
+                for (int64_t o = 0; o <= k; o++, i++) {
+                    int64_t count = r == 0 ? z : r == 2 ? o : k - z - o > 0 ? k - z - o : 0;
+                    terms[i] = ((double)h[i] * inv_1mp[i]) * (double)count;
+                }
+            }
+            gradient[r] += (0.0 + pairwise(terms, n_cells)) / abc[r] + empty_gradient[r];
+        }
+    }
+    double sup = 0.0;
+    int unordered = 0;
+    for (int r = 0; r < 3; r++) {
+        gradient[r] /= (double)n_samples;
+        double magnitude = fabs(gradient[r]);
+        unordered |= magnitude != magnitude;
+        sup = magnitude > sup ? magnitude : sup;
+    }
+    out[0] = value / (double)n_samples;
+    for (int r = 0; r < 3; r++) {
+        double row = theta[r];
+        if (!unordered && sup > 0.0) {
+            row = row + step_scale * gradient[r] / sup;
+            if (row == row) { /* np.clip keeps a NaN */
+                row = row < 0.001 ? 0.001 : row > 0.999 ? 0.999 : row;
+            }
+        }
+        out[1 + r] = row;
+    }
+}
+
 int64_t repro_multichain_block(
     int64_t mode,
     const int32_t *indptr,
@@ -260,6 +381,10 @@ int64_t repro_multichain_block(
     int64_t *snapshots,
     bitgen_t *const *bitgens,
     int64_t *accepted_all,
+    const double *p_all,
+    const double *theta_all,
+    double *stepped_all,
+    double step_scale,
     int64_t c_begin,
     int64_t c_end)
 {
@@ -294,12 +419,28 @@ int64_t repro_multichain_block(
         uint64_t touched[BITMAP_WORDS] = {0};
         /* The scan's (cell, count) fold list.  Each visited cell writes
            slot n_folds, below the number of cells visited so far, so
-           (k+1)^2 <= 64 * BITMAP_WORDS slots suffice. */
-        struct { int64_t cell, cnt; } folds[64 * BITMAP_WORDS];
+           (k+1)^2 <= 64 * BITMAP_WORDS slots suffice.  The step's scratch
+           rows reuse its storage once the proposals are done. */
+        union {
+            struct { int64_t cell, cnt; } folds[64 * BITMAP_WORDS];
+            double rows[2][64 * BITMAP_WORDS];
+        } scratch;
         int64_t accepted = 0;
         int64_t touches = 0;
         int64_t g = first_snapshot;
         for (int64_t t = 0; t < stream_len; t++) {
+            /* The streams are drawn: fetch proposal t+8's σ and indptr
+               entries and proposal t+4's CSR rows ahead of their use. */
+            if (t + 8 < stream_len) {
+                __builtin_prefetch(sigma + i_nodes[t + 8]);
+                __builtin_prefetch(sigma + j_nodes[t + 8]);
+                __builtin_prefetch(indptr + i_nodes[t + 8]);
+                __builtin_prefetch(indptr + j_nodes[t + 8]);
+            }
+            if (t + 4 < stream_len) {
+                __builtin_prefetch(indices + indptr[i_nodes[t + 4]]);
+                __builtin_prefetch(indices + indptr[j_nodes[t + 4]]);
+            }
             int64_t i = i_nodes[t];
             int64_t j = j_nodes[t];
             int64_t id_i = sigma[i];
@@ -347,8 +488,8 @@ int64_t repro_multichain_block(
                     int64_t cnt = counts[cell];
                     counts[cell] = 0;
                     delta += (double)cnt * score[cell];
-                    folds[n_folds].cell = cell;
-                    folds[n_folds].cnt = cnt;
+                    scratch.folds[n_folds].cell = cell;
+                    scratch.folds[n_folds].cnt = cnt;
                     n_folds += cnt != 0;
                 }
                 touched[w] = 0;
@@ -359,7 +500,7 @@ int64_t repro_multichain_block(
                 sigma[j] = id_i;
                 accepted += 1;
                 for (int64_t f = 0; f < n_folds; f++) {
-                    hist[folds[f].cell] += folds[f].cnt;
+                    hist[scratch.folds[f].cell] += scratch.folds[f].cnt;
                 }
             }
             if (g < n_ends && t + 1 == ends[g]) {
@@ -367,6 +508,11 @@ int64_t repro_multichain_block(
                     hist, (size_t)n_cells * sizeof(int64_t));
                 g++;
             }
+        }
+        if (mode == STEP_MODE) {
+            step_chain(k, n_snapshots, snapshots + c * n_cells, n_chains * n_cells,
+                score, p_all + c * n_cells, theta_all + 3 * c, step_scale,
+                stepped_all + 4 * c, scratch.rows[0], scratch.rows[1]);
         }
         accepted_all[c] += accepted;
         stats_all[c] += touches;
@@ -378,23 +524,18 @@ int64_t repro_multichain_block(
 )
 
 
-def draw_proposal_streams(
-    kernel: Callable,
-    rngs,
-    n_nodes: int,
-    ends: np.ndarray,
-    i_all: np.ndarray,
-    j_all: np.ndarray,
-    u_all: np.ndarray,
-) -> None:
-    """Fill ``(S, L)`` streams with the draw contract in one native call.
+def bind_proposal_draw(
+    kernel: Callable, rngs, n_nodes: int, ends: np.ndarray,
+    i_all: np.ndarray, j_all: np.ndarray, u_all: np.ndarray,
+) -> Callable[[], None]:
+    """Bind one native draw of ``(S, L)`` streams by the draw contract.
 
-    Row ``s`` holds chain ``s``'s segments ``[0, ends[0])``,
-    ``[ends[0], ends[1])``, … (``ends`` ascending int64, ``ends[-1] ==
-    L``): equal to :func:`draw_proposal_batch` of each segment, chain by
-    chain from ``rngs[s]``, leaving every generator in the same state.
-    Generators may repeat; each distinct one's lock is held once.  The
-    arrays' dtypes, C-contiguity and shapes are checked before the call.
+    Each call of the returned function fills row ``s`` with chain ``s``'s
+    segments ``[0, ends[0])``, ``[ends[0], ends[1])``, … as
+    :func:`draw_proposal_batch` draws them from ``rngs[s]``'s current
+    state, and leaves each generator where it would; each distinct
+    generator's lock is held once per call.  Buffers are checked and
+    addresses, pointers and locks resolved here, once: keep the arrays.
     """
     if n_nodes < 2:
         raise ValidationError(
@@ -411,20 +552,37 @@ def draw_proposal_streams(
             f"{bitgens.size} generators and segment ends {ends[-1:]} do not "
             f"fit streams {i_all.shape}, {j_all.shape}, {u_all.shape}"
         )
-    bit_generators = {id(rng.bit_generator): rng.bit_generator for rng in rngs}
-    with contextlib.ExitStack() as locks:
-        for bit_generator in bit_generators.values():
-            locks.enter_context(bit_generator.lock)
-        status = kernel(
-            _DRAW, None, None, n_chains, n_nodes, None, 0, None, None, None,
-            i_address, j_address, u_address, stream_len, ends_address,
-            ends.size, 0, None, bitgens.ctypes.data, None, 0, 0,
-        )
-    if status != 0:
-        raise RuntimeError(f"multichain kernel draw failed with status {status}")
-    # log(0.0) = -inf accepts, as in draw_proposal_batch.
-    with np.errstate(divide="ignore"):
-        np.log(u_all, out=u_all)
+    locks = list({id(rng.bit_generator): rng.bit_generator.lock for rng in rngs}.values())
+    call = functools.partial(
+        kernel, _DRAW, None, None, n_chains, n_nodes, None, 0, None, None, None,
+        i_address, j_address, u_address, stream_len, ends_address, ends.size, 0,
+        None, bitgens.ctypes.data, None, None, None, None, 0.0, 0, 0,
+    )
+
+    def draw() -> None:
+        held = []
+        try:
+            for lock in locks:
+                lock.acquire()
+                held.append(lock)
+            status = call()
+        finally:
+            for lock in reversed(held):
+                lock.release()
+        if status != 0:
+            raise RuntimeError(f"multichain kernel draw failed with status {status}")
+        # log(0.0) = -inf accepts, as in draw_proposal_batch.
+        with np.errstate(divide="ignore"):
+            np.log(u_all, out=u_all)
+
+    draw.bitgens = bitgens  # the array the bound pointers live in
+    return draw
+
+
+def draw_proposal_streams(kernel: Callable, rngs, n_nodes: int, ends: np.ndarray,
+                          i_all: np.ndarray, j_all: np.ndarray, u_all: np.ndarray) -> None:
+    """Fill the streams once: :func:`bind_proposal_draw`, called."""
+    bind_proposal_draw(kernel, rngs, n_nodes, ends, i_all, j_all, u_all)()
 
 
 def _multichain_smoke_test(kernel: Callable) -> None:
@@ -476,7 +634,7 @@ def _multichain_smoke_test(kernel: Callable) -> None:
             *buffer_addresses(np.int64, hist, stats, i_nodes, j_nodes),
             *buffer_addresses(np.float64, log_u), 4, *buffer_addresses(np.int64, ends),
             2, 1, *buffer_addresses(np.int64, snapshots), None,
-            *buffer_addresses(np.int64, accepted), c_begin, c_end,
+            *buffer_addresses(np.int64, accepted), None, None, None, 0.0, c_begin, c_end,
         )
         for c_begin, c_end in ((0, 2), (2, 3))
     )
@@ -498,6 +656,23 @@ def _multichain_smoke_test(kernel: Callable) -> None:
             f"hist={hist.tolist()}, snapshots={snapshots.tolist()}, "
             f"stats={stats.tolist()}"
         )
+    # Step mode with no proposals scores the snapshots as given: k=1,
+    # Θ = (1/2, 1/4, 1/8) and (1/2, 1/32, 1/8), P = 1/2 and score
+    # (1, 1/2, 1/4) on the feasible cells make every term exact.  The mean
+    # gradients are (0, 14.75, 16) and (0, −1.03125, 0); chain 1's b clips.
+    snapshots = np.array([[[3, 0, 0, 0], [0] * 4], [[1, 2, 0, 0], [0] * 4]])
+    tables = np.array([[1.0, 0.5, 0.25, 0.0]] * 2 + [[0.5, 0.5, 0.5, 0.0]] * 2)
+    theta = np.array([[0.5, 0.25, 0.125], [0.5, 0.03125, 0.125]])
+    stepped, no_proposals = np.zeros((2, 4)), np.zeros(2, dtype=np.int64)
+    kernel(
+        _STEP, None, None, 2, 4, *buffer_addresses(np.int64, sigma), 1, tables.ctypes.data,
+        *buffer_addresses(np.int64, hist, stats), None, None, None, 0,
+        *buffer_addresses(np.int64, no_proposals), 2, 2, *buffer_addresses(np.int64, snapshots),
+        None, *buffer_addresses(np.int64, accepted), tables[2:].ctypes.data,
+        *buffer_addresses(np.float64, theta, stepped), 0.0625, 0, 2,
+    )
+    if stepped.tolist() != [[2.21875, 0.5, 0.3076171875, 0.1875], [-0.03173828125, 0.5, 0.001, 0.125]]:
+        raise RuntimeError(f"multichain kernel step self-check failed: {stepped.tolist()}")
     shared, twin = np.random.default_rng(5), np.random.default_rng(5)
     rngs = [shared, np.random.default_rng(6), shared]
     twins = [twin, np.random.default_rng(6), twin]
@@ -525,7 +700,7 @@ MULTICHAIN_KERNEL = NativeKernel(
     c_symbol="repro_multichain_block",
     c_restype=ctypes.c_int64,
     c_argtypes=[
-        ctypes.c_int64,  # mode (_RUN or _DRAW)
+        ctypes.c_int64,  # mode (_RUN, _DRAW or _STEP)
         ctypes.c_void_p,  # indptr (int32)
         ctypes.c_void_p,  # indices (int32)
         ctypes.c_int64,  # n_chains
@@ -545,6 +720,10 @@ MULTICHAIN_KERNEL = NativeKernel(
         ctypes.c_void_p,  # snapshots (int64, flat n_snapshots x S x (k+1)^2)
         ctypes.c_void_p,  # bitgens (uintp: one bitgen_t * per chain; draw mode)
         ctypes.c_void_p,  # accepted_all (int64 per-chain acceptance accumulators)
+        ctypes.c_void_p,  # p_all (float64, flat S x (k+1)^2; step mode)
+        ctypes.c_void_p,  # theta_all (float64, S x 3; step mode)
+        ctypes.c_void_p,  # stepped_all (float64, S x 4; step mode)
+        ctypes.c_double,  # step_scale (step mode)
         ctypes.c_int64,  # c_begin (first chain run)
         ctypes.c_int64,  # c_end (one past the last chain run)
     ],

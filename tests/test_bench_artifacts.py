@@ -465,6 +465,33 @@ class TestBenchArtifactSchema:
                     row["sequential"]["seconds"] / entry["seconds"]
                 )
 
+    def test_kronfit_artifact_states_the_multichain_floor_on_overhead(self):
+        """Schema 9: each multichain row records the time outside the
+        sampler's run calls, and the floor measures what batching
+        amortizes, the sequential fits' such time over the batched fit's;
+        the whole-fit ratio is kept beside it."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_kronfit.json").read_text(encoding="utf-8")
+        )
+        floor = report["multichain_floor"]
+        record = next(
+            workload
+            for workload in report["workloads"]
+            if workload["workload"] == floor["workload"]
+        )
+        rows = record["multichain"]["by_starts"]
+        for row in rows.values():
+            outside = row["sequential"]["outside_run_seconds"]
+            assert 0 < outside < row["sequential"]["seconds"]
+            for entry in row["batched"].values():
+                assert 0 < entry["outside_run_seconds"] < entry["seconds"]
+                assert entry["overhead_amortization"] == pytest.approx(
+                    outside / entry["outside_run_seconds"]
+                )
+        batched = rows["8"]["batched"]["1"]
+        assert floor["measured"] == batched["overhead_amortization"]
+        assert floor["speedup_vs_sequential"] == batched["speedup_vs_sequential"]
+
     def test_trajectory_gate_covers_multichain_headline(self):
         """The batched multichain headline participates in the gate;
         rows predating it (no ``multichain_vs_solo_speedup`` key — e.g.
