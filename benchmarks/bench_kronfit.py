@@ -1,21 +1,22 @@
-"""EXP-K2 — Metropolis chain backends vs the numpy reference for KronFit.
+"""EXP-K2 — the Metropolis chain kernel vs its numpy oracle for KronFit.
 
 The KronFit baseline of the paper's Table 1 runs ~10⁵ Metropolis
-proposals per fit; PR 4 moved the chain onto the fused native kernels
-(:mod:`repro.native.chain`) behind ``REPRO_KERNEL_BACKEND``.  This bench
-records two trajectories per workload:
+proposals per fit on the fused native kernel (:mod:`repro.native.chain`),
+whose numpy oracle lives in :mod:`repro.reference.chain`.  This bench records two trajectories per
+workload:
 
 * **chain throughput** — raw proposals/second of
   :meth:`PermutationSampler.run` (a one-chain
   :class:`~repro.kronecker.likelihood.MultiChainSampler`, which owns the
-  chain state and both engines) per engine (numpy reference and
-  compiled-C ``cext``), with every engine first checked **bit-identical**
-  to the reference on a common pre-drawn stream (σ, histogram, and
+  chain state) per engine (the numpy oracle and the compiled-C
+  ``cext`` kernel), with the kernel first checked **bit-identical** to
+  the oracle on a common seeded stream (σ, histogram, and
   acceptance count must agree exactly — the same contract the chain
   equivalence matrix pins in ``tests/kronecker/test_chain_equivalence.py``);
 * **end-to-end fit** — wall-clock of a full ``KronFitEstimator.fit`` at
-  Table-1-scale chain parameters, per engine, with bit-identical fitted
-  initiators enforced across engines;
+  Table-1-scale chain parameters, and of the oracle's
+  ``ReferenceKronFitEstimator.fit``, with bit-identical fitted
+  initiators enforced;
 * **batched multichain fit** — wall-clock of ``KronFitEstimator(n_starts=S)``
   (the S chains cut into ``kernel_threads`` ∈ {1, 2} contiguous ranges,
   one native call per range and run, each range on its own Python
@@ -31,27 +32,25 @@ records two trajectories per workload:
   batched fit's.  The whole-fit ratio is recorded beside it.  The floor
   needs no second core, so every host asserts it;
 * **Table 1 fit** — the ``kronfit-paper`` benchmark op: one single-start
-  fit at the default budget and 30 iterations on ca-grqc and as20, on
-  the best engine, split into the time inside
+  fit at the default budget and 30 iterations on ca-grqc and as20,
+  split into the time inside
   :meth:`MultiChainSampler.run` (the draw call, the ``log`` of the
   uniforms and the chain call, which also scores the samples and takes
   the gradient step; also per proposal) and the remainder (the fit's
   set-up, each iteration's table build and the Python loop).  The
-  engine is first checked bit-identical to the numpy reference on a
+  kernel is first checked bit-identical to the numpy oracle on a
   2-iteration fit.
 
 Workloads: SKG draws at k ∈ {10, 12} and the ca-grqc dataset (the
-padded fit runs at k=13).  The k=12 draw asserts the floor: the best
-fused engine must complete the fit ≥ 2× faster than the numpy reference
+padded fit runs at k=13).  The k=12 draw asserts the floor: the kernel
+must complete the fit ≥ 2× faster than the numpy oracle
 (the PR target is ≥ 5×; the measured value is recorded in the artifact).
 Every workload records its ``proposal_events`` — the cell events
 (2·(deg i + deg j)) of the bit-identity stream's proposals.  The SKG
 draws make a handful per proposal; ca-grqc's heavy-tailed degrees make
 several times more, with a long tail, which is the load of the Table 1
 KronFit baseline.  So ca-grqc is also in the ``--quick`` subset, and CI
-checks its chain bit-identity on every run.  Unavailable engines are
-recorded with the reason, so the artifact states exactly what was
-measured where.
+checks its chain bit-identity on every run.
 
 Results go to ``benchmarks/out/BENCH_kronfit.json``.  The artifact
 carries ``schema_version``; ``tests/test_bench_artifacts.py`` guards that
@@ -87,8 +86,8 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import MultiChainSampler, PermutationSampler
 from repro.kronecker.sampling import sample_skg
-from repro.native.chain import MULTICHAIN_KERNEL, draw_proposal_batch
-from repro.native.registry import NATIVE_BACKENDS
+from repro.native.chain import draw_proposal_batch
+from repro.reference.chain import ReferenceKronFitEstimator, ReferenceMultiChainSampler
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
 # the committed artifact in sync.  3 = added the large-k scale rows
@@ -137,7 +136,7 @@ QUICK_FIT_PARAMS = dict(
 )
 
 # Throughput probe sizes: enough proposals to swamp per-run setup, kept
-# small on the reference engine so the bench stays minutes-scale.
+# small on the oracle so the bench stays minutes-scale.
 THROUGHPUT_PROPOSALS = {"numpy": 20_000, "cext": 400_000}
 EQUIVALENCE_PROPOSALS = 4_000
 
@@ -159,8 +158,16 @@ TABLE1_ITERATIONS = 30
 TABLE1_CHECK_ITERATIONS = 2
 
 
-def chain_engines() -> tuple[str, ...]:
-    return (MULTICHAIN_KERNEL.reference,) + NATIVE_BACKENDS
+# The engines, by their artifact names: the numpy oracle and the kernel.
+ENGINES = ("numpy", "cext")
+FITTERS = {"numpy": ReferenceKronFitEstimator, "cext": KronFitEstimator}
+
+
+def chain_sampler(engine: str, graph: Graph, k: int) -> PermutationSampler:
+    """A one-chain sampler at ``THETA`` on ``engine``."""
+    if engine == "numpy":
+        return ReferenceMultiChainSampler(graph, k, [THETA], threads=1).chain(0)
+    return PermutationSampler(graph, k, THETA)
 
 
 def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
@@ -171,13 +178,7 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
     """
     reference = _chain_state(graph, k, "numpy", EQUIVALENCE_PROPOSALS)
     records: dict[str, dict] = {}
-    for engine in chain_engines():
-        if engine != "numpy" and not MULTICHAIN_KERNEL.available(engine):
-            records[engine] = {
-                "available": False,
-                "reason": MULTICHAIN_KERNEL.error(engine),
-            }
-            continue
+    for engine in ENGINES:
         state = _chain_state(graph, k, engine, EQUIVALENCE_PROPOSALS)
         identical = (
             np.array_equal(state[0], reference[0])
@@ -185,9 +186,7 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
             and state[2] == reference[2]
         )
         if not identical:
-            raise AssertionError(
-                f"chain engine {engine} diverges from the numpy reference"
-            )
+            raise AssertionError(f"chain engine {engine} diverges from the numpy oracle")
         n_proposals = THROUGHPUT_PROPOSALS[engine]
         if quick:
             n_proposals //= 10
@@ -196,14 +195,11 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
             "bit_identical": True,
             "n_proposals": n_proposals,
         }
-    timed = [engine for engine, record in records.items() if record["available"]]
+    timed = list(records)
 
     def fresh_chain(engine: str):
         # A new sampler and stream per repeat, built outside the timing.
-        return lambda: (
-            PermutationSampler(graph, k, THETA, backend=engine),
-            np.random.default_rng(SEED),
-        )
+        return lambda: (chain_sampler(engine, graph, k), np.random.default_rng(SEED))
 
     def run_chain(n_proposals: int):
         return lambda chain: chain[0].run(n_proposals, chain[1])
@@ -218,10 +214,7 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
         records[engine]["proposals_per_second"] = records[engine]["n_proposals"] / best
     numpy_rate = records["numpy"]["proposals_per_second"]
     for record in records.values():
-        if record.get("available"):
-            record["speedup_vs_numpy"] = (
-                record["proposals_per_second"] / numpy_rate
-            )
+        record["speedup_vs_numpy"] = record["proposals_per_second"] / numpy_rate
     return records
 
 
@@ -248,34 +241,24 @@ def proposal_events(graph: Graph, n_proposals: int) -> dict:
 
 def _chain_state(graph: Graph, k: int, engine: str, n_proposals: int):
     """(σ, histogram, accepted) after a fixed-seed run on ``engine``."""
-    sampler = PermutationSampler(graph, k, THETA, backend=engine)
+    sampler = chain_sampler(engine, graph, k)
     sampler.run(n_proposals, np.random.default_rng(SEED))
     return sampler.sigma.copy(), sampler.histogram(), sampler.accepted
 
 
 def bench_fit(graph: Graph, fit_params: dict) -> dict:
-    """End-to-end ``KronFitEstimator.fit`` wall-clock per engine."""
+    """End-to-end KronFit fit wall-clock per engine."""
     records: dict[str, dict] = {}
     reference_initiator = None
-    for engine in chain_engines():
-        if engine != "numpy" and not MULTICHAIN_KERNEL.available(engine):
-            records[engine] = {
-                "available": False,
-                "reason": MULTICHAIN_KERNEL.error(engine),
-            }
-            continue
-        estimator = KronFitEstimator(
-            initial=FIT_THETA, seed=SEED, backend=engine, **fit_params
-        )
+    for engine in ENGINES:
+        estimator = FITTERS[engine](initial=FIT_THETA, seed=SEED, **fit_params)
         start = time.perf_counter()
         result = estimator.fit(graph)
         seconds = time.perf_counter() - start
         if reference_initiator is None:
             reference_initiator = result.initiator
         elif result.initiator != reference_initiator:
-            raise AssertionError(
-                f"fit with engine {engine} diverges from the numpy reference"
-            )
+            raise AssertionError(f"fit with engine {engine} diverges from the numpy oracle")
         records[engine] = {
             "available": True,
             "seconds": seconds,
@@ -287,8 +270,7 @@ def bench_fit(graph: Graph, fit_params: dict) -> dict:
         }
     numpy_seconds = records["numpy"]["seconds"]
     for record in records.values():
-        if record.get("available"):
-            record["speedup_vs_numpy"] = numpy_seconds / record["seconds"]
+        record["speedup_vs_numpy"] = numpy_seconds / record["seconds"]
     return records
 
 
@@ -297,14 +279,6 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
-
-
-def best_engine() -> str:
-    """The fastest available chain engine (fused if any, else numpy)."""
-    for engine in reversed(chain_engines()):
-        if engine == "numpy" or MULTICHAIN_KERNEL.available(engine):
-            return engine
-    return "numpy"
 
 
 def multichain_workload(quick: bool) -> str:
@@ -359,13 +333,10 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
     to batched chain 0 — the per-chain contract pinned per proposal by
     ``tests/kronecker/test_multichain_equivalence.py``.
     """
-    engine = best_engine()
-    records: dict = {"backend": engine, "params": fit_params, "by_starts": {}}
+    records: dict = {"backend": "cext", "params": fit_params, "by_starts": {}}
     for n_starts in MULTICHAIN_QUICK_STARTS if quick else MULTICHAIN_STARTS:
         solos = [
-            KronFitEstimator(
-                initial=FIT_THETA, seed=child, backend=engine, **fit_params
-            )
+            KronFitEstimator(initial=FIT_THETA, seed=child, **fit_params)
             for child in np.random.SeedSequence(SEED).spawn(n_starts)
         ]
         solo_zero = solos[0].fit(graph)  # warm-up (loads the kernel)
@@ -373,7 +344,6 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
             threads: KronFitEstimator(
                 initial=FIT_THETA,
                 seed=SEED,
-                backend=engine,
                 n_starts=n_starts,
                 kernel_threads=threads,
                 **fit_params,
@@ -414,31 +384,23 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
 
 
 def bench_table1_fit(name: str, repeats: int) -> dict:
-    """One Table 1 fit row: best-of-``repeats`` fit ms on the best engine,
+    """One Table 1 fit row: best-of-``repeats`` fit ms on the kernel,
     with the ms spent inside :meth:`MultiChainSampler.run` during that fit
     (draws, chains and gradient steps) and the remainder (set-up, table
     builds and the Python loop).
 
-    The engine's fit must first equal the numpy reference's on a
-    ``TABLE1_CHECK_ITERATIONS`` fit: the numpy engine would take seconds
-    per 30-iteration fit.
+    The kernel's fit must first equal the numpy oracle's on a
+    ``TABLE1_CHECK_ITERATIONS`` fit: the oracle would take seconds per
+    30-iteration fit.
     """
     graph = load_dataset(name)
-    engine = best_engine()
     check = {
-        backend: KronFitEstimator(
-            n_iterations=TABLE1_CHECK_ITERATIONS, seed=SEED, backend=backend
-        ).fit(graph)
-        for backend in ("numpy", engine)
+        engine: FITTERS[engine](n_iterations=TABLE1_CHECK_ITERATIONS, seed=SEED).fit(graph)
+        for engine in ENGINES
     }
-    if check[engine] != check["numpy"]:
-        raise AssertionError(
-            f"Table 1 fit on {name} with engine {engine} diverges from the "
-            "numpy reference"
-        )
-    estimator = KronFitEstimator(
-        n_iterations=TABLE1_ITERATIONS, seed=SEED, backend=engine
-    )
+    if check["cext"] != check["numpy"]:
+        raise AssertionError(f"Table 1 fit on {name} diverges from the numpy oracle")
+    estimator = KronFitEstimator(n_iterations=TABLE1_ITERATIONS, seed=SEED)
     result = estimator.fit(graph)  # warm-up
     [(seconds, chain_seconds)] = _timed_alternating(
         [functools.partial(estimator.fit, graph)], max(repeats, 5), split=True
@@ -449,7 +411,7 @@ def bench_table1_fit(name: str, repeats: int) -> dict:
     )
     return {
         "dataset": name,
-        "backend": engine,
+        "backend": "cext",
         "k": result.k,
         "n_iterations": TABLE1_ITERATIONS,
         "n_proposals": n_proposals,
@@ -491,7 +453,7 @@ def _large_k_floor(large_k_rows: list[dict]) -> dict:
     fused = {
         engine: fit["speedup_vs_numpy"]
         for engine, fit in row["fit"].items()
-        if engine in NATIVE_BACKENDS and isinstance(fit, dict) and fit.get("available")
+        if engine == "cext" and isinstance(fit, dict) and fit.get("available")
     }
     if fused:
         entry["backend"] = max(fused, key=fused.get)
@@ -581,7 +543,7 @@ def _fused_floor(results: list[dict]) -> dict:
     fused = {
         engine: fit["speedup_vs_numpy"]
         for engine, fit in record["fit"].items()
-        if engine in NATIVE_BACKENDS and isinstance(fit, dict) and fit.get("available")
+        if engine == "cext" and isinstance(fit, dict) and fit.get("available")
     }
     if fused:
         entry["backend"] = max(fused, key=fused.get)
@@ -702,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": arguments.repeats,
         "seed": SEED,
         "usable_cores": usable_cores(),
-        "chain_backends_available": list(MULTICHAIN_KERNEL.available_backends()),
+        "chain_backends_available": list(ENGINES),
         "fused_fit_floor": fused_floor,
         "multichain_floor": multichain_floor,
         "large_k_fit_floor": large_k_floor,

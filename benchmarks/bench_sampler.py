@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.moments import expected_edges
-from repro.kronecker.sampling import sample_skg, sample_skg_naive
+from repro.kronecker.sampling import sample_skg
+from repro.reference.sampling import sample_skg_naive
 from repro.utils.tables import TextTable
 
 THETA = Initiator(0.99, 0.45, 0.25)

@@ -1,35 +1,37 @@
-"""EXP-K1 — counting-kernel backends vs the pre-PR full-product path.
+"""EXP-K1 — the counting kernel vs the pre-PR full-product path.
 
 Measures the combined per-trial statistics path (the triangle count Δ,
 the local sensitivity LS_Δ, and the local clustering coefficients) on
 stochastic Kronecker draws of increasing order and on the experiment
 datasets, comparing
 
-* **baseline** — the pre-blocking implementations (kept as reference
-  oracles in :mod:`repro.stats.kernels`), which materialize the full
-  sparse product ``A @ A`` once per consumer: three products per trial;
+* **baseline** — the pre-blocking implementations (the oracles of
+  :mod:`repro.reference.counting`), which materialize the full sparse
+  product ``A @ A`` once per consumer: three products per trial;
 * **kernels** — the blocked single-pass engine behind the per-graph
   :class:`~repro.stats.kernels.StatsContext`: one pass per graph, shared
-  by every consumer, run through the default (``auto``) backend.
+  by every consumer, run on the fused kernel.
 
-On top of the combined path, each workload records the **backend
-trajectory** of the pass itself — the blocked ``scipy`` SpGEMM versus the
-fused compiled-C ``cext`` kernel, each timed on the same pass and checked
-bit-identical.  Backends the host cannot run are recorded as unavailable with the reason, so the artifact states exactly what was
-measured where.
+On top of the combined path, each workload records the pass itself on
+its two paths — the blocked ``scipy`` SpGEMM that serves graphs past
+int32 indexing versus the fused compiled-C ``cext`` kernel — each timed
+on the same pass and checked bit-identical.
 
 Counts must be bit-identical; the k=14 draw must show a >= 3x wall-clock
-speedup on the combined path, and — when a fused backend is available —
-a >= 2x pass speedup over the blocked scipy pass.
+speedup on the combined path, and a >= 2x pass speedup of the fused
+kernel over the blocked scipy pass.
 
-The isotonic rows time the degree release's PAVA pass — the compiled
-twin against the numpy oracle — on noisy sorted degree sequences of
-as20's length (6,474) and k=18's (262,144).  Results must be
-bit-identical, and the compiled twin must be >= 10x faster at both.
+The sampler rows time the grass-hopping sampler's kernel against its
+Python oracle (:mod:`repro.reference.sampling`).  The isotonic rows
+time the degree release's PAVA pass — the kernel against the numpy
+oracle of :mod:`repro.reference.isotonic` — on noisy sorted degree
+sequences of as20's length (6,474) and k=18's (262,144).  Results must
+be bit-identical, and the kernel must be >= 10x faster at both.
 
 The KronMom rows time ``KronMomEstimator.fit_statistics`` on Algorithm
 1's noisy release of as20 and ca-grqc, with the refinement on the
-compiled Nelder–Mead kernel and on the numpy oracle.  Fits must be
+compiled Nelder–Mead kernel and on the oracle,
+:class:`~repro.reference.kronmom.ReferenceKronMomEstimator`.  Fits must be
 bit-identical (initiator, objective, restarts), and the compiled engine
 must make the whole fit >= 5x faster at both.  Results (wall-clock,
 tracemalloc peaks, and the process peak-RSS trajectory) are written to
@@ -41,19 +43,17 @@ Run directly (no pytest needed)::
     python benchmarks/bench_stats.py --quick    # CI smoke subset
 
 The bench also records a forced 256-row blocked run to show the memory
-head-room; ``REPRO_KERNEL_BACKEND`` selects the combined path's engine.
+head-room.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
 from pathlib import Path
 
 try:
@@ -64,21 +64,24 @@ except ImportError:  # running from a checkout without `pip install -e .`
 import numpy as np
 
 from repro.core.estimator import PrivateKroneckerEstimator
-from repro.evaluation.experiments import default_config
 from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronmom import KronMomEstimator
 from repro.kronecker.sampling import sample_skg
-from repro.native.counting import COUNTING_KERNEL
-from repro.native.isotonic import ISOTONIC_KERNEL
-from repro.native.kronmom import KRONMOM_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
 from repro.privacy.isotonic import isotonic_regression
+from repro.reference.counting import (
+    reference_count_triangles,
+    reference_max_common_neighbors,
+    reference_triangles_per_node,
+)
+from repro.reference.isotonic import reference_isotonic_regression
+from repro.reference.kronmom import ReferenceKronMomEstimator
+from repro.reference.sampling import reference_sample_skg
 from repro.stats import kernels
 from repro.stats.clustering import local_clustering
 from repro.stats.counts import MatchingStatistics, count_triangles, max_common_neighbors
-from repro.stats.kernels import available_kernel_backends, stats_context, triangle_pass
+from repro.stats.kernels import stats_context, triangle_pass
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
 # the committed artifact in sync.  2 = added schema_version itself (the
@@ -128,9 +131,9 @@ KRONMOM_SPEEDUP_FLOOR = 5.0
 
 def baseline_combined(graph: Graph):
     """The pre-PR per-trial path: three independent full A @ A products."""
-    triangles = kernels.reference_count_triangles(graph)
-    sensitivity = kernels.reference_max_common_neighbors(graph)
-    per_node = kernels.reference_triangles_per_node(graph)
+    triangles = reference_count_triangles(graph)
+    sensitivity = reference_max_common_neighbors(graph)
+    per_node = reference_triangles_per_node(graph)
     degrees = graph.degrees.astype(np.float64)
     possible = degrees * (degrees - 1.0) / 2.0
     clustering = np.zeros(graph.n_nodes, dtype=np.float64)
@@ -180,88 +183,65 @@ def max_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def bench_backends(graph: Graph, repeats: int) -> dict:
-    """Pass-vs-pass backend trajectory: blocked scipy vs the fused kernels.
+def scipy_pass(graph: Graph):
+    """The pass as a graph past int32 indexing runs it, on the blocked
+    scipy SpGEMM: ``(triangles, max common neighbours, per node)``."""
+    per_node = np.zeros(graph.n_nodes, dtype=np.int64)
+    max_common = kernels._run_blocks_scipy(graph, kernels.row_blocks(graph), per_node)
+    return int(per_node.sum()) // 3, max_common, per_node
 
-    Every available backend is timed on the same warm graph and checked
-    bit-identical against the scipy pass; unavailable backends are
-    recorded with the reason so the artifact is explicit about coverage.
-    """
-    scipy_result = triangle_pass(graph, 0, "scipy")
-    records: dict[str, dict] = {}
-    for backend in (COUNTING_KERNEL.reference,) + NATIVE_BACKENDS:
-        if backend != "scipy" and not COUNTING_KERNEL.available(backend):
-            records[backend] = {
-                "available": False,
-                "reason": COUNTING_KERNEL.error(backend),
-            }
-            continue
-        result = triangle_pass(graph, 0, backend)
-        identical = (
-            result.triangles == scipy_result.triangles
-            and result.max_common_neighbors == scipy_result.max_common_neighbors
-            and np.array_equal(result.per_node, scipy_result.per_node)
-        )
-        if not identical:
-            raise AssertionError(f"backend {backend} diverges from the scipy pass")
-        seconds = time_best(lambda: triangle_pass(graph, 0, backend), repeats)
-        records[backend] = {"available": True, "seconds": seconds}
-    scipy_seconds = records["scipy"]["seconds"]
+
+def bench_backends(graph: Graph, repeats: int) -> dict:
+    """Pass-vs-pass: the blocked scipy SpGEMM vs the fused kernel, timed
+    on the same warm graph, the kernel checked bit-identical."""
+    triangles, max_common, per_node = scipy_pass(graph)
+    result = triangle_pass(graph)
+    if (result.triangles, result.max_common_neighbors) != (triangles, max_common) or (
+        not np.array_equal(result.per_node, per_node)
+    ):
+        raise AssertionError("the fused kernel diverges from the scipy pass")
+    records = {
+        "scipy": {"available": True, "seconds": time_best(lambda: scipy_pass(graph), repeats)},
+        "cext": {"available": True, "seconds": time_best(lambda: triangle_pass(graph), repeats)},
+    }
     for record in records.values():
-        if record.get("available"):
-            record["speedup_vs_scipy"] = scipy_seconds / record["seconds"]
+        record["speedup_vs_scipy"] = records["scipy"]["seconds"] / record["seconds"]
     return records
 
 
 def bench_large_k(k: int, repeats: int) -> dict:
-    """One large-k scale row: sampler engine trajectory + KronMom fit.
+    """One large-k scale row: the sampler against its oracle + KronMom fit.
 
-    Every available sampler engine draws the same seed and is checked
-    bit-identical against the numpy reference (the contract the sampler
-    equivalence matrix pins); the reference's selection loop is O(E)
-    Python, so it is timed with fewer repeats at the largest orders.
+    The kernel draws the same seed as the oracle and is checked
+    bit-identical against it (the contract the sampler equivalence
+    matrix pins); the oracle's selection loop is O(E) Python, so it is
+    timed with fewer repeats at the largest orders.
     """
-    from repro.native.sampling import SAMPLER_KERNEL
-
     seed = SEED + k
-    reference = sample_skg(THETA, k, seed=seed, backend="numpy")
+    reference = reference_sample_skg(THETA, k, seed=seed)
     reference_repeats = 1 if k >= 20 else max(2, repeats // 2)
+    graph = sample_skg(THETA, k, seed=seed)
+    identical = graph.n_edges == reference.n_edges and all(
+        np.array_equal(got, want)
+        for got, want in zip(graph.edge_arrays, reference.edge_arrays)
+    )
+    if not identical:
+        raise AssertionError(f"the sampler kernel diverges from its oracle at k={k}")
     engines: dict[str, dict] = {
         "numpy": {
             "available": True,
             "seconds": time_best(
-                lambda: sample_skg(THETA, k, seed=seed, backend="numpy"),
-                reference_repeats,
+                lambda: reference_sample_skg(THETA, k, seed=seed), reference_repeats
             ),
-        }
-    }
-    for backend in NATIVE_BACKENDS:
-        if not SAMPLER_KERNEL.available(backend):
-            engines[backend] = {
-                "available": False,
-                "reason": SAMPLER_KERNEL.error(backend),
-            }
-            continue
-        graph = sample_skg(THETA, k, seed=seed, backend=backend)
-        identical = graph.n_edges == reference.n_edges and all(
-            np.array_equal(got, want)
-            for got, want in zip(graph.edge_arrays, reference.edge_arrays)
-        )
-        if not identical:
-            raise AssertionError(
-                f"sampler backend {backend} diverges from numpy at k={k}"
-            )
-        engines[backend] = {
+        },
+        "cext": {
             "available": True,
             "bit_identical": True,
-            "seconds": time_best(
-                lambda: sample_skg(THETA, k, seed=seed, backend=backend), repeats
-            ),
-        }
-    numpy_seconds = engines["numpy"]["seconds"]
+            "seconds": time_best(lambda: sample_skg(THETA, k, seed=seed), repeats),
+        },
+    }
     for record in engines.values():
-        if record.get("available"):
-            record["speedup_vs_numpy"] = numpy_seconds / record["seconds"]
+        record["speedup_vs_numpy"] = engines["numpy"]["seconds"] / record["seconds"]
 
     estimator = KronMomEstimator()
     kronmom_seconds = time_best(
@@ -278,20 +258,6 @@ def bench_large_k(k: int, repeats: int) -> dict:
     }
 
 
-@contextmanager
-def kernel_backend(backend: str):
-    """Run the enclosed calls with ``REPRO_KERNEL_BACKEND`` set to ``backend``."""
-    previous = os.environ.get("REPRO_KERNEL_BACKEND")
-    os.environ["REPRO_KERNEL_BACKEND"] = backend
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_KERNEL_BACKEND"]
-        else:
-            os.environ["REPRO_KERNEL_BACKEND"] = previous
-
-
 def isotonic_input(name: str) -> np.ndarray:
     """A noisy sorted degree sequence: the degree release's PAVA input."""
     if name == "as20":
@@ -303,36 +269,27 @@ def isotonic_input(name: str) -> np.ndarray:
     return degrees + noise
 
 
-def bench_engines(kernel, run, fingerprint, repeats: int, label: str) -> dict:
-    """Every engine of ``kernel`` running ``run()``: the numpy oracle
-    (fewer repeats: it is interpreted Python) and each available compiled
-    engine, whose ``fingerprint(run())`` must equal the oracle's."""
-    with kernel_backend("numpy"):
-        reference = fingerprint(run())
-        engines: dict[str, dict] = {
-            "numpy": {"available": True, "seconds": time_best(run, max(2, repeats // 2))}
-        }
-    for backend in NATIVE_BACKENDS:
-        if not kernel.available(backend):
-            engines[backend] = {"available": False, "reason": kernel.error(backend)}
-            continue
-        with kernel_backend(backend):
-            if fingerprint(run()) != reference:
-                raise AssertionError(f"{label} backend {backend} diverges from numpy")
-            seconds = time_best(run, repeats)
-        engines[backend] = {"available": True, "bit_identical": True, "seconds": seconds}
-    numpy_seconds = engines["numpy"]["seconds"]
+def bench_engines(oracle, run, fingerprint, repeats: int, label: str) -> dict:
+    """The numpy oracle ``oracle()`` (fewer repeats: it is interpreted
+    Python) and the kernel ``run()``, whose ``fingerprint`` must equal
+    the oracle's."""
+    if fingerprint(run()) != fingerprint(oracle()):
+        raise AssertionError(f"the {label} kernel diverges from its oracle")
+    engines = {
+        "numpy": {"available": True, "seconds": time_best(oracle, max(2, repeats // 2))},
+        "cext": {"available": True, "bit_identical": True, "seconds": time_best(run, repeats)},
+    }
     for record in engines.values():
-        if record.get("available"):
-            record["speedup_vs_numpy"] = numpy_seconds / record["seconds"]
+        record["speedup_vs_numpy"] = engines["numpy"]["seconds"] / record["seconds"]
     return engines
 
 
 def bench_isotonic(name: str, repeats: int) -> dict:
-    """One isotonic row: every engine on the noisy degree sequence."""
+    """One isotonic row: the kernel and its oracle on the noisy degree
+    sequence."""
     values = isotonic_input(name)
     engines = bench_engines(
-        ISOTONIC_KERNEL, lambda: isotonic_regression(values),
+        lambda: reference_isotonic_regression(values), lambda: isotonic_regression(values),
         lambda result: result.tobytes(), repeats, f"isotonic {name}",
     )
     return {"workload": name, "n": int(values.size), "engines": engines}
@@ -346,12 +303,13 @@ def kronmom_input(name: str) -> tuple[MatchingStatistics, int]:
 
 
 def bench_kronmom(name: str, repeats: int) -> dict:
-    """One KronMom row: every engine of the Nelder–Mead refinement, timed
-    on the whole ``fit_statistics`` (grid stage included)."""
+    """One KronMom row: the Nelder–Mead refinement kernel and its oracle,
+    timed on the whole ``fit_statistics`` (grid stage included)."""
     observed, k = kronmom_input(name)
-    estimator = KronMomEstimator()
+    estimator, oracle = KronMomEstimator(), ReferenceKronMomEstimator()
     engines = bench_engines(
-        KRONMOM_KERNEL, lambda: estimator.fit_statistics(observed, k),
+        lambda: oracle.fit_statistics(observed, k),
+        lambda: estimator.fit_statistics(observed, k),
         lambda result: (result.initiator, result.objective, result.n_restarts),
         repeats, f"kronmom {name}",
     )
@@ -368,7 +326,7 @@ def _engine_floor(rows: list[dict], required: float) -> dict:
     }
     fused = {
         backend: min(row["engines"][backend]["speedup_vs_numpy"] for row in rows)
-        for backend in NATIVE_BACKENDS
+        for backend in ("cext",)
         if rows and all(row["engines"][backend].get("available") for row in rows)
     }
     if fused:
@@ -548,17 +506,15 @@ def main(argv: list[str] | None = None) -> int:
     sampler_floor = _sampler_floor(large_k_rows)
     isotonic_floor = _engine_floor(isotonic_rows, ISOTONIC_SPEEDUP_FLOOR)
     kronmom_floor = _engine_floor(kronmom_rows, KRONMOM_SPEEDUP_FLOOR)
-    configuration = default_config()
     report = {
         "bench": "bench_stats",
         "schema_version": SCHEMA_VERSION,
         "quick": arguments.quick,
         "repeats": arguments.repeats,
         "combined_path": "triangles + local sensitivity + local clustering",
-        # Provenance via the shared experiment configuration, which mirrors
-        # the REPRO_KERNEL_BACKEND knob the kernels consult at pass time.
-        "kernel_backend": configuration.kernel_backend,
-        "kernel_backends_available": list(available_kernel_backends()),
+        # The engine the combined path ran on, and the two paths timed.
+        "kernel_backend": "cext",
+        "kernel_backends_available": ["scipy", "cext"],
         "speedup_floor": {
             "workload": SPEEDUP_WORKLOAD,
             "required": SPEEDUP_FLOOR,

@@ -43,7 +43,6 @@ from repro.kronecker import (
     Initiator,
     as_initiator,
     sample_skg,
-    sample_skg_naive,
     expected_statistics,
     KronMomEstimator,
     KronFitEstimator,
@@ -91,7 +90,6 @@ __all__ = [
     "Initiator",
     "as_initiator",
     "sample_skg",
-    "sample_skg_naive",
     "expected_statistics",
     "KronMomEstimator",
     "KronFitEstimator",

@@ -71,16 +71,11 @@ Every flag that mirrors a ``REPRO_*`` knob (``--epsilon``, ``--n-jobs``,
 entry: an unset flag falls back to the variable, then to the table
 default, and ``--help`` names the variable.
 
-The global ``--kernel-backend {auto,scipy,numpy,cext}`` option selects the
-execution engine of all three native-kernel families — the A² counting
-pass, the KronFit Metropolis chain and the SKG sampler: ``auto`` (default)
-prefers the compiled-C ``cext`` kernels and falls back to the pure-Python
-references (blocked scipy SpGEMM / numpy chain and sampler); naming an
-unavailable backend fails with a clear error.  All results are
-bit-identical for any backend (``repro --kernel-backend scipy summarize
-ca-grqc`` equals ``repro summarize ca-grqc``, and ``repro
---kernel-backend scipy fit ca-grqc --method kronfit --seed 0`` equals the
-fused-kernel fit).
+Every pipeline stage runs on a native kernel compiled on first use with
+the system C compiler; a host where one cannot be built prints one
+``error:`` line naming the compiler's message and exits 1.  The global
+``--kernel-threads`` option shards multi-start KronFit chains over
+threads, with bit-identical results for any count.
 """
 
 from __future__ import annotations
@@ -100,7 +95,6 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
 from repro.knobs import KNOBS, knob
 from repro.native.registry import resolve_kernel_threads
-from repro.stats.kernels import resolve_kernel_backend
 from repro.stats.summary import summarize
 from repro.utils.tables import TextTable
 
@@ -110,7 +104,7 @@ __all__ = ["main", "build_parser"]
 def _knob_flags(parser: argparse.ArgumentParser, flags: dict[str, str]) -> None:
     """Declare each ``flag`` as the command-line face of its knob.
 
-    The type, choices and help come from the knob's :data:`KNOBS` entry,
+    The type and help come from the knob's :data:`KNOBS` entry,
     and the default is ``None``: the handler resolves the value through
     :func:`repro.knobs.knob`, so an unset flag falls back to the variable,
     then to the table default.
@@ -121,7 +115,6 @@ def _knob_flags(parser: argparse.ArgumentParser, flags: dict[str, str]) -> None:
         parser.add_argument(
             flag,
             type={"int": int, "float": float}.get(spec.kind),
-            choices=spec.check if spec.kind == "choice" else None,
             default=None,
             help=f"{spec.doc} (default: {name}, else {fallback})",
         )
@@ -133,10 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Differentially private stochastic Kronecker graph estimation",
     )
-    _knob_flags(parser, {
-        "--kernel-backend": "REPRO_KERNEL_BACKEND",
-        "--kernel-threads": "REPRO_KERNEL_THREADS",
-    })
+    _knob_flags(parser, {"--kernel-threads": "REPRO_KERNEL_THREADS"})
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("datasets", help="list registered datasets")
@@ -341,18 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
     try:
-        if arguments.kernel_backend is not None:
-            # Validate eagerly, then publish through the environment: the
-            # native kernels read REPRO_KERNEL_BACKEND at call time.
-            # Resolving here makes an unavailable backend (e.g.
-            # --kernel-backend cext without a C compiler) fail loudly
-            # rather than mid-pipeline.
-            resolve_kernel_backend(arguments.kernel_backend)
-            os.environ["REPRO_KERNEL_BACKEND"] = arguments.kernel_backend
         if arguments.kernel_threads is not None:
-            # Same pattern: the multichain kernel reads the knob wherever
-            # a batched multi-start fit is constructed (including inside
-            # pool workers, which inherit the environment).
+            # Validate eagerly, then publish through the environment: the
+            # multichain kernel reads the knob wherever a batched
+            # multi-start fit is constructed (including inside pool
+            # workers, which inherit the environment).
             resolve_kernel_threads(arguments.kernel_threads)
             os.environ["REPRO_KERNEL_THREADS"] = str(arguments.kernel_threads)
         handler = _HANDLERS[arguments.command]

@@ -52,25 +52,25 @@ def sample_ensemble(initiator, k: int, count: int, seed: SeedLike = None) -> lis
 
 
 def sample_statistics(
-    model, seed: SeedLike = None, backend: str | None = None
+    model, seed: SeedLike = None
 ) -> tuple[int, int, MatchingStatistics]:
     """``(n_nodes, n_edges, {E, H, T, Δ})`` of one synthetic graph of ``model``.
 
     The batch of one of :func:`sample_statistics_batch`.
     """
-    return sample_statistics_batch(model, [seed], backend=backend)[0]
+    return sample_statistics_batch(model, [seed])[0]
 
 
 def sample_statistics_batch(
-    model, seeds: Sequence[SeedLike], backend: str | None = None
+    model, seeds: Sequence[SeedLike]
 ) -> list[tuple[int, int, MatchingStatistics]]:
     """:func:`sample_statistics` of ``model`` for each of ``seeds``.
 
     Each row equals counting ``model.sample_graph(seed)``, with the same
     draws.  An SKG-backed model (one with an ``initiator``) counts the
     whole batch in one sampler-kernel call
-    (:func:`~repro.kronecker.sampling.sample_skg_statistics_batch`, on
-    the engine ``backend`` names) and never builds a :class:`Graph`; any
+    (:func:`~repro.kronecker.sampling.sample_skg_statistics_batch`) and
+    never builds a :class:`Graph`; any
     other model, such as the DPDegree configuration model, samples each
     graph and counts it.
     """
@@ -79,9 +79,7 @@ def sample_statistics_batch(
         n_nodes = 2**model.k
         return [
             (n_nodes, n_edges, stats)
-            for n_edges, stats in sample_skg_statistics_batch(
-                initiator, model.k, seeds, backend=backend
-            )
+            for n_edges, stats in sample_skg_statistics_batch(initiator, model.k, seeds)
         ]
     rows = []
     for seed in seeds:

@@ -16,6 +16,7 @@ __all__ = [
     "PrivacyError",
     "PrivacyBudgetError",
     "DatasetError",
+    "KernelUnavailableError",
 ]
 
 
@@ -49,3 +50,8 @@ class PrivacyBudgetError(PrivacyError):
 
 class DatasetError(ReproError, KeyError):
     """An unknown dataset name was requested from the registry."""
+
+
+class KernelUnavailableError(ReproError, RuntimeError):
+    """A native kernel could not be compiled, loaded or smoke-tested (the
+    message names why); every pipeline stage needs its kernel."""

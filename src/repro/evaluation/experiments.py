@@ -6,8 +6,8 @@ variable of the same name in upper case (``seed`` from ``REPRO_SEED``), so a fas
 the same code paths.  Every variable — its default, accepted values, and
 meaning — is declared once in :mod:`repro.knobs`.  The fields that are
 consumed elsewhere (``n_jobs``/``cache_dir`` by :mod:`repro.runtime`,
-``kernel_backend``/``kernel_threads`` by the native
-kernels, which read the environment themselves) are mirrored here so
+``kernel_threads`` by the multichain kernel, which reads the environment
+itself) are mirrored here so
 bench artifacts and Table 1's trials can record and thread them.
 
 CI sets ``REPRO_REALIZATIONS=2`` with ``REPRO_N_JOBS=2`` so one figure
@@ -52,7 +52,6 @@ class ExperimentConfig:
     seed: int = default("REPRO_SEED")  # the PAIS'12 workshop date
     n_jobs: int = default("REPRO_N_JOBS")  # 0 or negative = all cores
     cache_dir: str = ""  # trial-cache directory; empty = caching disabled
-    kernel_backend: str = default("REPRO_KERNEL_BACKEND")
     kernel_threads: int = default("REPRO_KERNEL_THREADS")  # 0 = all cores
 
     @property

@@ -9,15 +9,15 @@ follows one policy for every knob:
   table default;
 * the environment is read at call time (never cached), so tests can
   monkeypatch it and the CLI can publish flags through it;
-* an empty or whitespace-only value means unset; numbers and choices are
-  stripped before parsing, paths and fault specs are passed through
+* an empty or whitespace-only value means unset; numbers are stripped
+  before parsing, paths and fault specs are passed through
   verbatim;
 * every parse or range failure raises
   :class:`~repro.errors.ValidationError` naming the variable (or the
   argument) it came from.
 
-Post-processing that is not validation — "≤ 0 means all cores", backend
-availability probing, fault-spec parsing — stays with the consumer;
+Post-processing that is not validation — "≤ 0 means all cores",
+fault-spec parsing — stays with the consumer;
 :func:`usable_cores` is the one definition of "all cores".
 """
 
@@ -30,12 +30,7 @@ from typing import Any, Callable
 from repro.errors import ValidationError
 from repro.utils.validation import check_integer, check_nonnegative
 
-__all__ = ["Knob", "KNOBS", "KERNEL_BACKEND_CHOICES", "knob", "default", "usable_cores"]
-
-# Everything REPRO_KERNEL_BACKEND accepts.  "scipy" and "numpy" both name
-# the pure-Python reference engine of whichever kernel family resolves
-# the value, so one setting is valid for every family.
-KERNEL_BACKEND_CHOICES = ("auto", "scipy", "numpy", "cext")
+__all__ = ["Knob", "KNOBS", "knob", "default", "usable_cores"]
 
 # Kinds whose environment values are used exactly as written.
 _VERBATIM = ("path", "spec")
@@ -45,9 +40,8 @@ _VERBATIM = ("path", "spec")
 class Knob:
     """One environment knob.
 
-    ``kind`` is ``int``, ``float``, ``choice``, ``path`` or ``spec``.
-    ``check`` is the accepted-value tuple of a choice, or a
-    ``(value, where) -> value`` validator of a number.  Error messages
+    ``kind`` is ``int``, ``float``, ``path`` or ``spec``.  ``check`` is
+    the ``(value, where) -> value`` validator of a number.  Error messages
     name the value by :attr:`title`: the variable name without its
     prefix, in lower case.
     """
@@ -95,9 +89,6 @@ _TABLE = (
          "Trial-engine worker processes (<= 0 = all cores)"),
     Knob("REPRO_CACHE_DIR", "path", None, None,
          "On-disk trial cache directory"),
-    Knob("REPRO_KERNEL_BACKEND", "choice", "auto", KERNEL_BACKEND_CHOICES,
-         "Engine of the A² counting pass, the KronFit chain, the SKG sampler, "
-         "the isotonic (PAVA) pass and KronMom's Nelder–Mead refinement"),
     Knob("REPRO_KERNEL_THREADS", "int", 1, _integer(),
          "Threads sharding the multichain kernel's chains (<= 0 = all cores)"),
     # Trial engine.
@@ -171,12 +162,6 @@ def knob(name: str, value: Any = None) -> Any:
         return value
     source = f"environment variable {name}" if from_env else "argument"
     where = f"{spec.title} (from {source})"
-    if spec.kind == "choice":
-        if value not in spec.check:
-            raise ValidationError(
-                f"{where} must be one of {', '.join(spec.check)}, got {value!r}"
-            )
-        return value
     if spec.kind == "float":
         value = _parse(float, value, where, "a number")
     elif from_env:

@@ -8,8 +8,8 @@ Layout:
   expected counts (the test oracle for the closed forms),
 * :mod:`repro.kronecker.moments` — Gleich–Owen closed-form expectations of
   edges/hairpins/tripins/triangles under Θ^{⊗k} (paper Eq. 1),
-* :mod:`repro.kronecker.sampling` — exact SKG samplers (O(E) grass-hopping
-  and naive O(N²)),
+* :mod:`repro.kronecker.sampling` — the exact O(E) grass-hopping SKG
+  sampler,
 * :mod:`repro.kronecker.likelihood` / ``kronfit`` — the Leskovec–Faloutsos
   approximate-MLE baseline (permutation MCMC + gradient ascent),
 * :mod:`repro.kronecker.kronmom` — the Gleich–Owen moment-matching
@@ -31,7 +31,6 @@ from repro.kronecker.moments import (
 )
 from repro.kronecker.sampling import (
     sample_skg,
-    sample_skg_naive,
     sample_skg_statistics,
 )
 from repro.kronecker.kronmom import (
@@ -59,7 +58,6 @@ __all__ = [
     "expected_triangles",
     "expected_statistics",
     "sample_skg",
-    "sample_skg_naive",
     "sample_skg_statistics",
     "KronMomEstimator",
     "MomentMatchResult",

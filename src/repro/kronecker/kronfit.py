@@ -27,8 +27,7 @@ per ``kernel_threads`` / ``REPRO_KERNEL_THREADS`` thread — in the
 calling process.  A single-start
 fit is the S=1 case and draws straight from ``as_generator(seed)``;
 multi-start fits give each start its own ``SeedSequence`` child of the
-estimator seed.  Results are bit-identical for any thread count and
-kernel backend.
+estimator seed.  Results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -122,11 +121,6 @@ class KronFitEstimator:
         with |E|·k).
     initial:
         Starting initiator (defaults to the paper's generic seed point).
-    backend:
-        Execution engine of the Metropolis permutation chain (``auto`` |
-        ``numpy`` | ``cext``; default: the ``REPRO_KERNEL_BACKEND`` knob,
-        else ``auto``).  Results are bit-identical for both engines — the
-        knob only selects speed.
     n_starts:
         Independent Metropolis chains per fit; the best final
         log-likelihood wins (deterministic tie-break by start index).
@@ -147,6 +141,9 @@ class KronFitEstimator:
     True
     """
 
+    # The chains' sampler; the oracle's subclass runs them in numpy.
+    _sampler = MultiChainSampler
+
     def __init__(
         self,
         *,
@@ -157,7 +154,6 @@ class KronFitEstimator:
         learning_rate: float = 0.08,
         initial: Initiator | tuple[float, float, float] = (0.9, 0.6, 0.2),
         seed: SeedLike = None,
-        backend: str | None = None,
         n_starts: int = 1,
         kernel_threads: int | None = None,
     ) -> None:
@@ -170,7 +166,6 @@ class KronFitEstimator:
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         self.initial = as_initiator(initial)
         self.seed = seed
-        self.backend = backend
         self.n_starts = check_integer(n_starts, "n_starts", minimum=1)
         self.kernel_threads = (
             None if kernel_threads is None else knob("REPRO_KERNEL_THREADS", kernel_threads)
@@ -222,7 +217,8 @@ class KronFitEstimator:
         """Gradient ascent over S Metropolis chains advancing in lockstep.
 
         ``graph`` is padded to ``2^k`` nodes; chain ``s`` starts from
-        :func:`perturbed_initial_sigma` of start ``s`` and draws from
+        :func:`perturbed_initial_sigma` of start ``s`` (every start perturbs
+        one degree-matched σ, built once) and draws from
         ``default_rng(seeds[s])`` (a Generator passes through unchanged).
         Each iteration is one stacked table build and one
         :meth:`MultiChainSampler.run` with the iteration's step size: the
@@ -236,15 +232,15 @@ class KronFitEstimator:
         n_chains = len(seeds)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         theta0 = _clip(self.initial)
+        matched = degree_matched_initial_sigma(graph, k)
         sigmas = [
-            perturbed_initial_sigma(graph, k, start) for start in range(n_chains)
+            perturbed_initial_sigma(graph, k, start, matched) for start in range(n_chains)
         ]
-        sampler = MultiChainSampler(
+        sampler = self._sampler(
             graph,
             k,
             [theta0] * n_chains,
             sigmas=sigmas,
-            backend=self.backend,
             threads=self.kernel_threads,
         )
         thetas = [theta0] * n_chains
@@ -293,16 +289,20 @@ class KronFitEstimator:
         return results
 
 
-def perturbed_initial_sigma(graph: Graph, k: int, start: int) -> np.ndarray:
+def perturbed_initial_sigma(
+    graph: Graph, k: int, start: int, matched: np.ndarray | None = None
+) -> np.ndarray:
     """Initial correspondence of multi-start chain ``start``.
 
     Start 0 is the degree-matched σ every single-start fit uses; start
     ``s > 0`` reshuffles the assignments of a quarter of the nodes with a
     dedicated deterministic stream keyed by ``s`` alone — independent of
-    worker count, pool mode, and the chain's own RNG — so every engine
-    and schedule sees the same S starting points.
+    worker count, pool mode, and the chain's own RNG — so every thread
+    count and schedule sees the same S starting points.  ``matched`` is
+    that degree-matched σ when the caller has built it (it is copied,
+    not changed), so a fit of S starts ranks the degrees once.
     """
-    sigma = degree_matched_initial_sigma(graph, k)
+    sigma = degree_matched_initial_sigma(graph, k) if matched is None else matched.copy()
     start = check_integer(start, "start", minimum=0)
     if start == 0 or graph.n_nodes < 2:
         return sigma

@@ -17,19 +17,13 @@ Optimisation is a dense vectorised grid search (the closed forms broadcast
 over parameter arrays) followed by Nelder–Mead refinement from the best
 grid points, with the identifiability convention a ≥ c applied at the end.
 
-Which engine runs where:
-
-* the grid stage is always numpy;
-* the refinement resolves through ``REPRO_KERNEL_BACKEND`` like every
-  :mod:`repro.native` family.  ``cext`` (the ``auto`` choice when a C
-  compiler is present) steps every restart in
-  :data:`repro.native.kronmom.KRONMOM_KERNEL`; ``numpy`` runs the oracle,
-  :func:`_nelder_mead` (a copy of scipy's Nelder–Mead on Python floats)
-  over :meth:`KronMomEstimator._float_objective`.  Both give the same
-  bits, and a restart the kernel flags for a vertex tie reruns on the
-  oracle;
-* the jittered restart starts and the best-of-restarts choice are
-  Python on either engine.
+The grid stage is numpy; the refinement steps every restart in
+:data:`repro.native.kronmom.KRONMOM_KERNEL`, and a restart the kernel
+flags for a vertex tie reruns on :func:`_nelder_mead` (a copy of scipy's
+Nelder–Mead on Python floats) over :meth:`KronMomEstimator._float_objective`,
+which gives the kernel's bits.  The oracle,
+:class:`repro.reference.kronmom.ReferenceKronMomEstimator`, runs every
+restart there.
 """
 
 from __future__ import annotations
@@ -117,7 +111,7 @@ MAX_K = 64
 # an expected count vanishes (e.g. b = c = 0 grid corners).
 _NORM_FLOOR = 1e-12
 
-# Tolerances and iteration cap of every refinement restart, on both engines.
+# Tolerances and iteration cap of every refinement restart.
 _NELDER_MEAD_OPTIONS = {"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000}
 
 
@@ -222,7 +216,7 @@ class KronMomEstimator:
 
         Raises :class:`~repro.errors.ValidationError` for ``k`` outside
         ``1..MAX_K``, a non-finite observed value, or a positive one whose
-        square overflows a double (above ~1.34e154), on every engine.
+        square overflows a double (above ~1.34e154).
         """
         k = check_integer(k, "k", minimum=1)
         if k > MAX_K:
@@ -293,28 +287,28 @@ class KronMomEstimator:
         for _ in range(self.n_refinements - 1):
             jitter = rng.normal(scale=0.08, size=3)
             starts.append(np.clip(grid_best + jitter, 0.0, 1.0))
-        engine = KRONMOM_KERNEL.resolve()
-        if engine == KRONMOM_KERNEL.reference:
-            runs = [None] * len(starts)
-        else:
-            runs = refine_restarts(
-                KRONMOM_KERNEL.kernel(engine), [s.tolist() for s in starts],
-                observed.tolist(), k, self.features, self.distance,
-                self.normalization, **_NELDER_MEAD_OPTIONS,
-            )
+        runs = self._restart_runs([s.tolist() for s in starts], observed.tolist(), k)
         objective = self._float_objective(observed, k)
         best_params, best_value = grid_best.copy(), grid_value
         for start, run in zip(starts, runs):
-            # A restart the kernel flagged (a vertex tie) reruns on the oracle.
+            # A restart the kernel flagged (a vertex tie) reruns in Python.
             x, fun = run or _nelder_mead(objective, start.tolist(), **_NELDER_MEAD_OPTIONS)
             if fun < best_value:
                 best_value = float(fun)
                 best_params = np.clip(np.array(x), 0.0, 1.0)
         return best_params, best_value
 
+    def _restart_runs(self, starts, observed, k: int) -> list:
+        """Every restart on the kernel: ``(x, fun)`` each, or ``None`` for
+        one it flagged (see :func:`~repro.native.kronmom.refine_restarts`)."""
+        return refine_restarts(
+            KRONMOM_KERNEL.kernel(), starts, observed, k, self.features,
+            self.distance, self.normalization, **_NELDER_MEAD_OPTIONS,
+        )
+
     def _float_objective(self, observed: np.ndarray, k: int):
-        """The refinement objective on plain floats: the numpy oracle of
-        :data:`repro.native.kronmom.KRONMOM_KERNEL`.
+        """The refinement objective on plain floats: what
+        :data:`repro.native.kronmom.KRONMOM_KERNEL` evaluates, bit for bit.
 
         It returns the bits an array evaluation would (see
         :mod:`repro.kronecker.moments`): numpy's clip is min/max, and its

@@ -1,36 +1,19 @@
-"""repro.native — shared native-kernel layer (compiled-C backends).
+"""repro.native — the compiled-C kernels every pipeline stage runs on.
 
-Hot loops in the reproduction run behind interchangeable execution
-engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
-
-* the **counting kernel** (:mod:`repro.native.counting`) — the fused
-  masked A² pass behind :func:`repro.stats.kernels.triangle_pass`;
-* the **chain kernel** (:mod:`repro.native.chain`) — a run's whole
-  Metropolis proposal streams for a range of S independent chains per
-  native call, then KronFit's gradient step for each, with the chains
-  cut into ``REPRO_KERNEL_THREADS`` ranges, one Python thread each.  Its one caller,
-  :class:`repro.kronecker.likelihood.MultiChainSampler`, owns all chain
-  state and the numpy reference; every KronFit fit runs through it, and
-  a :class:`repro.kronecker.likelihood.PermutationSampler` is a view of
-  one of its chains;
-* the **sampler kernel** (:mod:`repro.native.sampling`) — exact O(E)
-  grass-hopping SKG generation;
-* the **isotonic kernel** (:mod:`repro.native.isotonic`) — the
-  pool-adjacent-violators pass behind
-  :func:`repro.privacy.isotonic.isotonic_regression`;
-* the **KronMom kernel** (:mod:`repro.native.kronmom`) — every
-  Nelder–Mead restart of KronMom's refinement stage, stepped in lockstep
-  with numpy supplying the cubes.
-
-Each kernel is a C function compiled on first use via the system
-compiler, next to a pure-Python reference engine that lives with its
-caller.  Each is registered as a :class:`~repro.native.registry.NativeKernel`
-(``COUNTING_KERNEL``, ``MULTICHAIN_KERNEL``, ``SAMPLER_KERNEL``,
-``ISOTONIC_KERNEL``, ``KRONMOM_KERNEL``), which
-owns the shared machinery: lazy availability probes with memoized failure
-reasons, compile-once shared-library caching, smoke tests at probe time,
-and the common ``auto``/loud-failure resolution contract.  Both engines
-of a kernel are bit-identical; the knob only selects speed.
+Each hot loop has exactly one runtime engine, a C function compiled on
+first use with the system compiler and registered as a
+:class:`~repro.native.registry.NativeKernel`: ``COUNTING_KERNEL`` (the
+fused A² pass behind :func:`repro.stats.kernels.triangle_pass`),
+``MULTICHAIN_KERNEL`` (KronFit's Metropolis chains and gradient step,
+driven by :class:`repro.kronecker.likelihood.MultiChainSampler`),
+``SAMPLER_KERNEL`` (exact O(E) grass-hopping SKG generation),
+``ISOTONIC_KERNEL`` (the PAVA pass of the degree release) and
+``KRONMOM_KERNEL`` (KronMom's Nelder–Mead refinement).  The registry
+caches each compiled library, smoke-tests it at first use and raises
+:class:`~repro.errors.KernelUnavailableError` when either fails.  Each
+kernel is bit-identical to its pure-Python oracle in
+:mod:`repro.reference`, which only the equivalence suites and the
+benches import.
 """
 
 from repro.native.chain import (
@@ -43,14 +26,12 @@ from repro.native.counting import COUNTING_KERNEL
 from repro.native.isotonic import ISOTONIC_KERNEL
 from repro.native.kronmom import KRONMOM_KERNEL
 from repro.native.registry import (
-    NATIVE_BACKENDS,
     NativeKernel,
     compile_shared_library,
     resolve_kernel_threads,
 )
 
 __all__ = [
-    "NATIVE_BACKENDS",
     "NativeKernel",
     "compile_shared_library",
     "resolve_kernel_threads",

@@ -11,7 +11,8 @@ the interpreter lock.  It is the only chain kernel, and its only caller is
 :class:`~repro.kronecker.likelihood.MultiChainSampler`, which owns every
 chain's state (a solo :class:`~repro.kronecker.likelihood.PermutationSampler`
 is a view of a one-chain ensemble, so it runs the kernel at S=1).
-Five contracts make the C engine bit-identical to the numpy reference:
+Five contracts make the kernel bit-identical to its numpy oracle,
+:class:`repro.reference.chain.ReferenceMultiChainSampler`:
 
 **The draw contract** (:func:`draw_proposal_batch`).  A sampler ``run``
 splits its proposals into segments — a warm-up, then any sample segments
@@ -29,10 +30,10 @@ generator:
 3. ``log u ← log(rng.random(size))`` — the acceptance thresholds, drawn
    after the collision loop settles.
 
-The numpy engine draws each segment with :func:`draw_proposal_batch`,
-which is also the oracle.  The cext engine makes the same calls in C
+The oracle draws each segment with :func:`draw_proposal_batch`, which
+is the contract's definition.  The kernel makes the same calls in C
 through each generator's public ``bitgen_t``
-(:func:`draw_proposal_streams`): numpy's 32-bit Lemire bounded draw on
+(:func:`bind_proposal_draw`): numpy's 32-bit Lemire bounded draw on
 ``next_uint32`` for ``i`` and ``j``, ``next_double`` for ``u``.  It
 takes every segment of a run in one call, with each distinct generator's
 lock held once, so chains may share a generator.  Only the ``log`` stays
@@ -48,12 +49,12 @@ are cut into ranges.
 per profile cell and ``Δcount`` is the *integer* profile-histogram change
 — computed exactly (increments), hence order-independent.  The float
 accumulation visits the *touched* cells in ascending index order; the
-numpy reference performs the identical scan (``np.unique`` yields
+numpy oracle performs the identical scan (``np.unique`` yields
 ascending touched cells).  It skips zero counts, which the kernel adds:
 scores are finite, so a zero count adds ±0.0 to a sum that starts at
 +0.0 and so is never −0.0, which changes nothing.  The sum sequence —
 and therefore every accept/reject decision — is bit-identical across
-engines.  (The cext build passes ``-ffp-contract=off`` so no FMA
+engines.  (The kernel build passes ``-ffp-contract=off`` so no FMA
 contraction can perturb the rounding.)  The profile cell of a neighbor
 is derived via the popcount identity
 ``popcount(id ^ w) = popcount(id) + popcount(w) − 2·popcount(id & w)``,
@@ -61,7 +62,7 @@ so each neighbor costs three popcounts and the row index
 ``z = (k − popcount(id)) − popcount(w) + o`` hoists the two
 ``k − popcount(id)`` terms out of the neighbor loops.  All quantities are
 integers, so the touched cells are exactly those of the direct
-``(k − x − o, o)`` derivation the numpy reference uses.  The C twin uses
+``(k − x − o, o)`` derivation the numpy oracle uses.  The C twin uses
 the compiler's ``__builtin_popcountll``.
 
 **The delta-scan contract.**  Each chain's integer count deltas live in
@@ -73,7 +74,7 @@ its set bits once, in ascending order with ``__builtin_ctzll``: O(deg i
 + deg j + (k+1)²/64) per proposal, and no sort of the ``2·(deg i + deg
 j)`` cell events that a heavy-tailed graph's hubs make by the hundred.
 The walk visits exactly the distinct touched cells in ascending order —
-the numpy reference's ``np.unique`` sequence — and every nonzero-count
+the numpy oracle's ``np.unique`` sequence — and every nonzero-count
 cell is among them, so the float accumulation sequence equals the full
 ascending scan's.  At each cell the scan zeroes the count, adds it to the
 delta without a branch, and lists ``(cell, count)``, keeping the entry
@@ -91,8 +92,8 @@ a KronFit iteration's warm-up and all its samples.
 **The step contract.**  In step mode the same call then takes the
 iteration's gradient step, chain by chain within its range: it scores
 the snapshots as
-:func:`~repro.kronecker.likelihood.profile_log_likelihoods` does,
-averages them and moves Θ as :func:`~repro.kronecker.likelihood.ascent_step`
+:func:`~repro.reference.chain.profile_log_likelihoods` does,
+averages them and moves Θ as :func:`~repro.reference.chain.ascent_step`
 does, bit for bit.  Three rules make that possible.  Each score row and
 each of the three gradient rows is summed in numpy's float64 reduction
 order, ``0.0 + pairwise(a, n)``: sequential below 8 elements, 8
@@ -108,14 +109,13 @@ transcendentals stay numpy's: the ``log`` of Θ, the ``exp`` and the
 uniforms.  The kernel's C source calls none of them.
 
 The C loop is compiled via :mod:`repro.native.registry`, with
-``-mpopcnt`` as an optional compile flag; the numpy reference lives with
-:class:`~repro.kronecker.likelihood.MultiChainSampler`.
+``-mpopcnt`` as an optional compile flag.
 Chain ranges only shard whole chains, so chain ``c`` of a batched call is
 bit-identical to its solo trajectory for any chain count or thread
 count.  The equivalence matrices
 (``tests/kronecker/test_chain_equivalence.py`` and
-``test_multichain_equivalence.py``) pin every backend × graph family ×
-θ cell to identical σ trajectories, histograms, and acceptance counts.
+``test_multichain_equivalence.py``) pin the kernel and the oracle on
+every graph family × θ cell to identical σ trajectories, histograms, and acceptance counts.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ __all__ = [
     "CHAIN_BITMAP_WORDS",
     "bind_proposal_draw",
     "draw_proposal_batch",
-    "draw_proposal_streams",
     "MULTICHAIN_KERNEL",
     "resolve_multichain_backend",
     "resolve_chain_backend",
@@ -579,12 +578,6 @@ def bind_proposal_draw(
     return draw
 
 
-def draw_proposal_streams(kernel: Callable, rngs, n_nodes: int, ends: np.ndarray,
-                          i_all: np.ndarray, j_all: np.ndarray, u_all: np.ndarray) -> None:
-    """Fill the streams once: :func:`bind_proposal_draw`, called."""
-    bind_proposal_draw(kernel, rngs, n_nodes, ends, i_all, j_all, u_all)()
-
-
 def _multichain_smoke_test(kernel: Callable) -> None:
     """Run both modes on hand-checked instances.
 
@@ -677,7 +670,7 @@ def _multichain_smoke_test(kernel: Callable) -> None:
     rngs = [shared, np.random.default_rng(6), shared]
     twins = [twin, np.random.default_rng(6), twin]
     streams = [np.empty((3, 12), dtype=dtype) for dtype in (np.int64, np.int64, np.float64)]
-    draw_proposal_streams(kernel, rngs, 3, np.array([7, 12], dtype=np.int64), *streams)
+    bind_proposal_draw(kernel, rngs, 3, np.array([7, 12], dtype=np.int64), *streams)()
     for begin, end in ((0, 7), (7, 12)):
         for s, rng in enumerate(twins):
             for got, want in zip(streams, draw_proposal_batch(rng, 3, end - begin)):
@@ -695,7 +688,6 @@ def _multichain_smoke_test(kernel: Callable) -> None:
 
 MULTICHAIN_KERNEL = NativeKernel(
     name="multichain",
-    reference="numpy",
     c_source=_MULTICHAIN_C_SOURCE,
     c_symbol="repro_multichain_block",
     c_restype=ctypes.c_int64,
@@ -732,19 +724,11 @@ MULTICHAIN_KERNEL = NativeKernel(
 )
 
 
-def resolve_multichain_backend(backend: str | None = None) -> str:
-    """The concrete chain engine: argument, else ``REPRO_KERNEL_BACKEND``.
-
-    Returns ``numpy`` (the pure-Python reference inside
-    :class:`~repro.kronecker.likelihood.MultiChainSampler`) or ``cext``.
-    ``auto`` prefers the compiled engine and falls back to ``numpy``;
-    ``scipy`` (the counting knob's reference name) is accepted as an
-    alias for ``numpy``, so one environment value drives every kernel
-    family.  Naming an unavailable engine raises :class:`ValidationError`
-    with the reason.  Both engines and every thread count produce
-    bit-identical chains; the knob only selects speed.
-    """
-    return MULTICHAIN_KERNEL.resolve(backend)
+def resolve_multichain_backend() -> str:
+    """Load the chain kernel (run records and the benchmark pay its probe
+    up front) and name it: always ``"cext"``."""
+    MULTICHAIN_KERNEL.kernel()
+    return "cext"
 
 
 # Kept only because the benchmark harness (perfbench/run.py) imports it;

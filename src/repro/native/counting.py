@@ -1,9 +1,10 @@
 """The fused counting kernel: one CSR walk per row block, no product matrix.
 
-The scipy backend of :func:`repro.stats.kernels.triangle_pass` is bound by
-the sparse product ``A[r0:r1] @ A``: scipy's SpGEMM materializes (and
-sorts the column indices of) every path-2 entry before the pass reduces
-them.  The fused kernel here never builds the product.  It walks the CSR
+A scipy pass over ``A @ A`` is bound by the sparse product
+``A[r0:r1] @ A``: scipy's SpGEMM materializes (and sorts the column
+indices of) every path-2 entry before the pass reduces them.  The fused
+kernel here, which :func:`repro.stats.kernels.triangle_pass` runs on
+every graph its int32 CSR can address, never builds the product.  It walks the CSR
 rows directly with Gustavson's dense accumulator —
 
 * scatter the multiplicities of every 2-path out of row ``u`` into an
@@ -20,14 +21,10 @@ The kernel is a ~40-line C function registered with
 :class:`repro.native.registry.NativeKernel` and compiled on first use with
 the system C compiler.  It is integer-exact (the arithmetic is increments
 and comparisons on int64 accumulators), so its results are bit-identical
-to the scipy backend and to the pre-blocking reference oracles — the
-cross-backend equivalence suite (``tests/stats/test_backend_equivalence.py``)
-enforces this for every block size and graph family.
-
-Backend selection goes through
-:func:`repro.stats.kernels.resolve_kernel_backend`.  (The PR 3-era
-``repro.stats._fused`` shim that re-exported this surface was removed in
-PR 7 — import from here.)
+to the blocked scipy pass that serves graphs past int32 indexing and to
+the full-product oracles of :mod:`repro.reference.counting` — the
+equivalence suite (``tests/stats/test_backend_equivalence.py``) enforces
+this for every block size and graph family.
 """
 
 from __future__ import annotations
@@ -99,7 +96,7 @@ def _smoke_test(kernel: Callable) -> None:
     """Run the kernel on a hand-checked diamond graph.
 
     Catches a miscompiled or ABI-mismatched kernel at probe time (turning
-    it into "backend unavailable") instead of corrupting statistics later.
+    it into "kernel unavailable") instead of corrupting statistics later.
     """
     # The diamond: triangles {0,1,2} and {1,2,3}; nodes 0 and 3 (and the
     # adjacent pair 1, 2) share two common neighbours.
@@ -123,7 +120,6 @@ _INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 
 COUNTING_KERNEL = NativeKernel(
     name="counting",
-    reference="scipy",
     c_source=_C_SOURCE,
     c_symbol="repro_fused_block",
     c_restype=ctypes.c_int64,

@@ -4,8 +4,8 @@ Hay et al.'s constrained inference projects the noisy sorted degree
 sequence onto the non-decreasing cone with one stack pass
 (:func:`repro.privacy.isotonic.isotonic_regression`).  The pass is a
 data-dependent merge loop that numpy cannot vectorize, so it is the
-fourth family of the ``repro.native`` kernels: the loop in C, next to
-the pure-Python oracle that lives with its caller.
+fourth family of the ``repro.native`` kernels: the loop in C, with its
+pure-Python oracle in :mod:`repro.reference.isotonic`.
 
 **The merge contract.**  Values stream in left to right; each becomes a
 block ``(mean, weight, count)`` pushed on a stack, and while the block
@@ -13,7 +13,7 @@ below the top has ``mean ≥`` the top's mean the two merge into
 
     mean = (w₁·m₁ + w₂·m₂) / (w₁ + w₂),  weight = w₁ + w₂
 
-with the lower block as ``(m₁, w₁)``.  Both engines merge in the same
+with the lower block as ``(m₁, w₁)``.  Kernel and oracle merge in the same
 order with the same expression, and the C twin is built with
 ``-ffp-contract=off`` (no FMA contraction), so every block mean rounds
 identically and the expanded result is bit-identical.
@@ -101,7 +101,6 @@ _INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 
 ISOTONIC_KERNEL = NativeKernel(
     name="isotonic",
-    reference="numpy",
     c_source=_C_SOURCE,
     c_symbol="repro_isotonic_block",
     c_restype=ctypes.c_int64,

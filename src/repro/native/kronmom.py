@@ -6,8 +6,9 @@ moment objective.  The float oracle there (``kronmom._nelder_mead`` on
 ``kronmom``'s float objective) makes about a thousand interpreted
 objective evaluations per fit, so the search is the fifth family of the
 ``repro.native`` kernels: every restart's simplex, the branch logic and
-the objective in C, next to the pure-Python oracle that lives with its
-caller.
+the objective in C.  The oracle, which runs every restart through
+``kronmom._nelder_mead``, is
+:class:`repro.reference.kronmom.ReferenceKronMomEstimator`.
 
 **The step protocol.**  numpy's SIMD ``power`` loop and libm ``pow``
 disagree in the last bit for a few percent of inputs, and the oracle
@@ -40,7 +41,7 @@ as in the oracle.
 **Ties.**  Where a restart's vertex values hold a tie or a NaN, the
 oracle reorders with ``np.argsort``, whose tie order the kernel does not
 reproduce.  The kernel stops that restart and marks it ``FLAGGED``; the
-caller reruns that one start with the oracle.
+caller reruns that one start with ``kronmom._nelder_mead``.
 
 The equivalence suite (``tests/kronecker/test_kronmom_equivalence.py``)
 pins ``fit_statistics`` on this kernel to the oracle over every
@@ -487,7 +488,6 @@ def _smoke_test(kernel: Callable) -> None:
 
 KRONMOM_KERNEL = NativeKernel(
     name="kronmom",
-    reference="numpy",
     c_source=_C_SOURCE,
     c_symbol="repro_kronmom_step",
     c_restype=ctypes.c_int64,

@@ -1,29 +1,19 @@
-"""The native-kernel backend registry: probe, compile-cache, loud failure.
+"""The native-kernel registry: compile-cache, smoke test, loud failure.
 
-Every hot loop of the pipeline — the A² counting pass, the KronFit
-Metropolis chain, the grass-hopping sampler, the isotonic (PAVA) pass of
-the degree release, KronMom's Nelder–Mead refinement — five families in
-all, has two execution engines:
-a pure-Python reference that lives with its caller and is the oracle the
-equivalence suites compare against, and the identical loop nest written
-in C, compiled on first use with the system compiler and called through
-:mod:`ctypes`.  This module hosts the machinery around the C twins:
+Each of the five kernel families (the A² counting pass, the KronFit
+chain, the grass-hopping sampler, the PAVA pass, KronMom's refinement)
+runs as a C loop nest compiled on first use and called through
+:mod:`ctypes`; its pure-Python twin is an oracle in
+:mod:`repro.reference`, which no runtime module imports.
 
-* :class:`NativeKernel` — one kernel family: its C source, lazy probing
-  memoized in :attr:`NativeKernel.states` (tests monkeypatch that dict to
-  simulate hosts without a compiler), the name of its reference engine
-  (``scipy`` for the counting pass, ``numpy`` for the others),
-  and the ``REPRO_KERNEL_BACKEND`` resolution contract
-  (:meth:`NativeKernel.resolve`: ``auto`` prefers the compiled engine and
-  silently falls back to the reference; *naming* an unavailable engine
-  fails loudly).
+* :class:`NativeKernel` — one family: its C source, and
+  :meth:`NativeKernel.kernel`, which compiles or loads it and runs its
+  smoke test once per process.  A failure raises
+  :class:`~repro.errors.KernelUnavailableError` naming the reason, then
+  and on every later call: nothing falls back to a slower engine.
 * :func:`compile_shared_library` — compile a C source into a per-user
   cached ``.so`` (keyed by a hash of source + flags; concurrent probes
   build to private scratch files and install with atomic renames).
-
-Concrete kernels live next door: :mod:`repro.native.counting`,
-:mod:`repro.native.chain`, :mod:`repro.native.sampling`,
-:mod:`repro.native.isotonic` and :mod:`repro.native.kronmom`.
 """
 
 from __future__ import annotations
@@ -43,11 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import KernelUnavailableError
 from repro.knobs import knob, usable_cores
 
 __all__ = [
-    "NATIVE_BACKENDS",
     "NativeKernel",
     "buffer_addresses",
     "compile_shared_library",
@@ -55,12 +44,9 @@ __all__ = [
     "shard_bounds",
 ]
 
-# Compiled backend names, in the preference order `auto` resolution uses.
-NATIVE_BACKENDS = ("cext",)
-
-# Compile flags for every cext kernel.  -ffp-contract=off forbids the
+# Compile flags for every kernel.  -ffp-contract=off forbids the
 # compiler from fusing a*b+c into an FMA: the chain kernel accumulates
-# float64 scores and must round exactly like the numpy engine on every
+# float64 scores and must round exactly like its numpy oracle on every
 # host (the counting kernel is pure integer, where the flag is inert).
 # The flags participate in the cache key, so changing them recompiles.
 _C_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
@@ -112,7 +98,7 @@ def _host_runs(flag: str) -> bool:
 
 def _enabled_optional_flags(flags: Sequence[str]) -> tuple[str, ...]:
     """The optional compile flags this host runs well (:func:`_host_runs`);
-    the compile fallback in :meth:`NativeKernel._probe_cext` guards the rest."""
+    the compile fallback in :meth:`NativeKernel._probe` guards the rest."""
     return tuple(flag for flag in flags if _host_runs(flag))
 
 
@@ -166,17 +152,13 @@ os.register_at_fork(after_in_child=_fresh_probe_locks)
 
 
 class NativeKernel:
-    """One kernel family: a C loop nest plus the name of its reference engine.
+    """One kernel family: a C loop nest, compiled and checked on first use.
 
     Parameters
     ----------
     name:
         Kernel identifier ("counting", "multichain", "sampler",
         "isotonic", "kronmom"); names the cached ``.so``.
-    reference:
-        The name ``auto`` falls back to when no compiled engine can run:
-        the family's pure-Python reference engine, which lives with its
-        caller (``scipy`` for the counting pass, ``numpy`` otherwise).
     c_source / c_symbol:
         The loop nest as a C translation unit and the one function it
         exports; a family whose callers need several modes selects them
@@ -184,11 +166,11 @@ class NativeKernel:
     c_restype / c_argtypes:
         The ctypes signature of ``c_symbol``.
     smoke_test:
-        Callable run against every probed kernel on a hand-checked
-        instance; raising turns the probe into "backend unavailable"
-        instead of corrupting results later.
+        Callable run against the loaded kernel on a hand-checked
+        instance; raising makes the kernel unavailable instead of
+        corrupting results later.
     c_optional_flags:
-        Extra compile flags that improve the C twin but are not required
+        Extra compile flags that speed the kernel up but are not required
         for correctness (``-mpopcnt``, ``-mbmi2``).  Each is
         dropped up-front when the host can't honour it, and the whole set
         falls back to the base flags if the compile still fails; the flags
@@ -198,7 +180,6 @@ class NativeKernel:
     def __init__(
         self,
         name: str,
-        reference: str,
         c_source: str,
         c_symbol: str,
         c_restype,
@@ -207,107 +188,40 @@ class NativeKernel:
         c_optional_flags: Sequence[str] = (),
     ) -> None:
         self.name = name
-        self.reference = reference
         self.c_source = c_source
         self.c_symbol = c_symbol
         self.c_restype = c_restype
         self.c_argtypes = list(c_argtypes)
         self.smoke_test = smoke_test
         self.c_optional_flags = tuple(c_optional_flags)
-        # The optional flags the cext probe actually compiled with (None
-        # until the probe has run).
+        # The optional flags the probe compiled with (None until it ran).
         self.cext_extra_flags: tuple[str, ...] | None = None
-        # Lazily probed backend states: name -> (kernel or None, error or
-        # None); exactly one of the two is None.  Tests monkeypatch
-        # entries to simulate unavailable backends.
-        self.states: dict[str, tuple[Callable | None, str | None]] = {}
+        # The memoized probe: (kernel, None) or (None, reason).
+        self.state: tuple[Callable | None, str | None] | None = None
         # Serializes first probes: threads racing to a cold kernel must
         # compile, smoke-test and record it once.
         self._probe_lock = threading.Lock()
         _KERNELS.add(self)
 
-    def available(self, backend: str) -> bool:
-        """Whether ``backend`` can run this kernel on this host."""
-        return self._state(backend)[0] is not None
-
-    def error(self, backend: str) -> str | None:
-        """Why ``backend`` is unavailable (None when it is available)."""
-        return self._state(backend)[1]
-
-    def kernel(self, backend: str) -> Callable:
-        """The compiled kernel of an *available* backend.
-
-        Raises ``RuntimeError`` if the backend is unavailable — callers
-        are expected to have gone through :meth:`resolve` first, which
-        turns unavailability into a user-facing :class:`ValidationError`.
-        """
-        kernel, error = self._state(backend)
+    def kernel(self) -> Callable:
+        """The compiled, smoke-tested kernel, probed once per process; else
+        :class:`~repro.errors.KernelUnavailableError` naming the reason."""
+        if self.state is None:
+            with self._probe_lock:
+                if self.state is None:
+                    try:
+                        self.state = (self._probe(), None)
+                    except Exception as error:  # remember why, raise below
+                        self.state = (None, str(error))
+        kernel, error = self.state
         if kernel is None:
-            raise RuntimeError(
-                f"fused backend {backend!r} is unavailable: {error}"
-            )
+            raise KernelUnavailableError(f"the {self.name} kernel is unavailable: {error}")
         return kernel
-
-    def available_backends(self) -> tuple[str, ...]:
-        """The concrete engines that can run this kernel on this host.
-
-        The reference engine leads (it always runs), followed by the
-        available native engines in preference order.
-        """
-        return (self.reference,) + tuple(
-            name for name in NATIVE_BACKENDS if self.available(name)
-        )
-
-    def resolve(self, backend: str | None = None) -> str:
-        """The concrete engine a call will run: argument, else environment.
-
-        ``auto`` (the default) resolves to the compiled-C ``cext`` engine
-        and silently falls back to the family's pure-Python
-        :attr:`reference` when it cannot run on this host.  Explicitly
-        requesting an unavailable engine raises a :class:`ValidationError`
-        naming the reason, so a pipeline that *expects* the fused kernels
-        fails loudly instead of quietly running slower.  ``scipy`` and
-        ``numpy`` both name the reference engine, keeping one
-        ``REPRO_KERNEL_BACKEND`` value valid for every kernel family.
-        """
-        source = "argument"
-        if backend is None:
-            source = "environment variable REPRO_KERNEL_BACKEND"
-        backend = knob("REPRO_KERNEL_BACKEND", backend)
-        if backend == "auto":
-            for candidate in NATIVE_BACKENDS:
-                if self.available(candidate):
-                    return candidate
-            return self.reference
-        if backend not in NATIVE_BACKENDS:
-            return self.reference
-        if not self.available(backend):
-            raise ValidationError(
-                f"kernel backend {backend!r} (from {source}) is unavailable on "
-                f"this host: {self.error(backend)}"
-            )
-        return backend
 
     # -- internals --------------------------------------------------------
 
-    def _state(self, backend: str) -> tuple[Callable | None, str | None]:
-        if backend not in NATIVE_BACKENDS:
-            raise KeyError(f"unknown fused backend {backend!r}")
-        state = self.states.get(backend)
-        if state is not None:
-            return state
-        with self._probe_lock:
-            state = self.states.get(backend)
-            if state is None:
-                try:
-                    state = (self._probe_cext(), None)
-                except Exception as error:  # unavailable, remember why
-                    state = (None, str(error))
-                self.states[backend] = state
-        return state
-
-    def _probe_cext(self) -> Callable:
-        """Compile the C twin into a cached shared library and load it.
+    def _probe(self) -> Callable:
+        """Compile the kernel into a cached shared library, load and check it.
 
         Optional flags are tried first and dropped wholesale if the
         compile fails — a compiler that rejects one still builds the

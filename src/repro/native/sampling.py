@@ -5,11 +5,11 @@ a time: the class edge count is Binomial(class size, class probability),
 and the chosen pairs are uniform without replacement within the class.
 This module is the sampler family of the ``repro.native`` kernels (next
 to the counting pass and the multichain kernel): the whole per-class
-selection loop in compiled code, bit-identical to the numpy reference by
-construction.  The family exports one function, ``repro_sampler_batch``,
-which selects S samples of one (Θ, k) in one call with the interpreter
-lock released throughout (:func:`draw_batch` calls it).  The call's
-scratch length picks its mode:
+selection loop in compiled code, bit-identical to the numpy oracle of
+:mod:`repro.reference.sampling` by construction.  The family exports one
+function, ``repro_sampler_batch``, which selects S samples of one (Θ, k)
+in one call with the interpreter lock released throughout
+(:func:`draw_batch` calls it).  The call's scratch length picks its mode:
 
 * *keys-only mode* (no scratch, exactly one sample) skips the counting
   pass and leaves the sample's pair keys for
@@ -30,8 +30,8 @@ sample's generator makes, in this order:
    class-by-class in the same ascending order, exactly ``count`` values
    per class.
 
-The numpy oracle (``_draw_classes``) makes both draws in Python.  The
-compiled engine draws part 1 in numpy as one vectorised
+The numpy oracle (``_draw_classes``) makes both draws in Python.
+:func:`~repro.kronecker.sampling.sample_skg` draws part 1 in numpy as one vectorised
 ``rng.binomial(sizes, probabilities)`` over the class table (the
 non-skipped classes, built once per (Θ, k)), which makes the same
 binomial calls in the same order.  The kernel always draws part 2
@@ -87,8 +87,8 @@ an exact integer, so the result equals ``matching_statistics`` of the
 sorted graph.
 
 The equivalence matrix (``tests/kronecker/test_sampler_equivalence.py``)
-pins every backend × k × initiator cell to graphs bit-identical to the
-numpy reference, checks the unranking exhaustively for k ≤ 7, and checks
+pins every k × initiator cell to graphs bit-identical to the numpy
+oracle, checks the unranking exhaustively for k ≤ 7, and checks
 counts mode against ``matching_statistics``;
 ``tests/kronecker/test_sampler_batch_equivalence.py`` pins the batch to
 the per-sample oracle.
@@ -582,7 +582,6 @@ _POINTER_ARG = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
 
 SAMPLER_KERNEL = NativeKernel(
     name="sampler",
-    reference="numpy",
     c_source=_C_SOURCE,
     c_symbol="repro_sampler_batch",
     c_restype=ctypes.c_int64,
@@ -612,13 +611,8 @@ SAMPLER_KERNEL = NativeKernel(
 )
 
 
-def resolve_sampler_backend(backend: str | None = None) -> str:
-    """The concrete engine :func:`sample_skg` will select pairs with.
-
-    Same contract as the counting and chain kernels: ``auto`` prefers the
-    compiled engine and silently falls back to the numpy reference; naming
-    an unavailable engine raises.  ``scipy`` is accepted as an alias for
-    the reference so one ``REPRO_KERNEL_BACKEND`` value can force every
-    kernel family onto its reference engine.
-    """
-    return SAMPLER_KERNEL.resolve(backend)
+def resolve_sampler_backend() -> str:
+    """Load the sampler kernel (run records and the benchmark pay its probe
+    up front) and name it: always ``"cext"``."""
+    SAMPLER_KERNEL.kernel()
+    return "cext"

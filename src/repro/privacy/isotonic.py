@@ -10,9 +10,8 @@ computed here with the stack-based pool-adjacent-violators algorithm in
 O(n).  Implemented from scratch (no sklearn dependency); tests check the
 KKT conditions and compare against a brute-force QP on small inputs.
 
-The stack pass runs behind ``REPRO_KERNEL_BACKEND`` like every native
-kernel family: the compiled twin of :mod:`repro.native.isotonic`, or
-:func:`_reference_pava` here, the oracle it is bit-identical to.
+The stack pass runs on the compiled kernel of :mod:`repro.native.isotonic`,
+bit-identical to its Python oracle in :mod:`repro.reference.isotonic`.
 """
 
 from __future__ import annotations
@@ -59,50 +58,15 @@ def isotonic_regression(values: np.ndarray, weights: np.ndarray | None = None) -
     block_mean = np.empty(n, dtype=np.float64)
     block_weight = np.empty(n, dtype=np.float64)
     block_count = np.empty(n, dtype=np.int64)
-    engine = ISOTONIC_KERNEL.resolve()
-    if engine == "numpy":
-        blocks = _reference_pava(values, weights, block_mean, block_weight, block_count)
-    else:
-        blocks = int(
-            ISOTONIC_KERNEL.kernel(engine)(
-                n,
-                np.ascontiguousarray(values),
-                np.ascontiguousarray(weights),
-                block_mean,
-                block_weight,
-                block_count,
-            )
+    blocks = int(
+        ISOTONIC_KERNEL.kernel()(
+            n,
+            np.ascontiguousarray(values),
+            np.ascontiguousarray(weights),
+            block_mean,
+            block_weight,
+            block_count,
         )
+    )
     return np.repeat(block_mean[:blocks], block_count[:blocks])
 
-
-def _reference_pava(
-    values: np.ndarray,
-    weights: np.ndarray,
-    block_mean: np.ndarray,
-    block_weight: np.ndarray,
-    block_count: np.ndarray,
-) -> int:
-    """The numpy oracle of the stack pass: returns the number of blocks.
-
-    Each stack block is (mean, weight, count); adjacent blocks violating
-    monotonicity are merged (weighted average) as values stream in.  The
-    compiled twin runs this loop with the same merge order and the same
-    expression (the merge contract of :mod:`repro.native.isotonic`).
-    """
-    top = -1
-    for i in range(values.size):
-        top += 1
-        block_mean[top] = values[i]
-        block_weight[top] = weights[i]
-        block_count[top] = 1
-        while top > 0 and block_mean[top - 1] >= block_mean[top]:
-            merged_weight = block_weight[top - 1] + block_weight[top]
-            block_mean[top - 1] = (
-                block_weight[top - 1] * block_mean[top - 1]
-                + block_weight[top] * block_mean[top]
-            ) / merged_weight
-            block_weight[top - 1] = merged_weight
-            block_count[top - 1] += block_count[top]
-            top -= 1
-    return top + 1

@@ -67,8 +67,8 @@ def estimator_axis(method: str, config, *, n_starts: int | None = None) -> Estim
     """The configured estimator axis value for ``method``.
 
     Threads the config knobs each method consumes (KronFit's iteration
-    budget, chain backend, multi-start count, and multichain kernel
-    threads) into the spec so they are part of every trial's cache key.
+    budget, multi-start count, and multichain kernel threads) into the
+    spec so they are part of every trial's cache key.
     Multi-start fits advance all their chains in one native call per
     run and chain range, sharded across ``config.kernel_threads`` threads —
     results are bit-identical for any thread count.
@@ -77,7 +77,6 @@ def estimator_axis(method: str, config, *, n_starts: int | None = None) -> Estim
         effective_starts = config.n_starts if n_starts is None else n_starts
         params = dict(
             n_iterations=config.kronfit_iterations,
-            backend=config.kernel_backend,
             n_starts=effective_starts,
         )
         # kernel_threads only matters to multi-start fits; leaving it out

@@ -55,7 +55,6 @@ from repro.graphs.datasets import load_dataset
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
 from repro.native.registry import shard_bounds
-from repro.native.sampling import SAMPLER_KERNEL
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import persistent_executor, shutdown_pool
 from repro.runtime.faults import CRASH_EXIT_CODE
@@ -216,18 +215,15 @@ def _sample_work(
     ``ThreadPoolExecutor.map``, which gives each sampler thread one run
     — for an SKG model, one sampler-kernel call that releases the
     interpreter lock — and yields the runs in order, so the rows are the
-    same for any ``shards`` and ``mapper``.  The sampler engine is
-    resolved once here, before the fan-out.
+    same for any ``shards`` and ``mapper``.
     """
     children = np.random.SeedSequence(entropy).spawn(count)
     runs = [children[begin:end] for begin, end in shard_bounds(count, shards)]
-    work = functools.partial(_sample_rows, model, SAMPLER_KERNEL.resolve())
+    work = functools.partial(_sample_rows, model)
     return [row for rows in mapper(work, runs) for row in rows]
 
 
-def _sample_rows(
-    model: FittedModel, backend: str, seeds: list[np.random.SeedSequence]
-) -> list[dict]:
+def _sample_rows(model: FittedModel, seeds: list[np.random.SeedSequence]) -> list[dict]:
     """The summary rows of one run of :func:`_sample_work`'s seeds."""
     return [
         {
@@ -238,9 +234,7 @@ def _sample_rows(
             "tripins": float(stats.tripins),
             "triangles": float(stats.triangles),
         }
-        for n_nodes, n_edges, stats in sample_statistics_batch(
-            model, seeds, backend=backend
-        )
+        for n_nodes, n_edges, stats in sample_statistics_batch(model, seeds)
     ]
 
 

@@ -16,9 +16,8 @@ blocked kernels in :mod:`repro.stats.kernels` and memoized per graph in a
 :class:`~repro.stats.kernels.StatsContext`, so the whole per-trial
 pipeline (counts, sensitivity, clustering, spectra) runs one A² pass and
 one truncated SVD per graph.  The pass sizes its row blocks against a
-fixed entry budget, which bounds its peak memory; ``REPRO_KERNEL_BACKEND``
-selects the execution engine (``auto`` | ``scipy`` | ``cext`` — bit-identical,
-the fused C kernel just runs faster).
+fixed entry budget, which bounds its peak memory, and runs on the fused
+C kernel (blocked scipy SpGEMM only past int32 indexing, bit-identical).
 """
 
 from repro.stats.kernels import (
@@ -28,7 +27,6 @@ from repro.stats.kernels import (
     kernel_pass_count,
     float64_conversion_count,
     resolve_kernel_backend,
-    available_kernel_backends,
 )
 from repro.stats.counts import (
     count_edges,
@@ -74,7 +72,6 @@ __all__ = [
     "kernel_pass_count",
     "float64_conversion_count",
     "resolve_kernel_backend",
-    "available_kernel_backends",
     "count_edges",
     "count_wedges",
     "count_tripins",

@@ -1,4 +1,4 @@
-"""Counting kernels (blocked scipy + fused backends) and the per-graph cache.
+"""The A² counting pass (fused kernel; scipy past int32) and the per-graph cache.
 
 Every statistic the pipeline derives from the sparse product ``A @ A`` —
 the triangle total Δ, the per-node triangle vector, the off-diagonal
@@ -17,16 +17,13 @@ This module fixes both costs:
   predicted product size reaches a fixed entry budget, so small graphs
   run as one block (no overhead) and large graphs stay within a bounded
   footprint.
-* Two interchangeable **backends** execute the pass, selected by the
-  ``REPRO_KERNEL_BACKEND`` knob (``auto`` | ``scipy`` | ``cext``): the
-  blocked scipy SpGEMM, and a *fused* kernel
-  (:mod:`repro.native.counting`) that walks the CSR rows directly with a
-  dense accumulator and never materializes a product entry, compiled
-  from C through the system compiler.  ``auto`` (the default) prefers the
-  fused kernel and silently falls back to scipy; naming an unavailable
-  backend fails loudly with a :class:`ValidationError`.  All arithmetic
-  is integer-exact, so both backends return **bit-identical** results
-  for every block size (enforced by
+* The fused kernel (:mod:`repro.native.counting`) executes the pass: it
+  walks the CSR rows directly with a dense accumulator and never
+  materializes a product entry.  A graph past int32 CSR indexing, which
+  the kernel cannot address, runs the blocked scipy SpGEMM instead; that
+  is the only choice, and the graph alone makes it.  All arithmetic is
+  integer-exact, so both paths return **bit-identical** results for
+  every block size (enforced by
   ``tests/stats/test_backend_equivalence.py``).
 * :class:`StatsContext` memoizes the pass (plus derived quantities,
   dtype conversions, and truncated-SVD triplets) per
@@ -34,10 +31,10 @@ This module fixes both costs:
   the smooth-sensitivity release, the figure-series clustering, and the
   spectral statistics all share **one** computation of everything.
 
-The pre-blocking implementations are kept below as reference oracles
-(:func:`reference_count_triangles` and friends): the equivalence tests
-assert every backend bit-matches them, and ``benchmarks/bench_stats.py``
-measures the speedups against them.
+The pre-blocking implementations are the oracles of
+:mod:`repro.reference.counting`: the equivalence tests assert both paths
+bit-match them, and ``benchmarks/bench_stats.py`` measures the speedups
+against them.
 """
 
 from __future__ import annotations
@@ -47,11 +44,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.knobs import KERNEL_BACKEND_CHOICES, knob
 from repro.native.counting import COUNTING_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
 from repro.utils.validation import check_integer
 
 if TYPE_CHECKING:
@@ -65,12 +59,7 @@ __all__ = [
     "kernel_pass_count",
     "float64_conversion_count",
     "resolve_kernel_backend",
-    "available_kernel_backends",
     "row_blocks",
-    "reference_count_triangles",
-    "reference_triangles_per_node",
-    "reference_max_common_neighbors",
-    "KERNEL_BACKEND_CHOICES",
 ]
 
 # Auto-tuning budget: target number of stored entries in one row-block of
@@ -129,26 +118,11 @@ class TrianglePassResult(NamedTuple):
     tripins: int
 
 
-def resolve_kernel_backend(backend: str | None = None) -> str:
-    """The concrete backend the pass will run: argument, else environment.
-
-    ``auto`` (the default) resolves to the compiled-C ``cext`` kernel and
-    silently falls back to ``scipy`` when it cannot run on this host.
-    Explicitly requesting an unavailable backend raises a
-    :class:`ValidationError` naming the reason, so a pipeline that
-    *expects* the fused kernel fails loudly instead of quietly running
-    slower.  Both backends return bit-identical statistics; the knob only
-    selects the execution engine.  (The shared resolution contract lives
-    in :mod:`repro.native.registry`; the same ``REPRO_KERNEL_BACKEND``
-    knob also drives the KronFit chain, the SKG sampler, the isotonic
-    and the KronMom kernels.)
-    """
-    return COUNTING_KERNEL.resolve(backend)
-
-
-def available_kernel_backends() -> tuple[str, ...]:
-    """The concrete backends that can run on this host (scipy always can)."""
-    return COUNTING_KERNEL.available_backends()
+def resolve_kernel_backend() -> str:
+    """Load the counting kernel (run records and the benchmark pay its probe
+    up front) and name it: always ``"cext"``."""
+    COUNTING_KERNEL.kernel()
+    return "cext"
 
 
 def row_blocks(graph: Graph, block_size: int = 0) -> list[tuple[int, int]]:
@@ -234,14 +208,11 @@ def _int32_indexable(graph: Graph) -> bool:
     return graph.n_nodes < limit and 2 * graph.n_edges < limit
 
 
-def triangle_pass(
-    graph: Graph,
-    block_size: int = 0,
-    backend: str | None = None,
-) -> TrianglePassResult:
+def triangle_pass(graph: Graph, block_size: int = 0) -> TrianglePassResult:
     """One blocked pass over ``A @ A``, streaming every consumer reduction.
 
-    For each row block ``A[r0:r1]`` the selected backend produces
+    For each row block ``A[r0:r1]`` the fused kernel (or, past int32
+    indexing, the scipy SpGEMM) produces
 
     * per-node triangles for the block's rows (the product restricted to
       edge positions, halved),
@@ -250,18 +221,13 @@ def triangle_pass(
     then drops the block; the wedge and tripin totals are folded in from
     the degree sequence so the result carries every matching statistic.
     The triangle total is ``Σ_v t_v / 3``.  Every accumulating reduction
-    is int64 and the per-entry arithmetic is exact in every backend, so
+    is int64 and the per-entry arithmetic is exact on both paths, so
     results bit-match the unblocked int64 reference implementations for
-    every block size and backend.  ``block_size`` is the rows per block
-    (``0`` = auto, see :func:`row_blocks`).
+    every block size.  ``block_size`` is the rows per block (``0`` =
+    auto, see :func:`row_blocks`).
     """
     n = graph.n_nodes
-    # Validate every argument before the edgeless early return, so a
-    # misconfigured pipeline (bad backend name, unavailable C kernel, bad
-    # block size) fails loudly even when its first graph is empty.
     block_size = check_integer(block_size, "block_size", minimum=0)
-    requested = knob("REPRO_KERNEL_BACKEND", backend)
-    backend = resolve_kernel_backend(backend)
     wedges, tripins = _degree_moments(graph.degrees)
     per_node = np.zeros(n, dtype=np.int64)
     if graph.n_edges == 0:
@@ -271,18 +237,11 @@ def triangle_pass(
     global _pass_count
     _pass_count += 1
 
-    if backend != "scipy" and not _int32_indexable(graph):
-        # Beyond int32 indexing only scipy's int64 path fits.  `auto`
-        # degrades silently; an explicitly named fused backend keeps the
-        # fail-loudly contract instead of quietly running scipy.
-        if requested in NATIVE_BACKENDS:
-            raise ValidationError(
-                f"kernel backend {requested!r} cannot address this graph: its "
-                f"CSR structure exceeds int32 indexing; use the scipy backend"
-            )
-        backend = "scipy"
     blocks = row_blocks(graph, block_size)
-    max_common = _run_blocks(graph, backend, blocks, per_node)
+    if _int32_indexable(graph):
+        max_common = _run_blocks(graph, blocks, per_node)
+    else:  # beyond int32 indexing only scipy's int64 path fits
+        max_common = _run_blocks_scipy(graph, blocks, per_node)
     per_node.setflags(write=False)
     return TrianglePassResult(
         int(per_node.sum()) // 3, per_node, max_common, len(blocks), wedges, tripins
@@ -298,16 +257,13 @@ def _degree_moments(degrees: np.ndarray) -> tuple[int, int]:
 
 def _run_blocks(
     graph: Graph,
-    backend: str,
     blocks: list[tuple[int, int]],
     per_node: np.ndarray,
 ) -> int:
-    """Execute ``blocks`` with ``backend``, writing per-node triangles into
-    ``per_node``; returns the off-diagonal maximum over the blocks.
+    """Execute ``blocks`` on the fused kernel, writing per-node triangles
+    into ``per_node``; returns the off-diagonal maximum over the blocks.
     """
-    if backend == "scipy":
-        return _run_blocks_scipy(graph, blocks, per_node)
-    kernel = COUNTING_KERNEL.kernel(backend)
+    kernel = COUNTING_KERNEL.kernel()
     indptr, indices = _fused_csr_arrays(graph)
     n = graph.n_nodes
     workspace = np.zeros(n, dtype=np.int64)
@@ -501,45 +457,3 @@ def stats_context(graph: Graph) -> StatsContext:
         context = StatsContext(graph)
         graph._stats = context
     return context
-
-
-# ---------------------------------------------------------------------------
-# Reference oracles: the pre-blocking implementations, one full A @ A
-# product each.  Kept verbatim so the equivalence tests can assert the
-# blocked kernels bit-match them and the bench can measure the speedup.
-# ---------------------------------------------------------------------------
-
-
-def reference_count_triangles(graph: Graph) -> int:
-    """Pre-blocking Δ: ``((A @ A) ∘ A).sum() = 6Δ`` on the full product."""
-    if graph.n_edges == 0:
-        return 0
-    adjacency = graph.adjacency.astype(np.int64)
-    paths2 = adjacency @ adjacency
-    on_edges = paths2.multiply(adjacency)
-    return int(on_edges.sum() // 6)
-
-
-def reference_triangles_per_node(graph: Graph) -> np.ndarray:
-    """Pre-blocking per-node triangle vector, full product."""
-    if graph.n_edges == 0:
-        return np.zeros(graph.n_nodes, dtype=np.int64)
-    adjacency = graph.adjacency.astype(np.int64)
-    paths2 = adjacency @ adjacency
-    on_edges = paths2.multiply(adjacency)
-    per_node = np.asarray(on_edges.sum(axis=1)).ravel() // 2
-    return per_node.astype(np.int64)
-
-
-def reference_max_common_neighbors(graph: Graph) -> int:
-    """Pre-blocking LS_Δ: off-diagonal max of the full product."""
-    if graph.n_nodes < 2:
-        return 0
-    if graph.n_edges == 0:
-        return 0
-    adjacency = graph.adjacency.astype(np.int64).tocsr()
-    paths2 = (adjacency @ adjacency).tocoo()
-    off_diagonal = paths2.row != paths2.col
-    if not np.any(off_diagonal):
-        return 0
-    return int(paths2.data[off_diagonal].max())

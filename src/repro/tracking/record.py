@@ -17,7 +17,8 @@ tracking tests pin).  :func:`build_run_record` converts live
 * wall-clock and executed/cached attribution from
   :attr:`~repro.runtime.spec.TrialRunReport.cached_indices`,
 * an environment fingerprint: python/numpy/scipy versions, the resolved
-  counting, chain and sampler kernel backends, the trial-engine knobs,
+  counting, chain and sampler kernels (always ``cext``, loaded to record
+  them), the trial-engine knobs,
   and the CPU count.
 
 Everything sits under a ``schema_version`` so loaders can refuse records

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.evaluation.experiments import (
@@ -74,20 +76,6 @@ class TestConfig:
         monkeypatch.setenv("REPRO_DELTA", "1e-5")
         assert default_config().delta == 1e-5
 
-    def test_kernel_backend_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert ExperimentConfig().kernel_backend == "auto"
-        assert default_config().kernel_backend == "auto"
-
-    def test_kernel_backend_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scipy")
-        assert default_config().kernel_backend == "scipy"
-
-    def test_kernel_backend_empty_env_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "")
-        assert default_config().kernel_backend == "auto"
-
-    def test_kernel_backend_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "fortran")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            default_config()
+    def test_kernel_backend_field_is_gone(self):
+        """Every stage has one engine, so there is no backend to record."""
+        assert "kernel_backend" not in {entry.name for entry in fields(ExperimentConfig)}

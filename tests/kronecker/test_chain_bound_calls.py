@@ -9,8 +9,8 @@ the histogram.  This module pins what that must not change:
 * a wrong-dtype or non-contiguous buffer is refused before any kernel
   call;
 * a proposal whose events all cancel has delta +0.0, is accepted, leaves
-  the histogram as it was and counts no score-table touch, on every
-  engine;
+  the histogram as it was and counts no score-table touch, on the kernel
+  and its numpy oracle;
 * a sampler whose draw buffers grow between runs (so its bound call is
   rebuilt) runs exactly as fresh samplers do, and a run's snapshots are
   never overwritten by the next run.
@@ -28,29 +28,13 @@ import pytest
 from repro.errors import ValidationError
 from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.likelihood import MultiChainSampler, PermutationSampler
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
 from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import NATIVE_BACKENDS, buffer_addresses
+from repro.native.registry import buffer_addresses
+from repro.reference.chain import ReferenceMultiChainSampler
 
-
-def _backend_params() -> list:
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if MULTICHAIN_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
-BACKENDS = _backend_params()
-CEXT_KERNEL = pytest.mark.skipif(
-    not MULTICHAIN_KERNEL.available("cext"),
-    reason=f"cext backend unavailable: {MULTICHAIN_KERNEL.error('cext')}",
-)
+from chain_engines import BACKENDS, cancelling_rng, multichain, solo
 
 
 class TestBufferChecks:
@@ -74,7 +58,6 @@ class TestBufferChecks:
         with pytest.raises(TypeError, match="C-contiguous int64"):
             buffer_addresses(np.int64, np.zeros(2, dtype=np.int64), bad)
 
-    @CEXT_KERNEL
     @pytest.mark.parametrize(
         "slot, bad",
         [
@@ -87,7 +70,7 @@ class TestBufferChecks:
     )
     def test_draw_refuses_a_wrong_buffer_before_calling_the_kernel(self, slot, bad):
         calls = []
-        kernel = MULTICHAIN_KERNEL.kernel("cext")
+        kernel = MULTICHAIN_KERNEL.kernel()
 
         def spy(*args):
             calls.append(args)
@@ -104,11 +87,10 @@ class TestBufferChecks:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(TypeError, match="C-contiguous"):
-            native_chain.draw_proposal_streams(spy, [rng], 5, ends, i_all, j_all, u_all)
+            native_chain.bind_proposal_draw(spy, [rng], 5, ends, i_all, j_all, u_all)()
         assert calls == []
         assert rng.bit_generator.state == state
 
-    @CEXT_KERNEL
     @pytest.mark.parametrize(
         "n_generators, length, ends",
         [(2, 8, [8]), (1, 8, [4, 9])],
@@ -116,36 +98,19 @@ class TestBufferChecks:
     )
     def test_draw_refuses_streams_that_do_not_fit(self, n_generators, length, ends):
         calls = []
-        kernel = MULTICHAIN_KERNEL.kernel("cext")
+        kernel = MULTICHAIN_KERNEL.kernel()
         streams = [
             np.empty((1, length), dtype=dtype) for dtype in (np.int64, np.int64, np.float64)
         ]
         with pytest.raises(ValidationError, match="do not fit"):
-            native_chain.draw_proposal_streams(
+            native_chain.bind_proposal_draw(
                 lambda *args: calls.append(args) or kernel(*args),
                 [np.random.default_rng(s) for s in range(n_generators)],
                 5,
                 np.array(ends, dtype=np.int64),
                 *streams,
-            )
+            )()
         assert calls == []
-
-
-class _ScriptedProposal:
-    """Proposes ``(0, 1)`` with threshold 0.5, however many are asked for.
-
-    Not a ``Generator``, so every engine takes the numpy draw path and
-    then runs the proposal on its own engine.
-    """
-
-    def __init__(self):
-        self._next = [0, 1]
-
-    def integers(self, low, high, size, dtype):
-        return np.full(size, self._next.pop(0), dtype=dtype)
-
-    def random(self, size):
-        return np.full(size, 0.5)
 
 
 class TestCancellingProposal:
@@ -156,16 +121,15 @@ class TestCancellingProposal:
         so both touched cells end with count 0."""
         graph = Graph(4, [(0, 2), (1, 2)])
         sigma = np.arange(4, dtype=np.int64)
-        sampler = PermutationSampler(
-            graph, 2, Initiator(0.9, 0.5, 0.2), sigma=sigma, backend=backend
-        )
-        ensemble = sampler._ensemble
-        counts, touched = ensemble._count_delta(sampler.sigma, 0, 1)
+        theta = Initiator(0.9, 0.5, 0.2)
+        oracle = ReferenceMultiChainSampler(graph, 2, [theta], sigmas=[sigma])
+        counts, touched = oracle._count_delta(oracle._sigma[0], 0, 1)
         assert touched.size == 2 and not counts.any()  # cells touched, all cancel
-        delta = sampler._swap_delta(0, 1)
+        delta = oracle.swap_delta(0, 0, 1)
         assert delta == 0.0 and math.copysign(1.0, delta) == 1.0
+        sampler = solo(backend, graph, 2, theta, sigma=sigma)
         hist = sampler.histogram()
-        sampler.run(1, _ScriptedProposal())
+        sampler.run(1, cancelling_rng(4))
         assert sampler.accepted == 1
         assert sampler.sigma.tolist() == [1, 0, 2, 3]
         np.testing.assert_array_equal(sampler.histogram(), hist)
@@ -186,14 +150,12 @@ class TestRebindAfterGrowth:
         σ, Θ and generator state, and the last two share one layout."""
         graph, k = _graph()
         thetas = [Initiator(0.9, 0.5, 0.2), Initiator(0.6, 0.6, 0.6)]
-        sampler = MultiChainSampler(graph, k, thetas, backend=backend)
+        sampler = multichain(backend, graph, k, thetas)
         rngs = [np.random.default_rng(31), np.random.default_rng(32)]
         results = []
         layouts = ((10, 2, 3), (5_000, 4, 100), (10, 2, 3), (10, 2, 3))
         for n_steps, n_samples, spacing in layouts:
-            fresh = MultiChainSampler(
-                graph, k, thetas, sigmas=sampler._sigma.copy(), backend=backend
-            )
+            fresh = multichain(backend, graph, k, thetas, sigmas=sampler._sigma.copy())
             fresh_rngs = copy.deepcopy(rngs)
             accepted = list(sampler.accepted)
             touches = sampler._stats.copy()

@@ -12,8 +12,8 @@ This module locks both halves of that claim:
 
 * **Golden trajectories** — σ checkpoints, profile histograms, and
   acceptance counts captured from the PR 4 full-scan kernels, pinned as
-  sha256 digests for every (family, θ) cell and asserted on every
-  backend, for a solo chain and for the first and last chain of a
+  sha256 digests for every (family, θ) cell and asserted on the kernel
+  and its numpy oracle, for a solo chain and the first and last chain of a
   three-chain ensemble.  The families are built by sampler-independent
   constructors (``sample_skg_naive`` and deterministic generators), so
   these goldens stay valid under future ``sample_skg`` changes.
@@ -35,24 +35,11 @@ from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.likelihood import MultiChainSampler, PermutationSampler
-from repro.kronecker.sampling import sample_skg_naive
-from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
+from repro.reference.sampling import sample_skg_naive
+
+from chain_engines import BACKENDS, multichain, solo
 
 
-def _backend_params() -> list:
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if MULTICHAIN_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
-BACKENDS = _backend_params()
 PLACES = (None, 0, 2)  # solo sampler; first and last chain of three
 
 # Built without sample_skg on purpose: the goldens below must never move
@@ -195,14 +182,12 @@ def run_chain(family: str, theta_name: str, backend: str, place=None):
     seeds, which must not move a bit of it."""
     graph, k = family_graph(family)
     if place is None:
-        sampler = PermutationSampler(graph, k, THETAS[theta_name], backend=backend)
+        sampler = solo(backend, graph, k, THETAS[theta_name])
         runner, rngs = sampler, np.random.default_rng(SEED)
     else:
         others = [name for name in sorted(THETAS) if name != theta_name]
         names = others[:place] + [theta_name] + others[place:]
-        runner = MultiChainSampler(
-            graph, k, [THETAS[name] for name in names], backend=backend
-        )
+        runner = multichain(backend, graph, k, [THETAS[name] for name in names])
         rngs = [np.random.default_rng(SEED + s - place) for s in range(len(names))]
         sampler = runner.chain(place)
     trace = []
@@ -259,7 +244,7 @@ class TestScoreTouches:
 
     def test_touches_accumulate_across_runs(self):
         graph, k = family_graph("skg-naive-k5")
-        sampler = PermutationSampler(graph, k, THETAS["paper"], backend="numpy")
+        sampler = solo("numpy", graph, k, THETAS["paper"])
         rng = np.random.default_rng(1)
         sampler.run(40, rng)
         first = sampler.score_touches

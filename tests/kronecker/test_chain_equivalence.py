@@ -1,12 +1,12 @@
-"""Cross-backend equivalence harness for the Metropolis chain kernels.
+"""Equivalence harness for the Metropolis chain kernel and its oracle.
 
 KronFit's gradient estimates ride on the permutation chain of
-:class:`repro.kronecker.likelihood.PermutationSampler`, so every
-execution engine — the numpy reference and the compiled-C multichain
-kernel of :mod:`repro.native.chain`, run at S=1 — must
-produce **bit-identical** σ trajectories, profile histograms, and
-acceptance counts for every backend × graph family × θ cell × split of
-the run into ``run`` calls.  This module is that
+:class:`repro.kronecker.likelihood.PermutationSampler`, so the
+compiled-C multichain kernel of :mod:`repro.native.chain`, run at S=1,
+must produce **bit-identical** σ trajectories, profile histograms, and
+acceptance counts to its numpy oracle
+(:class:`repro.reference.chain.ReferenceMultiChainSampler`) for every
+graph family × θ cell × split of the run into ``run`` calls.  This module is that
 matrix (PR 3's counting-equivalence pattern, now for chains), plus the
 contracts around it:
 
@@ -15,12 +15,7 @@ contracts around it:
   proposals and stream consumption is engine-independent;
 * the histogram contract — the incrementally maintained histogram always
   bit-matches an ``edge_profiles`` recompute;
-* backend selection — the solo sampler shares the multichain knob
-  (``test_multichain_equivalence.py`` covers the resolution rules);
 * KronFit end-to-end — whole fits are bit-identical across engines.
-
-Backends unavailable on the host (e.g. no C compiler) appear as
-explicit skips, which CI treats as failures, so the full matrix runs.
 """
 
 from __future__ import annotations
@@ -35,31 +30,14 @@ from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.kronfit import KronFitEstimator
-from repro.kronecker.likelihood import (
-    PermutationSampler,
-    edge_profiles,
-    profile_histogram,
-)
+from repro.kronecker.likelihood import edge_profiles, profile_histogram
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
 from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
+
+from chain_engines import BACKENDS, kronfit, solo
 
 
-def _backend_params() -> list:
-    """One param per chain engine; unavailable ones become visible skips."""
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if MULTICHAIN_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
-BACKENDS = _backend_params()
 CALL_LENGTHS = (None, 1, 17)  # one run() per checkpoint, one proposal per run(), ragged
 
 # Graph families of the matrix: every PermutationSampler graph must have
@@ -106,7 +84,7 @@ def run_in_calls(sampler, n_steps: int, rngs, call_length) -> None:
 def run_chain(family: str, theta_name: str, backend: str, call_length=None):
     """Run the two-checkpoint chain of one matrix cell; return its trace."""
     graph, k = family_graph(family)
-    sampler = PermutationSampler(graph, k, THETAS[theta_name], backend=backend)
+    sampler = solo(backend, graph, k, THETAS[theta_name])
     rng = np.random.default_rng(SEED)
     trace = []
     for n_steps in RUN_LENGTHS:
@@ -164,8 +142,8 @@ class TestChainMatrix:
     def test_theta_update_preserves_equivalence(self, backend):
         """Chains stay identical across set_theta (the KronFit inner loop)."""
         graph, k = family_graph("skg-k5")
-        sampler = PermutationSampler(graph, k, THETAS["skewed"], backend=backend)
-        reference = PermutationSampler(graph, k, THETAS["skewed"], backend="numpy")
+        sampler = solo(backend, graph, k, THETAS["skewed"])
+        reference = solo("numpy", graph, k, THETAS["skewed"])
         rng = np.random.default_rng(5)
         reference_rng = np.random.default_rng(5)
         for theta in (THETAS["paper"], THETAS["flat"]):
@@ -213,40 +191,6 @@ class TestDrawContract:
         assert off_diagonal.min() > 0.8 * off_diagonal.mean()
 
 
-class TestChainBackendSelection:
-    """The solo sampler's side of the shared knob; the resolution rules
-    themselves are pinned by ``TestMultiChainBackendSelection``."""
-
-    def test_environment_knob(self, monkeypatch):
-        assert (
-            native_chain.resolve_chain_backend
-            is native_chain.resolve_multichain_backend
-        )
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scipy")
-        assert native_chain.resolve_chain_backend() == "numpy"
-
-    def test_invalid_name_rejected(self):
-        for name in ("fortran", "numba"):
-            with pytest.raises(ValidationError, match="kernel backend"):
-                native_chain.resolve_chain_backend(name)
-
-    def test_unavailable_cext_fails_loudly(self, monkeypatch):
-        monkeypatch.setitem(
-            MULTICHAIN_KERNEL.states, "cext", (None, "no C compiler found")
-        )
-        graph, k = family_graph("skg-k5")
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            PermutationSampler(graph, k, THETAS["paper"], backend="cext")
-
-    def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
-        for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(MULTICHAIN_KERNEL.states, name, (None, f"{name} disabled"))
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        graph, k = family_graph("near-empty-k3")
-        sampler = PermutationSampler(graph, k, THETAS["paper"])
-        assert sampler.backend == "numpy"
-
-
 class TestKronFitAcrossBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fit_bit_identical(self, backend):
@@ -260,18 +204,14 @@ class TestKronFitAcrossBackends:
             sample_spacing=25,
             seed=3,
         )
-        reference = KronFitEstimator(backend="numpy", **config).fit(graph)
-        result = KronFitEstimator(backend=backend, **config).fit(graph)
+        reference = kronfit("numpy", **config).fit(graph)
+        result = kronfit(backend, **config).fit(graph)
         assert result.initiator == reference.initiator
         assert result.log_likelihoods == reference.log_likelihoods
         assert result.acceptance_rate == reference.acceptance_rate
         assert result.trajectory == reference.trajectory
 
 
-CEXT_KERNEL = pytest.mark.skipif(
-    not MULTICHAIN_KERNEL.available("cext"),
-    reason=f"cext backend unavailable: {MULTICHAIN_KERNEL.error('cext')}",
-)
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 
@@ -282,9 +222,8 @@ def _streams(n_chains: int, length: int) -> tuple[np.ndarray, ...]:
     )
 
 
-@CEXT_KERNEL
 class TestNativeDrawContract:
-    """The cext engine's draw (through each generator's ``bitgen_t``,
+    """The kernel's draw (through each generator's ``bitgen_t``,
     then one bulk ``log``) is ``draw_proposal_batch`` array for array,
     and leaves every generator where the numpy draw leaves it."""
 
@@ -295,13 +234,13 @@ class TestNativeDrawContract:
         rng = np.random.Generator(bit_generator(17))
         twin = np.random.Generator(bit_generator(17))
         streams = _streams(1, size)
-        native_chain.draw_proposal_streams(
-            MULTICHAIN_KERNEL.kernel("cext"),
+        native_chain.bind_proposal_draw(
+            MULTICHAIN_KERNEL.kernel(),
             [rng],
             n_nodes,
             np.array([size], dtype=np.int64),
             *streams,
-        )
+        )()
         for got, want in zip(streams, native_chain.draw_proposal_batch(twin, n_nodes, size)):
             np.testing.assert_array_equal(got[0], want)
         np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
@@ -317,9 +256,9 @@ class TestNativeDrawContract:
         twin = np.random.Generator(bit_generator(3))
         twins = [twin, np.random.Generator(bit_generator(4)), twin]
         streams = _streams(3, int(ends[-1]))
-        native_chain.draw_proposal_streams(
-            MULTICHAIN_KERNEL.kernel("cext"), rngs, 5, ends, *streams
-        )
+        native_chain.bind_proposal_draw(
+            MULTICHAIN_KERNEL.kernel(), rngs, 5, ends, *streams
+        )()
         begin = 0
         for end in ends.tolist():
             for s, rng in enumerate(twins):
@@ -331,22 +270,22 @@ class TestNativeDrawContract:
             np.testing.assert_equal(rng.bit_generator.state, twin_rng.bit_generator.state)
 
     def test_node_counts_outside_the_32_bit_draw_rejected(self):
-        kernel = MULTICHAIN_KERNEL.kernel("cext")
+        kernel = MULTICHAIN_KERNEL.kernel()
         ends = np.array([4], dtype=np.int64)
         with pytest.raises(ValidationError):
-            native_chain.draw_proposal_streams(
+            native_chain.bind_proposal_draw(
                 kernel, [np.random.default_rng(0)], 1, ends, *_streams(1, 4)
-            )
+            )()
         with pytest.raises(RuntimeError, match="status -1"):
-            native_chain.draw_proposal_streams(
+            native_chain.bind_proposal_draw(
                 kernel, [np.random.default_rng(0)], 2**32, ends, *_streams(1, 4)
-            )
+            )()
 
     def test_smoke_test_catches_a_misdirected_draw(self):
         """A kernel that draws through the wrong ``bitgen_t`` fails the
-        probe's smoke test, which turns the backend off instead of
+        probe's smoke test, which makes the kernel unavailable instead of
         letting it corrupt chains."""
-        kernel = MULTICHAIN_KERNEL.kernel("cext")
+        kernel = MULTICHAIN_KERNEL.kernel()
         stranger = native_chain.bitgen_pointers([np.random.default_rng(99)])
 
         def misdirected(*args):

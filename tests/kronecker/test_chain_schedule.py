@@ -27,29 +27,13 @@ import pytest
 from repro.errors import ValidationError
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
-from repro.kronecker.likelihood import (
-    _PARAM_CEIL,
-    MultiChainSampler,
-    _clamp,
-    _LogTables,
-)
+from repro.kronecker.likelihood import _PARAM_CEIL, _clamp, _LogTables
 from repro.kronecker.sampling import sample_skg
 from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
+
+from chain_engines import BACKENDS, multichain
 
 
-def _backend_params() -> list:
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if MULTICHAIN_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
-BACKENDS = _backend_params()
 THETAS = (
     Initiator(0.9, 0.5, 0.2),
     Initiator(0.99, 0.45, 0.25),
@@ -68,7 +52,7 @@ def _graph():
 def _sampler(backend, n_chains, threads=1):
     graph, k = _graph()
     thetas = [THETAS[s % 3] for s in range(n_chains)]
-    return MultiChainSampler(graph, k, thetas, backend=backend, threads=threads)
+    return multichain(backend, graph, k, thetas, threads=threads)
 
 
 def _state(sampler, rngs):
@@ -264,23 +248,19 @@ class TestStackedTables:
             sampler.set_thetas(THETAS[:2])
 
 
-@pytest.mark.skipif(
-    not MULTICHAIN_KERNEL.available("cext"),
-    reason=f"cext backend unavailable: {MULTICHAIN_KERNEL.error('cext')}",
-)
 def test_kronfit_iteration_is_two_native_calls(monkeypatch):
-    kernel = MULTICHAIN_KERNEL.kernel("cext")
+    kernel = MULTICHAIN_KERNEL.kernel()
     modes = []
 
     def counted(*args):
         modes.append(args[0])
         return kernel(*args)
 
-    monkeypatch.setitem(MULTICHAIN_KERNEL.states, "cext", (counted, None))
+    monkeypatch.setattr(MULTICHAIN_KERNEL, "state", (counted, None))
     graph, _ = _graph()
     KronFitEstimator(
         n_iterations=3, warmup_swaps=50, sample_spacing=10, n_starts=2, seed=1,
-        backend="cext", kernel_threads=1,
+        kernel_threads=1,
     ).fit(graph)
     assert len(modes) == 6
     assert modes[0::2] != modes[1::2]

@@ -33,10 +33,6 @@ from repro.native import chain as native_chain
 from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import shard_bounds
 
-pytestmark = pytest.mark.skipif(
-    not MULTICHAIN_KERNEL.available("cext"),
-    reason=f"cext backend unavailable: {MULTICHAIN_KERNEL.error('cext')}",
-)
 
 THETAS = (
     Initiator(0.9, 0.5, 0.2),
@@ -53,7 +49,7 @@ def _graph():
 def _sampler(n_chains: int, threads: int) -> MultiChainSampler:
     graph, k = _graph()
     thetas = [THETAS[s % 3] for s in range(n_chains)]
-    return MultiChainSampler(graph, k, thetas, backend="cext", threads=threads)
+    return MultiChainSampler(graph, k, thetas, threads=threads)
 
 
 def _rngs(n_chains: int) -> list[np.random.Generator]:
@@ -66,7 +62,7 @@ def run_calls(monkeypatch):
     recorded once each call returns.  ``slow[(c_begin, c_end)]`` delays
     that range's calls by the given seconds; ``fail`` holds the ranges
     whose calls raise."""
-    kernel = MULTICHAIN_KERNEL.kernel("cext")
+    kernel = MULTICHAIN_KERNEL.kernel()
     calls: list[tuple[int, int, int]] = []
     slow: dict[tuple[int, int], float] = {}
     fail: set[tuple[int, int]] = set()
@@ -82,7 +78,7 @@ def run_calls(monkeypatch):
         calls.append((*bounds, threading.get_ident()))
         return result
 
-    monkeypatch.setitem(MULTICHAIN_KERNEL.states, "cext", (recorded, None))
+    monkeypatch.setattr(MULTICHAIN_KERNEL, "state", (recorded, None))
     recorded.calls, recorded.slow, recorded.fail = calls, slow, fail
     return recorded
 

@@ -28,23 +28,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs import Graph
 from repro.graphs.datasets import dataset_info, load_dataset
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
-from repro.kronecker.likelihood import (
-    _LogTables,
-    ascent_step,
-    clamped_rows,
-    profile_log_likelihoods,
-)
+from repro.kronecker.likelihood import _LogTables, clamped_rows
 from repro.native import chain as native_chain
 from repro.native.chain import MULTICHAIN_KERNEL
 from repro.native.registry import buffer_addresses, compile_shared_library
+from repro.reference.chain import ascent_step, profile_log_likelihoods
 
-CEXT_KERNEL = pytest.mark.skipif(
-    not MULTICHAIN_KERNEL.available("cext"),
-    reason=f"cext backend unavailable: {MULTICHAIN_KERNEL.error('cext')}",
-)
+from chain_engines import kronfit, multichain
 
 
 def _without_comments(source: str) -> str:
@@ -79,7 +73,6 @@ def _pairwise_sum():
     return function
 
 
-@CEXT_KERNEL
 class TestPairwiseSum:
     @given(
         n=st.integers(0, 4096) | st.sampled_from([7, 8, 128, 129, 4096]),
@@ -119,7 +112,7 @@ def _kernel_step(thetas, k, snapshots, step_scale, p=None):
     counters = [np.zeros(n_chains, dtype=np.int64) for _ in range(2)]
     hist = np.zeros((n_chains, n_cells), dtype=np.int64)
     no_proposals = np.zeros(n_samples, dtype=np.int64)
-    MULTICHAIN_KERNEL.kernel("cext")(
+    MULTICHAIN_KERNEL.kernel()(
         native_chain._STEP, None, None, n_chains, 1, *buffer_addresses(np.int64, sigma), k,
         *buffer_addresses(np.float64, score),
         *buffer_addresses(np.int64, hist, counters[0]), None, None, None, 0,
@@ -154,7 +147,6 @@ def _assert_same(got, want):
         assert got_array.tobytes() == want_array.tobytes(), (got_array, want_array)
 
 
-@CEXT_KERNEL
 class TestStepMatchesOracle:
     @given(
         k=st.integers(0, 20),
@@ -195,7 +187,6 @@ class TestStepMatchesOracle:
         assert not np.array_equal(got[1][1], [0.7, 0.4, 0.3])
 
 
-@CEXT_KERNEL
 def test_whole_fit_at_k13_equals_numpy():
     """ca-grqc pads to k = 13: 196 cells, past the pairwise sum's split."""
     graph = load_dataset("ca-grqc", seed=dataset_info("ca-grqc").default_seed)
@@ -203,8 +194,24 @@ def test_whole_fit_at_k13_equals_numpy():
         n_iterations=3, warmup_swaps=200, n_permutation_samples=3, sample_spacing=40,
         seed=5, kernel_threads=1,
     )
-    want = KronFitEstimator(**config, backend="numpy").fit(graph)
-    got = KronFitEstimator(**config, backend="cext").fit(graph)
+    want = kronfit("numpy", **config).fit(graph)
+    got = KronFitEstimator(**config).fit(graph)
     assert got.k == 13
     assert got == want
     assert np.array(got.log_likelihoods).tobytes() == np.array(want.log_likelihoods).tobytes()
+
+
+def test_a_step_without_proposals_scores_the_current_histograms():
+    """On one node no pair can be proposed: the run makes no proposal and
+    the kernel's step scores the current histograms, as the oracle's
+    numpy step does."""
+    thetas = [Initiator(0.9, 0.5, 0.2), Initiator(0.6, 0.001, 0.3)]
+    results = []
+    for backend in ("numpy", "cext"):
+        sampler = multichain(backend, Graph(1), 0, thetas)
+        rngs = [np.random.default_rng(1)] * 2
+        results.append(sampler.run(6, rngs, n_samples=3, sample_spacing=2, step_scale=0.05))
+        assert sampler.proposed == 0 and sampler.accepted == [0, 0]
+    (want_values, want_rows), (got_values, got_rows) = results
+    assert got_values.tobytes() == want_values.tobytes()
+    assert got_rows.tobytes() == want_rows.tobytes()

@@ -12,8 +12,8 @@ from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.sampling import sample_skg
-from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
+
+from chain_engines import BACKENDS, kronfit
 
 
 class TestKronFit:
@@ -86,16 +86,6 @@ class TestKronFitEdgeCases:
             assert 0.0 < a < 1.0
             assert 0.0 < b < 1.0
             assert 0.0 < c < 1.0
-
-    def test_unavailable_backend_fails_loudly(self, monkeypatch):
-        from repro.errors import ValidationError
-
-        monkeypatch.setitem(
-            MULTICHAIN_KERNEL.states, "cext", (None, "no C compiler found")
-        )
-        graph = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            KronFitEstimator(n_iterations=1, backend="cext").fit(graph)
 
 
 class TestAcceptanceRateOnTinyGraphs:
@@ -213,17 +203,6 @@ def _fit_digest(result) -> str:
     return hashlib.sha256(repr(observed).encode()).hexdigest()[:16]
 
 
-def _native_backend_params() -> list:
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if MULTICHAIN_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
 class TestFitGoldens:
     """Fit-level goldens: whole KronFitResults pinned as digests.
 
@@ -248,27 +227,21 @@ class TestFitGoldens:
     def graph(self):
         return sample_skg(Initiator(0.9, 0.5, 0.2), 6, seed=4)
 
-    @pytest.mark.parametrize("backend", _native_backend_params())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_start_int_seed(self, graph, backend):
-        result = KronFitEstimator(
-            **self.CONFIG, seed=11, backend=backend
-        ).fit(graph)
+        result = kronfit(backend, **self.CONFIG, seed=11).fit(graph)
         assert _fit_digest(result) == self.GOLDENS["single-int-seed"]
 
-    @pytest.mark.parametrize("backend", _native_backend_params())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_start_generator_seed(self, graph, backend):
         rng = np.random.default_rng(77)
-        result = KronFitEstimator(
-            **self.CONFIG, seed=rng, backend=backend
-        ).fit(graph)
+        result = kronfit(backend, **self.CONFIG, seed=rng).fit(graph)
         assert _fit_digest(result) == self.GOLDENS["single-generator-seed"]
         assert int(rng.integers(0, 2**63 - 1)) == self.GENERATOR_NEXT_DRAW
 
-    @pytest.mark.parametrize("backend", _native_backend_params())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_three_starts(self, graph, backend):
-        result = KronFitEstimator(
-            **self.CONFIG, seed=11, n_starts=3, backend=backend
-        ).fit(graph)
+        result = kronfit(backend, **self.CONFIG, seed=11, n_starts=3).fit(graph)
         assert _fit_digest(result) == self.GOLDENS["three-starts"]
 
 

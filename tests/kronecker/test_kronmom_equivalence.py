@@ -1,17 +1,15 @@
-"""Cross-backend equivalence of KronMom's Nelder–Mead refinement.
+"""Equivalence of KronMom's Nelder–Mead refinement kernel and its oracle.
 
 :meth:`KronMomEstimator._refine_stage` runs its restarts on the compiled
-twin of :mod:`repro.native.kronmom` or on the float oracle
-(``kronmom._nelder_mead`` over the float objective), selected by
-``REPRO_KERNEL_BACKEND``.  Both evaluate the same expressions in the same
-order on the same cubes, so ``fit_statistics`` must return the same
+kernel of :mod:`repro.native.kronmom`; its oracle,
+:class:`repro.reference.kronmom.ReferenceKronMomEstimator`, runs every
+restart on ``kronmom._nelder_mead`` over the float objective.  Both
+evaluate the same expressions in the same order on the same cubes, so ``fit_statistics`` must return the same
 initiator, objective and restart count — over every distance ×
 normalisation, feature subsets, k = 1..64, grid and restart variants,
 noisy, floored and negative observations, and restarts whose vertex
-values tie (which the kernel hands back to the oracle).
-
-Backends unavailable on the host (e.g. no C compiler) appear as explicit
-skips, which CI treats as failures.
+values tie (which the kernel hands back to the oracle).  The engines
+are named ``numpy`` (the oracle) and ``cext`` (the kernel).
 """
 
 from __future__ import annotations
@@ -39,27 +37,25 @@ from repro.kronecker.kronmom import (
 from repro.kronecker.moments import expected_statistics
 from repro.native import kronmom as native_kronmom
 from repro.native.kronmom import KRONMOM_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
+from repro.reference.kronmom import ReferenceKronMomEstimator
 from repro.stats.counts import MatchingStatistics
 
-
-def _native_params() -> list:
-    params = []
-    for name in NATIVE_BACKENDS:
-        if KRONMOM_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {KRONMOM_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
+NATIVE = ("cext",)
 
 
-NATIVE = _native_params()
+def _on(backend, estimator):
+    """``estimator`` itself (``cext``), or its oracle twin (``numpy``)."""
+    if backend == "cext":
+        return estimator
+    return ReferenceKronMomEstimator(
+        distance=estimator.distance, normalization=estimator.normalization,
+        features=estimator.features, grid_points=estimator.grid_points,
+        n_refinements=estimator.n_refinements,
+    )
 
 
-def _fit(monkeypatch, backend, estimator, observed, k):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-    return estimator.fit_statistics(observed, k)
+def _fit(backend, estimator, observed, k):
+    return _on(backend, estimator).fit_statistics(observed, k)
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -75,9 +71,9 @@ def _assert_same_fit(got, expected) -> None:
     assert got.observed == expected.observed
 
 
-def _assert_engines_agree(monkeypatch, backend, estimator, observed, k) -> None:
-    expected = _fit(monkeypatch, "numpy", estimator, observed, k)
-    got = _fit(monkeypatch, backend, estimator, observed, k)
+def _assert_engines_agree(backend, estimator, observed, k) -> None:
+    expected = _fit("numpy", estimator, observed, k)
+    got = _fit(backend, estimator, observed, k)
     _assert_same_fit(got, expected)
 
 
@@ -106,20 +102,20 @@ class TestObjectiveMatrix:
     @pytest.mark.parametrize(
         "distance,normalization", list(itertools.product(DISTANCES, NORMALIZATIONS))
     )
-    def test_distance_by_normalization(self, monkeypatch, backend, distance, normalization):
+    def test_distance_by_normalization(self, backend, distance, normalization):
         estimator = KronMomEstimator(distance=distance, normalization=normalization)
-        _assert_engines_agree(monkeypatch, backend, estimator, AS20_RELEASE, 13)
+        _assert_engines_agree(backend, estimator, AS20_RELEASE, 13)
 
     @pytest.mark.parametrize("backend", NATIVE)
     @pytest.mark.parametrize("features", FEATURE_SUBSETS, ids="-".join)
-    def test_feature_subsets(self, monkeypatch, backend, features):
+    def test_feature_subsets(self, backend, features):
         estimator = KronMomEstimator(features=features)
         observed = _noisy_expectation((0.9, 0.5, 0.3), 11, seed=len(features))
-        _assert_engines_agree(monkeypatch, backend, estimator, observed, 11)
+        _assert_engines_agree(backend, estimator, observed, 11)
 
     @pytest.mark.parametrize("backend", NATIVE)
     @pytest.mark.parametrize("k", range(1, MAX_K + 1))
-    def test_every_order(self, monkeypatch, backend, k):
+    def test_every_order(self, backend, k):
         rng = np.random.default_rng(k)
         theta = sorted(rng.uniform(0.05, 1.0, 3).tolist(), reverse=True)
         observed = _noisy_expectation(theta, k, seed=k)
@@ -127,13 +123,13 @@ class TestObjectiveMatrix:
             distance=("squared", "absolute")[k % 2],
             normalization=list(NORMALIZATIONS)[k % 4],
         )
-        _assert_engines_agree(monkeypatch, backend, estimator, observed, k)
+        _assert_engines_agree(backend, estimator, observed, k)
 
     @pytest.mark.parametrize("backend", NATIVE)
     @pytest.mark.parametrize("grid_points,n_refinements", [(3, 1), (5, 2), (11, 9), (31, 5)])
-    def test_grid_and_restart_variants(self, monkeypatch, backend, grid_points, n_refinements):
+    def test_grid_and_restart_variants(self, backend, grid_points, n_refinements):
         estimator = KronMomEstimator(grid_points=grid_points, n_refinements=n_refinements)
-        _assert_engines_agree(monkeypatch, backend, estimator, AS20_RELEASE, 13)
+        _assert_engines_agree(backend, estimator, AS20_RELEASE, 13)
 
 
 class TestObservations:
@@ -146,9 +142,9 @@ class TestObservations:
         graph = load_dataset(dataset)
         for seed in range(3):
             estimator = PrivateKroneckerEstimator(0.2, 0.01, seed=seed)
-            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-            expected = estimator.fit(graph)
-            monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "_matcher", _on("numpy", estimator._matcher))
+                expected = estimator.fit(graph)
             got = estimator.fit(graph)
             _assert_same_fit(got.moment_result, expected.moment_result)
 
@@ -159,8 +155,8 @@ class TestObservations:
         MatchingStatistics(1.0, 1.0, 1.0, 1.0),
         MatchingStatistics(3e30, 1e12, 5e40, 2e9),  # far from any fit
     ])
-    def test_floored_and_negative(self, monkeypatch, backend, observed):
-        _assert_engines_agree(monkeypatch, backend, KronMomEstimator(), observed, 10)
+    def test_floored_and_negative(self, backend, observed):
+        _assert_engines_agree(backend, KronMomEstimator(), observed, 10)
 
     @pytest.mark.parametrize("backend", NATIVE)
     @settings(max_examples=25, deadline=None)
@@ -175,31 +171,30 @@ class TestObservations:
     def test_generated_statistics(self, backend, values, k, distance, normalization):
         estimator = KronMomEstimator(distance=distance, normalization=normalization,
                                      grid_points=7, n_refinements=3)
-        with pytest.MonkeyPatch.context() as patch:
-            _assert_engines_agree(patch, backend, estimator, MatchingStatistics(*values), k)
+        _assert_engines_agree(backend, estimator, MatchingStatistics(*values), k)
 
 
 class TestTieFallback:
     @pytest.mark.parametrize("backend", NATIVE)
-    def test_real_ties_are_flagged_and_still_match(self, monkeypatch, backend):
+    def test_real_ties_are_flagged_and_still_match(self, backend):
         """Edges alone at k = 1 depend on b only, so simplex vertices that
         differ in a or c tie: the kernel flags those restarts and the
         oracle reruns them."""
         runs = native_kronmom.refine_restarts(
-            KRONMOM_KERNEL.kernel(backend), [[0.5, 0.25, 0.0]], [100.0], 1,
+            KRONMOM_KERNEL.kernel(), [[0.5, 0.25, 0.0]], [100.0], 1,
             ("edges",), "squared", "observed_squared", xatol=1e-6, fatol=1e-10,
             maxiter=2000,
         )
         assert runs == [None]
         estimator = KronMomEstimator(features=("edges",))
-        _assert_engines_agree(monkeypatch, backend, estimator,
+        _assert_engines_agree(backend, estimator,
                               MatchingStatistics(0.3, 1, 1, 1), 1)
 
     @pytest.mark.parametrize("backend", NATIVE)
     @pytest.mark.parametrize("flagged", [(0,), (1, 3), (0, 1, 2, 3, 4)])
     def test_forced_flags_rerun_on_the_oracle(self, monkeypatch, backend, flagged):
         estimator = KronMomEstimator()
-        expected = _fit(monkeypatch, "numpy", estimator, AS20_RELEASE, 13)
+        expected = _fit("numpy", estimator, AS20_RELEASE, 13)
         real_refine = kronmom.refine_restarts
         oracle_calls = []
         real_nelder_mead = kronmom._nelder_mead
@@ -214,7 +209,7 @@ class TestTieFallback:
 
         monkeypatch.setattr(kronmom, "refine_restarts", flagging_refine)
         monkeypatch.setattr(kronmom, "_nelder_mead", counting_nelder_mead)
-        got = _fit(monkeypatch, backend, estimator, AS20_RELEASE, 13)
+        got = _fit(backend, estimator, AS20_RELEASE, 13)
         _assert_same_fit(got, expected)
         assert len(oracle_calls) == len(flagged)
 
@@ -237,67 +232,61 @@ class TestValidation:
     @pytest.mark.parametrize("backend", ["numpy", *NATIVE])
     @pytest.mark.parametrize("field", MatchingStatistics._fields)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_observations_rejected(self, monkeypatch, backend, field, value):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    def test_non_finite_observations_rejected(self, backend, field, value):
         observed = MatchingStatistics(10.0, 10.0, 10.0, 10.0)._replace(**{field: value})
         with pytest.raises(ValidationError, match=f"observed {field} must be finite"):
-            KronMomEstimator().fit_statistics(observed, 10)
+            _fit(backend, KronMomEstimator(), observed, 10)
 
     @pytest.mark.parametrize("backend", ["numpy", *NATIVE])
     @pytest.mark.parametrize("field", MatchingStatistics._fields)
     @pytest.mark.parametrize("value", [1.4e154, 1e160, 1e308])
     def test_observations_whose_square_overflows_rejected(
-        self, monkeypatch, backend, field, value
+        self, backend, field, value
     ):
         """Squaring such a value overflows, which made every objective NaN
         and the fit a silent Initiator(0, 0, 0)."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         observed = MatchingStatistics(10.0, 10.0, 10.0, 10.0)._replace(**{field: value})
         with pytest.raises(ValidationError, match=f"observed {field} = .* too large"):
-            KronMomEstimator().fit_statistics(observed, 64)
+            _fit(backend, KronMomEstimator(), observed, 64)
 
     @pytest.mark.parametrize("backend", ["numpy", *NATIVE])
     def test_largest_squarable_and_huge_negative_observations_fit(
-        self, monkeypatch, backend
+        self, backend
     ):
         """1.3e154 still squares to a finite double; a huge negative value
         floors to 1 before anything squares it."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        fit = KronMomEstimator().fit_statistics(MatchingStatistics(*[1.3e154] * 4), 64)
+        fit = _fit(backend, KronMomEstimator(), MatchingStatistics(*[1.3e154] * 4), 64)
         assert fit.objective == 4.0
-        fit = KronMomEstimator().fit_statistics(
-            MatchingStatistics(10.0, -1e160, 10.0, 10.0), 10
-        )
+        fit = _fit(backend, KronMomEstimator(), MatchingStatistics(10.0, -1e160, 10.0, 10.0), 10)
         assert math.isfinite(fit.objective)
         assert fit.observed.hairpins == 1.0
 
     @pytest.mark.parametrize("backend", ["numpy", *NATIVE])
     @pytest.mark.parametrize("k", [MAX_K + 1, 600])
-    def test_orders_past_the_bound_rejected(self, monkeypatch, backend, k):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    def test_orders_past_the_bound_rejected(self, backend, k):
         with pytest.raises(ValidationError, match=f"k must be <= {MAX_K}"):
-            KronMomEstimator().fit_statistics(MatchingStatistics(10.0, 10.0, 10.0, 10.0), k)
+            _fit(backend, KronMomEstimator(), MatchingStatistics(10.0, 10.0, 10.0, 10.0), k)
 
     @pytest.mark.parametrize("backend", NATIVE)
-    def test_the_bound_reaches_the_largest_bases(self, monkeypatch, backend):
+    def test_the_bound_reaches_the_largest_bases(self, backend):
         """Matching the all-ones initiator at k = MAX_K drives the search
         to the box corner, where every closed-form base is largest (16,
         for the tripin rows): no power overflows on either engine."""
         observed = expected_statistics(Initiator(1.0, 1.0, 1.0), MAX_K)
-        expected = _fit(monkeypatch, "numpy", KronMomEstimator(), observed, MAX_K)
+        expected = _fit("numpy", KronMomEstimator(), observed, MAX_K)
         assert math.isfinite(expected.objective)
-        _assert_same_fit(_fit(monkeypatch, backend, KronMomEstimator(), observed, MAX_K),
+        _assert_same_fit(_fit(backend, KronMomEstimator(), observed, MAX_K),
                          expected)
 
 
 class TestProbe:
     @pytest.mark.parametrize("backend", NATIVE)
     def test_smoke_test_passes_on_the_compiled_kernel(self, backend):
-        native_kronmom._smoke_test(KRONMOM_KERNEL.kernel(backend))
+        native_kronmom._smoke_test(KRONMOM_KERNEL.kernel())
 
     @pytest.mark.parametrize("backend", NATIVE)
     def test_smoke_test_catches_a_wrong_objective(self, backend):
-        kernel = KRONMOM_KERNEL.kernel(backend)
+        kernel = KRONMOM_KERNEL.kernel()
         kept = []
 
         def wrong_normalization(n, config, *buffers):
@@ -310,16 +299,3 @@ class TestProbe:
 
         with pytest.raises(RuntimeError, match="kronmom kernel self-check"):
             native_kronmom._smoke_test(wrong_normalization)
-
-    def test_unavailable_cext_falls_back_under_auto(self, monkeypatch):
-        expected = _fit(monkeypatch, "numpy", KronMomEstimator(), AS20_RELEASE, 13)
-        monkeypatch.setitem(KRONMOM_KERNEL.states, "cext", (None, "no compiler"))
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert KRONMOM_KERNEL.resolve() == "numpy"
-        _assert_same_fit(KronMomEstimator().fit_statistics(AS20_RELEASE, 13), expected)
-
-    def test_naming_an_unavailable_cext_fails_loudly(self, monkeypatch):
-        monkeypatch.setitem(KRONMOM_KERNEL.states, "cext", (None, "no compiler"))
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
-        with pytest.raises(ValidationError, match="no compiler"):
-            KronMomEstimator().fit_statistics(AS20_RELEASE, 13)

@@ -11,20 +11,22 @@ from repro.errors import ValidationError
 from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.likelihood import (
-    MultiChainSampler,
     PermutationSampler,
-    ProfileLikelihood,
     _LogTables,
     clamped_rows,
     degree_matched_initial_sigma,
     edge_profiles,
-    exact_log_likelihood,
     profile_histogram,
-    profile_log_likelihoods,
 )
 from repro.kronecker.sampling import sample_skg
-from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
+from repro.reference.chain import (
+    ProfileLikelihood,
+    ReferenceMultiChainSampler,
+    exact_log_likelihood,
+    profile_log_likelihoods,
+)
+
+from chain_engines import BACKENDS, multichain, solo
 
 
 @pytest.fixture
@@ -144,18 +146,19 @@ class TestStackedLikelihood:
 class TestPermutationSampler:
     def test_swap_delta_matches_full_recompute(self, small_skg):
         theta = Initiator(0.7, 0.4, 0.2)
-        sampler = PermutationSampler(small_skg, 5, theta)
+        oracle = ReferenceMultiChainSampler(small_skg, 5, [theta])
+        sigma = oracle._sigma[0]
         rng = np.random.default_rng(0)
         for _ in range(25):
             i = int(rng.integers(0, small_skg.n_nodes))
             j = int(rng.integers(0, small_skg.n_nodes))
             if i == j:
                 continue
-            before = sampler.edge_term()
-            delta = sampler._swap_delta(i, j)
-            sampler.sigma[i], sampler.sigma[j] = sampler.sigma[j], sampler.sigma[i]
-            after = sampler.edge_term()
-            sampler.sigma[i], sampler.sigma[j] = sampler.sigma[j], sampler.sigma[i]
+            before = oracle.edge_term(0)
+            delta = oracle.swap_delta(0, i, j)
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+            after = oracle.edge_term(0)
+            sigma[i], sigma[j] = sigma[j], sigma[i]
             assert delta == pytest.approx(after - before, rel=1e-9, abs=1e-9)
 
     def test_sigma_stays_a_permutation(self, small_skg):
@@ -208,15 +211,19 @@ class TestPermutationSampler:
         other = PermutationSampler(small_skg, 5, Initiator(0.7, 0.4, 0.2), sigma=fresh)
         np.testing.assert_array_equal(sampler.histogram(), other.histogram())
 
-    def test_set_theta_rebuilds_the_score_table(self, small_skg):
-        sampler = PermutationSampler(small_skg, 5, Initiator(0.7, 0.4, 0.2))
-        sampler.run(100, np.random.default_rng(11))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_set_theta_rebuilds_the_score_table(self, small_skg, backend):
+        sampler = multichain(backend, small_skg, 5, [Initiator(0.7, 0.4, 0.2)])
+        sampler.run(100, [np.random.default_rng(11)])
         theta = Initiator(0.9, 0.5, 0.2)
-        sampler.set_theta(theta)
-        fresh = PermutationSampler(small_skg, 5, theta, sigma=sampler.sigma)
-        assert sampler.theta == theta
-        assert sampler.edge_term() == fresh.edge_term()
-        assert sampler._swap_delta(0, 1) == fresh._swap_delta(0, 1)
+        sampler.chain(0).set_theta(theta)
+        fresh = ReferenceMultiChainSampler(small_skg, 5, [theta], sigmas=[sampler._sigma[0]])
+        assert sampler.chain(0).theta == theta
+        np.testing.assert_array_equal(sampler._score, fresh._score)
+        np.testing.assert_array_equal(sampler.histograms(), fresh.histograms())
+        if backend == "numpy":
+            assert sampler.edge_term(0) == fresh.edge_term(0)
+            assert sampler.swap_delta(0, 0, 1) == fresh.swap_delta(0, 0, 1)
 
     def test_wrong_graph_size_rejected(self):
         with pytest.raises(ValidationError):
@@ -273,17 +280,6 @@ class TestInitialSigma:
         )
 
 
-def _backend_params() -> list:
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if MULTICHAIN_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
 class TestSigmaValidation:
     """Only a permutation of 0 .. 2^k − 1 reaches an engine: an id outside
     it would index outside the profile cells (the C kernel would write
@@ -299,15 +295,15 @@ class TestSigmaValidation:
         "short": [0, 1, 2],
     }
 
-    @pytest.mark.parametrize("backend", _backend_params())
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("bad", sorted(BAD))
     def test_bad_sigma_refused_before_any_run(self, backend, bad):
         sigma = np.array(self.BAD[bad])
         with pytest.raises(ValidationError, match="not a permutation"):
-            MultiChainSampler(self.PATH, 2, [self.THETA], sigmas=[sigma], backend=backend)
+            multichain(backend, self.PATH, 2, [self.THETA], sigmas=[sigma])
         with pytest.raises(ValidationError, match="not a permutation"):
-            PermutationSampler(self.PATH, 2, self.THETA, sigma=sigma, backend=backend)
-        sampler = MultiChainSampler(self.PATH, 2, [self.THETA] * 2, backend=backend)
+            solo(backend, self.PATH, 2, self.THETA, sigma=sigma)
+        sampler = multichain(backend, self.PATH, 2, [self.THETA] * 2)
         before = sampler._sigma.copy(), sampler.histograms()
         with pytest.raises(ValidationError, match="not a permutation"):
             sampler.set_sigma(1, sigma)

@@ -6,15 +6,13 @@ pre-drawn proposal stream — in **one** native call.  The contract is
 per-chain bit-identity: every chain of a batched run must reproduce the
 solo :class:`PermutationSampler` trajectory it replaces exactly (σ
 checkpoints, profile histogram, acceptance and proposal counts), for
-every backend × chain count × split into ``run`` calls × θ assignment,
+the kernel and its numpy oracle × chain count × split into ``run``
+calls × θ assignment,
 on the same graph families the solo matrix pins
 (``test_chain_equivalence.py``).  On top of the matrix:
 
 * thread invariance — ``kernel_threads`` shards data-independent chains,
   so results are bit-identical for any thread count;
-* backend selection — naming an unavailable engine fails loudly,
-  ``auto`` silently falls back to the numpy reference, ``scipy``
-  aliases it (one ``REPRO_KERNEL_BACKEND`` value drives every family);
 * KronFit end-to-end — a multi-start fit on the fused engine selects
   the same winner, with bit-identical per-start results, as the numpy
   reference engine, and its start 0 is the single-start fit seeded with
@@ -28,9 +26,6 @@ on the same graph families the solo matrix pins
   thread counts and on knife-edge streams whose thresholds sit exactly
   on the reference delta, so a word-indexing or walk-order slip that
   moves one float addition flips an accept decision.
-
-Backends unavailable on the host (e.g. no C compiler) appear as
-explicit skips, which CI treats as failures, so the full matrix runs.
 """
 
 from __future__ import annotations
@@ -47,33 +42,16 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import (
     MultiChainSampler,
-    PermutationSampler,
     _LogTables,
     edge_profiles,
     profile_histogram,
 )
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
-from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.registry import (
-    NATIVE_BACKENDS,
-    resolve_kernel_threads,
-)
+from repro.native.registry import resolve_kernel_threads
+from repro.reference.chain import ReferenceMultiChainSampler
 
-
-def _backend_params() -> list:
-    """One param per multichain engine; unavailable ones become skips."""
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if MULTICHAIN_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {MULTICHAIN_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
-BACKENDS = _backend_params()
+from chain_engines import BACKENDS, kronfit, multichain, solo
 CALL_LENGTHS = (None, 1, 17)  # one run() per checkpoint, one proposal per run(), ragged
 CHAIN_COUNTS = (1, 3, 5)  # S=1 degenerate, exact θ cover, θ reuse
 
@@ -132,7 +110,7 @@ def solo_cell(family: str, chain_index: int, call_length=None):
     """The solo numpy trajectory chain ``chain_index`` must reproduce."""
     graph, k = family_graph(family)
     theta = THETA_CYCLE[chain_index % len(THETA_CYCLE)]
-    sampler = PermutationSampler(graph, k, theta, backend="numpy")
+    sampler = solo("numpy", graph, k, theta)
     rng = np.random.default_rng(SEED + chain_index)
     trace = []
     for n_steps in RUN_LENGTHS:
@@ -152,7 +130,7 @@ def run_multichain(
     """One batched run; returns per-chain traces alongside the sampler."""
     graph, k = family_graph(family)
     thetas = [THETA_CYCLE[s % len(THETA_CYCLE)] for s in range(n_chains)]
-    sampler = MultiChainSampler(graph, k, thetas, backend=backend, threads=threads)
+    sampler = multichain(backend, graph, k, thetas, threads=threads)
     rngs = [np.random.default_rng(SEED + s) for s in range(n_chains)]
     traces = [[] for _ in range(n_chains)]
     for n_steps in RUN_LENGTHS:
@@ -219,46 +197,41 @@ class TestMultiChainMatrix:
         set_sigma, whether written through the ensemble or through a
         chain view — a view's setters write the rows the kernel reads."""
         graph, k = family_graph("skg-k5")
-        sampler = MultiChainSampler(
-            graph, k, [THETA_CYCLE[0], THETA_CYCLE[1]], backend=backend
-        )
-        solo = [
-            PermutationSampler(graph, k, THETA_CYCLE[s], backend="numpy")
-            for s in range(2)
-        ]
+        sampler = multichain(backend, graph, k, [THETA_CYCLE[0], THETA_CYCLE[1]])
+        solos = [solo("numpy", graph, k, THETA_CYCLE[s]) for s in range(2)]
 
         def set_theta(s, theta):
             if via == "view":
                 sampler.chain(s).set_theta(theta)
             else:
                 sampler.set_theta(s, theta)
-            solo[s].set_theta(theta)
+            solos[s].set_theta(theta)
 
         def set_sigma(s, sigma):
             if via == "view":
                 sampler.chain(s).set_sigma(sigma)
             else:
                 sampler.set_sigma(s, sigma)
-            solo[s].set_sigma(sigma)
+            solos[s].set_sigma(sigma)
 
         rngs = [np.random.default_rng(40 + s) for s in range(2)]
         solo_rngs = [np.random.default_rng(40 + s) for s in range(2)]
         for theta in (THETA_CYCLE[2], THETA_CYCLE[0]):
             sampler.run(60, rngs)
             for s in range(2):
-                solo[s].run(60, solo_rngs[s])
+                solos[s].run(60, solo_rngs[s])
                 set_theta(s, theta)
         for s in range(2):
             set_sigma(s, np.random.default_rng(90 + s).permutation(graph.n_nodes))
         sampler.run(60, rngs)
         for s in range(2):
-            solo[s].run(60, solo_rngs[s])
+            solos[s].run(60, solo_rngs[s])
         for s in range(2):
-            np.testing.assert_array_equal(sampler.chain(s).sigma, solo[s].sigma)
+            np.testing.assert_array_equal(sampler.chain(s).sigma, solos[s].sigma)
             np.testing.assert_array_equal(
-                sampler.chain(s).histogram(), solo[s].histogram()
+                sampler.chain(s).histogram(), solos[s].histogram()
             )
-            assert sampler.chain(s).accepted == solo[s].accepted
+            assert sampler.chain(s).accepted == solos[s].accepted
 
 
 def knife_edge_streams(family: str, n_chains: int, n_steps: int):
@@ -269,11 +242,12 @@ def knife_edge_streams(family: str, n_chains: int, n_steps: int):
     delta is rejected) or the next double below it (odd ``t``: accepted),
     so an engine whose delta differs by one ulp flips a decision.  Returns
     the streams and the numpy ensemble that ran them one proposal at a
-    time.  Needs ``draw_proposal_batch`` patched to hand a stream through.
+    time.  Needs the oracle's ``draw_proposal_batch`` patched to hand a
+    stream through.
     """
     graph, k = family_graph(family)
     thetas = [THETA_CYCLE[s % len(THETA_CYCLE)] for s in range(n_chains)]
-    reference = MultiChainSampler(graph, k, thetas, backend="numpy")
+    reference = ReferenceMultiChainSampler(graph, k, thetas)
     hubs = np.flatnonzero(graph.degrees == graph.degrees.max())
     streams = []
     for s in range(n_chains):
@@ -287,7 +261,7 @@ def knife_edge_streams(family: str, n_chains: int, n_steps: int):
         streams.append((i_nodes, j_nodes, np.empty(n_steps)))
     for t in range(n_steps):
         for s, (i_nodes, j_nodes, log_u) in enumerate(streams):
-            delta = reference.chain(s)._swap_delta(int(i_nodes[t]), int(j_nodes[t]))
+            delta = reference.swap_delta(s, int(i_nodes[t]), int(j_nodes[t]))
             log_u[t] = delta if t % 2 == 0 else np.nextafter(delta, -np.inf)
         reference.run(1, [tuple(a[t : t + 1] for a in stream) for stream in streams])
     return streams, reference
@@ -306,7 +280,7 @@ class TestMultiWordBitmap:
     def test_families_exercise_several_words(self, family):
         """The matrix's first-run proposals touch cells past word 0."""
         graph, k = family_graph(family)
-        sampler = MultiChainSampler(graph, k, [THETA_CYCLE[0]], backend="numpy")
+        sampler = ReferenceMultiChainSampler(graph, k, [THETA_CYCLE[0]])
         i_nodes, j_nodes, _ = native_chain.draw_proposal_batch(
             np.random.default_rng(SEED), graph.n_nodes, RUN_LENGTHS[0]
         )
@@ -336,15 +310,25 @@ class TestMultiWordBitmap:
     @pytest.mark.parametrize("family", MULTI_WORD_FAMILIES)
     def test_knife_edge_thresholds(self, family, backend, monkeypatch):
         """One kernel call over streams built to flip on any one-ulp
-        change in any proposal's delta reproduces the numpy run."""
+        change in any proposal's delta reproduces the numpy run.  The
+        streams stand in for the generators: the oracle's draw hands each
+        through, and the kernel's draw copies them into its buffers."""
+
+        def stream_draw(kernel, streams, n_nodes, ends, *buffers):
+            def draw():
+                for buffer, column in zip(buffers, zip(*streams)):
+                    buffer[:] = column
+            return draw
+
         monkeypatch.setattr(
-            "repro.kronecker.likelihood.draw_proposal_batch",
+            "repro.reference.chain.draw_proposal_batch",
             lambda stream, n_nodes, size: stream,
         )
+        monkeypatch.setattr("repro.kronecker.likelihood.bind_proposal_draw", stream_draw)
         streams, reference = knife_edge_streams(family, 3, 160)
         graph, k = family_graph(family)
         thetas = [THETA_CYCLE[s % len(THETA_CYCLE)] for s in range(3)]
-        sampler = MultiChainSampler(graph, k, thetas, backend=backend, threads=2)
+        sampler = multichain(backend, graph, k, thetas, threads=2)
         sampler.run(160, streams)
         np.testing.assert_array_equal(sampler._sigma, reference._sigma)
         np.testing.assert_array_equal(sampler.histograms(), reference.histograms())
@@ -353,44 +337,6 @@ class TestMultiWordBitmap:
         assert [sampler.chain(s).score_touches for s in range(3)] == [
             reference.chain(s).score_touches for s in range(3)
         ]
-
-
-class TestMultiChainBackendSelection:
-    def test_resolution_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert native_chain.resolve_multichain_backend() in (
-            MULTICHAIN_KERNEL.available_backends()
-        )
-        assert native_chain.resolve_multichain_backend("numpy") == "numpy"
-        assert native_chain.resolve_multichain_backend("scipy") == "numpy"
-
-    def test_unavailable_cext_fails_loudly(self, monkeypatch):
-        monkeypatch.setitem(
-            MULTICHAIN_KERNEL.states, "cext", (None, "no C compiler found")
-        )
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            native_chain.resolve_multichain_backend("cext")
-        graph, k = family_graph("skg-k5")
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            MultiChainSampler(graph, k, [THETA_CYCLE[0]], backend="cext")
-
-    def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
-        for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(MULTICHAIN_KERNEL.states, name, (None, f"{name} disabled"))
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert native_chain.resolve_multichain_backend() == "numpy"
-        assert MULTICHAIN_KERNEL.available_backends() == ("numpy",)
-        graph, k = family_graph("near-empty-k3")
-        sampler = MultiChainSampler(graph, k, [THETA_CYCLE[1]])
-        assert sampler.backend == "numpy"
-
-    @pytest.mark.skipif(
-        not any(MULTICHAIN_KERNEL.available(name) for name in NATIVE_BACKENDS),
-        reason="no fused multichain backend available on this host",
-    )
-    def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert native_chain.resolve_multichain_backend() != "numpy"
 
 
 class TestKernelThreadsKnob:
@@ -487,14 +433,14 @@ class TestKronFitBatchedMultiStart:
 
     def _reference(self):
         """The numpy-engine multi-start fit every engine must reproduce."""
-        return KronFitEstimator(backend="numpy", **self.CONFIG).fit(self._graph())
+        return kronfit("numpy", **self.CONFIG).fit(self._graph())
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_multi_start_matches_numpy_engine(self, backend):
         """The batched native call must select the same winner, with
         bit-identical per-start results, as the reference engine."""
         reference = self._reference()
-        result = KronFitEstimator(backend=backend, **self.CONFIG).fit(self._graph())
+        result = kronfit(backend, **self.CONFIG).fit(self._graph())
         assert result.start == reference.start
         assert result.n_starts == reference.n_starts == 4
         assert result.start_log_likelihoods == reference.start_log_likelihoods
@@ -509,10 +455,8 @@ class TestKronFitBatchedMultiStart:
         would be on its own: degree-matched σ, start 0's seed child."""
         config = {**self.CONFIG, "n_starts": 1}
         child = np.random.SeedSequence(config.pop("seed")).spawn(4)[0]
-        solo = KronFitEstimator(backend=backend, seed=child, **config).fit(
-            self._graph()
-        )
-        assert solo.log_likelihoods[-1] == self._reference().start_log_likelihoods[0]
+        alone = kronfit(backend, seed=child, **config).fit(self._graph())
+        assert alone.log_likelihoods[-1] == self._reference().start_log_likelihoods[0]
 
     def test_nonpositive_kernel_threads_mean_all_cores(self, monkeypatch):
         """KronFit takes every value the REPRO_KERNEL_THREADS knob takes:
@@ -552,7 +496,7 @@ class TestKronFitBatchedMultiStart:
         results = {}
         for engine in ("numpy", backend):
             rng = np.random.default_rng(77)
-            result = KronFitEstimator(backend=engine, seed=rng, **config).fit(graph)
+            result = kronfit(engine, seed=rng, **config).fit(graph)
             results[engine] = (result, rng.integers(0, 2**63 - 1))
         reference, reference_next = results["numpy"]
         result, result_next = results[backend]

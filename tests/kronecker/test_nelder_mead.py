@@ -20,6 +20,7 @@ import scipy.optimize
 from repro.kronecker import kronmom
 from repro.kronecker.kronmom import KronMomEstimator, _nelder_mead, _simplex_order
 from repro.kronecker.moments import expected_feature_vector
+from repro.reference.kronmom import ReferenceKronMomEstimator
 from repro.stats.counts import MatchingStatistics
 
 OPTIONS = {"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000}
@@ -169,13 +170,13 @@ class TestSimplexOrder:
 
 class TestKronMomRefinement:
     def test_fit_statistics_match_a_scipy_refinement(self, monkeypatch):
-        """A whole KronMom fit, on the default engine, equals one whose
-        refinement runs the numpy oracle with scipy's Nelder–Mead."""
+        """A whole KronMom fit on the kernel equals one whose refinement
+        runs the oracle with scipy's Nelder–Mead."""
         observed = MatchingStatistics(23628.0, 584162.0, 14041912.0, 1822.0)
         estimator = KronMomEstimator()
         ours = estimator.fit_statistics(observed, 13)
-        # The compiled engine calls _nelder_mead only for flagged restarts.
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        # The kernel calls _nelder_mead only for flagged restarts; the
+        # oracle calls it for every restart.
 
         def scipy_nelder_mead(func, x0, *, xatol, fatol, maxiter):
             result = scipy.optimize.minimize(
@@ -185,5 +186,5 @@ class TestKronMomRefinement:
             return result.x.tolist(), result.fun
 
         monkeypatch.setattr(kronmom, "_nelder_mead", scipy_nelder_mead)
-        theirs = estimator.fit_statistics(observed, 13)
+        theirs = ReferenceKronMomEstimator().fit_statistics(observed, 13)
         assert ours == theirs

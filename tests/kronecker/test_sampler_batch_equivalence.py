@@ -5,8 +5,8 @@ samples of one (Θ, k) in one ``repro_sampler_batch`` call: numpy draws
 each sample's class counts with one vectorised ``binomial`` over the
 class table, and the kernel draws the uniforms from the sample's own
 generator through its ``bitgen_t``.  This module pins that path to the
-per-sample one, whose Python draw loop (``_draw_classes``) and reference
-selection stay as the numpy oracle:
+per-sample one, and to its numpy oracle in :mod:`repro.reference.sampling`
+(the Python draw loop ``_draw_classes`` and the reference selection):
 
 * batch rows equal per-seed :func:`sample_skg_statistics` and the
   oracle's ``matching_statistics(sample_skg(...))``, for every batch
@@ -30,7 +30,6 @@ import pytest
 from repro.core.protocols import FixedInitiatorModel
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import (
-    _draw_classes,
     profile_class_size,
     sample_skg,
     sample_skg_statistics,
@@ -38,25 +37,17 @@ from repro.kronecker.sampling import (
 )
 from repro.native import registry
 from repro.native import sampling as native_sampling
-from repro.native.registry import NATIVE_BACKENDS, compile_shared_library
+from repro.native.registry import compile_shared_library
 from repro.native.sampling import SAMPLER_KERNEL, draw_batch
+from repro.reference.sampling import (
+    _draw_classes,
+    reference_sample_skg,
+    reference_sample_skg_statistics_batch,
+)
 from repro.serve.registry import _sample_work
 from repro.stats.counts import matching_statistics
 
-
-def _native_params() -> list:
-    """One param per compiled engine; unavailable ones become visible skips."""
-    params = []
-    for name in NATIVE_BACKENDS:
-        if SAMPLER_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {SAMPLER_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
-
-
-NATIVE = _native_params()
+NATIVE = ("cext",)  # the kernel, by the name the oracle rows are keyed against
 
 # The paper's Θ; c = 0, whose o > 0 classes are skipped before any draw;
 # b = 0, where every class has probability 0 and the class table is empty.
@@ -76,14 +67,14 @@ def _seeds(count: int) -> list[np.random.SeedSequence]:
 
 @functools.lru_cache(maxsize=None)
 def _oracle_rows(theta: str, k: int, count: int) -> tuple:
-    """``matching_statistics(sample_skg(...))`` per seed.  The numpy
-    engine's Python unranking takes seconds per graph at k=16, so there
-    the graph comes from the compiled ``sample_skg``, which
-    ``test_sampler_equivalence.py`` pins to the numpy graph."""
-    engine = "numpy" if k <= 13 else "cext"
+    """``matching_statistics(sample_skg(...))`` per seed.  The oracle's
+    Python unranking takes seconds per graph at k=16, so there the graph
+    comes from the compiled ``sample_skg``, which
+    ``test_sampler_equivalence.py`` pins to the oracle's graph."""
+    sampler = reference_sample_skg if k <= 13 else sample_skg
     rows = []
     for seed in _seeds(count):
-        graph = sample_skg(THETAS[theta], k, seed=seed, backend=engine)
+        graph = sampler(THETAS[theta], k, seed=seed)
         rows.append((graph.n_edges, matching_statistics(graph)))
     return tuple(rows)
 
@@ -100,11 +91,8 @@ class TestBatchRows:
         got = []
         for index in range(runs):
             run = seeds[index * count // runs : (index + 1) * count // runs]
-            got.extend(sample_skg_statistics_batch(initiator, k, run, backend=backend))
-        per_seed = [
-            sample_skg_statistics(initiator, k, seed=seed, backend=backend)
-            for seed in seeds
-        ]
+            got.extend(sample_skg_statistics_batch(initiator, k, run))
+        per_seed = [sample_skg_statistics(initiator, k, seed=seed) for seed in seeds]
         assert got == per_seed == list(_oracle_rows(theta, k, count))
         assert all(type(edges) is int for edges, _ in got)
 
@@ -112,8 +100,8 @@ class TestBatchRows:
     def test_numpy_engine_is_the_per_seed_composition(self, backend):
         initiator = THETAS["paper"]
         seeds = list(range(4))
-        assert sample_skg_statistics_batch(initiator, 6, seeds, backend="numpy") == (
-            sample_skg_statistics_batch(initiator, 6, seeds, backend=backend)
+        assert reference_sample_skg_statistics_batch(initiator, 6, seeds) == (
+            sample_skg_statistics_batch(initiator, 6, seeds)
         )
 
     @pytest.mark.parametrize("runs", RUNS)
@@ -136,7 +124,7 @@ class TestGeneratorState:
         oracle = np.random.default_rng(42)
         batch = np.random.default_rng(42)
         _draw_classes(initiator, k, oracle)
-        sample_skg_statistics_batch(initiator, k, [batch], backend=backend)
+        sample_skg_statistics_batch(initiator, k, [batch])
         assert oracle.bit_generator.state == batch.bit_generator.state
 
     @pytest.mark.parametrize("backend", NATIVE)
@@ -144,13 +132,10 @@ class TestGeneratorState:
         initiator = THETAS["paper"]
         shared_a, other_a = np.random.default_rng(1), np.random.default_rng(2)
         shared_b, other_b = np.random.default_rng(1), np.random.default_rng(2)
-        got = sample_skg_statistics_batch(
-            initiator, 9, [shared_a, other_a, shared_a], backend=backend
+        got = sample_skg_statistics_batch(initiator, 9, [shared_a, other_a, shared_a])
+        want = reference_sample_skg_statistics_batch(
+            initiator, 9, [shared_b, other_b, shared_b]
         )
-        want = [
-            sample_skg_statistics(initiator, 9, seed=rng, backend="numpy")
-            for rng in (shared_b, other_b, shared_b)
-        ]
         assert got == want
         assert shared_a.bit_generator.state == shared_b.bit_generator.state
         assert other_a.bit_generator.state == other_b.bit_generator.state
@@ -187,7 +172,7 @@ class TestPortableUnranking:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_class_matches_exhaustively(self, k, backend):
         """Drawing a whole class makes Floyd's algorithm emit every index."""
-        loaded = SAMPLER_KERNEL.kernel(backend)
+        loaded = SAMPLER_KERNEL.kernel()
         for z in range(k + 1):
             for x in range(1, k - z + 1):
                 size = profile_class_size(k, z, x, k - z - x)
@@ -199,7 +184,7 @@ class TestPortableUnranking:
     @pytest.mark.parametrize("backend", NATIVE)
     @pytest.mark.parametrize("k", [13, 16])
     def test_random_draws_match(self, k, backend):
-        loaded = SAMPLER_KERNEL.kernel(backend)
+        loaded = SAMPLER_KERNEL.kernel()
         for seed in range(3):
             draw = _draw_classes(THETAS["paper"], k, np.random.default_rng(seed))
             args = (k, draw.z, draw.x, draw.sizes, draw.counts, seed)
@@ -209,7 +194,7 @@ class TestPortableUnranking:
 
     @pytest.mark.parametrize("backend", NATIVE)
     def test_loaded_build_uses_bmi2_where_the_host_runs_it(self, backend):
-        SAMPLER_KERNEL.kernel(backend)  # probe
+        SAMPLER_KERNEL.kernel()  # probe
         flags = SAMPLER_KERNEL.cext_extra_flags
         assert ("-mbmi2" in flags) == registry._host_runs("-mbmi2"), flags
 

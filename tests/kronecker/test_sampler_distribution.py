@@ -34,8 +34,8 @@ from repro.kronecker.sampling import (
     pair_probability,
     profile_class_size,
     sample_skg,
-    sample_skg_naive,
 )
+from repro.reference.sampling import sample_skg_naive
 
 THETA = Initiator(0.9, 0.5, 0.2)
 K = 4

@@ -1,19 +1,14 @@
-"""Cross-backend equivalence harness for the grass-hopping sampler kernels.
+"""Equivalence harness for the grass-hopping sampler kernel and its oracle.
 
 :func:`repro.kronecker.sampling.sample_skg` executes its per-class Floyd
-selection + combination unranking on one of two engines — the pure
-Python reference and the compiled-C kernel of
-:mod:`repro.native.sampling` — behind the same ``REPRO_KERNEL_BACKEND``
-knob as the counting and chain kernels.  Both engines make identical
-draws (the draw contract), so the sampled graph must be
-**bit-identical** across engines for every (seed, k, initiator) cell.
-This module is that matrix (the chain-equivalence pattern of
-``test_chain_equivalence.py``, now for the sampler), plus the selection
-knob's contracts: naming an unavailable engine fails loudly, ``auto``
-silently falls back to the reference, ``scipy`` aliases it.
-
-Backends unavailable on the host (e.g. no C compiler) appear as
-explicit skips, which CI treats as failures, so the full matrix runs.
+selection + combination unranking in the compiled-C kernel of
+:mod:`repro.native.sampling`; its oracle,
+:func:`repro.reference.sampling.reference_sample_skg`, runs the same
+selection in Python.  Both make identical draws (the draw contract), so
+the sampled graph must be **bit-identical** for every (seed, k,
+initiator) cell.  This module is that matrix (the chain-equivalence
+pattern of ``test_chain_equivalence.py``, now for the sampler), with the
+engines named ``numpy`` (the oracle) and ``cext`` (the kernel).
 """
 
 from __future__ import annotations
@@ -24,17 +19,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import (
-    _unrank_pair_key,
     profile_class_size,
     sample_skg,
-    sample_skg_naive,
     sample_skg_statistics,
 )
 from repro.native import sampling as native_sampling
-from repro.native.registry import NATIVE_BACKENDS
 from repro.native.sampling import (
     SAMPLER_KERNEL,
     bitgen_pointers,
@@ -42,22 +33,29 @@ from repro.native.sampling import (
     draw_batch,
     lex_table,
 )
+from repro.reference.sampling import (
+    _unrank_pair_key,
+    reference_sample_skg,
+    reference_sample_skg_statistics_batch,
+    sample_skg_naive,
+)
 from repro.stats.counts import MatchingStatistics, matching_statistics
 
-
-def _backend_params() -> list:
-    """One param per sampler engine; unavailable ones become visible skips."""
-    params = [pytest.param("numpy")]
-    for name in NATIVE_BACKENDS:
-        if SAMPLER_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {SAMPLER_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
+BACKENDS = ("numpy", "cext")
+NATIVE = ("cext",)
 
 
-BACKENDS = _backend_params()
+def _sample(theta, k, seed, backend):
+    """One graph from the oracle (``numpy``) or the kernel (``cext``)."""
+    sampler = reference_sample_skg if backend == "numpy" else sample_skg
+    return sampler(theta, k, seed=seed)
+
+
+def _statistics(theta, k, seed, backend):
+    """``(n_edges, statistics)`` of one sample on ``backend``."""
+    if backend == "numpy":
+        return reference_sample_skg_statistics_batch(theta, k, [seed])[0]
+    return sample_skg_statistics(theta, k, seed=seed)
 
 # The equivalence matrix: paper-scale cells, dense and sparse initiators,
 # and a large-k cell kept cheap by a sparse initiator (the paper's θ at
@@ -81,7 +79,7 @@ SEEDS = (0, 7, 20120330)
 @functools.lru_cache(maxsize=None)
 def reference_graph(cell: str, seed: int):
     theta, k = CELLS[cell]
-    return sample_skg(theta, k, seed=seed, backend="numpy")
+    return _sample(theta, k, seed, "numpy")
 
 
 class TestSamplerMatrix:
@@ -91,7 +89,7 @@ class TestSamplerMatrix:
     def test_cell_bit_identical(self, cell, seed, backend):
         theta, k = CELLS[cell]
         expected = reference_graph(cell, seed)
-        graph = sample_skg(theta, k, seed=seed, backend=backend)
+        graph = _sample(theta, k, seed, backend)
         assert graph.n_nodes == expected.n_nodes == 2**k
         assert graph.n_edges == expected.n_edges
         for got, want in zip(graph.edge_arrays, expected.edge_arrays):
@@ -104,14 +102,14 @@ class TestSamplerMatrix:
         theta, k = CELLS["paper-k8"]
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
-        sample_skg(theta, k, seed=rng_a, backend="numpy")
-        sample_skg(theta, k, seed=rng_b, backend=backend)
+        _sample(theta, k, rng_a, "numpy")
+        _sample(theta, k, rng_b, backend)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_graphs_are_canonical_and_simple(self, backend):
         theta, k = CELLS["skewed-k10"]
-        graph = sample_skg(theta, k, seed=5, backend=backend)
+        graph = _sample(theta, k, 5, backend)
         u, v = graph.edge_arrays
         assert np.all(u < v)  # zero diagonal, upper triangle
         keys = (u.astype(np.int64) << k) | v.astype(np.int64)
@@ -120,7 +118,7 @@ class TestSamplerMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_draw(self, backend):
         """An all-but-zero initiator can draw no edges at small k."""
-        graph = sample_skg(Initiator(1e-12, 1e-12, 1e-12), 2, seed=0, backend=backend)
+        graph = _sample(Initiator(1e-12, 1e-12, 1e-12), 2, 0, backend)
         assert graph.n_edges == 0
         assert graph.n_nodes == 4
 
@@ -131,7 +129,7 @@ class TestSamplerMatrix:
         ``test_sampler_distribution.py``)."""
         theta, k = Initiator(0.9, 0.5, 0.2), 6
         fast = np.mean(
-            [sample_skg(theta, k, seed=s, backend=backend).n_edges for s in range(20)]
+            [_sample(theta, k, s, backend).n_edges for s in range(20)]
         )
         naive = np.mean(
             [sample_skg_naive(theta, k, seed=s).n_edges for s in range(20)]
@@ -139,7 +137,6 @@ class TestSamplerMatrix:
         assert abs(fast - naive) / naive < 0.25
 
 
-NATIVE = [p for p in BACKENDS if p.values[0] != "numpy"]
 
 
 def _i64(*values) -> np.ndarray:
@@ -156,7 +153,7 @@ class TestExhaustiveUnranking:
     @pytest.mark.parametrize("backend", NATIVE)
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_class_unranks_like_the_reference(self, k, backend):
-        kernel = SAMPLER_KERNEL.kernel(backend)
+        kernel = SAMPLER_KERNEL.kernel()
         choose = choose_table(k)
         every_pair = []
         for z in range(k + 1):
@@ -241,8 +238,8 @@ class TestSampleStatistics:
     def test_counts_equal_the_numpy_rows(self, k, theta, backend):
         initiator = COUNT_THETAS[theta]
         for seed in (0, 1):
-            expected = sample_skg_statistics(initiator, k, seed=seed, backend="numpy")
-            got = sample_skg_statistics(initiator, k, seed=seed, backend=backend)
+            expected = _statistics(initiator, k, seed, "numpy")
+            got = _statistics(initiator, k, seed, backend)
             assert got == expected
             assert type(got[0]) is int
 
@@ -253,15 +250,13 @@ class TestSampleStatistics:
         per graph, so the oracle counts the cext-sampled graph (which the
         matrix above pins to the numpy graph) on the A² path."""
         initiator = COUNT_THETAS[theta]
-        graph = sample_skg(initiator, 16, seed=3, backend=backend)
-        got = sample_skg_statistics(initiator, 16, seed=3, backend=backend)
+        graph = _sample(initiator, 16, 3, backend)
+        got = _statistics(initiator, 16, 3, backend)
         assert got == (graph.n_edges, matching_statistics(graph))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_draw(self, backend):
-        got = sample_skg_statistics(
-            Initiator(1e-12, 1e-12, 1e-12), 2, seed=0, backend=backend
-        )
+        got = _statistics(Initiator(1e-12, 1e-12, 1e-12), 2, 0, backend)
         assert got == (0, MatchingStatistics(0.0, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -269,8 +264,8 @@ class TestSampleStatistics:
         theta = COUNT_THETAS["paper"]
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
-        sample_skg(theta, 9, seed=rng_a, backend="numpy")
-        sample_skg_statistics(theta, 9, seed=rng_b, backend=backend)
+        _sample(theta, 9, rng_a, "numpy")
+        _statistics(theta, 9, rng_b, backend)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("backend", NATIVE)
@@ -292,7 +287,7 @@ def _call_kernel(backend, n_samples, scratch) -> int:
     of class (0, 1)."""
     k, size = 2, 2
     generators = [np.random.default_rng(seed) for seed in (0, 1)]
-    return SAMPLER_KERNEL.kernel(backend)(
+    return SAMPLER_KERNEL.kernel()(
         k, 1, _i64(0), _i64(1), _i64(size), choose_table(k), *lex_table(k),
         n_samples, np.full((2, 1), size, dtype=np.int64),
         bitgen_pointers(generators), np.zeros(size, dtype=np.int64), size,
@@ -304,11 +299,11 @@ def _call_kernel(backend, n_samples, scratch) -> int:
 class TestProbeSmokeTest:
     @pytest.mark.parametrize("backend", NATIVE)
     def test_passes_on_the_compiled_kernel(self, backend):
-        native_sampling._smoke_test(SAMPLER_KERNEL.kernel(backend))
+        native_sampling._smoke_test(SAMPLER_KERNEL.kernel())
 
     @pytest.mark.parametrize("backend", NATIVE)
     def test_catches_wrong_counts(self, backend):
-        kernel = SAMPLER_KERNEL.kernel(backend)
+        kernel = SAMPLER_KERNEL.kernel()
 
         def miscounting(*args):
             status = kernel(*args)
@@ -317,50 +312,3 @@ class TestProbeSmokeTest:
 
         with pytest.raises(RuntimeError, match="counts self-check"):
             native_sampling._smoke_test(miscounting)
-
-
-class TestSamplerBackendSelection:
-    def test_resolution_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert native_sampling.resolve_sampler_backend() in (
-            SAMPLER_KERNEL.available_backends()
-        )
-        assert native_sampling.resolve_sampler_backend("numpy") == "numpy"
-        # One REPRO_KERNEL_BACKEND value drives all three kernel families,
-        # so the counting knob's reference name aliases the sampler's.
-        assert native_sampling.resolve_sampler_backend("scipy") == "numpy"
-
-    def test_environment_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scipy")
-        assert native_sampling.resolve_sampler_backend() == "numpy"
-
-    def test_invalid_name_rejected(self):
-        for name in ("fortran", "numba"):
-            with pytest.raises(ValidationError, match="kernel backend"):
-                native_sampling.resolve_sampler_backend(name)
-
-    def test_unavailable_cext_fails_loudly(self, monkeypatch):
-        monkeypatch.setitem(
-            SAMPLER_KERNEL.states, "cext", (None, "no C compiler found")
-        )
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            native_sampling.resolve_sampler_backend("cext")
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0, backend="cext")
-
-    def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
-        for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(SAMPLER_KERNEL.states, name, (None, f"{name} disabled"))
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert native_sampling.resolve_sampler_backend() == "numpy"
-        assert SAMPLER_KERNEL.available_backends() == ("numpy",)
-        graph = sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0)
-        assert graph.n_nodes == 16
-
-    @pytest.mark.skipif(
-        not any(SAMPLER_KERNEL.available(name) for name in NATIVE_BACKENDS),
-        reason="no fused sampler backend available on this host",
-    )
-    def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert native_sampling.resolve_sampler_backend() != "numpy"

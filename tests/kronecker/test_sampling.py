@@ -14,8 +14,8 @@ from repro.kronecker.sampling import (
     pair_probability,
     profile_class_size,
     sample_skg,
-    sample_skg_naive,
 )
+from repro.reference.sampling import sample_skg_naive
 from repro.stats.counts import matching_statistics
 
 

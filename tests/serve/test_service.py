@@ -316,6 +316,26 @@ class TestInjectedFaults:
         assert response.body["error"]["code"] == "work-failed"
         assert service.handle("POST", "/fit", fit_request()).status == 200
 
+    def test_missing_compiler_is_a_503_not_the_clients_fault(self, monkeypatch):
+        """A sampler kernel that cannot be built fails the work, not the
+        request: 503 ``work-failed`` naming the reason, never a 400."""
+        from repro.native.sampling import SAMPLER_KERNEL
+
+        def no_compiler():
+            raise RuntimeError("no C compiler found (install cc/gcc or set CC)")
+
+        monkeypatch.setattr(SAMPLER_KERNEL, "state", None)
+        monkeypatch.setattr(SAMPLER_KERNEL, "_probe", no_compiler)
+        service = SynthesisService(make_config())
+        response = service.handle(
+            "POST", "/release", {"dataset": "as20", "epsilon": 0.3, "delta": 0.02, "count": 1}
+        )
+        assert response.status == 503
+        assert response.body["error"]["code"] == "work-failed"
+        assert "the sampler kernel is unavailable: no C compiler found" in (
+            response.body["error"]["message"]
+        )
+
 
 class TestBackpressure:
     def test_queue_full_is_429_with_retry_after(self):

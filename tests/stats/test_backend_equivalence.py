@@ -1,20 +1,13 @@
-"""Cross-backend equivalence harness for the counting kernels.
+"""Equivalence harness for the two paths of the A² counting pass.
 
 The paper's utility experiments hinge on exact triangle/wedge counts and
-the smooth-sensitivity quantity max-common-neighbours, so every execution
-backend of :func:`repro.stats.kernels.triangle_pass` — the blocked scipy
-SpGEMM and the fused C kernel — must be **bit-identical** to the
-pre-blocking reference oracles, for every block size and graph family.
-This module is that systematic matrix, plus the contracts around backend
-selection:
-
-* ``REPRO_KERNEL_BACKEND`` naming an unavailable backend fails loudly
-  with a clear :class:`ValidationError`;
-* ``auto`` silently falls back to scipy when no fused backend can run;
-* spectral memoization performs zero extra adjacency conversions.
-
-Backends unavailable on the host (e.g. no C compiler) appear as
-explicit skips, which CI treats as failures, so the full matrix runs.
+the smooth-sensitivity quantity max-common-neighbours, so both paths of
+:func:`repro.stats.kernels.triangle_pass` — the fused C kernel (``cext``)
+and the blocked scipy SpGEMM that serves graphs past int32 indexing
+(``scipy``, forced here by treating every graph as such) — must be
+**bit-identical** to the pre-blocking oracles of
+:mod:`repro.reference.counting`, for every block size and graph family.
+Spectral memoization performs zero extra adjacency conversions.
 """
 
 from __future__ import annotations
@@ -31,36 +24,33 @@ from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
-from repro.native.counting import COUNTING_KERNEL
-from repro.native.registry import NATIVE_BACKENDS
-from repro.stats.kernels import (
-    TrianglePassResult,
-    available_kernel_backends,
-    float64_conversion_count,
-    kernel_pass_count,
+from repro.reference.counting import (
     reference_count_triangles,
     reference_max_common_neighbors,
     reference_triangles_per_node,
+)
+from repro.stats import kernels
+from repro.stats.kernels import (
+    TrianglePassResult,
+    float64_conversion_count,
+    kernel_pass_count,
     resolve_kernel_backend,
     stats_context,
     triangle_pass,
 )
 from repro.stats.spectral import network_values, singular_values
 
-
-def _backend_params() -> list:
-    """One param per backend; unavailable ones become visible skips."""
-    params = []
-    for name in ("scipy",) + NATIVE_BACKENDS:
-        if name == "scipy" or COUNTING_KERNEL.available(name):
-            params.append(pytest.param(name))
-        else:
-            reason = f"{name} backend unavailable: {COUNTING_KERNEL.error(name)}"
-            params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
-    return params
+BACKENDS = ("scipy", "cext")
 
 
-BACKENDS = _backend_params()
+def _pass(graph: Graph, block_size: int, backend: str) -> TrianglePassResult:
+    """:func:`triangle_pass` on the fused kernel (``cext``), or as for a
+    graph past int32 indexing, which takes the scipy path (``scipy``)."""
+    if backend == "cext":
+        return triangle_pass(graph, block_size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_int32_indexable", lambda graph: False)
+        return triangle_pass(graph, block_size)
 BLOCK_SIZES = (0, 1, 7)  # auto, degenerate, small; n and > n are added per-graph
 
 # The structured families of the ISSUE matrix.  Builders are memoized so
@@ -101,7 +91,7 @@ def family_reference(name: str) -> TrianglePassResult:
 
 
 def assert_bit_identical(graph: Graph, expected: TrianglePassResult, backend, block_size):
-    result = triangle_pass(graph, block_size, backend)
+    result = _pass(graph, block_size, backend)
     assert result.triangles == expected.triangles
     assert result.max_common_neighbors == expected.max_common_neighbors
     assert result.per_node.dtype == np.int64
@@ -140,7 +130,7 @@ class TestBackendFamilyMatrix:
     def test_property_er(self, backend, n, p, seed, block_size):
         graph = erdos_renyi_graph(n, p, seed=seed)
         degrees = graph.degrees
-        result = triangle_pass(graph, block_size, backend)
+        result = _pass(graph, block_size, backend)
         assert result.triangles == reference_count_triangles(graph)
         assert result.max_common_neighbors == reference_max_common_neighbors(graph)
         np.testing.assert_array_equal(
@@ -153,8 +143,8 @@ class TestBackendFamilyMatrix:
     def test_backends_agree_pairwise(self, backend):
         """Direct backend-vs-backend check on a graph with hub structure."""
         graph = family_graph("skg-k10")
-        against_scipy = triangle_pass(graph, 0, "scipy")
-        result = triangle_pass(graph, 0, backend)
+        against_scipy = _pass(graph, 0, "scipy")
+        result = _pass(graph, 0, backend)
         assert result.triangles == against_scipy.triangles
         assert result.max_common_neighbors == against_scipy.max_common_neighbors
         np.testing.assert_array_equal(
@@ -163,86 +153,13 @@ class TestBackendFamilyMatrix:
 
 
 class TestBackendResolution:
-    def test_default_resolves_to_an_available_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert resolve_kernel_backend() in available_kernel_backends()
-
-    def test_scipy_is_always_available(self):
-        assert "scipy" in available_kernel_backends()
-        assert resolve_kernel_backend("scipy") == "scipy"
-
-    def test_numpy_aliases_the_reference_engine(self, monkeypatch):
-        """The chain kernels call their reference 'numpy'; the counting
-        resolution accepts it so one knob value drives both families."""
-        assert resolve_kernel_backend("numpy") == "scipy"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert resolve_kernel_backend() == "scipy"
-        result = triangle_pass(family_graph("star"), 0, "numpy")
-        assert_bit_identical(
-            family_graph("star"), family_reference("star"), "numpy", 0
-        )
-        assert result.triangles == family_reference("star").triangles
-
-    def test_environment_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "scipy")
-        assert resolve_kernel_backend() == "scipy"
-
-    def test_empty_environment_value_means_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "")
-        assert resolve_kernel_backend() in available_kernel_backends()
-
-    def test_explicit_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
-        assert resolve_kernel_backend("scipy") == "scipy"
-
-    def test_invalid_argument_rejected(self):
-        for name in ("fortran", "numba"):
-            with pytest.raises(ValidationError, match="kernel backend"):
-                resolve_kernel_backend(name)
-
-    def test_invalid_environment_rejected(self, monkeypatch):
-        for name in ("fortran", "numba"):
-            monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
-            with pytest.raises(ValidationError, match="REPRO_KERNEL_BACKEND"):
-                resolve_kernel_backend()
-
-    def test_unavailable_cext_fails_loudly(self, monkeypatch):
-        """REPRO_KERNEL_BACKEND=cext without a compiler is a clear, loud error."""
-        monkeypatch.setitem(
-            COUNTING_KERNEL.states, "cext", (None, "no C compiler found")
-        )
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            resolve_kernel_backend()
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            triangle_pass(family_graph("star"))
+    def test_default_resolves_to_an_available_backend(self):
+        assert resolve_kernel_backend() == "cext"
 
     def test_edgeless_graphs_still_validate_knobs(self):
-        """The fail-loudly contract holds even when the first graph is empty."""
-        with pytest.raises(ValidationError, match="kernel backend"):
-            triangle_pass(Graph(5), backend="fortran")
+        """Arguments are validated even when the graph is empty."""
         with pytest.raises(ValidationError):
             triangle_pass(Graph(5), block_size=2.5)
-
-    def test_auto_silently_falls_back_to_scipy(self, monkeypatch):
-        """With every fused backend unavailable, auto degrades without noise."""
-        for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(
-                COUNTING_KERNEL.states, name, (None, f"{name} disabled")
-            )
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert resolve_kernel_backend() == "scipy"
-        assert available_kernel_backends() == ("scipy",)
-        graph = family_graph("clique")
-        assert_bit_identical(graph, family_reference("clique"), None, 0)
-
-    @pytest.mark.skipif(
-        not any(COUNTING_KERNEL.available(name) for name in NATIVE_BACKENDS),
-        reason="no fused backend available on this host",
-    )
-    def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert resolve_kernel_backend() != "scipy"
 
 
 class TestSpectralMemoization:

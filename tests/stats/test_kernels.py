@@ -40,12 +40,14 @@ from repro.stats.counts import (
     max_common_neighbors,
     triangles_per_node,
 )
-from repro.stats.kernels import (
-    TrianglePassResult,
-    kernel_pass_count,
+from repro.reference.counting import (
     reference_count_triangles,
     reference_max_common_neighbors,
     reference_triangles_per_node,
+)
+from repro.stats.kernels import (
+    TrianglePassResult,
+    kernel_pass_count,
     row_blocks,
     stats_context,
     triangle_pass,

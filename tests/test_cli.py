@@ -236,52 +236,26 @@ class TestBlockSizeOption:
         assert capsys.readouterr().out == default_output
 
 
-class TestKernelBackendOption:
-    def test_statistics_identical_for_any_backend(
-        self, edge_list_file, capsys, monkeypatch
-    ):
-        from repro.stats.kernels import available_kernel_backends
+class TestMissingCompiler:
+    def test_missing_compiler_prints_one_error_line(self, capsys, monkeypatch):
+        """A sampler kernel that cannot be built is an exit-1 error line
+        naming the reason, with no traceback."""
+        from repro.native.sampling import SAMPLER_KERNEL
 
-        # setenv (not delenv) so teardown restores the pre-test state even
-        # after main() publishes the flag through os.environ; "auto" is the
-        # default, so the first run behaves as if the knob were unset.
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert main(["summarize", str(edge_list_file)]) == 0
-        default_output = capsys.readouterr().out
-        for backend in available_kernel_backends():
-            code = main(
-                ["--kernel-backend", backend, "summarize", str(edge_list_file)]
-            )
-            assert code == 0
-            assert capsys.readouterr().out == default_output
+        def no_compiler():
+            raise RuntimeError("no C compiler found (install cc/gcc or set CC)")
 
-    def test_option_publishes_environment_knob(self, edge_list_file, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        code = main(["--kernel-backend", "scipy", "summarize", str(edge_list_file)])
-        assert code == 0
-        assert os.environ["REPRO_KERNEL_BACKEND"] == "scipy"
-
-    def test_unknown_backend_rejected_by_argparse(self, edge_list_file, capsys):
-        for name in ("fortran", "numba"):
-            with pytest.raises(SystemExit):
-                main(["--kernel-backend", name, "summarize", str(edge_list_file)])
-
-    def test_unavailable_backend_fails_loudly(
-        self, edge_list_file, capsys, monkeypatch
-    ):
-        """Requesting a fused backend the host lacks is a clear exit-1 error."""
-        from repro.native.counting import COUNTING_KERNEL
-
-        monkeypatch.setitem(
-            COUNTING_KERNEL.states, "cext", (None, "no C compiler found")
+        monkeypatch.setattr(SAMPLER_KERNEL, "state", None)
+        monkeypatch.setattr(SAMPLER_KERNEL, "_probe", no_compiler)
+        code = main(
+            ["sample", "--a", "0.9", "--b", "0.5", "--c", "0.2", "-k", "5", "--seed", "0"]
         )
-        code = main(["--kernel-backend", "cext", "summarize", str(edge_list_file)])
         assert code == 1
-        error = capsys.readouterr().err
-        assert "error:" in error
-        assert "no C compiler found" in error
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "error: the sampler kernel is unavailable: no C compiler found "
+            "(install cc/gcc or set CC)"
+        ]
 
 
 class TestRunScenario:
@@ -455,7 +429,6 @@ class TestRunScenarioCacheEnv:
 
 # Every flag that mirrors a knob, as (subcommand path, flag) -> variable.
 KNOB_FLAGS = {
-    ("", "--kernel-backend"): "REPRO_KERNEL_BACKEND",
     ("", "--kernel-threads"): "REPRO_KERNEL_THREADS",
     ("fit", "--epsilon"): "REPRO_EPSILON",
     ("fit", "--delta"): "REPRO_DELTA",
@@ -517,9 +490,8 @@ class TestKnobFlags:
             assert action.default is None
             assert action.help.startswith(spec.doc)
             assert action.type is {"int": int, "float": float}.get(spec.kind)
-            expected = spec.check if spec.kind == "choice" else None
-            assert action.choices == expected
-        assert len(KNOB_FLAGS) == 29
+            assert action.choices is None
+        assert len(KNOB_FLAGS) == 28
         assert found == KNOB_FLAGS
 
     @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 Three guarantees: every variable the package (or CI) names is declared
 in :data:`repro.knobs.KNOBS` and documented in the README table with the
 same default; an empty or whitespace-only value behaves exactly like an
-unset one, for every knob and every consumer; and numbers and choices
-tolerate surrounding whitespace.
+unset one, for every knob and every consumer; and numbers tolerate
+surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -99,14 +99,6 @@ class TestResolution:
         assert (knob(name), _observed()) == unset
 
     @pytest.mark.parametrize(
-        "name", sorted(n for n, k in KNOBS.items() if k.kind == "choice")
-    )
-    def test_choices_tolerate_padding(self, clean_env, name):
-        for choice in KNOBS[name].check:
-            clean_env.setenv(name, f" {choice} ")
-            assert knob(name) == choice
-
-    @pytest.mark.parametrize(
         "name", sorted(n for n, k in KNOBS.items() if k.kind in ("int", "float"))
     )
     def test_numbers_tolerate_padding(self, clean_env, name):
@@ -116,10 +108,8 @@ class TestResolution:
 
     def test_padded_values_reach_consumers(self, clean_env):
         clean_env.setenv("REPRO_N_JOBS", " 2 ")
-        clean_env.setenv("REPRO_KERNEL_BACKEND", " scipy")
         clean_env.setenv("REPRO_REALIZATIONS", "7 ")
         assert resolve_n_jobs() == 2
-        assert resolve_kernel_backend() == "scipy"
         assert default_config().realizations == 7
 
     def test_paths_pass_through_verbatim(self, clean_env):
@@ -137,9 +127,10 @@ class TestResolution:
             default_config()
 
     def test_pool_knob_is_gone(self):
-        for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE", "REPRO_SHM", "REPRO_OPENMP"):
+        for name in ("REPRO_POOL", "REPRO_BLOCK_SIZE", "REPRO_SHM", "REPRO_OPENMP",
+                     "REPRO_KERNEL_BACKEND"):
             assert name not in KNOBS
-        assert len(KNOBS) == 28
+        assert len(KNOBS) == 27
 
 
 class TestUsableCores:

@@ -1,16 +1,18 @@
-"""The paper's pipeline runs without importing scipy.
+"""The paper's pipeline runs without importing scipy or the oracles.
 
 Algorithm 1, the KronFit baseline, the SKG sampler with its matching
 counts and an uncached ``/release`` need only edges, degrees and one
 triangle pass, all of which :attr:`Graph.csr` serves in numpy.  scipy
 loads only inside the calls that use it (hop plot, spectra, connected
-components, the ``scipy`` counting backend, ``Graph.from_sparse``).
+components, the counting pass past int32 indexing,
+``Graph.from_sparse``).  The Python oracles of :mod:`repro.reference`
+are for the equivalence suites and the benches: no runtime module
+imports them.
 
 The guard runs in a fresh interpreter, since the test process itself has
-scipy loaded, with ``REPRO_KERNEL_BACKEND=cext``: the numpy reference
-engines are not what a serving process runs.  It checks the parent
-process and every worker of the serve pool, which fork from the parent
-and would otherwise import scipy on their first fit.
+both loaded.  It checks the parent process and every worker of the
+serve pool, which fork from the parent and would otherwise import them
+on their first fit.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
-
-from repro.native.chain import MULTICHAIN_KERNEL
-from repro.native.counting import COUNTING_KERNEL
-from repro.native.sampling import SAMPLER_KERNEL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,9 +46,17 @@ GUARD = textwrap.dedent(
     from repro.tracking.record import environment_fingerprint
 
 
+    def loaded():
+        return {
+            "scipy": "scipy" in sys.modules,
+            "reference": any(name.split(".")[:2] == ["repro", "reference"]
+                             for name in sys.modules),
+        }
+
+
     def worker_state(_):
         time.sleep(0.2)  # long enough that every idle worker takes one
-        return os.getpid(), "scipy" in sys.modules
+        return os.getpid(), loaded()
 
 
     theta = [0.99, 0.45, 0.25]
@@ -67,7 +71,7 @@ GUARD = textwrap.dedent(
         sample_skg(theta, 10, seed=2)
     )
     environment_fingerprint()  # what every run record is stamped with
-    report = {"parent_after_fits": "scipy" in sys.modules}
+    report = {"parent_after_fits": loaded()}
 
     with tempfile.TemporaryDirectory() as ledger:
         runtime = ServeRuntime(ServeConfig.resolve(
@@ -93,29 +97,15 @@ GUARD = textwrap.dedent(
             report["pool"] = sorted(map(str, pool_worker_pids()))
         finally:
             runtime.stop()
-    report["parent"] = "scipy" in sys.modules
+    report["parent"] = loaded()
     print(json.dumps(report))
     """
 )
 
 
-def _cext_unavailable() -> str | None:
-    for kernel in (COUNTING_KERNEL, MULTICHAIN_KERNEL, SAMPLER_KERNEL):
-        if not kernel.available("cext"):
-            return f"cext backend unavailable: {kernel.error('cext')}"
-    return None
-
-
-CEXT_UNAVAILABLE = _cext_unavailable()
-
-
-@pytest.mark.skipif(CEXT_UNAVAILABLE is not None, reason=str(CEXT_UNAVAILABLE))
 def test_pipeline_and_serve_workers_never_import_scipy(tmp_path):
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(
-        REPRO_KERNEL_BACKEND="cext",
-        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")])),
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-c", GUARD],
         env=env,
@@ -127,10 +117,11 @@ def test_pipeline_and_serve_workers_never_import_scipy(tmp_path):
     assert completed.returncode == 0, completed.stderr
     report = json.loads(completed.stdout.strip().splitlines()[-1])
     assert report["release"] == [200, "miss"]
-    assert report["parent_after_fits"] is False
-    assert report["parent"] is False
+    clean = {"scipy": False, "reference": False}
+    assert report["parent_after_fits"] == clean
+    assert report["parent"] == clean
     assert report["pool"] and set(report["pool"]) <= set(report["workers"])
-    assert not any(report["workers"].values()), report["workers"]
+    assert all(state == clean for state in report["workers"].values()), report["workers"]
 
 
 def test_run_records_read_the_scipy_version_without_importing_it():
