@@ -25,12 +25,12 @@ import functools
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import KernelUnavailableError, ValidationError
 from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator
-from repro.kronecker.likelihood import edge_profiles, profile_histogram
+from repro.kronecker.likelihood import PermutationSampler, edge_profiles, profile_histogram
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
 from repro.native.chain import MULTICHAIN_KERNEL
@@ -189,6 +189,16 @@ class TestDrawContract:
         assert np.all(np.diag(counts) == 0)
         off_diagonal = counts[~np.eye(4, dtype=bool)]
         assert off_diagonal.min() > 0.8 * off_diagonal.mean()
+
+
+class TestChainBackendSelection:
+    """The chain has one runtime engine: without it, a sampler is refused."""
+
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(MULTICHAIN_KERNEL, "state", (None, "no C compiler found"))
+        graph, k = family_graph("skg-k5")
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            PermutationSampler(graph, k, THETAS["paper"])
 
 
 class TestKronFitAcrossBackends:

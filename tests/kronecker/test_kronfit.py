@@ -7,11 +7,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.errors import EstimationError
+from repro.errors import EstimationError, KernelUnavailableError
 from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.sampling import sample_skg
+from repro.native.chain import MULTICHAIN_KERNEL
 
 from chain_engines import BACKENDS, kronfit
 
@@ -86,6 +87,14 @@ class TestKronFitEdgeCases:
             assert 0.0 < a < 1.0
             assert 0.0 < b < 1.0
             assert 0.0 < c < 1.0
+
+    def test_unavailable_backend_fails_loudly(self, monkeypatch):
+        """A fit on a host without the chain kernel raises the structured
+        error naming the compiler's message; nothing else fits instead."""
+        monkeypatch.setattr(MULTICHAIN_KERNEL, "state", (None, "no C compiler found"))
+        graph = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            KronFitEstimator(n_iterations=1).fit(graph)
 
 
 class TestAcceptanceRateOnTinyGraphs:

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import PrivateKroneckerEstimator
-from repro.errors import ValidationError
+from repro.errors import KernelUnavailableError, ValidationError
 from repro.kronecker import kronmom
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronmom import (
@@ -280,6 +280,13 @@ class TestValidation:
 
 
 class TestProbe:
+    def test_naming_an_unavailable_cext_fails_loudly(self, monkeypatch):
+        """A fit of the as20 release without the kernel raises the
+        structured error; no Python refinement runs in its place."""
+        monkeypatch.setattr(KRONMOM_KERNEL, "state", (None, "no compiler"))
+        with pytest.raises(KernelUnavailableError, match="no compiler"):
+            KronMomEstimator().fit_statistics(AS20_RELEASE, 13)
+
     @pytest.mark.parametrize("backend", NATIVE)
     def test_smoke_test_passes_on_the_compiled_kernel(self, backend):
         native_kronmom._smoke_test(KRONMOM_KERNEL.kernel())

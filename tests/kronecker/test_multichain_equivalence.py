@@ -35,7 +35,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import KernelUnavailableError, ValidationError
 from repro.graphs import Graph
 from repro.graphs.generators import star_graph
 from repro.kronecker.initiator import Initiator
@@ -360,6 +360,21 @@ class TestKernelThreadsKnob:
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "soon")
         with pytest.raises(ValidationError, match="REPRO_KERNEL_THREADS"):
             resolve_kernel_threads()
+
+
+class TestMultiChainBackendSelection:
+    """The ensemble has one runtime engine: without it, the loader and
+    the sampler both raise the structured error."""
+
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(
+            native_chain.MULTICHAIN_KERNEL, "state", (None, "no C compiler found")
+        )
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            native_chain.resolve_multichain_backend()
+        graph, k = family_graph("skg-k5")
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            MultiChainSampler(graph, k, [THETA_CYCLE[0]])
 
 
 class TestMultiChainValidation:

@@ -19,6 +19,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from repro.errors import KernelUnavailableError
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import (
     profile_class_size,
@@ -294,6 +295,20 @@ def _call_kernel(backend, n_samples, scratch) -> int:
         np.zeros(16, dtype=np.int64), np.zeros(16, dtype=np.int64), 16,
         scratch, scratch.shape[0], np.zeros((2, 4), dtype=np.int64),
     )
+
+
+class TestSamplerBackendSelection:
+    """The sampler has one runtime engine: without it, the loader and
+    both sampling entry points raise the structured error."""
+
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(SAMPLER_KERNEL, "state", (None, "no C compiler found"))
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            native_sampling.resolve_sampler_backend()
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0)
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            sample_skg_statistics(Initiator(0.9, 0.5, 0.2), 4, seed=0)
 
 
 class TestProbeSmokeTest:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import KernelUnavailableError, ValidationError
 from repro.native import isotonic as native_isotonic
 from repro.native.isotonic import ISOTONIC_KERNEL
 from repro.privacy import degree_release
@@ -110,6 +110,15 @@ class TestDegreeReleaseEngines:
 
 
 class TestProbe:
+    def test_naming_an_unavailable_cext_fails_loudly(self, monkeypatch, er_graph):
+        """Without the kernel, both the PAVA pass and the degree release
+        built on it raise the structured error."""
+        monkeypatch.setattr(ISOTONIC_KERNEL, "state", (None, "no compiler"))
+        with pytest.raises(KernelUnavailableError, match="no compiler"):
+            isotonic_regression(np.array([2.0, 1.0]))
+        with pytest.raises(KernelUnavailableError, match="no compiler"):
+            degree_release.release_sorted_degrees(er_graph, 0.1, seed=4)
+
     @pytest.mark.parametrize("backend", NATIVE)
     def test_smoke_test_passes_on_the_compiled_kernel(self, backend):
         native_isotonic._smoke_test(ISOTONIC_KERNEL.kernel())

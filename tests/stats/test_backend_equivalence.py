@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ValidationError
+from repro.errors import KernelUnavailableError, ValidationError
 from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.kronecker.initiator import Initiator
@@ -155,6 +155,16 @@ class TestBackendFamilyMatrix:
 class TestBackendResolution:
     def test_default_resolves_to_an_available_backend(self):
         assert resolve_kernel_backend() == "cext"
+
+    def test_unavailable_cext_fails_loudly(self, monkeypatch):
+        """Without the counting kernel, the loader and the triangle pass
+        raise the structured error; graphs that fit int32 CSR indexing
+        never take the scipy route instead."""
+        monkeypatch.setattr(kernels.COUNTING_KERNEL, "state", (None, "no C compiler found"))
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            resolve_kernel_backend()
+        with pytest.raises(KernelUnavailableError, match="no C compiler found"):
+            triangle_pass(family_graph("star"))
 
     def test_edgeless_graphs_still_validate_knobs(self):
         """Arguments are validated even when the graph is empty."""
