@@ -5,21 +5,22 @@ the local sensitivity LS_Δ, and the local clustering coefficients) on
 stochastic Kronecker draws of increasing order and on the experiment
 datasets, comparing
 
-* **baseline** — the pre-blocking implementations (the oracles of
+* **baseline** — the pre-kernel implementations (the oracles of
   :mod:`repro.reference.counting`), which materialize the full sparse
   product ``A @ A`` once per consumer: three products per trial;
-* **kernels** — the blocked single-pass engine behind the per-graph
-  :class:`~repro.stats.kernels.StatsContext`: one pass per graph, shared
-  by every consumer, run on the fused kernel.
+* **kernels** — the single-pass engine behind the per-graph
+  :class:`~repro.stats.kernels.StatsContext`: one fused kernel call per
+  graph, shared by every consumer.
 
-On top of the combined path, each workload records the pass itself on
-its two paths — the blocked ``scipy`` SpGEMM that serves graphs past
-int32 indexing versus the fused compiled-C ``cext`` kernel — each timed
-on the same pass and checked bit-identical.
+On top of the combined path, each workload records the pass itself two
+ways — the ``scipy`` SpGEMM oracle
+(:func:`repro.reference.counting.scipy_pass`) versus the fused
+compiled-C ``cext`` kernel — each timed on the same graph and checked
+bit-identical.
 
 Counts must be bit-identical; the k=14 draw must show a >= 3x wall-clock
 speedup on the combined path, and a >= 2x pass speedup of the fused
-kernel over the blocked scipy pass.
+kernel over the scipy pass.
 
 The sampler rows time the grass-hopping sampler's kernel against its
 Python oracle (:mod:`repro.reference.sampling`).  The isotonic rows
@@ -41,9 +42,6 @@ Run directly (no pytest needed)::
 
     python benchmarks/bench_stats.py            # full matrix, asserts floors
     python benchmarks/bench_stats.py --quick    # CI smoke subset
-
-The bench also records a forced 256-row blocked run to show the memory
-head-room.
 """
 
 from __future__ import annotations
@@ -74,14 +72,14 @@ from repro.reference.counting import (
     reference_count_triangles,
     reference_max_common_neighbors,
     reference_triangles_per_node,
+    scipy_pass,
 )
 from repro.reference.isotonic import reference_isotonic_regression
 from repro.reference.kronmom import ReferenceKronMomEstimator
 from repro.reference.sampling import reference_sample_skg
-from repro.stats import kernels
 from repro.stats.clustering import local_clustering
 from repro.stats.counts import MatchingStatistics, count_triangles, max_common_neighbors
-from repro.stats.kernels import stats_context, triangle_pass
+from repro.stats.kernels import triangle_pass
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
 # the committed artifact in sync.  2 = added schema_version itself (the
@@ -90,16 +88,16 @@ from repro.stats.kernels import stats_context, triangle_pass
 # 4 = dropped the per-workload "parallel" trajectory and the top-level
 # "block_size" provenance key (the pass is serial, its block size auto);
 # 5 = added the isotonic (PAVA) rows and their floor; 6 = added the KronMom
-# refinement rows and their floor.
-SCHEMA_VERSION = 6
+# refinement rows and their floor; 7 = dropped "auto_n_blocks" and
+# "kernel_block256_peak_bytes" (the pass is one kernel call over all rows).
+SCHEMA_VERSION = 7
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_stats.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
 SEED = 20120330
 SPEEDUP_FLOOR = 3.0
 SPEEDUP_WORKLOAD = "skg-k14"
-FORCED_BLOCK_SIZE = 256
-# Fused kernels must beat the blocked scipy pass by this factor on the
+# Fused kernels must beat the scipy pass by this factor on the
 # floor workload (pass-vs-pass, not the combined consumer path).
 FUSED_SPEEDUP_FLOOR = 2.0
 
@@ -143,7 +141,7 @@ def baseline_combined(graph: Graph):
 
 
 def kernel_combined(graph: Graph):
-    """The same path through the memoized blocked kernels: one A² pass."""
+    """The same path through the memoized kernel: one A² pass."""
     return (
         count_triangles(graph),
         max_common_neighbors(graph),
@@ -183,22 +181,13 @@ def max_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def scipy_pass(graph: Graph):
-    """The pass as a graph past int32 indexing runs it, on the blocked
-    scipy SpGEMM: ``(triangles, max common neighbours, per node)``."""
-    per_node = np.zeros(graph.n_nodes, dtype=np.int64)
-    max_common = kernels._run_blocks_scipy(graph, kernels.row_blocks(graph), per_node)
-    return int(per_node.sum()) // 3, max_common, per_node
-
-
 def bench_backends(graph: Graph, repeats: int) -> dict:
-    """Pass-vs-pass: the blocked scipy SpGEMM vs the fused kernel, timed
+    """Pass-vs-pass: the scipy SpGEMM oracle vs the fused kernel, timed
     on the same warm graph, the kernel checked bit-identical."""
-    triangles, max_common, per_node = scipy_pass(graph)
-    result = triangle_pass(graph)
-    if (result.triangles, result.max_common_neighbors) != (triangles, max_common) or (
-        not np.array_equal(result.per_node, per_node)
-    ):
+    expected, result = scipy_pass(graph), triangle_pass(graph)
+    if (result.triangles, result.max_common_neighbors) != (
+        expected.triangles, expected.max_common_neighbors
+    ) or not np.array_equal(result.per_node, expected.per_node):
         raise AssertionError("the fused kernel diverges from the scipy pass")
     records = {
         "scipy": {"available": True, "seconds": time_best(lambda: scipy_pass(graph), repeats)},
@@ -371,8 +360,7 @@ def bench_workload(name: str, graph: Graph, repeats: int) -> dict:
         and np.array_equal(base_clust, kern_clust)
     )
     if not identical:
-        raise AssertionError(f"{name}: blocked kernels diverge from the references")
-    pass_info = stats_context(kernel_graph).triangle_pass_result()
+        raise AssertionError(f"{name}: the kernel diverges from the references")
 
     baseline_seconds = time_best(lambda: baseline_combined(graph), repeats)
     # One cold-cache copy per repeat, prepared outside the timer: both
@@ -383,9 +371,6 @@ def bench_workload(name: str, graph: Graph, repeats: int) -> dict:
 
     baseline_peak = traced_peak(lambda: baseline_combined(graph))
     kernel_peak = traced_peak(lambda: kernel_combined(fresh_copy(graph)))
-    blocked_peak = traced_peak(
-        lambda: kernels.triangle_pass(fresh_copy(graph), FORCED_BLOCK_SIZE)
-    )
 
     degrees = graph.degrees
     record = {
@@ -395,13 +380,11 @@ def bench_workload(name: str, graph: Graph, repeats: int) -> dict:
         "wedges": int((degrees * (degrees - 1) // 2).sum()),
         "triangles": int(base_tri),
         "max_common_neighbors": int(base_ls),
-        "auto_n_blocks": pass_info.n_blocks,
         "baseline_seconds": baseline_seconds,
         "kernel_seconds": kernel_seconds,
         "speedup": baseline_seconds / kernel_seconds,
         "baseline_peak_bytes": baseline_peak,
         "kernel_peak_bytes": kernel_peak,
-        f"kernel_block{FORCED_BLOCK_SIZE}_peak_bytes": blocked_peak,
         "counts_identical": identical,
         "backends": bench_backends(graph, repeats),
     }
@@ -557,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
         if fused_floor["backend"] is not None:
             assert fused_floor["measured"] >= FUSED_SPEEDUP_FLOOR, (
                 f"fused backend {fused_floor['backend']} is only "
-                f"{fused_floor['measured']:.2f}x over the blocked scipy pass "
+                f"{fused_floor['measured']:.2f}x over the scipy pass "
                 f"on {SPEEDUP_WORKLOAD} (floor: {FUSED_SPEEDUP_FLOOR}x)"
             )
             print(

@@ -4,7 +4,7 @@ The committed ``benchmarks/out/BENCH_trajectory.json`` is the repo's
 performance history: each row condenses one commit's quick-bench reports
 (``bench_stats.py`` and ``bench_kronfit.py`` ``--quick`` outputs) into
 the headline numbers the ROADMAP tracks — the combined counting-path
-speedup, the fused pass speedup over blocked scipy, the fused KronFit
+speedup, the fused pass speedup over the scipy pass, the fused KronFit
 fit speedup over the numpy chain, and the batched multichain speedup
 over S sequential single-start fits.  The CI bench-smoke job
 appends the current commit's row on every run; re-benching the same

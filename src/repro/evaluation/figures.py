@@ -19,7 +19,7 @@ completed trials, with results bit-identical for any worker count.
 
 Within one graph the five statistics share the graph's
 :class:`~repro.stats.kernels.StatsContext`: the clustering series reuses
-the blocked A² pass (also shared with any triangle/sensitivity counts on
+the A² pass (also shared with any triangle/sensitivity counts on
 the same graph) and the hop plot reuses the cached float adjacency, so
 per-realization cost is one pass plus the BFS/SVD work.
 """

@@ -208,6 +208,15 @@ class MultiChainSampler:
             raise ValidationError(
                 f"graph has {graph.n_nodes} nodes, expected 2^{k} = {2**k}"
             )
+        # The kernel reads the CSR as int32, which a narrowing cast would
+        # wrap silently: refuse a graph whose entry count 2E or node ids
+        # do not fit.
+        self._indptr, self._indices = graph.csr
+        if max(int(self._indptr[-1]), graph.n_nodes - 1) > np.iinfo(np.int32).max:
+            raise ValidationError(
+                f"graph has {int(self._indptr[-1]) // 2} edges on {graph.n_nodes} "
+                "nodes, past the chain kernel's int32 CSR indexing"
+            )
         self.graph = graph
         self.k = k
         self.n_chains = n_chains = len(thetas)
@@ -215,7 +224,6 @@ class MultiChainSampler:
         # build the kernel fails at construction, not mid-fit.
         self._kernel = MULTICHAIN_KERNEL.kernel()
         self.threads = resolve_kernel_threads(threads)
-        self._indptr, self._indices = graph.csr
         self._n_cells = (k + 1) * (k + 1)
         self._sigma = np.empty((n_chains, graph.n_nodes), dtype=np.int64)
         self._hist = np.empty((n_chains, self._n_cells), dtype=np.int64)

@@ -10,7 +10,7 @@ from :mod:`repro.privacy.sensitivity`.
 
 Both ingredients of the release — the exact count Δ and the smooth
 sensitivity (via LS_Δ) — are reductions of the same sparse product
-``A @ A``; they are served from the graph's memoized blocked A² pass
+``A @ A``; they are served from the graph's memoized A² pass
 (:mod:`repro.stats.kernels`), so one release costs one pass, shared with
 any other statistics computed on the same graph in the trial.
 """

@@ -13,6 +13,7 @@ from repro.reference.chain import (
 )
 from repro.reference.counting import (
     reference_count_triangles, reference_max_common_neighbors, reference_triangles_per_node,
+    scipy_pass,
 )
 from repro.reference.isotonic import reference_isotonic_regression, reference_pava
 from repro.reference.kronmom import ReferenceKronMomEstimator
@@ -24,7 +25,7 @@ __all__ = [
     "ProfileLikelihood", "ReferenceKronFitEstimator", "ReferenceMultiChainSampler",
     "ascent_step", "exact_log_likelihood", "profile_log_likelihoods",
     "reference_count_triangles", "reference_max_common_neighbors",
-    "reference_triangles_per_node", "reference_isotonic_regression", "reference_pava",
-    "ReferenceKronMomEstimator", "reference_sample_skg",
+    "reference_triangles_per_node", "scipy_pass", "reference_isotonic_regression",
+    "reference_pava", "ReferenceKronMomEstimator", "reference_sample_skg",
     "reference_sample_skg_statistics_batch", "sample_skg_naive",
 ]

@@ -12,12 +12,11 @@ Two groups of functionality:
   clustering coefficient by degree).
 
 Everything derived from the sparse product ``A @ A`` is computed by the
-blocked kernels in :mod:`repro.stats.kernels` and memoized per graph in a
+counting pass in :mod:`repro.stats.kernels` and memoized per graph in a
 :class:`~repro.stats.kernels.StatsContext`, so the whole per-trial
 pipeline (counts, sensitivity, clustering, spectra) runs one A² pass and
-one truncated SVD per graph.  The pass sizes its row blocks against a
-fixed entry budget, which bounds its peak memory, and runs on the fused
-C kernel (blocked scipy SpGEMM only past int32 indexing, bit-identical).
+one truncated SVD per graph.  The pass is one call of the fused C kernel
+over all rows, with O(n) scratch and no product matrix.
 """
 
 from repro.stats.kernels import (

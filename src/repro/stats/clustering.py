@@ -5,7 +5,7 @@ The local clustering coefficient of node v is
 through v; nodes of degree < 2 have ``c_v = 0`` by convention (and are
 excluded from by-degree averages, matching Leskovec et al.'s plots).
 
-The triangle numerators come from the graph's memoized blocked A² pass
+The triangle numerators come from the graph's memoized A² pass
 (:mod:`repro.stats.kernels`), so clustering shares its one heavy
 computation with the triangle counts and the sensitivity release.
 """

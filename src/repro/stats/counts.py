@@ -13,11 +13,11 @@ not, which is why the paper spends the second half of its privacy budget on
 a smooth-sensitivity triangle release.
 
 Everything that consumes the sparse product ``A @ A`` (triangles, per-node
-triangles, the max common-neighbour count) is served by the blocked
-kernels in :mod:`repro.stats.kernels` through a per-graph
+triangles, the max common-neighbour count) is served by the fused
+counting pass in :mod:`repro.stats.kernels` through a per-graph
 :class:`~repro.stats.kernels.StatsContext`, so repeated calls — and the
 other A² consumers in the privacy and figure layers — share a single
-blocked pass per graph.
+kernel call per graph.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def count_triangles(graph: Graph) -> int:
 
     Served from the graph's memoized A² pass (:mod:`repro.stats.kernels`),
     which computes the product restricted to edge positions —
-    ``((A @ A) ∘ A).sum() = 6Δ`` — block by block.
+    ``((A @ A) ∘ A).sum() = 6Δ`` — in one kernel call over all rows.
     """
     return stats_context(graph).triangle_count
 

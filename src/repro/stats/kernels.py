@@ -1,4 +1,4 @@
-"""The A² counting pass (fused kernel; scipy past int32) and the per-graph cache.
+"""The A² counting pass (one fused kernel call) and the per-graph cache.
 
 Every statistic the pipeline derives from the sparse product ``A @ A`` —
 the triangle total Δ, the per-node triangle vector, the off-diagonal
@@ -10,20 +10,12 @@ to three times per trial (Δ, LS_Δ, clustering).
 
 This module fixes both costs:
 
-* :func:`triangle_pass` computes every reduction of ``A @ A`` in **row
-  blocks**, streaming the results out of each block in a single pass, so
-  peak memory is bounded and each path-2 contribution is produced exactly
-  once.  The block size is auto-tuned: rows are packed until a block's
-  predicted product size reaches a fixed entry budget, so small graphs
-  run as one block (no overhead) and large graphs stay within a bounded
-  footprint.
-* The fused kernel (:mod:`repro.native.counting`) executes the pass: it
-  walks the CSR rows directly with a dense accumulator and never
-  materializes a product entry.  A graph past int32 CSR indexing, which
-  the kernel cannot address, runs the blocked scipy SpGEMM instead; that
-  is the only choice, and the graph alone makes it.  All arithmetic is
-  integer-exact, so both paths return **bit-identical** results for
-  every block size (enforced by
+* :func:`triangle_pass` runs the fused kernel
+  (:mod:`repro.native.counting`) once over all rows: it walks the CSR
+  rows directly with a dense accumulator, never materializes a product
+  entry, and needs only O(n) scratch, so each path-2 contribution is
+  produced exactly once.  All arithmetic is integer-exact, so results are
+  **bit-identical** to the full-product oracles (enforced by
   ``tests/stats/test_backend_equivalence.py``).
 * :class:`StatsContext` memoizes the pass (plus derived quantities,
   dtype conversions, and truncated-SVD triplets) per
@@ -31,10 +23,10 @@ This module fixes both costs:
   the smooth-sensitivity release, the figure-series clustering, and the
   spectral statistics all share **one** computation of everything.
 
-The pre-blocking implementations are the oracles of
-:mod:`repro.reference.counting`: the equivalence tests assert both paths
-bit-match them, and ``benchmarks/bench_stats.py`` measures the speedups
-against them.
+The pre-kernel implementations, and the scipy SpGEMM pass the fused
+kernel replaced, are the oracles of :mod:`repro.reference.counting`: the
+equivalence tests assert the kernel bit-matches them, and
+``benchmarks/bench_stats.py`` measures the speedups against them.
 """
 
 from __future__ import annotations
@@ -44,9 +36,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.native.counting import COUNTING_KERNEL
-from repro.utils.validation import check_integer
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -59,14 +51,13 @@ __all__ = [
     "kernel_pass_count",
     "float64_conversion_count",
     "resolve_kernel_backend",
-    "row_blocks",
 ]
 
-# Auto-tuning budget: target number of stored entries in one row-block of
-# A @ A.  At int64 data plus index arrays this is roughly 64 MiB per block
-# — small enough to stay cache-friendly on any modern machine, large
-# enough that graphs below ~4M wedges run as a single block.
-AUTO_ENTRY_BUDGET = 1 << 22
+# The kernel reads node ids as int32.  The bound is on n, which is public
+# under edge-DP; a bound on E would make neighbouring graphs differ in
+# whether they are refused, an exact private statistic branched on before
+# the noise.
+MAX_NODES = np.iinfo(np.int32).max
 
 # Process-wide count of executed A² passes.  Tests and benches use this to
 # assert the memoization contract: one pass per graph, no matter how many
@@ -81,7 +72,7 @@ _float64_conversions = 0
 
 
 def kernel_pass_count() -> int:
-    """Number of blocked A² passes executed so far in this process."""
+    """Number of A² passes executed so far in this process."""
     return _pass_count
 
 
@@ -102,20 +93,11 @@ class TrianglePassResult(NamedTuple):
     max_common_neighbors:
         ``max_{i ≠ j} |N(i) ∩ N(j)|`` over *all* node pairs — the local
         sensitivity LS_Δ of the triangle count.
-    n_blocks:
-        How many row blocks the pass used (1 = unblocked equivalent).
-    wedges:
-        Number of hairpins H = Σ_v C(d_v, 2).
-    tripins:
-        Number of tripins T = Σ_v C(d_v, 3).
     """
 
     triangles: int
     per_node: np.ndarray
     max_common_neighbors: int
-    n_blocks: int
-    wedges: int
-    tripins: int
 
 
 def resolve_kernel_backend() -> str:
@@ -125,127 +107,33 @@ def resolve_kernel_backend() -> str:
     return "cext"
 
 
-def row_blocks(graph: Graph, block_size: int = 0) -> list[tuple[int, int]]:
-    """Partition ``range(n_nodes)`` into the row blocks of the A² pass.
+def triangle_pass(graph: Graph) -> TrianglePassResult:
+    """One pass over ``A @ A``: a single fused kernel call over all rows.
 
-    With ``block_size > 0`` the blocks are fixed-size row ranges.  With
-    ``block_size == 0`` (auto) rows are packed greedily until the block's
-    predicted number of product entries — the exact per-row path-2 count
-    ``(A @ d)_r = Σ_{j ∈ N(r)} d_j``, an upper bound on the block's stored
-    entries — reaches :data:`AUTO_ENTRY_BUDGET`.  Rows whose own bound
-    exceeds the budget get a singleton block.
+    The kernel writes the per-node triangles (the product restricted to
+    edge positions, halved) and returns the off-diagonal maximum (the LS_Δ
+    ingredient); the triangle total is ``Σ_v t_v / 3``.  It reads
+    :attr:`Graph.csr`'s int64 ``indptr`` as is and an int32 copy of
+    ``indices``, so a graph of more than :data:`MAX_NODES` nodes is refused
+    with :class:`~repro.errors.ValidationError` before any kernel work.
     """
     n = graph.n_nodes
-    if n == 0:
-        return []
-    if block_size > 0:
-        return [(r, min(r + block_size, n)) for r in range(0, n, block_size)]
-    degrees = graph.degrees
-    # Total path-2 count Σ_j d_j² bounds the whole product; when it fits
-    # the budget the common case — one block — needs no per-row analysis.
-    if int((degrees * degrees).sum()) <= AUTO_ENTRY_BUDGET:
-        return [(0, n)]
-    # Running path-2 counts: Σ_j d_j over the CSR entries of rows 0..r is
-    # the prefix sum of d[indices] read at indptr[r + 1] (exact in int64).
-    indptr, indices = graph.csr
-    cumulative = np.concatenate([[0], np.cumsum(degrees[indices])])[indptr[1:]]
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    consumed = 0
-    while start < n:
-        end = int(np.searchsorted(cumulative, consumed + AUTO_ENTRY_BUDGET, side="right"))
-        end = max(end, start + 1)  # always make progress, even past-budget rows
-        end = min(end, n)
-        blocks.append((start, end))
-        consumed = int(cumulative[end - 1])
-        start = end
-    return blocks
-
-
-def _product_dtype(max_degree: int) -> np.dtype:
-    """Smallest signed integer dtype that holds every entry of ``A @ A``.
-
-    Each product entry is ``|N(i) ∩ N(j)|`` (or a degree on the diagonal),
-    both bounded by the maximum degree, so the per-entry arithmetic is
-    exact in any dtype whose range covers it; the narrow dtype roughly
-    halves the product's memory traffic and runtime versus int64.
-    Reductions that can exceed the bound (row sums, the triangle total)
-    are cast to int64 before accumulating.
-    """
-    for candidate in (np.int8, np.int16, np.int32):
-        if max_degree <= np.iinfo(candidate).max:
-            return np.dtype(candidate)
-    return np.dtype(np.int64)
-
-
-def _working_adjacency(graph: Graph) -> sp.csr_array:
-    """The adjacency recast for the scipy pass: narrow values and indices.
-
-    Values go to the smallest dtype that holds every product entry
-    (:func:`_product_dtype`); index arrays drop to int32 when the node and
-    edge counts allow, which scipy then propagates through the product —
-    halving the index traffic of the product, the edge restriction, and
-    the off-diagonal reduction.  Pure representation changes: the
-    arithmetic is unchanged.
-    """
-    import scipy.sparse as sp
-
-    dtype = _product_dtype(int(graph.degrees.max()))
-    indptr, indices = _fused_csr_arrays(graph) if _int32_indexable(graph) else graph.csr
-    data = np.ones(indices.size, dtype=dtype)
-    return sp.csr_array((data, indices, indptr), shape=(graph.n_nodes, graph.n_nodes))
-
-
-def _fused_csr_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The int32 CSR structure the fused kernels walk (values are implied 1)."""
-    indptr, indices = graph.csr
-    return indptr.astype(np.int32), indices.astype(np.int32)
-
-
-def _int32_indexable(graph: Graph) -> bool:
-    """Whether the fused kernels' int32 CSR structure can address the graph."""
-    limit = np.iinfo(np.int32).max
-    return graph.n_nodes < limit and 2 * graph.n_edges < limit
-
-
-def triangle_pass(graph: Graph, block_size: int = 0) -> TrianglePassResult:
-    """One blocked pass over ``A @ A``, streaming every consumer reduction.
-
-    For each row block ``A[r0:r1]`` the fused kernel (or, past int32
-    indexing, the scipy SpGEMM) produces
-
-    * per-node triangles for the block's rows (the product restricted to
-      edge positions, halved),
-    * the running off-diagonal maximum (the LS_Δ ingredient),
-
-    then drops the block; the wedge and tripin totals are folded in from
-    the degree sequence so the result carries every matching statistic.
-    The triangle total is ``Σ_v t_v / 3``.  Every accumulating reduction
-    is int64 and the per-entry arithmetic is exact on both paths, so
-    results bit-match the unblocked int64 reference implementations for
-    every block size.  ``block_size`` is the rows per block (``0`` =
-    auto, see :func:`row_blocks`).
-    """
-    n = graph.n_nodes
-    block_size = check_integer(block_size, "block_size", minimum=0)
-    wedges, tripins = _degree_moments(graph.degrees)
+    if n > MAX_NODES:
+        raise ValidationError(
+            f"the counting pass addresses at most {MAX_NODES} nodes, got {n}"
+        )
     per_node = np.zeros(n, dtype=np.int64)
-    if graph.n_edges == 0:
-        per_node.setflags(write=False)
-        return TrianglePassResult(0, per_node, 0, 0, wedges, tripins)
-
-    global _pass_count
-    _pass_count += 1
-
-    blocks = row_blocks(graph, block_size)
-    if _int32_indexable(graph):
-        max_common = _run_blocks(graph, blocks, per_node)
-    else:  # beyond int32 indexing only scipy's int64 path fits
-        max_common = _run_blocks_scipy(graph, blocks, per_node)
+    max_common = 0
+    if graph.n_edges:
+        global _pass_count
+        _pass_count += 1
+        indptr, indices = graph.csr
+        max_common = int(COUNTING_KERNEL.kernel()(
+            indptr, indices.astype(np.int32), n, per_node,
+            np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int32),
+        ))
     per_node.setflags(write=False)
-    return TrianglePassResult(
-        int(per_node.sum()) // 3, per_node, max_common, len(blocks), wedges, tripins
-    )
+    return TrianglePassResult(int(per_node.sum()) // 3, per_node, max_common)
 
 
 def _degree_moments(degrees: np.ndarray) -> tuple[int, int]:
@@ -255,58 +143,8 @@ def _degree_moments(degrees: np.ndarray) -> tuple[int, int]:
     return wedges, tripins
 
 
-def _run_blocks(
-    graph: Graph,
-    blocks: list[tuple[int, int]],
-    per_node: np.ndarray,
-) -> int:
-    """Execute ``blocks`` on the fused kernel, writing per-node triangles
-    into ``per_node``; returns the off-diagonal maximum over the blocks.
-    """
-    kernel = COUNTING_KERNEL.kernel()
-    indptr, indices = _fused_csr_arrays(graph)
-    n = graph.n_nodes
-    workspace = np.zeros(n, dtype=np.int64)
-    touched = np.empty(n, dtype=np.int32)
-    max_common = 0
-    for r0, r1 in blocks:
-        block_max = kernel(
-            indptr, indices, r0, r1, per_node[r0:r1], workspace, touched
-        )
-        max_common = max(max_common, int(block_max))
-    return max_common
-
-
-def _run_blocks_scipy(
-    graph: Graph,
-    blocks: list[tuple[int, int]],
-    per_node: np.ndarray,
-) -> int:
-    n = graph.n_nodes
-    adjacency = _working_adjacency(graph)
-    max_common = 0
-    for r0, r1 in blocks:
-        rows = adjacency if (r0, r1) == (0, n) else adjacency[r0:r1]
-        product = rows @ adjacency
-        if product.nnz == 0:
-            continue
-        on_edges = product.multiply(rows).astype(np.int64)
-        per_node[r0:r1] = np.asarray(on_edges.sum(axis=1)).ravel() // 2
-        # Off-diagonal max straight off the CSR buffers: expand the row
-        # pointer and reduce with a mask — no COO object, no index copy.
-        # Matching the stored index dtype keeps the comparison allocation-free.
-        row = np.repeat(
-            np.arange(r0, r1, dtype=product.indices.dtype), np.diff(product.indptr)
-        )
-        max_common = max(
-            max_common,
-            int(np.max(product.data, initial=0, where=(product.indices != row))),
-        )
-    return max_common
-
-
 class StatsContext:
-    """Memoized per-graph statistics sharing one blocked A² pass.
+    """Memoized per-graph statistics sharing one A² pass.
 
     Obtained through :func:`stats_context`, which caches one context on
     each :class:`Graph` instance (alongside the graph's lazy adjacency and
@@ -347,7 +185,7 @@ class StatsContext:
         return graph
 
     def triangle_pass_result(self) -> TrianglePassResult:
-        """The (cached) result of the blocked A² pass."""
+        """The (cached) result of the A² pass."""
         if self._pass is None:
             self._pass = triangle_pass(self.graph)
         return self._pass
@@ -376,11 +214,8 @@ class StatsContext:
 
     @property
     def wedge_count(self) -> int:
-        """Number of hairpins H = Σ_v C(d_v, 2).
-
-        Degree-only, so it never triggers an A² pass (the pass result
-        carries the same value for one-stop consumers).
-        """
+        """Number of hairpins H = Σ_v C(d_v, 2).  Degree-only, so it never
+        triggers an A² pass."""
         return _degree_moments(self.graph.degrees)[0]
 
     @property

@@ -4,7 +4,7 @@
 examples and the evaluation harness report, in a single frozen dataclass
 that renders nicely.  The triangle count and the clustering coefficient
 both derive from the graph's memoized A² pass
-(:mod:`repro.stats.kernels`), so one summary costs one blocked pass.
+(:mod:`repro.stats.kernels`), so one summary costs one pass.
 """
 
 from __future__ import annotations

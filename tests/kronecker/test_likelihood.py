@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.errors import ValidationError
 from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.likelihood import (
+    MultiChainSampler,
     PermutationSampler,
     _LogTables,
     clamped_rows,
@@ -228,6 +231,20 @@ class TestPermutationSampler:
     def test_wrong_graph_size_rejected(self):
         with pytest.raises(ValidationError):
             PermutationSampler(Graph(3, [(0, 1)]), 2, Initiator(0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "k, indptr",
+        [(2, [0, 1, 2, 3, 2**31]), (32, [0, 0])],
+        ids=["2E-past-int32", "node-ids-past-int32"],
+    )
+    def test_csr_past_int32_refused_before_narrowing(self, k, indptr):
+        """The int32 cast would wrap 2³¹ to −2³¹ and the kernel would index
+        out of bounds; a stub CSR reaches the check without a huge graph."""
+        stub = SimpleNamespace(
+            n_nodes=2**k, csr=(np.array(indptr, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        )
+        with pytest.raises(ValidationError, match="int32 CSR indexing"):
+            MultiChainSampler(stub, k, [Initiator(0.9, 0.5, 0.2)])
 
     def test_negative_steps_rejected(self, small_skg):
         sampler = PermutationSampler(small_skg, 5, Initiator(0.7, 0.4, 0.2))

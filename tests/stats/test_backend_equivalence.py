@@ -1,13 +1,13 @@
-"""Equivalence harness for the two paths of the A² counting pass.
+"""Equivalence harness for the A² counting pass and its scipy oracle.
 
-The paper's utility experiments hinge on exact triangle/wedge counts and
-the smooth-sensitivity quantity max-common-neighbours, so both paths of
-:func:`repro.stats.kernels.triangle_pass` — the fused C kernel (``cext``)
-and the blocked scipy SpGEMM that serves graphs past int32 indexing
-(``scipy``, forced here by treating every graph as such) — must be
-**bit-identical** to the pre-blocking oracles of
-:mod:`repro.reference.counting`, for every block size and graph family.
-Spectral memoization performs zero extra adjacency conversions.
+The paper's utility experiments hinge on exact triangle counts and the
+smooth-sensitivity quantity max-common-neighbours, so the one-call fused
+pass of :func:`repro.stats.kernels.triangle_pass` (``cext``) and the
+scipy SpGEMM pass it replaced (``scipy``, the oracle
+:func:`repro.reference.counting.scipy_pass`) must both be
+**bit-identical** to the full-product oracles of
+:mod:`repro.reference.counting`, for every graph family.  Spectral
+memoization performs zero extra adjacency conversions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import KernelUnavailableError, ValidationError
+from repro.errors import KernelUnavailableError
 from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.kronecker.initiator import Initiator
@@ -28,6 +28,7 @@ from repro.reference.counting import (
     reference_count_triangles,
     reference_max_common_neighbors,
     reference_triangles_per_node,
+    scipy_pass,
 )
 from repro.stats import kernels
 from repro.stats.kernels import (
@@ -40,21 +41,11 @@ from repro.stats.kernels import (
 )
 from repro.stats.spectral import network_values, singular_values
 
-BACKENDS = ("scipy", "cext")
+PASSES = {"scipy": scipy_pass, "cext": triangle_pass}
+BACKENDS = tuple(PASSES)
 
-
-def _pass(graph: Graph, block_size: int, backend: str) -> TrianglePassResult:
-    """:func:`triangle_pass` on the fused kernel (``cext``), or as for a
-    graph past int32 indexing, which takes the scipy path (``scipy``)."""
-    if backend == "cext":
-        return triangle_pass(graph, block_size)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_int32_indexable", lambda graph: False)
-        return triangle_pass(graph, block_size)
-BLOCK_SIZES = (0, 1, 7)  # auto, degenerate, small; n and > n are added per-graph
-
-# The structured families of the ISSUE matrix.  Builders are memoized so
-# the (backend x block size) matrix reuses one graph per family.
+# The structured families of the equivalence matrix.  Builders are
+# memoized so the backend columns reuse one graph per family.
 FAMILIES = {
     "empty": lambda: Graph(0),
     "isolated-only": lambda: Graph(5),
@@ -75,81 +66,47 @@ def family_graph(name: str) -> Graph:
     return FAMILIES[name]()
 
 
-@functools.lru_cache(maxsize=None)
-def family_reference(name: str) -> TrianglePassResult:
-    """The oracle answer, computed once per family from the references."""
-    graph = family_graph(name)
-    degrees = graph.degrees
+def reference_pass(graph: Graph) -> TrianglePassResult:
+    """The oracle answer, from the full-product references."""
     return TrianglePassResult(
         triangles=reference_count_triangles(graph),
         per_node=reference_triangles_per_node(graph),
         max_common_neighbors=reference_max_common_neighbors(graph),
-        n_blocks=-1,  # not part of the equivalence contract
-        wedges=int((degrees * (degrees - 1) // 2).sum()),
-        tripins=int((degrees * (degrees - 1) * (degrees - 2) // 6).sum()),
     )
 
 
-def assert_bit_identical(graph: Graph, expected: TrianglePassResult, backend, block_size):
-    result = _pass(graph, block_size, backend)
+def assert_bit_identical(result: TrianglePassResult, expected: TrianglePassResult):
     assert result.triangles == expected.triangles
     assert result.max_common_neighbors == expected.max_common_neighbors
     assert result.per_node.dtype == np.int64
     np.testing.assert_array_equal(
         np.asarray(result.per_node), np.asarray(expected.per_node)
     )
-    assert result.wedges == expected.wedges
-    assert result.tripins == expected.tripins
 
 
 class TestBackendFamilyMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_family(self, backend, block_size, family):
+    def test_family(self, backend, family):
         graph = family_graph(family)
-        assert_bit_identical(graph, family_reference(family), backend, block_size)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_family_at_degenerate_block_sizes(self, backend, family):
-        """Blocks of exactly n rows and of more rows than the graph has."""
-        graph = family_graph(family)
-        expected = family_reference(family)
-        for block_size in (max(graph.n_nodes, 1), graph.n_nodes + 13):
-            assert_bit_identical(graph, expected, backend, block_size)
+        assert_bit_identical(PASSES[backend](graph), reference_pass(graph))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(
         n=st.integers(min_value=1, max_value=40),
         p=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=10**6),
-        block_size=st.integers(min_value=0, max_value=50),
     )
     @settings(max_examples=25, deadline=None)
-    def test_property_er(self, backend, n, p, seed, block_size):
+    def test_property_er(self, backend, n, p, seed):
         graph = erdos_renyi_graph(n, p, seed=seed)
-        degrees = graph.degrees
-        result = _pass(graph, block_size, backend)
-        assert result.triangles == reference_count_triangles(graph)
-        assert result.max_common_neighbors == reference_max_common_neighbors(graph)
-        np.testing.assert_array_equal(
-            np.asarray(result.per_node), reference_triangles_per_node(graph)
-        )
-        assert result.wedges == int((degrees * (degrees - 1) // 2).sum())
-        assert result.tripins == int((degrees * (degrees - 1) * (degrees - 2) // 6).sum())
+        assert_bit_identical(PASSES[backend](graph), reference_pass(graph))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_agree_pairwise(self, backend):
         """Direct backend-vs-backend check on a graph with hub structure."""
         graph = family_graph("skg-k10")
-        against_scipy = _pass(graph, 0, "scipy")
-        result = _pass(graph, 0, backend)
-        assert result.triangles == against_scipy.triangles
-        assert result.max_common_neighbors == against_scipy.max_common_neighbors
-        np.testing.assert_array_equal(
-            np.asarray(result.per_node), np.asarray(against_scipy.per_node)
-        )
+        assert_bit_identical(PASSES[backend](graph), scipy_pass(graph))
 
 
 class TestBackendResolution:
@@ -158,18 +115,12 @@ class TestBackendResolution:
 
     def test_unavailable_cext_fails_loudly(self, monkeypatch):
         """Without the counting kernel, the loader and the triangle pass
-        raise the structured error; graphs that fit int32 CSR indexing
-        never take the scipy route instead."""
+        raise the structured error; no graph takes a scipy route instead."""
         monkeypatch.setattr(kernels.COUNTING_KERNEL, "state", (None, "no C compiler found"))
         with pytest.raises(KernelUnavailableError, match="no C compiler found"):
             resolve_kernel_backend()
         with pytest.raises(KernelUnavailableError, match="no C compiler found"):
             triangle_pass(family_graph("star"))
-
-    def test_edgeless_graphs_still_validate_knobs(self):
-        """Arguments are validated even when the graph is empty."""
-        with pytest.raises(ValidationError):
-            triangle_pass(Graph(5), block_size=2.5)
 
 
 class TestSpectralMemoization:

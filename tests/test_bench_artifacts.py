@@ -293,6 +293,29 @@ class TestBenchArtifactSchema:
             < footprint["pipeline_then_scipy"]["peak_rss_mib"]
         )
 
+    def test_stats_artifact_records_one_call_pass_rows(self):
+        """Schema 7 dropped the row-block keys: each counting row times the
+        one-call fused pass against the scipy oracle, both bit-identical,
+        under the ``backends``/``speedup_vs_scipy`` layout the trajectory's
+        ``fused_speedup`` headline reads."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_stats.json").read_text(encoding="utf-8")
+        )
+        assert report["schema_version"] == 7
+        rows = report["workloads"]
+        assert [row["workload"] for row in rows] == [
+            "skg-k10", "skg-k12", "skg-k14", "ca-grqc", "as20",
+        ]
+        for row in rows:
+            assert not {"auto_n_blocks", "kernel_block256_peak_bytes"} & set(row)
+            assert row["counts_identical"] is True
+            assert set(row["backends"]) == {"scipy", "cext"}
+            assert row["backends"]["scipy"]["speedup_vs_scipy"] == 1.0
+        floor = report["fused_speedup_floor"]
+        assert floor["workload"] == "skg-k14" and floor["required"] == 2.0
+        assert floor["backend"] == "cext" and floor["measured"] >= floor["required"]
+        assert floor["measured"] == rows[2]["backends"]["cext"]["speedup_vs_scipy"]
+
     def test_stats_artifact_records_large_k_rows(self):
         """Schema 3 added the large-k scale rows: sampler engine
         trajectory (bit-identity enforced by the bench) plus the KronMom

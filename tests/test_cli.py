@@ -221,7 +221,7 @@ class TestRunEnsemble:
 
 class TestBlockSizeOption:
     def test_flag_removed(self, edge_list_file):
-        # The A² pass chooses its own block size; the flag is gone.
+        # The A² pass is one kernel call over all rows; the flag is gone.
         with pytest.raises(SystemExit):
             main(["--block-size", "2", "summarize", str(edge_list_file)])
 

@@ -4,10 +4,9 @@ Algorithm 1, the KronFit baseline, the SKG sampler with its matching
 counts and an uncached ``/release`` need only edges, degrees and one
 triangle pass, all of which :attr:`Graph.csr` serves in numpy.  scipy
 loads only inside the calls that use it (hop plot, spectra, connected
-components, the counting pass past int32 indexing,
-``Graph.from_sparse``).  The Python oracles of :mod:`repro.reference`
-are for the equivalence suites and the benches: no runtime module
-imports them.
+components, ``Graph.adjacency``, ``Graph.from_sparse``).  The Python
+oracles of :mod:`repro.reference` are for the equivalence suites and the
+benches: no runtime module imports them.
 
 The guard runs in a fresh interpreter, since the test process itself has
 both loaded.  It checks the parent process and every worker of the
@@ -41,7 +40,6 @@ GUARD = textwrap.dedent(
     from repro.runtime.engine import persistent_executor, pool_worker_pids
     from repro.serve.config import ServeConfig
     from repro.serve.server import ServeRuntime
-    from repro.stats import kernels
     from repro.stats.counts import matching_statistics
     from repro.tracking.record import environment_fingerprint
 
@@ -61,10 +59,6 @@ GUARD = textwrap.dedent(
 
     theta = [0.99, 0.45, 0.25]
     graph = sample_skg(theta, 10, seed=1)
-    # Past the auto budget, as the k = 18 graphs are, the pass packs its
-    # row blocks from per-row path-2 counts.
-    kernels.AUTO_ENTRY_BUDGET = 256
-    assert len(kernels.row_blocks(graph)) > 1
     PrivateKroneckerEstimator(0.2, 0.01, seed=0).fit(graph)
     KronFitEstimator(n_iterations=3, seed=0).fit(graph)
     assert sample_skg_statistics(theta, 10, seed=2)[1] == matching_statistics(
