@@ -66,6 +66,32 @@ def family_graph(name: str) -> Graph:
     return FAMILIES[name]()
 
 
+# Node labellings of each family graph.  A relabelling reorders the CSR
+# rows and the columns within them, so the kernel's dense accumulator is
+# filled and cleared in a different order; every reduction must still
+# match the oracles of the relabelled graph.
+LAYOUTS = {
+    "natural": lambda n: np.arange(n, dtype=np.int64),
+    "reversed": lambda n: np.arange(n - 1, -1, -1, dtype=np.int64),
+    "shuffled": lambda n: np.random.default_rng(2011).permutation(n).astype(np.int64),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def layout_graph(family: str, layout: str) -> Graph:
+    graph = family_graph(family)
+    labels = LAYOUTS[layout](graph.n_nodes)
+    u, v = graph.edge_arrays
+    return Graph.from_edge_arrays(graph.n_nodes, labels[u], labels[v])
+
+
+def padded_graph(graph: Graph) -> Graph:
+    """``graph`` with isolated nodes appended up to the next power of two
+    past its size, as KronFit pads a graph to ``N₁^k`` nodes."""
+    padded_n = 1 << max(graph.n_nodes, 1).bit_length()
+    return Graph._from_canonical(padded_n, *graph.edge_arrays)
+
+
 def reference_pass(graph: Graph) -> TrianglePassResult:
     """The oracle answer, from the full-product references."""
     return TrianglePassResult(
@@ -86,10 +112,28 @@ def assert_bit_identical(result: TrianglePassResult, expected: TrianglePassResul
 
 class TestBackendFamilyMatrix:
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_family(self, backend, family):
-        graph = family_graph(family)
+    def test_family(self, backend, layout, family):
+        graph = layout_graph(family, layout)
         assert_bit_identical(PASSES[backend](graph), reference_pass(graph))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_padded_with_isolated_nodes(self, backend, family):
+        """Trailing isolated rows leave Δ and LS_Δ alone and add zeros."""
+        graph = family_graph(family)
+        padded = padded_graph(graph)
+        assert padded.n_nodes > graph.n_nodes
+        result = PASSES[backend](padded)
+        assert_bit_identical(result, reference_pass(padded))
+        expected = reference_pass(graph)
+        assert result.triangles == expected.triangles
+        assert result.max_common_neighbors == expected.max_common_neighbors
+        np.testing.assert_array_equal(
+            np.asarray(result.per_node[: graph.n_nodes]), np.asarray(expected.per_node)
+        )
+        assert not np.asarray(result.per_node[graph.n_nodes :]).any()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(

@@ -70,8 +70,9 @@ class TestPassEquivalence:
     def test_random_skg_draws(self, seed):
         assert_pass_matches_reference(sample_skg(Initiator(0.9, 0.5, 0.3), 8, seed=seed))
 
-    def test_erdos_renyi(self):
-        assert_pass_matches_reference(erdos_renyi_graph(200, 0.05, seed=7))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 200, 213])
+    def test_erdos_renyi(self, seed):
+        assert_pass_matches_reference(erdos_renyi_graph(200, 0.05, seed=seed))
 
     def test_empty_graph(self):
         for graph in (Graph(0), Graph(5)):
@@ -152,6 +153,51 @@ class TestOneKernelCall:
             triangle_pass(stub)
         assert calls == [] and kernel_pass_count() == before
 
+    @pytest.mark.parametrize("n_edges", [0, 2**31])
+    def test_refusal_depends_on_the_node_count_alone(self, monkeypatch, n_edges):
+        # E is private under edge-DP: an edgeless graph and one past int32
+        # entries are refused alike, so neighbours never differ in refusal.
+        calls = self.counted_kernel(monkeypatch)
+        stub = SimpleNamespace(n_nodes=kernels.MAX_NODES + 1, n_edges=n_edges)
+        with pytest.raises(ValidationError, match="at most 2147483647 nodes"):
+            triangle_pass(stub)
+        assert calls == []
+
+    def test_the_kernel_reads_every_row_with_node_length_scratch(self, monkeypatch):
+        calls = self.counted_kernel(monkeypatch)
+        graph = Graph(12, [(0, 1), (1, 2), (0, 2), (2, 5)])  # isolated tail
+        result = assert_pass_matches_reference(graph)
+        (indptr, indices, n_nodes, per_node, accumulator, marks) = calls[0]
+        np.testing.assert_array_equal(indices, graph.csr[1])
+        assert len(indptr) == n_nodes + 1 == graph.n_nodes + 1
+        assert per_node is result.per_node
+        assert len(accumulator) == len(marks) == graph.n_nodes
+
+
+class TestPassResult:
+    def test_per_node_is_read_only(self, er_graph):
+        with pytest.raises(ValueError, match="read-only"):
+            triangle_pass(er_graph).per_node[0] = 1
+
+    def test_repeated_passes_are_bit_identical(self):
+        graph = sample_skg(Initiator(0.99, 0.45, 0.25), 10, seed=4)
+        first, second = triangle_pass(graph), triangle_pass(graph)
+        assert first.per_node is not second.per_node
+        assert first.triangles == second.triangles
+        assert first.max_common_neighbors == second.max_common_neighbors
+        np.testing.assert_array_equal(first.per_node, second.per_node)
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_each_triangle_is_counted_at_its_three_corners(self, n, p, seed):
+        result = triangle_pass(erdos_renyi_graph(n, p, seed=seed))
+        assert int(result.per_node.sum()) == 3 * result.triangles
+        assert result.max_common_neighbors <= max(n - 2, 0)
+
 
 class TestStatsContext:
     def test_context_is_cached_on_graph(self, er_graph):
@@ -172,6 +218,13 @@ class TestStatsContext:
         assert context.edge_count == 10
         assert context.wedge_count == 5 * 6
         assert context.tripin_count == 5 * 4
+
+    def test_context_serves_the_pass_reductions(self, er_graph):
+        expected = triangle_pass(er_graph)
+        context = stats_context(er_graph)
+        assert context.triangle_count == expected.triangles
+        assert context.max_common_neighbors == expected.max_common_neighbors
+        np.testing.assert_array_equal(context.triangles_per_node, expected.per_node)
 
     def test_graph_with_context_freed_without_cycle_collector(self):
         graph = sample_skg(Initiator(0.9, 0.5, 0.3), 7, seed=3)
@@ -225,6 +278,10 @@ class TestConsumerConsistency:
             np.asarray(triangles_per_node(graph)),
             reference_triangles_per_node(graph),
         )
+
+    def test_local_sensitivity_is_the_pass_maximum(self):
+        graph = sample_skg(Initiator(0.99, 0.45, 0.25), 9, seed=5)
+        assert local_sensitivity_triangles(graph) == reference_max_common_neighbors(graph)
 
     def test_patched_pass_feeds_every_consumer(self, monkeypatch):
         # The context looks ``triangle_pass`` up in module globals at call
