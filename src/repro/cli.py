@@ -97,6 +97,7 @@ from repro.knobs import KNOBS, knob
 from repro.native.registry import resolve_kernel_threads
 from repro.stats.summary import summarize
 from repro.utils.tables import TextTable
+from repro.utils.validation import check_integer
 
 __all__ = ["main", "build_parser"]
 
@@ -364,6 +365,14 @@ def _resolve_graph(token: str) -> Graph:
     return graph
 
 
+def _seed(arguments: argparse.Namespace) -> int | None:
+    """``--seed``, refused before any work unless a non-negative integer
+    (numpy's rule for an integer seed)."""
+    if arguments.seed is None:
+        return None
+    return check_integer(arguments.seed, "seed", minimum=0)
+
+
 def _cmd_datasets(_arguments: argparse.Namespace) -> int:
     table = TextTable(
         ["name", "kind", "paper nodes", "paper edges", "description"],
@@ -389,17 +398,16 @@ def _cmd_fit(arguments: argparse.Namespace) -> int:
     epsilon = knob("REPRO_EPSILON", arguments.epsilon)
     delta = knob("REPRO_DELTA", arguments.delta)
     iterations = knob("REPRO_KRONFIT_ITERATIONS", arguments.kronfit_iterations)
+    seed = _seed(arguments)
     graph = _resolve_graph(arguments.graph)
     if arguments.method == "private":
-        estimate = PrivateKroneckerEstimator(
-            epsilon, delta, seed=arguments.seed
-        ).fit(graph)
+        estimate = PrivateKroneckerEstimator(epsilon, delta, seed=seed).fit(graph)
         print(estimate.describe())
         return 0
     if arguments.method == "kronmom":
         result = fit_kronmom(graph)
     else:
-        result = fit_kronfit(graph, n_iterations=iterations, seed=arguments.seed)
+        result = fit_kronfit(graph, n_iterations=iterations, seed=seed)
     theta = result.initiator
     print(f"{result.method} estimate: a={theta.a:.4f} b={theta.b:.4f} c={theta.c:.4f}")
     print(f"kronecker order k={result.k} ({2 ** result.k} nodes)")
@@ -409,10 +417,11 @@ def _cmd_fit(arguments: argparse.Namespace) -> int:
 def _cmd_release(arguments: argparse.Namespace) -> int:
     epsilon = knob("REPRO_EPSILON", arguments.epsilon)
     delta = knob("REPRO_DELTA", arguments.delta)
+    seed = _seed(arguments)
     graph = _resolve_graph(arguments.graph)
     out_dir = Path(arguments.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    estimate = PrivateKroneckerEstimator(epsilon, delta, seed=arguments.seed).fit(graph)
+    estimate = PrivateKroneckerEstimator(epsilon, delta, seed=seed).fit(graph)
 
     theta = estimate.initiator
     (out_dir / "private_initiator.json").write_text(
@@ -434,7 +443,7 @@ def _cmd_release(arguments: argparse.Namespace) -> int:
         estimate.release.accountant.describe() + "\n"
     )
     for index, synthetic in enumerate(
-        estimate.sample_graphs(arguments.samples, seed=arguments.seed)
+        estimate.sample_graphs(arguments.samples, seed=seed)
     ):
         write_edge_list(synthetic, out_dir / f"synthetic_{index}.txt")
     print(estimate.describe())
@@ -444,7 +453,7 @@ def _cmd_release(arguments: argparse.Namespace) -> int:
 
 def _cmd_sample(arguments: argparse.Namespace) -> int:
     theta = Initiator(arguments.a, arguments.b, arguments.c)
-    graph = sample_skg(theta, arguments.k, seed=arguments.seed)
+    graph = sample_skg(theta, arguments.k, seed=_seed(arguments))
     if arguments.out:
         write_edge_list(graph, arguments.out)
         print(f"wrote {graph} to {arguments.out}")
@@ -462,7 +471,7 @@ def _cmd_run_ensemble(arguments: argparse.Namespace) -> int:
         theta,
         arguments.k,
         arguments.count,
-        seed=arguments.seed,
+        seed=_seed(arguments),
         n_jobs=arguments.n_jobs,
         cache=knob("REPRO_CACHE_DIR", arguments.cache_dir),
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.graphs.graph import Graph
-from repro.graphs.operations import next_power_of_two_exponent
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.kronmom import KronMomEstimator
@@ -93,8 +92,3 @@ def fit_private(
     """The paper's Algorithm 1 (differentially private moment matching)."""
     estimate = PrivateKroneckerEstimator(epsilon, delta, **kwargs).fit(graph)
     return estimator_result("Private", estimate)
-
-
-def kronecker_order(graph: Graph) -> int:
-    """The order k every estimator uses for ``graph`` (pad-to-2^k rule)."""
-    return next_power_of_two_exponent(graph.n_nodes)

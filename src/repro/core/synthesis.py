@@ -29,6 +29,7 @@ from repro.kronecker.sampling import (
     sample_skg_statistics,
     sample_skg_statistics_batch,
 )
+from repro.native.sampling import MAX_K
 from repro.runtime import TrialCache, TrialRunReport, TrialSpec, run_trials
 from repro.stats.counts import MatchingStatistics, matching_statistics
 from repro.utils.rng import SeedLike, spawn_generators
@@ -115,10 +116,11 @@ def run_skg_ensemble(
     :func:`~repro.runtime.run_trials`; a trial's stream depends only on
     ``(seed, index)``, so the rows are bit-identical for any worker
     count.  Raises :class:`~repro.errors.ValidationError` for an empty
-    ensemble.
+    ensemble, or for a ``k`` the sampler kernel refuses, before any trial
+    is scheduled.
     """
     theta = as_initiator(initiator)
-    k = check_integer(k, "k", minimum=1)
+    k = check_integer(k, "k", minimum=1, maximum=MAX_K)
     count = check_integer(count, "count", minimum=1)
     params = {"a": theta.a, "b": theta.b, "c": theta.c, "k": k}
     report = run_trials(

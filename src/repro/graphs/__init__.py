@@ -9,8 +9,7 @@ submodules provide:
   stand-in datasets and for tests,
 * :mod:`repro.graphs.datasets` — the named dataset registry used by the
   experiments (see DESIGN.md for the SNAP substitutions),
-* :mod:`repro.graphs.operations` — structural operations (components,
-  induced subgraphs, node padding).
+* :mod:`repro.graphs.operations` — node padding to a power of two.
 """
 
 from repro.graphs.graph import Graph
@@ -27,13 +26,7 @@ from repro.graphs.generators import (
     empty_graph,
 )
 from repro.graphs.datasets import available_datasets, load_dataset, dataset_info
-from repro.graphs.operations import (
-    largest_connected_component,
-    connected_components,
-    induced_subgraph,
-    pad_to_power_of_two,
-    relabel_random,
-)
+from repro.graphs.operations import pad_to_power_of_two
 
 __all__ = [
     "Graph",
@@ -52,9 +45,5 @@ __all__ = [
     "available_datasets",
     "load_dataset",
     "dataset_info",
-    "largest_connected_component",
-    "connected_components",
-    "induced_subgraph",
     "pad_to_power_of_two",
-    "relabel_random",
 ]

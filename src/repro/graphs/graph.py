@@ -126,35 +126,6 @@ class Graph:
         self._hash: int | None = None
         self._stats = None  # lazy StatsContext (see repro.stats.kernels)
 
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "Graph":
-        """Build from a dense 0/1 adjacency matrix (symmetrized, loops dropped)."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise GraphFormatError(f"adjacency must be square, got shape {matrix.shape}")
-        upper = np.triu(matrix != 0, k=1) | np.triu((matrix != 0).T, k=1)
-        rows, cols = np.nonzero(upper)
-        return cls.from_edge_arrays(matrix.shape[0], rows, cols)
-
-    @classmethod
-    def from_sparse(cls, matrix: sp.spmatrix | sp.sparray) -> "Graph":
-        """Build from any scipy sparse adjacency (symmetrized, loops dropped)."""
-        import scipy.sparse as sp
-
-        coo = sp.coo_array(matrix)
-        if coo.shape[0] != coo.shape[1]:
-            raise GraphFormatError(f"adjacency must be square, got shape {coo.shape}")
-        mask = coo.data != 0
-        return cls.from_edge_arrays(coo.shape[0], coo.row[mask], coo.col[mask])
-
-    @classmethod
-    def from_networkx(cls, nx_graph) -> "Graph":
-        """Build from a ``networkx.Graph`` (nodes relabelled to 0..n-1)."""
-        nodes = list(nx_graph.nodes())
-        index = {node: i for i, node in enumerate(nodes)}
-        edges = [(index[a], index[b]) for a, b in nx_graph.edges() if a != b]
-        return cls(len(nodes), edges)
-
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
@@ -188,11 +159,6 @@ class Graph:
             self._degrees = counts.astype(np.int64)
             self._degrees.setflags(write=False)
         return self._degrees
-
-    def degree(self, node: int) -> int:
-        """Degree of a single node."""
-        self._check_node(node)
-        return int(self.degrees[node])
 
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -233,26 +199,6 @@ class Graph:
         self._check_node(node)
         indptr, indices = self.csr
         return indices[indptr[node] : indptr[node + 1]].copy()
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """Whether the undirected edge ``{a, b}`` is present."""
-        self._check_node(a)
-        self._check_node(b)
-        if a == b:
-            return False
-        if a > b:
-            a, b = b, a
-        lo = np.searchsorted(self._edge_u, a, side="left")
-        hi = np.searchsorted(self._edge_u, a, side="right")
-        return bool(np.any(self._edge_v[lo:hi] == b))
-
-    @property
-    def density(self) -> float:
-        """Fraction of possible edges present; 0 for graphs with < 2 nodes."""
-        n = self._n_nodes
-        if n < 2:
-            return 0.0
-        return self.n_edges / (n * (n - 1) / 2)
 
     # ------------------------------------------------------------------
     # Derived structures

@@ -12,7 +12,6 @@ consume.
 from __future__ import annotations
 
 import gzip
-import io
 from pathlib import Path
 from typing import TextIO
 
@@ -99,10 +98,3 @@ def write_edge_list(
         handle.write(f"# {line}\n")
     for u, v in graph.edges():
         handle.write(f"{u} {v}\n")
-
-
-def edge_list_string(graph: Graph, *, header: str | None = None) -> str:
-    """Return the edge-list text for ``graph`` as a string."""
-    buffer = io.StringIO()
-    write_edge_list(graph, buffer, header=header)
-    return buffer.getvalue()

@@ -2,9 +2,7 @@
 
 The Kronecker estimators require the node count to be a power of the
 initiator size (``2^k`` here); real graphs are padded with isolated nodes,
-exactly as Leskovec et al. and Gleich & Owen do.  The figure harness works
-on the largest connected component for hop plots, and tests exercise the
-remaining helpers.
+exactly as Leskovec et al. and Gleich & Owen do.
 """
 
 from __future__ import annotations
@@ -12,54 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.graphs.graph import Graph, sorted_unique
-from repro.utils.rng import SeedLike, as_generator
+from repro.graphs.graph import Graph
 
-__all__ = [
-    "connected_components",
-    "largest_connected_component",
-    "induced_subgraph",
-    "pad_to_power_of_two",
-    "next_power_of_two_exponent",
-    "relabel_random",
-]
-
-
-def connected_components(graph: Graph) -> list[np.ndarray]:
-    """Connected components as arrays of node ids, largest first."""
-    import scipy.sparse.csgraph as csgraph
-
-    if graph.n_nodes == 0:
-        return []
-    count, labels = csgraph.connected_components(graph.adjacency, directed=False)
-    components = [np.flatnonzero(labels == c) for c in range(count)]
-    components.sort(key=len, reverse=True)
-    return components
-
-
-def largest_connected_component(graph: Graph) -> Graph:
-    """The induced subgraph on the largest connected component."""
-    components = connected_components(graph)
-    if not components:
-        return Graph(0)
-    return induced_subgraph(graph, components[0])
-
-
-def induced_subgraph(graph: Graph, nodes: np.ndarray) -> Graph:
-    """Induced subgraph on ``nodes``, relabelled to ``0 .. len(nodes)-1``.
-
-    ``nodes`` must not contain duplicates; order determines the new labels.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size != sorted_unique(nodes).size:
-        raise ValidationError("nodes for induced_subgraph must be unique")
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= graph.n_nodes):
-        raise ValidationError("nodes for induced_subgraph out of range")
-    position = np.full(graph.n_nodes, -1, dtype=np.int64)
-    position[nodes] = np.arange(nodes.size)
-    u, v = graph.edge_arrays
-    keep = (position[u] >= 0) & (position[v] >= 0)
-    return Graph.from_edge_arrays(int(nodes.size), position[u[keep]], position[v[keep]])
+__all__ = ["pad_to_power_of_two", "next_power_of_two_exponent"]
 
 
 def next_power_of_two_exponent(n: int) -> int:
@@ -73,6 +26,7 @@ def next_power_of_two_exponent(n: int) -> int:
     while k > 1 and 2 ** (k - 1) >= n:
         k -= 1
     return k
+
 
 def pad_to_power_of_two(graph: Graph) -> tuple[Graph, int]:
     """Pad with isolated nodes so that ``n_nodes`` is ``2**k``; return (graph, k).
@@ -92,10 +46,3 @@ def pad_to_power_of_two(graph: Graph) -> tuple[Graph, int]:
     u, v = graph.edge_arrays
     return Graph._from_canonical(target, u, v), k
 
-
-def relabel_random(graph: Graph, seed: SeedLike = None) -> Graph:
-    """Apply a uniform random node relabelling (used in sampler tests)."""
-    rng = as_generator(seed)
-    permutation = rng.permutation(graph.n_nodes)
-    u, v = graph.edge_arrays
-    return Graph.from_edge_arrays(graph.n_nodes, permutation[u], permutation[v])

@@ -55,10 +55,6 @@ class Initiator:
             return self
         return Initiator(self.c, self.b, self.a)
 
-    def expected_degree_factor(self) -> float:
-        """Sum of entries (a + 2b + c): governs expected edge growth per level."""
-        return self.a + 2.0 * self.b + self.c
-
     def sample(self, k: int, seed=None):
         """Sample one undirected SKG realization of order ``k``.
 

@@ -218,9 +218,7 @@ class KronMomEstimator:
         ``1..MAX_K``, a non-finite observed value, or a positive one whose
         square overflows a double (above ~1.34e154).
         """
-        k = check_integer(k, "k", minimum=1)
-        if k > MAX_K:
-            raise ValidationError(f"k must be <= {MAX_K}, got {k}")
+        k = check_integer(k, "k", minimum=1, maximum=MAX_K)
         values = [float(value) for value in observed]
         for name, value in zip(MatchingStatistics._fields, values):
             if not math.isfinite(value):

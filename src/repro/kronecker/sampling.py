@@ -45,7 +45,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
-from repro.native.sampling import SAMPLER_KERNEL, draw_batch
+from repro.native.sampling import MAX_K, SAMPLER_KERNEL, draw_batch
 from repro.stats.counts import MatchingStatistics
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer
@@ -82,7 +82,7 @@ def profile_class_size(k: int, z: int, x: int, o: int) -> int:
 def sample_skg(initiator, k: int, seed: SeedLike = None) -> Graph:
     """Draw one undirected SKG on ``2^k`` nodes by exact grass-hopping."""
     theta = as_initiator(initiator)
-    k = check_integer(k, "k", minimum=1)
+    k = check_integer(k, "k", minimum=1, maximum=MAX_K)
     rng = as_generator(seed)
     return _graph_from_keys(k, _compiled_draw(theta, k, [rng], keys_only=True)[0])
 
@@ -134,7 +134,7 @@ def sample_skg_statistics_batch(
     (:func:`repro.reference.sampling.reference_sample_skg_statistics_batch`).
     """
     theta = as_initiator(initiator)
-    k = check_integer(k, "k", minimum=1)
+    k = check_integer(k, "k", minimum=1, maximum=MAX_K)
     rows = []
     run: list[np.random.Generator] = []
     for rng in map(as_generator, seeds):

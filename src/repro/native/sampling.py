@@ -107,6 +107,7 @@ import numpy as np
 from repro.native.registry import NativeKernel
 
 __all__ = [
+    "MAX_K",
     "SAMPLER_KERNEL",
     "resolve_sampler_backend",
     "choose_table",
@@ -114,6 +115,12 @@ __all__ = [
     "draw_batch",
     "bitgen_pointers",
 ]
+
+
+# The largest order k the kernel accepts: the lex table's masks are int32,
+# one bit per level, and a pair key (u << k) | v takes 2k bits of an int64.
+# Callers refuse a larger k before any draw.
+MAX_K = 31
 
 
 @functools.lru_cache(maxsize=None)
@@ -426,7 +433,7 @@ int64_t repro_sampler_batch(
     int64_t *rows_out)
 {
     int64_t keys_only = scratch_len == 0;
-    if (k < 1 || k > 31 || (keys_only && n_samples != 1)) {
+    if (k < 1 || k > """ + str(MAX_K) + r""" || (keys_only && n_samples != 1)) {
         return -1;
     }
     for (int64_t s = 0; s < n_samples; s++) {

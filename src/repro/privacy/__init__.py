@@ -30,11 +30,6 @@ from repro.privacy.sensitivity import (
 )
 from repro.privacy.triangles import release_triangle_count, TriangleRelease
 from repro.privacy.stats_release import release_matching_statistics, StatisticsRelease
-from repro.privacy.k_edge import (
-    KEdgeGuarantee,
-    k_edge_guarantee,
-    per_edge_budget_for_group,
-)
 
 __all__ = [
     "laplace_noise",
@@ -52,7 +47,4 @@ __all__ = [
     "TriangleRelease",
     "release_matching_statistics",
     "StatisticsRelease",
-    "KEdgeGuarantee",
-    "k_edge_guarantee",
-    "per_edge_budget_for_group",
 ]

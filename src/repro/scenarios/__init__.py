@@ -35,7 +35,6 @@ from repro.scenarios.engine import (
 from repro.scenarios.measures import (
     MEASURES,
     available_measures,
-    register_measure,
     resolve_measure,
 )
 from repro.scenarios.registry import (
@@ -51,7 +50,6 @@ from repro.scenarios.spec import (
     SeedPolicy,
     as_params,
     fixed_seeds,
-    params_dict,
     spawn_seeds,
 )
 from repro.scenarios import presets as _presets  # registers the default presets
@@ -74,7 +72,6 @@ __all__ = [
     "EstimatorSpec",
     "SeedPolicy",
     "as_params",
-    "params_dict",
     "spawn_seeds",
     "fixed_seeds",
     "ScenarioReport",
@@ -82,7 +79,6 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "MEASURES",
-    "register_measure",
     "resolve_measure",
     "available_measures",
     "register_scenarios",

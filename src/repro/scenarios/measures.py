@@ -10,8 +10,8 @@ like the hand-rolled trial functions they replace), ``model`` is the
 :class:`~repro.core.protocols.FittedModel` the estimator produced, and
 ``graph`` is the workload graph (``None`` for pure-sampling scenarios).
 
-Measurements registered here are the values of the scenario ``measure``
-axis; :func:`register_measure` adds project-specific ones.
+The measurements registered here are the values of the scenario
+``measure`` axis.
 """
 
 from __future__ import annotations
@@ -27,15 +27,9 @@ from repro.stats.counts import MatchingStatistics, matching_statistics
 
 __all__ = [
     "MEASURES",
-    "register_measure",
     "resolve_measure",
     "available_measures",
 ]
-
-
-def measure_fitted_model(rng: np.random.Generator, model, graph):
-    """The fitted model itself (must be picklable for parallel runs)."""
-    return model
 
 
 def measure_initiator(rng: np.random.Generator, model, graph) -> Initiator:
@@ -136,7 +130,6 @@ def measure_graph_statistics(
 
 
 MEASURES: dict[str, Callable[..., Any]] = {
-    "fitted_model": measure_fitted_model,
     "initiator": measure_initiator,
     "initiator_distance": measure_initiator_distance,
     "sample_graph": measure_sample_graph,
@@ -144,13 +137,6 @@ MEASURES: dict[str, Callable[..., Any]] = {
     "graph_statistics": measure_graph_statistics,
     "graph_comparison": measure_graph_comparison,
 }
-
-
-def register_measure(name: str, fn: Callable[..., Any], *, replace: bool = False) -> None:
-    """Register a measurement under ``name`` (module-level = picklable)."""
-    if not replace and name in MEASURES:
-        raise ValidationError(f"measure {name!r} is already registered")
-    MEASURES[name] = fn
 
 
 def resolve_measure(name: str) -> Callable[..., Any]:

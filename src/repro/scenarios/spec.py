@@ -12,12 +12,12 @@ Parameter payloads (:attr:`EstimatorSpec.params`,
 :attr:`ScenarioSpec.measure_params`) are stored as sorted
 ``(name, value)`` tuples so specs stay hashable and their trial cache
 keys are order-independent; build them with :meth:`EstimatorSpec.create`
-/ :func:`as_params` and read them back with :func:`params_dict`.
+/ :func:`as_params` and read them back with ``dict(params)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "SeedPolicy",
     "ScenarioSpec",
     "as_params",
-    "params_dict",
     "spawn_seeds",
     "fixed_seeds",
 ]
@@ -43,11 +42,6 @@ def as_params(params: Mapping[str, Any] | Params | None = None, **extra: Any) ->
     merged = dict(params or {})
     merged.update(extra)
     return tuple(sorted(merged.items()))
-
-
-def params_dict(params: Params) -> dict[str, Any]:
-    """The mapping view of a canonical parameter payload."""
-    return dict(params)
 
 
 @dataclass(frozen=True)
@@ -67,9 +61,6 @@ class EstimatorSpec:
     @classmethod
     def create(cls, method: str, **params: Any) -> "EstimatorSpec":
         return cls(method=method, params=as_params(params))
-
-    def with_params(self, **params: Any) -> "EstimatorSpec":
-        return replace(self, params=as_params(params_dict(self.params), **params))
 
 
 @dataclass(frozen=True)

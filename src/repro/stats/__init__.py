@@ -28,7 +28,6 @@ from repro.stats.kernels import (
     resolve_kernel_backend,
 )
 from repro.stats.counts import (
-    count_edges,
     count_wedges,
     count_tripins,
     count_triangles,
@@ -37,19 +36,10 @@ from repro.stats.counts import (
     matching_statistics,
     degree_moment_statistics,
 )
-from repro.stats.degrees import (
-    degree_sequence,
-    sorted_degree_sequence,
-    degree_distribution,
-    degree_ccdf,
-)
+from repro.stats.degrees import degree_distribution
 from repro.stats.hopplot import hop_plot, effective_diameter
 from repro.stats.spectral import singular_values, network_values
-from repro.stats.assortativity import (
-    degree_assortativity,
-    average_neighbor_degree_by_degree,
-    joint_degree_counts,
-)
+from repro.stats.assortativity import degree_assortativity
 from repro.stats.clustering import (
     local_clustering,
     average_clustering,
@@ -58,9 +48,7 @@ from repro.stats.clustering import (
 from repro.stats.summary import GraphSummary, summarize
 from repro.stats.comparison import (
     relative_error,
-    parameter_error,
     ks_distance,
-    median_relative_error,
     log_series_distance,
 )
 
@@ -71,7 +59,6 @@ __all__ = [
     "kernel_pass_count",
     "float64_conversion_count",
     "resolve_kernel_backend",
-    "count_edges",
     "count_wedges",
     "count_tripins",
     "count_triangles",
@@ -79,25 +66,18 @@ __all__ = [
     "max_common_neighbors",
     "matching_statistics",
     "degree_moment_statistics",
-    "degree_sequence",
-    "sorted_degree_sequence",
     "degree_distribution",
-    "degree_ccdf",
     "hop_plot",
     "effective_diameter",
     "singular_values",
     "network_values",
     "degree_assortativity",
-    "average_neighbor_degree_by_degree",
-    "joint_degree_counts",
     "local_clustering",
     "average_clustering",
     "clustering_by_degree",
     "GraphSummary",
     "summarize",
     "relative_error",
-    "parameter_error",
     "ks_distance",
-    "median_relative_error",
     "log_series_distance",
 ]

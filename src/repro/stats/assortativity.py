@@ -1,10 +1,9 @@
-"""Degree-correlation statistics: assortativity, k_nn, joint degrees.
+"""Degree correlation: Newman's assortativity coefficient.
 
-These are the "dK-2" family of statistics that structure-based DP
-synthesizers (Sala et al., the paper's closest related work) preserve by
-construction, and that a parametric SKG release preserves only as far as
-the model allows.  The baseline-comparison bench uses them to quantify
-that difference; they are also independently useful graph descriptors.
+It summarizes the "dK-2" statistics that structure-based DP synthesizers
+(Sala et al., the paper's closest related work) preserve by construction,
+and that a parametric SKG release preserves only as far as the model
+allows.  The ``graph_comparison`` scenario measure reports it.
 """
 
 from __future__ import annotations
@@ -13,11 +12,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-__all__ = [
-    "degree_assortativity",
-    "average_neighbor_degree_by_degree",
-    "joint_degree_counts",
-]
+__all__ = ["degree_assortativity"]
 
 
 def degree_assortativity(graph: Graph) -> float:
@@ -39,48 +34,3 @@ def degree_assortativity(graph: Graph) -> float:
         return float("nan")
     covariance = ((left - left.mean()) * (right - right.mean())).mean()
     return float(covariance / (left_std * right_std))
-
-
-def average_neighbor_degree_by_degree(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The k_nn(k) curve: mean neighbour degree of degree-k nodes.
-
-    Returns ``(degrees, knn)`` over degree values >= 1 present in the
-    graph.  Rising k_nn(k) = assortative mixing; falling = disassortative
-    (the typical shape for both AS topologies and SKG samples).
-    """
-    degrees = graph.degrees.astype(np.float64)
-    if graph.n_edges == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    u, v = graph.edge_arrays
-    neighbor_degree_sum = np.zeros(graph.n_nodes, dtype=np.float64)
-    np.add.at(neighbor_degree_sum, u, degrees[v])
-    np.add.at(neighbor_degree_sum, v, degrees[u])
-    eligible = graph.degrees >= 1
-    mean_neighbor = np.zeros(graph.n_nodes, dtype=np.float64)
-    mean_neighbor[eligible] = neighbor_degree_sum[eligible] / degrees[eligible]
-    values = np.unique(graph.degrees[eligible])
-    knn = np.array(
-        [mean_neighbor[graph.degrees == value].mean() for value in values]
-    )
-    return values.astype(np.int64), knn
-
-
-def joint_degree_counts(graph: Graph) -> dict[tuple[int, int], int]:
-    """The joint degree matrix (dK-2 series): counts of edges by the
-    (sorted) degree pair of their endpoints.
-
-    >>> from repro.graphs import Graph
-    >>> joint_degree_counts(Graph(3, [(0, 1), (1, 2)]))
-    {(1, 2): 2}
-    """
-    u, v = graph.edge_arrays
-    degrees = graph.degrees
-    low = np.minimum(degrees[u], degrees[v])
-    high = np.maximum(degrees[u], degrees[v])
-    counts: dict[tuple[int, int], int] = {}
-    pairs, pair_counts = np.unique(
-        low * np.int64(graph.n_nodes) + high, return_counts=True
-    )
-    for key, count in zip(pairs, pair_counts):
-        counts[(int(key // graph.n_nodes), int(key % graph.n_nodes))] = int(count)
-    return counts

@@ -1,9 +1,9 @@
 """Metrics for comparing estimates, statistics, and figure series.
 
 EXPERIMENTS.md quantifies "the private estimator performs almost similarly
-to the non-private estimators" with the metrics here: parameter errors,
-relative errors on counts, a Kolmogorov–Smirnov distance between degree
-distributions, and a log-scale series distance for the figure plots
+to the non-private estimators" with the metrics here: relative errors on
+counts, a Kolmogorov–Smirnov distance between degree distributions, and a
+log-scale series distance for the figure plots
 (hop/scree/network-value/clustering curves are compared in the paper on
 log axes, so log-space distance is the faithful notion of "close").
 """
@@ -16,9 +16,7 @@ from repro.errors import ValidationError
 
 __all__ = [
     "relative_error",
-    "median_relative_error",
     "statistics_relative_errors",
-    "parameter_error",
     "ks_distance",
     "log_series_distance",
 ]
@@ -47,33 +45,6 @@ def statistics_relative_errors(estimate, truth) -> dict[str, float]:
     return {
         name: relative_error(e, t) for name, e, t in zip(names, estimate, truth)
     }
-
-
-def median_relative_error(estimates: np.ndarray, truths: np.ndarray) -> float:
-    """Median of element-wise relative errors of two equal-length vectors."""
-    estimates = np.asarray(estimates, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if estimates.shape != truths.shape:
-        raise ValidationError(
-            f"shape mismatch: {estimates.shape} vs {truths.shape}"
-        )
-    if estimates.size == 0:
-        return 0.0
-    denominator = np.maximum(np.abs(truths), 1.0)
-    return float(np.median(np.abs(estimates - truths) / denominator))
-
-
-def parameter_error(theta_a, theta_b) -> float:
-    """Max-abs difference of two (a, b, c) parameter triples.
-
-    Accepts anything unpackable to three floats, including
-    :class:`repro.kronecker.Initiator` (which iterates as (a, b, c)).
-    """
-    a = np.asarray(tuple(theta_a), dtype=np.float64)
-    b = np.asarray(tuple(theta_b), dtype=np.float64)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValidationError("parameter_error expects (a, b, c) triples")
-    return float(np.abs(a - b).max())
 
 
 def ks_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

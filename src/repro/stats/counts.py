@@ -31,7 +31,6 @@ from repro.stats.kernels import stats_context
 
 __all__ = [
     "MatchingStatistics",
-    "count_edges",
     "count_wedges",
     "count_tripins",
     "count_triangles",
@@ -53,11 +52,6 @@ class MatchingStatistics(NamedTuple):
     hairpins: float
     tripins: float
     triangles: float
-
-
-def count_edges(graph: Graph) -> int:
-    """Number of undirected edges E."""
-    return graph.n_edges
 
 
 def count_wedges(graph: Graph) -> int:

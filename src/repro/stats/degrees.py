@@ -1,4 +1,4 @@
-"""Degree-based statistics: sequences, distributions, CCDFs.
+"""Degree-based statistics: the degree distribution.
 
 The sorted degree sequence is the object Hay et al.'s DP release operates
 on; the degree distribution (count of nodes per degree value) is the
@@ -11,22 +11,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-__all__ = [
-    "degree_sequence",
-    "sorted_degree_sequence",
-    "degree_distribution",
-    "degree_ccdf",
-]
-
-
-def degree_sequence(graph: Graph) -> np.ndarray:
-    """Degrees indexed by node id (copy; callers may mutate)."""
-    return graph.degrees.copy()
-
-
-def sorted_degree_sequence(graph: Graph) -> np.ndarray:
-    """Degrees sorted ascending — ``d_S`` in the paper's Section 4."""
-    return np.sort(graph.degrees)
+__all__ = ["degree_distribution"]
 
 
 def degree_distribution(
@@ -46,16 +31,6 @@ def degree_distribution(
         keep = values > 0
         values, counts = values[keep], counts[keep]
     return values.astype(np.int64), counts.astype(np.int64)
-
-
-def degree_ccdf(degrees_or_graph: Graph | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complementary CDF of the degree distribution: P(D >= d) per value d."""
-    degrees = _as_degree_vector(degrees_or_graph)
-    if degrees.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    values, counts = np.unique(degrees, return_counts=True)
-    tail = np.cumsum(counts[::-1])[::-1] / degrees.size
-    return values.astype(np.int64), tail
 
 
 def _as_degree_vector(degrees_or_graph: Graph | np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import ValidationError
 
-__all__ = ["TextTable", "format_float", "format_series"]
+__all__ = ["TextTable", "format_float"]
 
 
 def format_float(value: float, digits: int = 4) -> str:
@@ -82,12 +82,3 @@ class TextTable:
 
     def __str__(self) -> str:  # pragma: no cover - convenience alias
         return self.render()
-
-
-def format_series(xs: Sequence[float], ys: Sequence[float], *, name: str, digits: int = 4) -> str:
-    """Render one plot series as ``name: (x, y) (x, y) ...`` pairs."""
-    pairs = " ".join(
-        f"({format_float(float(x), digits)}, {format_float(float(y), digits)})"
-        for x, y in zip(xs, ys)
-    )
-    return f"{name}: {pairs}"

@@ -47,13 +47,17 @@ def check_nonnegative(value: float, name: str) -> float:
     return value
 
 
-def check_integer(value: Any, name: str, *, minimum: int | None = None) -> int:
-    """Validate that ``value`` is integral (optionally >= ``minimum``)."""
+def check_integer(
+    value: Any, name: str, *, minimum: int | None = None, maximum: int | None = None
+) -> int:
+    """Validate that ``value`` is integral (optionally within ``[minimum, maximum]``)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 

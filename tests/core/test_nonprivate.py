@@ -9,9 +9,7 @@ from repro.core.nonprivate import (
     fit_kronfit,
     fit_kronmom,
     fit_private,
-    kronecker_order,
 )
-from repro.graphs import Graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
 
@@ -45,10 +43,6 @@ class TestFrontDoor:
         result = fit_kronmom(graph)
         synthetic = result.sample_graph(seed=0)
         assert synthetic.n_nodes == 2**result.k
-
-    def test_kronecker_order_helper(self):
-        assert kronecker_order(Graph(5)) == 3
-        assert kronecker_order(Graph(8)) == 3
 
     def test_all_methods_agree_on_k(self, graph):
         mom = fit_kronmom(graph)

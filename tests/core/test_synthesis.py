@@ -9,6 +9,7 @@ from repro.core.baseline import DPDegreeSequenceSynthesizer
 from repro.core.protocols import FixedInitiatorModel
 from repro.core.synthesis import (
     ensemble_matching_statistics,
+    run_skg_ensemble,
     sample_ensemble,
     sample_statistics,
 )
@@ -74,6 +75,15 @@ class TestEnsembleStatistics:
     def test_empty_ensemble_rejected(self, count):
         with pytest.raises(ValidationError, match="count must be >= 1"):
             ensemble_matching_statistics(Initiator(0.9, 0.5, 0.2), 6, count)
+
+    @pytest.mark.parametrize("k", [32, 70])
+    def test_order_past_kernel_bound_refused_before_scheduling(self, k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial was scheduled")
+
+        monkeypatch.setattr("repro.core.synthesis.run_trials", refuse)
+        with pytest.raises(ValidationError, match="k must be <= 31"):
+            run_skg_ensemble(Initiator(0.9, 0.5, 0.2), k, 2, seed=0)
 
     def test_deterministic(self):
         theta = Initiator(0.9, 0.5, 0.2)

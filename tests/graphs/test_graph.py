@@ -79,33 +79,14 @@ class TestAccessors:
             square_with_diagonal.degrees, [3, 2, 3, 2]
         )
 
-    def test_degree_single(self, square_with_diagonal):
-        assert square_with_diagonal.degree(0) == 3
-
-    def test_degree_invalid_node(self, triangle):
+    def test_neighbors_invalid_node(self, triangle):
         with pytest.raises(ValidationError):
-            triangle.degree(5)
+            triangle.neighbors(5)
 
     def test_neighbors_sorted(self, square_with_diagonal):
         np.testing.assert_array_equal(
             square_with_diagonal.neighbors(0), [1, 2, 3]
         )
-
-    def test_has_edge_both_orders(self, triangle):
-        assert triangle.has_edge(0, 2)
-        assert triangle.has_edge(2, 0)
-
-    def test_has_edge_absent(self, path4):
-        assert not path4.has_edge(0, 3)
-
-    def test_has_edge_self_loop_false(self, triangle):
-        assert not triangle.has_edge(1, 1)
-
-    def test_density_triangle(self, triangle):
-        assert triangle.density == 1.0
-
-    def test_density_small_graph(self):
-        assert Graph(1).density == 0.0
 
     def test_edges_iteration(self, triangle):
         assert list(triangle.edges()) == [(0, 1), (0, 2), (1, 2)]
@@ -126,34 +107,12 @@ class TestAccessors:
 
 
 class TestAlternateConstructors:
-    def test_from_dense_symmetrizes(self):
-        matrix = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        graph = Graph.from_dense(matrix)
-        assert graph.edge_set() == {(0, 1), (1, 2)}
-
-    def test_from_dense_drops_diagonal(self):
-        graph = Graph.from_dense(np.eye(3))
-        assert graph.n_edges == 0
-
-    def test_from_dense_rejects_non_square(self):
-        with pytest.raises(GraphFormatError):
-            Graph.from_dense(np.zeros((2, 3)))
-
-    def test_from_sparse_roundtrip(self, square_with_diagonal):
-        rebuilt = Graph.from_sparse(square_with_diagonal.adjacency)
-        assert rebuilt == square_with_diagonal
-
-    def test_from_networkx(self):
-        networkx = pytest.importorskip("networkx")
-        nx_graph = networkx.karate_club_graph()
-        graph = Graph.from_networkx(nx_graph)
-        assert graph.n_nodes == nx_graph.number_of_nodes()
-        assert graph.n_edges == nx_graph.number_of_edges()
-
     def test_to_networkx_roundtrip(self, square_with_diagonal):
         pytest.importorskip("networkx")
-        back = Graph.from_networkx(square_with_diagonal.to_networkx())
-        assert back == square_with_diagonal
+        nx_graph = square_with_diagonal.to_networkx()
+        assert nx_graph.number_of_nodes() == square_with_diagonal.n_nodes
+        edges = {(min(a, b), max(a, b)) for a, b in nx_graph.edges()}
+        assert edges == square_with_diagonal.edge_set()
 
     def test_from_edge_arrays_shape_mismatch(self):
         with pytest.raises(GraphFormatError):
@@ -184,12 +143,11 @@ class TestValueSemantics:
 class TestEdgeFlip:
     def test_flip_removes_existing(self, triangle):
         flipped = triangle.with_edge_flipped(0, 1)
-        assert flipped.n_edges == 2
-        assert not flipped.has_edge(0, 1)
+        assert flipped.edge_set() == {(0, 2), (1, 2)}
 
     def test_flip_adds_missing(self, path4):
         flipped = path4.with_edge_flipped(0, 3)
-        assert flipped.has_edge(0, 3)
+        assert flipped.edge_set() == path4.edge_set() | {(0, 3)}
 
     def test_flip_is_involution(self, square_with_diagonal):
         twice = square_with_diagonal.with_edge_flipped(1, 3).with_edge_flipped(1, 3)

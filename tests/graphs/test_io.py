@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import gzip
+import io
 
 import pytest
 
 from repro.errors import GraphFormatError
 from repro.graphs import Graph, parse_edge_list, read_edge_list, write_edge_list
-from repro.graphs.io import edge_list_string
 
 
 class TestParse:
@@ -66,11 +66,15 @@ class TestRoundtrip:
         assert graph.edge_set() == triangle.edge_set()
 
     def test_default_header_records_counts(self, triangle):
-        text = edge_list_string(triangle)
+        buffer = io.StringIO()
+        write_edge_list(triangle, buffer)
+        text = buffer.getvalue()
         assert text.startswith("# Nodes: 3 Edges: 3")
 
     def test_custom_header(self, triangle):
-        text = edge_list_string(triangle, header="line one\nline two")
+        buffer = io.StringIO()
+        write_edge_list(triangle, buffer, header="line one\nline two")
+        text = buffer.getvalue()
         assert "# line one" in text
         assert "# line two" in text
 

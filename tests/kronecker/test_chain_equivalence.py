@@ -296,7 +296,9 @@ class TestNativeDrawContract:
         probe's smoke test, which makes the kernel unavailable instead of
         letting it corrupt chains."""
         kernel = MULTICHAIN_KERNEL.kernel()
-        stranger = native_chain.bitgen_pointers([np.random.default_rng(99)])
+        # Keep the generator alive: its bitgen_t is freed with it.
+        stranger_rng = np.random.default_rng(99)
+        stranger = native_chain.bitgen_pointers([stranger_rng])
 
         def misdirected(*args):
             if args[0] == native_chain._DRAW:

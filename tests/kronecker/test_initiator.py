@@ -50,9 +50,6 @@ class TestBehaviour:
     def test_distance_canonicalizes(self):
         assert Initiator(0.1, 0.5, 0.9).distance(Initiator(0.9, 0.5, 0.1)) == 0.0
 
-    def test_expected_degree_factor(self):
-        assert Initiator(0.9, 0.5, 0.1).expected_degree_factor() == pytest.approx(2.0)
-
     def test_sample_convenience(self):
         graph = Initiator(0.9, 0.5, 0.2).sample(4, seed=0)
         assert graph.n_nodes == 16

@@ -14,6 +14,7 @@ from repro.kronecker.sampling import (
     pair_probability,
     profile_class_size,
     sample_skg,
+    sample_skg_statistics_batch,
 )
 from repro.reference.sampling import sample_skg_naive
 from repro.stats.counts import matching_statistics
@@ -135,6 +136,16 @@ class TestSamplerProperties:
         # every off-diagonal pair, so the graph must be empty.
         graph = sample_skg((1.0, 0.0, 1.0), 6, seed=0)
         assert graph.n_edges == 0
+
+    @pytest.mark.parametrize("k", [32, 70])
+    def test_order_past_kernel_bound_refused_before_any_draw(self, k):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="k must be <= 31"):
+            sample_skg((0.9, 0.5, 0.2), k, seed=rng)
+        with pytest.raises(ValidationError, match="k must be <= 31"):
+            sample_skg_statistics_batch((0.9, 0.5, 0.2), k, [rng])
+        assert rng.bit_generator.state == state
 
     def test_naive_size_guard(self):
         with pytest.raises(ValidationError):

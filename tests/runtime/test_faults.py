@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.knobs import knob
 from repro.runtime import (
-    FaultPlan,
     InjectedFault,
     TrialCache,
     TrialFailure,

@@ -12,11 +12,7 @@ from repro.graphs.generators import (
     erdos_renyi_graph,
     star_graph,
 )
-from repro.stats.assortativity import (
-    average_neighbor_degree_by_degree,
-    degree_assortativity,
-    joint_degree_counts,
-)
+from repro.stats.assortativity import degree_assortativity
 
 
 class TestDegreeAssortativity:
@@ -40,43 +36,3 @@ class TestDegreeAssortativity:
         graph = barabasi_albert_graph(300, 3, seed=1)
         value = degree_assortativity(graph)
         assert -1.0 <= value <= 1.0
-
-
-class TestAverageNeighborDegree:
-    def test_matches_networkx(self):
-        networkx = pytest.importorskip("networkx")
-        graph = erdos_renyi_graph(100, 0.06, seed=5)
-        values, knn = average_neighbor_degree_by_degree(graph)
-        their_per_node = networkx.average_neighbor_degree(graph.to_networkx())
-        for value, mean in zip(values, knn):
-            nodes = [n for n in range(graph.n_nodes) if graph.degrees[n] == value]
-            expected = np.mean([their_per_node[n] for n in nodes])
-            assert mean == pytest.approx(expected, abs=1e-9)
-
-    def test_star(self):
-        values, knn = average_neighbor_degree_by_degree(star_graph(6))
-        # Leaves (degree 1) see the centre (degree 5); the centre sees 1s.
-        np.testing.assert_array_equal(values, [1, 5])
-        np.testing.assert_allclose(knn, [5.0, 1.0])
-
-    def test_empty_graph(self):
-        values, knn = average_neighbor_degree_by_degree(Graph(4))
-        assert values.size == 0
-        assert knn.size == 0
-
-
-class TestJointDegreeCounts:
-    def test_path(self):
-        counts = joint_degree_counts(Graph(3, [(0, 1), (1, 2)]))
-        assert counts == {(1, 2): 2}
-
-    def test_triangle(self, triangle):
-        assert joint_degree_counts(triangle) == {(2, 2): 3}
-
-    def test_total_is_edge_count(self, er_graph):
-        counts = joint_degree_counts(er_graph)
-        assert sum(counts.values()) == er_graph.n_edges
-
-    def test_keys_sorted(self, er_graph):
-        for low, high in joint_degree_counts(er_graph):
-            assert low <= high

@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.kronecker.initiator import Initiator
 from repro.stats.comparison import (
     ks_distance,
     log_series_distance,
-    median_relative_error,
-    parameter_error,
     relative_error,
 )
 
@@ -27,35 +24,6 @@ class TestRelativeError:
 
     def test_symmetric_magnitude(self):
         assert relative_error(8.0, 10.0) == pytest.approx(0.2)
-
-
-class TestMedianRelativeError:
-    def test_basic(self):
-        errors = median_relative_error(np.array([1.0, 2.0]), np.array([2.0, 2.0]))
-        assert errors == pytest.approx(0.25)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            median_relative_error(np.zeros(2), np.zeros(3))
-
-    def test_empty(self):
-        assert median_relative_error(np.array([]), np.array([])) == 0.0
-
-
-class TestParameterError:
-    def test_identical(self):
-        theta = Initiator(0.9, 0.5, 0.1)
-        assert parameter_error(theta, theta) == 0.0
-
-    def test_max_abs(self):
-        assert parameter_error((1.0, 0.5, 0.0), (0.8, 0.5, 0.1)) == pytest.approx(0.2)
-
-    def test_accepts_initiators_and_tuples(self):
-        assert parameter_error(Initiator(0.9, 0.5, 0.1), (0.9, 0.5, 0.1)) == 0.0
-
-    def test_rejects_wrong_arity(self):
-        with pytest.raises(ValidationError):
-            parameter_error((1.0, 2.0), (1.0, 2.0))
 
 
 class TestKsDistance:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.graphs import Graph
 from repro.graphs.generators import erdos_renyi_graph, star_graph
 from repro.stats.counts import (
-    count_edges,
     count_triangles,
     count_tripins,
     count_wedges,
@@ -23,7 +22,7 @@ from repro.stats.counts import (
 
 class TestKnownGraphs:
     def test_triangle(self, triangle):
-        assert count_edges(triangle) == 3
+        assert triangle.n_edges == 3
         assert count_wedges(triangle) == 3
         assert count_tripins(triangle) == 0
         assert count_triangles(triangle) == 1
@@ -40,7 +39,7 @@ class TestKnownGraphs:
         assert count_triangles(star) == 0
 
     def test_complete_k5(self, k5):
-        assert count_edges(k5) == 10
+        assert k5.n_edges == 10
         assert count_wedges(k5) == 5 * 6  # 5 * C(4,2)
         assert count_tripins(k5) == 5 * 4  # 5 * C(4,3)
         assert count_triangles(k5) == 10  # C(5,3)
@@ -111,7 +110,7 @@ class TestAgainstNetworkxOracle:
 class TestDegreeMoments:
     def test_matches_exact_counts_on_integer_degrees(self, er_graph):
         edges, hairpins, tripins = degree_moment_statistics(er_graph.degrees)
-        assert edges == count_edges(er_graph)
+        assert edges == er_graph.n_edges
         assert hairpins == count_wedges(er_graph)
         assert tripins == count_tripins(er_graph)
 
@@ -134,7 +133,7 @@ def test_count_invariants(n, p, seed):
     """Degree-derived counts always agree with their combinatorial forms."""
     graph = erdos_renyi_graph(n, p, seed=seed)
     degrees = graph.degrees
-    assert count_edges(graph) == degrees.sum() // 2
+    assert graph.n_edges == degrees.sum() // 2
     assert count_wedges(graph) == int((degrees * (degrees - 1) // 2).sum())
     assert 3 * count_triangles(graph) <= count_wedges(graph)
     assert max_common_neighbors(graph) <= max(n - 2, 0)

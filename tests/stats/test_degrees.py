@@ -5,24 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs import Graph
-from repro.stats.degrees import (
-    degree_ccdf,
-    degree_distribution,
-    degree_sequence,
-    sorted_degree_sequence,
-)
-
-
-class TestSequences:
-    def test_degree_sequence_is_copy(self, triangle):
-        sequence = degree_sequence(triangle)
-        sequence[0] = 99
-        assert triangle.degrees[0] == 2
-
-    def test_sorted_sequence_ascending(self, square_with_diagonal):
-        np.testing.assert_array_equal(
-            sorted_degree_sequence(square_with_diagonal), [2, 2, 3, 3]
-        )
+from repro.stats.degrees import degree_distribution
 
 
 class TestDistribution:
@@ -50,18 +33,3 @@ class TestDistribution:
     def test_counts_sum_to_nonzero_nodes(self, er_graph):
         _values, counts = degree_distribution(er_graph)
         assert counts.sum() == int((er_graph.degrees > 0).sum())
-
-
-class TestCcdf:
-    def test_starts_at_one_when_min_degree_reached(self, triangle):
-        values, tail = degree_ccdf(triangle)
-        assert tail[0] == 1.0
-
-    def test_monotone_decreasing(self, er_graph):
-        _values, tail = degree_ccdf(er_graph)
-        assert np.all(np.diff(tail) <= 0)
-
-    def test_empty_graph(self):
-        values, tail = degree_ccdf(Graph(0))
-        assert values.size == 0
-        assert tail.size == 0

@@ -18,6 +18,13 @@ def edge_list_file(tmp_path):
     return path
 
 
+def _assert_one_error(capsys, line):
+    """The command failed with exactly ``line`` on stderr and no output."""
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""
+
+
 class TestDatasets:
     def test_lists_all(self, capsys):
         assert main(["datasets"]) == 0
@@ -77,6 +84,10 @@ class TestFit:
         assert code == 0
         assert "KronFit estimate" in capsys.readouterr().out
 
+    def test_negative_seed_rejected(self, edge_list_file, capsys):
+        assert main(["fit", str(edge_list_file), "--seed", "-5"]) == 1
+        _assert_one_error(capsys, "error: seed must be >= 0, got -5")
+
 
 class TestRelease:
     def test_package_contents(self, edge_list_file, tmp_path, capsys):
@@ -101,6 +112,15 @@ class TestRelease:
         assert (out_dir / "privacy_ledger.txt").exists()
         assert (out_dir / "synthetic_0.txt").exists()
         assert (out_dir / "synthetic_1.txt").exists()
+
+    def test_negative_seed_rejected(self, edge_list_file, tmp_path, capsys):
+        out_dir = tmp_path / "pkg"
+        code = main(
+            ["release", str(edge_list_file), "--out", str(out_dir), "--seed", "-2"]
+        )
+        assert code == 1
+        _assert_one_error(capsys, "error: seed must be >= 0, got -2")
+        assert not out_dir.exists()
 
 
 class TestTable1Command:
@@ -141,10 +161,35 @@ class TestSample:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, capsys):
+        code = main(
+            ["sample", "--a", "0.9", "--b", "0.5", "--c", "0.2", "-k", "4",
+             "--seed", "-1"]
+        )
+        assert code == 1
+        _assert_one_error(capsys, "error: seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize("k", ["32", "70"])
+    def test_order_past_kernel_bound_rejected(self, k, capsys):
+        code = main(["sample", "--a", "0.9", "--b", "0.5", "--c", "0.2", "-k", k])
+        assert code == 1
+        _assert_one_error(capsys, f"error: k must be <= 31, got {k}")
+
 
 class TestRunEnsemble:
     ARGS = ["run-ensemble", "--a", "0.9", "--b", "0.5", "--c", "0.2",
             "-k", "6", "--count", "3", "--seed", "1"]
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(self.ARGS[:-1] + ["-1"]) == 1
+        _assert_one_error(capsys, "error: seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize("k", ["32", "70"])
+    def test_order_past_kernel_bound_rejected(self, k, capsys):
+        args = list(self.ARGS)
+        args[args.index("-k") + 1] = k
+        assert main(args) == 1
+        _assert_one_error(capsys, f"error: k must be <= 31, got {k}")
 
     def test_summary_to_stdout(self, capsys):
         assert main(self.ARGS) == 0

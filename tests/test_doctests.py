@@ -16,7 +16,6 @@ import repro.graphs.graph
 import repro.graphs.io
 import repro.kronecker.initiator
 import repro.privacy.accountant
-import repro.privacy.k_edge
 import repro.runtime.cache
 import repro.runtime.hashing
 import repro.utils.rng
@@ -27,7 +26,6 @@ MODULES = [
     repro.graphs.io,
     repro.kronecker.initiator,
     repro.privacy.accountant,
-    repro.privacy.k_edge,
     repro.runtime.cache,
     repro.runtime.hashing,
     repro.utils.rng,

@@ -3,10 +3,10 @@
 Algorithm 1, the KronFit baseline, the SKG sampler with its matching
 counts and an uncached ``/release`` need only edges, degrees and one
 triangle pass, all of which :attr:`Graph.csr` serves in numpy.  scipy
-loads only inside the calls that use it (hop plot, spectra, connected
-components, ``Graph.adjacency``, ``Graph.from_sparse``).  The Python
-oracles of :mod:`repro.reference` are for the equivalence suites and the
-benches: no runtime module imports them.
+loads only inside the calls that use it (hop plot, spectra,
+``Graph.adjacency``).  The Python oracles of :mod:`repro.reference` are
+for the equivalence suites and the benches: no runtime module imports
+them.
 
 The guard runs in a fresh interpreter, since the test process itself has
 both loaded.  It checks the parent process and every worker of the

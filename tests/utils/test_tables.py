@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.tables import TextTable, format_float, format_series
+from repro.utils.tables import TextTable, format_float
 
 
 class TestFormatFloat:
@@ -52,11 +52,3 @@ class TestTextTable:
         table = TextTable(["a"])
         table.add_row([(1, 2)])
         assert "(1, 2)" in table.render()
-
-
-class TestFormatSeries:
-    def test_pairs_rendered(self):
-        text = format_series([1, 10], [5.0, 0.5], name="curve")
-        assert text.startswith("curve:")
-        assert "(1, 5)" in text
-        assert "(10, 0.5)" in text
