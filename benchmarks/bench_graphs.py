@@ -40,7 +40,6 @@ Run directly (no pytest needed)::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
@@ -56,7 +55,7 @@ except ImportError:  # running from a checkout without `pip install -e .`
 
 import numpy as np
 
-from repro.graphs.datasets import dataset_info, load_dataset
+from repro.graphs.datasets import dataset_info, graph_digest, load_dataset
 from repro.graphs.graph import Graph, _canonicalize_edges
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
@@ -71,23 +70,10 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 PIPELINE_MODULES = ("repro.core.estimator", "repro.kronecker.kronfit", "repro.serve.server")
 SCIPY_MODULES = ("scipy.sparse.csgraph", "scipy.sparse.linalg")
 
-# The stand-ins' edge digests at their default seeds (sha256 of the node
-# count and the canonical edge arrays, first 16 hex digits).
-STANDIN_DIGESTS = {
-    "ca-grqc": "c01f90c943e87ca2",
-    "as20": "3d5bbe2ae597a288",
-    "ca-hepth": "a465b4181bb176fb",
-}
+# Each build is checked against the digest its DatasetSpec pins.
+STANDINS = ("ca-grqc", "as20", "ca-hepth")
 EDGE_ARRAY_GRAPHS = ("ca-grqc", "skg-k18")
 QUICK_EDGE_ARRAY_GRAPHS = ("ca-grqc",)
-
-
-def graph_digest(graph: Graph) -> str:
-    u, v = graph.edge_arrays
-    hasher = hashlib.sha256(str(graph.n_nodes).encode())
-    hasher.update(u.tobytes())
-    hasher.update(v.tobytes())
-    return hasher.hexdigest()[:16]
 
 
 def summarize(seconds: list[float]) -> dict:
@@ -207,13 +193,13 @@ def bench_standin(name: str, repeats: int) -> dict:
 
     (seconds,) = timed([build], repeats)
     digests = {graph_digest(graph) for graph in graphs}
-    if digests != {STANDIN_DIGESTS[name]}:
-        raise AssertionError(f"{name} stand-in digests {digests} != {STANDIN_DIGESTS[name]}")
+    if digests != {spec.digest}:
+        raise AssertionError(f"{name} stand-in digests {digests} != {spec.digest}")
     return {
         "dataset": name,
         "n_nodes": graphs[0].n_nodes,
         "n_edges": graphs[0].n_edges,
-        "digest": STANDIN_DIGESTS[name],
+        "digest": spec.digest,
         "build": summarize(seconds),
     }
 
@@ -285,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     repeats = arguments.repeats or (3 if arguments.quick else 11)
 
     standins = []
-    for name in STANDIN_DIGESTS:
+    for name in STANDINS:
         row = bench_standin(name, repeats)
         standins.append(row)
         print(

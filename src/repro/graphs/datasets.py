@@ -10,11 +10,16 @@ point ``REPRO_DATA_DIR`` at a directory containing ``<name>.txt`` or
 ``<name>.txt.gz`` files and they will be used instead.
 
 All stand-ins are deterministically seeded: ``load_dataset`` called twice
-with default arguments returns equal graphs.
+with default arguments returns equal graphs, whose :func:`graph_digest`
+each :class:`DatasetSpec` pins.  A default graph's *fingerprint* is that
+digest, or the sha256 of its ``REPRO_DATA_DIR`` file: ``repro serve``
+binds charges to :func:`dataset_fingerprint` (no graph built) and checks
+:func:`load_fingerprinted` (the graph and what it was built from).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -25,11 +30,12 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.graphs.graph import Graph
 from repro.graphs.generators import barabasi_albert_graph, powerlaw_cluster_graph
-from repro.graphs.io import read_edge_list
+from repro.graphs.io import read_edge_list, read_hashed_edge_list
 from repro.knobs import knob
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["DatasetSpec", "available_datasets", "load_dataset", "dataset_info"]
+__all__ = ["DatasetSpec", "available_datasets", "dataset_fingerprint", "dataset_info",
+           "graph_digest", "load_dataset", "load_fingerprinted"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,8 @@ class DatasetSpec:
     default_seed:
         Seed used when the caller does not supply one, so the default
         experiment graphs are stable across runs.
+    digest:
+        :func:`graph_digest` of the graph built at ``default_seed``.
     """
 
     name: str
@@ -59,6 +67,7 @@ class DatasetSpec:
     description: str
     kind: str
     default_seed: int
+    digest: str
     builder: Callable[[np.random.Generator], Graph] = field(repr=False)
 
 
@@ -95,7 +104,7 @@ def _build_skg_at(k: int) -> Callable[[np.random.Generator], Graph]:
     return build
 
 
-def _large_k_spec(k: int, default_seed: int) -> DatasetSpec:
+def _large_k_spec(k: int, default_seed: int, digest: str) -> DatasetSpec:
     return DatasetSpec(
         name=f"skg-k{k}",
         paper_nodes=2**k,
@@ -107,6 +116,7 @@ def _large_k_spec(k: int, default_seed: int) -> DatasetSpec:
         ),
         kind="synthetic",
         default_seed=default_seed,
+        digest=digest,
         builder=_build_skg_at(k),
     )
 
@@ -125,6 +135,7 @@ _REGISTRY: dict[str, DatasetSpec] = {
             ),
             kind="standin",
             default_seed=1202,
+            digest="c01f90c943e87ca2",
             builder=_build_ca_grqc,
         ),
         DatasetSpec(
@@ -138,6 +149,7 @@ _REGISTRY: dict[str, DatasetSpec] = {
             ),
             kind="standin",
             default_seed=1203,
+            digest="a465b4181bb176fb",
             builder=_build_ca_hepth,
         ),
         DatasetSpec(
@@ -152,6 +164,7 @@ _REGISTRY: dict[str, DatasetSpec] = {
             ),
             kind="standin",
             default_seed=1204,
+            digest="3d5bbe2ae597a288",
             builder=_build_as20,
         ),
         DatasetSpec(
@@ -165,11 +178,12 @@ _REGISTRY: dict[str, DatasetSpec] = {
             ),
             kind="synthetic",
             default_seed=1205,
+            digest="b13439ac12d6c16b",
             builder=_build_skg_at(14),
         ),
-        _large_k_spec(16, default_seed=1216),
-        _large_k_spec(18, default_seed=1218),
-        _large_k_spec(20, default_seed=1220),
+        _large_k_spec(16, default_seed=1216, digest="9dc0f0a10f3b8428"),
+        _large_k_spec(18, default_seed=1218, digest="96c5083215f951b0"),
+        _large_k_spec(20, default_seed=1220, digest="6d087a9e705e19a5"),
     ]
 }
 
@@ -188,6 +202,16 @@ def dataset_info(name: str) -> DatasetSpec:
         raise DatasetError(f"unknown dataset {name!r}; known datasets: {known}") from None
 
 
+def graph_digest(graph: Graph) -> str:
+    """Content hash of a graph: sha256 of its node count and canonical
+    edge arrays, first 16 hex digits."""
+    u, v = graph.edge_arrays
+    hasher = hashlib.sha256(str(graph.n_nodes).encode())
+    hasher.update(u.tobytes())
+    hasher.update(v.tobytes())
+    return hasher.hexdigest()[:16]
+
+
 def load_dataset(name: str, seed: SeedLike = None) -> Graph:
     """Load (or deterministically generate) a named experiment graph.
 
@@ -196,37 +220,68 @@ def load_dataset(name: str, seed: SeedLike = None) -> Graph:
     ``seed`` (default: the spec's fixed seed, for run-to-run stability).
     """
     spec = dataset_info(name)
+    source = _data_source(spec.name)
     if seed is None:
-        # The common default-seed path is memoized: Graph is immutable and
-        # the trial engine (repro.runtime) loads datasets once per trial,
-        # which would otherwise rebuild the same graph repeatedly.  The
-        # data directory is part of the key so REPRO_DATA_DIR changes
-        # (tests monkeypatch it) are never served stale.
-        return _load_default(spec.name, knob("REPRO_DATA_DIR"))
-    from_disk = _try_load_from_disk(spec.name)
-    if from_disk is not None:
-        return from_disk
+        return _load_default(spec.name, source)[0]
+    if source is not None:
+        return read_edge_list(source[0])[0]
     return spec.builder(as_generator(seed))
 
 
-@lru_cache(maxsize=None)
-def _load_default(name: str, _data_dir: str | None) -> Graph:
-    from_disk = _try_load_from_disk(name)
-    if from_disk is not None:
-        return from_disk
+def load_fingerprinted(name: str) -> tuple[Graph, str]:
+    """The default graph of ``name`` and the fingerprint of what it was
+    built from: the sha256 of the file bytes parsed, else its digest."""
     spec = dataset_info(name)
-    return spec.builder(as_generator(spec.default_seed))
+    graph, sha256 = _load_default(spec.name, _data_source(spec.name))
+    return graph, sha256 or _standin_digest(spec.name)
 
 
-def _try_load_from_disk(name: str) -> Graph | None:
+def dataset_fingerprint(name: str) -> str:
+    """:func:`load_fingerprinted`'s fingerprint, without building the graph."""
+    spec = dataset_info(name)
+    source = _data_source(spec.name)
+    return spec.digest if source is None else _file_sha256(*source)
+
+
+@lru_cache(maxsize=16)
+def _load_default(name: str, source: tuple | None) -> tuple[Graph, str | None]:
+    # The common default-seed path is memoized: Graph is immutable and
+    # the trial engine (repro.runtime) loads datasets once per trial,
+    # which would otherwise rebuild the same graph repeatedly.  A data
+    # file's path, size and mtime are the key, so a changed file (or a
+    # monkeypatched REPRO_DATA_DIR) is never served stale; the bound
+    # drops the graphs of replaced files.
+    if source is not None:
+        graph, _labels, sha256 = read_hashed_edge_list(source[0])
+        return graph, sha256
+    spec = dataset_info(name)
+    return spec.builder(as_generator(spec.default_seed)), None
+
+
+@lru_cache(maxsize=None)
+def _standin_digest(name: str) -> str:
+    return graph_digest(_load_default(name, None)[0])
+
+
+@lru_cache(maxsize=32)
+def _file_sha256(path: str, _size: int, _mtime_ns: int) -> str:
+    hasher = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            hasher.update(block)
+    return hasher.hexdigest()
+
+
+def _data_source(name: str) -> tuple[str, int, int] | None:
+    """``(path, size, mtime_ns)`` of ``name``'s ``REPRO_DATA_DIR`` file, if any."""
     data_dir = knob("REPRO_DATA_DIR")
     if data_dir is None:
         return None
     for suffix in (".txt", ".txt.gz"):
         path = Path(data_dir) / f"{name}{suffix}"
         if path.exists():
-            graph, _labels = read_edge_list(path)
-            return graph
+            stat = path.stat()
+            return str(path), stat.st_size, stat.st_mtime_ns
     return None
 
 

@@ -4,7 +4,8 @@ The SNAP datasets the paper uses ship as whitespace-separated edge lists
 with ``#`` comment lines.  :func:`read_edge_list` accepts exactly that
 format (plain or gzipped), relabels arbitrary integer node ids to the dense
 range ``0 .. n-1``, and returns a :class:`repro.graphs.Graph` together with
-the label mapping.  :func:`write_edge_list` is its inverse, so released
+the label mapping (:func:`read_hashed_edge_list` also the sha256 of the
+file's bytes).  :func:`write_edge_list` is its inverse, so released
 synthetic graphs can be saved in the same format researchers already
 consume.
 """
@@ -12,6 +13,7 @@ consume.
 from __future__ import annotations
 
 import gzip
+import hashlib
 from pathlib import Path
 from typing import TextIO
 
@@ -20,7 +22,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graphs.graph import Graph, sorted_unique
 
-__all__ = ["parse_edge_list", "read_edge_list", "write_edge_list"]
+__all__ = ["parse_edge_list", "read_edge_list", "read_hashed_edge_list", "write_edge_list"]
 
 
 def parse_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
@@ -65,13 +67,15 @@ def parse_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
 
 def read_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     """Read a SNAP-format edge list from ``path`` (``.gz`` handled)."""
+    return read_hashed_edge_list(path)[:2]
+
+
+def read_hashed_edge_list(path: str | Path) -> tuple[Graph, dict[int, int], str]:
+    """:func:`read_edge_list`, plus the sha256 of the file's bytes (read once)."""
     path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = path.read_text(encoding="utf-8")
-    return parse_edge_list(text)
+    data = path.read_bytes()
+    text = (gzip.decompress(data) if path.suffix == ".gz" else data).decode("utf-8")
+    return (*parse_edge_list(text), hashlib.sha256(data).hexdigest())
 
 
 def write_edge_list(

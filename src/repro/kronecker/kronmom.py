@@ -28,6 +28,7 @@ restart there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,6 +111,9 @@ MAX_K = 64
 # Denominators are floored at this value to keep the objective finite when
 # an expected count vanishes (e.g. b = c = 0 grid corners).
 _NORM_FLOOR = 1e-12
+
+# :func:`_grid` keeps grids of up to this many points per axis (~3 MB).
+_CACHED_GRID_POINTS = 41
 
 # Tolerances and iteration cap of every refinement restart.
 _NELDER_MEAD_OPTIONS = {"xatol": 1e-6, "fatol": 1e-10, "maxiter": 2000}
@@ -251,23 +255,15 @@ class KronMomEstimator:
 
     # ------------------------------------------------------------------
 
-    def _objective_vectorized(self, observed: np.ndarray, a, b, c, k: int):
-        expected = expected_feature_vector(a, b, c, k, self.features)
+    def _grid_stage(self, observed: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+        grid = _grid if self.grid_points <= _CACHED_GRID_POINTS else _grid.__wrapped__
+        a, b, c, mask, expected = grid(self.grid_points, k, self.features)
         observed_cols = observed.reshape((-1,) + (1,) * (expected.ndim - 1))
         dist = DISTANCES[self.distance](observed_cols, expected)
         norm = NORMALIZATIONS[self.normalization](observed_cols, expected)
         norm = np.maximum(np.abs(norm), _NORM_FLOOR)
-        return (dist / norm).sum(axis=0)
-
-    def _grid_stage(self, observed: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-        axis = np.linspace(0.0, 1.0, self.grid_points)
-        a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
-        # Identifiability: only scan a >= c (the objective is symmetric).
-        mask = a >= c
         values = np.full(a.shape, np.inf)
-        values[mask] = self._objective_vectorized(
-            observed, a[mask], b[mask], c[mask], k
-        )
+        values[mask] = (dist / norm).sum(axis=0)
         flat_best = int(np.argmin(values))
         index = np.unravel_index(flat_best, values.shape)
         best = np.array([a[index], b[index], c[index]])
@@ -328,6 +324,21 @@ class KronMomEstimator:
             return total + penalty * 1e3
 
         return objective
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(grid_points: int, k: int, features: tuple[str, ...]):
+    """The grid stage's ``(a, b, c, mask, expected)``, read-only: the
+    meshgrid, its a >= c mask (the objective is symmetric) and the expected
+    features there, shared by every fit at one (grid_points, k, features)."""
+    axis = np.linspace(0.0, 1.0, grid_points)
+    a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
+    mask = a >= c
+    expected = expected_feature_vector(a[mask], b[mask], c[mask], k, features)
+    for array in (a, b, c, mask, expected):
+        array.flags.writeable = False
+    return a, b, c, mask, expected
+
 
 # scipy's Nelder–Mead coefficients (reflection, expansion, contraction,
 # shrink) and initial-simplex steps, non-adaptive variant.

@@ -8,17 +8,24 @@ overspent — the losing request is refused with
 :class:`~repro.errors.PrivacyBudgetError` (the HTTP layer answers 403)
 *before* any noise is drawn.
 
+A charge may name a ``token`` (a model spec's
+:meth:`~repro.serve.registry.ModelSpec.token`); a token already charged,
+in this process or in the replayed ledger, is not charged again.
+
 With a ledger directory configured, :meth:`AccountantRegistry.charge`
-appends one JSON line (``label``, ``epsilon``, ``delta``) per spend to
-``<dataset>.jsonl`` and fsyncs it before returning, so a fit draws noise
-only under a spend already on disk and a drain has nothing left to
-write.  A failed append is cut back off the file and raises, and memory
-keeps the spend.  First use replays the file: a torn last line (a crash
-mid-append, before its fit drew noise) is dropped and truncated away,
-any other malformed line raises :class:`~repro.errors.PrivacyError`
-naming the file and line, and a ``<dataset>.json`` of the older
-whole-file format is migrated once.  :meth:`AccountantRegistry.read_ledger`
-reads a ledger without writing, to inspect a live server's directory.
+appends one JSON line per spend to ``<dataset>.jsonl``,
+``{"label", "epsilon", "delta", "token"}`` (``token`` absent when the
+charge names none, and in the older format: such a line counts against
+the budget but marks no spec charged), and fsyncs it before returning,
+so a fit draws noise only under a spend already on disk and a drain has
+nothing left to write.  A failed append is cut back off the file and
+raises, and memory keeps the spend but not its token.  First use
+replays the file: a torn last line (a crash mid-append, before its fit
+drew noise) is dropped and truncated away, any other malformed line
+raises :class:`~repro.errors.PrivacyError` naming the file and line,
+and a ``<dataset>.json`` of the older whole-file format is migrated
+once.  :meth:`AccountantRegistry.read_ledger` reads a ledger without
+writing, to inspect a live server's directory.
 """
 
 from __future__ import annotations
@@ -40,9 +47,10 @@ __all__ = ["AccountantRegistry"]
 _logger = get_logger(__name__)
 
 
-def _line(spend: PrivacySpend) -> bytes:
-    """``spend`` as one ledger line."""
-    return json.dumps(asdict(spend)).encode("utf-8") + b"\n"
+def _line(spend: PrivacySpend, token: str | None = None) -> bytes:
+    """``spend`` (charged under ``token``) as one ledger line."""
+    entry = asdict(spend) if token is None else {**asdict(spend), "token": token}
+    return json.dumps(entry).encode("utf-8") + b"\n"
 
 
 def _append(path: Path, data: bytes) -> None:
@@ -85,6 +93,7 @@ class AccountantRegistry:
             self.ledger_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._accountants: dict[str, PrivacyAccountant] = {}
+        self._charged: dict[str, set[bytes]] = {}
 
     def ledger_path(self, dataset: str) -> Path | None:
         """Where ``dataset``'s ledger persists (``None`` = in-memory)."""
@@ -98,28 +107,41 @@ class AccountantRegistry:
             accountant = self._accountants.get(dataset)
             if accountant is None:
                 accountant = PrivacyAccountant(self.epsilon, self.delta)
-                if self.ledger_dir is not None:
-                    accountant._record(self._replay(dataset))
+                entries = self._replay(dataset) if self.ledger_dir is not None else []
+                accountant._record(spend for spend, _token in entries)
+                # Tokens are hex digests, held as bytes: half the memory.
+                self._charged[dataset] = {bytes.fromhex(t) for _spend, t in entries if t}
                 self._accountants[dataset] = accountant
             return accountant
 
-    def charge(self, dataset: str, label: str, epsilon: float, delta: float) -> None:
+    def charge(self, dataset: str, label: str, epsilon: float, delta: float,
+               token: str | None = None) -> bool:
         """Atomically charge the dataset's budget, then append it to disk.
 
-        Raises :class:`~repro.errors.PrivacyBudgetError` (writing nothing)
-        when the spend would exceed the budget.  An :class:`OSError` from
-        the append (a :class:`~repro.errors.PrivacyError` after a torn
-        line) propagates with the spend kept in memory, so the caller
-        draws no noise under an unrecorded spend.
+        Returns ``False``, charging nothing, when ``token`` is already
+        charged.  Raises :class:`~repro.errors.PrivacyBudgetError`
+        (writing nothing) when the spend would exceed the budget.  An
+        :class:`OSError` from the append (a
+        :class:`~repro.errors.PrivacyError` after a torn line) propagates
+        with the spend kept in memory and the token not marked, so the
+        caller draws no noise under an unrecorded spend.
         """
         accountant = self.for_dataset(dataset)
+        charged = self._charged[dataset]
+        key = None if token is None else bytes.fromhex(token)
         path = self.ledger_path(dataset)
         # The accountant's lock (reentrant) orders the dataset's appends,
-        # so a failed one is cut off before the next line can follow it.
+        # so a failed one is cut off before the next line can follow it,
+        # and makes the token check and the charge one step.
         with accountant._lock:
+            if key in charged:
+                return False
             accountant.charge(label, epsilon, delta)
             if path is not None:
-                _append(path, _line(accountant._ledger[-1]))
+                _append(path, _line(accountant._ledger[-1], token))
+            if key is not None:
+                charged.add(key)
+            return True
 
     def read_ledger(self, dataset: str) -> tuple[PrivacySpend, ...]:
         """The spends on disk for ``dataset``, read without writing anything.
@@ -128,7 +150,7 @@ class AccountantRegistry:
         progress) is skipped rather than truncated, and a snapshot not yet
         migrated is read where it lies.
         """
-        return tuple(self._read(dataset)[0])
+        return tuple(spend for spend, _token in self._read(dataset)[0])
 
     def snapshot(self) -> dict:
         """Per-dataset budget state for ``/stats``."""
@@ -143,12 +165,12 @@ class AccountantRegistry:
                 "budget": {"epsilon": accountant.epsilon, "delta": accountant.delta},
                 "spent": {"epsilon": spent_epsilon, "delta": spent_delta},
                 "remaining": {"epsilon": remaining_epsilon, "delta": remaining_delta},
-                "entries": len(accountant.ledger),
+                "entries": len(accountant._ledger),
             }
         return report
 
-    def _read(self, dataset: str) -> tuple[list[PrivacySpend], int | None]:
-        """The spends on disk and, if the ``.jsonl`` has a torn last line,
+    def _read(self, dataset: str) -> tuple[list[tuple[PrivacySpend, str | None]], int | None]:
+        """The entries on disk and, if the ``.jsonl`` has a torn last line,
         the length of its complete lines."""
         path = self.ledger_path(dataset)
         legacy = path.with_suffix(".json")
@@ -159,27 +181,32 @@ class AccountantRegistry:
             except (ValueError, TypeError) as exc:
                 raise PrivacyError(f"privacy ledger {legacy} is malformed: {exc}") from exc
         if not path.exists():
-            return snapshot or [], None
+            return [(spend, None) for spend in snapshot or []], None
         data = path.read_bytes()
         keep = data.rfind(b"\n") + 1
-        spends = []
+        entries = []
         for number, line in enumerate(data[:keep].splitlines(), start=1):
             try:
-                spends.append(PrivacySpend.from_json(json.loads(line)))
-            except ValueError as exc:
+                entry = json.loads(line)
+                spend = PrivacySpend.from_json(entry)
+                token = entry.get("token")
+                if token is not None:
+                    bytes.fromhex(token)  # a hex digest, or malformed
+            except (ValueError, TypeError) as exc:
                 raise PrivacyError(
                     f"privacy ledger {path} line {number} is malformed: {exc}"
                 ) from exc
+            entries.append((spend, token))
         # A .jsonl beside a snapshot is an interrupted migration's only if
         # it starts with the snapshot's spends; otherwise neither file
         # alone holds the record.
-        if snapshot is not None and spends[: len(snapshot)] != snapshot:
+        if snapshot is not None and [spend for spend, _ in entries[: len(snapshot)]] != snapshot:
             raise PrivacyError(f"privacy ledgers {legacy} and {path} disagree")
-        return spends, keep if keep < len(data) else None
+        return entries, keep if keep < len(data) else None
 
-    def _replay(self, dataset: str) -> list[PrivacySpend]:
-        """The spends on disk for ``dataset``; leaves its file ready to append."""
-        spends, torn = self._read(dataset)
+    def _replay(self, dataset: str) -> list[tuple[PrivacySpend, str | None]]:
+        """The entries on disk for ``dataset``; leaves its file ready to append."""
+        entries, torn = self._read(dataset)
         path = self.ledger_path(dataset)
         if torn is not None:
             _logger.warning("dropped the torn last line of %s: its fit drew no noise", path)
@@ -192,8 +219,8 @@ class AccountantRegistry:
             if legacy.exists() and migrated.exists():
                 raise PrivacyError(f"privacy ledger {legacy} cannot be migrated: {migrated} exists")
             if not path.exists():
-                atomic_write(path, b"".join(map(_line, spends)), durable=True)
+                atomic_write(path, b"".join(_line(*entry) for entry in entries), durable=True)
             if legacy.exists():
                 os.replace(legacy, migrated)  # if lost to a power cut, it reruns
-        _logger.info("restored %d privacy spend(s) for %s", len(spends), dataset)
-        return spends
+        _logger.info("restored %d privacy spend(s) for %s", len(entries), dataset)
+        return entries

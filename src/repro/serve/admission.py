@@ -23,14 +23,17 @@ promise:
   Concurrent identical requests serialize on the key, so the work — and
   for private fits, the **budget charge** — happens once, with the
   waiters served from memory.  It counts where each value came from
-  (``memory`` / ``disk`` / ``computed``) for ``/stats``.  Nothing is
-  evicted: the memo grows with the distinct keys it has served.
+  (``memory`` / ``disk`` / ``computed``) for ``/stats``.  Memory is an
+  LRU of ``maxsize`` entries: a recall refreshes its entry, and an
+  insert past the bound evicts the least recent one, whose next request
+  finds it on disk or computes it again.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -211,15 +214,18 @@ class SingleFlightMemo:
 
     A computed value is stored to disk, and every value found on disk or
     computed is stored to memory, before the key's lock is released, so
-    a waiter on the same key always finds it in memory: the ``disk``
-    count stays exact when identical requests arrive together after a
-    restart.  A ``compute`` that raises stores and counts nothing; the
-    next call for the key computes again.
+    a waiter on the same key finds it in memory unless ``maxsize`` other
+    keys were stored in between: the ``disk`` count stays exact when
+    identical requests arrive together after a restart.  A ``compute``
+    that raises stores and counts nothing; the next call for the key
+    computes again.  Memory holds at most ``maxsize`` values, evicting
+    the least recently stored or recalled.
     """
 
-    def __init__(self, cache: TrialCache | None = None) -> None:
+    def __init__(self, cache: TrialCache | None, maxsize: int) -> None:
         self._cache = cache
-        self._memory: dict[str, Any] = {}
+        self.maxsize = check_integer(maxsize, "maxsize", minimum=1)
+        self._memory: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
         self._locks = KeyedLocks()
         self._counts = {"memory": 0, "disk": 0, "computed": 0}
@@ -243,6 +249,8 @@ class SingleFlightMemo:
                     self._cache.store(key, value)
             with self._lock:
                 self._memory[key] = value
+                if len(self._memory) > self.maxsize:
+                    self._memory.popitem(last=False)
                 self._counts[source] += 1
             return value, source
 
@@ -250,6 +258,7 @@ class SingleFlightMemo:
         with self._lock:
             if key not in self._memory:
                 return False, None
+            self._memory.move_to_end(key)
             self._counts["memory"] += 1
             return True, self._memory[key]
 

@@ -3,30 +3,33 @@
 **Fit once, sample many** is the serving contract — and for private
 estimators it is also the privacy win: one (ε, δ) charge buys a fitted
 model whose samples are free post-processing.  :class:`ModelRegistry`
-memoizes fitted models by a stable content hash of (dataset, method,
-budget, seed, params) in one
-:class:`~repro.serve.admission.SingleFlightMemo`, whose request flow is::
+memoizes fitted models by :meth:`ModelSpec.token`, a stable content hash
+of (dataset, its content fingerprint, method, budget, seed, params), in
+one bounded :class:`~repro.serve.admission.SingleFlightMemo`, whose
+request flow is::
 
     memory hit -> model
       | keyed lock -> memory hit -> model          (a concurrent winner's fit)
       | disk hit (TrialCache) -> model, uncharged  (a restarted server)
-      | budget charge -> fit -> disk -> memory
+      | charge unless the token is in the ledger -> fit -> disk -> memory
 
-* in memory for the process lifetime (the hot path; an SKG model is
+* in memory, the ``maxsize`` most recently used (an SKG model is
   kept as the fields responses read, see :class:`_SkgModel`);
 * on disk through the content-addressed
   :class:`~repro.runtime.cache.TrialCache`, so a restarted server reuses
-  earlier fits **without charging the budget again** (the matching
-  spend is in the restored ledger);
-* single-flight per key, so the fit — and its budget charge — happens
-  exactly once while concurrent identical requests wait and read the
-  winner's result.
+  earlier fits;
+* single-flight per key, so concurrent identical requests wait for one
+  fit and read the winner's result.
 
-The budget charge is the first step of the memo's compute, *before* the
-fit executes (before any noise is drawn), through the accountant's
-atomic check-and-spend; an over-budget request dies with
-:class:`~repro.errors.PrivacyBudgetError` having perturbed nothing, and
-the memo stores nothing for it.
+**Charge once per model.**  The memo's compute first charges the budget
+under the spec's token, *before* the fit draws noise; a token the ledger
+holds is not charged again (:mod:`repro.serve.accounting`), so a model
+evicted here, or refit by a restart without a trial cache, costs nothing:
+a refit of the token replays the same noise (on a CPU with the same SIMD
+dispatch; ROADMAP item 3).  The token binds the dataset's fingerprint,
+which :func:`_fit_work` checks against the graph it loaded.  An
+over-budget request dies with :class:`~repro.errors.PrivacyBudgetError`
+having perturbed nothing, and the memo stores nothing for it.
 
 :func:`execute_work` is how fits run: in-process
 when the server is serial, else on the trial engine's persistent worker
@@ -51,7 +54,8 @@ import numpy as np
 
 from repro.core.protocols import FittedModel, build_estimator, estimator_method
 from repro.core.synthesis import sample_statistics_batch
-from repro.graphs.datasets import load_dataset
+from repro.errors import ReproError
+from repro.graphs.datasets import load_fingerprinted
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator
 from repro.native.registry import shard_bounds
@@ -145,14 +149,21 @@ def execute_work(
 def _fit_work(
     *,
     dataset: str,
+    fingerprint: str,
     method: str,
     epsilon: float | None,
     delta: float | None,
     seed: int,
     params: tuple,
 ) -> FittedModel:
-    """Fit one model (module-level: ships to pool workers by name)."""
-    graph = load_dataset(dataset)
+    """Fit one model (module-level: ships to pool workers by name);
+    refuse, drawing no noise, a graph that is not ``fingerprint``'s."""
+    graph, loaded = load_fingerprinted(dataset)
+    if loaded != fingerprint:
+        raise ReproError(
+            f"dataset {dataset!r} changed while the request was in flight "
+            f"(loaded {loaded[:16]}, expected {fingerprint[:16]}); retry it"
+        )
     estimator = build_estimator(
         method, dict(params), epsilon=epsilon, delta=delta, seed=seed
     )
@@ -163,11 +174,10 @@ def _fit_work(
 class _SkgModel:
     """The fields of a fitted SKG model that serving reads.
 
-    The registry keeps every fitted model for the process lifetime.  A
-    private fit's full result also carries its degree release, two float
+    A private fit's full result also carries its degree release, two float
     arrays of the input's node count (~100 KB at as20) that no response
-    reads; keeping only these fields holds the registry's memory flat as
-    uncached fits accumulate.  Summaries and samples read nothing else,
+    reads; keeping only these fields keeps each memo entry small (and the
+    pool's reply that carries it).  Summaries and samples read nothing else,
     so every response body is unchanged.
     """
 
@@ -247,12 +257,14 @@ def _probe_work() -> int:
 class ModelSpec:
     """The identity of one fitted model: the registry's cache key.
 
+    ``fingerprint`` is :func:`~repro.graphs.datasets.dataset_fingerprint`.
     ``epsilon`` / ``delta`` are ``None`` for methods that do not consume
     them (so ``kronmom`` at "ε=0.2" and "ε=0.3" share one model), and
     ``params`` is a sorted tuple of extra estimator kwargs.
     """
 
     dataset: str
+    fingerprint: str
     method: str
     epsilon: float | None
     delta: float | None
@@ -274,20 +286,20 @@ class ModelSpec:
         delta = float(self.delta or 0.0) if descriptor.accepts_delta else 0.0
         return (epsilon, delta)
 
+    def _request(self) -> tuple:
+        """What a request names: everything but the content fingerprint."""
+        return ("serve-model", _MODEL_KEY_VERSION, self.dataset, self.method,
+                self.epsilon, self.delta, self.seed, self.params)
+
     def token(self) -> str:
-        """Stable content hash: the memory/disk registry key."""
-        return stable_hash(
-            (
-                "serve-model",
-                _MODEL_KEY_VERSION,
-                self.dataset,
-                self.method,
-                self.epsilon,
-                self.delta,
-                self.seed,
-                self.params,
-            )
-        )
+        """Stable hash of the request and the data: the registry's
+        memory/disk key and the ledger's charge key."""
+        return stable_hash(self._request() + (self.fingerprint,))
+
+    def entropy(self, count: int) -> int:
+        """The seed of a ``count``-sample batch: a hash of the request
+        alone, so sampled seeds do not move with the fingerprint."""
+        return int(stable_hash(("serve-entropy", stable_hash(self._request()), count))[:16], 16)
 
     def label(self) -> str:
         """The ledger label a fit of this spec charges under."""
@@ -306,31 +318,35 @@ class ModelRegistry:
         *,
         accountants,
         executor: Callable[..., Any],
-        cache: TrialCache | None = None,
+        cache: TrialCache | None,
+        maxsize: int,
     ) -> None:
         self._accountants = accountants
         self._executor = executor
-        self._memo = SingleFlightMemo(cache)
+        self._memo = SingleFlightMemo(cache, maxsize)
 
     def get_or_fit(self, spec: ModelSpec, *, crash_submissions: int = 0) -> FittedModel:
-        """The model for ``spec``, fitting (and charging) at most once.
+        """The model for ``spec``, charging its token at most once.
 
         Single-flight per key: under concurrent identical requests
-        exactly one caller fits (charging the budget exactly once for
-        private methods); the rest block on the key and then hit memory.
-        A model restored from disk was charged by an earlier process.
+        exactly one caller fits; the rest block on the key and then hit
+        memory.  A private fit charges the budget only if the ledger has
+        no line for the spec's token; a model restored from disk was
+        charged by an earlier process.
         """
+        token = spec.token()
 
         def fit() -> FittedModel:
             if spec.charges_budget:
                 # Atomic check-and-spend BEFORE the fit runs: an
                 # over-budget request is refused here, before any noise
                 # is drawn.
-                self._accountants.charge(spec.dataset, spec.label(), *spec.charge)
+                self._accountants.charge(spec.dataset, spec.label(), *spec.charge, token=token)
             return self._executor(
                 _fit_work,
                 {
                     "dataset": spec.dataset,
+                    "fingerprint": spec.fingerprint,
                     "method": spec.method,
                     "epsilon": spec.epsilon,
                     "delta": spec.delta,
@@ -340,7 +356,7 @@ class ModelRegistry:
                 crash_submissions=crash_submissions,
             )
 
-        return self._memo.get(spec.token(), fit)[0]
+        return self._memo.get(token, fit)[0]
 
     def summarize_model(self, model: FittedModel) -> dict:
         """The JSON-safe released view of a fitted model."""

@@ -22,7 +22,6 @@ lives in :class:`ServeRuntime`:
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import threading
@@ -81,17 +80,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(self.server.service.handle_body(verb, path, raw))
 
     def _respond(self, response: ServeResponse) -> None:
-        # sort_keys is load-bearing: cold and cached responses must be
-        # byte-for-byte identical on the wire.
-        body = (json.dumps(response.body, sort_keys=True) + "\n").encode("utf-8")
+        # The service encodes every body once, with sorted keys, so cold
+        # and cached responses are byte-for-byte identical on the wire.
         try:
             self.send_response(response.status)
             self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length", str(len(response.payload)))
             for name, value in response.headers.items():
                 self.send_header(name, value)
             self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(response.payload)
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up first; its admission slot was already
             # released by the service layer.

@@ -27,13 +27,20 @@ Request flow on ``/fit`` / ``/sample`` / ``/release``::
     drain? -> 503 | breaker open? -> 503 | gate full? -> 429
       -> assign work sequence number (fault-injection target)
       -> under the deadline watchdog:
-           canonicalize -> injected faults (the request's TrialFaults)
+           canonicalize (with the dataset fingerprint)
+           -> injected faults (the request's TrialFaults)
            -> response memo (memory -> keyed lock -> memory -> disk):
               hit -> body
               miss -> build the estimator (malformed params: 400,
-                 nothing charged) -> model memo (atomic budget charge
-                 BEFORE the fit) -> samples (one run of seeds per
-                 sampler thread) -> body to disk, then to memory
+                 nothing charged) -> model memo (atomic budget charge,
+                 once per model token, BEFORE the fit) -> samples (one
+                 run of seeds per sampler thread) -> encoded body to
+                 disk, then to memory
+
+Both memos are LRUs (:data:`_RESPONSE_MEMO_SIZE` and
+:data:`_MODEL_MEMO_SIZE`), the response memo of encoded wire bytes.  An
+evicted body recomputes byte-identically from its (model, count,
+entropy); an evicted model refits without a second charge.
 
 Determinism: a request that omits ``seed`` gets one derived from the
 stable hash of its canonical parameters, so retrying the same request —
@@ -53,7 +60,7 @@ from typing import Any, Callable, Mapping
 
 from repro.core.protocols import build_estimator, estimator_method
 from repro.errors import DatasetError, PrivacyBudgetError, ValidationError
-from repro.graphs.datasets import available_datasets
+from repro.graphs.datasets import available_datasets, dataset_fingerprint
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import TrialTimeoutError, call_with_timeout
 from repro.runtime.faults import InjectedFault, TrialFaults
@@ -75,7 +82,12 @@ __all__ = ["ServeResponse", "SynthesisService"]
 _logger = get_logger(__name__)
 
 # Version tag in every response-cache key: bump when body layout changes.
-_RESPONSE_KEY_VERSION = 1
+_RESPONSE_KEY_VERSION = 2
+
+# Memo bounds: encoded bodies (~1.7 KB for a 12-sample /release) and
+# fitted models (~0.6 KB each), so the memos stay near 0.2 MB.
+_RESPONSE_MEMO_SIZE = 64
+_MODEL_MEMO_SIZE = 128
 
 # Lowercase request tokens -> estimator registry names.  ``Fixed`` is
 # deliberately not servable: it ignores the dataset, so it has no place
@@ -90,18 +102,33 @@ _SERVE_METHODS = {
 _WORK_ENDPOINTS = ("/fit", "/sample", "/release")
 
 
+def _encode(body: dict) -> bytes:
+    """A JSON body as the bytes the HTTP layer writes."""
+    return (json.dumps(body, sort_keys=True) + "\n").encode("utf-8")
+
+
 @dataclass(frozen=True)
 class ServeResponse:
-    """One fully-formed response: status, JSON body, extra headers."""
+    """One fully-formed response: status, JSON wire bytes, extra headers."""
 
     status: int
-    body: dict
+    payload: bytes
     headers: Mapping[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, status: int, body: dict, headers: Mapping[str, str] | None = None):
+        """The response whose JSON body is ``body``."""
+        return cls(status, _encode(body), headers or {})
+
+    @property
+    def body(self) -> dict:
+        """The JSON body, decoded from :attr:`payload`."""
+        return json.loads(self.payload)
 
 
 def _error(status: int, code: str, message: str, headers: Mapping[str, str] | None = None):
     body = {"error": {"code": code, "message": message, "status": status}}
-    return ServeResponse(status, body, headers or {})
+    return ServeResponse.of(status, body, headers)
 
 
 class SynthesisService:
@@ -118,9 +145,12 @@ class SynthesisService:
         )
         cache = TrialCache(config.cache_dir) if config.cache_dir else None
         self.models = ModelRegistry(
-            accountants=self.accountants, executor=self._run_work, cache=cache
+            accountants=self.accountants,
+            executor=self._run_work,
+            cache=cache,
+            maxsize=_MODEL_MEMO_SIZE,
         )
-        self._responses = SingleFlightMemo(cache)
+        self._responses = SingleFlightMemo(cache, _RESPONSE_MEMO_SIZE)
         # A request's samples are cut into n_jobs runs, one per thread:
         # the fit pool is idle while a request samples, and each run is
         # one sampler-kernel call that releases the interpreter lock.
@@ -213,7 +243,7 @@ class SynthesisService:
         if path == "/healthz":
             if verb != "GET":
                 return _error(405, "method-not-allowed", f"{path} expects GET")
-            return ServeResponse(200, {"status": "ok"})
+            return ServeResponse.of(200, {"status": "ok"})
         if path == "/readyz":
             if verb != "GET":
                 return _error(405, "method-not-allowed", f"{path} expects GET")
@@ -221,7 +251,7 @@ class SynthesisService:
         if path == "/stats":
             if verb != "GET":
                 return _error(405, "method-not-allowed", f"{path} expects GET")
-            return ServeResponse(200, self.stats())
+            return ServeResponse.of(200, self.stats())
         if path in _WORK_ENDPOINTS:
             if verb != "POST":
                 return _error(405, "method-not-allowed", f"{path} expects POST")
@@ -238,7 +268,7 @@ class SynthesisService:
                     503, "breaker-open",
                     "circuit breaker is open after repeated pool breakage",
                 )
-        return ServeResponse(200, {"status": "ready"})
+        return ServeResponse.of(200, {"status": "ready"})
 
     def _probe_breaker(self) -> None:
         """Single-flight recovery probe: one trivial pool round-trip."""
@@ -279,7 +309,7 @@ class SynthesisService:
                 nth = self._work_sequence
             faults = self.config.faults.for_request(nth)
             try:
-                body, cached = call_with_timeout(
+                encoded, cached = call_with_timeout(
                     lambda: self._execute(endpoint, payload, faults),
                     self.config.timeout,
                     nth,
@@ -300,7 +330,7 @@ class SynthesisService:
                 _logger.warning("%s failed: %s: %s", endpoint, type(exc).__name__, exc)
                 return _error(503, "work-failed", f"{type(exc).__name__}: {exc}")
             return ServeResponse(
-                200, body, {"X-Repro-Cache": "hit" if cached else "miss"}
+                200, encoded, {"X-Repro-Cache": "hit" if cached else "miss"}
             )
         finally:
             self.gate.leave()
@@ -308,7 +338,7 @@ class SynthesisService:
     def _execute(self, endpoint: str, payload: Any, faults: TrialFaults):
         """Canonicalize, apply injected faults, compute-or-cache.
 
-        Returns ``(body, cached)``.  The request is attempt 1 of a trial.
+        Returns ``(encoded body, cached)``.  The request is attempt 1 of a trial.
         """
         canonical = self._canonicalize(endpoint, payload)
         if faults.slow_attempts:
@@ -318,15 +348,16 @@ class SynthesisService:
         if faults.error_attempts:
             raise InjectedFault("injected handler error")
         key = stable_hash(("serve", _RESPONSE_KEY_VERSION, endpoint, canonical))
-        body, source = self._responses.get(
+        encoded, source = self._responses.get(
             key, lambda: self._compute(endpoint, canonical, faults)
         )
-        return body, source != "computed"
+        return encoded, source != "computed"
 
-    def _compute(self, endpoint: str, canonical: tuple, faults: TrialFaults) -> dict:
+    def _compute(self, endpoint: str, canonical: tuple, faults: TrialFaults) -> bytes:
         request = dict(canonical)
         spec = ModelSpec(
             dataset=request["dataset"],
+            fingerprint=request["fingerprint"],
             method=request["method"],
             epsilon=request["epsilon"],
             delta=request["delta"],
@@ -365,18 +396,15 @@ class SynthesisService:
         }
         if endpoint in ("/sample", "/release"):
             count = request["count"]
-            entropy = int(
-                stable_hash(("serve-entropy", spec.token(), count))[:16], 16
-            )
             body["count"] = count
             body["samples"] = _sample_work(
                 model=model,
                 count=count,
-                entropy=entropy,
+                entropy=spec.entropy(count),
                 mapper=self._sampler.map,
                 shards=self.config.n_jobs,
             )
-        return body
+        return _encode(body)
 
     # ------------------------------------------------------------------
     # Canonicalization
@@ -487,6 +515,7 @@ class SynthesisService:
 
         canonical: dict[str, Any] = {
             "dataset": dataset,
+            "fingerprint": dataset_fingerprint(dataset),
             "method": method,
             "epsilon": epsilon,
             "delta": delta,

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import gzip
+import hashlib
+
 import pytest
 
 from repro.errors import DatasetError
-from repro.graphs.datasets import available_datasets, dataset_info, load_dataset
+from repro.graphs.datasets import (
+    available_datasets,
+    dataset_fingerprint,
+    dataset_info,
+    load_dataset,
+    load_fingerprinted,
+)
 from repro.stats.clustering import average_clustering
 
 
@@ -76,3 +85,29 @@ class TestDiskOverride:
         monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
         graph = load_dataset("as20")
         assert graph.n_edges == dataset_info("as20").paper_edges
+
+    def test_fingerprint_is_the_files_sha256_and_follows_a_change(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "ca-grqc.txt"
+        path.write_bytes(b"0 1\n1 2\n")
+        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
+        first = dataset_fingerprint("ca-grqc")
+        assert first == hashlib.sha256(b"0 1\n1 2\n").hexdigest()
+        assert load_fingerprinted("ca-grqc")[1] == first
+        path.write_bytes(b"0 1\n1 2\n2 3\n")
+        changed = dataset_fingerprint("ca-grqc")
+        assert changed == hashlib.sha256(b"0 1\n1 2\n2 3\n").hexdigest()
+        graph, fingerprint = load_fingerprinted("ca-grqc")
+        assert (graph.n_edges, fingerprint) == (3, changed)
+        assert load_dataset("ca-grqc") is graph
+
+    def test_gzip_file_parses_and_fingerprints_its_compressed_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        data = gzip.compress(b"# header\r\n5 6\r\n6 7\r\n")
+        (tmp_path / "as20.txt.gz").write_bytes(data)
+        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
+        graph, fingerprint = load_fingerprinted("as20")
+        assert (graph.n_nodes, graph.n_edges) == (3, 2)
+        assert fingerprint == dataset_fingerprint("as20") == hashlib.sha256(data).hexdigest()

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.datasets import dataset_info, load_dataset
+from repro.graphs import datasets
+from repro.graphs.datasets import available_datasets, dataset_info, load_dataset
 from repro.graphs.graph import Graph
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -77,6 +78,17 @@ GENERATORS = {
 @pytest.mark.parametrize("name", sorted(STANDINS))
 def test_default_standin_digest(name):
     assert graph_digest(load_dataset(name)) == STANDINS[name][0]
+    assert dataset_info(name).digest == STANDINS[name][0]
+
+
+@pytest.mark.parametrize("name", available_datasets())
+def test_spec_digest_is_the_default_graphs(name):
+    """Each spec pins its default graph's digest, which is the fingerprint
+    a default load reports (the one ``repro serve`` binds charges to)."""
+    graph = load_dataset(name)
+    assert datasets.graph_digest(graph) == graph_digest(graph) == dataset_info(name).digest
+    assert datasets.load_fingerprinted(name) == (graph, dataset_info(name).digest)
+    assert datasets.dataset_fingerprint(name) == dataset_info(name).digest
 
 
 @pytest.mark.parametrize("name", sorted(STANDINS))

@@ -126,10 +126,17 @@ class TestObjectiveMatrix:
         _assert_engines_agree(backend, estimator, observed, k)
 
     @pytest.mark.parametrize("backend", NATIVE)
-    @pytest.mark.parametrize("grid_points,n_refinements", [(3, 1), (5, 2), (11, 9), (31, 5)])
+    @pytest.mark.parametrize(
+        "grid_points,n_refinements", [(3, 1), (5, 2), (11, 9), (31, 5), (42, 2)]
+    )
     def test_grid_and_restart_variants(self, backend, grid_points, n_refinements):
+        """Bit-identical at every size; a grid past the cached size is
+        evaluated afresh and never enters the grid cache."""
+        before = kronmom._grid.cache_info()
         estimator = KronMomEstimator(grid_points=grid_points, n_refinements=n_refinements)
         _assert_engines_agree(backend, estimator, AS20_RELEASE, 13)
+        if grid_points > kronmom._CACHED_GRID_POINTS:
+            assert kronmom._grid.cache_info() == before
 
 
 class TestObservations:

@@ -443,3 +443,28 @@ class TestCrashDurability:
         # At most the in-flight charge is on disk beyond the acks, never twice.
         assert len(labels) == len(set(labels))
         assert labels[: len(acked)] == acked
+
+
+class TestTokens:
+    TOKEN = "ab" * 32
+
+    def test_a_charged_token_is_not_charged_again_across_a_restart(self, tmp_path):
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert registry.charge("as20", "fit", 0.3, 0.0, token=self.TOKEN)
+        assert not registry.charge("as20", "fit", 0.3, 0.0, token=self.TOKEN)
+        assert registry.charge("as20", "untokened", 0.1, 0.0)
+        reborn = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        assert not reborn.charge("as20", "fit", 0.3, 0.0, token=self.TOKEN)
+        assert reborn.snapshot()["as20"]["entries"] == 2
+        lines = [json.loads(line) for line in (tmp_path / "as20.jsonl").read_text().splitlines()]
+        assert [line.get("token") for line in lines] == [self.TOKEN, None]
+
+    @pytest.mark.parametrize("token", ["not hex", 5])
+    def test_a_malformed_token_is_refused_with_its_line_number(self, tmp_path, token):
+        (tmp_path / "as20.jsonl").write_text(
+            json.dumps({"label": "a", "epsilon": 0.1, "delta": 0.0}) + "\n"
+            + json.dumps({"label": "b", "epsilon": 0.1, "delta": 0.0, "token": token}) + "\n"
+        )
+        registry = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        with pytest.raises(PrivacyError, match="line 2 is malformed"):
+            registry.for_dataset("as20")

@@ -172,7 +172,7 @@ def _run_together(count, call):
 
 class TestSingleFlightMemo:
     def test_concurrent_callers_on_one_key_compute_once(self):
-        memo = SingleFlightMemo()
+        memo = SingleFlightMemo(None, 8)
         calls = []
 
         def compute():
@@ -190,7 +190,7 @@ class TestSingleFlightMemo:
     def test_disk_hit_never_computes(self, tmp_path):
         cache = TrialCache(tmp_path)
         cache.store("ab" * 32, {"value": 3})
-        memo = SingleFlightMemo(cache)
+        memo = SingleFlightMemo(cache, 8)
 
         def compute():
             raise AssertionError("a disk hit must not compute")
@@ -201,15 +201,15 @@ class TestSingleFlightMemo:
 
     def test_restart_counts_one_disk_hit_under_concurrency(self, tmp_path):
         cache = TrialCache(tmp_path)
-        SingleFlightMemo(cache).get("cd" * 32, lambda: "fitted")
-        restarted = SingleFlightMemo(TrialCache(tmp_path))
+        SingleFlightMemo(cache, 8).get("cd" * 32, lambda: "fitted")
+        restarted = SingleFlightMemo(TrialCache(tmp_path), 8)
         results = _run_together(6, lambda: restarted.get("cd" * 32, lambda: "refit"))
         assert {value for value, _source in results} == {"fitted"}
         assert restarted.counts() == {"memory": 5, "disk": 1, "computed": 0}
 
     def test_compute_that_raises_stores_nothing(self, tmp_path):
         cache = TrialCache(tmp_path)
-        memo = SingleFlightMemo(cache)
+        memo = SingleFlightMemo(cache, 8)
 
         def failing():
             raise RuntimeError("fit failed")
@@ -223,8 +223,60 @@ class TestSingleFlightMemo:
         assert len(cache) == 1
 
     def test_counts_and_len_track_distinct_keys(self):
-        memo = SingleFlightMemo()
+        memo = SingleFlightMemo(None, 8)
         for key in ("a", "b", "a", "c", "a"):
             memo.get(key, lambda key=key: key.upper())
         assert memo.counts() == {"memory": 2, "disk": 0, "computed": 3}
         assert len(memo) == 3
+
+    def test_insert_past_the_bound_evicts_the_least_recent(self):
+        memo = SingleFlightMemo(None, 2)
+        for key in ("a", "b", "c"):
+            memo.get(key, lambda key=key: key.upper())
+        assert len(memo) == 2
+        assert memo.get("b", lambda: "recomputed") == ("B", "memory")
+        assert memo.get("c", lambda: "recomputed") == ("C", "memory")
+        assert memo.get("a", lambda: "A again") == ("A again", "computed")
+        assert memo.counts() == {"memory": 2, "disk": 0, "computed": 4}
+
+    def test_a_recall_refreshes_recency(self):
+        memo = SingleFlightMemo(None, 2)
+        memo.get("a", lambda: 1)
+        memo.get("b", lambda: 2)
+        assert memo.get("a", lambda: "evicted") == (1, "memory")
+        memo.get("c", lambda: 3)  # evicts b, the least recent, not a
+        assert memo.get("a", lambda: "evicted") == (1, "memory")
+        assert memo.get("b", lambda: "refit") == ("refit", "computed")
+
+    def test_an_evicted_key_recomputes_once_under_concurrency(self):
+        memo = SingleFlightMemo(None, 1)
+        memo.get("k", lambda: "first")
+        memo.get("other", lambda: "evicts k")
+        calls = []
+
+        def compute():
+            calls.append(1)
+            time.sleep(0.05)  # hold the key while the others arrive
+            return "again"
+
+        results = _run_together(8, lambda: memo.get("k", compute))
+        assert len(calls) == 1
+        assert sorted(source for _value, source in results) == ["computed"] + ["memory"] * 7
+        assert {value for value, _source in results} == {"again"}
+        assert len(memo) == 1
+
+    def test_the_disk_layer_serves_an_evicted_key(self, tmp_path):
+        memo = SingleFlightMemo(TrialCache(tmp_path), 1)
+        memo.get("ab" * 32, lambda: {"value": 1})
+        memo.get("cd" * 32, lambda: {"value": 2})
+
+        def compute():
+            raise AssertionError("an evicted key on disk must not compute")
+
+        assert memo.get("ab" * 32, compute) == ({"value": 1}, "disk")
+        assert memo.get("cd" * 32, lambda: "x") == ({"value": 2}, "disk")
+        assert memo.counts() == {"memory": 0, "disk": 2, "computed": 2}
+
+    def test_bound_must_be_positive(self):
+        with pytest.raises(ValueError, match="maxsize"):
+            SingleFlightMemo(None, 0)

@@ -15,15 +15,22 @@ self-heals through it.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.serve.accounting import AccountantRegistry
 from repro.serve.server import ServeRuntime
+from repro.serve.service import SynthesisService
 
 from serve_helpers import make_config
 
@@ -228,3 +235,87 @@ class TestChaosAcceptance:
         ).for_dataset("as20")
         assert len(on_disk.ledger) == len(ledger)
         assert on_disk.spent[0] == pytest.approx(spent_epsilon)
+
+
+# A serve process that answers one /release, arms a SIGKILL at one point
+# of the next release's charge path, and sends that release.  Each
+# response it answers is printed before the next request (an ack).
+_KILL_AT = """
+import json, os, signal, sys
+from repro.serve import accounting, service as service_module
+from repro.serve.config import ServeConfig
+from repro.serve.service import SynthesisService
+
+ledger_dir, point = sys.argv[1], sys.argv[2]
+
+def die(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def torn_append(path, data):
+    with open(path, "ab") as handle:
+        handle.write(data[: len(data) // 2])
+    die()
+
+service = SynthesisService(ServeConfig.resolve(
+    port=0, n_jobs=1, budget_epsilon=1.0, budget_delta=0.1, ledger_dir=ledger_dir))
+
+def release(seed):
+    response = service.handle("POST", "/release", {
+        "dataset": "as20", "epsilon": 0.1, "delta": 0.01, "count": 2, "seed": seed})
+    print(json.dumps({"seed": seed, "status": response.status,
+                      "payload": response.payload.decode()}), flush=True)
+
+release(0)
+if point == "mid-append":
+    accounting._append = torn_append
+elif point == "before-fsync":
+    accounting.os.fsync = die
+elif point == "before-fit":
+    service.models._executor = die
+elif point == "before-reply":
+    service_module._sample_work = die
+release(1)
+die()  # after the reply
+"""
+
+KILL_POINTS = ("mid-append", "before-fsync", "before-fit", "before-reply", "after-reply")
+
+
+class TestKillDuringCharge:
+    @pytest.mark.parametrize("point", KILL_POINTS)
+    def test_a_kill_never_loses_a_spend_a_response_depended_on(self, tmp_path, point):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        env = {k: v for k, v in env.items() if not k.startswith("REPRO_SERVE_")}
+        child = subprocess.run(
+            [sys.executable, "-c", _KILL_AT, str(tmp_path), point],
+            capture_output=True, env=env, text=True, timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        acked = [json.loads(line) for line in child.stdout.splitlines()]
+        assert [ack["seed"] for ack in acked] == ([0, 1] if point == "after-reply" else [0])
+        assert all(ack["status"] == 200 for ack in acked)
+
+        # Every acknowledged release's spend is on disk, read before any
+        # replay can change the file.
+        on_disk = AccountantRegistry(epsilon=1.0, delta=0.1, ledger_dir=tmp_path)
+        labels = [spend.label for spend in on_disk.read_ledger("as20")]
+        for ack in acked:
+            assert sum(f"seed={ack['seed']})" in label for label in labels) == 1
+
+        # A restart (no trial cache) answers each acknowledged release
+        # byte-identically without a second charge, and the interrupted
+        # one is charged at most once across the crash.
+        reborn = SynthesisService(make_config(
+            budget_epsilon=1.0, budget_delta=0.1, ledger_dir=str(tmp_path)))
+        for ack in acked:
+            again = reborn.handle("POST", "/release", {
+                "dataset": "as20", "epsilon": 0.1, "delta": 0.01, "count": 2,
+                "seed": ack["seed"]})
+            assert again.payload.decode() == ack["payload"]
+        assert reborn.handle("POST", "/release", {
+            "dataset": "as20", "epsilon": 0.1, "delta": 0.01, "count": 2,
+            "seed": 1}).status == 200
+        lines = [json.loads(line) for line in
+                 (tmp_path / "as20.jsonl").read_text().splitlines()]
+        assert len(lines) == 2
+        assert len({line["token"] for line in lines}) == 2

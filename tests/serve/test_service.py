@@ -17,8 +17,13 @@ import numpy as np
 import pytest
 
 from repro.core.protocols import FixedInitiatorModel, build_estimator
+from repro.errors import ReproError
 from repro.graphs.datasets import load_dataset
+from repro.graphs.generators import barabasi_albert_graph
+from repro.graphs.io import write_edge_list
 from repro.kronecker.initiator import Initiator
+from repro.serve import registry as model_registry
+from repro.serve import service as service_module
 from repro.serve.accounting import AccountantRegistry
 from repro.serve.registry import ModelRegistry, _served
 from repro.serve.service import SynthesisService, _sample_work
@@ -474,9 +479,118 @@ class TestSampleWork:
             load_dataset("as20")
         )
         served = _served(full)
-        registry = ModelRegistry(accountants=None, executor=None)
+        registry = ModelRegistry(accountants=None, executor=None, cache=None, maxsize=1)
         assert registry.summarize_model(served) == registry.summarize_model(full)
         assert json.dumps(_sample_work(model=served, count=2, entropy=1)) == (
             json.dumps(_sample_work(model=full, count=2, entropy=1))
         )
         assert len(pickle.dumps(served)) < len(pickle.dumps(full)) // 50
+
+
+def _ledger_lines(service, dataset="as20") -> list[dict]:
+    path = service.accountants.ledger_path(dataset)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+RELEASE = {"dataset": "as20", "epsilon": 0.1, "delta": 0.01, "count": 2}
+
+
+class TestChargeOnce:
+    """A private model's charge is tied to its spec token, once per token."""
+
+    def test_restart_without_a_cache_does_not_charge_a_repeated_spec(self, tmp_path):
+        config = make_config(ledger_dir=str(tmp_path))
+        cold = SynthesisService(config).handle("POST", "/release", RELEASE)
+        assert cold.status == 200
+        reborn = SynthesisService(config)
+        again = reborn.handle("POST", "/release", RELEASE)
+        assert again.status == 200
+        assert again.headers["X-Repro-Cache"] == "miss"  # refit, not a cache hit
+        assert again.payload == cold.payload
+        lines = _ledger_lines(reborn)
+        assert len(lines) == 1 and len(lines[0]["token"]) == 64
+        assert reborn.stats()["budget"]["as20"]["entries"] == 1
+
+    def test_a_changed_data_file_gets_a_new_token_and_is_charged(
+        self, tmp_path, monkeypatch
+    ):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        edge_file = data_dir / "as20.txt"
+        monkeypatch.setenv("REPRO_DATA_DIR", str(data_dir))
+        write_edge_list(barabasi_albert_graph(300, 3, np.random.default_rng(1)), edge_file)
+        service = SynthesisService(make_config(ledger_dir=str(tmp_path / "ledgers")))
+        first = service.handle("POST", "/release", RELEASE)
+        assert first.status == 200
+        assert service.handle("POST", "/release", RELEASE).headers["X-Repro-Cache"] == "hit"
+        write_edge_list(barabasi_albert_graph(300, 4, np.random.default_rng(2)), edge_file)
+        changed = service.handle("POST", "/release", RELEASE)
+        assert changed.status == 200
+        assert changed.headers["X-Repro-Cache"] == "miss"
+        assert changed.body["model"] != first.body["model"]
+        tokens = [line["token"] for line in _ledger_lines(service)]
+        assert len(tokens) == len(set(tokens)) == 2
+
+    def test_a_worker_refuses_a_fingerprint_mismatch(self):
+        with pytest.raises(ReproError, match="changed while the request was in flight"):
+            model_registry._fit_work(
+                dataset="as20", fingerprint="0" * 16, method="KronMom",
+                epsilon=None, delta=None, seed=0, params=(),
+            )
+
+    def test_a_mismatch_answers_503_and_stores_no_model(self, monkeypatch):
+        monkeypatch.setattr(service_module, "dataset_fingerprint", lambda name: "f" * 16)
+        service = SynthesisService(make_config())
+        response = service.handle("POST", "/fit", fit_request())
+        assert response.status == 503
+        assert "changed while the request was in flight" in response.body["error"]["message"]
+        assert service.stats()["models"]["loaded"] == 0
+
+    def test_an_evicted_models_refit_is_uncharged_and_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "_MODEL_MEMO_SIZE", 1)
+        monkeypatch.setattr(service_module, "_RESPONSE_MEMO_SIZE", 1)
+        service = SynthesisService(make_config(ledger_dir=str(tmp_path)))
+        first = service.handle("POST", "/release", dict(RELEASE, seed=1))
+        service.handle("POST", "/release", dict(RELEASE, seed=2))  # evicts seed 1
+        again = service.handle("POST", "/release", dict(RELEASE, seed=1))
+        assert again.status == 200
+        assert again.headers["X-Repro-Cache"] == "miss"
+        assert again.payload == first.payload
+        assert service.stats()["models"]["fitted"] == 3
+        assert len(_ledger_lines(service)) == 2
+        assert service.accountants.for_dataset("as20").spent[0] == pytest.approx(0.2)
+
+    def test_a_parent_format_ledger_replays_and_its_spec_is_charged_again(self, tmp_path):
+        """An untokened line counts against the budget but marks no spec."""
+        config = make_config(ledger_dir=str(tmp_path))
+        label = "serve Private fit of as20 (epsilon=0.1, delta=0.01, seed=7)"
+        (tmp_path / "as20.jsonl").write_text(
+            json.dumps({"label": label, "epsilon": 0.1, "delta": 0.01}) + "\n"
+        )
+        service = SynthesisService(config)
+        assert service.accountants.for_dataset("as20").spent == pytest.approx((0.1, 0.01))
+        assert service.handle("POST", "/release", dict(RELEASE, seed=7)).status == 200
+        lines = _ledger_lines(service)
+        assert [line["label"] for line in lines] == [label, label]
+        assert "token" not in lines[0] and "token" in lines[1]
+        reborn = SynthesisService(config)
+        assert reborn.handle("POST", "/release", dict(RELEASE, seed=7)).status == 200
+        assert len(_ledger_lines(reborn)) == 2
+        assert reborn.accountants.for_dataset("as20").spent == pytest.approx((0.2, 0.02))
+
+
+class TestBoundedState:
+    def test_three_times_the_bound_leaves_each_memo_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_MODEL_MEMO_SIZE", 3)
+        monkeypatch.setattr(service_module, "_RESPONSE_MEMO_SIZE", 3)
+        service = SynthesisService(make_config(budget_epsilon=10.0))
+        for seed in range(9):
+            response = service.handle("POST", "/release", dict(RELEASE, seed=seed))
+            assert response.status == 200
+        stats = service.stats()
+        assert stats["responses"]["cached"] == len(service._responses) == 3
+        assert stats["models"]["loaded"] == 3
+        assert stats["models"]["fitted"] == stats["responses"]["misses"] == 9
+        assert stats["budget"]["as20"]["entries"] == 9

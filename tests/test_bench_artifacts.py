@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.graphs.datasets import dataset_info
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 OUT_DIR = BENCH_DIR / "out"
 
@@ -260,7 +262,7 @@ class TestBenchArtifactSchema:
         standins = {row["dataset"]: row for row in report["standins"]}
         assert set(standins) == {"ca-grqc", "as20", "ca-hepth"}
         for name, row in standins.items():
-            assert row["digest"] == bench.STANDIN_DIGESTS[name]
+            assert row["digest"] == dataset_info(name).digest
             assert row["build"]["median_ms"] > 0
         rows = {row["dataset"]: row for row in report["edge_arrays"]}
         assert set(rows) == {"ca-grqc", "skg-k18"}
